@@ -9,7 +9,7 @@ use vmqs_microscope::{SlideDataset, VmOp, VmQuery};
 
 fn filled_store(n: u64) -> DataStore<VmQuery> {
     let slide = SlideDataset::paper_scale(DatasetId(0));
-    let mut ds = DataStore::new(u64::MAX);
+    let mut ds = DataStore::new(u64::MAX, 2048);
     let mut ev = Vec::new();
     for i in 0..n {
         // Pseudo-random scatter across the slide so candidate counts stay
@@ -51,7 +51,7 @@ fn bench_insert_with_eviction(c: &mut Criterion) {
     let slide = SlideDataset::paper_scale(DatasetId(0));
     c.bench_function("ds_insert_evicting", |b| {
         // Budget fits ~8 blobs of 3 MB; steady-state inserts always evict.
-        let mut ds: DataStore<VmQuery> = DataStore::new(24 << 20);
+        let mut ds: DataStore<VmQuery> = DataStore::new(24 << 20, 1024);
         let mut ev = Vec::new();
         let mut i = 0u64;
         b.iter(|| {
@@ -67,34 +67,16 @@ fn bench_insert_with_eviction(c: &mut Criterion) {
 }
 
 fn bench_indexed_vs_linear_lookup(c: &mut Criterion) {
-    use vmqs_datastore::SpatialDataStore;
     let slide = SlideDataset::paper_scale(DatasetId(0));
     let probe = VmQuery::new(slide, Rect::new(512, 512, 4096, 4096), 4, VmOp::Subsample);
     let mut group = c.benchmark_group("ds_lookup_indexed_vs_linear");
     for &n in &[256u64, 4096] {
-        let linear = filled_store(n);
+        let ds = filled_store(n);
         group.bench_with_input(BenchmarkId::new("linear", n), &n, |b, _| {
-            b.iter(|| black_box(linear.lookup(&probe).len()));
+            b.iter(|| black_box(ds.lookup_filtered(&probe, None).len()));
         });
-        // Same pseudo-random population as the linear store.
-        let mut indexed: SpatialDataStore<VmQuery> = SpatialDataStore::new(u64::MAX, 2048);
-        let mut ev = Vec::new();
-        for i in 0..n {
-            let x = ((i * 997) % 27000) as u32;
-            let y = ((i * 641) % 27000) as u32;
-            let spec = VmQuery::new(slide, Rect::new(x, y, 2048, 2048), 2, VmOp::Subsample);
-            indexed
-                .insert(
-                    QueryId(i),
-                    spec,
-                    spec_outsize(&spec),
-                    vmqs_datastore::Payload::Virtual,
-                    &mut ev,
-                )
-                .unwrap();
-        }
         group.bench_with_input(BenchmarkId::new("indexed", n), &n, |b, _| {
-            b.iter(|| black_box(indexed.lookup(&probe).len()));
+            b.iter(|| black_box(ds.lookup(&probe).len()));
         });
     }
     group.finish();

@@ -105,10 +105,7 @@ fn csv_line(r: &Row) -> String {
 
 /// Dumps the event trace of a failing configuration so CI can attach it.
 fn dump_fail_trace(cfg: SimConfig, groups: usize, why: &str) -> ! {
-    let report = run_sim(
-        cfg.with_observe(true).with_trace(true),
-        chunk_skewed(groups),
-    );
+    let report = run_sim(cfg.with_observe(true), chunk_skewed(groups));
     std::fs::create_dir_all("results").ok();
     let path = "results/chunkbatch_fail_trace.json";
     std::fs::write(path, vmqs_obs::events_to_json(&report.events)).expect("write fail trace");

@@ -20,7 +20,7 @@ fn run(op: VmOp, policy: EvictionPolicy) -> ExpRow {
                 .with_ds_budget(32 << 20)
                 .with_ps_budget(PS_MB << 20)
                 .with_mode(SubmissionMode::Interactive)
-                .with_ds_policy(policy);
+                .with_cache_policy(policy);
             let report = run_sim(cfg, streams);
             ExpRow::from_report(&report, Strategy::Cnbf, op, 4, 32)
         })

@@ -423,45 +423,6 @@ pub fn simulate(args: &Args) -> CliResult {
     Ok(())
 }
 
-/// `vmqsctl trace` — export a schedule trace of a simulated run.
-pub fn trace(args: &Args) -> CliResult {
-    let strategy = match args.get("strategy") {
-        None => Strategy::Cnbf,
-        Some(s) => parse_strategy(s).ok_or(format!("unknown strategy '{s}'"))?,
-    };
-    let op = parse_vm_op(args.get("op").unwrap_or("subsample"))?;
-    let threads: usize = args.get_or("threads", 4)?;
-    let ds_mb: u64 = args.get_or("ds-mb", 64)?;
-    let seed: u64 = args.get_or("seed", 42)?;
-    let out = args.get("out").unwrap_or("trace.csv");
-    let mode = if args.flag("batch") {
-        SubmissionMode::Batch
-    } else {
-        SubmissionMode::Interactive
-    };
-    let streams = generate(&WorkloadConfig::paper(op, seed));
-    let streams = match mode {
-        SubmissionMode::Interactive => streams,
-        SubmissionMode::Batch => flatten_to_batch(&streams),
-    };
-    let cfg = SimConfig::paper_baseline()
-        .with_strategy(strategy)
-        .with_threads(threads)
-        .with_ds_budget(ds_mb << 20)
-        .with_mode(mode)
-        .with_trace(true);
-    let report = run_sim(cfg, streams);
-    std::fs::write(out, vmqs_sim::trace_to_csv(&report.trace))?;
-    println!(
-        "wrote {} events for {} queries ({} strategy, makespan {:.1} s) -> {out}",
-        report.trace.len(),
-        report.records.len(),
-        strategy.name(),
-        report.makespan
-    );
-    Ok(())
-}
-
 /// `vmqsctl demo` — a fixed guided tour.
 pub fn demo() -> CliResult {
     let slide = SlideDataset::new(DatasetId(0), 4000, 4000);

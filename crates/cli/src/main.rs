@@ -68,11 +68,6 @@ USAGE:
       hierarchy; the simulator charges tier-2 re-heats their disk
       latency in virtual time (no --spill-dir needed).
 
-  vmqsctl trace    [--strategy NAME] [--op subsample|average] [--threads N]
-                   [--ds-mb N] [--seed N] [--batch] [--out FILE.csv]
-      Run a simulated workload with schedule tracing and write the
-      per-event trace (arrive/start/block/resume/complete/swap_out) as CSV.
-
   vmqsctl demo
       A short guided tour: exact hits, projection, sub-queries.
 ";
@@ -92,7 +87,6 @@ fn main() {
         "render" => commands::render(&parsed),
         "mip" => commands::mip(&parsed),
         "simulate" => commands::simulate(&parsed),
-        "trace" => commands::trace(&parsed),
         "demo" => commands::demo(),
         "help" | "--help" | "-h" | "" => {
             println!("{USAGE}");

@@ -126,18 +126,18 @@ fn render_rejects_bad_zoom() {
 }
 
 #[test]
-fn trace_writes_event_csv() {
-    let path = tmp("trace.csv");
+fn simulate_trace_out_writes_event_json() {
+    let path = tmp("sim-trace.json");
     let out = vmqsctl()
         .args([
-            "trace",
+            "simulate",
             "--strategy",
             "CNBF",
             "--threads",
             "2",
             "--seed",
             "5",
-            "--out",
+            "--trace-out",
         ])
         .arg(&path)
         .output()
@@ -148,11 +148,12 @@ fn trace_writes_event_csv() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.starts_with("time_s,query,event,detail\n"));
-    // 256 queries: at least arrive+start+resume+complete each.
-    assert!(text.lines().count() > 4 * 256);
-    assert!(text.contains(",arrive,"));
-    assert!(text.contains(",complete,"));
+    // 256 queries: at least submitted+ranked+completed each.
+    assert!(text.lines().count() > 3 * 256);
+    for event in ["submitted", "ranked", "completed"] {
+        let needle = format!("\"event\": \"{event}\"");
+        assert_eq!(text.matches(&needle).count(), 256, "{event}");
+    }
     std::fs::remove_file(&path).ok();
 }
 

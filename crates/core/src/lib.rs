@@ -42,8 +42,8 @@ pub use geom::Rect;
 pub use graph::{Edge, GraphStats, SchedulingGraph};
 pub use ids::{BlobId, ClientId, DatasetId, IdGen, QueryId};
 pub use overload::{
-    fast_path_admissible, retry_after_estimate, shed_victim, FastAdmit, OverloadConfig,
-    PressureSignals, SharedTokenBucket, TokenBucket,
+    fast_path_admissible, pressure_secondary, retry_after_estimate, shed_victim, FastAdmit,
+    OverloadConfig, PressureSignals, SharedTokenBucket, TokenBucket,
 };
 pub use rank::Rank;
 pub use shard::{shard_of_spec, steal_order};

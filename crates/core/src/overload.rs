@@ -146,6 +146,33 @@ impl PressureSignals {
     }
 }
 
+/// The pressure monitor's secondary inputs from raw Data Store and Page
+/// Space counters: `(ds_occupancy, ps_miss_ratio, retry_ratio)`, each in
+/// `[0, 1]` and `0` while its denominator is still zero. Both engines
+/// feed these into [`PressureSignals`]; the threaded one must gather the
+/// counters *before* taking its admission lock.
+pub fn pressure_secondary(
+    ds_used: u64,
+    ds_budget: u64,
+    ps_hits: u64,
+    ps_misses: u64,
+    pages_fetched: u64,
+    read_retries: u64,
+) -> (f64, f64, f64) {
+    let ratio = |num: u64, den: u64| {
+        if den == 0 {
+            0.0
+        } else {
+            num as f64 / den as f64
+        }
+    };
+    (
+        ratio(ds_used, ds_budget),
+        ratio(ps_misses, ps_hits + ps_misses),
+        ratio(read_retries, pages_fetched + read_retries),
+    )
+}
+
 /// A deterministic token bucket. Time is `f64` seconds from any fixed
 /// origin; the same call sequence yields the same accept/reject decisions
 /// in real and virtual time.

@@ -21,12 +21,16 @@
 #![warn(missing_docs)]
 
 mod entry;
-mod spatial_store;
 mod store;
 
 pub use entry::{BlobEntry, EntryState, GraftSubscription, Payload, Phase, PIN_STRIPES};
-pub use spatial_store::SpatialDataStore;
 pub use store::{
     benefit_score, DataStore, DsError, DsStats, EvictionPolicy, EvictionRecord, GraftCandidate,
     Match, SpillRequest, RECOVERED_PRODUCER,
 };
+
+/// The store's pre-merge name. The spatially indexed wrapper and the
+/// linear store are one type now; the alias stays because the frozen
+/// benchmark package (`crates/bench/src/bin/vmqs_benchmark`, which no PR
+/// may edit) constructs the store as `SpatialDataStore::with_policy`.
+pub type SpatialDataStore<S> = DataStore<S>;

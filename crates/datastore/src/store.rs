@@ -8,11 +8,21 @@
 //! `lookup` once committed) and byte-budgeted eviction, which reports the
 //! evicted producers so the engine can mark them SWAPPED_OUT in the
 //! scheduling graph.
+//!
+//! The store carries the Index Manager's spatial index (paper Fig. 1): a
+//! [`GridIndex`] over the footprints of every committed entry. `lookup`
+//! probes the grid for blobs whose rectangles intersect the query window —
+//! a sound filter, since two predicates can only have nonzero `overlap`
+//! if their footprints intersect on the same dataset — and evaluates the
+//! application's operators on those candidates only. The linear scan
+//! survives as `lookup_filtered(probe, None)`, the reference an
+//! equivalence property test compares the indexed path against.
 
 use crate::entry::{BlobEntry, EntryState, Payload, Phase};
 use std::collections::HashMap;
+use vmqs_core::spatial::{GridIndex, SpatialSpec};
 use vmqs_core::sync::atomic::{AtomicU64, Ordering};
-use vmqs_core::{BlobId, QueryId, QuerySpec};
+use vmqs_core::{BlobId, QueryId};
 
 /// One eviction reported back to the caller: the evicted blob, the query
 /// that produced it (to be marked SWAPPED_OUT in the scheduling graph),
@@ -30,7 +40,7 @@ pub struct EvictionRecord<S> {
     pub blob: BlobId,
     /// The query that produced it.
     pub producer: QueryId,
-    /// The victim's predicate (shard routing and spatial-index removal).
+    /// The victim's predicate (shard routing).
     pub spec: S,
     /// Tier the data was dropped from: `1` = in-memory, `2` = spill store.
     pub tier: u8,
@@ -250,7 +260,7 @@ impl StatCells {
 /// serve many concurrent lookups under a shared read lock and take the
 /// write lock only to admit or evict.
 #[derive(Debug)]
-pub struct DataStore<S: QuerySpec> {
+pub struct DataStore<S: SpatialSpec> {
     budget: u64,
     used: u64,
     /// Tier-2 spill budget in bytes; `0` disables the spill tier and every
@@ -263,22 +273,31 @@ pub struct DataStore<S: QuerySpec> {
     /// persist these before releasing structural exclusivity.
     pending_spills: Vec<SpillRequest<S>>,
     entries: HashMap<BlobId, BlobEntry<S>>,
+    /// Footprints of every committed entry, FULL or RESTORABLE (a spilled
+    /// entry still holds its claim and re-heats in place). Maintained
+    /// where an entry becomes visible ([`DataStore::commit`],
+    /// [`DataStore::adopt_restorable`]) and where it leaves
+    /// ([`DataStore::remove`], the single exit every eviction, drop and
+    /// abort goes through); uncommitted reservations are never indexed.
+    index: GridIndex,
     next_blob: u64,
     clock: AtomicU64,
     policy: EvictionPolicy,
     stats: StatCells,
 }
 
-impl<S: QuerySpec> DataStore<S> {
-    /// Creates a store with the given byte budget. A budget of `0` disables
-    /// caching entirely (every `malloc` is rejected) — used by the paper's
-    /// caching-on/off experiment.
-    pub fn new(budget: u64) -> Self {
-        Self::with_policy(budget, EvictionPolicy::Lru)
+impl<S: SpatialSpec> DataStore<S> {
+    /// Creates a store with the given byte budget and index cell size (in
+    /// base-resolution pixels; pick roughly the footprint of a typical
+    /// cached result). A budget of `0` disables caching entirely (every
+    /// `malloc` is rejected) — used by the paper's caching-on/off
+    /// experiment.
+    pub fn new(budget: u64, cell_size: u32) -> Self {
+        Self::with_policy(budget, cell_size, EvictionPolicy::Lru)
     }
 
     /// Creates a store with an explicit eviction policy.
-    pub fn with_policy(budget: u64, policy: EvictionPolicy) -> Self {
+    pub fn with_policy(budget: u64, cell_size: u32, policy: EvictionPolicy) -> Self {
         DataStore {
             budget,
             used: 0,
@@ -286,6 +305,7 @@ impl<S: QuerySpec> DataStore<S> {
             tier2_used: 0,
             pending_spills: Vec::new(),
             entries: HashMap::new(),
+            index: GridIndex::new(cell_size),
             next_blob: 0,
             clock: AtomicU64::new(0),
             policy,
@@ -527,6 +547,8 @@ impl<S: QuerySpec> DataStore<S> {
         }
         e.payload = payload;
         assert!(e.state.publish(), "double commit of {blob}");
+        let (dataset, rect) = e.spec.region_key();
+        self.index.insert(blob.raw(), dataset, rect);
         self.stats.committed.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -688,6 +710,8 @@ impl<S: QuerySpec> DataStore<S> {
         let published = state.publish();
         let spilled = state.try_spill();
         debug_assert!(published && spilled, "fresh entry reaches RESTORABLE");
+        let (dataset, rect) = spec.region_key();
+        self.index.insert(blob.raw(), dataset, rect);
         self.entries.insert(
             blob,
             BlobEntry {
@@ -791,7 +815,7 @@ impl<S: QuerySpec> DataStore<S> {
     }
 
     /// True when a *visible* cached entry `cmp`-matches `probe`. Unlike
-    /// [`DataStore::lookup_exact`] this reads no stats and touches no LRU
+    /// [`DataStore::lookup`] this reads no stats and touches no LRU
     /// stamp — it is the duplicate-full-compute detector, a pure probe.
     pub fn has_equivalent(&self, probe: &S) -> bool {
         self.entries
@@ -799,46 +823,25 @@ impl<S: QuerySpec> DataStore<S> {
             .any(|e| e.visible() && e.spec.cmp(probe))
     }
 
-    /// Looks up a blob whose predicate `cmp`-matches `probe` exactly
-    /// (complete reuse). Touches the blob for LRU on hit. Updates hit/miss
-    /// statistics; callers interested in partial reuse should use
-    /// [`DataStore::lookup`] instead, which checks both.
-    pub fn lookup_exact(&self, probe: &S) -> Option<Match> {
-        let hit = self
-            .entries
-            .values()
-            .filter(|e| e.visible())
-            .find(|e| e.spec.cmp(probe))
-            .map(|e| (e.id, e.producer, e.spec.qoutsize()));
-        match hit {
-            Some((id, producer, size)) => {
-                self.touch(id);
-                self.stats.exact_hits.fetch_add(1, Ordering::Relaxed);
-                Some(Match {
-                    blob: id,
-                    producer,
-                    overlap: 1.0,
-                    reuse_bytes: size,
-                })
-            }
-            None => {
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
-    }
-
     /// The paper's `lookup`: finds cached results that can answer `probe`
     /// completely or partially. Returns matches sorted by descending
     /// reusable bytes; an exact (`cmp`) match, if any, is always first with
-    /// `overlap == 1.0`. Touches every returned blob.
+    /// `overlap == 1.0`. Touches every returned blob. Only blobs whose
+    /// footprints intersect the probe's are evaluated.
     pub fn lookup(&self, probe: &S) -> Vec<Match> {
-        self.lookup_filtered(probe, None)
+        let (dataset, rect) = probe.region_key();
+        let candidates: Vec<BlobId> = self
+            .index
+            .query(dataset, &rect)
+            .into_iter()
+            .map(BlobId)
+            .collect();
+        self.lookup_filtered(probe, Some(&candidates))
     }
 
-    /// Like [`DataStore::lookup`], but restricted to `candidates` when
-    /// given — the hook used by the Index Manager's spatially indexed
-    /// store, which can prove all other blobs have zero overlap.
+    /// [`DataStore::lookup`] restricted to `candidates` when given; with
+    /// `None` it scans every entry — the linear reference the indexed
+    /// path is property-tested against.
     pub fn lookup_filtered(&self, probe: &S, candidates: Option<&[BlobId]>) -> Vec<Match> {
         let mut matches: Vec<Match> = Vec::new();
         let mut exact: Option<Match> = None;
@@ -848,7 +851,13 @@ impl<S: QuerySpec> DataStore<S> {
                 .filter_map(|id| self.entries.get(id))
                 .filter(|e| e.visible())
                 .collect(),
-            None => self.entries.values().filter(|e| e.visible()).collect(),
+            None => {
+                // Blob-id order, like the grid's candidate lists, so both
+                // paths pick the same exact match among `cmp`-equal twins.
+                let mut all: Vec<_> = self.entries.values().filter(|e| e.visible()).collect();
+                all.sort_by_key(|e| e.id);
+                all
+            }
         };
         for e in candidate_entries {
             if exact.is_none() && e.spec.cmp(probe) {
@@ -904,17 +913,13 @@ impl<S: QuerySpec> DataStore<S> {
     /// is RESTORABLE, from tier 1 otherwise); returns it.
     pub fn remove(&mut self, blob: BlobId) -> Option<BlobEntry<S>> {
         let e = self.entries.remove(&blob)?;
+        self.index.remove(blob.raw());
         if e.state.is_restorable() {
             self.tier2_used -= e.size;
         } else {
             self.used -= e.size;
         }
         Some(e)
-    }
-
-    /// Iterates over all visible entries (test/diagnostic aid).
-    pub fn iter_visible(&self) -> impl Iterator<Item = &BlobEntry<S>> {
-        self.entries.values().filter(|e| e.visible())
     }
 
     fn pick_victim(&self) -> Option<BlobId> {
@@ -957,7 +962,7 @@ mod tests {
     }
 
     fn store(budget: u64) -> DataStore<IntervalSpec> {
-        DataStore::new(budget)
+        DataStore::new(budget, 64)
     }
 
     #[test]
@@ -968,10 +973,11 @@ mod tests {
         ds.insert(QueryId(1), s.clone(), 100, Payload::Virtual, &mut ev)
             .unwrap();
         assert!(ev.is_empty());
-        let m = ds.lookup_exact(&s).unwrap();
-        assert_eq!(m.overlap, 1.0);
-        assert_eq!(m.producer, QueryId(1));
-        assert!(ds.lookup_exact(&spec(999, 5, 1)).is_none());
+        let ms = ds.lookup(&s);
+        assert_eq!(ms.len(), 1);
+        assert_eq!(ms[0].overlap, 1.0);
+        assert_eq!(ms[0].producer, QueryId(1));
+        assert!(ds.lookup(&spec(999, 5, 1)).is_empty());
         assert_eq!(ds.stats().exact_hits, 1);
         assert_eq!(ds.stats().misses, 1);
     }
@@ -982,14 +988,14 @@ mod tests {
         let mut ev = Vec::new();
         let s = spec(0, 100, 1);
         let blob = ds.malloc(QueryId(1), s.clone(), 100, &mut ev).unwrap();
-        assert!(ds.lookup_exact(&s).is_none());
+        assert!(ds.lookup(&s).is_empty());
         // A second allocation cannot evict the uncommitted one.
         assert_eq!(
             ds.malloc(QueryId(2), spec(200, 50, 1), 50, &mut ev),
             Err(DsError::Busy)
         );
         ds.commit(blob, Payload::Virtual);
-        assert!(ds.lookup_exact(&s).is_some());
+        assert_eq!(ds.lookup(&s).len(), 1);
         // Now eviction is possible.
         assert!(ds.malloc(QueryId(2), spec(200, 50, 1), 50, &mut ev).is_ok());
         assert_eq!(ev.len(), 1);
@@ -1052,7 +1058,7 @@ mod tests {
     #[test]
     fn largest_first_evicts_biggest() {
         let mut ds: DataStore<IntervalSpec> =
-            DataStore::with_policy(300, EvictionPolicy::LargestFirst);
+            DataStore::with_policy(300, 64, EvictionPolicy::LargestFirst);
         let mut ev = Vec::new();
         ds.insert(QueryId(1), spec(0, 200, 1), 200, Payload::Virtual, &mut ev)
             .unwrap();
@@ -1072,7 +1078,7 @@ mod tests {
 
     #[test]
     fn mru_evicts_most_recent() {
-        let mut ds: DataStore<IntervalSpec> = DataStore::with_policy(200, EvictionPolicy::Mru);
+        let mut ds: DataStore<IntervalSpec> = DataStore::with_policy(200, 64, EvictionPolicy::Mru);
         let mut ev = Vec::new();
         ds.insert(QueryId(1), spec(0, 100, 1), 100, Payload::Virtual, &mut ev)
             .unwrap();
@@ -1194,7 +1200,7 @@ mod tests {
             .reserve_subscribable(QueryId(1), s.clone(), 100, &mut ev)
             .unwrap();
         // Invisible to the normal lookup path...
-        assert!(ds.lookup_exact(&s).is_none());
+        assert!(ds.lookup(&s).is_empty());
         // ...but discoverable by graft probes, exact first.
         let cands = ds.lookup_subscribable(&s);
         assert_eq!(cands.len(), 1);
@@ -1208,7 +1214,7 @@ mod tests {
         // Publish: graft probes stop matching, normal lookups start.
         ds.commit(blob, Payload::Virtual);
         assert!(ds.lookup_subscribable(&s).is_empty());
-        assert!(ds.lookup_exact(&s).is_some());
+        assert_eq!(ds.lookup(&s).len(), 1);
     }
 
     #[test]
@@ -1303,7 +1309,7 @@ mod tests {
     }
 
     fn cost_store(budget: u64) -> DataStore<IntervalSpec> {
-        DataStore::with_policy(budget, EvictionPolicy::CostBased)
+        DataStore::with_policy(budget, 64, EvictionPolicy::CostBased)
     }
 
     #[test]
@@ -1384,8 +1390,8 @@ mod tests {
         )
         .unwrap();
         // Reuse the first entry twice: its score now dominates.
-        assert!(ds.lookup_exact(&s1).is_some());
-        assert!(ds.lookup_exact(&s1).is_some());
+        assert_eq!(ds.lookup(&s1).len(), 1);
+        assert_eq!(ds.lookup(&s1).len(), 1);
         ds.insert_costed(
             QueryId(3),
             spec(2000, 100, 1),
@@ -1494,6 +1500,56 @@ mod tests {
         assert_eq!(ds.lookup_restorable_exact(&s1), Some((b1, QueryId(1), 100)));
         // Restorable entries answer exact probes only.
         assert!(ds.lookup_restorable_exact(&spec(0, 50, 1)).is_none());
+    }
+
+    /// The grid index holds exactly the committed entries: it gains one
+    /// at commit and adoption, keeps spilled ones, and loses one at every
+    /// exit (eviction, tier-2 drop, `drop_restorable`, `remove`).
+    /// Reservations are never in it, aborted or not.
+    #[test]
+    fn index_follows_every_entry_in_and_out() {
+        let mut ds = cost_store(100).with_tier2(100);
+        let mut ev = Vec::new();
+        let mut costed = |ds: &mut DataStore<IntervalSpec>, q: u64, start: u64, cost: f64| {
+            ds.insert_costed(
+                QueryId(q),
+                spec(start, 100, 1),
+                100,
+                cost,
+                Payload::Virtual,
+                &mut ev,
+            )
+            .unwrap()
+        };
+        let r = ds
+            .malloc(QueryId(9), spec(900, 10, 1), 0, &mut Vec::new())
+            .unwrap();
+        assert_eq!(ds.index.len(), 0, "reservations are not indexed");
+        ds.abort(r);
+        assert_eq!(ds.index.len(), 0);
+        // Commit indexes; the next insert spills `a`, which stays indexed
+        // (it still re-heats in place) but answers no ordinary lookup.
+        let a = costed(&mut ds, 1, 0, 1.0);
+        let b = costed(&mut ds, 2, 1000, 2.0);
+        assert!(ds.get(a).unwrap().state.is_restorable());
+        assert_eq!(ds.index.len(), 2);
+        assert!(ds.lookup(&spec(0, 100, 1)).is_empty());
+        // `b` spills past the tier-2 budget: the shrink drops `a`.
+        let c = costed(&mut ds, 3, 2000, 3.0);
+        assert!(ds.get(a).is_none());
+        assert_eq!(ds.index.len(), 2);
+        // A failed tier-2 read drops `b`, `remove` drops `c`; an adopted
+        // frame joins at adoption and serves indexed lookups once restored.
+        assert!(ds.drop_restorable(b).is_some());
+        ds.remove(c);
+        assert_eq!(ds.index.len(), 0);
+        assert!(ds.adopt_restorable(BlobId(50), spec(5000, 100, 1), 100));
+        assert_eq!(ds.index.len(), 1);
+        assert!(ds.restore(BlobId(50), Payload::Virtual, &mut Vec::new()));
+        assert_eq!(ds.lookup(&spec(5000, 100, 1)).len(), 1);
+        ds.remove(BlobId(50));
+        assert_eq!(ds.index.len(), 0);
+        assert!(ds.lookup_filtered(&spec(5000, 100, 1), None).is_empty());
     }
 
     #[test]
@@ -1717,7 +1773,7 @@ mod tests {
         // *lowest-scoring* RESTORABLE entry, which is the entry being
         // restored. restore() must report failure (the caller
         // recomputes), not panic on the vanished entry.
-        let mut ds = DataStore::with_policy(100, EvictionPolicy::CostBased).with_tier2(100);
+        let mut ds = DataStore::with_policy(100, 64, EvictionPolicy::CostBased).with_tier2(100);
         let mut ev = Vec::new();
         // Cheap entry A: first to be evicted, lowest score ever after.
         ds.insert_costed(

@@ -159,12 +159,6 @@ impl ServerConfig {
         self
     }
 
-    /// Builder-style Data Store eviction-policy override.
-    pub fn with_ds_policy(mut self, p: EvictionPolicy) -> Self {
-        self.ds_policy = p;
-        self
-    }
-
     /// Builder-style grid-index cell-size override.
     pub fn with_index_cell(mut self, cell: u32) -> Self {
         assert!(cell > 0, "index cell must be positive");
@@ -220,10 +214,11 @@ impl ServerConfig {
         self
     }
 
-    /// Builder-style cache-policy override — the `--cache-policy` flag's
-    /// name for [`ServerConfig::with_ds_policy`].
-    pub fn with_cache_policy(self, p: EvictionPolicy) -> Self {
-        self.with_ds_policy(p)
+    /// Builder-style Data Store eviction-policy override (the
+    /// `--cache-policy` flag).
+    pub fn with_cache_policy(mut self, p: EvictionPolicy) -> Self {
+        self.ds_policy = p;
+        self
     }
 
     /// Builder-style spill-directory override (`None` disables spilling).
@@ -321,7 +316,7 @@ mod tests {
         assert_eq!(c.ds_budget, 1024);
         assert_eq!(c.ps_budget, 2048);
         assert!(!c.allow_blocking);
-        let c2 = ServerConfig::small().with_ds_policy(EvictionPolicy::Mru);
+        let c2 = ServerConfig::small().with_cache_policy(EvictionPolicy::Mru);
         assert_eq!(c2.ds_policy, EvictionPolicy::Mru);
         let c3 = ServerConfig::small()
             .with_retry(RetryPolicy::none())

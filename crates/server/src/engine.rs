@@ -39,7 +39,7 @@
 //!   completion) is associated with its own mutex. A lock-free `depth`
 //!   mirror of the shard's ready-queue length lets stealers pick victims
 //!   without touching any lock.
-//! * `store: RwLock<SpatialDataStore>` — the semantic cache, still
+//! * `store: RwLock<DataStore>` — the semantic cache, still
 //!   global so reuse crosses shard boundaries. Lookups are read-side
 //!   (`&self`, LRU stamps and counters are atomics); only insert/evict
 //!   takes the write lock.
@@ -77,33 +77,46 @@ use crate::config::ServerConfig;
 use crate::error::{deadline_error, ServerError};
 use crate::pages::SharedPageSpace;
 use crate::result::{AnswerPath, QueryRecord, QueryResult, ServerSummary};
-use crossbeam::channel::{bounded, Receiver, Sender};
-
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vmqs_core::clock;
 use vmqs_core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use vmqs_core::sync::{Arc, Condvar, Mutex, RwLock};
+use vmqs_core::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use vmqs_core::{
-    fast_path_admissible, retry_after_estimate, shard_of_spec, shed_victim, steal_order, BlobId,
-    ClientId, FastAdmit, IdGen, PressureSignals, QueryId, QuerySpec, QueryState, SchedulingGraph,
-    SpatialSpec, TokenBucket,
+    fast_path_admissible, pressure_secondary, retry_after_estimate, shard_of_spec, shed_victim,
+    steal_order, BlobId, ClientId, FastAdmit, IdGen, PressureSignals, QueryId, QuerySpec,
+    QueryState, SchedulingGraph, SpatialSpec, TokenBucket,
 };
-use vmqs_datastore::{DsStats, EvictionRecord, Payload, Phase, SpatialDataStore};
+use vmqs_datastore::{DataStore, DsStats, EvictionRecord, Payload, Phase};
 use vmqs_microscope::PAGE_SIZE;
 use vmqs_obs::{EventBuffer, EventKind, EventRecord, MetricsSnapshot, Obs, QueryMetrics};
 use vmqs_pagespace::PsStats;
 use vmqs_storage::{DataSource, SpillStore};
 
-/// A query's reply channel.
-type ReplyTx<S> = Sender<Result<QueryResult<S>, ServerError>>;
+/// A query's reply channel: capacity one, so the single answer a query
+/// ever gets is sent without blocking whether or not the client waits.
+type ReplyTx<S> = SyncSender<Result<QueryResult<S>, ServerError>>;
+
+/// Everything a shard holds for one admitted, unanswered query. Created
+/// by `admit`, removed exactly once — when the answer is taken for
+/// delivery — so nothing per-query outlives the query.
+struct Pending<S> {
+    tx: ReplyTx<S>,
+    submitted: Instant,
+    /// Downgraded to its cheaper plan at admission.
+    degraded: bool,
+    /// Panics this query's computes have caused (the quarantine
+    /// counter); only ever nonzero after a panic, survives requeues.
+    attempts: u32,
+}
 
 /// A shed victim staged for delivery outside all scheduler locks: the
-/// query, its home shard, its (possibly already-taken) response channel,
-/// and the pressure level that triggered the decision.
-type ShedVictim<S> = (QueryId, usize, Option<ReplyTx<S>>, f64);
+/// query, its home shard, its (possibly already-taken) record, and the
+/// pressure level that triggered the decision.
+type ShedVictim<S> = (QueryId, usize, Option<Pending<S>>, f64);
 
 /// A client's handle to an in-flight query.
 #[derive(Debug)]
@@ -130,17 +143,16 @@ impl<S> QueryHandle<S> {
 /// [`Shard::state`].
 struct ShardState<S: SpatialSpec> {
     graph: SchedulingGraph<S>,
+    /// Data Store blobs of CACHED producers homed here; an entry lives as
+    /// long as the cached result, not the query.
     blob_of: HashMap<QueryId, BlobId>,
     /// Deadlock-avoidance wait-for edges: executing query → executing query
     /// it is blocked on. Reuse edges are intra-shard, so these never cross
     /// shards and the cycle check stays complete.
     waiting_on: HashMap<QueryId, QueryId>,
-    pending: HashMap<QueryId, ReplyTx<S>>,
-    submit_time: HashMap<QueryId, Instant>,
+    /// One record per admitted, unanswered query homed here.
+    pending: HashMap<QueryId, Pending<S>>,
     blocked_fallbacks: u64,
-    /// Queries downgraded to their cheaper plan at admission; consumed at
-    /// dequeue to stamp `degraded` on the record.
-    degraded: HashSet<QueryId>,
     /// Blobs evicted before their producer finished its own completion
     /// bookkeeping. A cost-based victim can be the *lowest-scoring* entry
     /// — including one committed moments ago by a producer still
@@ -149,6 +161,28 @@ struct ShardState<S: SpatialSpec> {
     /// instead of transitioning the producer; the producer consumes it
     /// under the same shard lock and swaps itself out.
     dead_blobs: HashSet<BlobId>,
+}
+
+impl<S: SpatialSpec> ShardState<S> {
+    /// The one exit for a query that leaves the graph without a result —
+    /// shed, failed, timed out, quarantined, or stranded by pool death.
+    /// The query must already be out of the dequeue index (callers
+    /// retiring a WAITING victim `dequeue_specific` it first); it takes
+    /// the CACHED → SWAPPED_OUT path an uncacheable success takes, drops
+    /// its wait-for edge, and gives up its record, so peers see no
+    /// residue. The caller delivers the record's reply outside the lock.
+    fn retire(&mut self, id: QueryId) -> Option<Pending<S>> {
+        if self.graph.state_of(id) == Some(QueryState::Executing) {
+            self.graph.mark_cached(id);
+        }
+        // Defensive: a panic that unwound after the result was committed
+        // leaves a CACHED producer with a live blob, which stays cached.
+        if self.graph.state_of(id) == Some(QueryState::Cached) && !self.blob_of.contains_key(&id) {
+            self.graph.swap_out(id);
+        }
+        self.waiting_on.remove(&id);
+        self.pending.remove(&id)
+    }
 }
 
 /// One scheduling shard: a worker's home scheduling graph plus the
@@ -171,9 +205,7 @@ impl<S: SpatialSpec> Shard<S> {
                 blob_of: HashMap::new(),
                 waiting_on: HashMap::new(),
                 pending: HashMap::new(),
-                submit_time: HashMap::new(),
                 blocked_fallbacks: 0,
-                degraded: HashSet::new(),
                 dead_blobs: HashSet::new(),
             }),
             depth: AtomicUsize::new(0),
@@ -202,7 +234,7 @@ struct Core<A: AppExecutor> {
     /// The semantic cache, under a reader-writer lock: lookups (the common
     /// case) share the read side; insert/evict takes the write side.
     /// Global, so result reuse crosses shard boundaries.
-    store: RwLock<SpatialDataStore<A::Spec>>,
+    store: RwLock<DataStore<A::Spec>>,
     /// The tier-2 spill store (DESIGN.md §14), present only when the
     /// config enables spilling. Frames are written and read back *inside*
     /// the store's write-lock critical sections, so a RESTORABLE entry
@@ -258,16 +290,6 @@ struct Core<A: AppExecutor> {
     event_bufs: Vec<Mutex<EventBuffer>>,
     ps: SharedPageSpace,
     idgen: IdGen,
-    /// Queries that failed with an I/O error (timeouts counted separately).
-    failed: AtomicU64,
-    /// Queries cancelled at their deadline.
-    timed_out: AtomicU64,
-    /// Queries refused at admission (queue full or rate limited).
-    rejected: AtomicU64,
-    /// Queries admitted but evicted by the load shedder.
-    shed: AtomicU64,
-    /// Queries downgraded to their cheaper plan at admission.
-    degraded: AtomicU64,
     /// Full computes whose output already had a `cmp`-equivalent visible
     /// Data Store entry at publish time — redundant work the grafting +
     /// producer-affinity machinery exists to eliminate (ROADMAP item 1).
@@ -276,9 +298,6 @@ struct Core<A: AppExecutor> {
     /// coordinate (DESIGN.md §15). Counts every entry into the compute
     /// stage, across all workers.
     compute_seq: AtomicU64,
-    /// Per-query panic attempts (the quarantine counter). Only touched
-    /// after a panic has already happened, so never on the healthy path.
-    quarantine: Mutex<HashMap<QueryId, u32>>,
     /// Replacement workers still allowed, counting down from
     /// [`ServerConfig::restart_budget`].
     restarts_left: AtomicUsize,
@@ -290,19 +309,12 @@ struct Core<A: AppExecutor> {
     pool_dead: AtomicBool,
     /// Handles of respawned replacement workers, joined at shutdown.
     respawned: Mutex<Vec<JoinHandle<()>>>,
-    /// Worker threads killed by a panicking compute.
-    worker_panics: AtomicU64,
-    /// Replacement workers spawned under the restart budget.
-    worker_restarts: AtomicU64,
-    /// Queries failed typed-ly by the quarantine rule.
-    quarantined: AtomicU64,
-    /// Queries cancelled by the hang watchdog.
-    hung: AtomicU64,
     /// Event log + metrics registry (DESIGN.md §9). Counters are always
     /// live; the event log records only when `cfg.observe` is set.
     obs: Arc<Obs>,
     /// Pre-resolved query-lifecycle metric handles (no registry lock on
-    /// the hot path).
+    /// the hot path). The registry is per-server, so these are also the
+    /// terminal counts `summary()` reports.
     qmet: QueryMetrics,
 }
 
@@ -343,7 +355,7 @@ impl<A: AppExecutor> QueryServer<A> {
                 .with_chaos(cfg.chaos)
         });
         let tier2_budget = if spill.is_some() { cfg.tier2_budget } else { 0 };
-        let mut store = SpatialDataStore::with_policy(cfg.ds_budget, cfg.index_cell, cfg.ds_policy)
+        let mut store = DataStore::with_policy(cfg.ds_budget, cfg.index_cell, cfg.ds_policy)
             .with_tier2(tier2_budget);
         if let Some(spill) = &spill {
             // Crash-consistent recovery (DESIGN.md §15): validate every
@@ -405,22 +417,12 @@ impl<A: AppExecutor> QueryServer<A> {
                 Some(Arc::clone(&obs)),
             ),
             idgen: IdGen::new(0),
-            failed: AtomicU64::new(0),
-            timed_out: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
-            degraded: AtomicU64::new(0),
             duplicate_full_computes: AtomicU64::new(0),
             compute_seq: AtomicU64::new(0),
-            quarantine: Mutex::new(HashMap::new()),
             restarts_left: AtomicUsize::new(cfg.restart_budget),
             live_workers: AtomicUsize::new(cfg.num_threads),
             pool_dead: AtomicBool::new(false),
             respawned: Mutex::new(Vec::new()),
-            worker_panics: AtomicU64::new(0),
-            worker_restarts: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
-            hung: AtomicU64::new(0),
             obs,
             qmet,
             app,
@@ -466,7 +468,7 @@ impl<A: AppExecutor> QueryServer<A> {
     /// — so callers never block on admission and never hang.
     pub fn submit_from(&self, client: ClientId, spec: A::Spec) -> QueryHandle<A::Spec> {
         let id = self.core.idgen.next_query();
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         let ov = self.core.cfg.overload;
         assert!(
             !self.core.shutdown.load(Ordering::SeqCst),
@@ -477,7 +479,6 @@ impl<A: AppExecutor> QueryServer<A> {
             // typed-ly instead of queueing work no one will ever run.
             self.core.qmet.submitted.inc();
             self.core.obs.log.log(id, EventKind::Submitted);
-            self.core.failed.fetch_add(1, Ordering::Relaxed);
             self.core.qmet.failed.inc();
             self.core.obs.log.log(id, EventKind::Failed);
             let _ = tx.send(Err(ServerError::WorkerPanicked));
@@ -500,25 +501,26 @@ impl<A: AppExecutor> QueryServer<A> {
         // returns a verdict the full ladder is guaranteed to agree
         // with, and escalates otherwise.
         let depth = self.core.total_waiting.load(Ordering::SeqCst);
+        // Queue-fraction-only pressure gauge: the secondary signals are
+        // not gathered on this path, and the bound that decided the
+        // verdict caps the difference.
+        let queue_only = |depth: usize| {
+            PressureSignals {
+                queue_depth: depth,
+                max_pending: ov.max_pending,
+                ..PressureSignals::default()
+            }
+            .level()
+        };
         match fast_path_admissible(&ov, depth) {
             FastAdmit::Admit => {
                 self.core.admit(id, spec, tx, false);
                 self.core.qmet.submitted.inc();
                 self.core.obs.log.log(id, EventKind::Submitted);
-                // Queue-fraction-only pressure gauge: the secondary
-                // signals are not gathered on this path, and the bound
-                // that admitted us caps the difference.
-                self.core.obs.metrics.set_gauge(
-                    "vmqs_pressure",
-                    PressureSignals {
-                        queue_depth: depth + 1,
-                        max_pending: ov.max_pending,
-                        ds_occupancy: 0.0,
-                        ps_miss_ratio: 0.0,
-                        retry_ratio: 0.0,
-                    }
-                    .level(),
-                );
+                self.core
+                    .obs
+                    .metrics
+                    .set_gauge("vmqs_pressure", queue_only(depth + 1));
                 self.core.wake_one();
                 return QueryHandle { id, rx };
             }
@@ -532,18 +534,10 @@ impl<A: AppExecutor> QueryServer<A> {
                 ));
                 self.core.qmet.submitted.inc();
                 self.core.obs.log.log(id, EventKind::Submitted);
-                self.core.obs.metrics.set_gauge(
-                    "vmqs_pressure",
-                    PressureSignals {
-                        queue_depth: depth,
-                        max_pending: ov.max_pending,
-                        ds_occupancy: 0.0,
-                        ps_miss_ratio: 0.0,
-                        retry_ratio: 0.0,
-                    }
-                    .level(),
-                );
-                self.core.rejected.fetch_add(1, Ordering::Relaxed);
+                self.core
+                    .obs
+                    .metrics
+                    .set_gauge("vmqs_pressure", queue_only(depth));
                 self.core.qmet.rejected.inc();
                 self.core.obs.log.log(
                     id,
@@ -561,7 +555,21 @@ impl<A: AppExecutor> QueryServer<A> {
         // pressure inputs come from the store and page-space components,
         // gathered *before* the admission lock (lock hierarchy: the
         // store lock is never taken below `admission`).
-        let (ds_occupancy, ps_miss_ratio, retry_ratio) = self.core.pressure_secondary();
+        let (ds_occupancy, ps_miss_ratio, retry_ratio) = {
+            let (used, budget) = {
+                let ds = self.core.store.read();
+                (ds.used(), ds.budget())
+            };
+            let ps = self.core.ps.stats();
+            pressure_secondary(
+                used,
+                budget,
+                ps.hits,
+                ps.misses,
+                ps.pages_fetched,
+                ps.read_retries,
+            )
+        };
         let now_s = self.core.obs.log.now();
         let signals = |depth: usize| PressureSignals {
             queue_depth: depth,
@@ -663,15 +671,11 @@ impl<A: AppExecutor> QueryServer<A> {
                         // A worker raced us to this victim; re-evaluate.
                         continue;
                     }
-                    s.graph.mark_cached(vid);
-                    s.graph.swap_out(vid);
-                    s.submit_time.remove(&vid);
-                    s.degraded.remove(&vid);
-                    let vtx = s.pending.remove(&vid);
+                    let victim = s.retire(vid);
                     self.core.shards[vk].depth.fetch_sub(1, Ordering::SeqCst);
                     self.core.total_waiting.fetch_sub(1, Ordering::SeqCst);
                     drop(s);
-                    shed_out.push((vid, vk, vtx, level));
+                    shed_out.push((vid, vk, victim, level));
                     level = signals(self.core.total_waiting.load(Ordering::SeqCst)).level();
                 }
                 observed_level = level;
@@ -692,7 +696,6 @@ impl<A: AppExecutor> QueryServer<A> {
         match decision {
             Decision::Admitted { degraded } => {
                 if degraded {
-                    self.core.degraded.fetch_add(1, Ordering::Relaxed);
                     self.core.qmet.degraded.inc();
                     self.core.obs.log.log(id, EventKind::Degraded);
                 }
@@ -702,7 +705,6 @@ impl<A: AppExecutor> QueryServer<A> {
                 retry_after,
                 tx,
             } => {
-                self.core.rejected.fetch_add(1, Ordering::Relaxed);
                 self.core.qmet.rejected.inc();
                 self.core
                     .obs
@@ -711,16 +713,11 @@ impl<A: AppExecutor> QueryServer<A> {
                 let _ = tx.send(Err(ServerError::Overloaded { retry_after }));
             }
         }
-        for (vid, vk, vtx, level) in shed_out {
-            self.core.shed.fetch_add(1, Ordering::Relaxed);
+        for (vid, vk, victim, level) in shed_out {
             self.core.qmet.shed.inc();
             self.core.obs.log.log(vid, EventKind::Shed);
-            if let Some(vtx) = vtx {
-                let _ = vtx.send(Err(ServerError::Shed { pressure: level }));
-            }
-            // Shedding retires outstanding queries: wake `drain` and any
-            // dependency blockers on the victim's shard.
-            self.core.finish_one(vk);
+            self.core
+                .answer(vk, victim, Err(ServerError::Shed { pressure: level }));
         }
         self.core.wake_one();
         QueryHandle { id, rx }
@@ -794,19 +791,14 @@ impl<A: AppExecutor> QueryServer<A> {
         // client is left hanging on its handle.
         for sh in &self.core.shards {
             let mut s = sh.state.lock();
-            for (_, tx) in s.pending.drain() {
-                let _ = tx.send(Err(ServerError::Shutdown));
+            for (_, p) in s.pending.drain() {
+                let _ = p.tx.send(Err(ServerError::Shutdown));
             }
         }
         // A panic that escaped the supervision layer entirely (outside
         // `run_one`) is accounted, not asserted on: every client already
         // got a typed error above, and the summary reports the damage.
-        self.core
-            .worker_panics
-            .fetch_add(join_panics, Ordering::Relaxed);
-        for _ in 0..join_panics {
-            self.core.qmet.worker_panics.inc();
-        }
+        self.core.qmet.worker_panics.add(join_panics);
     }
 
     /// Execution records of all completed queries so far. This copies the
@@ -845,11 +837,12 @@ impl<A: AppExecutor> QueryServer<A> {
             out.p50_response = resp[(resp.len() - 1) / 2];
             out.p95_response = resp[((resp.len() - 1) as f64 * 0.95).round() as usize];
         }
-        out.failed = self.core.failed.load(Ordering::Relaxed) as usize;
-        out.timed_out = self.core.timed_out.load(Ordering::Relaxed) as usize;
-        out.rejected = self.core.rejected.load(Ordering::Relaxed) as usize;
-        out.shed = self.core.shed.load(Ordering::Relaxed) as usize;
-        out.degraded = self.core.degraded.load(Ordering::Relaxed) as usize;
+        let qmet = &self.core.qmet;
+        out.failed = qmet.failed.get() as usize;
+        out.timed_out = qmet.timed_out.get() as usize;
+        out.rejected = qmet.rejected.get() as usize;
+        out.shed = qmet.shed.get() as usize;
+        out.degraded = qmet.degraded.get() as usize;
         out.duplicate_full_computes = self.core.duplicate_full_computes.load(Ordering::Relaxed);
         let ps = self.core.ps.stats();
         out.io_faults = ps.read_faults;
@@ -859,10 +852,10 @@ impl<A: AppExecutor> QueryServer<A> {
         out.spilled = ds.spilled;
         out.restored = ds.restored;
         out.restore_failures = ds.restore_failures;
-        out.worker_panics = self.core.worker_panics.load(Ordering::Relaxed);
-        out.worker_restarts = self.core.worker_restarts.load(Ordering::Relaxed);
-        out.quarantined = self.core.quarantined.load(Ordering::Relaxed) as usize;
-        out.hung = self.core.hung.load(Ordering::Relaxed) as usize;
+        out.worker_panics = qmet.worker_panics.get();
+        out.worker_restarts = qmet.worker_restarts.get();
+        out.quarantined = qmet.quarantined.get() as usize;
+        out.hung = qmet.hung.get() as usize;
         out
     }
 
@@ -974,20 +967,24 @@ impl<A: AppExecutor> QueryServer<A> {
     }
 
     /// Validates the scheduling graph's internal invariants (state/index
-    /// consistency, edge symmetry). Panics with the violation description
-    /// — a test/debug aid for asserting that error paths leave no residue.
+    /// consistency, edge symmetry) and that no per-query state outlives
+    /// its query: with nothing outstanding, every shard's record table
+    /// and wait-for map must be empty. Panics with the violation
+    /// description — a test/debug aid for asserting that error paths
+    /// leave no residue.
     pub fn check_invariants(&self) {
-        let mut any_edges = false;
+        let (mut records, mut edges) = (0, 0);
         for sh in &self.core.shards {
             let s = sh.state.lock();
             if let Err(e) = s.graph.validate() {
                 panic!("scheduling-graph invariant violated: {e}");
             }
-            any_edges |= !s.waiting_on.is_empty();
+            records += s.pending.len();
+            edges += s.waiting_on.len();
         }
         assert!(
-            !any_edges || self.core.outstanding.load(Ordering::SeqCst) > 0,
-            "wait-for edges with no outstanding queries"
+            (records, edges) == (0, 0) || self.core.outstanding.load(Ordering::SeqCst) > 0,
+            "{records} query records and {edges} wait-for edges with no outstanding queries"
         );
     }
 }
@@ -1006,11 +1003,15 @@ impl<A: AppExecutor> Core<A> {
         let k = self.home_shard(&spec);
         let mut s = self.shards[k].state.lock();
         s.graph.insert(id, spec);
-        s.pending.insert(id, tx);
-        s.submit_time.insert(id, clock::now());
-        if degraded {
-            s.degraded.insert(id);
-        }
+        s.pending.insert(
+            id,
+            Pending {
+                tx,
+                submitted: clock::now(),
+                degraded,
+                attempts: 0,
+            },
+        );
         self.outstanding.fetch_add(1, Ordering::SeqCst);
         self.total_waiting.fetch_add(1, Ordering::SeqCst);
         self.shards[k].depth.fetch_add(1, Ordering::SeqCst);
@@ -1083,11 +1084,20 @@ impl<A: AppExecutor> Core<A> {
         self.event_bufs[me].lock().flush(&self.obs.log);
     }
 
-    /// Retires one outstanding query homed on shard `k`: wakes `drain`
-    /// when the count hits zero and the shard's dependency blockers
-    /// unconditionally. Callers must deliver the reply *before* this, so
-    /// `drain` returning implies every handle is fulfilled.
-    fn finish_one(&self, k: usize) {
+    /// Delivers a query's one answer and retires it from shard `k`'s
+    /// outstanding count: wakes `drain` when the count hits zero and the
+    /// shard's dependency blockers unconditionally. The reply goes out
+    /// *before* the count drops, so `drain` returning implies every
+    /// handle is fulfilled. Callers hold no lock.
+    fn answer(
+        &self,
+        k: usize,
+        record: Option<Pending<A::Spec>>,
+        msg: Result<QueryResult<A::Spec>, ServerError>,
+    ) {
+        if let Some(p) = record {
+            let _ = p.tx.send(msg);
+        }
         if self.outstanding.fetch_sub(1, Ordering::SeqCst) == 1 {
             let _g = self.drain_mx.lock();
             self.drain_cv.notify_all();
@@ -1127,36 +1137,6 @@ impl<A: AppExecutor> Core<A> {
         *slots += 1;
         drop(slots);
         self.compute_cv.notify_one();
-    }
-
-    /// The pressure monitor's secondary inputs: Data Store occupancy and
-    /// Page Space miss/retry ratios, each in `[0, 1]`. Takes the store
-    /// read lock only — callers must gather these *before* taking the
-    /// admission lock (the store lock is never acquired below it).
-    fn pressure_secondary(&self) -> (f64, f64, f64) {
-        let (used, budget) = {
-            let ds = self.store.read();
-            (ds.used(), ds.budget())
-        };
-        let ds_occupancy = if budget == 0 {
-            0.0
-        } else {
-            used as f64 / budget as f64
-        };
-        let ps = self.ps.stats();
-        let lookups = ps.hits + ps.misses;
-        let ps_miss_ratio = if lookups == 0 {
-            0.0
-        } else {
-            ps.misses as f64 / lookups as f64
-        };
-        let reads = ps.pages_fetched + ps.read_retries;
-        let retry_ratio = if reads == 0 {
-            0.0
-        } else {
-            ps.read_retries as f64 / reads as f64
-        };
-        (ds_occupancy, ps_miss_ratio, retry_ratio)
     }
 }
 
@@ -1212,7 +1192,7 @@ fn worker_entry<A: AppExecutor>(core: Arc<Core<A>>, me: usize) {
         // under the restart budget. Lock guards released on the unwind
         // path leave consistent state: the injected panic point fires
         // with no engine lock held.
-        let (k, id, submitted, was_degraded) = (job.shard, job.id, job.submitted, job.was_degraded);
+        let (k, id) = (job.shard, job.id);
         if catch_unwind(AssertUnwindSafe(|| run_one(&core, me, job))).is_err() {
             // The restart-budget token is claimed (and the restart
             // counted) *before* the query's handle resolves, so a caller
@@ -1220,7 +1200,7 @@ fn worker_entry<A: AppExecutor>(core: Arc<Core<A>>, me: usize) {
             // consistent with the panics that caused it; only the thread
             // spawn itself happens after the back-out.
             let replacement = claim_restart(&core);
-            handle_worker_panic(&core, me, k, id, submitted, was_degraded, replacement);
+            handle_worker_panic(&core, me, k, id, replacement);
             respawn_or_retire(core, me, replacement);
             return;
         }
@@ -1231,39 +1211,30 @@ fn worker_entry<A: AppExecutor>(core: Arc<Core<A>>, me: usize) {
 /// through `run_one` with no locks held (guards release on unwind) and
 /// the compute permit/reservation already returned by the inner guard in
 /// `execute_query`; what remains is the scheduling residue: the query is
-/// EXECUTING in its shard's graph with its reply channel still pending.
-/// Below the quarantine limit it is requeued for a sibling shard's
-/// worker (or the replacement); at the limit it is failed typed-ly — a
+/// EXECUTING in its shard's graph with its record still pending. Below
+/// the quarantine limit it is requeued for a sibling shard's worker (or
+/// the replacement); at the limit it is failed typed-ly — a
 /// deterministic poison query must not crash-loop the pool.
 fn handle_worker_panic<A: AppExecutor>(
     core: &Core<A>,
     me: usize,
     k: usize,
     id: QueryId,
-    submitted: Instant,
-    was_degraded: bool,
     replacement: bool,
 ) {
-    core.worker_panics.fetch_add(1, Ordering::Relaxed);
     core.qmet.worker_panics.inc();
     core.buf_push(me, id, EventKind::WorkerPanicked);
-    let attempts = {
-        let mut q = core.quarantine.lock();
-        let e = q.entry(id).or_insert(0);
-        *e += 1;
-        *e
-    };
     let mut s = core.shards[k].state.lock();
     s.waiting_on.remove(&id);
+    let attempts = s.pending.get_mut(&id).map_or(1, |p| {
+        p.attempts += 1;
+        p.attempts
+    });
     if attempts < core.cfg.quarantine_limit && s.graph.requeue(id) {
         // Orphaned work back into the dequeue index with its original
-        // arrival order; the counter increments stay under the shard
-        // lock (like `admit`) so a dequeuer never sees the query before
-        // the counters account for it.
-        s.submit_time.insert(id, submitted);
-        if was_degraded {
-            s.degraded.insert(id);
-        }
+        // arrival order and its record intact; the counter increments
+        // stay under the shard lock (like `admit`) so a dequeuer never
+        // sees the query before the counters account for it.
         core.shards[k].depth.fetch_add(1, Ordering::SeqCst);
         core.total_waiting.fetch_add(1, Ordering::SeqCst);
         drop(s);
@@ -1275,24 +1246,11 @@ fn handle_worker_panic<A: AppExecutor>(
         return;
     }
     // Quarantine (or, defensively, a panic that left the query past
-    // EXECUTING): the same terminal back-out a failed query takes, with
-    // a typed error.
-    let quarantined = attempts >= core.cfg.quarantine_limit;
-    if s.graph.state_of(id) == Some(QueryState::Executing) {
-        s.graph.mark_cached(id);
-    }
-    if s.graph.state_of(id) == Some(QueryState::Cached) && !s.blob_of.contains_key(&id) {
-        s.graph.swap_out(id);
-    }
-    s.submit_time.remove(&id);
-    s.degraded.remove(&id);
-    let tx = s.pending.remove(&id);
+    // EXECUTING): the terminal exit, with a typed error.
+    let record = s.retire(id);
     drop(s);
-    core.quarantine.lock().remove(&id);
-    core.failed.fetch_add(1, Ordering::Relaxed);
     core.qmet.failed.inc();
-    let err = if quarantined {
-        core.quarantined.fetch_add(1, Ordering::Relaxed);
+    let err = if attempts >= core.cfg.quarantine_limit {
         core.qmet.quarantined.inc();
         core.buf_push(me, id, EventKind::Quarantined { attempts });
         ServerError::Quarantined { attempts }
@@ -1304,10 +1262,7 @@ fn handle_worker_panic<A: AppExecutor>(
         count_restart(core, me, id);
     }
     core.buf_flush(me);
-    if let Some(tx) = tx {
-        let _ = tx.send(Err(err));
-    }
-    core.finish_one(k);
+    core.answer(k, record, Err(err));
 }
 
 /// Claims one restart-budget token for a replacement worker, without
@@ -1338,7 +1293,6 @@ fn claim_restart<A: AppExecutor>(core: &Core<A>) -> bool {
 /// the `WorkerRestarted` event, pushed into the worker's buffer so it
 /// flushes in order behind the panic/quarantine events.
 fn count_restart<A: AppExecutor>(core: &Core<A>, me: usize, killer: QueryId) {
-    core.worker_restarts.fetch_add(1, Ordering::Relaxed);
     core.qmet.worker_restarts.inc();
     core.buf_push(me, killer, EventKind::WorkerRestarted);
 }
@@ -1378,12 +1332,12 @@ fn respawn_or_retire<A: AppExecutor>(core: Arc<Core<A>>, me: usize, replacement:
 /// Fails every WAITING query with [`ServerError::WorkerPanicked`] — the
 /// pool-death path: the last worker retired with the restart budget
 /// exhausted, so queued work would wedge forever. Each victim takes the
-/// shed/failure exit (WAITING → CACHED → SWAPPED_OUT), so the graph
-/// keeps its invariants and `drain` completes.
+/// terminal exit, so the graph keeps its invariants and `drain`
+/// completes.
 fn fail_all_waiting<A: AppExecutor>(core: &Core<A>) {
     for (k, sh) in core.shards.iter().enumerate() {
         loop {
-            let (vid, tx) = {
+            let (vid, record) = {
                 let mut s = sh.state.lock();
                 let Some(vid) = s.graph.ids_in_state(QueryState::Waiting).into_iter().next() else {
                     break;
@@ -1391,22 +1345,13 @@ fn fail_all_waiting<A: AppExecutor>(core: &Core<A>) {
                 if !s.graph.dequeue_specific(vid) {
                     break;
                 }
-                s.graph.mark_cached(vid);
-                s.graph.swap_out(vid);
-                s.submit_time.remove(&vid);
-                s.degraded.remove(&vid);
-                let tx = s.pending.remove(&vid);
-                core.shards[k].depth.fetch_sub(1, Ordering::SeqCst);
+                sh.depth.fetch_sub(1, Ordering::SeqCst);
                 core.total_waiting.fetch_sub(1, Ordering::SeqCst);
-                (vid, tx)
+                (vid, s.retire(vid))
             };
-            core.failed.fetch_add(1, Ordering::Relaxed);
             core.qmet.failed.inc();
             core.obs.log.log(vid, EventKind::Failed);
-            if let Some(tx) = tx {
-                let _ = tx.send(Err(ServerError::WorkerPanicked));
-            }
-            core.finish_one(k);
+            core.answer(k, record, Err(ServerError::WorkerPanicked));
         }
     }
 }
@@ -1432,40 +1377,28 @@ fn try_dequeue<A: AppExecutor>(core: &Core<A>, k: usize) -> Option<Job<A::Spec>>
     core.total_waiting.fetch_sub(1, Ordering::SeqCst);
     // The rank the scheduler chose the query by, frozen at dequeue.
     let score = s.graph.rank_of(id).map_or(0.0, |r| r.value());
-    let spec = match s.graph.spec_of(id) {
-        Some(spec) => *spec,
-        None => {
-            // A dequeued node always has a spec; if the graph is
-            // inconsistent, fail this query rather than the pool.
-            s.graph.mark_cached(id);
-            s.graph.swap_out(id);
-            s.submit_time.remove(&id);
-            s.degraded.remove(&id);
-            let tx = s.pending.remove(&id);
-            drop(s);
-            core.failed.fetch_add(1, Ordering::Relaxed);
-            core.qmet.failed.inc();
-            core.obs.log.log(id, EventKind::Failed);
-            if let Some(tx) = tx {
-                let _ = tx.send(Err(ServerError::Io {
-                    kind: std::io::ErrorKind::Other,
-                    transient: false,
-                    message: "internal: dequeued query has no spec".into(),
-                }));
-            }
-            core.finish_one(k);
-            return None;
-        }
+    let (Some(&spec), Some(p)) = (s.graph.spec_of(id), s.pending.get(&id)) else {
+        // A dequeued node always has a spec and a record; if the shard
+        // is inconsistent, fail this query rather than the pool.
+        let record = s.retire(id);
+        drop(s);
+        core.qmet.failed.inc();
+        core.obs.log.log(id, EventKind::Failed);
+        let err = ServerError::Io {
+            kind: std::io::ErrorKind::Other,
+            transient: false,
+            message: "internal: dequeued query has no spec or record".into(),
+        };
+        core.answer(k, record, Err(err));
+        return None;
     };
-    let submitted = s.submit_time.remove(&id).unwrap_or_else(clock::now);
-    let was_degraded = s.degraded.remove(&id);
     Some(Job {
         shard: k,
         id,
         spec,
-        submitted,
+        submitted: p.submitted,
         score,
-        was_degraded,
+        was_degraded: p.degraded,
     })
 }
 
@@ -1512,7 +1445,7 @@ fn run_one<A: AppExecutor>(core: &Core<A>, me: usize, job: Job<A::Spec>) {
     // Publish the result. Each state component is locked on its own,
     // in sequence; the result bytes were materialized as `Arc<[u8]>`
     // outside any lock, so critical sections stay pointer-sized.
-    let msg = match exec {
+    match exec {
         Ok(out) => {
             let size = core.app.output_len(&spec) as u64;
             let n = core.shards.len();
@@ -1557,7 +1490,7 @@ fn run_one<A: AppExecutor>(core: &Core<A>, me: usize, job: Job<A::Spec>) {
                 (cached, spills)
             };
             // Publish-epoch bump *before* `done_cv` wakes dependency
-            // blockers (in `finish_one`), so a woken waiter always sees
+            // blockers (in `answer`), so a woken waiter always sees
             // a moved epoch and re-probes.
             core.publish_epoch.fetch_add(1, Ordering::SeqCst);
             // Only now hand the compute permit back: a peer queued at
@@ -1641,20 +1574,17 @@ fn run_one<A: AppExecutor>(core: &Core<A>, me: usize, job: Job<A::Spec>) {
                 degraded: was_degraded,
             };
             core.metrics.lock().push(record);
-            Ok(QueryResult {
+            let result = QueryResult {
                 id,
                 image: out.image,
                 width: w,
                 height: h,
                 record,
-            })
+            };
+            let pending = core.shards[k].state.lock().pending.remove(&id);
+            core.answer(k, pending, Ok(result));
         }
         Err(e) => {
-            // Evict the failed query from the graph entirely — CACHED
-            // then SWAPPED_OUT, the same terminal path a successful
-            // uncacheable query takes — and clear any wait-for edge it
-            // still owns, so peers see no residue: no DS entry, no
-            // blob mapping, no dangling edges.
             let mut err = ServerError::from_io(&e, core.cfg.query_timeout);
             // A deadline cancellation whose binding bound was the hang
             // limit is a watchdog cancellation, not a client timeout —
@@ -1664,43 +1594,22 @@ fn run_one<A: AppExecutor>(core: &Core<A>, me: usize, job: Job<A::Spec>) {
                 if let Some(h) = core.cfg.hang_timeout {
                     if query_deadline.is_none_or(|d| started + h < d) {
                         err = ServerError::Hung { limit: h };
-                        core.hung.fetch_add(1, Ordering::Relaxed);
                         core.qmet.hung.inc();
                         core.buf_push(me, id, EventKind::Hung);
                     }
                 }
             }
             if err.is_timeout() {
-                core.timed_out.fetch_add(1, Ordering::Relaxed);
                 core.qmet.timed_out.inc();
                 core.buf_push(me, id, EventKind::TimedOut);
             } else {
-                core.failed.fetch_add(1, Ordering::Relaxed);
                 core.qmet.failed.inc();
                 core.buf_push(me, id, EventKind::Failed);
             }
-            let mut s = core.shards[k].state.lock();
-            s.graph.mark_cached(id);
-            s.graph.swap_out(id);
-            s.waiting_on.remove(&id);
-            debug_assert!(!s.blob_of.contains_key(&id));
-            drop(s);
-            Err(err)
+            let record = core.shards[k].state.lock().retire(id);
+            core.answer(k, record, Err(err));
         }
-    };
-    // A query that reached a terminal on its own clears any panic
-    // attempts it accrued on earlier requeues. Gated on the panic
-    // counter so chaos-free runs never touch the quarantine lock.
-    if core.worker_panics.load(Ordering::Relaxed) > 0 {
-        core.quarantine.lock().remove(&id);
     }
-    // Deliver the answer *before* retiring the query, so that `drain`
-    // returning implies every handle is already fulfilled.
-    let tx = core.shards[k].state.lock().pending.remove(&id);
-    if let Some(tx) = tx {
-        let _ = tx.send(msg);
-    }
-    core.finish_one(k);
 }
 
 struct ExecOutcome {
@@ -1747,6 +1656,48 @@ fn would_deadlock(
         }
     }
     false
+}
+
+/// Blocks query `id` until its same-shard `peer` leaves EXECUTING (or the
+/// server shuts down), under the shard lock `s` the caller already holds
+/// and parked on that shard's `done_cv`. The wait-for edge is installed
+/// for the duration of the wait only. Returns the time spent blocked;
+/// `None`, counting a fallback, when waiting would close a wait-for
+/// cycle; the deadline error when `deadline` passes first.
+fn wait_for_peer<A: AppExecutor>(
+    core: &Core<A>,
+    k: usize,
+    s: &mut MutexGuard<'_, ShardState<A::Spec>>,
+    id: QueryId,
+    peer: QueryId,
+    deadline: Option<Instant>,
+) -> std::io::Result<Option<Duration>> {
+    if would_deadlock(&s.waiting_on, id, peer) {
+        s.blocked_fallbacks += 1;
+        return Ok(None);
+    }
+    s.waiting_on.insert(id, peer);
+    let t0 = clock::now();
+    let mut expired = false;
+    while s.graph.state_of(peer) == Some(QueryState::Executing)
+        && !core.shutdown.load(Ordering::SeqCst)
+    {
+        match deadline {
+            None => core.shards[k].done_cv.wait(s),
+            Some(d) if clock::now() >= d => {
+                expired = true;
+                break;
+            }
+            Some(d) => {
+                core.shards[k].done_cv.wait_until(s, d);
+            }
+        }
+    }
+    s.waiting_on.remove(&id);
+    if expired {
+        return Err(deadline_error());
+    }
+    Ok(Some(t0.elapsed()))
 }
 
 fn execute_query<A: AppExecutor>(
@@ -1870,43 +1821,29 @@ fn execute_query<A: AppExecutor>(
             if phase == Phase::Subscribable {
                 // The producer is still computing. Wait for the publish
                 // on its home shard (ours) exactly like a dependency
-                // block: same wait-for edge, same cycle check, same
-                // deadline handling. `run_one` commits the entry before
-                // it transitions the producer out of EXECUTING, so when
+                // block. `run_one` commits the entry before it
+                // transitions the producer out of EXECUTING, so when
                 // this wait ends the bytes are already in the store.
-                let sh = &core.shards[k];
-                let mut s = sh.state.lock();
-                if would_deadlock(&s.waiting_on, id, c.producer) {
-                    s.blocked_fallbacks += 1;
-                    drop(s);
-                    core.store.read().unsubscribe(c.blob);
-                    continue;
-                }
-                s.waiting_on.insert(id, c.producer);
-                let t0 = clock::now();
-                while s.graph.state_of(c.producer) == Some(QueryState::Executing)
-                    && !core.shutdown.load(Ordering::SeqCst)
-                {
-                    match deadline {
-                        None => sh.done_cv.wait(&mut s),
-                        Some(d) => {
-                            if clock::now() >= d {
-                                // Deadline expired while grafted:
-                                // withdraw the edge and the
-                                // subscription, then cancel.
-                                s.waiting_on.remove(&id);
-                                drop(s);
-                                core.store.read().unsubscribe(c.blob);
-                                return Err(deadline_error());
-                            }
-                            sh.done_cv.wait_until(&mut s, d);
-                        }
+                let waited = {
+                    let mut s = core.shards[k].state.lock();
+                    wait_for_peer(core, k, &mut s, id, c.producer, deadline)
+                };
+                match waited {
+                    Ok(Some(t)) => {
+                        blocked += t;
+                        graft_waited = true;
+                    }
+                    // A cycle (try the next candidate) or an expired
+                    // deadline (cancel): withdraw the subscription.
+                    Ok(None) => {
+                        core.store.read().unsubscribe(c.blob);
+                        continue;
+                    }
+                    Err(e) => {
+                        core.store.read().unsubscribe(c.blob);
+                        return Err(e);
                     }
                 }
-                s.waiting_on.remove(&id);
-                drop(s);
-                blocked += t0.elapsed();
-                graft_waited = true;
             }
             // The subscription pinned the entry against eviction and
             // swap-out; it is gone (or still unpublished) only if the
@@ -1955,39 +1892,14 @@ fn execute_query<A: AppExecutor>(
     // A graft already waited out (and consumed) its strongest in-flight
     // dependency, so it skips straight to the compute.
     if core.cfg.allow_blocking && !graft_waited {
-        let sh = &core.shards[k];
-        let mut s = sh.state.lock();
+        let mut s = core.shards[k].state.lock();
         let dep = s
             .graph
             .reuse_sources(id)
             .into_iter()
             .find(|e| s.graph.state_of(e.peer) == Some(QueryState::Executing));
         if let Some(dep) = dep {
-            if would_deadlock(&s.waiting_on, id, dep.peer) {
-                s.blocked_fallbacks += 1;
-            } else {
-                s.waiting_on.insert(id, dep.peer);
-                let t0 = clock::now();
-                while s.graph.state_of(dep.peer) == Some(QueryState::Executing)
-                    && !core.shutdown.load(Ordering::SeqCst)
-                {
-                    match deadline {
-                        None => sh.done_cv.wait(&mut s),
-                        Some(d) => {
-                            if clock::now() >= d {
-                                // Deadline expired while blocked on the
-                                // dependency: withdraw the wait-for edge
-                                // and cancel.
-                                s.waiting_on.remove(&id);
-                                return Err(deadline_error());
-                            }
-                            sh.done_cv.wait_until(&mut s, d);
-                        }
-                    }
-                }
-                s.waiting_on.remove(&id);
-                blocked = t0.elapsed();
-            }
+            blocked += wait_for_peer(core, k, &mut s, id, dep.peer, deadline)?.unwrap_or_default();
         }
     }
 
@@ -2189,7 +2101,7 @@ fn route_evictions<A: AppExecutor>(
 /// the lock is released.
 fn drain_spills<A: AppExecutor>(
     core: &Core<A>,
-    ds: &mut SpatialDataStore<A::Spec>,
+    ds: &mut DataStore<A::Spec>,
     evicted: &mut Vec<EvictionRecord<A::Spec>>,
 ) -> Vec<(QueryId, u64)> {
     let mut out = Vec::new();
@@ -2915,6 +2827,8 @@ mod tests {
         }
         let sum = s.summary();
         assert_eq!((sum.timed_out, sum.completed), (1, 0));
+        // Quiescent: nothing per-query may be left behind.
+        s.drain();
         s.check_invariants();
         s.shutdown();
     }
@@ -3163,6 +3077,8 @@ mod tests {
                 .count(),
             1
         );
+        // Quiescent: nothing per-query may be left behind.
+        s.drain();
         s.check_invariants();
         s.shutdown();
     }
@@ -3198,6 +3114,9 @@ mod tests {
         let sum = s.summary();
         assert_eq!((sum.completed, sum.failed), (0, 5));
         assert_eq!((sum.worker_panics, sum.worker_restarts), (1, 0));
+        // Quiescent: nothing per-query may be left behind.
+        s.drain();
+        s.check_invariants();
         s.shutdown();
     }
 
@@ -3256,6 +3175,8 @@ mod tests {
         );
         assert!(s.events().iter().any(|e| matches!(e.kind, EventKind::Hung)));
         assert_eq!(s.metrics().counters["vmqs_queries_hung_total"], 1);
+        // Quiescent: nothing per-query may be left behind.
+        s.drain();
         s.check_invariants();
         s.shutdown();
     }

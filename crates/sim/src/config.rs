@@ -101,8 +101,6 @@ pub struct SimConfig {
     pub ds_policy: vmqs_datastore::EvictionPolicy,
     /// Optional self-tuning controller for parameterized strategies.
     pub tuner: Option<TunerConfig>,
-    /// Record a per-event schedule trace (see [`crate::TraceEvent`]).
-    pub trace: bool,
     /// Cell side (base-resolution pixels) of the Data Store's grid index.
     /// Pick roughly the footprint of a typical cached result.
     pub index_cell: u32,
@@ -183,7 +181,6 @@ impl SimConfig {
             policy: SchedPolicy::RankOrder,
             ds_policy: vmqs_datastore::EvictionPolicy::Lru,
             tuner: None,
-            trace: false,
             index_cell: 4096,
             fault: FaultConfig::none(),
             retry: RetryPolicy::default_io(),
@@ -248,18 +245,6 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style Data Store eviction-policy override.
-    pub fn with_ds_policy(mut self, p: vmqs_datastore::EvictionPolicy) -> Self {
-        self.ds_policy = p;
-        self
-    }
-
-    /// Builder-style trace toggle.
-    pub fn with_trace(mut self, on: bool) -> Self {
-        self.trace = on;
-        self
-    }
-
     /// Builder-style grid-index cell-size override.
     pub fn with_index_cell(mut self, cell: u32) -> Self {
         assert!(cell > 0, "index cell must be positive");
@@ -309,10 +294,11 @@ impl SimConfig {
         self
     }
 
-    /// Builder-style cache-policy override — the `--cache-policy` flag's
-    /// name for [`SimConfig::with_ds_policy`].
-    pub fn with_cache_policy(self, p: vmqs_datastore::EvictionPolicy) -> Self {
-        self.with_ds_policy(p)
+    /// Builder-style Data Store eviction-policy override (the
+    /// `--cache-policy` flag).
+    pub fn with_cache_policy(mut self, p: vmqs_datastore::EvictionPolicy) -> Self {
+        self.ds_policy = p;
+        self
     }
 
     /// Builder-style chaos-injection override.

@@ -23,19 +23,21 @@ use crate::config::{ClientStream, SchedPolicy, SimConfig, SubmissionMode, TunerC
 use crate::disk::DiskQueue;
 use crate::events::{Event, EventQueue};
 use crate::report::{SimRecord, SimReport};
-use crate::trace::{TraceEvent, TraceKind};
 use crate::vm::VmSimApp;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use vmqs_core::{
-    shed_victim, BlobId, ClientId, IdGen, PressureSignals, QueryId, QuerySpec, QueryState,
-    SchedulingGraph, Strategy, TokenBucket,
+    pressure_secondary, shed_victim, BlobId, ClientId, IdGen, PressureSignals, QueryId, QuerySpec,
+    QueryState, SchedulingGraph, Strategy, TokenBucket,
 };
-use vmqs_datastore::{EvictionRecord, Payload, SpatialDataStore};
+use vmqs_datastore::{DataStore, EvictionRecord, Payload};
 use vmqs_microscope::PAGE_SIZE;
 use vmqs_obs::{EventKind, Obs, PageMetrics, QueryMetrics};
 use vmqs_pagespace::{PageCacheCore, PageData, PageDisposition, PageKey};
 use vmqs_storage::SPILL_DEVICE;
 
+/// Everything the engine knows about one admitted, unanswered query.
+/// Created at admission, removed at its terminal (completion or
+/// [`Simulator::retire`]), so nothing per-query outlives the query.
 struct QInfo<S> {
     client: ClientId,
     spec: S,
@@ -43,6 +45,20 @@ struct QInfo<S> {
     start: f64,
     blocked_since: Option<f64>,
     blocked_total: f64,
+    /// Downgraded to the cheaper plan at admission.
+    degraded: bool,
+    /// Panics this query's computes have caused (the quarantine counter);
+    /// survives requeues.
+    attempts: u32,
+    /// Graft subscription (DESIGN.md §13): the EXECUTING producer
+    /// computing the same predicate. Installed at dequeue, consumed at
+    /// resume. Always `None` unless `cfg.graft`.
+    graft_of: Option<QueryId>,
+    /// Answered by grafting.
+    grafted: bool,
+    /// Computed at resume time, consumed at completion:
+    /// `(covered_fraction, reused_bytes, io_time, cpu_time, exact_hit)`.
+    metrics: Option<(f64, u64, f64, f64, bool)>,
 }
 
 /// Hill-climbing state for the §6 self-tuning controller.
@@ -126,7 +142,7 @@ pub struct Simulator<A: SimApplication> {
     cfg: SimConfig,
     app: A,
     graph: SchedulingGraph<A::Spec>,
-    ds: SpatialDataStore<A::Spec>,
+    ds: DataStore<A::Spec>,
     ps: PageCacheCore,
     page_ready: HashMap<PageKey, f64>,
     disk: DiskQueue,
@@ -136,17 +152,7 @@ pub struct Simulator<A: SimApplication> {
     blocked_count: usize,
     blob_of: HashMap<QueryId, BlobId>,
     qinfo: HashMap<QueryId, QInfo<A::Spec>>,
-    /// Metrics computed at resume time, consumed at completion:
-    /// `(covered_fraction, reused_bytes, io_time, cpu_time, exact_hit)`.
-    pending_metrics: HashMap<QueryId, (f64, u64, f64, f64, bool)>,
     waiters: HashMap<QueryId, Vec<QueryId>>,
-    /// Graft subscriptions: consumer → EXECUTING producer computing the
-    /// same predicate. Installed at dequeue, consumed at the consumer's
-    /// resume (DESIGN.md §13). Empty unless `cfg.graft`.
-    graft_of: HashMap<QueryId, QueryId>,
-    /// Consumers that answered by grafting; consumed into the record at
-    /// completion.
-    grafted_ids: HashSet<QueryId>,
     grafted: u64,
     streams: HashMap<ClientId, Vec<A::Spec>>,
     client_pos: HashMap<ClientId, usize>,
@@ -154,29 +160,18 @@ pub struct Simulator<A: SimApplication> {
     makespan: f64,
     tuner: Option<Tuner>,
     policy_overrides: u64,
-    trace: Vec<TraceEvent>,
     io_faults: u64,
     io_retries: u64,
-    spilled: u64,
-    restored: u64,
     restore_failures: u64,
     recomputed_bytes: u64,
     /// Per-client token buckets for the admission rate limiter, refilled
     /// in virtual time (the threaded engine refills the same bucket code
     /// in real time).
     buckets: HashMap<ClientId, TokenBucket>,
-    /// Queries downgraded at admission; consumed into the record at
-    /// completion.
-    degraded_ids: HashSet<QueryId>,
-    rejected: u64,
-    shed: u64,
-    degraded: u64,
     /// Global compute ordinal — the chaos injector's panic-at-nth
     /// coordinate, counted exactly like the threaded engine's
     /// `Core::compute_seq` (every entry into the compute stage).
     compute_seq: u64,
-    /// Per-query panic attempts (the quarantine counter).
-    quarantine: HashMap<QueryId, u32>,
     /// Replacement virtual workers still allowed, counting down from
     /// [`SimConfig::restart_budget`].
     restarts_left: usize,
@@ -186,16 +181,12 @@ pub struct Simulator<A: SimApplication> {
     /// Set when every worker slot has been retired: WAITING queries are
     /// failed typed-ly and later arrivals are refused.
     pool_dead: bool,
-    failed: u64,
-    timed_out: u64,
-    worker_panics: u64,
-    worker_restarts: u64,
-    quarantined: u64,
-    hung: u64,
     /// Event log + metrics registry; events stamped with *virtual* time
     /// via `log_at`, using the same schema as the threaded engine so the
     /// conformance harness can compare the two (DESIGN.md §9).
     obs: Obs,
+    /// Per-run query counters; the report's terminal counts are read
+    /// from these, not kept twice.
     qmet: QueryMetrics,
     pmet: PageMetrics,
 }
@@ -250,7 +241,7 @@ impl<A: SimApplication> Simulator<A> {
         Simulator {
             app,
             graph: SchedulingGraph::new(cfg.strategy),
-            ds: SpatialDataStore::with_policy(cfg.ds_budget, cfg.index_cell, cfg.ds_policy)
+            ds: DataStore::with_policy(cfg.ds_budget, cfg.index_cell, cfg.ds_policy)
                 .with_tier2(cfg.tier2_budget),
             ps: PageCacheCore::new(cfg.ps_budget, PAGE_SIZE as u64),
             page_ready: HashMap::new(),
@@ -261,10 +252,7 @@ impl<A: SimApplication> Simulator<A> {
             blocked_count: 0,
             blob_of: HashMap::new(),
             qinfo: HashMap::new(),
-            pending_metrics: HashMap::new(),
             waiters: HashMap::new(),
-            graft_of: HashMap::new(),
-            grafted_ids: HashSet::new(),
             grafted: 0,
             streams,
             client_pos,
@@ -272,29 +260,15 @@ impl<A: SimApplication> Simulator<A> {
             makespan: 0.0,
             tuner: cfg.tuner.map(Tuner::new),
             policy_overrides: 0,
-            trace: Vec::new(),
             io_faults: 0,
             io_retries: 0,
-            spilled: 0,
-            restored: 0,
             restore_failures: 0,
             recomputed_bytes: 0,
             buckets: HashMap::new(),
-            degraded_ids: HashSet::new(),
-            rejected: 0,
-            shed: 0,
-            degraded: 0,
             compute_seq: 0,
-            quarantine: HashMap::new(),
             restarts_left: cfg.restart_budget,
             dead_workers: 0,
             pool_dead: false,
-            failed: 0,
-            timed_out: 0,
-            worker_panics: 0,
-            worker_restarts: 0,
-            quarantined: 0,
-            hung: 0,
             obs,
             qmet,
             pmet,
@@ -368,32 +342,24 @@ impl<A: SimApplication> Simulator<A> {
             ps_stats,
             graph_stats: self.graph.stats(),
             disk_stats: self.disk.stats(),
-            trace: self.trace,
             io_faults: self.io_faults,
             io_retries: self.io_retries,
             events: self.obs.log.snapshot(),
             metrics: self.obs.metrics.snapshot(),
-            rejected: self.rejected,
-            shed: self.shed,
-            degraded: self.degraded,
+            rejected: self.qmet.rejected.get(),
+            shed: self.qmet.shed.get(),
+            degraded: self.qmet.degraded.get(),
             grafted: self.grafted,
-            spilled: self.spilled,
-            restored: self.restored,
+            spilled: self.qmet.ds_spills.get(),
+            restored: self.qmet.ds_restores.get(),
             restore_failures: self.restore_failures,
             recomputed_bytes: self.recomputed_bytes,
-            failed: self.failed,
-            timed_out: self.timed_out,
-            worker_panics: self.worker_panics,
-            worker_restarts: self.worker_restarts,
-            quarantined: self.quarantined,
-            hung: self.hung,
-        }
-    }
-
-    #[inline]
-    fn trace(&mut self, time: f64, query: QueryId, kind: TraceKind) {
-        if self.cfg.trace {
-            self.trace.push(TraceEvent { time, query, kind });
+            failed: self.qmet.failed.get(),
+            timed_out: self.qmet.timed_out.get(),
+            worker_panics: self.qmet.worker_panics.get(),
+            worker_restarts: self.qmet.worker_restarts.get(),
+            quarantined: self.qmet.quarantined.get(),
+            hung: self.qmet.hung.get(),
         }
     }
 
@@ -402,142 +368,31 @@ impl<A: SimApplication> Simulator<A> {
         // the threaded engine — a rejected query still consumes an id, so
         // id sequences stay comparable across engines.
         let id = self.idgen.next_query();
-        self.trace(now, id, TraceKind::Arrive);
+        self.qmet.submitted.inc();
+        self.obs.log.log_at(now, id, EventKind::Submitted);
         // A dead pool refuses synchronously: the query is acknowledged
         // (Submitted) and immediately failed, exactly like the threaded
         // engine's `submit_from` once `pool_dead` is set.
         if self.pool_dead {
-            self.qmet.submitted.inc();
-            self.obs.log.log_at(now, id, EventKind::Submitted);
-            self.failed += 1;
             self.qmet.failed.inc();
             self.obs.log.log_at(now, id, EventKind::Failed);
             self.advance_client(now, client);
             return;
         }
         let ov = self.cfg.overload;
-        if !ov.enabled() {
-            // Fast path: identical to the pre-overload arrival.
-            self.graph.insert(id, spec);
-            self.obs.log.log_at(now, id, EventKind::Submitted);
-            self.qmet.submitted.inc();
-            self.insert_qinfo(id, client, spec, now);
-            if !defer_start {
-                self.try_start(now);
-            }
-            return;
-        }
-
-        // The same admission ladder as `QueryServer::submit_from`, run in
-        // virtual time: rate limit → bounded queue → degrade → shed, with
-        // events emitted in the canonical order (Submitted, [Degraded |
-        // Rejected], then Shed per victim) so the conformance harness can
-        // pin the decision trace across engines.
-        let (ds_occupancy, ps_miss_ratio, retry_ratio) = self.pressure_secondary();
-        let signals = |depth: usize| PressureSignals {
-            queue_depth: depth,
-            max_pending: ov.max_pending,
-            ds_occupancy,
-            ps_miss_ratio,
-            retry_ratio,
-        };
-        enum Decision {
-            Admitted { degraded: bool },
-            Rejected { rate_limited: bool },
-        }
-        let depth = self.graph.waiting_len();
-        let mut observed_level = signals(depth).level();
-        let mut shed_out: Vec<(QueryId, ClientId, f64)> = Vec::new();
-        let over_rate = ov.client_rate > 0.0
-            && !self
-                .buckets
-                .entry(client)
-                .or_insert_with(|| TokenBucket::new(ov.client_rate))
-                .try_take(now);
-        let decision = if over_rate {
-            Decision::Rejected { rate_limited: true }
-        } else if ov.max_pending > 0 && depth >= ov.max_pending {
-            Decision::Rejected {
-                rate_limited: false,
-            }
+        if ov.enabled() {
+            self.admit_under_overload(now, id, client, spec);
         } else {
-            let mut level = signals(depth + 1).level();
-            let mut spec = spec;
-            let mut degraded = false;
-            if level >= ov.degrade_threshold {
-                if let Some(cheaper) = self.app.degrade(&spec) {
-                    spec = cheaper;
-                    degraded = true;
-                }
-            }
-            self.graph.insert(id, spec);
-            self.insert_qinfo(id, client, spec, now);
-            if degraded {
-                self.degraded_ids.insert(id);
-            }
-            // Shed the largest-`qinputsize` WAITING queries (newest first
-            // on ties) until pressure drops below the threshold; the
-            // victim may be the query just admitted.
-            while level >= ov.shed_threshold && self.graph.waiting_len() > 0 {
-                let victim = shed_victim(
-                    self.graph
-                        .ids_in_state(QueryState::Waiting)
-                        .into_iter()
-                        .map(|q| {
-                            (
-                                q,
-                                self.graph.qinputsize_of(q).unwrap_or(0),
-                                self.graph.arrival_of(q).unwrap_or(0),
-                            )
-                        }),
-                );
-                let Some(vid) = victim else { break };
-                self.graph.dequeue_specific(vid);
-                self.graph.mark_cached(vid);
-                self.graph.swap_out(vid);
-                self.degraded_ids.remove(&vid);
-                let vinfo = self.qinfo.remove(&vid).expect("shed victim has info");
-                shed_out.push((vid, vinfo.client, level));
-                level = signals(self.graph.waiting_len()).level();
-            }
-            observed_level = level;
-            Decision::Admitted { degraded }
-        };
-
-        self.qmet.submitted.inc();
-        self.obs.log.log_at(now, id, EventKind::Submitted);
-        self.obs.metrics.set_gauge("vmqs_pressure", observed_level);
-        match decision {
-            Decision::Admitted { degraded } => {
-                if degraded {
-                    self.degraded += 1;
-                    self.qmet.degraded.inc();
-                    self.obs.log.log_at(now, id, EventKind::Degraded);
-                }
-            }
-            Decision::Rejected { rate_limited } => {
-                self.rejected += 1;
-                self.qmet.rejected.inc();
-                self.obs
-                    .log
-                    .log_at(now, id, EventKind::Rejected { rate_limited });
-                // The refusal is the client's answer: an interactive
-                // client moves on to its next query.
-                self.advance_client(now, client);
-            }
-        }
-        for (vid, vclient, _level) in shed_out {
-            self.shed += 1;
-            self.qmet.shed.inc();
-            self.obs.log.log_at(now, vid, EventKind::Shed);
-            self.advance_client(now, vclient);
+            // Fast path: identical to the pre-overload arrival.
+            self.admit(now, id, client, spec, false);
         }
         if !defer_start {
             self.try_start(now);
         }
     }
 
-    fn insert_qinfo(&mut self, id: QueryId, client: ClientId, spec: A::Spec, now: f64) {
+    fn admit(&mut self, now: f64, id: QueryId, client: ClientId, spec: A::Spec, degraded: bool) {
+        self.graph.insert(id, spec);
         self.qinfo.insert(
             id,
             QInfo {
@@ -547,34 +402,132 @@ impl<A: SimApplication> Simulator<A> {
                 start: f64::NAN,
                 blocked_since: None,
                 blocked_total: 0.0,
+                degraded,
+                attempts: 0,
+                graft_of: None,
+                grafted: false,
+                metrics: None,
             },
         );
     }
 
-    /// The pressure monitor's secondary inputs — Data Store occupancy and
-    /// Page Space miss/retry ratios — computed the same way as the
-    /// threaded engine's `Core::pressure_secondary`.
-    fn pressure_secondary(&self) -> (f64, f64, f64) {
-        let budget = self.ds.budget();
-        let ds_occupancy = if budget == 0 {
-            0.0
-        } else {
-            self.ds.used() as f64 / budget as f64
-        };
+    /// The same admission ladder as `QueryServer::submit_from`, run in
+    /// virtual time: rate limit → bounded queue → degrade → shed, with
+    /// events emitted in the canonical order (Submitted, [Degraded |
+    /// Rejected], then Shed per victim) so the conformance harness can
+    /// pin the decision trace across engines.
+    fn admit_under_overload(&mut self, now: f64, id: QueryId, client: ClientId, spec: A::Spec) {
+        let ov = self.cfg.overload;
         let ps = self.ps.stats();
-        let lookups = ps.hits + ps.misses;
-        let ps_miss_ratio = if lookups == 0 {
-            0.0
-        } else {
-            ps.misses as f64 / lookups as f64
+        let (ds_occupancy, ps_miss_ratio, retry_ratio) = pressure_secondary(
+            self.ds.used(),
+            self.ds.budget(),
+            ps.hits,
+            ps.misses,
+            ps.pages_fetched,
+            ps.read_retries,
+        );
+        let level_at = |depth: usize| {
+            PressureSignals {
+                queue_depth: depth,
+                max_pending: ov.max_pending,
+                ds_occupancy,
+                ps_miss_ratio,
+                retry_ratio,
+            }
+            .level()
         };
-        let reads = ps.pages_fetched + ps.read_retries;
-        let retry_ratio = if reads == 0 {
-            0.0
-        } else {
-            ps.read_retries as f64 / reads as f64
-        };
-        (ds_occupancy, ps_miss_ratio, retry_ratio)
+        let depth = self.graph.waiting_len();
+        let over_rate = ov.client_rate > 0.0
+            && !self
+                .buckets
+                .entry(client)
+                .or_insert_with(|| TokenBucket::new(ov.client_rate))
+                .try_take(now);
+        if over_rate || (ov.max_pending > 0 && depth >= ov.max_pending) {
+            self.obs.metrics.set_gauge("vmqs_pressure", level_at(depth));
+            self.qmet.rejected.inc();
+            self.obs.log.log_at(
+                now,
+                id,
+                EventKind::Rejected {
+                    rate_limited: over_rate,
+                },
+            );
+            // The refusal is the client's answer: an interactive client
+            // moves on to its next query.
+            self.advance_client(now, client);
+            return;
+        }
+        let mut level = level_at(depth + 1);
+        let cheaper = (level >= ov.degrade_threshold)
+            .then(|| self.app.degrade(&spec))
+            .flatten();
+        self.admit(now, id, client, cheaper.unwrap_or(spec), cheaper.is_some());
+        if cheaper.is_some() {
+            self.qmet.degraded.inc();
+            self.obs.log.log_at(now, id, EventKind::Degraded);
+        }
+        // Shed the largest-`qinputsize` WAITING queries (newest first on
+        // ties) until pressure drops below the threshold; the victim may
+        // be the query just admitted.
+        while level >= ov.shed_threshold {
+            let victim = shed_victim(
+                self.graph
+                    .ids_in_state(QueryState::Waiting)
+                    .into_iter()
+                    .map(|q| {
+                        (
+                            q,
+                            self.graph.qinputsize_of(q).unwrap_or(0),
+                            self.graph.arrival_of(q).unwrap_or(0),
+                        )
+                    }),
+            );
+            let Some(vid) = victim else { break };
+            self.retire(now, vid, EventKind::Shed);
+            level = level_at(self.graph.waiting_len());
+        }
+        self.obs.metrics.set_gauge("vmqs_pressure", level);
+    }
+
+    /// The one exit for a query that leaves the graph without a result —
+    /// shed, quarantined, hung, or stranded by pool death. A WAITING
+    /// victim leaves the dequeue index first; then the same CACHED →
+    /// SWAPPED_OUT path a failed query takes in the threaded engine, so
+    /// the graph keeps its invariants and peers see no residue. Counts
+    /// and logs `terminal`, drops the per-query record (returned for the
+    /// caller's slot accounting) and lets the client move on.
+    fn retire(&mut self, now: f64, id: QueryId, terminal: EventKind) -> QInfo<A::Spec> {
+        if self.graph.state_of(id) == Some(QueryState::Waiting) {
+            let ok = self.graph.dequeue_specific(id);
+            debug_assert!(ok, "waiting query must dequeue");
+        }
+        self.graph.mark_cached(id);
+        self.graph.swap_out(id);
+        match terminal {
+            EventKind::Shed => self.qmet.shed.inc(),
+            EventKind::TimedOut => self.qmet.timed_out.inc(),
+            _ => self.qmet.failed.inc(),
+        }
+        self.obs.log.log_at(now, id, terminal);
+        let info = self.qinfo.remove(&id).expect("retiring query has info");
+        self.advance_client(now, info.client);
+        info
+    }
+
+    /// Wakes every query blocked on `id` — it published, or never will —
+    /// in the order they blocked.
+    fn wake_waiters(&mut self, now: f64, id: QueryId) {
+        for w in self.waiters.remove(&id).unwrap_or_default() {
+            if let Some(wi) = self.qinfo.get_mut(&w) {
+                if let Some(since) = wi.blocked_since.take() {
+                    wi.blocked_total += now - since;
+                    self.blocked_count -= 1;
+                }
+            }
+            self.events.push(now, Event::Resume { id: w });
+        }
     }
 
     /// Interactive clients submit their next query once the previous one
@@ -645,7 +598,6 @@ impl<A: SimApplication> Simulator<A> {
                 None => break,
             };
             self.busy_slots += 1;
-            self.trace(now, id, TraceKind::Start);
             // The rank the scheduler chose the query by, frozen at dequeue
             // — same emission point as the threaded engine's worker loop.
             let score = self.graph.rank_of(id).map_or(0.0, |r| r.value());
@@ -684,9 +636,7 @@ impl<A: SimApplication> Simulator<A> {
             } else {
                 None
             };
-            if let Some(p) = graft_src {
-                self.graft_of.insert(id, p);
-            }
+            self.qinfo.get_mut(&id).expect("checked above").graft_of = graft_src;
             // Deadlock-free blocking: a query only ever blocks on a query
             // that started executing earlier, so wait-for edges cannot
             // cycle (see vmqs-server for the racy-threads variant that
@@ -704,8 +654,10 @@ impl<A: SimApplication> Simulator<A> {
             });
             match dep {
                 Some(dep) => {
-                    self.trace(now, id, TraceKind::Block { on: dep });
-                    self.qinfo.get_mut(&id).unwrap().blocked_since = Some(now);
+                    self.qinfo
+                        .get_mut(&id)
+                        .expect("checked above")
+                        .blocked_since = Some(now);
                     self.blocked_count += 1;
                     self.waiters.entry(dep).or_default().push(id);
                 }
@@ -717,11 +669,10 @@ impl<A: SimApplication> Simulator<A> {
     fn on_resume(&mut self, now: f64, id: QueryId) {
         // A stale resume: the query was cancelled (hung) between the wake
         // being scheduled and processed.
-        if !self.qinfo.contains_key(&id) {
+        let Some(info) = self.qinfo.get_mut(&id) else {
             return;
-        }
-        self.trace(now, id, TraceKind::Resume);
-        let spec = self.qinfo[&id].spec;
+        };
+        let spec = info.spec;
 
         // Grafted consumer: the producer it subscribed to has published.
         // Consume the result directly — no Data Store lookup (and no
@@ -729,16 +680,14 @@ impl<A: SimApplication> Simulator<A> {
         // like the threaded engine's `AnswerPath::Grafted`. If the
         // producer's entry never materialized (insert rejected or already
         // evicted), fall through to the normal path and compute.
-        if let Some(producer) = self.graft_of.remove(&id) {
+        if let Some(producer) = info.graft_of.take() {
             if self.ds.has_equivalent(&spec) {
                 self.obs
                     .log
                     .log_at(now, id, EventKind::Grafted { producer });
                 self.grafted += 1;
-                self.grafted_ids.insert(id);
-                self.pending_metrics
-                    .insert(id, (1.0, spec.qoutsize(), 0.0, 0.0, false));
-                self.events.push(now, Event::Completion { id });
+                info.grafted = true;
+                self.finish_at(now, id, (1.0, spec.qoutsize(), 0.0, 0.0, false));
                 return;
             }
         }
@@ -772,9 +721,7 @@ impl<A: SimApplication> Simulator<A> {
             let reused = m.reuse_bytes;
             let cpu = self.app.planning_seconds();
             self.qmet.ds_exact_hits.inc();
-            self.pending_metrics
-                .insert(id, (1.0, reused, 0.0, cpu, true));
-            self.events.push(now + cpu, Event::Completion { id });
+            self.finish_at(now + cpu, id, (1.0, reused, 0.0, cpu, true));
             return;
         }
 
@@ -793,7 +740,6 @@ impl<A: SimApplication> Simulator<A> {
                 } else {
                     let mut evicted = Vec::new();
                     if self.ds.restore(blob, Payload::Virtual, &mut evicted) {
-                        self.restored += 1;
                         self.qmet.ds_restores.inc();
                         self.route_evictions(now, evicted);
                         self.drain_spills(now);
@@ -811,9 +757,7 @@ impl<A: SimApplication> Simulator<A> {
                         );
                         let io = self.cfg.disk.service_time(size);
                         let cpu = self.app.planning_seconds();
-                        self.pending_metrics
-                            .insert(id, (1.0, spec.qoutsize(), io, cpu, true));
-                        self.events.push(now + io + cpu, Event::Completion { id });
+                        self.finish_at(now + io + cpu, id, (1.0, spec.qoutsize(), io, cpu, true));
                         return;
                     }
                 }
@@ -939,18 +883,24 @@ impl<A: SimApplication> Simulator<A> {
         } else {
             self.qmet.ds_misses.inc();
         }
-        self.pending_metrics.insert(
-            id,
-            (
-                plan.covered_fraction,
-                plan.reused_bytes,
-                io_time,
-                cpu,
-                false,
-            ),
+        let metrics = (
+            plan.covered_fraction,
+            plan.reused_bytes,
+            io_time,
+            cpu,
+            false,
         );
-        self.events
-            .push(now + io_time + cpu, Event::Completion { id });
+        self.finish_at(now + io_time + cpu, id, metrics);
+    }
+
+    /// Records the metrics a resume computed and schedules the query's
+    /// completion.
+    fn finish_at(&mut self, at: f64, id: QueryId, metrics: (f64, u64, f64, f64, bool)) {
+        self.qinfo
+            .get_mut(&id)
+            .expect("resumed query has info")
+            .metrics = Some(metrics);
+        self.events.push(at, Event::Completion { id });
     }
 
     /// Routes Data Store eviction records: victims leave the scheduling
@@ -959,7 +909,6 @@ impl<A: SimApplication> Simulator<A> {
     /// tier 2 are *not* evictions and never pass through here.
     fn route_evictions(&mut self, now: f64, evicted: Vec<EvictionRecord<A::Spec>>) {
         for r in evicted {
-            self.trace(now, r.producer, TraceKind::SwapOut);
             self.blob_of.remove(&r.producer);
             self.graph.swap_out(r.producer);
             self.obs.log.log_at(
@@ -981,7 +930,6 @@ impl<A: SimApplication> Simulator<A> {
     /// data still exists, one disk read away.
     fn drain_spills(&mut self, now: f64) {
         for req in self.ds.take_pending_spills() {
-            self.spilled += 1;
             self.qmet.ds_spills.inc();
             self.obs
                 .log
@@ -992,22 +940,11 @@ impl<A: SimApplication> Simulator<A> {
     fn on_completion(&mut self, now: f64, id: QueryId) {
         // A stale completion: the query was cancelled (hung) between this
         // event being scheduled and processed.
-        if !self.qinfo.contains_key(&id) {
+        let Some(info) = self.qinfo.remove(&id) else {
             return;
-        }
-        self.trace(now, id, TraceKind::Complete);
+        };
         self.makespan = self.makespan.max(now);
-        let info = self.qinfo.remove(&id).expect("completing query has info");
-        // A successful publish clears any accumulated panic attempts —
-        // same hygiene as the threaded engine's terminal sweep. Gated so
-        // chaos-free runs never touch the map.
-        if self.worker_panics > 0 {
-            self.quarantine.remove(&id);
-        }
-        let (covered, reused, io, cpu, exact) = self
-            .pending_metrics
-            .remove(&id)
-            .expect("metrics recorded at resume");
+        let (covered, reused, io, cpu, exact) = info.metrics.expect("metrics recorded at resume");
 
         // Output bytes this query had to produce by computation rather
         // than reuse — the cache-pressure sweep's headline metric.
@@ -1031,10 +968,7 @@ impl<A: SimApplication> Simulator<A> {
             Ok(blob) => {
                 self.blob_of.insert(id, blob);
             }
-            Err(_) => {
-                self.trace(now, id, TraceKind::SwapOut);
-                self.graph.swap_out(id);
-            }
+            Err(_) => self.graph.swap_out(id),
         }
         self.route_evictions(now, evicted);
         self.drain_spills(now);
@@ -1055,8 +989,8 @@ impl<A: SimApplication> Simulator<A> {
             io_time: io,
             cpu_time: cpu,
             exact_hit: exact,
-            grafted: self.grafted_ids.remove(&id),
-            degraded: self.degraded_ids.remove(&id),
+            grafted: info.grafted,
+            degraded: info.degraded,
         };
 
         // §6 self-tuning: hill-climb the strategy's continuous parameter
@@ -1072,19 +1006,7 @@ impl<A: SimApplication> Simulator<A> {
 
         self.records.push(record);
 
-        // Wake queries blocked on this one.
-        if let Some(ws) = self.waiters.remove(&id) {
-            for w in ws {
-                if let Some(wi) = self.qinfo.get_mut(&w) {
-                    if let Some(since) = wi.blocked_since.take() {
-                        wi.blocked_total += now - since;
-                        self.blocked_count -= 1;
-                    }
-                }
-                self.events.push(now, Event::Resume { id: w });
-            }
-        }
-
+        self.wake_waiters(now, id);
         self.busy_slots -= 1;
 
         // Interactive clients submit their next query on completion.
@@ -1102,74 +1024,49 @@ impl<A: SimApplication> Simulator<A> {
     /// — and finally respawn the worker from the restart budget or retire
     /// its slot for good.
     fn on_worker_panic(&mut self, now: f64, id: QueryId) {
-        self.worker_panics += 1;
         self.qmet.worker_panics.inc();
         self.obs.log.log_at(now, id, EventKind::WorkerPanicked);
+        let info = self.qinfo.get_mut(&id).expect("panicking query has info");
+        info.attempts += 1;
+        let attempts = info.attempts;
+        self.wake_waiters(now, id);
 
-        let attempts = {
-            let a = self.quarantine.entry(id).or_insert(0);
-            *a += 1;
-            *a
-        };
-
-        if let Some(ws) = self.waiters.remove(&id) {
-            for w in ws {
-                if let Some(wi) = self.qinfo.get_mut(&w) {
-                    if let Some(since) = wi.blocked_since.take() {
-                        wi.blocked_total += now - since;
-                        self.blocked_count -= 1;
-                    }
-                }
-                self.events.push(now, Event::Resume { id: w });
-            }
-        }
-
-        let requeued = attempts < self.cfg.quarantine_limit && self.graph.requeue(id);
-        if requeued {
+        if attempts < self.cfg.quarantine_limit && self.graph.requeue(id) {
             // Back to WAITING: this execution span is over, so a pending
             // hang deadline armed for it must come up inert (the start
             // reverts to NAN until the next dequeue).
-            if let Some(info) = self.qinfo.get_mut(&id) {
-                info.start = f64::NAN;
-            }
-            self.pending_metrics.remove(&id);
+            self.qinfo.get_mut(&id).expect("checked above").start = f64::NAN;
         } else {
             // Quarantine limit reached: fail the query typed-ly instead
             // of crash-looping the pool, with the same event order as the
             // threaded engine (Quarantined, then the terminal Failed).
-            self.graph.mark_cached(id);
-            self.graph.swap_out(id);
-            self.quarantine.remove(&id);
-            self.failed += 1;
-            self.qmet.failed.inc();
             if attempts >= self.cfg.quarantine_limit {
-                self.quarantined += 1;
                 self.qmet.quarantined.inc();
                 self.obs
                     .log
                     .log_at(now, id, EventKind::Quarantined { attempts });
             }
-            self.obs.log.log_at(now, id, EventKind::Failed);
-            let info = self.qinfo.remove(&id).expect("panicking query has info");
-            self.pending_metrics.remove(&id);
-            self.graft_of.remove(&id);
-            self.grafted_ids.remove(&id);
-            self.degraded_ids.remove(&id);
-            self.advance_client(now, info.client);
+            self.retire(now, id, EventKind::Failed);
         }
 
         // The worker slot died either way.
         self.busy_slots -= 1;
         if self.restarts_left > 0 {
             self.restarts_left -= 1;
-            self.worker_restarts += 1;
             self.qmet.worker_restarts.inc();
             self.obs.log.log_at(now, id, EventKind::WorkerRestarted);
         } else {
             self.dead_workers += 1;
             if self.dead_workers >= self.cfg.threads {
+                // Every worker slot is retired: WAITING queries can never
+                // start. Fail them typed-ly in id order — the same sweep
+                // as the threaded engine's `fail_all_waiting`.
                 self.pool_dead = true;
-                self.fail_all_waiting(now);
+                let mut waiting = self.graph.ids_in_state(QueryState::Waiting);
+                waiting.sort();
+                for w in waiting {
+                    self.retire(now, w, EventKind::Failed);
+                }
             }
         }
         self.try_start(now);
@@ -1193,64 +1090,22 @@ impl<A: SimApplication> Simulator<A> {
         }
         // Hung first, then the terminal TimedOut — the watchdog folds
         // into the deadline machinery, same as the threaded engine.
-        self.hung += 1;
         self.qmet.hung.inc();
         self.obs.log.log_at(now, id, EventKind::Hung);
-        self.timed_out += 1;
-        self.qmet.timed_out.inc();
-        self.obs.log.log_at(now, id, EventKind::TimedOut);
-        self.graph.mark_cached(id);
-        self.graph.swap_out(id);
         // It can never publish: anything blocked on it computes for
         // itself.
-        if let Some(ws) = self.waiters.remove(&id) {
-            for w in ws {
-                if let Some(wi) = self.qinfo.get_mut(&w) {
-                    if let Some(since) = wi.blocked_since.take() {
-                        wi.blocked_total += now - since;
-                        self.blocked_count -= 1;
-                    }
-                }
-                self.events.push(now, Event::Resume { id: w });
-            }
-        }
+        self.wake_waiters(now, id);
+        let info = self.retire(now, id, EventKind::TimedOut);
         // If the hung query was itself blocked on a peer, unhook it from
         // that peer's wake list.
-        let info = self.qinfo.remove(&id).expect("hung query has info");
         if info.blocked_since.is_some() {
             self.blocked_count -= 1;
             for ws in self.waiters.values_mut() {
                 ws.retain(|w| *w != id);
             }
         }
-        self.pending_metrics.remove(&id);
-        self.graft_of.remove(&id);
-        self.grafted_ids.remove(&id);
-        self.degraded_ids.remove(&id);
-        self.quarantine.remove(&id);
         self.busy_slots -= 1;
-        self.advance_client(now, info.client);
         self.try_start(now);
-    }
-
-    /// Every worker slot has been retired: WAITING queries can never
-    /// start. Fail them typed-ly in id order — the same sweep as the
-    /// threaded engine's `fail_all_waiting` on pool death.
-    fn fail_all_waiting(&mut self, now: f64) {
-        let mut waiting = self.graph.ids_in_state(QueryState::Waiting);
-        waiting.sort();
-        for id in waiting {
-            let ok = self.graph.dequeue_specific(id);
-            debug_assert!(ok, "waiting query must dequeue");
-            self.graph.mark_cached(id);
-            self.graph.swap_out(id);
-            self.failed += 1;
-            self.qmet.failed.inc();
-            self.obs.log.log_at(now, id, EventKind::Failed);
-            let info = self.qinfo.remove(&id).expect("waiting query has info");
-            self.degraded_ids.remove(&id);
-            self.advance_client(now, info.client);
-        }
     }
 }
 
@@ -1723,46 +1578,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_records_causal_event_sequences() {
-        let spec = q(0, 0, 1024, 1, VmOp::Subsample);
-        let streams = vec![ClientStream {
-            client: ClientId(0),
-            queries: vec![spec, spec],
-        }];
-        let r = run_sim(SimConfig::paper_baseline().with_trace(true), streams);
-        assert!(!r.trace.is_empty());
-        // Times are non-decreasing.
-        for w in r.trace.windows(2) {
-            assert!(w[0].time <= w[1].time);
-        }
-        // Each query goes arrive -> start -> resume -> complete in order.
-        for qid in r.records.iter().map(|x| x.id) {
-            let kinds: Vec<&str> = r
-                .trace
-                .iter()
-                .filter(|e| e.query == qid)
-                .map(|e| e.kind.label())
-                .collect();
-            assert_eq!(
-                kinds,
-                vec!["arrive", "start", "resume", "complete"],
-                "{qid}"
-            );
-        }
-        // With trace off, the trace is empty.
-        let r2 = run_sim(
-            SimConfig::paper_baseline(),
-            vec![ClientStream {
-                client: ClientId(0),
-                queries: vec![spec],
-            }],
-        );
-        assert!(r2.trace.is_empty());
-    }
-
-    #[test]
-    fn trace_captures_blocking_and_swapout() {
-        use crate::trace::TraceKind;
+    fn records_and_events_capture_blocking_and_swapout() {
         let spec = q(0, 0, 2048, 2, VmOp::Subsample);
         let streams: Vec<ClientStream> = (0..2)
             .map(|c| ClientStream {
@@ -1770,30 +1586,25 @@ mod tests {
                 queries: vec![spec],
             })
             .collect();
-        let r = run_sim(
-            SimConfig::paper_baseline().with_threads(2).with_trace(true),
-            streams,
-        );
-        let blocks: Vec<_> = r
-            .trace
-            .iter()
-            .filter(|e| matches!(e.kind, TraceKind::Block { .. }))
-            .collect();
-        assert_eq!(blocks.len(), 1);
-        // Swap-out appears when caching is impossible.
+        let r = run_sim(SimConfig::paper_baseline().with_threads(2), streams);
+        assert_eq!(r.records.iter().filter(|x| x.blocked > 0.0).count(), 1);
+        // A Data Store that holds one result swaps the first producer out
+        // when the second commits.
+        let other = q(8192, 0, 2048, 2, VmOp::Subsample);
         let r2 = run_sim(
             SimConfig::paper_baseline()
-                .with_ds_budget(0)
-                .with_trace(true),
-            vec![ClientStream {
-                client: ClientId(0),
-                queries: vec![spec],
-            }],
+                .with_ds_budget(spec.qoutsize())
+                .with_observe(true),
+            one_client(vec![spec, other]),
         );
-        assert!(r2
-            .trace
+        let swapped: Vec<QueryId> = r2
+            .events
             .iter()
-            .any(|e| matches!(e.kind, TraceKind::SwapOut)));
+            .filter(|e| matches!(e.kind, EventKind::Evicted { .. }))
+            .map(|e| e.query)
+            .collect();
+        assert_eq!(swapped, vec![r2.records[0].id]);
+        assert_eq!(r2.graph_stats.swapped_out, 1);
     }
 
     #[test]

@@ -37,7 +37,6 @@ mod disk;
 mod engine;
 mod events;
 mod report;
-mod trace;
 mod vm;
 
 pub use app::{ReusePlan, SimApplication};
@@ -46,5 +45,4 @@ pub use disk::{DiskQueue, DiskStats};
 pub use engine::{run_sim, run_sim_app, Simulator};
 pub use events::{Event, EventQueue};
 pub use report::{SimRecord, SimReport};
-pub use trace::{trace_to_csv, TraceEvent, TraceKind};
 pub use vm::VmSimApp;

@@ -77,8 +77,6 @@ pub struct SimReport<S = VmQuery> {
     pub graph_stats: GraphStats,
     /// Disk counters.
     pub disk_stats: DiskStats,
-    /// Schedule trace (empty unless `SimConfig::trace` was set).
-    pub trace: Vec<crate::trace::TraceEvent>,
     /// Transient page-read faults injected by the fault model.
     pub io_faults: u64,
     /// Retries charged for those faults (capped per page at the retry
@@ -212,7 +210,6 @@ mod tests {
             ps_stats: PsStats::default(),
             graph_stats: GraphStats::default(),
             disk_stats: DiskStats::default(),
-            trace: Vec::new(),
             io_faults: 0,
             io_retries: 0,
             events: Vec::new(),

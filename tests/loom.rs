@@ -713,7 +713,7 @@ fn worker_death_backout_wakes_subscriber() {
                 // `handle_worker_panic` under the shard lock: the query
                 // leaves EXECUTING...
                 *executing.lock() = false;
-                // ...and `finish_one` notifies the shard's `done_cv`.
+                // ...and `answer` notifies the shard's `done_cv`.
                 done_cv.notify_all();
             })
         };

@@ -191,7 +191,7 @@ proptest! {
         inserts in prop::collection::vec((0u64..300, 1u64..80), 1..30),
         budget in 50u64..300,
     ) {
-        let mut ds: DataStore<IntervalSpec> = DataStore::new(budget);
+        let mut ds: DataStore<IntervalSpec> = DataStore::new(budget, 64);
         let mut evicted = Vec::new();
         for (i, (start, len)) in inserts.iter().enumerate() {
             let spec = IntervalSpec::new(*start, *len, 1);
@@ -878,41 +878,50 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Index Manager: the spatially indexed store must be observationally
-// equivalent to the linear-scan store.
+// Index Manager: the Data Store's indexed `lookup` must be observationally
+// equivalent to its linear-scan reference, `lookup_filtered(_, None)`,
+// however entries came and went.
 // ---------------------------------------------------------------------------
 
 proptest! {
     #[test]
     fn spatial_store_equivalent_to_linear(
-        inserts in prop::collection::vec((0u64..900, 10u64..120, 0usize..2), 1..40),
+        ops in prop::collection::vec((0u64..900, 10u64..120, 0usize..2, 0u8..6), 1..60),
         probes in prop::collection::vec((0u64..900, 10u64..120, 0usize..2), 1..8),
         cell in 16u32..200,
+        budget in 4u64..40,
     ) {
-        use vmqs::datastore::SpatialDataStore;
         use vmqs_core::spec::testutil::IntervalSpec;
         let scales = [1u64, 2];
-        let mut indexed: SpatialDataStore<IntervalSpec> = SpatialDataStore::new(u64::MAX, cell);
-        let mut linear: DataStore<IntervalSpec> = DataStore::new(u64::MAX);
+        // Every entry is one byte, so the budget is an entry count and
+        // inserts past it evict in LRU order.
+        let mut ds: DataStore<IntervalSpec> = DataStore::new(budget, cell);
+        let mut live: Vec<vmqs_core::BlobId> = Vec::new();
         let mut ev = Vec::new();
-        for (i, (start, len, sc)) in inserts.iter().enumerate() {
-            let sp = IntervalSpec::new(*start, len * scales[*sc], scales[*sc]);
-            indexed
-                .insert(vmqs_core::QueryId(i as u64), sp.clone(), 1, Payload::Virtual, &mut ev)
-                .unwrap();
-            linear
-                .insert(vmqs_core::QueryId(i as u64), sp, 1, Payload::Virtual, &mut ev)
-                .unwrap();
-        }
-        for (start, len, sc) in probes {
-            let probe = IntervalSpec::new(start, len * scales[sc], scales[sc]);
-            let a = indexed.lookup(&probe);
-            let b = linear.lookup(&probe);
-            prop_assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(b.iter()) {
-                prop_assert_eq!(x.blob, y.blob);
-                prop_assert_eq!(x.overlap, y.overlap);
-                prop_assert_eq!(x.reuse_bytes, y.reuse_bytes);
+        for (i, (start, len, sc, op)) in ops.iter().enumerate() {
+            if *op == 0 && !live.is_empty() {
+                let victim = live.swap_remove(*start as usize % live.len());
+                prop_assert!(ds.remove(victim).is_some());
+            } else {
+                let sp = IntervalSpec::new(*start, len * scales[*sc], scales[*sc]);
+                let blob = ds
+                    .insert(vmqs_core::QueryId(i as u64), sp, 1, Payload::Virtual, &mut ev)
+                    .unwrap();
+                live.push(blob);
+                live.retain(|b| !ev.iter().any(|r| r.blob == *b));
+                ev.clear();
+            }
+            prop_assert_eq!(ds.len(), live.len());
+            for (start, len, sc) in &probes {
+                let probe = IntervalSpec::new(*start, len * scales[*sc], scales[*sc]);
+                let a = ds.lookup(&probe);
+                let b = ds.lookup_filtered(&probe, None);
+                prop_assert_eq!(a.len(), b.len());
+                for (x, y) in a.iter().zip(b.iter()) {
+                    prop_assert_eq!(x.blob, y.blob);
+                    prop_assert_eq!(x.overlap, y.overlap);
+                    prop_assert_eq!(x.reuse_bytes, y.reuse_bytes);
+                }
             }
         }
     }
