@@ -76,7 +76,7 @@ pub struct Bencher {
 impl Bencher {
     /// Times `iters` back-to-back calls of `routine`.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
-        // lint:allow(wall-clock): the benchmark harness measures real time.
+        // The benchmark harness measures real time.
         #[allow(clippy::disallowed_methods)]
         let start = Instant::now();
         for _ in 0..self.iters {
@@ -95,7 +95,7 @@ impl Bencher {
         let mut total = Duration::ZERO;
         for _ in 0..self.iters {
             let input = setup();
-            // lint:allow(wall-clock): the benchmark harness measures real time.
+            // The benchmark harness measures real time.
             #[allow(clippy::disallowed_methods)]
             let start = Instant::now();
             black_box(routine(input));

@@ -324,7 +324,7 @@ impl Condvar {
         if let Some((exec, tid)) = rt::current() {
             return WaitTimeoutResult(self.model_wait(guard, &exec, tid, true));
         }
-        // lint:allow(wall-clock): passthrough timed wait outside a model.
+        // Passthrough timed wait outside a model.
         #[allow(clippy::disallowed_methods)]
         let timeout = deadline.saturating_duration_since(Instant::now());
         self.wait_for(guard, timeout)

@@ -2,10 +2,8 @@
 //!
 //! Every other module reads time through [`now`] (monotonic) or
 //! [`unix_now`] (calendar). Calling `Instant::now()` / `SystemTime::now()`
-//! anywhere else is forbidden by two independent guards:
-//!
-//! * `clippy.toml` lists both under `disallowed-methods`, and
-//! * `cargo xtask lint` scans for raw call sites (rule `wall-clock`).
+//! anywhere else is forbidden: `clippy.toml` lists both under
+//! `disallowed-methods`, and CI runs clippy with `-D warnings`.
 //!
 //! Funnelling time through one module keeps engine behaviour testable
 //! (a future virtual clock swaps one function, not fifty call sites)
@@ -18,14 +16,14 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 ///
 /// This is the only permitted `Instant::now()` call site in the
 /// workspace.
-#[allow(clippy::disallowed_methods)] // lint:allow(wall-clock): the origin
+#[allow(clippy::disallowed_methods)] // the origin
 pub fn now() -> Instant {
     Instant::now()
 }
 
 /// Seconds since the Unix epoch (calendar time, e.g. for report
 /// headers). Never used on scheduling or conformance paths.
-#[allow(clippy::disallowed_methods)] // lint:allow(wall-clock): the origin
+#[allow(clippy::disallowed_methods)] // the origin
 pub fn unix_now() -> f64 {
     SystemTime::now()
         .duration_since(UNIX_EPOCH)

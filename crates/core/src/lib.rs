@@ -13,6 +13,9 @@
 //!   `overlap`, `qoutsize`, `qinputsize`; paper §2),
 //! * [`graph::SchedulingGraph`] — the priority queue implemented as a
 //!   directed reuse graph with incremental re-ranking (paper §4),
+//! * [`sched::SchedShard`] — the graph plus per-query records, blob
+//!   liveness and the exit / tombstone / quarantine rules: the one shard
+//!   state machine both engines drive,
 //! * [`strategy::Strategy`] — the six ranking strategies (FIFO, MUF, FF,
 //!   CF, CNBF, SJF) plus the §6 hybrid extension,
 //! * [`stats`] — 95%-trimmed-mean and friends for the evaluation.
@@ -30,6 +33,7 @@ pub mod graph;
 pub mod ids;
 pub mod overload;
 pub mod rank;
+pub mod sched;
 pub mod shard;
 pub mod spatial;
 pub mod spec;
@@ -43,9 +47,10 @@ pub use graph::{Edge, GraphStats, SchedulingGraph};
 pub use ids::{BlobId, ClientId, DatasetId, IdGen, QueryId};
 pub use overload::{
     fast_path_admissible, pressure_secondary, retry_after_estimate, shed_victim, FastAdmit,
-    OverloadConfig, PressureSignals, SharedTokenBucket, TokenBucket,
+    OverloadConfig, PressureSignals, TokenBucket,
 };
 pub use rank::Rank;
+pub use sched::{PanicOutcome, SchedShard};
 pub use shard::{shard_of_spec, steal_order};
 pub use spatial::{GridIndex, SpatialSpec};
 pub use spec::QuerySpec;

@@ -230,40 +230,6 @@ impl TokenBucket {
     }
 }
 
-/// A [`TokenBucket`] shareable across threads (admission runs on every
-/// submitting client thread in the real server).
-///
-/// The bucket state sits behind the workspace sync facade
-/// ([`crate::sync::Mutex`]), so under `--cfg loom` the
-/// `token_bucket_admission_cap` model can prove the burst cap holds on
-/// every interleaving: refill-and-take is one critical section, never a
-/// read-check-write spread over two.
-#[derive(Debug)]
-pub struct SharedTokenBucket {
-    inner: crate::sync::Mutex<TokenBucket>,
-}
-
-impl SharedTokenBucket {
-    /// A shareable bucket refilling at `rate` tokens/second (see
-    /// [`TokenBucket::new`]).
-    pub fn new(rate: f64) -> Self {
-        SharedTokenBucket {
-            inner: crate::sync::Mutex::new(TokenBucket::new(rate)),
-        }
-    }
-
-    /// Takes one token at time `now` (seconds); `false` means the caller
-    /// is over its rate and should be rejected.
-    pub fn try_take(&self, now: f64) -> bool {
-        self.inner.lock().try_take(now)
-    }
-
-    /// Seconds from `now` until a token will be available.
-    pub fn time_to_token(&self, now: f64) -> f64 {
-        self.inner.lock().time_to_token(now)
-    }
-}
-
 /// Outcome of the lock-free admission fast path (see
 /// [`fast_path_admissible`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -34,11 +34,17 @@
 //!
 //! ## Locking
 //!
-//! * `shards[k].state: Mutex<ShardState>` — per-shard scheduling graph,
-//!   wait-for edges, reply channels. Each shard's `done_cv` (query
-//!   completion) is associated with its own mutex. A lock-free `depth`
-//!   mirror of the shard's ready-queue length lets stealers pick victims
-//!   without touching any lock.
+//! * `shards[k].state: Mutex<ShardState>` — the shard's
+//!   [`vmqs_core::SchedShard`] (graph, per-query records with their reply
+//!   channels, blob liveness, eviction tombstones) plus the wait-for
+//!   edges. Every transition, and the exit, tombstone and quarantine
+//!   rules, are `SchedShard`'s, shared with the simulator and documented
+//!   there; this file takes the lock, calls the transition, and does the
+//!   driver's half: the `depth` / `total_waiting` mirrors under the lock;
+//!   replies, events, counters and wake-ups outside it. Each shard's
+//!   `done_cv` (query completion) is associated with its own mutex. A
+//!   lock-free `depth` mirror of the shard's ready-queue length lets
+//!   stealers pick victims without touching any lock.
 //! * `store: RwLock<DataStore>` — the semantic cache, still
 //!   global so reuse crosses shard boundaries. Lookups are read-side
 //!   (`&self`, LRU stamps and counters are atomics); only insert/evict
@@ -77,7 +83,7 @@ use crate::config::ServerConfig;
 use crate::error::{deadline_error, ServerError};
 use crate::pages::SharedPageSpace;
 use crate::result::{AnswerPath, QueryRecord, QueryResult, ServerSummary};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
@@ -87,8 +93,8 @@ use vmqs_core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use vmqs_core::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use vmqs_core::{
     fast_path_admissible, pressure_secondary, retry_after_estimate, shard_of_spec, shed_victim,
-    steal_order, BlobId, ClientId, FastAdmit, IdGen, PressureSignals, QueryId, QuerySpec,
-    QueryState, SchedulingGraph, SpatialSpec, TokenBucket,
+    steal_order, BlobId, ClientId, FastAdmit, IdGen, PanicOutcome, PressureSignals, QueryId,
+    QuerySpec, QueryState, SchedShard, SpatialSpec, TokenBucket,
 };
 use vmqs_datastore::{DataStore, DsStats, EvictionRecord, Payload, Phase};
 use vmqs_microscope::PAGE_SIZE;
@@ -100,23 +106,15 @@ use vmqs_storage::{DataSource, SpillStore};
 /// ever gets is sent without blocking whether or not the client waits.
 type ReplyTx<S> = SyncSender<Result<QueryResult<S>, ServerError>>;
 
-/// Everything a shard holds for one admitted, unanswered query. Created
-/// by `admit`, removed exactly once — when the answer is taken for
-/// delivery — so nothing per-query outlives the query.
+/// The server's record for one admitted, unanswered query: the `R` of
+/// its shard's [`SchedShard`], which creates it at `admit` and gives it
+/// up exactly once, at `publish` or `retire`.
 struct Pending<S> {
     tx: ReplyTx<S>,
     submitted: Instant,
     /// Downgraded to its cheaper plan at admission.
     degraded: bool,
-    /// Panics this query's computes have caused (the quarantine
-    /// counter); only ever nonzero after a panic, survives requeues.
-    attempts: u32,
 }
-
-/// A shed victim staged for delivery outside all scheduler locks: the
-/// query, its home shard, its (possibly already-taken) record, and the
-/// pressure level that triggered the decision.
-type ShedVictim<S> = (QueryId, usize, Option<Pending<S>>, f64);
 
 /// A client's handle to an in-flight query.
 #[derive(Debug)]
@@ -138,51 +136,14 @@ impl<S> QueryHandle<S> {
     }
 }
 
-/// One shard's scheduler component: everything the dequeue/blocking/
-/// completion transitions touch for queries homed here. Guarded by
-/// [`Shard::state`].
+/// One shard's scheduler component, guarded by [`Shard::state`].
 struct ShardState<S: SpatialSpec> {
-    graph: SchedulingGraph<S>,
-    /// Data Store blobs of CACHED producers homed here; an entry lives as
-    /// long as the cached result, not the query.
-    blob_of: HashMap<QueryId, BlobId>,
+    sched: SchedShard<S, Pending<S>>,
     /// Deadlock-avoidance wait-for edges: executing query → executing query
     /// it is blocked on. Reuse edges are intra-shard, so these never cross
     /// shards and the cycle check stays complete.
     waiting_on: HashMap<QueryId, QueryId>,
-    /// One record per admitted, unanswered query homed here.
-    pending: HashMap<QueryId, Pending<S>>,
     blocked_fallbacks: u64,
-    /// Blobs evicted before their producer finished its own completion
-    /// bookkeeping. A cost-based victim can be the *lowest-scoring* entry
-    /// — including one committed moments ago by a producer still
-    /// EXECUTING in the graph (recency policies never pick it: a fresh
-    /// commit has the newest stamp). The evictor leaves a tombstone here
-    /// instead of transitioning the producer; the producer consumes it
-    /// under the same shard lock and swaps itself out.
-    dead_blobs: HashSet<BlobId>,
-}
-
-impl<S: SpatialSpec> ShardState<S> {
-    /// The one exit for a query that leaves the graph without a result —
-    /// shed, failed, timed out, quarantined, or stranded by pool death.
-    /// The query must already be out of the dequeue index (callers
-    /// retiring a WAITING victim `dequeue_specific` it first); it takes
-    /// the CACHED → SWAPPED_OUT path an uncacheable success takes, drops
-    /// its wait-for edge, and gives up its record, so peers see no
-    /// residue. The caller delivers the record's reply outside the lock.
-    fn retire(&mut self, id: QueryId) -> Option<Pending<S>> {
-        if self.graph.state_of(id) == Some(QueryState::Executing) {
-            self.graph.mark_cached(id);
-        }
-        // Defensive: a panic that unwound after the result was committed
-        // leaves a CACHED producer with a live blob, which stays cached.
-        if self.graph.state_of(id) == Some(QueryState::Cached) && !self.blob_of.contains_key(&id) {
-            self.graph.swap_out(id);
-        }
-        self.waiting_on.remove(&id);
-        self.pending.remove(&id)
-    }
 }
 
 /// One scheduling shard: a worker's home scheduling graph plus the
@@ -201,12 +162,9 @@ impl<S: SpatialSpec> Shard<S> {
     fn new(strategy: vmqs_core::Strategy) -> Self {
         Shard {
             state: Mutex::new(ShardState {
-                graph: SchedulingGraph::new(strategy),
-                blob_of: HashMap::new(),
+                sched: SchedShard::new(strategy),
                 waiting_on: HashMap::new(),
-                pending: HashMap::new(),
                 blocked_fallbacks: 0,
-                dead_blobs: HashSet::new(),
             }),
             depth: AtomicUsize::new(0),
             done_cv: Condvar::new(),
@@ -490,7 +448,7 @@ impl<A: AppExecutor> QueryServer<A> {
             self.core.admit(id, spec, tx, false);
             self.core.obs.log.log(id, EventKind::Submitted);
             self.core.qmet.submitted.inc();
-            self.core.wake_one();
+            self.core.wake(false);
             return QueryHandle { id, rx };
         }
 
@@ -521,7 +479,7 @@ impl<A: AppExecutor> QueryServer<A> {
                     .obs
                     .metrics
                     .set_gauge("vmqs_pressure", queue_only(depth + 1));
-                self.core.wake_one();
+                self.core.wake(false);
                 return QueryHandle { id, rx };
             }
             FastAdmit::RejectFull => {
@@ -594,7 +552,9 @@ impl<A: AppExecutor> QueryServer<A> {
                 tx: ReplyTx<S>,
             },
         }
-        let mut shed_out: Vec<ShedVictim<A::Spec>> = Vec::new();
+        // Shed victims staged for delivery outside all scheduler locks:
+        // (query, home shard, record, pressure level that shed it).
+        let mut shed_out = Vec::new();
         let mut observed_level;
         let decision = {
             let mut adm = self.core.admission.lock();
@@ -643,23 +603,13 @@ impl<A: AppExecutor> QueryServer<A> {
                 // pressure drops below the threshold. The victim may be
                 // the query just admitted, and may live on any shard
                 // (candidates are gathered one shard lock at a time).
-                // Each victim takes the same WAITING → CACHED →
-                // SWAPPED_OUT exit as a failed query, so the graph keeps
-                // its invariants and peers see no residue.
                 while level >= ov.shed_threshold
                     && self.core.total_waiting.load(Ordering::SeqCst) > 0
                 {
                     let mut cands: Vec<(QueryId, u64, u64, usize)> = Vec::new();
                     for (si, sh) in self.core.shards.iter().enumerate() {
                         let s = sh.state.lock();
-                        for q in s.graph.ids_in_state(QueryState::Waiting) {
-                            cands.push((
-                                q,
-                                s.graph.qinputsize_of(q).unwrap_or(0),
-                                s.graph.arrival_of(q).unwrap_or(0),
-                                si,
-                            ));
-                        }
+                        cands.extend(s.sched.shed_candidates().map(|(q, sz, ar)| (q, sz, ar, si)));
                     }
                     let victim = shed_victim(cands.iter().map(|&(q, sz, ar, _)| (q, sz, ar)));
                     let Some(vid) = victim else { break };
@@ -667,11 +617,11 @@ impl<A: AppExecutor> QueryServer<A> {
                         break;
                     };
                     let mut s = self.core.shards[vk].state.lock();
-                    if !s.graph.dequeue_specific(vid) {
+                    if s.sched.graph().state_of(vid) != Some(QueryState::Waiting) {
                         // A worker raced us to this victim; re-evaluate.
                         continue;
                     }
-                    let victim = s.retire(vid);
+                    let victim = s.sched.retire(vid);
                     self.core.shards[vk].depth.fetch_sub(1, Ordering::SeqCst);
                     self.core.total_waiting.fetch_sub(1, Ordering::SeqCst);
                     drop(s);
@@ -719,7 +669,7 @@ impl<A: AppExecutor> QueryServer<A> {
             self.core
                 .answer(vk, victim, Err(ServerError::Shed { pressure: level }));
         }
-        self.core.wake_one();
+        self.core.wake(false);
         QueryHandle { id, rx }
     }
 
@@ -729,7 +679,7 @@ impl<A: AppExecutor> QueryServer<A> {
         specs: impl IntoIterator<Item = A::Spec>,
     ) -> Vec<QueryHandle<A::Spec>> {
         let handles: Vec<_> = specs.into_iter().map(|s| self.submit(s)).collect();
-        self.core.wake_all();
+        self.core.wake(true);
         handles
     }
 
@@ -790,8 +740,7 @@ impl<A: AppExecutor> QueryServer<A> {
         // Fail any queries still pending — even if a worker panicked, no
         // client is left hanging on its handle.
         for sh in &self.core.shards {
-            let mut s = sh.state.lock();
-            for (_, p) in s.pending.drain() {
+            for (_, p) in sh.state.lock().sched.drain(None) {
                 let _ = p.tx.send(Err(ServerError::Shutdown));
             }
         }
@@ -873,7 +822,7 @@ impl<A: AppExecutor> QueryServer<A> {
     pub fn graph_stats(&self) -> vmqs_core::GraphStats {
         let mut total = vmqs_core::GraphStats::default();
         for sh in &self.core.shards {
-            let s = sh.state.lock().graph.stats();
+            let s = sh.state.lock().sched.graph().stats();
             total.inserted += s.inserted;
             total.dequeued += s.dequeued;
             total.swapped_out += s.swapped_out;
@@ -966,52 +915,40 @@ impl<A: AppExecutor> QueryServer<A> {
         self.core.ps.set_merging(enabled);
     }
 
-    /// Validates the scheduling graph's internal invariants (state/index
-    /// consistency, edge symmetry) and that no per-query state outlives
-    /// its query: with nothing outstanding, every shard's record table
-    /// and wait-for map must be empty. Panics with the violation
-    /// description — a test/debug aid for asserting that error paths
-    /// leave no residue.
+    /// Validates every shard's invariants (graph state/index consistency
+    /// and edge symmetry, every live blob naming a CACHED node) and that
+    /// no per-query state outlives its query: with nothing outstanding,
+    /// no shard may hold a record, an eviction tombstone or a wait-for
+    /// edge. Panics with the violation description — a test/debug aid for
+    /// asserting that error paths leave no residue.
     pub fn check_invariants(&self) {
-        let (mut records, mut edges) = (0, 0);
         for sh in &self.core.shards {
             let s = sh.state.lock();
-            if let Err(e) = s.graph.validate() {
-                panic!("scheduling-graph invariant violated: {e}");
+            // Read under the shard lock: a record here is counted in
+            // `outstanding` from before it appears until after it is gone.
+            let idle = self.core.outstanding.load(Ordering::SeqCst) == 0;
+            if let Err(e) = s.sched.validate(idle) {
+                panic!("scheduler-shard invariant violated: {e}");
             }
-            records += s.pending.len();
-            edges += s.waiting_on.len();
+            assert!(!idle || s.waiting_on.is_empty(), "stale wait-for edges");
         }
-        assert!(
-            (records, edges) == (0, 0) || self.core.outstanding.load(Ordering::SeqCst) > 0,
-            "{records} query records and {edges} wait-for edges with no outstanding queries"
-        );
     }
 }
 
 impl<A: AppExecutor> Core<A> {
-    /// Routes a spec to its home shard.
-    fn home_shard(&self, spec: &A::Spec) -> usize {
-        shard_of_spec(spec, self.shards.len())
-    }
-
     /// Inserts an admitted query into its home shard and publishes the
     /// bookkeeping counters. The `total_waiting`/`depth` increments
     /// happen under the shard lock, so a dequeuer can never observe the
     /// query before the counters account for it.
     fn admit(&self, id: QueryId, spec: A::Spec, tx: ReplyTx<A::Spec>, degraded: bool) {
-        let k = self.home_shard(&spec);
+        let k = shard_of_spec(&spec, self.shards.len());
         let mut s = self.shards[k].state.lock();
-        s.graph.insert(id, spec);
-        s.pending.insert(
-            id,
-            Pending {
-                tx,
-                submitted: clock::now(),
-                degraded,
-                attempts: 0,
-            },
-        );
+        let record = Pending {
+            tx,
+            submitted: clock::now(),
+            degraded,
+        };
+        s.sched.admit(id, spec, record);
         self.outstanding.fetch_add(1, Ordering::SeqCst);
         self.total_waiting.fetch_add(1, Ordering::SeqCst);
         self.shards[k].depth.fetch_add(1, Ordering::SeqCst);
@@ -1021,8 +958,9 @@ impl<A: AppExecutor> Core<A> {
     /// `total_waiting` increment (SeqCst, already published by `admit`)
     /// and the `sleepers` check form a Dekker pair with the worker's
     /// park sequence — at least one side always sees the other, and the
-    /// `idle` lock bridges the check-to-wait window.
-    fn wake_one(&self) {
+    /// `idle` lock bridges the check-to-wait window. Wakes one worker, or
+    /// `all` of them (batch submission).
+    fn wake(&self, all: bool) {
         if self.pool_dead.load(Ordering::SeqCst) {
             // The pool died; whatever was just queued will never run.
             // Every admit path calls a wake, so sweeping here closes the
@@ -1034,19 +972,11 @@ impl<A: AppExecutor> Core<A> {
         }
         if self.sleepers.load(Ordering::SeqCst) > 0 {
             let _g = self.idle.lock();
-            self.work_cv.notify_one();
-        }
-    }
-
-    /// As [`Core::wake_one`], for batch submission and resume.
-    fn wake_all(&self) {
-        if self.pool_dead.load(Ordering::SeqCst) {
-            fail_all_waiting(self);
-            return;
-        }
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _g = self.idle.lock();
-            self.work_cv.notify_all();
+            if all {
+                self.work_cv.notify_all();
+            } else {
+                self.work_cv.notify_one();
+            }
         }
     }
 
@@ -1210,11 +1140,10 @@ fn worker_entry<A: AppExecutor>(core: Arc<Core<A>>, me: usize) {
 /// Backs out a panicked worker's in-flight query. The panic unwound
 /// through `run_one` with no locks held (guards release on unwind) and
 /// the compute permit/reservation already returned by the inner guard in
-/// `execute_query`; what remains is the scheduling residue: the query is
-/// EXECUTING in its shard's graph with its record still pending. Below
-/// the quarantine limit it is requeued for a sibling shard's worker (or
-/// the replacement); at the limit it is failed typed-ly — a
-/// deterministic poison query must not crash-loop the pool.
+/// `execute_query`; what remains is the scheduling residue, which
+/// [`SchedShard::on_panic`] resolves: requeued for a sibling shard's
+/// worker (or the replacement) below the quarantine limit, failed
+/// typed-ly at it.
 fn handle_worker_panic<A: AppExecutor>(
     core: &Core<A>,
     me: usize,
@@ -1226,48 +1155,43 @@ fn handle_worker_panic<A: AppExecutor>(
     core.buf_push(me, id, EventKind::WorkerPanicked);
     let mut s = core.shards[k].state.lock();
     s.waiting_on.remove(&id);
-    let attempts = s.pending.get_mut(&id).map_or(1, |p| {
-        p.attempts += 1;
-        p.attempts
-    });
-    if attempts < core.cfg.quarantine_limit && s.graph.requeue(id) {
-        // Orphaned work back into the dequeue index with its original
-        // arrival order and its record intact; the counter increments
-        // stay under the shard lock (like `admit`) so a dequeuer never
-        // sees the query before the counters account for it.
+    let outcome = s.sched.on_panic(id, core.cfg.quarantine_limit);
+    if matches!(outcome, PanicOutcome::Requeued) {
+        // Like `admit`, the counter increments stay under the shard lock
+        // so a dequeuer never sees the query before they account for it.
         core.shards[k].depth.fetch_add(1, Ordering::SeqCst);
         core.total_waiting.fetch_add(1, Ordering::SeqCst);
-        drop(s);
-        if replacement {
-            count_restart(core, me, id);
-        }
-        core.buf_flush(me);
-        core.wake_one();
-        return;
     }
-    // Quarantine (or, defensively, a panic that left the query past
-    // EXECUTING): the terminal exit, with a typed error.
-    let record = s.retire(id);
     drop(s);
-    core.qmet.failed.inc();
-    let err = if attempts >= core.cfg.quarantine_limit {
-        core.qmet.quarantined.inc();
-        core.buf_push(me, id, EventKind::Quarantined { attempts });
-        ServerError::Quarantined { attempts }
-    } else {
-        ServerError::WorkerPanicked
+    let failure = match outcome {
+        PanicOutcome::Requeued => None,
+        PanicOutcome::Quarantined { attempts, record } => {
+            core.qmet.quarantined.inc();
+            core.buf_push(me, id, EventKind::Quarantined { attempts });
+            Some((Some(record), ServerError::Quarantined { attempts }))
+        }
+        PanicOutcome::Gone => Some((None, ServerError::WorkerPanicked)),
     };
-    core.buf_push(me, id, EventKind::Failed);
+    if failure.is_some() {
+        core.qmet.failed.inc();
+        core.buf_push(me, id, EventKind::Failed);
+    }
     if replacement {
-        count_restart(core, me, id);
+        // Counted here, behind the panic/quarantine events in this
+        // worker's buffer and before the query's handle resolves.
+        core.qmet.worker_restarts.inc();
+        core.buf_push(me, id, EventKind::WorkerRestarted);
     }
     core.buf_flush(me);
-    core.answer(k, record, Err(err));
+    match failure {
+        None => core.wake(false),
+        Some((record, err)) => core.answer(k, record, Err(err)),
+    }
 }
 
 /// Claims one restart-budget token for a replacement worker, without
 /// spawning it yet. Called before the panicked query's back-out so the
-/// restart is accounted (counter + event, via [`count_restart`]) before
+/// restart is accounted (counter + event, in `handle_worker_panic`) before
 /// the query's handle resolves — a caller observing the typed failure
 /// sees restart counts consistent with the panics that caused them.
 fn claim_restart<A: AppExecutor>(core: &Core<A>) -> bool {
@@ -1289,17 +1213,9 @@ fn claim_restart<A: AppExecutor>(core: &Core<A>) -> bool {
     false
 }
 
-/// Restart accounting for a claimed budget token: counter, metric, and
-/// the `WorkerRestarted` event, pushed into the worker's buffer so it
-/// flushes in order behind the panic/quarantine events.
-fn count_restart<A: AppExecutor>(core: &Core<A>, me: usize, killer: QueryId) {
-    core.qmet.worker_restarts.inc();
-    core.buf_push(me, killer, EventKind::WorkerRestarted);
-}
-
 /// A panicked worker's last act: spawn the replacement whose budget
 /// token [`claim_restart`] already claimed (and whose restart
-/// [`count_restart`] already accounted), or retire for good. When the
+/// `handle_worker_panic` already accounted), or retire for good. When the
 /// last live worker retires, the pool is dead — WAITING queries are
 /// failed typed-ly (no one will ever run them) and later submissions
 /// are refused up front. Runs after the back-out so a retiring worker's
@@ -1331,27 +1247,21 @@ fn respawn_or_retire<A: AppExecutor>(core: Arc<Core<A>>, me: usize, replacement:
 
 /// Fails every WAITING query with [`ServerError::WorkerPanicked`] — the
 /// pool-death path: the last worker retired with the restart budget
-/// exhausted, so queued work would wedge forever. Each victim takes the
-/// terminal exit, so the graph keeps its invariants and `drain`
-/// completes.
+/// exhausted, so queued work would wedge forever.
 fn fail_all_waiting<A: AppExecutor>(core: &Core<A>) {
     for (k, sh) in core.shards.iter().enumerate() {
-        loop {
-            let (vid, record) = {
-                let mut s = sh.state.lock();
-                let Some(vid) = s.graph.ids_in_state(QueryState::Waiting).into_iter().next() else {
-                    break;
-                };
-                if !s.graph.dequeue_specific(vid) {
-                    break;
-                }
-                sh.depth.fetch_sub(1, Ordering::SeqCst);
-                core.total_waiting.fetch_sub(1, Ordering::SeqCst);
-                (vid, s.retire(vid))
-            };
+        let victims = {
+            let mut s = sh.state.lock();
+            let victims = s.sched.drain(Some(QueryState::Waiting));
+            sh.depth.fetch_sub(victims.len(), Ordering::SeqCst);
+            core.total_waiting
+                .fetch_sub(victims.len(), Ordering::SeqCst);
+            victims
+        };
+        for (vid, record) in victims {
             core.qmet.failed.inc();
             core.obs.log.log(vid, EventKind::Failed);
-            core.answer(k, record, Err(ServerError::WorkerPanicked));
+            core.answer(k, Some(record), Err(ServerError::WorkerPanicked));
         }
     }
 }
@@ -1364,59 +1274,32 @@ fn try_dequeue<A: AppExecutor>(core: &Core<A>, k: usize) -> Option<Job<A::Spec>>
         return None;
     }
     let mut s = core.shards[k].state.lock();
-    // With grafting on, prefer a WAITING producer over a consumer it
-    // fully covers (ROADMAP item 1): dequeuing the consumer first would
-    // either duplicate the full compute or leave the consumer blocked on
-    // a producer that has not even started.
-    let id = if core.cfg.graft {
-        s.graph.dequeue_preferring_producer()?
-    } else {
-        s.graph.dequeue()?
-    };
+    // With grafting on a WAITING producer goes before a consumer it fully
+    // covers, which would otherwise duplicate the compute or block on a
+    // producer that has not even started.
+    let (id, spec, score, p) = s.sched.dequeue(core.cfg.graft)?;
+    let (submitted, was_degraded) = (p.submitted, p.degraded);
     core.shards[k].depth.fetch_sub(1, Ordering::SeqCst);
     core.total_waiting.fetch_sub(1, Ordering::SeqCst);
-    // The rank the scheduler chose the query by, frozen at dequeue.
-    let score = s.graph.rank_of(id).map_or(0.0, |r| r.value());
-    let (Some(&spec), Some(p)) = (s.graph.spec_of(id), s.pending.get(&id)) else {
-        // A dequeued node always has a spec and a record; if the shard
-        // is inconsistent, fail this query rather than the pool.
-        let record = s.retire(id);
-        drop(s);
-        core.qmet.failed.inc();
-        core.obs.log.log(id, EventKind::Failed);
-        let err = ServerError::Io {
-            kind: std::io::ErrorKind::Other,
-            transient: false,
-            message: "internal: dequeued query has no spec or record".into(),
-        };
-        core.answer(k, record, Err(err));
-        return None;
-    };
     Some(Job {
         shard: k,
         id,
         spec,
-        submitted: p.submitted,
+        submitted,
+        // The rank the scheduler chose the query by, frozen at dequeue.
         score,
-        was_degraded: p.degraded,
+        was_degraded,
     })
 }
 
 fn run_one<A: AppExecutor>(core: &Core<A>, me: usize, job: Job<A::Spec>) {
-    let Job {
-        shard: k,
-        id,
-        spec,
-        submitted,
-        score,
-        was_degraded,
-    } = job;
+    let (k, id, spec, submitted) = (job.shard, job.id, job.spec, job.submitted);
     core.buf_push(
         me,
         id,
         EventKind::Ranked {
             strategy: core.cfg.strategy.name(),
-            score,
+            score: job.score,
         },
     );
     // The deadline covers the whole client-visible response time:
@@ -1448,7 +1331,6 @@ fn run_one<A: AppExecutor>(core: &Core<A>, me: usize, job: Job<A::Spec>) {
     match exec {
         Ok(out) => {
             let size = core.app.output_len(&spec) as u64;
-            let n = core.shards.len();
             let mut evicted: Vec<EvictionRecord<A::Spec>> = Vec::new();
             // Measured recomputation cost: the wall seconds this worker
             // spent producing the result (I/O + kernel + blocked time).
@@ -1499,53 +1381,10 @@ fn run_one<A: AppExecutor>(core: &Core<A>, me: usize, job: Job<A::Spec>) {
             if out.held_permit {
                 core.release_compute();
             }
-            {
-                let mut s = core.shards[k].state.lock();
-                s.graph.mark_cached(id);
-                // Evicted producers homed on this shard transition under
-                // the lock we already hold; foreign ones are routed to
-                // their home shards below (one shard lock at a time).
-                for r in &evicted {
-                    if shard_of_spec(&r.spec, n) == k {
-                        route_one(&mut s, r);
-                    }
-                }
-                match cached {
-                    Ok(blob) => {
-                        if s.dead_blobs.remove(&blob) {
-                            // A peer's knapsack already evicted this
-                            // result in the window between our commit
-                            // and this lock: honor its tombstone.
-                            s.graph.swap_out(id);
-                        } else {
-                            s.blob_of.insert(id, blob);
-                        }
-                    }
-                    Err(_) => {
-                        // Result cannot be cached (budget too small):
-                        // treat it as immediately swapped out.
-                        s.graph.swap_out(id);
-                    }
-                }
-            }
-            for r in &evicted {
-                let home = shard_of_spec(&r.spec, n);
-                if home != k {
-                    let mut s = core.shards[home].state.lock();
-                    route_one(&mut s, r);
-                }
-            }
-            for r in evicted {
-                core.buf_push(
-                    me,
-                    r.producer,
-                    EventKind::Evicted {
-                        tier: r.tier,
-                        score: r.score,
-                    },
-                );
-                core.qmet.ds_evictions.inc();
-            }
+            // An `Err` (budget too small to cache the result) publishes
+            // without a blob; the record comes out with the transition.
+            let pending = core.shards[k].state.lock().sched.publish(id, cached.ok());
+            route_evictions(core, me, evicted);
             emit_spills(core, me, spills);
             match out.path {
                 AnswerPath::ExactHit => core.qmet.ds_exact_hits.inc(),
@@ -1571,7 +1410,7 @@ fn run_one<A: AppExecutor>(core: &Core<A>, me: usize, job: Job<A::Spec>) {
                 reused_bytes: out.reused_bytes,
                 covered_fraction: out.covered_fraction,
                 pages_requested: out.pages_requested,
-                degraded: was_degraded,
+                degraded: job.was_degraded,
             };
             core.metrics.lock().push(record);
             let result = QueryResult {
@@ -1581,7 +1420,6 @@ fn run_one<A: AppExecutor>(core: &Core<A>, me: usize, job: Job<A::Spec>) {
                 height: h,
                 record,
             };
-            let pending = core.shards[k].state.lock().pending.remove(&id);
             core.answer(k, pending, Ok(result));
         }
         Err(e) => {
@@ -1606,7 +1444,7 @@ fn run_one<A: AppExecutor>(core: &Core<A>, me: usize, job: Job<A::Spec>) {
                 core.qmet.failed.inc();
                 core.buf_push(me, id, EventKind::Failed);
             }
-            let record = core.shards[k].state.lock().retire(id);
+            let record = core.shards[k].state.lock().sched.retire(id);
             core.answer(k, record, Err(err));
         }
     }
@@ -1679,7 +1517,7 @@ fn wait_for_peer<A: AppExecutor>(
     s.waiting_on.insert(id, peer);
     let t0 = clock::now();
     let mut expired = false;
-    while s.graph.state_of(peer) == Some(QueryState::Executing)
+    while s.sched.graph().state_of(peer) == Some(QueryState::Executing)
         && !core.shutdown.load(Ordering::SeqCst)
     {
         match deadline {
@@ -1893,13 +1731,9 @@ fn execute_query<A: AppExecutor>(
     // dependency, so it skips straight to the compute.
     if core.cfg.allow_blocking && !graft_waited {
         let mut s = core.shards[k].state.lock();
-        let dep = s
-            .graph
-            .reuse_sources(id)
-            .into_iter()
-            .find(|e| s.graph.state_of(e.peer) == Some(QueryState::Executing));
+        let dep = s.sched.executing_sources(id).next();
         if let Some(dep) = dep {
-            blocked += wait_for_peer(core, k, &mut s, id, dep.peer, deadline)?.unwrap_or_default();
+            blocked += wait_for_peer(core, k, &mut s, id, dep, deadline)?.unwrap_or_default();
         }
     }
 
@@ -2040,33 +1874,8 @@ fn execute_query<A: AppExecutor>(
     })
 }
 
-/// Routes one eviction record under its home shard's lock: a producer
-/// already CACHED transitions to SWAPPED_OUT; a producer still
-/// EXECUTING — its freshly committed result lost the knapsack before
-/// its own completion bookkeeping ran, a window only the cost-based
-/// policy can hit (recency policies never pick the newest stamp) —
-/// gets a `dead_blobs` tombstone it consumes itself, since `swap_out`
-/// on an EXECUTING node would corrupt the graph.
-fn route_one<S: SpatialSpec>(s: &mut ShardState<S>, r: &EvictionRecord<S>) {
-    match s.graph.state_of(r.producer) {
-        Some(QueryState::Cached) => {
-            s.blob_of.remove(&r.producer);
-            s.graph.swap_out(r.producer);
-        }
-        // No graph node at all: the producer is a recovered-frame
-        // placeholder (`RECOVERED_PRODUCER`) or long since forgotten —
-        // nothing to transition and no one to leave a tombstone for.
-        None => {}
-        _ => {
-            s.dead_blobs.insert(r.blob);
-        }
-    }
-}
-
-/// Transitions evicted producers to SWAPPED_OUT on their home shards
-/// (one shard lock at a time) and emits their eviction events — the
-/// out-of-line sibling of `run_one`'s inline publish-path routing, for
-/// eviction sites that hold no shard lock.
+/// Routes eviction records to their producers' home shards (one shard
+/// lock at a time) and emits their eviction events.
 fn route_evictions<A: AppExecutor>(
     core: &Core<A>,
     me: usize,
@@ -2074,9 +1883,8 @@ fn route_evictions<A: AppExecutor>(
 ) {
     let n = core.shards.len();
     for r in &evicted {
-        let home = shard_of_spec(&r.spec, n);
-        let mut s = core.shards[home].state.lock();
-        route_one(&mut s, r);
+        let mut s = core.shards[shard_of_spec(&r.spec, n)].state.lock();
+        s.sched.route_eviction(r.producer, r.blob);
     }
     for r in evicted {
         core.buf_push(

@@ -1,10 +1,10 @@
 //! The discrete-event simulation engine.
 //!
-//! Drives the *same* scheduling graph, Data Store, and page-cache cores as
-//! the threaded server, but in virtual time against analytic disk/CPU cost
-//! models — reproducing the paper-scale experiments (24 query threads,
-//! 7.5 GB of slides, 2002-era disks) deterministically in milliseconds on
-//! any machine.
+//! Drives the *same* scheduler shard ([`vmqs_core::SchedShard`]), Data
+//! Store, and page-cache cores as the threaded server, but in virtual time
+//! against analytic disk/CPU cost models — reproducing the paper-scale
+//! experiments (24 query threads, 7.5 GB of slides, 2002-era disks)
+//! deterministically in milliseconds on any machine.
 //!
 //! The engine is generic over a [`SimApplication`]: the Virtual Microscope
 //! adapter is [`crate::VmSimApp`] (with `Simulator::new` / [`run_sim`] as
@@ -26,8 +26,8 @@ use crate::report::{SimRecord, SimReport};
 use crate::vm::VmSimApp;
 use std::collections::HashMap;
 use vmqs_core::{
-    pressure_secondary, shed_victim, BlobId, ClientId, IdGen, PressureSignals, QueryId, QuerySpec,
-    QueryState, SchedulingGraph, Strategy, TokenBucket,
+    pressure_secondary, shed_victim, ClientId, IdGen, PanicOutcome, PressureSignals, QueryId,
+    QuerySpec, QueryState, SchedShard, Strategy, TokenBucket,
 };
 use vmqs_datastore::{DataStore, EvictionRecord, Payload};
 use vmqs_microscope::PAGE_SIZE;
@@ -35,9 +35,9 @@ use vmqs_obs::{EventKind, Obs, PageMetrics, QueryMetrics};
 use vmqs_pagespace::{PageCacheCore, PageData, PageDisposition, PageKey};
 use vmqs_storage::SPILL_DEVICE;
 
-/// Everything the engine knows about one admitted, unanswered query.
-/// Created at admission, removed at its terminal (completion or
-/// [`Simulator::retire`]), so nothing per-query outlives the query.
+/// The simulator's record for one admitted, unanswered query: the `R` of
+/// its [`SchedShard`], which creates it at `admit` and gives it up at
+/// `publish` or `retire`.
 struct QInfo<S> {
     client: ClientId,
     spec: S,
@@ -47,9 +47,6 @@ struct QInfo<S> {
     blocked_total: f64,
     /// Downgraded to the cheaper plan at admission.
     degraded: bool,
-    /// Panics this query's computes have caused (the quarantine counter);
-    /// survives requeues.
-    attempts: u32,
     /// Graft subscription (DESIGN.md §13): the EXECUTING producer
     /// computing the same predicate. Installed at dequeue, consumed at
     /// resume. Always `None` unless `cfg.graft`.
@@ -141,7 +138,7 @@ fn tuned_strategy(current: Strategy, factor: f64) -> Option<(Strategy, f64)> {
 pub struct Simulator<A: SimApplication> {
     cfg: SimConfig,
     app: A,
-    graph: SchedulingGraph<A::Spec>,
+    sched: SchedShard<A::Spec, QInfo<A::Spec>>,
     ds: DataStore<A::Spec>,
     ps: PageCacheCore,
     page_ready: HashMap<PageKey, f64>,
@@ -150,8 +147,6 @@ pub struct Simulator<A: SimApplication> {
     idgen: IdGen,
     busy_slots: usize,
     blocked_count: usize,
-    blob_of: HashMap<QueryId, BlobId>,
-    qinfo: HashMap<QueryId, QInfo<A::Spec>>,
     waiters: HashMap<QueryId, Vec<QueryId>>,
     grafted: u64,
     streams: HashMap<ClientId, Vec<A::Spec>>,
@@ -240,7 +235,7 @@ impl<A: SimApplication> Simulator<A> {
         let pmet = PageMetrics::resolve(&obs.metrics);
         Simulator {
             app,
-            graph: SchedulingGraph::new(cfg.strategy),
+            sched: SchedShard::new(cfg.strategy),
             ds: DataStore::with_policy(cfg.ds_budget, cfg.index_cell, cfg.ds_policy)
                 .with_tier2(cfg.tier2_budget),
             ps: PageCacheCore::new(cfg.ps_budget, PAGE_SIZE as u64),
@@ -250,8 +245,6 @@ impl<A: SimApplication> Simulator<A> {
             idgen: IdGen::new(0),
             busy_slots: 0,
             blocked_count: 0,
-            blob_of: HashMap::new(),
-            qinfo: HashMap::new(),
             waiters: HashMap::new(),
             grafted: 0,
             streams,
@@ -340,7 +333,7 @@ impl<A: SimApplication> Simulator<A> {
             makespan: self.makespan,
             ds_stats,
             ps_stats,
-            graph_stats: self.graph.stats(),
+            graph_stats: self.sched.graph().stats(),
             disk_stats: self.disk.stats(),
             io_faults: self.io_faults,
             io_retries: self.io_retries,
@@ -392,23 +385,19 @@ impl<A: SimApplication> Simulator<A> {
     }
 
     fn admit(&mut self, now: f64, id: QueryId, client: ClientId, spec: A::Spec, degraded: bool) {
-        self.graph.insert(id, spec);
-        self.qinfo.insert(
-            id,
-            QInfo {
-                client,
-                spec,
-                arrival: now,
-                start: f64::NAN,
-                blocked_since: None,
-                blocked_total: 0.0,
-                degraded,
-                attempts: 0,
-                graft_of: None,
-                grafted: false,
-                metrics: None,
-            },
-        );
+        let info = QInfo {
+            client,
+            spec,
+            arrival: now,
+            start: f64::NAN,
+            blocked_since: None,
+            blocked_total: 0.0,
+            degraded,
+            graft_of: None,
+            grafted: false,
+            metrics: None,
+        };
+        self.sched.admit(id, spec, info);
     }
 
     /// The same admission ladder as `QueryServer::submit_from`, run in
@@ -437,7 +426,7 @@ impl<A: SimApplication> Simulator<A> {
             }
             .level()
         };
-        let depth = self.graph.waiting_len();
+        let depth = self.sched.graph().waiting_len();
         let over_rate = ov.client_rate > 0.0
             && !self
                 .buckets
@@ -472,55 +461,33 @@ impl<A: SimApplication> Simulator<A> {
         // ties) until pressure drops below the threshold; the victim may
         // be the query just admitted.
         while level >= ov.shed_threshold {
-            let victim = shed_victim(
-                self.graph
-                    .ids_in_state(QueryState::Waiting)
-                    .into_iter()
-                    .map(|q| {
-                        (
-                            q,
-                            self.graph.qinputsize_of(q).unwrap_or(0),
-                            self.graph.arrival_of(q).unwrap_or(0),
-                        )
-                    }),
-            );
+            let victim = shed_victim(self.sched.shed_candidates());
             let Some(vid) = victim else { break };
-            self.retire(now, vid, EventKind::Shed);
-            level = level_at(self.graph.waiting_len());
+            let info = self.sched.retire(vid).expect("WAITING victim has info");
+            self.retired(now, vid, EventKind::Shed, info.client);
+            level = level_at(self.sched.graph().waiting_len());
         }
         self.obs.metrics.set_gauge("vmqs_pressure", level);
     }
 
-    /// The one exit for a query that leaves the graph without a result —
-    /// shed, quarantined, hung, or stranded by pool death. A WAITING
-    /// victim leaves the dequeue index first; then the same CACHED →
-    /// SWAPPED_OUT path a failed query takes in the threaded engine, so
-    /// the graph keeps its invariants and peers see no residue. Counts
-    /// and logs `terminal`, drops the per-query record (returned for the
-    /// caller's slot accounting) and lets the client move on.
-    fn retire(&mut self, now: f64, id: QueryId, terminal: EventKind) -> QInfo<A::Spec> {
-        if self.graph.state_of(id) == Some(QueryState::Waiting) {
-            let ok = self.graph.dequeue_specific(id);
-            debug_assert!(ok, "waiting query must dequeue");
-        }
-        self.graph.mark_cached(id);
-        self.graph.swap_out(id);
+    /// The driver's half of a terminal exit the shard made
+    /// ([`SchedShard::retire`], `on_panic`, `drain`): counts and logs
+    /// `terminal` and lets the client move on.
+    fn retired(&mut self, now: f64, id: QueryId, terminal: EventKind, client: ClientId) {
         match terminal {
             EventKind::Shed => self.qmet.shed.inc(),
             EventKind::TimedOut => self.qmet.timed_out.inc(),
             _ => self.qmet.failed.inc(),
         }
         self.obs.log.log_at(now, id, terminal);
-        let info = self.qinfo.remove(&id).expect("retiring query has info");
-        self.advance_client(now, info.client);
-        info
+        self.advance_client(now, client);
     }
 
     /// Wakes every query blocked on `id` — it published, or never will —
     /// in the order they blocked.
     fn wake_waiters(&mut self, now: f64, id: QueryId) {
         for w in self.waiters.remove(&id).unwrap_or_default() {
-            if let Some(wi) = self.qinfo.get_mut(&w) {
+            if let Some(wi) = self.sched.record_mut(w) {
                 if let Some(since) = wi.blocked_since.take() {
                     wi.blocked_total += now - since;
                     self.blocked_count -= 1;
@@ -553,54 +520,45 @@ impl<A: SimApplication> Simulator<A> {
         }
     }
 
-    /// Picks the next query to start under the configured dequeue policy.
-    fn pick_next(&mut self, now: f64) -> Option<QueryId> {
-        match self.cfg.policy {
-            // With grafting on, walk from the top-ranked query to its
-            // earliest-arrived full-coverage WAITING producer so a consumer
-            // never starts ahead of the query it would graft onto — the
-            // same dequeue order as the threaded engine's `try_dequeue`.
-            SchedPolicy::RankOrder if self.cfg.graft => self.graph.dequeue_preferring_producer(),
-            SchedPolicy::RankOrder => self.graph.dequeue(),
+    /// Starts the next query under the configured dequeue policy, if a
+    /// worker slot is free; returns it with the rank it was chosen by.
+    fn pick_next(&mut self, now: f64) -> Option<(QueryId, f64)> {
+        // Panics with no restart budget left retire their worker slot.
+        if self.busy_slots >= self.cfg.threads - self.dead_workers {
+            return None;
+        }
+        let started = match self.cfg.policy {
+            // With grafting on, a consumer never starts ahead of the
+            // WAITING producer it would graft onto — the same dequeue
+            // order as the threaded engine's `try_dequeue`.
+            SchedPolicy::RankOrder => self.sched.dequeue(self.cfg.graft),
             SchedPolicy::IoAware {
                 candidates,
                 backlog_threshold,
-            } => {
-                if self.disk.backlog(now) > backlog_threshold {
-                    // Disk congested: among the top-ranked candidates,
-                    // start the one that scans the least data.
-                    let top = self.graph.peek_top_k(candidates.max(1));
-                    let lightest = top
-                        .iter()
-                        .min_by_key(|(id, _)| {
-                            (self.graph.qinputsize_of(*id).unwrap_or(u64::MAX), *id)
-                        })
-                        .map(|&(id, _)| id)?;
-                    if Some(lightest) != top.first().map(|&(id, _)| id) {
-                        self.policy_overrides += 1;
-                    }
-                    let ok = self.graph.dequeue_specific(lightest);
-                    debug_assert!(ok);
-                    Some(lightest)
-                } else {
-                    self.graph.dequeue()
+            } if self.disk.backlog(now) > backlog_threshold => {
+                // Disk congested: among the top-ranked candidates, start
+                // the one that scans the least data.
+                let graph = self.sched.graph();
+                let top = graph.peek_top_k(candidates.max(1));
+                let lightest = top
+                    .iter()
+                    .min_by_key(|(id, _)| (graph.qinputsize_of(*id).unwrap_or(u64::MAX), *id))
+                    .map(|&(id, _)| id)?;
+                if Some(lightest) != top.first().map(|&(id, _)| id) {
+                    self.policy_overrides += 1;
                 }
+                self.sched.dequeue_specific(lightest)
             }
-        }
+            SchedPolicy::IoAware { .. } => self.sched.dequeue(false),
+        };
+        started.map(|(id, _, rank, _)| (id, rank))
     }
 
     fn try_start(&mut self, now: f64) {
-        // Panics with no restart budget left retire their worker slot.
-        let capacity = self.cfg.threads - self.dead_workers;
-        while self.busy_slots < capacity && self.graph.waiting_len() > 0 {
-            let id = match self.pick_next(now) {
-                Some(id) => id,
-                None => break,
-            };
+        while let Some((id, score)) = self.pick_next(now) {
             self.busy_slots += 1;
             // The rank the scheduler chose the query by, frozen at dequeue
             // — same emission point as the threaded engine's worker loop.
-            let score = self.graph.rank_of(id).map_or(0.0, |r| r.value());
             self.obs.log.log_at(
                 now,
                 id,
@@ -609,8 +567,9 @@ impl<A: SimApplication> Simulator<A> {
                     score,
                 },
             );
-            let info = self.qinfo.get_mut(&id).expect("qinfo for dequeued query");
+            let info = self.sched.record_mut(id).expect("dequeued query has info");
             info.start = now;
+            let spec = info.spec;
             self.qmet.queue_wait.observe(now - info.arrival);
             // Arm the hang watchdog for this execution span. The deadline
             // event carries no span marker: on firing it re-derives the
@@ -625,39 +584,28 @@ impl<A: SimApplication> Simulator<A> {
             // waits like a blocked query but consumes the published result
             // at resume instead of performing its own lookup. Independent
             // of `allow_blocking`, mirroring the threaded engine.
-            let spec = self.qinfo[&id].spec;
             let graft_src = if self.cfg.graft {
-                self.graph
-                    .reuse_sources(id)
-                    .into_iter()
-                    .filter(|e| self.graph.state_of(e.peer) == Some(QueryState::Executing))
-                    .find(|e| self.qinfo.get(&e.peer).is_some_and(|p| p.spec.cmp(&spec)))
-                    .map(|e| e.peer)
+                self.sched
+                    .executing_sources(id)
+                    .find(|&p| self.sched.record(p).is_some_and(|pi| pi.spec.cmp(&spec)))
             } else {
                 None
             };
-            self.qinfo.get_mut(&id).expect("checked above").graft_of = graft_src;
             // Deadlock-free blocking: a query only ever blocks on a query
             // that started executing earlier, so wait-for edges cannot
             // cycle (see vmqs-server for the racy-threads variant that
             // needs an explicit cycle check).
             let dep = graft_src.or_else(|| {
-                if self.cfg.allow_blocking {
-                    self.graph
-                        .reuse_sources(id)
-                        .into_iter()
-                        .find(|e| self.graph.state_of(e.peer) == Some(QueryState::Executing))
-                        .map(|e| e.peer)
-                } else {
-                    None
-                }
+                self.cfg
+                    .allow_blocking
+                    .then(|| self.sched.executing_sources(id).next())
+                    .flatten()
             });
+            let info = self.sched.record_mut(id).expect("checked above");
+            info.graft_of = graft_src;
             match dep {
                 Some(dep) => {
-                    self.qinfo
-                        .get_mut(&id)
-                        .expect("checked above")
-                        .blocked_since = Some(now);
+                    info.blocked_since = Some(now);
                     self.blocked_count += 1;
                     self.waiters.entry(dep).or_default().push(id);
                 }
@@ -669,7 +617,7 @@ impl<A: SimApplication> Simulator<A> {
     fn on_resume(&mut self, now: f64, id: QueryId) {
         // A stale resume: the query was cancelled (hung) between the wake
         // being scheduled and processed.
-        let Some(info) = self.qinfo.get_mut(&id) else {
+        let Some(info) = self.sched.record_mut(id) else {
             return;
         };
         let spec = info.spec;
@@ -896,8 +844,8 @@ impl<A: SimApplication> Simulator<A> {
     /// Records the metrics a resume computed and schedules the query's
     /// completion.
     fn finish_at(&mut self, at: f64, id: QueryId, metrics: (f64, u64, f64, f64, bool)) {
-        self.qinfo
-            .get_mut(&id)
+        self.sched
+            .record_mut(id)
             .expect("resumed query has info")
             .metrics = Some(metrics);
         self.events.push(at, Event::Completion { id });
@@ -909,8 +857,7 @@ impl<A: SimApplication> Simulator<A> {
     /// tier 2 are *not* evictions and never pass through here.
     fn route_evictions(&mut self, now: f64, evicted: Vec<EvictionRecord<A::Spec>>) {
         for r in evicted {
-            self.blob_of.remove(&r.producer);
-            self.graph.swap_out(r.producer);
+            self.sched.route_eviction(r.producer, r.blob);
             self.obs.log.log_at(
                 now,
                 r.producer,
@@ -940,36 +887,29 @@ impl<A: SimApplication> Simulator<A> {
     fn on_completion(&mut self, now: f64, id: QueryId) {
         // A stale completion: the query was cancelled (hung) between this
         // event being scheduled and processed.
-        let Some(info) = self.qinfo.remove(&id) else {
+        let Some(info) = self.sched.record(id) else {
             return;
         };
         self.makespan = self.makespan.max(now);
+        let spec = info.spec;
         let (covered, reused, io, cpu, exact) = info.metrics.expect("metrics recorded at resume");
 
         // Output bytes this query had to produce by computation rather
         // than reuse — the cache-pressure sweep's headline metric.
-        let out = info.spec.qoutsize();
+        let out = spec.qoutsize();
         self.recomputed_bytes += out - reused.min(out);
 
-        // Commit the result to the Data Store; evicted producers leave the
-        // scheduling graph as SWAPPED_OUT. The measured recomputation cost
-        // backing the benefit score is this query's virtual I/O + CPU time
-        // — what an eviction would force a future identical query to pay.
-        self.graph.mark_cached(id);
+        // Commit the result to the Data Store and publish it; evicted
+        // producers leave the scheduling graph as SWAPPED_OUT. The measured
+        // recomputation cost backing the benefit score is this query's
+        // virtual I/O + CPU time — what an eviction would force a future
+        // identical query to pay.
         let mut evicted = Vec::new();
-        match self.ds.insert_costed(
-            id,
-            info.spec,
-            info.spec.qoutsize(),
-            io + cpu,
-            Payload::Virtual,
-            &mut evicted,
-        ) {
-            Ok(blob) => {
-                self.blob_of.insert(id, blob);
-            }
-            Err(_) => self.graph.swap_out(id),
-        }
+        let blob = self
+            .ds
+            .insert_costed(id, spec, out, io + cpu, Payload::Virtual, &mut evicted)
+            .ok();
+        let info = self.sched.publish(id, blob).expect("record checked above");
         self.route_evictions(now, evicted);
         self.drain_spills(now);
         self.qmet.completed.inc();
@@ -997,8 +937,8 @@ impl<A: SimApplication> Simulator<A> {
         // on windowed mean response time.
         if let Some(tuner) = &mut self.tuner {
             if let Some(factor) = tuner.observe(record.response_time()) {
-                if let Some((next, value)) = tuned_strategy(self.graph.strategy(), factor) {
-                    self.graph.set_strategy(next);
+                if let Some((next, value)) = tuned_strategy(self.sched.graph().strategy(), factor) {
+                    self.sched.set_strategy(next);
                     tuner.history.push((now, value));
                 }
             }
@@ -1017,36 +957,32 @@ impl<A: SimApplication> Simulator<A> {
 
     /// A virtual worker dies mid-compute (DESIGN.md §15). Mirrors the
     /// threaded engine's `handle_worker_panic` + `respawn_or_retire`:
-    /// count and log the panic, bump the victim query's quarantine
-    /// counter, wake anything blocked on it (the back-out aborts the Data
-    /// Store reservation, so subscribers go compute for themselves), then
-    /// either requeue the query for another attempt or fail it typed-ly
-    /// — and finally respawn the worker from the restart budget or retire
-    /// its slot for good.
+    /// count and log the panic, wake anything blocked on the victim (the
+    /// back-out aborts the Data Store reservation, so subscribers go
+    /// compute for themselves), let [`SchedShard::on_panic`] requeue or
+    /// retire it — and finally respawn the worker from the restart
+    /// budget or retire its slot for good.
     fn on_worker_panic(&mut self, now: f64, id: QueryId) {
         self.qmet.worker_panics.inc();
         self.obs.log.log_at(now, id, EventKind::WorkerPanicked);
-        let info = self.qinfo.get_mut(&id).expect("panicking query has info");
-        info.attempts += 1;
-        let attempts = info.attempts;
         self.wake_waiters(now, id);
-
-        if attempts < self.cfg.quarantine_limit && self.graph.requeue(id) {
-            // Back to WAITING: this execution span is over, so a pending
-            // hang deadline armed for it must come up inert (the start
-            // reverts to NAN until the next dequeue).
-            self.qinfo.get_mut(&id).expect("checked above").start = f64::NAN;
-        } else {
-            // Quarantine limit reached: fail the query typed-ly instead
-            // of crash-looping the pool, with the same event order as the
-            // threaded engine (Quarantined, then the terminal Failed).
-            if attempts >= self.cfg.quarantine_limit {
+        match self.sched.on_panic(id, self.cfg.quarantine_limit) {
+            PanicOutcome::Requeued => {
+                // Back to WAITING: this execution span is over, so a
+                // pending hang deadline armed for it must come up inert
+                // (the start reverts to NAN until the next dequeue).
+                self.sched.record_mut(id).expect("requeued with info").start = f64::NAN;
+            }
+            // Same event order as the threaded engine: Quarantined, then
+            // the terminal Failed.
+            PanicOutcome::Quarantined { attempts, record } => {
                 self.qmet.quarantined.inc();
                 self.obs
                     .log
                     .log_at(now, id, EventKind::Quarantined { attempts });
+                self.retired(now, id, EventKind::Failed, record.client);
             }
-            self.retire(now, id, EventKind::Failed);
+            PanicOutcome::Gone => {}
         }
 
         // The worker slot died either way.
@@ -1062,10 +998,8 @@ impl<A: SimApplication> Simulator<A> {
                 // start. Fail them typed-ly in id order — the same sweep
                 // as the threaded engine's `fail_all_waiting`.
                 self.pool_dead = true;
-                let mut waiting = self.graph.ids_in_state(QueryState::Waiting);
-                waiting.sort();
-                for w in waiting {
-                    self.retire(now, w, EventKind::Failed);
+                for (w, info) in self.sched.drain(Some(QueryState::Waiting)) {
+                    self.retired(now, w, EventKind::Failed, info.client);
                 }
             }
         }
@@ -1082,10 +1016,10 @@ impl<A: SimApplication> Simulator<A> {
         let Some(h) = self.cfg.hang_timeout else {
             return;
         };
-        let Some(info) = self.qinfo.get(&id) else {
+        let Some(info) = self.sched.record(id) else {
             return;
         };
-        if self.graph.state_of(id) != Some(QueryState::Executing) || now != info.start + h {
+        if self.sched.graph().state_of(id) != Some(QueryState::Executing) || now != info.start + h {
             return;
         }
         // Hung first, then the terminal TimedOut — the watchdog folds
@@ -1095,7 +1029,8 @@ impl<A: SimApplication> Simulator<A> {
         // It can never publish: anything blocked on it computes for
         // itself.
         self.wake_waiters(now, id);
-        let info = self.retire(now, id, EventKind::TimedOut);
+        let info = self.sched.retire(id).expect("record checked above");
+        self.retired(now, id, EventKind::TimedOut, info.client);
         // If the hung query was itself blocked on a peer, unhook it from
         // that peer's wake list.
         if info.blocked_since.is_some() {

@@ -1,4 +1,4 @@
-//! The five original determinism/safety lints, ported onto the lexer's
+//! The four line-oriented determinism/safety lints, on the lexer's
 //! sanitized line view.
 //!
 //! The rules keep their line-oriented shape (they reason about guard
@@ -24,12 +24,14 @@ pub const SURFACE_FILES: &[&str] = &[
     "crates/obs/src/timeline.rs",
 ];
 
-/// Files on the server hot path: the worker loop and the submit path.
-/// Rules `hot-unwrap` and `guard-across-io` apply.
-pub const HOT_PATH_FILES: &[&str] = &["crates/server/src/engine.rs", "crates/server/src/pages.rs"];
-
-/// The sanctioned wall-clock origin — exempt from rule `wall-clock`.
-pub const CLOCK_ORIGIN: &str = "crates/core/src/clock.rs";
+/// Files on the server hot path: the worker loop and the submit path,
+/// and the shard transitions they call under the shard lock. Rules
+/// `hot-unwrap` and `guard-across-io` apply.
+pub const HOT_PATH_FILES: &[&str] = &[
+    "crates/server/src/engine.rs",
+    "crates/server/src/pages.rs",
+    "crates/core/src/sched.rs",
+];
 
 /// Crates allowed to contain `unsafe` (and therefore exempt from the
 /// `#![forbid(unsafe_code)]` requirement): only the storage layer's
@@ -42,7 +44,6 @@ pub const UNSAFE_CRATES: &[&str] = &["crates/storage"];
 pub struct FileCtx {
     pub surface: bool,
     pub hot_path: bool,
-    pub clock_origin: bool,
 }
 
 impl FileCtx {
@@ -50,7 +51,6 @@ impl FileCtx {
         FileCtx {
             surface: SURFACE_FILES.contains(&rel),
             hot_path: HOT_PATH_FILES.contains(&rel),
-            clock_origin: rel == CLOCK_ORIGIN,
         }
     }
 }
@@ -75,35 +75,18 @@ fn line_diag(
     }
 }
 
-/// Runs the five ported rules on one file. `idx` below is 0-based;
+/// Runs the four line rules on one file. `idx` below is 0-based;
 /// diagnostics carry 1-based lines.
 pub fn check_file(ctx: FileCtx, f: &SourceFile) -> Vec<Diagnostic> {
     let code_lines = &f.lexed.code_lines;
     let mut out = Vec::new();
     // Lines at or after the `#[cfg(test)]` boundary are test code:
-    // hot-path panics there are fine, as is reading the real clock.
+    // hot-path panics there are fine.
     let test_start = if f.test_boundary == usize::MAX {
         code_lines.len()
     } else {
         (f.test_boundary - 1).min(code_lines.len())
     };
-
-    // ---- wall-clock ---------------------------------------------------
-    if !ctx.clock_origin {
-        for (i, code) in code_lines.iter().enumerate().take(test_start) {
-            if (code.contains("Instant::now()") || code.contains("SystemTime::now()"))
-                && !f.marked(i + 1, "lint:allow(wall-clock)", 3)
-            {
-                out.push(line_diag(
-                    f,
-                    "wall-clock",
-                    i,
-                    code,
-                    "raw clock read; route through vmqs_core::clock (see clippy.toml)".into(),
-                ));
-            }
-        }
-    }
 
     // ---- nondet-iter --------------------------------------------------
     if ctx.surface {
@@ -292,11 +275,15 @@ fn doc() {
 
     #[test]
     fn real_sites_still_fire() {
-        let src = "fn f() {\n    let t = Instant::now();\n}\n";
+        let src = "fn f() {\n    let t = x.unwrap();\n}\n";
         let f = SourceFile::new("x.rs", src);
-        let v = check_file(FileCtx::default(), &f);
+        let ctx = FileCtx {
+            hot_path: true,
+            ..FileCtx::default()
+        };
+        let v = check_file(ctx, &f);
         assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "wall-clock");
+        assert_eq!(v[0].rule, "hot-unwrap");
         assert_eq!(v[0].line, 2);
     }
 }

@@ -19,7 +19,7 @@
 use loom::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use loom::sync::{Arc, Condvar, Mutex};
 use loom::thread;
-use vmqs_core::{DatasetId, SharedTokenBucket};
+use vmqs_core::DatasetId;
 use vmqs_datastore::{EntryState, Phase};
 use vmqs_obs::{Counter, Histogram};
 use vmqs_pagespace::{PageCacheCore, PageData, PageDisposition, PageKey};
@@ -269,37 +269,6 @@ fn counter_snapshot_bound() {
         t1.join().unwrap();
         t2.join().unwrap();
         assert_eq!(c.get(), 2, "join must make all increments visible");
-    });
-}
-
-/// Admission cap: three concurrent clients racing a burst-2 token
-/// bucket admit exactly two, in every interleaving. Holds because
-/// refill-and-take is a single critical section in
-/// `SharedTokenBucket::try_take`.
-#[test]
-fn token_bucket_admission_cap() {
-    loom::model(|| {
-        let bucket = Arc::new(SharedTokenBucket::new(2.0));
-        let admitted = Arc::new(AtomicUsize::new(0));
-
-        let client = |bucket: Arc<SharedTokenBucket>, admitted: Arc<AtomicUsize>| {
-            move || {
-                if bucket.try_take(0.0) {
-                    admitted.fetch_add(1, Ordering::SeqCst);
-                }
-            }
-        };
-        let t1 = thread::spawn(client(bucket.clone(), admitted.clone()));
-        let t2 = thread::spawn(client(bucket.clone(), admitted.clone()));
-        client(bucket.clone(), admitted.clone())();
-        t1.join().unwrap();
-        t2.join().unwrap();
-
-        assert_eq!(
-            admitted.load(Ordering::SeqCst),
-            2,
-            "burst-2 bucket must admit exactly 2 of 3 racing clients"
-        );
     });
 }
 
@@ -650,7 +619,7 @@ fn engine_idle_wakeup_no_lost_submit() {
                     s.push(7);
                     total_waiting.fetch_add(1, Ordering::SeqCst);
                 }
-                // ...then `wake_one`, bridging through the idle mutex.
+                // ...then `Core::wake`, bridging through the idle mutex.
                 if sleepers.load(Ordering::SeqCst) > 0 {
                     let _g = idle.lock();
                     work_cv.notify_one();

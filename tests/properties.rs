@@ -1009,8 +1009,8 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Overload management: token-bucket refill arithmetic and shed tie-breaking
-// (the admission primitives behind DESIGN.md §10, modeled for atomicity by
-// the `token_bucket_admission_cap` loom model in tests/loom.rs).
+// (the admission primitives behind DESIGN.md §10; the server takes tokens
+// under its `admission` mutex).
 // ---------------------------------------------------------------------------
 
 proptest! {
