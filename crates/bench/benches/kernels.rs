@@ -1,12 +1,12 @@
 //! Criterion micro-benchmarks for the Virtual Microscope processing
-//! kernels: per-chunk subsampling and averaging throughput, and the
-//! `project` transformation (which must be far cheaper than
+//! kernels: the full compute of one query window from pre-fetched pages,
+//! and the `project` transformation (which must be far cheaper than
 //! recomputation for reuse to pay off).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
 use vmqs_core::{DatasetId, Rect};
-use vmqs_microscope::kernels::{compute_from_chunks, project, subsample_chunk, AvgAccumulator};
+use vmqs_microscope::kernels::{compute_from_chunks, compute_from_pages, kernel_threads, project};
 use vmqs_microscope::{RgbImage, SlideDataset, VmOp, VmQuery, PAGE_SIZE};
 use vmqs_storage::{DataSource, SyntheticSource};
 
@@ -20,37 +20,52 @@ fn page(idx: u64) -> Vec<u8> {
         .unwrap()
 }
 
-fn bench_subsample_chunk(c: &mut Criterion) {
-    let mut group = c.benchmark_group("subsample_chunk");
-    for &zoom in &[1u32, 4, 16] {
-        let q = VmQuery::new(slide(), Rect::new(0, 0, 1024, 1024), zoom, VmOp::Subsample);
-        let rect = q.slide.chunk_rect(0);
-        let data = page(0);
-        group.bench_with_input(BenchmarkId::from_parameter(zoom), &zoom, |b, _| {
-            let (w, h) = q.output_dims();
-            let mut out = RgbImage::new(w, h);
-            b.iter(|| {
-                subsample_chunk(&mut out, &q, rect, &data);
-                black_box(out.data[0])
+fn pages_for(q: &VmQuery) -> Vec<(Rect, Arc<Vec<u8>>)> {
+    q.slide
+        .chunks_intersecting(&q.region)
+        .into_iter()
+        .map(|idx| (q.slide.chunk_rect(idx), Arc::new(page(idx))))
+        .collect()
+}
+
+/// The `batch_scan` workload's full compute: a whole zoom-4 1024² window
+/// from pre-fetched pages, limited to one band and allowed every core. The
+/// renderer bands only above 2 MiB of samples per band and only into idle
+/// cores, so at this size the two should agree; a gap means the threshold
+/// moved.
+fn bench_batch_scan_window(c: &mut Criterion) {
+    let mut group = c.benchmark_group("batch_scan_window_1024px_zoom4");
+    for op in [VmOp::Average, VmOp::Subsample] {
+        let q = VmQuery::new(slide(), Rect::new(1024, 1024, 1024, 1024), 4, op);
+        let pages = pages_for(&q);
+        for threads in [1, kernel_threads()] {
+            let id = BenchmarkId::new(op.name(), format!("{threads}_bands"));
+            group.bench_with_input(id, &threads, |b, &threads| {
+                b.iter(|| black_box(compute_from_pages(&q, &pages, threads).data[0]));
             });
-        });
+        }
     }
     group.finish();
 }
 
-fn bench_average_chunk(c: &mut Criterion) {
-    let mut group = c.benchmark_group("average_chunk");
-    for &zoom in &[2u32, 8] {
-        let q = VmQuery::new(slide(), Rect::new(0, 0, 1024, 1024), zoom, VmOp::Average);
-        let rect = q.slide.chunk_rect(0);
-        let data = page(0);
-        group.bench_with_input(BenchmarkId::from_parameter(zoom), &zoom, |b, _| {
-            b.iter(|| {
-                let mut acc = AvgAccumulator::new(&q);
-                acc.accumulate_chunk(&q, rect, &data);
-                black_box(acc.finalize().data[0])
+/// Projection onto a 256² output: a same-zoom pan (row copies) and a
+/// factor-2 zoom-out, both ops.
+fn bench_project(c: &mut Criterion) {
+    let mut group = c.benchmark_group("project_256px");
+    for op in [VmOp::Subsample, VmOp::Average] {
+        let cached_q = VmQuery::new(slide(), Rect::new(0, 0, 1024, 1024), 2, op);
+        let cached_img = compute_from_pages(&cached_q, &pages_for(&cached_q), 1);
+        for (name, region, zoom) in [
+            ("same_zoom", Rect::new(0, 0, 512, 512), 2),
+            ("factor_2", Rect::new(0, 0, 1024, 1024), 4),
+        ] {
+            let target = VmQuery::new(slide(), region, zoom, op);
+            let (w, h) = target.output_dims();
+            let mut out = RgbImage::new(w, h);
+            group.bench_function(BenchmarkId::new(op.name(), name), |b| {
+                b.iter(|| black_box(project(&mut out, &target, &cached_q, cached_img.view())));
             });
-        });
+        }
     }
     group.finish();
 }
@@ -106,8 +121,8 @@ fn bench_project_vs_recompute(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_subsample_chunk,
-    bench_average_chunk,
+    bench_batch_scan_window,
+    bench_project,
     bench_full_query,
     bench_project_vs_recompute
 );

@@ -1,392 +1,380 @@
 //! Processing kernels: subsampling, pixel averaging, and the `project`
 //! data transformation (paper §2 Eq. 3 and §3, Fig. 2).
 //!
-//! All kernels operate per retrieved chunk so that query execution can
-//! interleave I/O and computation chunk by chunk, exactly as the paper's
-//! runtime does: a retrieved chunk is *clipped* to the query window and
-//! then *processed* into the output image at the desired magnification.
+//! One row-streaming renderer serves all of them. Its input is a set of
+//! *tiles* (rectangles of row-major RGB samples: chunk pages, or a cached
+//! result image) and a window over them; its output goes straight into
+//! the rows of the caller's final image. Per output row it either sums
+//! the row's `zoom` sample rows tile by tile into one column buffer,
+//! reduces that horizontally once and divides by the constant `zoom²`
+//! (averaging), or gathers every `zoom`-th sample of one row
+//! (subsampling). A full compute touches each input and output byte once.
 //!
 //! Alignment invariants from [`VmQuery`] (window origin/size are multiples
-//! of the zoom) guarantee that `project` — computing part of one query's
-//! output from another's cached output — is exact, never resampled.
+//! of the zoom, windows lie inside the slide) make every averaging block
+//! complete and make `project` — computing part of one query's output
+//! from another's cached output — exact, never resampled.
 
 use crate::dataset::BYTES_PER_PIXEL;
-use crate::image::RgbImage;
+use crate::image::{RgbImage, RgbView};
 use crate::query::{VmOp, VmQuery};
-use std::sync::Arc;
+use std::ops::AddAssign;
+use std::sync::{Arc, OnceLock};
 use vmqs_core::Rect;
 
-/// Minimum output rows per band before row-banded parallelism pays for a
-/// scoped-thread spawn.
-const MIN_BAND_ROWS: u32 = 32;
+const BPP: usize = BYTES_PER_PIXEL as usize;
+
+/// Minimum sample bytes per band before row-banded parallelism pays for a
+/// scoped-thread spawn: about 0.25 ms of streaming against a spawn of
+/// 0.05 ms that, measured cold, costs as much again in the band it delays.
+const MIN_BAND_BYTES: usize = 2 << 20;
+
+/// Largest zoom whose column sums (`255 * zoom`) fit a `u16`.
+const MAX_U16_ZOOM: u32 = u16::MAX as u32 / 255;
 
 /// Worker threads available for row-banded kernels: the machine's
 /// available parallelism, capped (bands get too thin beyond the cap).
 pub fn kernel_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(8)
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+            .min(8)
+    })
 }
 
-/// Number of row bands to split `rows` into for `threads` workers; 1 means
-/// run serially.
-fn band_count(rows: u32, threads: usize) -> u32 {
-    if threads <= 1 || rows < 2 * MIN_BAND_ROWS {
-        return 1;
-    }
-    (threads as u32).min(rows / MIN_BAND_ROWS)
+/// A rectangle of row-major RGB samples, `rect.w` pixels per row.
+type Tile<'a> = (Rect, &'a [u8]);
+
+/// What to render: `win` (in the tiles' pixel grid, zoom-aligned) reduced
+/// by `zoom` with `op`. `tiles` are sorted by `(y, x)`, disjoint, and
+/// cover `win`.
+#[derive(Clone, Copy)]
+struct Source<'a> {
+    tiles: &'a [Tile<'a>],
+    win: Rect,
+    zoom: u32,
+    op: VmOp,
 }
 
-/// True when [`compute_from_pages`] would actually split `rows` output
-/// rows across bands (callers can skip materializing the page set when a
-/// serial pass will run anyway).
-pub fn will_band(rows: u32, threads: usize) -> bool {
-    band_count(rows, threads) > 1
+/// Where it lands: `rows` holds whole rows (`stride` bytes each) of the
+/// final image, one per output row of the window, and the window's pixels
+/// start `x_off` bytes into each.
+struct Dest<'a> {
+    rows: &'a mut [u8],
+    stride: usize,
+    x_off: usize,
 }
 
-/// The band of `query` covering output rows `[oy0, oy1)`: a sub-query with
-/// the same x-extent and zoom. Built directly (fields, not `VmQuery::new`)
-/// because the derived region is already zoom-aligned and in bounds.
-fn row_band_query(query: &VmQuery, oy0: u32, oy1: u32) -> VmQuery {
-    let z = query.zoom;
-    VmQuery {
-        slide: query.slide,
-        region: Rect::new(
-            query.region.x,
-            query.region.y + oy0 * z,
-            query.region.w,
-            (oy1 - oy0) * z,
-        ),
-        zoom: z,
-        op: query.op,
-    }
-}
-
-/// Writes into `out` every output pixel of `query` whose source sample
-/// point falls inside `chunk_rect`, reading samples from `chunk_data`
-/// (the chunk's pixels, row-major, `chunk_rect.w` wide).
-///
-/// `out` must be the full output image of `query`
-/// (`query.output_dims()`-sized, origin at the window's top-left).
-pub fn subsample_chunk(out: &mut RgbImage, query: &VmQuery, chunk_rect: Rect, chunk_data: &[u8]) {
-    let z = query.zoom;
-    let region = query.region;
-    let inter = match region.intersect(&chunk_rect) {
-        Some(i) => i,
-        None => return,
-    };
-    // Output pixels whose sample point (region.x + ox·z, region.y + oy·z)
-    // lies inside the intersection. region.x is z-aligned.
-    let ox0 = (inter.x - region.x).div_ceil(z);
-    let ox1 = (inter.x1() - 1 - region.x) / z;
-    let oy0 = (inter.y - region.y).div_ceil(z);
-    let oy1 = (inter.y1() - 1 - region.y) / z;
-    let bpp = BYTES_PER_PIXEL as usize;
-    let cw = chunk_rect.w as usize;
-    let ow = out.width as usize;
-    let src_step = z as usize * bpp;
-    for oy in oy0..=oy1 {
-        let by = region.y + oy * z;
-        let bx = region.x + ox0 * z;
-        let mut src = ((by - chunk_rect.y) as usize * cw + (bx - chunk_rect.x) as usize) * bpp;
-        let mut dst = (oy as usize * ow + ox0 as usize) * bpp;
-        for _ in ox0..=ox1 {
-            out.data[dst..dst + 3].copy_from_slice(&chunk_data[src..src + 3]);
-            src += src_step;
-            dst += bpp;
+impl<'a> Dest<'a> {
+    /// The `w × h` pixel block of `out` whose top-left is `(ox, oy)`.
+    fn block(out: &'a mut RgbImage, (ox, oy): (u32, u32), (w, h): (u32, u32)) -> Self {
+        assert!(ox + w <= out.width && oy + h <= out.height);
+        let stride = out.width as usize * BPP;
+        Dest {
+            rows: &mut out.data[oy as usize * stride..(oy + h) as usize * stride],
+            stride,
+            x_off: ox as usize * BPP,
         }
     }
 }
 
-/// Running sums for pixel averaging. One query execution owns one
-/// accumulator; each retrieved chunk adds its clipped pixels; `finalize`
-/// divides. Accumulating per chunk makes averaging windows that straddle
-/// chunk boundaries exact.
-#[derive(Debug)]
-pub struct AvgAccumulator {
-    width: u32,
-    height: u32,
-    sums: Vec<u64>,
-    counts: Vec<u32>,
-}
-
-impl AvgAccumulator {
-    /// Creates a zeroed accumulator for `query`'s output.
-    pub fn new(query: &VmQuery) -> Self {
-        let (w, h) = query.output_dims();
-        AvgAccumulator {
-            width: w,
-            height: h,
-            sums: vec![0; w as usize * h as usize * BYTES_PER_PIXEL as usize],
-            counts: vec![0; w as usize * h as usize],
-        }
+/// Calls `f(byte offset into the slab's row, samples)` for every run of
+/// samples the tiles hold inside `slab` (a full-width run of window rows),
+/// tile by tile with rows ascending. `first` skips the tiles that end above
+/// the slab; slabs must be visited top to bottom.
+fn each_run(tiles: &[Tile<'_>], first: &mut usize, slab: Rect, mut f: impl FnMut(usize, &[u8])) {
+    while tiles.get(*first).is_some_and(|(r, _)| r.y1() <= slab.y) {
+        *first += 1;
     }
-
-    /// Adds every pixel of `chunk_rect ∩ query.region` to the accumulator
-    /// of the output pixel whose N×N window contains it.
-    ///
-    /// Iterates per output pixel over its (clipped) N×N sample block,
-    /// reading each block row as one contiguous byte run — no per-sample
-    /// division, and the compiler can keep the three channel sums in
-    /// registers across a run.
-    pub fn accumulate_chunk(&mut self, query: &VmQuery, chunk_rect: Rect, chunk_data: &[u8]) {
-        let z = query.zoom;
-        let region = query.region;
-        let inter = match region.intersect(&chunk_rect) {
-            Some(i) => i,
-            None => return,
+    for (rect, data) in &tiles[*first..] {
+        if rect.y >= slab.y1() {
+            break;
+        }
+        let Some(i) = rect.intersect(&slab) else {
+            continue;
         };
-        let oy0 = (inter.y - region.y) / z;
-        let oy1 = (inter.y1() - 1 - region.y) / z;
-        let ox0 = (inter.x - region.x) / z;
-        let ox1 = (inter.x1() - 1 - region.x) / z;
-        let bpp = BYTES_PER_PIXEL as usize;
-        let cw = chunk_rect.w as usize;
-        for oy in oy0..=oy1 {
-            // The block's sample rows, clipped to the intersection.
-            let by_lo = inter.y.max(region.y + oy * z);
-            let by_hi = inter.y1().min(region.y + (oy + 1) * z);
-            let pix_row = oy as usize * self.width as usize;
-            for ox in ox0..=ox1 {
-                let bx_lo = inter.x.max(region.x + ox * z);
-                let bx_hi = inter.x1().min(region.x + (ox + 1) * z);
-                let npx = (bx_hi - bx_lo) as usize;
-                let mut s = [0u64; 3];
-                for by in by_lo..by_hi {
-                    let off =
-                        ((by - chunk_rect.y) as usize * cw + (bx_lo - chunk_rect.x) as usize) * bpp;
-                    for p in chunk_data[off..off + npx * bpp].chunks_exact(bpp) {
-                        s[0] += p[0] as u64;
-                        s[1] += p[1] as u64;
-                        s[2] += p[2] as u64;
-                    }
-                }
-                let pix = pix_row + ox as usize;
-                let dst = pix * bpp;
-                self.sums[dst] += s[0];
-                self.sums[dst + 1] += s[1];
-                self.sums[dst + 2] += s[2];
-                self.counts[pix] += (by_hi - by_lo) * (bx_hi - bx_lo);
-            }
+        let (off, len) = ((i.x - slab.x) as usize * BPP, i.w as usize * BPP);
+        for y in i.y..i.y1() {
+            let at = ((y - rect.y) as usize * rect.w as usize + (i.x - rect.x) as usize) * BPP;
+            f(off, &data[at..at + len]);
         }
-    }
-
-    /// Divides sums by counts, producing the output image. Pixels that
-    /// received no samples stay black.
-    pub fn finalize(self) -> RgbImage {
-        let mut img = RgbImage::new(self.width, self.height);
-        for pix in 0..self.counts.len() {
-            let n = self.counts[pix] as u64;
-            if n == 0 {
-                continue;
-            }
-            let s = pix * BYTES_PER_PIXEL as usize;
-            for c in 0..BYTES_PER_PIXEL as usize {
-                img.data[s + c] = (self.sums[s + c] / n) as u8;
-            }
-        }
-        img
     }
 }
 
-/// Computes a query's full output from its chunks, fetching each needed
-/// chunk's page via `fetch(chunk_index) -> page bytes`. This is the
-/// from-raw-data execution path shared by the threaded server and tests.
-pub fn compute_from_chunks<F>(query: &VmQuery, mut fetch: F) -> RgbImage
+/// Sums each block of `Z` pixels of `cols` per channel into one pixel of
+/// `out` (`Z == 0`: `z` pixels, the trip count left to run time).
+fn reduce_row<const Z: usize, T: Copy + Into<u64>>(
+    cols: &[T],
+    out: &mut [u8],
+    z: usize,
+    divide: &impl Fn(u64) -> u8,
+) {
+    let z = if Z == 0 { z } else { Z };
+    for (o, block) in out.chunks_exact_mut(BPP).zip(cols.chunks_exact(z * BPP)) {
+        let mut sums = [0u64; BPP];
+        for p in block.chunks_exact(BPP) {
+            for (s, &c) in sums.iter_mut().zip(p) {
+                *s += c.into();
+            }
+        }
+        for (o, s) in o.iter_mut().zip(sums) {
+            *o = divide(s);
+        }
+    }
+}
+
+/// Averaging: column sums of type `T` per output row, then one horizontal
+/// reduction; `divide` maps a block's channel sum to its mean.
+fn average_rows<T>(src: Source<'_>, dst: Dest<'_>, divide: impl Fn(u64) -> u8)
 where
-    F: FnMut(u64) -> std::sync::Arc<Vec<u8>>,
+    T: Copy + Default + AddAssign + From<u8> + Into<u64>,
 {
-    let chunks = query.slide.chunks_intersecting(&query.region);
-    match query.op {
-        VmOp::Subsample => {
-            let (w, h) = query.output_dims();
-            let mut out = RgbImage::new(w, h);
-            for idx in chunks {
-                let rect = query.slide.chunk_rect(idx);
-                let page = fetch(idx);
-                subsample_chunk(&mut out, query, rect, &page);
+    let z = src.zoom as usize;
+    let out_len = src.win.w as usize / z * BPP;
+    let mut cols = vec![T::default(); src.win.w as usize * BPP];
+    let mut first = 0;
+    for (r, row) in dst.rows.chunks_exact_mut(dst.stride).enumerate() {
+        let y = src.win.y + r as u32 * src.zoom;
+        let slab = Rect::new(src.win.x, y, src.win.w, src.zoom);
+        cols.fill(T::default());
+        each_run(src.tiles, &mut first, slab, |off, run| {
+            for (c, &s) in cols[off..off + run.len()].iter_mut().zip(run) {
+                *c += T::from(s);
             }
-            out
-        }
-        VmOp::Average => {
-            let mut acc = AvgAccumulator::new(query);
-            for idx in chunks {
-                let rect = query.slide.chunk_rect(idx);
-                let page = fetch(idx);
-                acc.accumulate_chunk(query, rect, &page);
-            }
-            acc.finalize()
-        }
-    }
-}
-
-/// Renders output rows `[oy0, oy1)` of `query` from prefetched chunk
-/// pages, returning the band as its own image.
-fn compute_rows(query: &VmQuery, pages: &[(Rect, Arc<Vec<u8>>)], oy0: u32, oy1: u32) -> RgbImage {
-    let sub = row_band_query(query, oy0, oy1);
-    match query.op {
-        VmOp::Subsample => {
-            let (bw, bh) = sub.output_dims();
-            let mut img = RgbImage::new(bw, bh);
-            for (rect, data) in pages {
-                subsample_chunk(&mut img, &sub, *rect, data);
-            }
-            img
-        }
-        VmOp::Average => {
-            let mut acc = AvgAccumulator::new(&sub);
-            for (rect, data) in pages {
-                acc.accumulate_chunk(&sub, *rect, data);
-            }
-            acc.finalize()
+        });
+        let out = &mut row[dst.x_off..dst.x_off + out_len];
+        // A compile-time trip count unrolls the block sum: a sixth of a
+        // zoom-4 render's time.
+        match z {
+            2 => reduce_row::<2, T>(&cols, out, z, &divide),
+            4 => reduce_row::<4, T>(&cols, out, z, &divide),
+            8 => reduce_row::<8, T>(&cols, out, z, &divide),
+            _ => reduce_row::<0, T>(&cols, out, z, &divide),
         }
     }
 }
 
-/// Computes a query's full output from prefetched chunk pages, row-banding
-/// the output across up to `threads` scoped workers. Each band is a
-/// disjoint `&mut` slice of the output, so no locking is involved, and
-/// each output pixel's full sample set lives in exactly one band — the
-/// result is byte-identical to [`compute_from_chunks`].
-///
-/// Falls back to a single serial pass when `threads <= 1` or the output is
-/// too short to band.
+/// Subsampling: every `zoom`-th sample of every `zoom`-th row; a plain row
+/// copy at zoom 1.
+fn subsample_rows(src: Source<'_>, dst: Dest<'_>) {
+    let z = src.zoom as usize;
+    let out_len = src.win.w as usize / z * BPP;
+    let mut first = 0;
+    for (r, row) in dst.rows.chunks_exact_mut(dst.stride).enumerate() {
+        let y = src.win.y + r as u32 * src.zoom;
+        let line = Rect::new(src.win.x, y, src.win.w, 1);
+        let out = &mut row[dst.x_off..dst.x_off + out_len];
+        each_run(src.tiles, &mut first, line, |off, run| {
+            if z == 1 {
+                return out[off..off + run.len()].copy_from_slice(run);
+            }
+            // Sample points sit at window x ≡ 0 (mod zoom); the run may
+            // start between two of them.
+            let px = off / BPP;
+            let skip = (z - px % z) % z;
+            let samples = run.get(skip * BPP..).unwrap_or(&[]).chunks(z * BPP);
+            let o = (px + skip) / z * BPP;
+            for (d, s) in out[o..].chunks_exact_mut(BPP).zip(samples) {
+                d.copy_from_slice(&s[..BPP]);
+            }
+        });
+    }
+}
+
+/// Renders one band serially.
+fn render_rows(src: Source<'_>, dst: Dest<'_>) {
+    let n = src.zoom as u64 * src.zoom as u64;
+    match src.op {
+        VmOp::Average if src.zoom > MAX_U16_ZOOM => {
+            average_rows::<u32>(src, dst, |s| (s / n) as u8)
+        }
+        VmOp::Average if src.zoom > 1 => {
+            // floor(s / n) as a multiply and shift: exact for every
+            // s <= 255 n because 255 n² < 2^42 when n <= 257².
+            let m = (1u64 << 42) / n + 1;
+            average_rows::<u16>(src, dst, |s| ((s * m) >> 42) as u8)
+        }
+        // The mean of one sample is the sample.
+        _ => subsample_rows(src, dst),
+    }
+}
+
+/// Renders `src` into `dst` in `bands` row bands: the first on the calling
+/// thread, the rest on scoped threads. Bands own disjoint rows of the
+/// output and every output pixel's samples lie in one band, so the result
+/// does not depend on `bands`.
+fn render_banded(src: Source<'_>, dst: Dest<'_>, bands: usize) {
+    let rows = (src.win.h / src.zoom) as usize;
+    let per = rows.div_ceil(bands);
+    let (stride, x_off) = (dst.stride, dst.x_off);
+    std::thread::scope(|s| {
+        let bands = dst.rows.chunks_mut(per * stride).enumerate();
+        let mut parts = bands.map(|(i, rows)| {
+            let y = src.win.y + (i * per) as u32 * src.zoom;
+            let h = (rows.len() / stride) as u32 * src.zoom;
+            let win = Rect::new(src.win.x, y, src.win.w, h);
+            let dst = Dest {
+                rows,
+                stride,
+                x_off,
+            };
+            (Source { win, ..src }, dst)
+        });
+        let own = parts.next();
+        for (src, dst) in parts {
+            s.spawn(move || render_rows(src, dst));
+        }
+        if let Some((src, dst)) = own {
+            render_rows(src, dst);
+        }
+    });
+}
+
+/// Renders with as many bands as the work is worth, up to `threads`.
+fn render(src: Source<'_>, dst: Dest<'_>, threads: usize) {
+    let sampled_rows = match src.op {
+        VmOp::Subsample => src.win.h / src.zoom,
+        VmOp::Average => src.win.h,
+    };
+    let bytes = src.win.w as usize * sampled_rows as usize * BPP;
+    render_banded(src, dst, threads.min(bytes / MIN_BAND_BYTES).max(1));
+}
+
+/// Renders `query` from its chunk pages into the block of `out` at `at`,
+/// banding across up to `threads` threads. `pages` pairs each chunk's
+/// rectangle with its page and must cover the window.
+fn render_into(
+    out: &mut RgbImage,
+    at: (u32, u32),
+    query: &VmQuery,
+    pages: &[(Rect, Arc<Vec<u8>>)],
+    threads: usize,
+) {
+    let mut tiles: Vec<Tile<'_>> = pages.iter().map(|(r, p)| (*r, p.as_slice())).collect();
+    tiles.sort_unstable_by_key(|(r, _)| (r.y, r.x));
+    tiles.dedup_by_key(|(r, _)| *r);
+    let src = Source {
+        tiles: &tiles,
+        win: query.region,
+        zoom: query.zoom,
+        op: query.op,
+    };
+    render(src, Dest::block(out, at, query.output_dims()), threads);
+}
+
+/// Renders `query` into `out`, whose pixel `at` is the query's top-left
+/// output pixel (`out` may be the image of a larger query at the same
+/// zoom), on the calling thread and one row of chunks at a time: `fetch`
+/// is handed each row's chunk indices (one run of consecutive pages) and
+/// returns their pages, the output rows whose samples are then all in hand
+/// are rendered, and a page is dropped once no later row needs it. However
+/// large the window, at most two chunk rows are held, each page is asked
+/// for once, and its bytes are consumed while still warm. Returns the
+/// number of pages asked for.
+pub fn render_streamed<E>(
+    out: &mut RgbImage,
+    at: (u32, u32),
+    query: &VmQuery,
+    mut fetch: impl FnMut(&[u64]) -> Result<Vec<Arc<Vec<u8>>>, E>,
+) -> Result<u64, E> {
+    let (win, zoom, cols) = (query.region, query.zoom, query.slide.chunk_cols() as u64);
+    let chunks = query.slide.chunks_intersecting(&win);
+    let mut held: Vec<(Rect, Arc<Vec<u8>>)> = Vec::new();
+    let mut done = win.y;
+    for row in chunks.chunk_by(|a, b| a / cols == b / cols) {
+        let rects = row.iter().map(|&idx| query.slide.chunk_rect(idx));
+        held.extend(rects.zip(fetch(row)?));
+        // Samples are complete down to the last whole zoom block.
+        let bottom = query.slide.chunk_rect(row[0]).y1().min(win.y1());
+        let upto = win.y + (bottom - win.y) / zoom * zoom;
+        if upto > done {
+            let region = Rect::new(win.x, done, win.w, upto - done);
+            let strip = VmQuery { region, ..*query };
+            render_into(out, (at.0, at.1 + (done - win.y) / zoom), &strip, &held, 1);
+            done = upto;
+            held.retain(|(r, _)| r.y1() > upto);
+        }
+    }
+    Ok(chunks.len() as u64)
+}
+
+/// Computes a query's full output from prefetched chunk pages, banding
+/// across up to `threads` threads; `pages` pairs each chunk's rectangle
+/// with its page and must cover the window.
 pub fn compute_from_pages(
     query: &VmQuery,
     pages: &[(Rect, Arc<Vec<u8>>)],
     threads: usize,
 ) -> RgbImage {
     let (w, h) = query.output_dims();
-    let bands = band_count(h, threads);
-    if bands <= 1 {
-        // The single band *is* the full output — no copy.
-        return compute_rows(query, pages, 0, h);
-    }
     let mut out = RgbImage::new(w, h);
-    let rows_per = h.div_ceil(bands);
-    let row_bytes = w as usize * BYTES_PER_PIXEL as usize;
-    std::thread::scope(|s| {
-        for (i, band) in out
-            .data
-            .chunks_mut(rows_per as usize * row_bytes)
-            .enumerate()
-        {
-            let oy0 = i as u32 * rows_per;
-            let oy1 = (oy0 + rows_per).min(h);
-            s.spawn(move || {
-                let img = compute_rows(query, pages, oy0, oy1);
-                band.copy_from_slice(&img.data);
-            });
-        }
-    });
+    render_into(&mut out, (0, 0), query, pages, threads);
+    out
+}
+
+/// Computes a query's full output on the calling thread, obtaining each
+/// needed chunk's page via `fetch(chunk_index) -> page bytes`.
+pub fn compute_from_chunks<F>(query: &VmQuery, mut fetch: F) -> RgbImage
+where
+    F: FnMut(u64) -> Arc<Vec<u8>>,
+{
+    let (w, h) = query.output_dims();
+    let mut out = RgbImage::new(w, h);
+    let pages = |row: &[u64]| Ok(row.iter().map(|&idx| fetch(idx)).collect());
+    let Ok(_) = render_streamed::<std::convert::Infallible>(&mut out, (0, 0), query, pages);
     out
 }
 
 /// The `project` transformation (Eq. 3): fills the part of `target`'s
 /// output derivable from `src_query`'s cached output `src_img`, writing
-/// into `out` (the full output image of `target`). Returns the covered
-/// base-resolution rectangle (zoom-aligned to `target`), or `None` when
-/// nothing is derivable.
+/// into `out` (the full output image of `target`) and nowhere else.
+/// Returns the covered base-resolution rectangle (zoom-aligned to
+/// `target`), or `None` when nothing is derivable.
 ///
-/// For subsampling the projection picks every `(target.zoom /
-/// src.zoom)`-th cached pixel; for averaging it averages each
-/// factor×factor block of cached averages — exact because aligned
-/// averaging blocks nest.
+/// The cached image is a single tile in its own pixel grid and the zoom
+/// ratio is the reduction: subsampling picks every `(target.zoom /
+/// src.zoom)`-th cached pixel (a row copy at equal zoom); averaging
+/// averages each factor×factor block of cached averages — exact because
+/// aligned averaging blocks nest.
 pub fn project(
     out: &mut RgbImage,
     target: &VmQuery,
     src_query: &VmQuery,
-    src_img: crate::image::RgbView<'_>,
+    src_img: RgbView<'_>,
 ) -> Option<Rect> {
-    let coverage = src_query.aligned_coverage(target)?;
-    let tz = target.zoom;
-    let sz = src_query.zoom;
-    let factor = tz / sz;
-    debug_assert!(factor >= 1);
-    let (sw, sh) = src_query.output_dims();
-    debug_assert_eq!(src_img.width, sw);
-    debug_assert_eq!(src_img.height, sh);
-
-    for by in (coverage.y..coverage.y1()).step_by(tz as usize) {
-        let oy = (by - target.region.y) / tz;
-        let sy0 = (by - src_query.region.y) / sz;
-        for bx in (coverage.x..coverage.x1()).step_by(tz as usize) {
-            let ox = (bx - target.region.x) / tz;
-            let sx0 = (bx - src_query.region.x) / sz;
-            let px = match target.op {
-                VmOp::Subsample => src_img.get(sx0, sy0),
-                VmOp::Average => {
-                    let mut sums = [0u64; 3];
-                    for dy in 0..factor {
-                        for dx in 0..factor {
-                            let p = src_img.get(sx0 + dx, sy0 + dy);
-                            sums[0] += p[0] as u64;
-                            sums[1] += p[1] as u64;
-                            sums[2] += p[2] as u64;
-                        }
-                    }
-                    let n = (factor * factor) as u64;
-                    [
-                        (sums[0] / n) as u8,
-                        (sums[1] / n) as u8,
-                        (sums[2] / n) as u8,
-                    ]
-                }
-            };
-            out.set(ox, oy, px);
-        }
-    }
-    Some(coverage)
+    project_banded(out, target, src_query, src_img, 1)
 }
 
-/// [`project`], row-banded across up to `threads` scoped workers. Each
-/// band projects its rows of the coverage into a scratch image and copies
-/// only the covered columns back into its disjoint `&mut` slice of `out`,
-/// so pixels outside this source's coverage (possibly written by earlier
-/// sources) are preserved. Byte-identical to the serial `project`.
+/// [`project`], banding across up to `threads` threads.
 pub fn project_banded(
     out: &mut RgbImage,
     target: &VmQuery,
     src_query: &VmQuery,
-    src_img: crate::image::RgbView<'_>,
+    src_img: RgbView<'_>,
     threads: usize,
 ) -> Option<Rect> {
-    let coverage = src_query.aligned_coverage(target)?;
-    let tz = target.zoom;
-    let oy0c = (coverage.y - target.region.y) / tz;
-    let oy1c = (coverage.y1() - target.region.y) / tz; // exclusive
-    let bands = band_count(oy1c - oy0c, threads);
-    if bands <= 1 {
-        return project(out, target, src_query, src_img);
-    }
-    let bpp = BYTES_PER_PIXEL as usize;
-    let row_bytes = out.width as usize * bpp;
-    let x0 = ((coverage.x - target.region.x) / tz) as usize * bpp;
-    let x1 = x0 + (coverage.w / tz) as usize * bpp;
-    let rows_per = (oy1c - oy0c).div_ceil(bands);
-    let covered_rows = &mut out.data[oy0c as usize * row_bytes..oy1c as usize * row_bytes];
-    std::thread::scope(|s| {
-        for (i, band) in covered_rows
-            .chunks_mut(rows_per as usize * row_bytes)
-            .enumerate()
-        {
-            let boy0 = oy0c + i as u32 * rows_per;
-            let boy1 = (boy0 + rows_per).min(oy1c);
-            s.spawn(move || {
-                let sub = row_band_query(target, boy0, boy1);
-                let (bw, bh) = sub.output_dims();
-                let mut scratch = RgbImage::new(bw, bh);
-                if project(&mut scratch, &sub, src_query, src_img).is_some() {
-                    for r in 0..bh as usize {
-                        band[r * row_bytes + x0..r * row_bytes + x1]
-                            .copy_from_slice(&scratch.data[r * row_bytes + x0..r * row_bytes + x1]);
-                    }
-                }
-            });
-        }
-    });
-    Some(coverage)
+    let cov = src_query.aligned_coverage(target)?;
+    let (tz, sz) = (target.zoom, src_query.zoom);
+    debug_assert_eq!((src_img.width, src_img.height), src_query.output_dims());
+    let src = Source {
+        tiles: &[(Rect::new(0, 0, src_img.width, src_img.height), src_img.data)],
+        win: Rect::new(
+            (cov.x - src_query.region.x) / sz,
+            (cov.y - src_query.region.y) / sz,
+            cov.w / sz,
+            cov.h / sz,
+        ),
+        zoom: tz / sz,
+        op: target.op,
+    };
+    let at = (
+        (cov.x - target.region.x) / tz,
+        (cov.y - target.region.y) / tz,
+    );
+    render(src, Dest::block(out, at, (cov.w / tz, cov.h / tz)), threads);
+    Some(cov)
 }
 
 /// Reference renderer: computes `query`'s output directly from the
@@ -407,17 +395,13 @@ pub fn reference_render(query: &VmQuery) -> RgbImage {
                     for dy in 0..z {
                         for dx in 0..z {
                             let p = query.slide.synthetic_pixel(bx + dx, by + dy);
-                            sums[0] += p[0] as u64;
-                            sums[1] += p[1] as u64;
-                            sums[2] += p[2] as u64;
+                            for (s, v) in sums.iter_mut().zip(p) {
+                                *s += v as u64;
+                            }
                         }
                     }
                     let n = (z * z) as u64;
-                    [
-                        (sums[0] / n) as u8,
-                        (sums[1] / n) as u8,
-                        (sums[2] / n) as u8,
-                    ]
+                    sums.map(|s| (s / n) as u8)
                 }
             };
             img.set(ox, oy, px);
@@ -430,7 +414,7 @@ pub fn reference_render(query: &VmQuery) -> RgbImage {
 mod tests {
     use super::*;
     use crate::dataset::{SlideDataset, PAGE_SIZE};
-    use std::sync::Arc;
+    use proptest::prelude::*;
     use vmqs_core::DatasetId;
     use vmqs_storage::{DataSource, SyntheticSource};
 
@@ -444,61 +428,283 @@ mod tests {
         move |idx| Arc::new(src.read_page(id, idx, PAGE_SIZE).unwrap())
     }
 
-    #[test]
-    fn subsample_matches_reference_single_chunk() {
-        let q = VmQuery::new(slide(), Rect::new(8, 8, 64, 64), 2, VmOp::Subsample);
-        let got = compute_from_chunks(&q, fetch_real(&q));
-        assert_eq!(got, reference_render(&q));
+    fn pages_for(q: &VmQuery) -> Vec<(Rect, Arc<Vec<u8>>)> {
+        let mut fetch = fetch_real(q);
+        q.slide
+            .chunks_intersecting(&q.region)
+            .into_iter()
+            .map(|idx| (q.slide.chunk_rect(idx), fetch(idx)))
+            .collect()
+    }
+
+    /// Renders `q` at `at` inside `out` in exactly `bands` bands (the
+    /// public entry points let the amount of work decide).
+    fn render_with_bands(out: &mut RgbImage, at: (u32, u32), q: &VmQuery, bands: usize) {
+        let pages = pages_for(q);
+        let tiles: Vec<Tile<'_>> = pages.iter().map(|(r, p)| (*r, p.as_slice())).collect();
+        let src = Source {
+            tiles: &tiles,
+            win: q.region,
+            zoom: q.zoom,
+            op: q.op,
+        };
+        render_banded(src, Dest::block(out, at, q.output_dims()), bands);
+    }
+
+    /// `project` as it was before the streaming renderer: one `get`, one
+    /// `set` and three divisions per output pixel. The oracle for the
+    /// projection tests.
+    fn project_per_pixel(
+        out: &mut RgbImage,
+        target: &VmQuery,
+        src_query: &VmQuery,
+        src_img: RgbView<'_>,
+    ) -> Option<Rect> {
+        let coverage = src_query.aligned_coverage(target)?;
+        let (tz, sz) = (target.zoom, src_query.zoom);
+        let factor = tz / sz;
+        for by in (coverage.y..coverage.y1()).step_by(tz as usize) {
+            let oy = (by - target.region.y) / tz;
+            let sy0 = (by - src_query.region.y) / sz;
+            for bx in (coverage.x..coverage.x1()).step_by(tz as usize) {
+                let ox = (bx - target.region.x) / tz;
+                let sx0 = (bx - src_query.region.x) / sz;
+                let px = match target.op {
+                    VmOp::Subsample => src_img.get(sx0, sy0),
+                    VmOp::Average => {
+                        let mut sums = [0u64; 3];
+                        for dy in 0..factor {
+                            for dx in 0..factor {
+                                let p = src_img.get(sx0 + dx, sy0 + dy);
+                                for c in 0..3 {
+                                    sums[c] += p[c] as u64;
+                                }
+                            }
+                        }
+                        let n = (factor * factor) as u64;
+                        sums.map(|s| (s / n) as u8)
+                    }
+                };
+                out.set(ox, oy, px);
+            }
+        }
+        Some(coverage)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 96 }))]
+
+        // The renderer equals the ground truth for arbitrary aligned
+        // windows: every zoom class (1, powers of two, odd, the largest
+        // that still fits the slide), both ops, windows that straddle
+        // chunk boundaries and reach the 71-pixel-wide edge chunks of a
+        // 512² slide.
+        #[test]
+        fn renderer_matches_reference(
+            zi in 0usize..9,
+            subsample in prop::bool::ANY,
+            fx in 0u32..1000, fy in 0u32..1000,
+            fw in 0u32..1000, fh in 0u32..1000,
+        ) {
+            let zoom = [1u32, 2, 3, 4, 5, 8, 16, 64, 256][zi];
+            let slide = SlideDataset::new(DatasetId(3), 512, 512);
+            let op = if subsample { VmOp::Subsample } else { VmOp::Average };
+            // Output-pixel coordinates; small outputs keep the reference
+            // (and miri) fast while large zooms still span every chunk.
+            let side = 512 / zoom;
+            let cap = if cfg!(miri) { 4 } else { 40 };
+            let w = 1 + fw % side.min(cap);
+            let h = 1 + fh % side.min(cap);
+            let x = fx % (side - w + 1);
+            let y = fy % (side - h + 1);
+            let q = VmQuery::new(slide, Rect::new(x * zoom, y * zoom, w * zoom, h * zoom), zoom, op);
+            prop_assert_eq!(q.output_dims(), (w, h));
+            let want = reference_render(&q);
+            prop_assert_eq!(&compute_from_chunks(&q, fetch_real(&q)), &want);
+            prop_assert_eq!(&compute_from_pages(&q, &pages_for(&q), 4), &want);
+        }
     }
 
     #[test]
-    fn subsample_matches_reference_across_chunk_boundaries() {
-        // Window straddles the chunk boundary at 147 in both axes.
-        let q = VmQuery::new(slide(), Rect::new(100, 100, 96, 96), 4, VmOp::Subsample);
-        let got = compute_from_chunks(&q, fetch_real(&q));
-        assert_eq!(got, reference_render(&q));
+    fn windows_on_the_edge_chunks_match_reference() {
+        // The last chunk column/row of a 512² slide is 71 pixels wide, so
+        // its rows are shorter than a full chunk's.
+        let s = SlideDataset::new(DatasetId(3), 512, 512);
+        for (rect, zoom) in [
+            (Rect::new(400, 400, 112, 112), 1),
+            (Rect::new(432, 288, 80, 224), 4),
+            (Rect::new(0, 0, 512, 512), 256),
+            (Rect::new(420, 435, 90, 75), 3),
+        ] {
+            for op in [VmOp::Subsample, VmOp::Average] {
+                let q = VmQuery::new(s, rect, zoom, op);
+                assert!(q.region.x1().max(q.region.y1()) > 441, "{q:?}");
+                assert_eq!(
+                    compute_from_chunks(&q, fetch_real(&q)),
+                    reference_render(&q),
+                    "{q:?}"
+                );
+            }
+        }
     }
 
     #[test]
     fn subsample_zoom1_is_identity_crop() {
         let q = VmQuery::new(slide(), Rect::new(140, 140, 16, 16), 1, VmOp::Subsample);
         let got = compute_from_chunks(&q, fetch_real(&q));
-        let r = reference_render(&q);
-        assert_eq!(got, r);
+        assert_eq!(got, reference_render(&q));
         assert_eq!(got.get(0, 0), q.slide.synthetic_pixel(140, 140));
     }
 
     #[test]
-    fn average_matches_reference_single_chunk() {
-        let q = VmQuery::new(slide(), Rect::new(0, 0, 32, 32), 4, VmOp::Average);
-        let got = compute_from_chunks(&q, fetch_real(&q));
-        assert_eq!(got, reference_render(&q));
+    fn banded_render_matches_serial_byte_for_byte() {
+        // Output heights chosen to exercise uneven band splits and chunk
+        // boundaries; both ops; rendered at an offset inside a larger
+        // sentinel-filled image so a band writing outside its block shows.
+        for (rect, zoom, op) in [
+            (Rect::new(0, 0, 400, 280), 2, VmOp::Subsample),
+            (Rect::new(100, 100, 480, 400), 4, VmOp::Average),
+            (Rect::new(8, 16, 160, 520), 1, VmOp::Subsample),
+            (Rect::new(0, 0, 256, 264), 2, VmOp::Average),
+            (Rect::new(0, 0, 96, 15), 3, VmOp::Average),
+        ] {
+            let q = VmQuery::new(slide(), rect, zoom, op);
+            let (w, h) = q.output_dims();
+            let mut serial = RgbImage::new(w + 5, h + 3);
+            serial.data.fill(0xAB);
+            let blank = serial.clone();
+            render_with_bands(&mut serial, (2, 1), &q, 1);
+            let mut inner = RgbImage::new(w, h);
+            inner.blit(0, 0, &serial, 2, 1, w, h);
+            assert_eq!(inner, reference_render(&q), "{q:?}");
+            let mut framed = blank.clone();
+            framed.blit(2, 1, &inner, 0, 0, w, h);
+            assert_eq!(framed, serial, "serial render left its block: {q:?}");
+            for bands in [2, 3, 4, 7] {
+                let mut par = blank.clone();
+                render_with_bands(&mut par, (2, 1), &q, bands);
+                assert_eq!(par, serial, "bands {bands} {q:?}");
+            }
+        }
     }
 
     #[test]
-    fn average_matches_reference_across_chunk_boundaries() {
-        // Averaging windows straddle the 147-pixel chunk boundary; the
-        // accumulator must combine samples from up to four chunks.
-        let q = VmQuery::new(slide(), Rect::new(136, 136, 24, 24), 8, VmOp::Average);
-        let got = compute_from_chunks(&q, fetch_real(&q));
-        assert_eq!(got, reference_render(&q));
+    #[cfg_attr(miri, ignore = "renders 12 MiB of samples")]
+    fn public_entry_points_agree_whatever_the_band_count() {
+        // 24 KiB of samples is below the banding threshold, 12 MiB is six
+        // bands' worth: the answer is the same either way.
+        let big = SlideDataset::new(DatasetId(0), 2048, 2048);
+        for (s, rect) in [
+            (slide(), Rect::new(0, 0, 128, 64)),
+            (big, Rect::new(0, 0, 2048, 2048)),
+        ] {
+            let q = VmQuery::new(s, rect, 64, VmOp::Average);
+            let pages = pages_for(&q);
+            assert_eq!(compute_from_pages(&q, &pages, 8), reference_render(&q));
+        }
     }
 
     #[test]
-    fn project_same_zoom_is_copy() {
+    fn streamed_render_asks_for_each_page_once_and_holds_two_chunk_rows() {
+        // Four chunk rows of four chunks; 147 is no multiple of the zoom,
+        // so every chunk boundary cuts through an averaging block and the
+        // row above it has to be carried into the next strip.
+        let q = VmQuery::new(slide(), Rect::new(100, 100, 480, 480), 4, VmOp::Average);
+        let (w, h) = q.output_dims();
+        let mut out = RgbImage::new(w + 3, h + 2);
+        out.data.fill(0xAB);
+        let mut want = out.clone();
+        want.blit(3, 2, &reference_render(&q), 0, 0, w, h);
+        let mut real = fetch_real(&q);
+        let mut asked = Vec::new();
+        let mut handed = Vec::new();
+        let fetch = |row: &[u64]| {
+            assert!(row.windows(2).all(|p| p[0] + 1 == p[1]), "one run: {row:?}");
+            let held = handed
+                .iter()
+                .filter(|p: &&std::sync::Weak<_>| p.strong_count() > 0);
+            assert!(
+                held.count() <= row.len(),
+                "only the row above is still held"
+            );
+            asked.extend_from_slice(row);
+            let pages: Vec<_> = row.iter().map(|&idx| real(idx)).collect();
+            handed.extend(pages.iter().map(Arc::downgrade));
+            Ok::<_, ()>(pages)
+        };
+        assert_eq!(render_streamed(&mut out, (3, 2), &q, fetch), Ok(16));
+        assert_eq!(asked, q.slide.chunks_intersecting(&q.region));
+        assert_eq!(out, want);
+        // A failed fetch ends the render with its error.
+        let mut calls = 0;
+        let failing = |row: &[u64]| {
+            calls += 1;
+            if calls == 3 {
+                return Err("bad sector");
+            }
+            Ok(row.iter().map(|_| Arc::new(vec![0; PAGE_SIZE])).collect())
+        };
+        assert_eq!(
+            render_streamed(&mut out, (3, 2), &q, failing),
+            Err("bad sector")
+        );
+        assert_eq!(calls, 3);
+    }
+
+    #[test]
+    fn accumulator_width_switches_without_overflow() {
+        // All-0xFF pages make every column sum 255·zoom: 65 535 at zoom
+        // 257, the last that fits a u16 (a debug build would panic on the
+        // add, a release build would wrap), and 65 790 at 258, the first
+        // that needs the u32 path.
+        let white = Arc::new(vec![0xFFu8; PAGE_SIZE]);
+        for zoom in [MAX_U16_ZOOM, MAX_U16_ZOOM + 1] {
+            let q = VmQuery::new(
+                slide(),
+                Rect::new(0, 0, 2 * zoom, zoom),
+                zoom,
+                VmOp::Average,
+            );
+            let pages: Vec<_> = q
+                .slide
+                .chunks_intersecting(&q.region)
+                .into_iter()
+                .map(|idx| (q.slide.chunk_rect(idx), Arc::clone(&white)))
+                .collect();
+            let got = compute_from_pages(&q, &pages, 1);
+            assert_eq!(got.data, vec![0xFF; 6], "zoom {zoom}");
+        }
+        assert_eq!(MAX_U16_ZOOM, 257);
+    }
+
+    #[test]
+    fn project_matches_the_per_pixel_oracle_and_preserves_outside_pixels() {
         let s = slide();
-        let cached = VmQuery::new(s, Rect::new(0, 0, 200, 200), 2, VmOp::Subsample);
-        let cached_img = compute_from_chunks(&cached, fetch_real(&cached));
-        let target = VmQuery::new(s, Rect::new(100, 100, 200, 200), 2, VmOp::Subsample);
-        let (w, h) = target.output_dims();
-        let mut out = RgbImage::new(w, h);
-        let cov = project(&mut out, &target, &cached, cached_img.view()).unwrap();
-        assert_eq!(cov, Rect::new(100, 100, 100, 100));
-        // Projected quadrant must match reference pixels.
-        let reference = reference_render(&target);
-        for oy in 0..50 {
-            for ox in 0..50 {
-                assert_eq!(out.get(ox, oy), reference.get(ox, oy), "pixel {ox},{oy}");
+        for op in [VmOp::Subsample, VmOp::Average] {
+            let cached = VmQuery::new(s, Rect::new(0, 0, 400, 400), 2, op);
+            let cached_img = compute_from_chunks(&cached, fetch_real(&cached));
+            // Same zoom, factor 2, factor 4; the coverage is a strict
+            // sub-rectangle of each target's output.
+            for zoom in [2, 4, 8] {
+                let target = VmQuery::new(s, Rect::new(200, 104, 400, 480), zoom, op);
+                let (w, h) = target.output_dims();
+                // Pre-fill with a sentinel so clobbering outside coverage shows.
+                let mut want = RgbImage::new(w, h);
+                want.data.fill(0xAB);
+                let mut serial = want.clone();
+                let mut banded = want.clone();
+                let cov = project_per_pixel(&mut want, &target, &cached, cached_img.view());
+                assert_eq!(cov, Some(Rect::new(200, 104, 200, 296)));
+                assert_eq!(
+                    project(&mut serial, &target, &cached, cached_img.view()),
+                    cov
+                );
+                assert_eq!(serial, want, "op {op:?} zoom {zoom}");
+                assert_eq!(
+                    project_banded(&mut banded, &target, &cached, cached_img.view(), 4),
+                    cov
+                );
+                assert_eq!(banded, want, "banded, op {op:?} zoom {zoom}");
             }
         }
     }
@@ -528,19 +734,8 @@ mod tests {
         // Averaging averages re-quantizes (integer division at each level),
         // so allow ±4 per channel against the direct render.
         let direct = reference_render(&target);
-        for oy in 0..h {
-            for ox in 0..w {
-                let a = out.get(ox, oy);
-                let b = direct.get(ox, oy);
-                for c in 0..3 {
-                    assert!(
-                        (a[c] as i32 - b[c] as i32).abs() <= 4,
-                        "pixel {ox},{oy} channel {c}: {} vs {}",
-                        a[c],
-                        b[c]
-                    );
-                }
-            }
+        for (a, b) in out.data.iter().zip(&direct.data) {
+            assert!((*a as i32 - *b as i32).abs() <= 4, "{a} vs {b}");
         }
     }
 
@@ -557,8 +752,8 @@ mod tests {
     #[test]
     fn project_plus_subqueries_reconstruct_full_output() {
         // End-to-end partial-reuse path: project what the cache covers,
-        // compute sub-queries for the rest, and verify the assembled image
-        // equals a from-scratch render.
+        // render sub-queries for the rest straight into the same image,
+        // and verify it equals a from-scratch render.
         let s = slide();
         let cached = VmQuery::new(s, Rect::new(0, 0, 200, 400), 2, VmOp::Subsample);
         let cached_img = compute_from_chunks(&cached, fetch_real(&cached));
@@ -566,94 +761,14 @@ mod tests {
         let (w, h) = target.output_dims();
         let mut out = RgbImage::new(w, h);
         let cov = project(&mut out, &target, &cached, cached_img.view()).unwrap();
+        assert_eq!(cov, Rect::new(100, 0, 100, 400));
         for sub in target.subqueries_for_remainder(&[cov]) {
-            let sub_img = compute_from_chunks(&sub, fetch_real(&sub));
-            // Paste the sub-query output into the final image.
-            let ox = (sub.region.x - target.region.x) / target.zoom;
-            let oy = (sub.region.y - target.region.y) / target.zoom;
-            let (sw, sh) = sub.output_dims();
-            out.blit(ox, oy, &sub_img, 0, 0, sw, sh);
+            let at = (
+                (sub.region.x - target.region.x) / target.zoom,
+                (sub.region.y - target.region.y) / target.zoom,
+            );
+            render_into(&mut out, at, &sub, &pages_for(&sub), 1);
         }
         assert_eq!(out, reference_render(&target));
-    }
-
-    fn pages_for(q: &VmQuery) -> Vec<(Rect, Arc<Vec<u8>>)> {
-        let src = SyntheticSource::new();
-        q.slide
-            .chunks_intersecting(&q.region)
-            .into_iter()
-            .map(|idx| {
-                (
-                    q.slide.chunk_rect(idx),
-                    Arc::new(src.read_page(q.slide.id, idx, PAGE_SIZE).unwrap()),
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn banded_compute_matches_serial_byte_for_byte() {
-        // Output heights chosen to exercise uneven band splits and chunk
-        // boundaries; both ops; verified against the serial path.
-        for (rect, zoom, op) in [
-            (Rect::new(0, 0, 400, 280), 2, VmOp::Subsample),
-            (Rect::new(100, 100, 480, 400), 4, VmOp::Average),
-            (Rect::new(8, 16, 160, 520), 1, VmOp::Subsample),
-            (Rect::new(0, 0, 256, 264), 2, VmOp::Average),
-        ] {
-            let q = VmQuery::new(slide(), rect, zoom, op);
-            let pages = pages_for(&q);
-            let serial = compute_from_pages(&q, &pages, 1);
-            assert_eq!(serial, compute_from_chunks(&q, fetch_real(&q)), "{q:?}");
-            for threads in [2, 3, 4, 7] {
-                let par = compute_from_pages(&q, &pages, threads);
-                assert_eq!(par, serial, "threads {threads} {q:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn banded_compute_small_output_falls_back_to_serial() {
-        let q = VmQuery::new(slide(), Rect::new(0, 0, 64, 48), 2, VmOp::Average);
-        let pages = pages_for(&q);
-        assert_eq!(compute_from_pages(&q, &pages, 8), reference_render(&q));
-    }
-
-    #[test]
-    fn banded_project_matches_serial_and_preserves_outside_pixels() {
-        let s = slide();
-        for op in [VmOp::Subsample, VmOp::Average] {
-            let cached = VmQuery::new(s, Rect::new(0, 0, 400, 400), 2, op);
-            let cached_img = compute_from_chunks(&cached, fetch_real(&cached));
-            // Coverage is a strict sub-rectangle of the target output.
-            let target = VmQuery::new(s, Rect::new(200, 100, 400, 480), 4, op);
-            let (w, h) = target.output_dims();
-            // Pre-fill with a sentinel so clobbering outside coverage shows.
-            let mut serial = RgbImage::new(w, h);
-            serial.data.fill(0xAB);
-            let mut banded = serial.clone();
-            let cov_a = project(&mut serial, &target, &cached, cached_img.view());
-            let cov_b = project_banded(&mut banded, &target, &cached, cached_img.view(), 4);
-            assert_eq!(cov_a, cov_b, "op {op:?}");
-            assert!(cov_a.is_some());
-            assert_eq!(banded, serial, "op {op:?}");
-        }
-    }
-
-    #[test]
-    fn kernel_threads_is_positive() {
-        assert!(kernel_threads() >= 1);
-    }
-
-    #[test]
-    fn accumulator_counts_full_blocks() {
-        let q = VmQuery::new(slide(), Rect::new(0, 0, 16, 16), 4, VmOp::Average);
-        let mut acc = AvgAccumulator::new(&q);
-        let rect = q.slide.chunk_rect(0);
-        let page = SyntheticSource::new()
-            .read_page(q.slide.id, 0, PAGE_SIZE)
-            .unwrap();
-        acc.accumulate_chunk(&q, rect, &page);
-        assert!(acc.counts.iter().all(|&c| c == 16)); // 4x4 per output pixel
     }
 }

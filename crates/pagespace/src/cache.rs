@@ -12,7 +12,7 @@
 //! caching and merging behaviour.
 
 use crate::key::{merge_into_runs, PageKey, Run};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 /// Resident page contents; the simulator stores no bytes.
@@ -107,6 +107,10 @@ pub struct PageCacheCore {
     page_size: u64,
     capacity_pages: usize,
     resident: HashMap<PageKey, Resident>,
+    /// `last_access -> page` for every resident page. Stamps come from
+    /// `clock` and are unique, so the first entry is the LRU victim a scan
+    /// of `resident` for the minimum stamp would find.
+    recency: BTreeMap<u64, PageKey>,
     in_flight: HashMap<PageKey, u32>,
     clock: u64,
     merging_enabled: bool,
@@ -122,6 +126,7 @@ impl PageCacheCore {
             page_size,
             capacity_pages: ((budget_bytes / page_size) as usize).max(1),
             resident: HashMap::new(),
+            recency: BTreeMap::new(),
             in_flight: HashMap::new(),
             clock: 0,
             merging_enabled: true,
@@ -180,6 +185,16 @@ impl PageCacheCore {
         self.in_flight.contains_key(&page)
     }
 
+    /// Stamps a resident page as the most recently used and returns it.
+    fn touch(&mut self, page: PageKey) -> Option<&Resident> {
+        let r = self.resident.get_mut(&page)?;
+        self.clock += 1;
+        self.recency.remove(&r.last_access);
+        self.recency.insert(self.clock, page);
+        r.last_access = self.clock;
+        Some(r)
+    }
+
     /// Plans the read of `pages`: classifies each page as hit / wait /
     /// must-fetch, marks the must-fetch pages in-flight, and merges them
     /// into contiguous runs.
@@ -191,9 +206,7 @@ impl PageCacheCore {
         let mut plan = ReadPlan::default();
         let mut to_fetch: Vec<PageKey> = Vec::new();
         for &p in &sorted {
-            self.clock += 1;
-            if let Some(r) = self.resident.get_mut(&p) {
-                r.last_access = self.clock;
+            if self.touch(p).is_some() {
                 self.stats.hits += 1;
                 plan.pages.push((p, PageDisposition::Hit));
             } else if let Some(w) = self.in_flight.get_mut(&p) {
@@ -236,28 +249,19 @@ impl PageCacheCore {
         let mut evicted = Vec::new();
         while self.resident.len() >= self.capacity_pages {
             // Evict the least recently used resident page.
-            let victim = self
-                .resident
-                .iter()
-                .min_by_key(|(_, r)| r.last_access)
-                .map(|(&k, _)| k);
-            match victim {
-                Some(v) => {
-                    self.resident.remove(&v);
-                    self.stats.evictions += 1;
-                    evicted.push(v);
-                }
-                None => break,
-            }
+            let Some((_, victim)) = self.recency.pop_first() else {
+                break;
+            };
+            self.resident.remove(&victim);
+            self.stats.evictions += 1;
+            evicted.push(victim);
         }
         self.clock += 1;
-        self.resident.insert(
-            page,
-            Resident {
-                data,
-                last_access: self.clock,
-            },
-        );
+        let last_access = self.clock;
+        if let Some(old) = self.resident.insert(page, Resident { data, last_access }) {
+            self.recency.remove(&old.last_access);
+        }
+        self.recency.insert(last_access, page);
         evicted
     }
 
@@ -270,17 +274,19 @@ impl PageCacheCore {
     /// Reads a resident page's data, refreshing LRU recency. `None` when
     /// not resident.
     pub fn get(&mut self, page: PageKey) -> Option<PageData> {
-        self.clock += 1;
-        let clock = self.clock;
-        self.resident.get_mut(&page).map(|r| {
-            r.last_access = clock;
-            r.data.clone()
-        })
+        self.touch(page).map(|r| r.data.clone())
+    }
+
+    /// A resident page's data with recency left as it is, for a caller
+    /// whose `plan_read` under the same lock already refreshed it.
+    pub fn peek(&self, page: PageKey) -> Option<&PageData> {
+        self.resident.get(&page).map(|r| &r.data)
     }
 
     /// Drops all residency and in-flight state (counters are kept).
     pub fn clear(&mut self) {
         self.resident.clear();
+        self.recency.clear();
         self.in_flight.clear();
     }
 }
@@ -344,6 +350,61 @@ mod tests {
         assert_eq!(evicted, vec![pk(1)]);
         assert!(ps.is_resident(pk(0)) && ps.is_resident(pk(5)));
         assert_eq!(ps.stats().evictions, 1);
+    }
+
+    #[test]
+    fn recency_index_evicts_what_a_scan_for_the_oldest_stamp_would() {
+        // Differential against the obvious model: a list in recency order,
+        // touched pages move to the back, the front is the victim.
+        let mut ps = cache(5);
+        let mut model: Vec<PageKey> = Vec::new();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for step in 0..4000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let page = pk((x >> 33) % 12);
+            let touch = |model: &mut Vec<PageKey>| {
+                if let Some(i) = model.iter().position(|&p| p == page) {
+                    let p = model.remove(i);
+                    model.push(p);
+                }
+            };
+            if (x >> 20).is_multiple_of(3) {
+                assert_eq!(ps.get(page).is_some(), model.contains(&page), "step {step}");
+                touch(&mut model);
+                continue;
+            }
+            let plan = ps.plan_read(&[page]);
+            touch(&mut model);
+            if plan.fetch_count() == 1 {
+                let want: Vec<PageKey> = if model.len() == 5 {
+                    vec![model.remove(0)]
+                } else {
+                    Vec::new()
+                };
+                assert_eq!(
+                    ps.complete_fetch(page, PageData::Virtual),
+                    want,
+                    "step {step}"
+                );
+                model.push(page);
+            }
+            assert_eq!(ps.resident_pages(), model.len());
+        }
+        assert!(ps.stats().evictions > 100);
+    }
+
+    #[test]
+    fn peek_leaves_recency_alone() {
+        let mut ps = cache(2);
+        for i in 0..2 {
+            ps.plan_read(&[pk(i)]);
+            ps.complete_fetch(pk(i), PageData::Virtual);
+        }
+        assert!(ps.peek(pk(0)).is_some() && ps.peek(pk(7)).is_none());
+        ps.plan_read(&[pk(5)]);
+        assert_eq!(ps.complete_fetch(pk(5), PageData::Virtual), vec![pk(0)]);
     }
 
     #[test]

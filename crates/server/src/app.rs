@@ -13,10 +13,8 @@ use crate::pages::PageSpaceSession;
 use std::sync::Arc;
 use vmqs_core::geom::subtract_all;
 use vmqs_core::{QuerySpec, Rect, SpatialSpec};
-use vmqs_microscope::kernels::{
-    compute_from_chunks, compute_from_pages, kernel_threads, project_banded, will_band,
-};
-use vmqs_microscope::{RgbImage, RgbView, SlideDataset, VmQuery, BYTES_PER_PIXEL, PAGE_SIZE};
+use vmqs_microscope::kernels::{project, render_streamed};
+use vmqs_microscope::{RgbImage, RgbView, SlideDataset, VmQuery, BYTES_PER_PIXEL};
 
 /// The result of executing one query.
 #[derive(Debug)]
@@ -191,16 +189,14 @@ impl AppExecutor for VmExecutor {
         sources: &[(VmQuery, Arc<[u8]>)],
         ps: &PageSpaceSession<'_>,
     ) -> std::io::Result<AppOutcome> {
-        let threads = kernel_threads();
         // Project partial matches (Eq. 3) greedily, best first.
         let (w, h) = spec.output_dims();
         let mut out = RgbImage::new(w, h);
         let mut covered: Vec<Rect> = Vec::new();
         let mut reused_px: u64 = 0;
         for (src_spec, bytes) in sources {
-            let cov = match src_spec.aligned_coverage(spec) {
-                Some(c) => c,
-                None => continue,
+            let Some(cov) = src_spec.aligned_coverage(spec) else {
+                continue;
             };
             // Skip sources whose coverage is already fully projected from
             // earlier (higher-ranked) sources.
@@ -210,7 +206,7 @@ impl AppExecutor for VmExecutor {
             }
             let (sw, sh) = src_spec.output_dims();
             let view = RgbView::new(sw, sh, bytes);
-            project_banded(&mut out, spec, src_spec, view, threads);
+            project(&mut out, spec, src_spec, view);
             let z2 = spec.zoom as u64 * spec.zoom as u64;
             for f in fresh {
                 reused_px += f.area() / z2;
@@ -218,47 +214,20 @@ impl AppExecutor for VmExecutor {
             }
         }
 
-        // Sub-queries for the uncovered remainder, from raw chunks.
+        // Sub-queries for the uncovered remainder, rendered from raw chunks
+        // straight into their block of `out`, a chunk row at a time: each
+        // row is one fetch (so overlapping requests merge) whose handles
+        // feed the kernel whatever the Page Space evicts meanwhile.
         let mut pages_requested = 0u64;
         let mut subqueries = 0u64;
         for sub in spec.subqueries_for_remainder(&covered) {
             subqueries += 1;
-            let chunks = sub.slide.chunks_intersecting(&sub.region);
-            pages_requested += chunks.len() as u64;
-            // Prefetch the whole chunk set so overlapping requests merge.
-            ps.fetch_pages(sub.slide.id, &chunks)?;
-            let (_, sub_h) = sub.output_dims();
-            let img = if will_band(sub_h, threads) {
-                // Banded render: materialize the immutable page set first
-                // so the worker bands never touch the Page Space.
-                let mut pages = Vec::with_capacity(chunks.len());
-                for idx in &chunks {
-                    pages.push((
-                        sub.slide.chunk_rect(*idx),
-                        ps.read_page(sub.slide.id, *idx)?,
-                    ));
-                }
-                compute_from_pages(&sub, &pages, threads)
-            } else {
-                // Serial render: read each page right before the kernel
-                // consumes it, keeping it hot in cache.
-                let mut io_err = None;
-                let img = compute_from_chunks(&sub, |idx| match ps.read_page(sub.slide.id, idx) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        io_err = Some(e);
-                        Arc::new(vec![0; PAGE_SIZE])
-                    }
-                });
-                if let Some(e) = io_err {
-                    return Err(e);
-                }
-                img
-            };
-            let ox = (sub.region.x - spec.region.x) / spec.zoom;
-            let oy = (sub.region.y - spec.region.y) / spec.zoom;
-            let (sw, sh) = sub.output_dims();
-            out.blit(ox, oy, &img, 0, 0, sw, sh);
+            let at = (
+                (sub.region.x - spec.region.x) / spec.zoom,
+                (sub.region.y - spec.region.y) / spec.zoom,
+            );
+            let fetch = |row: &[u64]| ps.fetch(sub.slide.id, row);
+            pages_requested += render_streamed(&mut out, at, &sub, fetch)?;
         }
 
         let total_px = w as u64 * h as u64;
@@ -304,6 +273,46 @@ mod tests {
         assert!(out.pages_requested > 0);
         assert_eq!(VmExecutor.output_len(&spec), out.bytes.len());
         assert_eq!(VmExecutor.output_dims(&spec), (128, 128));
+    }
+
+    #[test]
+    fn page_space_smaller_than_the_query_reads_each_page_once() {
+        // Four pages of budget, one chunk row, against a 16-page footprint:
+        // each row's fetch evicts the row before it, whose handles (every
+        // chunk boundary cuts an averaging block) still feed the kernel, so
+        // the source sees every page exactly once per execute.
+        use crate::pages::tests::CountingSource;
+        let src = Arc::new(CountingSource::default());
+        let ps = SharedPageSpace::new(4 * PAGE_SIZE as u64, PAGE_SIZE, src.clone());
+        let spec = VmQuery::new(slide(), Rect::new(100, 100, 480, 480), 4, VmOp::Average);
+        let chunks = spec.slide.chunks_intersecting(&spec.region);
+        assert_eq!(chunks.len(), 16);
+        let out = VmExecutor.execute(&spec, &[], &ps.session(None)).unwrap();
+        assert_eq!(out.bytes, reference_render(&spec).data);
+        assert_eq!(out.pages_requested, 16);
+        assert_eq!(src.pages_read(), chunks);
+        // Again: the last row is still resident, but the scan evicts it
+        // before reaching it (LRU), and the answer does not change.
+        let out = VmExecutor.execute(&spec, &[], &ps.session(None)).unwrap();
+        assert_eq!(out.bytes, reference_render(&spec).data);
+        assert_eq!(src.reads(), 16 + 16);
+    }
+
+    #[test]
+    fn partial_coverage_renders_remainders_in_place() {
+        // A cached neighbour covers the middle of the window, leaving
+        // sub-queries on both sides that land at non-zero offsets of `out`.
+        let ps = ps();
+        let session = ps.session(None);
+        let cached = VmQuery::new(slide(), Rect::new(200, 0, 200, 600), 4, VmOp::Average);
+        let cached_out = VmExecutor.execute(&cached, &[], &session).unwrap();
+        let target = VmQuery::new(slide(), Rect::new(100, 100, 400, 400), 4, VmOp::Average);
+        let out = VmExecutor
+            .execute(&target, &[(cached, cached_out.bytes.into())], &session)
+            .unwrap();
+        assert_eq!(out.bytes, reference_render(&target).data);
+        assert_eq!(out.subqueries, 2);
+        assert_eq!(out.covered_fraction, 0.5);
     }
 
     #[test]

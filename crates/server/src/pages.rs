@@ -3,8 +3,12 @@
 //! Wraps the engine-agnostic [`PageCacheCore`] with a mutex and condition
 //! variable and performs actual reads through a [`DataSource`]. Concurrent
 //! queries needing the same page block on the in-flight fetch instead of
-//! issuing duplicates, and a batch prefetch path reads merged runs so the
-//! I/O-request merging of the paper is exercised for real.
+//! issuing duplicates, and the batch path ([`PageSpaceSession::fetch`])
+//! reads merged runs so the I/O-request merging of the paper is exercised
+//! for real. A batch returns a handle to every page it asked for, taken at
+//! the moment the page was found, read or received, so an executor never
+//! looks a page up a second time and a query larger than the whole budget
+//! still reads each of its pages once.
 //!
 //! ## Failure model
 //!
@@ -33,18 +37,25 @@
 //! `deadline_is_anchored_at_submit_so_queue_wait_counts`.
 
 use crate::error::{deadline_error, is_deadline};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use vmqs_core::clock;
+use vmqs_core::sync::atomic::{AtomicUsize, Ordering};
 use vmqs_core::sync::{Arc, Condvar, Mutex};
 use vmqs_core::{DatasetId, QueryId};
 use vmqs_obs::{EventKind, Obs, PageMetrics};
-use vmqs_pagespace::{PageCacheCore, PageData, PageDisposition, PageKey, PsStats, RetryPolicy};
+use vmqs_pagespace::{PageCacheCore, PageData, PageKey, PsStats, RetryPolicy};
 use vmqs_storage::{is_transient, DataSource};
 
 /// Shared Page Space Manager.
 pub struct SharedPageSpace {
     core: Mutex<PageCacheCore>,
     resident_cv: Condvar,
+    /// Threads blocked on `resident_cv`, changed only with `core` locked:
+    /// a completed fetch notifies only when someone is there to hear it.
+    /// (The core's per-page waiter count cannot say so: it is lost when a
+    /// claim is aborted and re-claimed while its waiters still sleep.)
+    sleepers: AtomicUsize,
     source: Arc<dyn DataSource>,
     page_size: usize,
     retry: RetryPolicy,
@@ -94,6 +105,7 @@ impl SharedPageSpace {
         SharedPageSpace {
             core: Mutex::new(PageCacheCore::new(budget_bytes, page_size as u64)),
             resident_cv: Condvar::new(),
+            sleepers: AtomicUsize::new(0),
             source,
             page_size,
             retry,
@@ -144,11 +156,10 @@ impl SharedPageSpace {
     /// are awaited rather than re-read. Reads happen outside the lock, run
     /// by run. Equivalent to a session with no deadline.
     pub fn fetch_pages(&self, dataset: DatasetId, indices: &[u64]) -> std::io::Result<()> {
-        self.fetch_pages_until(dataset, indices, None, None)
+        self.fetch_until(dataset, indices, None, None).map(drop)
     }
 
-    /// Reads one page, fetching it if necessary. The common path after
-    /// [`SharedPageSpace::fetch_pages`] prefetched a query's chunk set.
+    /// Reads one page, fetching it if necessary.
     pub fn read_page(&self, dataset: DatasetId, index: u64) -> std::io::Result<Arc<Vec<u8>>> {
         self.read_page_until(dataset, index, None, None)
     }
@@ -229,38 +240,48 @@ impl SharedPageSpace {
         self.resident_cv.notify_all();
     }
 
-    /// Deadline-aware batch fetch; see [`SharedPageSpace::fetch_pages`].
-    fn fetch_pages_until(
+    /// Resident bytes of `page`, recency untouched (the plan that found it
+    /// resident already refreshed it).
+    fn resident_bytes(core: &PageCacheCore, page: PageKey) -> Option<Arc<Vec<u8>>> {
+        match core.peek(page) {
+            Some(PageData::Bytes(b)) => Some(Arc::clone(b)),
+            _ => None,
+        }
+    }
+
+    /// Deadline-aware batch fetch returning one handle per entry of
+    /// `indices`, in order; see [`PageSpaceSession::fetch`].
+    fn fetch_until(
         &self,
         dataset: DatasetId,
         indices: &[u64],
         deadline: Option<Instant>,
         query: Option<QueryId>,
-    ) -> std::io::Result<()> {
+    ) -> std::io::Result<Vec<Arc<Vec<u8>>>> {
         let keys: Vec<PageKey> = indices.iter().map(|&i| PageKey::new(dataset, i)).collect();
-        let plan = self.core.lock().plan_read(&keys);
+        // Hits are taken under the lock that planned them, so no eviction
+        // can come between.
+        let (plan, mut got) = {
+            let mut core = self.core.lock();
+            let plan = core.plan_read(&keys);
+            let hits = plan.pages.iter();
+            let got: HashMap<PageKey, Arc<Vec<u8>>> = hits
+                .filter_map(|(k, _)| Some((*k, Self::resident_bytes(&core, *k)?)))
+                .collect();
+            (plan, got)
+        };
 
+        let cached = plan.pages.len() - plan.fetch_count();
         if let Some(pm) = &self.pmet {
             pm.page_reads.add(plan.pages.len() as u64);
-            let hits = plan
-                .pages
-                .iter()
-                .filter(|(_, d)| *d != PageDisposition::MustFetch)
-                .count();
-            pm.page_hits.add(hits as u64);
+            pm.page_hits.add(cached as u64);
             pm.runs_issued.add(plan.fetch_runs.len() as u64);
-            let fetched: usize = plan.fetch_runs.iter().map(|r| r.pages().count()).sum();
-            pm.pages_fetched.add(fetched as u64);
+            pm.pages_fetched.add(plan.fetch_count() as u64);
         }
         if self.obs.as_ref().is_some_and(|o| o.log.enabled()) {
             // Already-resident and peer-in-flight pages are satisfied from
             // the cache from this query's perspective; MustFetch pages get
             // their event after the read so `retried` is known.
-            let cached = plan
-                .pages
-                .iter()
-                .filter(|(_, d)| *d != PageDisposition::MustFetch)
-                .count();
             for _ in 0..cached {
                 self.note_page_read(query, true, false);
             }
@@ -268,68 +289,66 @@ impl SharedPageSpace {
 
         // Every MustFetch page is now claimed (in-flight) by this caller;
         // on any failure all still-unfetched claims must be released.
-        let mut outstanding: Vec<PageKey> = plan
-            .pages
-            .iter()
-            .filter(|(_, d)| *d == PageDisposition::MustFetch)
-            .map(|(k, _)| *k)
-            .collect();
-
-        // Read this caller's merged runs outside the lock.
-        for run in &plan.fetch_runs {
-            for page in run.pages() {
-                match self.read_with_retry(page, deadline) {
-                    Ok((bytes, attempts)) => {
-                        self.note_page_read(query, false, attempts > 0);
-                        outstanding.retain(|&p| p != page);
-                        let mut core = self.core.lock();
-                        core.complete_fetch(page, PageData::Bytes(Arc::new(bytes)));
-                        drop(core);
+        let claimed: Vec<PageKey> = plan.fetch_runs.iter().flat_map(|r| r.pages()).collect();
+        for (done, &page) in claimed.iter().enumerate() {
+            // Read this caller's merged runs outside the lock.
+            match self.read_with_retry(page, deadline) {
+                Ok((bytes, attempts)) => {
+                    self.note_page_read(query, false, attempts > 0);
+                    let bytes = Arc::new(bytes);
+                    let mut core = self.core.lock();
+                    core.complete_fetch(page, PageData::Bytes(Arc::clone(&bytes)));
+                    let wake = self.sleepers.load(Ordering::Relaxed) > 0;
+                    drop(core);
+                    if wake {
                         self.resident_cv.notify_all();
                     }
-                    Err(e) => {
-                        self.release_claims(&outstanding);
-                        return Err(e);
-                    }
+                    got.insert(page, bytes);
+                }
+                Err(e) => {
+                    self.release_claims(&claimed[done..]);
+                    return Err(e);
                 }
             }
         }
 
-        // Wait for pages being fetched by other callers.
-        let waits: Vec<PageKey> = plan
-            .pages
-            .iter()
-            .filter(|(_, d)| *d == PageDisposition::InFlightElsewhere)
-            .map(|(k, _)| *k)
-            .collect();
-        for page in waits {
+        // Take the pages other callers were fetching.
+        for page in plan.waits() {
             let mut core = self.core.lock();
-            loop {
-                if core.is_resident(page) {
-                    break;
+            let bytes = loop {
+                if let Some(bytes) = Self::resident_bytes(&core, page) {
+                    break bytes;
                 }
                 if !core.is_in_flight(page) {
                     // The other fetch was aborted (or the page was fetched
                     // and already evicted); take over the fetch ourselves.
                     drop(core);
-                    self.fetch_pages_until(dataset, &[page.index], deadline, query)?;
-                    core = self.core.lock();
-                    break;
+                    let own = self.fetch_until(dataset, &[page.index], deadline, query)?;
+                    break own.into_iter().next().ok_or_else(lost_page)?;
                 }
-                match deadline {
-                    None => self.resident_cv.wait(&mut core),
-                    Some(d) => {
-                        let now = clock::now();
-                        if now >= d {
-                            core.note_failed_read();
-                            return Err(deadline_error());
-                        }
-                        self.resident_cv.wait_for(&mut core, d - now);
+                let left = match deadline.map(|d| d.saturating_duration_since(clock::now())) {
+                    Some(Duration::ZERO) => {
+                        core.note_failed_read();
+                        return Err(deadline_error());
                     }
+                    left => left,
+                };
+                // `sleepers` changes only under the `core` lock, so a
+                // completer either sees this waiter or this waiter sees its
+                // page resident above.
+                self.sleepers.fetch_add(1, Ordering::Relaxed);
+                match left {
+                    None => self.resident_cv.wait(&mut core),
+                    Some(left) => drop(self.resident_cv.wait_for(&mut core, left)),
                 }
-            }
+                self.sleepers.fetch_sub(1, Ordering::Relaxed);
+            };
+            got.insert(page, bytes);
         }
-        Ok(())
+
+        keys.iter()
+            .map(|k| got.get(k).cloned().ok_or_else(lost_page))
+            .collect()
     }
 
     /// Deadline-aware single-page read; see [`SharedPageSpace::read_page`].
@@ -340,19 +359,18 @@ impl SharedPageSpace {
         deadline: Option<Instant>,
         query: Option<QueryId>,
     ) -> std::io::Result<Arc<Vec<u8>>> {
-        let key = PageKey::new(dataset, index);
-        loop {
-            if let Some(PageData::Bytes(b)) = self.core.lock().get(key) {
-                return Ok(b);
-            }
-            self.fetch_pages_until(dataset, &[index], deadline, query)?;
-            // Under extreme cache pressure the page may already have been
-            // evicted again; retry (capacity is at least one page, and this
-            // caller immediately re-reads, so progress is guaranteed in
-            // practice; a pathological livelock would require another
-            // thread evicting our page between the two locks every time).
+        if let Some(PageData::Bytes(b)) = self.core.lock().get(PageKey::new(dataset, index)) {
+            return Ok(b);
         }
+        let page = self.fetch_until(dataset, &[index], deadline, query)?;
+        page.into_iter().next().ok_or_else(lost_page)
     }
+}
+
+/// A planned page ended the fetch without a handle: a Page Space bug, kept
+/// an error so the worker path stays panic-free.
+fn lost_page() -> std::io::Error {
+    std::io::Error::other("page space lost a fetched page")
 }
 
 /// A deadline-scoped view of the Page Space for one query's execution.
@@ -386,10 +404,22 @@ impl PageSpaceSession<'_> {
         }
     }
 
-    /// Batch fetch; see [`SharedPageSpace::fetch_pages`].
-    pub fn fetch_pages(&self, dataset: DatasetId, indices: &[u64]) -> std::io::Result<()> {
+    /// Fetches a batch of pages of one dataset and returns one handle per
+    /// entry of `indices`, in order: resident pages are cloned under the
+    /// lock that planned the read, pages this caller reads are kept from
+    /// the read that produced them, and pages a peer is already fetching
+    /// are taken when that fetch lands. The handles stay valid whatever
+    /// the Page Space evicts afterwards, so a query whose footprint
+    /// exceeds the budget still reads each page once. On any failure every
+    /// claim this caller still holds is released.
+    pub fn fetch(&self, dataset: DatasetId, indices: &[u64]) -> std::io::Result<Vec<Arc<Vec<u8>>>> {
         self.ps
-            .fetch_pages_until(dataset, indices, self.deadline, self.query)
+            .fetch_until(dataset, indices, self.deadline, self.query)
+    }
+
+    /// [`PageSpaceSession::fetch`] for its effect on the Page Space alone.
+    pub fn fetch_pages(&self, dataset: DatasetId, indices: &[u64]) -> std::io::Result<()> {
+        self.fetch(dataset, indices).map(drop)
     }
 
     /// Single-page read; see [`SharedPageSpace::read_page`].
@@ -400,15 +430,40 @@ impl PageSpaceSession<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Barrier;
     use vmqs_storage::{FaultConfig, FaultInjectingSource, SyntheticSource};
 
-    /// Counts reads per page to verify duplicate elimination.
-    struct CountingSource {
+    /// Records every page index read (to verify duplicate elimination),
+    /// optionally slowing reads down so concurrent requests really
+    /// overlap, and optionally failing one page for good.
+    #[derive(Default)]
+    pub(crate) struct CountingSource {
         inner: SyntheticSource,
-        reads: AtomicU64,
+        log: std::sync::Mutex<Vec<u64>>,
+        delay: Duration,
+        bad_page: Option<u64>,
+    }
+
+    impl CountingSource {
+        fn slow() -> Self {
+            CountingSource {
+                delay: Duration::from_millis(5),
+                ..Default::default()
+            }
+        }
+
+        pub(crate) fn reads(&self) -> u64 {
+            self.log.lock().unwrap().len() as u64
+        }
+
+        /// Page indices read, sorted.
+        pub(crate) fn pages_read(&self) -> Vec<u64> {
+            let mut pages = self.log.lock().unwrap().clone();
+            pages.sort_unstable();
+            pages
+        }
     }
 
     impl DataSource for CountingSource {
@@ -418,11 +473,170 @@ mod tests {
             index: u64,
             page_size: usize,
         ) -> std::io::Result<Vec<u8>> {
-            self.reads.fetch_add(1, Ordering::Relaxed);
-            // Slow the read down so concurrent requests really overlap.
-            std::thread::sleep(std::time::Duration::from_millis(5));
+            self.log.lock().unwrap().push(index);
+            std::thread::sleep(self.delay);
+            if self.bad_page == Some(index) {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    "bad sector",
+                ));
+            }
             self.inner.read_page(dataset, index, page_size)
         }
+    }
+
+    fn synthetic(index: u64) -> Vec<u8> {
+        SyntheticSource::new()
+            .read_page(DatasetId(0), index, 256)
+            .unwrap()
+    }
+
+    #[test]
+    fn fetch_hands_back_every_page_once_read_even_when_none_stays_resident() {
+        // Two pages of budget, ten pages asked for (out of order, one
+        // twice): the fetch evicts its own pages as it goes, yet every
+        // handle is right and the source saw each page exactly once.
+        let src = Arc::new(CountingSource::default());
+        let ps = SharedPageSpace::new(512, 256, src.clone());
+        let asked = [7u64, 0, 3, 9, 1, 8, 2, 3, 6, 5, 4];
+        let pages = ps.session(None).fetch(DatasetId(0), &asked).unwrap();
+        assert_eq!(pages.len(), asked.len());
+        for (page, index) in pages.iter().zip(asked) {
+            assert_eq!(**page, synthetic(index), "page {index}");
+        }
+        assert_eq!(src.pages_read(), (0..10).collect::<Vec<_>>());
+        assert!(ps.stats().evictions >= 8);
+        // Hits come back as handles too, without a source read.
+        let again = ps.session(None).fetch(DatasetId(0), &[9, 9]).unwrap();
+        assert!(Arc::ptr_eq(&again[0], &again[1]));
+        assert_eq!(src.reads(), 10);
+    }
+
+    #[test]
+    fn fault_in_the_middle_of_a_fetch_releases_every_claim() {
+        let src = Arc::new(CountingSource {
+            bad_page: Some(3),
+            ..Default::default()
+        });
+        let ps = SharedPageSpace::new(1 << 20, 256, src.clone());
+        let session = ps.session(None);
+        let e = session
+            .fetch(DatasetId(0), &[0, 1, 2, 3, 4, 5])
+            .unwrap_err();
+        assert_eq!(e.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(src.pages_read(), [0, 1, 2, 3], "reads stop at the fault");
+        // Pages 0..3 landed; the claims on 3, 4 and 5 are gone, so a
+        // second attempt plans them as its own fetches, not as waits.
+        let before = ps.stats();
+        assert!(session.fetch(DatasetId(0), &[0, 1, 2, 3, 4, 5]).is_err());
+        let after = ps.stats();
+        assert_eq!(after.hits - before.hits, 3);
+        assert_eq!(after.misses - before.misses, 3);
+        assert_eq!(after.dedup_waits, before.dedup_waits);
+        assert_eq!(session.fetch(DatasetId(0), &[4, 5]).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn expired_deadline_fails_fetch_without_a_source_read() {
+        let src = Arc::new(CountingSource::default());
+        let ps = SharedPageSpace::new(1 << 20, 256, src.clone());
+        let late = ps.session(Some(clock::now() - Duration::from_millis(1)));
+        let e = late.fetch(DatasetId(0), &[0, 1, 2]).unwrap_err();
+        assert!(is_deadline(&e));
+        assert_eq!(src.reads(), 0);
+        // Its claims are released: an unbounded caller reads all three.
+        let before = ps.stats();
+        assert_eq!(
+            ps.session(None)
+                .fetch(DatasetId(0), &[0, 1, 2])
+                .unwrap()
+                .len(),
+            3
+        );
+        assert_eq!(ps.stats().dedup_waits, before.dedup_waits);
+        assert_eq!(src.pages_read(), [0, 1, 2]);
+    }
+
+    #[test]
+    fn overlapping_fetches_read_each_shared_page_once() {
+        let src = Arc::new(CountingSource::slow());
+        let ps = SharedPageSpace::new(1 << 20, 256, src.clone());
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            for range in [0u64..8, 4..12] {
+                let (ps, start) = (&ps, &start);
+                s.spawn(move || {
+                    let asked: Vec<u64> = range.collect();
+                    start.wait();
+                    let pages = ps.session(None).fetch(DatasetId(0), &asked).unwrap();
+                    for (page, index) in pages.iter().zip(asked) {
+                        assert_eq!(**page, synthetic(index), "page {index}");
+                    }
+                });
+            }
+        });
+        assert_eq!(src.pages_read(), (0..12).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn waiter_orphaned_by_an_aborted_claim_is_still_woken() {
+        /// The first read blocks until released and then fails for good;
+        /// later reads are slow and succeed.
+        struct FailFirst {
+            gate: std::sync::Mutex<Option<std::sync::mpsc::Receiver<()>>>,
+            reads: std::sync::atomic::AtomicU64,
+        }
+        impl DataSource for FailFirst {
+            fn read_page(&self, d: DatasetId, i: u64, size: usize) -> std::io::Result<Vec<u8>> {
+                self.reads.fetch_add(1, Ordering::SeqCst);
+                if let Some(gate) = self.gate.lock().unwrap().take() {
+                    gate.recv().unwrap();
+                    return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "bad"));
+                }
+                std::thread::sleep(Duration::from_millis(20));
+                SyntheticSource::new().read_page(d, i, size)
+            }
+        }
+        let (release, gate) = std::sync::mpsc::channel();
+        let src = Arc::new(FailFirst {
+            gate: std::sync::Mutex::new(Some(gate)),
+            reads: Default::default(),
+        });
+        let ps = SharedPageSpace::new(1 << 20, 256, src.clone());
+        let until = |done: &dyn Fn(PsStats) -> bool| {
+            while !done(ps.stats()) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        std::thread::scope(|s| {
+            let claimant = s.spawn(|| ps.session(None).fetch(DatasetId(0), &[0]));
+            until(&|st| st.misses == 1);
+            // Two waiters on the claim. When it aborts, one takes the fetch
+            // over and the other goes back to sleep on a claim that never
+            // counted it; a lost wake-up leaves it asleep until its
+            // deadline, which the elapsed time shows.
+            let waiters: Vec<_> = (0..2)
+                .map(|_| {
+                    s.spawn(|| {
+                        ps.session(Some(clock::now() + Duration::from_secs(10)))
+                            .fetch(DatasetId(0), &[0])
+                    })
+                })
+                .collect();
+            until(&|st| st.dedup_waits == 2);
+            let released = clock::now();
+            release.send(()).unwrap();
+            assert!(claimant.join().unwrap().is_err());
+            for w in waiters {
+                assert_eq!(*w.join().unwrap().unwrap()[0], synthetic(0));
+            }
+            assert!(released.elapsed() < Duration::from_secs(5));
+        });
+        assert_eq!(
+            src.reads.load(Ordering::SeqCst),
+            2,
+            "one failed, one takeover"
+        );
     }
 
     #[test]
@@ -437,24 +651,18 @@ mod tests {
 
     #[test]
     fn repeated_reads_hit_cache() {
-        let src = Arc::new(CountingSource {
-            inner: SyntheticSource::new(),
-            reads: AtomicU64::new(0),
-        });
+        let src = Arc::new(CountingSource::default());
         let ps = SharedPageSpace::new(1 << 20, 256, src.clone());
         for _ in 0..5 {
             ps.read_page(DatasetId(0), 7).unwrap();
         }
-        assert_eq!(src.reads.load(Ordering::Relaxed), 1);
+        assert_eq!(src.reads(), 1);
         assert_eq!(ps.stats().misses, 1);
     }
 
     #[test]
     fn concurrent_readers_deduplicate_io() {
-        let src = Arc::new(CountingSource {
-            inner: SyntheticSource::new(),
-            reads: AtomicU64::new(0),
-        });
+        let src = Arc::new(CountingSource::slow());
         let ps = Arc::new(SharedPageSpace::new(1 << 20, 256, src.clone()));
         let mut handles = Vec::new();
         for _ in 0..8 {
@@ -471,7 +679,7 @@ mod tests {
         // dedup_waits/hits split depends on how the threads interleave —
         // under heavy load they may serialize and hit via `get` — so the
         // read count is the only scheduling-independent invariant.)
-        assert_eq!(src.reads.load(Ordering::Relaxed), 1);
+        assert_eq!(src.reads(), 1);
     }
 
     #[test]

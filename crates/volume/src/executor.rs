@@ -5,6 +5,7 @@
 use crate::image::GrayImage;
 use crate::kernels::{compute_from_bricks, project};
 use crate::query::VolQuery;
+use std::collections::HashMap;
 use std::sync::Arc;
 use vmqs_core::geom::subtract_all;
 use vmqs_core::{QuerySpec, Rect};
@@ -67,18 +68,9 @@ impl AppExecutor for VolExecutor {
             subqueries += 1;
             let bricks = sub.volume.bricks_intersecting(&sub.input_box());
             pages_requested += bricks.len() as u64;
-            ps.fetch_pages(sub.volume.id, &bricks)?;
-            let mut io_err = None;
-            let img = compute_from_bricks(&sub, |idx| match ps.read_page(sub.volume.id, idx) {
-                Ok(p) => p,
-                Err(e) => {
-                    io_err = Some(e);
-                    Arc::new(vec![0; crate::dataset::PAGE_SIZE])
-                }
-            });
-            if let Some(e) = io_err {
-                return Err(e);
-            }
+            let fetched = ps.fetch(sub.volume.id, &bricks)?;
+            let pages: HashMap<u64, _> = bricks.iter().copied().zip(fetched).collect();
+            let img = compute_from_bricks(&sub, |idx| Arc::clone(&pages[&idx]));
             let ox = (sub.footprint.x - spec.footprint.x) / spec.lod;
             let oy = (sub.footprint.y - spec.footprint.y) / spec.lod;
             let (sw, sh) = sub.output_dims();

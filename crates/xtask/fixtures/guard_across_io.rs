@@ -13,6 +13,19 @@ pub fn bad_read_guard_across_kernel(core: &Core) {
     core.app.execute(&ds.spec, &[], &core.ps.session_for(0, None));
 }
 
+pub fn bad_lock_across_batch_fetch(session: &PageSpaceSession, core: &Core) {
+    let plan = core.state.lock();
+    let pages = session.fetch(plan.dataset, &plan.chunks);
+    drop(plan);
+    consume(pages);
+}
+
+pub fn good_bookkeeping_under_the_lock(core: &Core, page: PageKey) {
+    let cache = core.cache.lock();
+    cache.complete_fetch(page, data());
+    cache.abort_fetch(page);
+}
+
 pub fn good_drop_before_io(ps: &PageSpace, core: &Core) {
     let g = core.state.lock();
     let dataset = g.dataset;

@@ -365,9 +365,10 @@ mod tests {
         };
         let f = fixture_file("guard_across_io.rs");
         let v = legacy::check_file(ctx, &f);
-        assert_eq!(rules_of(&v), ["guard-across-io", "guard-across-io"]);
+        assert_eq!(rules_of(&v), ["guard-across-io"; 3]);
         assert!(v[0].message.contains("`g`"), "{:?}", v[0]);
         assert!(v[1].message.contains("`ds`"), "{:?}", v[1]);
+        assert!(v[2].message.contains("`plan`"), "{:?}", v[2]);
         assert!(legacy::check_file(legacy::FileCtx::default(), &f).is_empty());
     }
 

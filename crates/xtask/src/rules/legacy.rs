@@ -165,7 +165,15 @@ pub fn check_file(ctx: FileCtx, f: &SourceFile) -> Vec<Diagnostic> {
 
     // ---- guard-across-io ----------------------------------------------
     if ctx.hot_path {
-        const IO_MARKERS: &[&str] = &["read_page(", "fetch_pages(", ".execute(", "session_for("];
+        // `.fetch(` with its dot: the Page Space core's `complete_fetch(`
+        // and `abort_fetch(` are bookkeeping under the lock, not I/O.
+        const IO_MARKERS: &[&str] = &[
+            "read_page(",
+            "fetch_pages(",
+            ".fetch(",
+            ".execute(",
+            "session_for(",
+        ];
         for (i, code) in code_lines.iter().enumerate().take(test_start) {
             let trimmed = code.trim_start();
             let Some(rest) = trimmed.strip_prefix("let ") else {
