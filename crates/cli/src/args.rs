@@ -1,12 +1,17 @@
 //! A small `--flag value` argument parser (no external dependencies).
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{HashMap, HashSet};
 
-/// Parsed command line: a subcommand plus `--key value` options.
+/// Parsed command line: a subcommand plus `--key value` options. It
+/// remembers which names the command asked about, so
+/// [`Args::reject_unread`] can refuse the rest by name.
 #[derive(Debug, Default)]
 pub struct Args {
     opts: HashMap<String, String>,
     flags: Vec<String>,
+    read_opts: RefCell<HashSet<String>>,
+    read_flags: RefCell<HashSet<String>>,
 }
 
 /// Errors produced while parsing or reading options.
@@ -14,8 +19,12 @@ pub struct Args {
 pub enum ArgError {
     /// A required option was not provided.
     Required(String),
-    /// An option's value failed to parse.
+    /// An option's value failed to parse, or is out of range.
     Invalid(String, String),
+    /// An option the command does not have (a misspelling, usually).
+    Unknown(String),
+    /// An option that takes a value was given none.
+    MissingValue(String),
 }
 
 impl std::fmt::Display for ArgError {
@@ -23,6 +32,8 @@ impl std::fmt::Display for ArgError {
         match self {
             ArgError::Required(k) => write!(f, "missing required option --{k}"),
             ArgError::Invalid(k, v) => write!(f, "invalid value '{v}' for --{k}"),
+            ArgError::Unknown(k) => write!(f, "unknown option --{k}"),
+            ArgError::MissingValue(k) => write!(f, "option --{k} needs a value"),
         }
     }
 }
@@ -52,12 +63,40 @@ impl Args {
 
     /// True when the boolean flag was given.
     pub fn flag(&self, name: &str) -> bool {
+        self.read_flags.borrow_mut().insert(name.into());
         self.flags.iter().any(|f| f == name)
     }
 
     /// Optional string option.
     pub fn get(&self, name: &str) -> Option<&str> {
+        self.read_opts.borrow_mut().insert(name.into());
         self.opts.get(name).map(|s| s.as_str())
+    }
+
+    /// Refuses, by name, whatever was given but never asked about: call
+    /// it once the command has read everything it understands and before
+    /// it acts. A flag given a value and a valued option given none are
+    /// refused too — silently ignoring either runs something other than
+    /// what was typed.
+    pub fn reject_unread(&self) -> Result<(), ArgError> {
+        let (opts, flags) = (self.read_opts.borrow(), self.read_flags.borrow());
+        let mut given: Vec<&String> = self.opts.keys().chain(&self.flags).collect();
+        given.sort();
+        for k in given {
+            let value = self.opts.get(k);
+            let understood = match value {
+                Some(_) => opts.contains(k),
+                None => flags.contains(k),
+            };
+            if !understood {
+                return Err(match value {
+                    Some(v) if flags.contains(k) => ArgError::Invalid(k.clone(), v.clone()),
+                    None if opts.contains(k) => ArgError::MissingValue(k.clone()),
+                    _ => ArgError::Unknown(k.clone()),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Required string option.
@@ -75,6 +114,19 @@ impl Args {
                 .parse()
                 .map_err(|_| ArgError::Invalid(name.into(), v.into())),
         }
+    }
+
+    /// As [`Args::get_or`], for a count that must be at least one (the
+    /// constructors downstream assert it).
+    pub fn get_positive<T>(&self, name: &str, default: T) -> Result<T, ArgError>
+    where
+        T: std::str::FromStr + Default + PartialEq + ToString,
+    {
+        let v = self.get_or(name, default)?;
+        if v == T::default() {
+            return Err(ArgError::Invalid(name.into(), v.to_string()));
+        }
+        Ok(v)
     }
 }
 
@@ -120,6 +172,40 @@ mod tests {
             a.get_or::<u32>("zoom", 1),
             Err(ArgError::Invalid(_, _))
         ));
+    }
+
+    #[test]
+    fn zero_is_not_a_positive_count() {
+        let a = parse("--threads 0 --zoom 3");
+        assert_eq!(
+            a.get_positive("threads", 4usize),
+            Err(ArgError::Invalid("threads".into(), "0".into()))
+        );
+        assert_eq!(a.get_positive("zoom", 1u32), Ok(3));
+        assert_eq!(a.get_positive("lod", 1u32), Ok(1));
+    }
+
+    #[test]
+    fn unread_options_are_refused_by_name() {
+        let a = parse("--thraeds 2 --batch --zoom 4");
+        let _ = (a.get("zoom"), a.flag("batch"), a.get("threads"));
+        assert_eq!(a.reject_unread(), Err(ArgError::Unknown("thraeds".into())));
+        let ok = parse("--zoom 4 --batch");
+        let _ = (ok.get("zoom"), ok.flag("batch"));
+        assert_eq!(ok.reject_unread(), Ok(()));
+        // A flag given a value, and a valued option given none.
+        let a = parse("--batch yes --zoom");
+        let _ = (a.get("zoom"), a.flag("batch"));
+        assert_eq!(
+            a.reject_unread(),
+            Err(ArgError::Invalid("batch".into(), "yes".into()))
+        );
+        let a = parse("--zoom");
+        let _ = a.get("zoom");
+        assert_eq!(
+            a.reject_unread(),
+            Err(ArgError::MissingValue("zoom".into()))
+        );
     }
 
     #[test]

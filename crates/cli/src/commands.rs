@@ -177,7 +177,7 @@ pub fn render(args: &Args) -> CliResult {
     let y: u32 = args.get_or("y", 0)?;
     let w: u32 = args.get_or("w", 1024)?;
     let h: u32 = args.get_or("h", 1024)?;
-    let zoom: u32 = args.get_or("zoom", 1)?;
+    let zoom: u32 = args.get_positive("zoom", 1)?;
     let op = parse_vm_op(args.get("op").unwrap_or("subsample"))?;
     let out = args.get("out").unwrap_or("render.ppm");
     let fault = parse_faults(args)?;
@@ -190,6 +190,8 @@ pub fn render(args: &Args) -> CliResult {
     let (chaos, hang_ms, restart_budget, quarantine_limit) = parse_containment(args)?;
     let trace_out = args.get("trace-out");
     let metrics_out = args.get("metrics-out");
+    let graft = args.flag("graft");
+    args.reject_unread()?;
 
     let slide = SlideDataset::new(DatasetId(0), sw, sh);
     let query = VmQuery::new(slide, Rect::new(x, y, w, h), zoom, op);
@@ -200,7 +202,7 @@ pub fn render(args: &Args) -> CliResult {
     };
     let mut cfg = ServerConfig::small()
         .with_strategy(strategy)
-        .with_graft(args.flag("graft"))
+        .with_graft(graft)
         .with_retry_seed(fault.seed)
         .with_observability(trace_out.is_some())
         .with_spill_dir(spill_dir)
@@ -290,13 +292,14 @@ pub fn mip(args: &Args) -> CliResult {
     let h: u32 = args.get_or("h", 256)?;
     let z0: u32 = args.get_or("z0", 0)?;
     let z1: u32 = args.get_or("z1", 128)?;
-    let lod: u32 = args.get_or("lod", 1)?;
+    let lod: u32 = args.get_positive("lod", 1)?;
     let op = match args.get("op").unwrap_or("mip") {
         "mip" => VolOp::Mip,
         "avgproj" => VolOp::AvgProj,
         other => return Err(format!("unknown op '{other}' (mip|avgproj)").into()),
     };
     let out = args.get("out").unwrap_or("projection.pgm");
+    args.reject_unread()?;
 
     let volume = VolumeDataset::new(DatasetId(1), 1024, 1024, 512);
     let query = VolQuery::new(volume, Rect::new(x, y, w, h), z0, z1, lod, op);
@@ -321,7 +324,7 @@ pub fn mip(args: &Args) -> CliResult {
 pub fn simulate(args: &Args) -> CliResult {
     let strategy = parse_strategy_with_dial(args, Strategy::Cnbf)?;
     let op = parse_vm_op(args.get("op").unwrap_or("subsample"))?;
-    let threads: usize = args.get_or("threads", 4)?;
+    let threads: usize = args.get_positive("threads", 4)?;
     let ds_mb: u64 = args.get_or("ds-mb", 64)?;
     let ps_mb: u64 = args.get_or("ps-mb", 32)?;
     let seed: u64 = args.get_or("seed", 42)?;
@@ -339,6 +342,8 @@ pub fn simulate(args: &Args) -> CliResult {
     let (chaos, hang_ms, restart_budget, quarantine_limit) = parse_containment(args)?;
     let trace_out = args.get("trace-out");
     let metrics_out = args.get("metrics-out");
+    let graft = args.flag("graft");
+    args.reject_unread()?;
 
     let streams = generate(&WorkloadConfig::paper(op, seed));
     let streams = match mode {
@@ -352,7 +357,7 @@ pub fn simulate(args: &Args) -> CliResult {
         .with_ps_budget(ps_mb << 20)
         .with_mode(mode)
         .with_faults(fault)
-        .with_graft(args.flag("graft"))
+        .with_graft(graft)
         .with_tier2_budget(tier2_bytes)
         .with_observe(trace_out.is_some())
         .with_overload(overload)
@@ -393,7 +398,7 @@ pub fn simulate(args: &Args) -> CliResult {
             report.rejected, report.shed, report.degraded
         );
     }
-    if args.flag("graft") {
+    if graft {
         println!("grafted answers:  {}", report.grafted);
     }
     if tier2_bytes > 0 {
@@ -424,7 +429,8 @@ pub fn simulate(args: &Args) -> CliResult {
 }
 
 /// `vmqsctl demo` — a fixed guided tour.
-pub fn demo() -> CliResult {
+pub fn demo(args: &Args) -> CliResult {
+    args.reject_unread()?;
     let slide = SlideDataset::new(DatasetId(0), 4000, 4000);
     let server = QueryServer::new(ServerConfig::small(), Arc::new(SyntheticSource::new()));
     let q1 = VmQuery::new(slide, Rect::new(0, 0, 1024, 1024), 2, VmOp::Subsample);

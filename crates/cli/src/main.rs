@@ -87,7 +87,7 @@ fn main() {
         "render" => commands::render(&parsed),
         "mip" => commands::mip(&parsed),
         "simulate" => commands::simulate(&parsed),
-        "demo" => commands::demo(),
+        "demo" => commands::demo(&parsed),
         "help" | "--help" | "-h" | "" => {
             println!("{USAGE}");
             Ok(())

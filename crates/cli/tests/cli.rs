@@ -330,3 +330,54 @@ fn simulate_with_faults_charges_retries() {
         "fault summary missing:\n{text}"
     );
 }
+
+/// Runs `vmqsctl` expecting a typed refusal: exit code 1, an `error:`
+/// line containing `needle`, and no panic.
+fn assert_refused(args: &[&str], needle: &str) {
+    let out = vmqsctl().args(args).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+    assert!(err.contains("error:") && err.contains(needle), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
+#[test]
+fn simulate_rejects_zero_threads() {
+    assert_refused(
+        &["simulate", "--batch", "--threads", "0"],
+        "invalid value '0' for --threads",
+    );
+}
+
+#[test]
+fn render_rejects_zero_zoom() {
+    let path = tmp("zoom0.ppm");
+    assert_refused(
+        &[
+            "render",
+            "--w",
+            "64",
+            "--h",
+            "64",
+            "--zoom",
+            "0",
+            "--out",
+            path.to_str().unwrap(),
+        ],
+        "invalid value '0' for --zoom",
+    );
+    assert!(!path.exists(), "a refused render writes nothing");
+}
+
+#[test]
+fn misspelt_options_are_rejected_by_name() {
+    assert_refused(
+        &["simulate", "--batch", "--thraeds", "2"],
+        "unknown option --thraeds",
+    );
+    assert_refused(&["render", "--grfat"], "unknown option --grfat");
+    assert_refused(&["mip", "--zoom", "2"], "unknown option --zoom");
+    assert_refused(&["demo", "--fast"], "unknown option --fast");
+    // A valued option with its value missing is not a silent default.
+    assert_refused(&["simulate", "--threads"], "option --threads needs a value");
+}

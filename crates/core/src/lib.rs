@@ -16,6 +16,10 @@
 //! * [`sched::SchedShard`] — the graph plus per-query records, blob
 //!   liveness and the exit / tombstone / quarantine rules: the one shard
 //!   state machine both engines drive,
+//! * [`overload::admit`] — the admission ladder (rate limit, bounded
+//!   queue, degrade, shed-while) and [`supervisor::Supervisor`] — the
+//!   restart budget and pool-death latch: the I/O-free decisions around
+//!   the shard, each written once for both engines,
 //! * [`strategy::Strategy`] — the six ranking strategies (FIFO, MUF, FF,
 //!   CF, CNBF, SJF) plus the §6 hybrid extension,
 //! * [`stats`] — 95%-trimmed-mean and friends for the evaluation.
@@ -40,14 +44,14 @@ pub mod spec;
 pub mod state;
 pub mod stats;
 pub mod strategy;
+pub mod supervisor;
 pub mod sync;
 
 pub use geom::Rect;
 pub use graph::{Edge, GraphStats, SchedulingGraph};
 pub use ids::{BlobId, ClientId, DatasetId, IdGen, QueryId};
 pub use overload::{
-    fast_path_admissible, pressure_secondary, retry_after_estimate, shed_victim, FastAdmit,
-    OverloadConfig, PressureSignals, TokenBucket,
+    shed_victim, OverloadConfig, Pressure, RateLimiter, Secondary, TokenBucket, Verdict,
 };
 pub use rank::Rank;
 pub use sched::{PanicOutcome, SchedShard};
@@ -56,3 +60,4 @@ pub use spatial::{GridIndex, SpatialSpec};
 pub use spec::QuerySpec;
 pub use state::QueryState;
 pub use strategy::{RankInputs, Strategy};
+pub use supervisor::{Supervisor, WorkerFate};

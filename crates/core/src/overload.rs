@@ -1,13 +1,14 @@
-//! Overload-management policy: bounded admission, per-client token-bucket
-//! rate limiting, pressure estimation, and shed-victim selection.
+//! Overload-management policy: the admission ladder, per-client
+//! token-bucket rate limiting, pressure estimation, and shed-victim
+//! selection.
 //!
-//! Everything in this module is pure and deterministic so the threaded
-//! server (real time) and the discrete-event simulator (virtual time) can
-//! run the *identical* policy and produce golden-traceable admission /
-//! degradation / shed decisions. Time enters only as `f64` seconds from
-//! an engine-chosen origin; no wall clock is read here.
+//! Everything in this module is pure and deterministic: it takes no lock
+//! and reads no clock (time enters only as `f64` seconds from an
+//! engine-chosen origin), so the threaded server (real time) and the
+//! discrete-event simulator (virtual time) call the *same* [`admit`] and
+//! produce golden-traceable admission / degradation / shed decisions.
 //!
-//! The decision ladder, applied at submit/arrival time (DESIGN.md §10):
+//! The ladder, applied at submit/arrival time (DESIGN.md §10):
 //!
 //! 1. **Rate limit** — a token bucket per client; an empty bucket rejects
 //!    the query with a `retry_after` hint.
@@ -15,13 +16,14 @@
 //! 3. **Degrade** — pressure at or above `degrade_threshold` downgrades
 //!    the query to its cheaper plan (Virtual Microscope: `Average` →
 //!    `Subsample`) when the application offers one.
-//! 4. **Shed** — pressure at or above `shed_threshold` evicts the
+//! 4. **Shed while** — pressure at or above `shed_threshold` evicts the
 //!    largest-`qinputsize` WAITING queries (newest first on ties) until
 //!    pressure falls below the threshold. This mirrors the SJF rationale
 //!    in the simulator's `SchedPolicy::IoAware`: under congestion the
 //!    biggest jobs hurt everyone else the most.
 
-use crate::ids::QueryId;
+use crate::ids::{ClientId, QueryId};
+use std::collections::HashMap;
 
 /// Overload-management knobs shared by both engines. The default
 /// configuration disables every mechanism, so existing workloads are
@@ -64,16 +66,6 @@ impl OverloadConfig {
             || self.shed_threshold <= 1.0
     }
 
-    /// True when degradation can ever trigger.
-    pub fn degrades(&self) -> bool {
-        self.degrade_threshold <= 1.0
-    }
-
-    /// True when shedding can ever trigger.
-    pub fn sheds(&self) -> bool {
-        self.shed_threshold <= 1.0
-    }
-
     /// Builder-style admission-bound override (`0` = unbounded).
     pub fn with_max_pending(mut self, n: usize) -> Self {
         self.max_pending = n;
@@ -101,76 +93,159 @@ impl OverloadConfig {
     }
 }
 
-/// Instantaneous load inputs for the pressure estimate. `queue_depth`
-/// counts the query being admitted; the secondary signals are ratios in
-/// `[0, 1]` gathered from the Data Store and Page Space *before* the
-/// scheduler lock is taken (one-lock-at-a-time rule).
+/// The pressure monitor's secondary inputs, each a ratio in `[0, 1]`
+/// (DESIGN.md §10). Only a driver can read them — from its Data Store and
+/// Page Space — so [`admit`] asks for them, and only when they can matter.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct PressureSignals {
-    /// WAITING queries including the one being admitted.
-    pub queue_depth: usize,
-    /// Admission bound (`OverloadConfig::max_pending`); `0` = unbounded.
-    pub max_pending: usize,
-    /// Data Store bytes used over budget, in `[0, 1]`.
+pub struct Secondary {
+    /// Data Store bytes used over budget.
     pub ds_occupancy: f64,
-    /// Page Space miss ratio `misses / (hits + misses)`, in `[0, 1]`.
+    /// Page Space miss ratio `misses / (hits + misses)`.
     pub ps_miss_ratio: f64,
-    /// I/O retry ratio `retries / (pages + retries)`, in `[0, 1]`.
+    /// I/O retry ratio `retries / (pages + retries)`.
     pub retry_ratio: f64,
 }
 
-impl PressureSignals {
-    /// The pressure level in `[0, 1]`. Queue occupancy is the primary
-    /// signal — `queue_depth / max_pending` — amplified by up to 2x when
-    /// the Data Store is full and I/O is struggling:
-    ///
-    /// ```text
-    /// level = min(1, queue_fraction * (1 + ds/2 + miss/4 + retry/4))
-    /// ```
-    ///
-    /// With a cold cache and clean I/O the level equals the queue
-    /// fraction exactly, which keeps batch-time admission decisions
-    /// bit-identical between the server and the simulator. A full Data
-    /// Store alone never sheds anything (it is a cache, not a debt);
-    /// it only makes a crowded queue count for more.
-    pub fn level(&self) -> f64 {
-        if self.max_pending == 0 {
-            return 0.0;
+impl Secondary {
+    /// The three ratios from raw Data Store and Page Space counters; each
+    /// is `0` while its denominator is still zero.
+    pub fn from_counters(
+        ds_used: u64,
+        ds_budget: u64,
+        ps_hits: u64,
+        ps_misses: u64,
+        pages_fetched: u64,
+        read_retries: u64,
+    ) -> Self {
+        let ratio = |num: u64, den: u64| {
+            if den == 0 {
+                0.0
+            } else {
+                num as f64 / den as f64
+            }
+        };
+        Secondary {
+            ds_occupancy: ratio(ds_used, ds_budget),
+            ps_miss_ratio: ratio(ps_misses, ps_hits + ps_misses),
+            retry_ratio: ratio(read_retries, pages_fetched + read_retries),
         }
-        let qf = (self.queue_depth as f64 / self.max_pending as f64).clamp(0.0, 1.0);
-        let amp = 1.0
-            + 0.5 * self.ds_occupancy.clamp(0.0, 1.0)
+    }
+
+    /// How much the signals amplify the queue fraction: between 1 (cold
+    /// cache, clean I/O) and [`MAX_AMPLIFICATION`].
+    fn amplification(&self) -> f64 {
+        1.0 + 0.5 * self.ds_occupancy.clamp(0.0, 1.0)
             + 0.25 * self.ps_miss_ratio.clamp(0.0, 1.0)
-            + 0.25 * self.retry_ratio.clamp(0.0, 1.0);
-        (qf * amp).min(1.0)
+            + 0.25 * self.retry_ratio.clamp(0.0, 1.0)
     }
 }
 
-/// The pressure monitor's secondary inputs from raw Data Store and Page
-/// Space counters: `(ds_occupancy, ps_miss_ratio, retry_ratio)`, each in
-/// `[0, 1]` and `0` while its denominator is still zero. Both engines
-/// feed these into [`PressureSignals`]; the threaded one must gather the
-/// counters *before* taking its admission lock.
-pub fn pressure_secondary(
-    ds_used: u64,
-    ds_budget: u64,
-    ps_hits: u64,
-    ps_misses: u64,
-    pages_fetched: u64,
-    read_retries: u64,
-) -> (f64, f64, f64) {
-    let ratio = |num: u64, den: u64| {
-        if den == 0 {
-            0.0
-        } else {
-            num as f64 / den as f64
+/// The most [`Secondary`] can amplify the queue fraction by
+/// (`1 + 0.5 + 0.25 + 0.25`): the bound that lets [`admit`] settle most
+/// verdicts from the queue depth alone.
+const MAX_AMPLIFICATION: f64 = 2.0;
+
+/// The pressure estimate a verdict was reached on: the level at any queue
+/// depth, and the ladder's last rung, *shed while*.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Pressure {
+    max_pending: usize,
+    amplification: f64,
+    shed_threshold: f64,
+}
+
+impl Pressure {
+    /// The pressure level in `[0, 1]` with `depth` queries WAITING. Queue
+    /// occupancy is the primary signal, amplified by up to 2x when the
+    /// Data Store is full and I/O is struggling:
+    ///
+    /// ```text
+    /// level = min(1, depth / max_pending * (1 + ds/2 + miss/4 + retry/4))
+    /// ```
+    ///
+    /// With a cold cache and clean I/O the level equals the queue fraction
+    /// exactly, which keeps batch-time decisions bit-identical between the
+    /// engines. A full Data Store alone never sheds anything (it is a
+    /// cache, not a debt); it only makes a crowded queue count for more.
+    /// An unbounded queue (`max_pending == 0`) exerts no pressure.
+    pub fn level(&self, depth: usize) -> f64 {
+        if self.max_pending == 0 {
+            return 0.0;
         }
+        let queue_fraction = (depth as f64 / self.max_pending as f64).clamp(0.0, 1.0);
+        (queue_fraction * self.amplification).min(1.0)
+    }
+
+    /// True while the driver must shed one more WAITING query (chosen by
+    /// [`shed_victim`]) and ask again with the new depth.
+    pub fn sheds_at(&self, depth: usize) -> bool {
+        self.level(depth) >= self.shed_threshold
+    }
+}
+
+/// What the ladder decided for one arriving query.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Verdict {
+    /// Refused.
+    Reject {
+        /// The client's token bucket was empty (else the queue was full).
+        rate_limited: bool,
+        /// Seconds after which re-submitting is likely to be admitted.
+        retry_after: f64,
+    },
+    /// Admitted, after which the driver sheds while
+    /// [`Pressure::sheds_at`] holds.
+    Admit {
+        /// Pressure reached the degrade threshold: run the application's
+        /// cheaper plan, if it offers one.
+        degrade: bool,
+    },
+}
+
+/// The admission ladder for one query arriving while `depth` queries are
+/// WAITING (the arrival excluded) on a pool of `workers`. The three
+/// things only a driver can supply are consulted lazily: `take_token`
+/// (the client's token bucket: `Err(seconds until a token)` when empty)
+/// only under rate limiting, `mean_service_s` only to word a queue-full
+/// refusal, and `secondary` only when the depth alone does not settle the
+/// verdict — since `level <= 2 * (depth + 1) / max_pending` whatever the
+/// Data Store and Page Space are doing, a bound strictly below every
+/// threshold in force means nothing can degrade or shed. Returns the
+/// verdict with the estimate it was reached on (the queue fraction alone
+/// when the signals were not needed).
+pub fn admit(
+    cfg: &OverloadConfig,
+    depth: usize,
+    workers: usize,
+    take_token: impl FnOnce() -> Result<(), f64>,
+    secondary: impl FnOnce() -> Secondary,
+    mean_service_s: impl FnOnce() -> f64,
+) -> (Verdict, Pressure) {
+    let mut pressure = Pressure {
+        max_pending: cfg.max_pending,
+        amplification: 1.0,
+        shed_threshold: f64::INFINITY,
     };
-    (
-        ratio(ds_used, ds_budget),
-        ratio(ps_misses, ps_hits + ps_misses),
-        ratio(read_retries, pages_fetched + read_retries),
-    )
+    let reject = |rate_limited, retry_after| Verdict::Reject {
+        rate_limited,
+        retry_after,
+    };
+    if cfg.client_rate > 0.0 {
+        if let Err(wait) = take_token() {
+            return (reject(true, wait.max(1e-3)), pressure);
+        }
+    }
+    if cfg.max_pending > 0 && depth >= cfg.max_pending {
+        let drained = retry_after_estimate(depth, workers, mean_service_s());
+        return (reject(false, drained), pressure);
+    }
+    let bound = (MAX_AMPLIFICATION * pressure.level(depth + 1)).min(1.0);
+    if bound >= cfg.degrade_threshold.min(cfg.shed_threshold) {
+        pressure.amplification = secondary().amplification();
+        pressure.shed_threshold = cfg.shed_threshold;
+    }
+    let degrade = pressure.level(depth + 1) >= cfg.degrade_threshold;
+    (Verdict::Admit { degrade }, pressure)
 }
 
 /// A deterministic token bucket. Time is `f64` seconds from any fixed
@@ -230,69 +305,26 @@ impl TokenBucket {
     }
 }
 
-/// Outcome of the lock-free admission fast path (see
-/// [`fast_path_admissible`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FastAdmit {
-    /// Admit undegraded; the full ladder would decide identically, so it
-    /// need not run.
-    Admit,
-    /// Reject: the bounded queue is full. Identical to the ladder's
-    /// queue-full rejection.
-    RejectFull,
-    /// The decision may depend on secondary pressure signals or mutable
-    /// state (token buckets) — run the full ladder.
-    Escalate,
+/// One [`TokenBucket`] per client, created full on the client's first
+/// query: the state behind [`admit`]'s `take_token`.
+#[derive(Debug, Default)]
+pub struct RateLimiter {
+    buckets: HashMap<ClientId, TokenBucket>,
 }
 
-/// Decides whether an admission decision can be taken from a queue-depth
-/// read alone, with *provably* the same outcome as the full ladder.
-///
-/// `queue_depth` is the current number of WAITING queries, *excluding*
-/// the query being admitted (the level bound adds it back, matching the
-/// ladder's `depth + 1` convention).
-///
-/// The proof obligation is the pressure amplification bound: secondary
-/// signals multiply the queue fraction by at most
-/// `1 + 0.5 + 0.25 + 0.25 = 2.0` ([`PressureSignals::level`]), so
-///
-/// ```text
-/// level <= 2 * (queue_depth + 1) / max_pending
-/// ```
-///
-/// whatever the Data Store / Page Space state. When that bound is
-/// strictly below every active degrade/shed threshold, the ladder cannot
-/// degrade or shed either, and plain admission is the unique outcome —
-/// no global lock or secondary-signal gathering needed. Rate limiting
-/// always escalates (bucket state is mutable), and a near-threshold
-/// depth escalates so the exact level decides.
-pub fn fast_path_admissible(cfg: &OverloadConfig, queue_depth: usize) -> FastAdmit {
-    if cfg.client_rate > 0.0 {
-        return FastAdmit::Escalate;
-    }
-    if cfg.max_pending > 0 && queue_depth >= cfg.max_pending {
-        return FastAdmit::RejectFull;
-    }
-    // With an unbounded queue the level is identically 0, so degrade and
-    // shed can never fire regardless of thresholds.
-    if cfg.max_pending == 0 {
-        return FastAdmit::Admit;
-    }
-    let mut threshold = f64::INFINITY;
-    if cfg.degrades() {
-        threshold = threshold.min(cfg.degrade_threshold);
-    }
-    if cfg.sheds() {
-        threshold = threshold.min(cfg.shed_threshold);
-    }
-    if threshold == f64::INFINITY {
-        return FastAdmit::Admit;
-    }
-    let qf_next = (queue_depth + 1) as f64 / cfg.max_pending as f64;
-    if 2.0 * qf_next < threshold {
-        FastAdmit::Admit
-    } else {
-        FastAdmit::Escalate
+impl RateLimiter {
+    /// Takes one of `client`'s tokens at time `now`, refilled at `rate`
+    /// per second; `Err` carries the seconds until it has one.
+    pub fn take(&mut self, client: ClientId, rate: f64, now: f64) -> Result<(), f64> {
+        let bucket = self
+            .buckets
+            .entry(client)
+            .or_insert_with(|| TokenBucket::new(rate));
+        if bucket.try_take(now) {
+            Ok(())
+        } else {
+            Err(bucket.time_to_token(now))
+        }
     }
 }
 
@@ -314,7 +346,7 @@ where
 /// A coarse `retry_after` estimate for rejected queries: the time to
 /// drain the current queue at the observed mean service time, with a
 /// floor so clients never busy-spin. Not part of the golden trace.
-pub fn retry_after_estimate(queue_depth: usize, threads: usize, mean_service_s: f64) -> f64 {
+fn retry_after_estimate(queue_depth: usize, threads: usize, mean_service_s: f64) -> f64 {
     let per_slot = queue_depth as f64 / threads.max(1) as f64;
     let service = if mean_service_s > 0.0 {
         mean_service_s
@@ -327,19 +359,65 @@ pub fn retry_after_estimate(queue_depth: usize, threads: usize, mean_service_s: 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    fn pressure(max_pending: usize, s: Secondary) -> Pressure {
+        Pressure {
+            max_pending,
+            amplification: s.amplification(),
+            shed_threshold: f64::INFINITY,
+        }
+    }
+
+    const HOT: Secondary = Secondary {
+        ds_occupancy: 1.0,
+        ps_miss_ratio: 1.0,
+        retry_ratio: 1.0,
+    };
+
+    /// Runs the ladder with suppliers that count how often they are asked.
+    fn ladder(
+        cfg: &OverloadConfig,
+        depth: usize,
+        token: Result<(), f64>,
+    ) -> ((Verdict, Pressure), [u32; 3]) {
+        let asked = [Cell::new(0), Cell::new(0), Cell::new(0)];
+        let ask = |i: usize| asked[i].set(asked[i].get() + 1);
+        let verdict = admit(
+            cfg,
+            depth,
+            4,
+            || {
+                ask(0);
+                token
+            },
+            || {
+                ask(1);
+                HOT
+            },
+            || {
+                ask(2);
+                0.1
+            },
+        );
+        (verdict, asked.map(|c| c.get()))
+    }
 
     #[test]
     fn default_config_is_fully_disabled() {
         let c = OverloadConfig::default();
         assert!(!c.enabled());
-        assert!(!c.degrades());
-        assert!(!c.sheds());
-        let s = PressureSignals {
-            queue_depth: 1000,
-            max_pending: c.max_pending,
-            ..Default::default()
-        };
-        assert_eq!(s.level(), 0.0, "unbounded queue exerts no pressure");
+        assert_eq!(
+            pressure(c.max_pending, HOT).level(1000),
+            0.0,
+            "unbounded queue exerts no pressure"
+        );
+        // However deep the queue, the ladder admits without asking the
+        // driver for anything.
+        let ((verdict, pressure), asked) = ladder(&c, 10_000, Err(1.0));
+        assert_eq!(asked, [0, 0, 0]);
+        assert_eq!(verdict, Verdict::Admit { degrade: false });
+        assert!(!pressure.sheds_at(10_001));
     }
 
     #[test]
@@ -368,48 +446,40 @@ mod tests {
 
     #[test]
     fn cold_cache_pressure_equals_queue_fraction() {
-        let s = PressureSignals {
-            queue_depth: 4,
-            max_pending: 8,
-            ..Default::default()
-        };
-        assert!((s.level() - 0.5).abs() < 1e-12);
+        let p = pressure(8, Secondary::default());
+        assert!((p.level(4) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn secondary_signals_amplify_but_cap_at_one() {
-        let base = PressureSignals {
-            queue_depth: 4,
-            max_pending: 8,
-            ..Default::default()
-        };
-        let hot = PressureSignals {
+        let base = pressure(8, Secondary::default());
+        let hot = pressure(8, HOT);
+        assert!(hot.level(4) > base.level(4));
+        assert!((hot.level(4) - 1.0).abs() < 1e-12, "0.5 * 2.0 caps at 1.0");
+        assert_eq!(HOT.amplification(), MAX_AMPLIFICATION);
+        let full_ds = Secondary {
             ds_occupancy: 1.0,
-            ps_miss_ratio: 1.0,
-            retry_ratio: 1.0,
-            ..base
+            ..Secondary::default()
         };
-        assert!(hot.level() > base.level());
-        assert!((hot.level() - 1.0).abs() < 1e-12, "0.5 * 2.0 caps at 1.0");
-        let full = PressureSignals {
-            queue_depth: 99,
-            max_pending: 8,
-            ds_occupancy: 1.0,
-            ..base
-        };
-        assert_eq!(full.level(), 1.0);
+        assert_eq!(pressure(8, full_ds).level(99), 1.0);
     }
 
     #[test]
     fn full_ds_alone_never_pressures_an_empty_queue() {
-        let s = PressureSignals {
-            queue_depth: 0,
-            max_pending: 8,
-            ds_occupancy: 1.0,
-            ps_miss_ratio: 1.0,
-            retry_ratio: 1.0,
-        };
-        assert_eq!(s.level(), 0.0);
+        assert_eq!(pressure(8, HOT).level(0), 0.0);
+    }
+
+    #[test]
+    fn secondary_ratios_are_zero_until_their_denominators_are_not() {
+        assert_eq!(
+            Secondary::from_counters(5, 0, 0, 0, 0, 0),
+            Secondary::default()
+        );
+        let s = Secondary::from_counters(1, 4, 3, 1, 9, 1);
+        assert_eq!(
+            (s.ds_occupancy, s.ps_miss_ratio, s.retry_ratio),
+            (0.25, 0.25, 0.1)
+        );
     }
 
     #[test]
@@ -448,6 +518,15 @@ mod tests {
     }
 
     #[test]
+    fn rate_limiter_meters_each_client_on_its_own() {
+        let mut r = RateLimiter::default();
+        assert_eq!(r.take(ClientId(1), 1.0, 0.0), Ok(()));
+        assert_eq!(r.take(ClientId(1), 1.0, 0.0), Err(1.0));
+        assert_eq!(r.take(ClientId(2), 1.0, 0.0), Ok(()));
+        assert_eq!(r.take(ClientId(1), 1.0, 1.0), Ok(()));
+    }
+
+    #[test]
     fn shed_victim_prefers_largest_then_newest() {
         let c = [
             (QueryId(1), 100, 0),
@@ -460,98 +539,77 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_rate_limiting_always_escalates() {
-        let cfg = OverloadConfig::default().with_client_rate(2.0);
-        assert_eq!(fast_path_admissible(&cfg, 0), FastAdmit::Escalate);
-    }
-
-    #[test]
-    fn fast_path_unbounded_queue_admits() {
-        assert_eq!(
-            fast_path_admissible(&OverloadConfig::default(), 10_000),
-            FastAdmit::Admit
-        );
-        // Degrade/shed thresholds are irrelevant when level() is pinned
-        // to 0 by max_pending == 0.
+    fn rate_limit_is_the_first_rung_and_consumes_a_token_even_when_full() {
         let cfg = OverloadConfig::default()
-            .with_degrade_threshold(0.1)
-            .with_shed_threshold(0.2);
-        assert_eq!(fast_path_admissible(&cfg, 10_000), FastAdmit::Admit);
+            .with_client_rate(2.0)
+            .with_max_pending(8);
+        // Over rate and queue full: the rate limiter answers, with the
+        // bucket's wait (floored) as the hint.
+        let ((verdict, pressure), asked) = ladder(&cfg, 8, Err(0.25));
+        assert_eq!(asked, [1, 0, 0]);
+        let rate_limited = |retry_after| Verdict::Reject {
+            rate_limited: true,
+            retry_after,
+        };
+        assert_eq!(verdict, rate_limited(0.25));
+        assert_eq!(pressure.level(8), 1.0);
+        assert_eq!(ladder(&cfg, 0, Err(0.0)).0 .0, rate_limited(1e-3));
+        // Within rate but full: the token is spent, the queue refuses.
+        let ((verdict, _), asked) = ladder(&cfg, 8, Ok(()));
+        assert_eq!(asked, [1, 0, 1]);
+        assert!(matches!(
+            verdict,
+            Verdict::Reject {
+                rate_limited: false,
+                ..
+            }
+        ));
     }
 
     #[test]
-    fn fast_path_rejects_full_queue() {
+    fn bounded_queue_rejects_at_the_bound_without_signals() {
         let cfg = OverloadConfig::default().with_max_pending(8);
-        assert_eq!(fast_path_admissible(&cfg, 8), FastAdmit::RejectFull);
-        assert_eq!(fast_path_admissible(&cfg, 9), FastAdmit::RejectFull);
-        assert_eq!(fast_path_admissible(&cfg, 7), FastAdmit::Admit);
+        for depth in [8, 9] {
+            let ((verdict, pressure), asked) = ladder(&cfg, depth, Ok(()));
+            assert_eq!(asked, [0, 0, 1], "depth {depth}");
+            assert!(matches!(
+                verdict,
+                Verdict::Reject {
+                    rate_limited: false,
+                    ..
+                }
+            ));
+            assert_eq!(pressure.level(depth), 1.0);
+        }
+        let ((verdict, _), asked) = ladder(&cfg, 7, Ok(()));
+        assert_eq!(asked, [0, 0, 0]);
+        assert_eq!(verdict, Verdict::Admit { degrade: false });
     }
 
     #[test]
-    fn fast_path_escalates_near_thresholds() {
+    fn signals_are_gathered_only_when_the_bound_leaves_a_threshold_in_reach() {
         let cfg = OverloadConfig::default()
             .with_max_pending(8)
             .with_degrade_threshold(0.5)
             .with_shed_threshold(0.9);
-        // depth 0 -> worst-case level 2 * 1/8 = 0.25 < 0.5: fast admit.
-        assert_eq!(fast_path_admissible(&cfg, 0), FastAdmit::Admit);
-        // depth 1 -> bound 0.5, not strictly below 0.5: escalate.
-        assert_eq!(fast_path_admissible(&cfg, 1), FastAdmit::Escalate);
-        assert_eq!(fast_path_admissible(&cfg, 7), FastAdmit::Escalate);
-    }
-
-    /// The soundness property behind the fast path: whenever it answers
-    /// Admit or RejectFull, the full ladder reaches the same decision for
-    /// *every* admissible secondary-signal combination.
-    #[test]
-    fn fast_path_matches_full_ladder_under_any_signals() {
-        let signal_grid = [0.0, 0.3, 1.0];
-        for max_pending in [0usize, 4, 8, 32] {
-            for (dt, st) in [
-                (f64::INFINITY, f64::INFINITY),
-                (0.5, f64::INFINITY),
-                (f64::INFINITY, 0.9),
-                (0.5, 0.9),
-                (0.2, 0.3),
-            ] {
-                let cfg = OverloadConfig::default()
-                    .with_max_pending(max_pending)
-                    .with_degrade_threshold(dt)
-                    .with_shed_threshold(st);
-                for depth in 0..=40 {
-                    let fast = fast_path_admissible(&cfg, depth);
-                    for &ds in &signal_grid {
-                        for &miss in &signal_grid {
-                            for &retry in &signal_grid {
-                                // The ladder's decision with these signals.
-                                let full_reject = cfg.max_pending > 0 && depth >= cfg.max_pending;
-                                let level = PressureSignals {
-                                    queue_depth: depth + 1,
-                                    max_pending: cfg.max_pending,
-                                    ds_occupancy: ds,
-                                    ps_miss_ratio: miss,
-                                    retry_ratio: retry,
-                                }
-                                .level();
-                                match fast {
-                                    FastAdmit::RejectFull => assert!(full_reject),
-                                    FastAdmit::Admit => {
-                                        assert!(!full_reject);
-                                        assert!(
-                                            level < cfg.degrade_threshold
-                                                && level < cfg.shed_threshold,
-                                            "fast admit but ladder would act: \
-                                             level {level} cfg {cfg:?} depth {depth}"
-                                        );
-                                    }
-                                    FastAdmit::Escalate => {}
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        // depth 0 -> level at most 2 * 1/8 = 0.25 < 0.5: settled.
+        let ((verdict, pressure), asked) = ladder(&cfg, 0, Ok(()));
+        assert_eq!(asked, [0, 0, 0]);
+        assert_eq!(verdict, Verdict::Admit { degrade: false });
+        // A settled verdict cannot shed, at any depth.
+        assert!(!pressure.sheds_at(8));
+        // depth 1 -> bound 0.5, not strictly below 0.5: the signals
+        // decide, and HOT ones (2x) degrade at a quarter-full queue.
+        let ((verdict, pressure), asked) = ladder(&cfg, 1, Ok(()));
+        assert_eq!(asked, [0, 1, 0]);
+        assert_eq!(verdict, Verdict::Admit { degrade: true });
+        assert_eq!(pressure.level(2), 0.5);
+        assert!(!pressure.sheds_at(2) && pressure.sheds_at(4));
+        // Thresholds above 1 are off: nothing is in reach at any depth.
+        let off = OverloadConfig::default()
+            .with_max_pending(8)
+            .with_degrade_threshold(1.5);
+        assert_eq!(ladder(&off, 7, Ok(())).1, [0, 0, 0]);
     }
 
     #[test]

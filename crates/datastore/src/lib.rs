@@ -25,8 +25,8 @@ mod store;
 
 pub use entry::{BlobEntry, EntryState, GraftSubscription, Payload, Phase, PIN_STRIPES};
 pub use store::{
-    benefit_score, DataStore, DsError, DsStats, EvictionPolicy, EvictionRecord, GraftCandidate,
-    Match, SpillRequest, RECOVERED_PRODUCER,
+    benefit_score, DataStore, DsError, DsStats, EvictionPolicy, EvictionRecord, Match,
+    SpillRequest, RECOVERED_PRODUCER,
 };
 
 /// The store's pre-merge name. The spatially indexed wrapper and the

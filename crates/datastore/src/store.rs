@@ -110,24 +110,9 @@ pub struct SpillRequest<S> {
 /// the frame belonged to a previous process and is in no graph.
 pub const RECOVERED_PRODUCER: QueryId = QueryId(u64::MAX);
 
-/// An in-flight entry a query could graft onto (DESIGN.md §13): returned
-/// by [`DataStore::lookup_subscribable`].
-#[derive(Clone, Debug)]
-pub struct GraftCandidate {
-    /// The SUBSCRIBABLE blob.
-    pub blob: BlobId,
-    /// The query currently producing it.
-    pub producer: QueryId,
-    /// `cmp(entry.spec, probe)` — the published result will answer the
-    /// probe completely.
-    pub exact: bool,
-    /// `overlap(entry.spec, probe)` in `[0, 1]`.
-    pub overlap: f64,
-    /// `overlap · qoutsize(entry.spec)` — reusable bytes once published.
-    pub reuse_bytes: u64,
-}
-
-/// A partial-reuse lookup result.
+/// An entry that can serve a probe: a cached result
+/// ([`DataStore::lookup`]) or an in-flight one a query could graft onto
+/// ([`DataStore::lookup_subscribable`], DESIGN.md §13).
 #[derive(Clone, Debug)]
 pub struct Match {
     /// The matching blob.
@@ -138,6 +123,37 @@ pub struct Match {
     pub overlap: f64,
     /// `overlap · qoutsize(blob.spec)` — reusable bytes.
     pub reuse_bytes: u64,
+    /// The blob answers the probe completely (`cmp`). Exact matches sort
+    /// first; `lookup` reports only one (a `cmp`-equal twin of it comes
+    /// back as a partial match that happens to overlap fully).
+    pub exact: bool,
+}
+
+impl Match {
+    /// How `e` can serve `probe`, if at all; `may_be_exact` is false once
+    /// the caller has its one exact match.
+    fn of<S: SpatialSpec>(e: &BlobEntry<S>, probe: &S, may_be_exact: bool) -> Option<Match> {
+        let exact = may_be_exact && e.spec.cmp(probe);
+        let overlap = if exact { 1.0 } else { e.spec.overlap(probe) };
+        (overlap > 0.0).then(|| Match {
+            blob: e.id,
+            producer: e.producer,
+            overlap,
+            reuse_bytes: if exact {
+                e.spec.qoutsize()
+            } else {
+                e.spec.reuse_bytes(probe)
+            },
+            exact,
+        })
+    }
+
+    /// Exact first, then descending reusable bytes, then blob id.
+    fn most_useful_first(a: &Match, b: &Match) -> std::cmp::Ordering {
+        (b.exact.cmp(&a.exact))
+            .then(b.reuse_bytes.cmp(&a.reuse_bytes))
+            .then(a.blob.cmp(&b.blob))
+    }
 }
 
 /// Counters exposed for experiments and tests.
@@ -767,36 +783,14 @@ impl<S: SpatialSpec> DataStore<S> {
     /// Exact candidates first, then by descending reusable bytes, then
     /// blob id. Reads no stats and touches nothing: grafting decisions
     /// must not perturb LRU or hit-rate accounting.
-    pub fn lookup_subscribable(&self, probe: &S) -> Vec<GraftCandidate> {
-        let mut out: Vec<GraftCandidate> = Vec::new();
+    pub fn lookup_subscribable(&self, probe: &S) -> Vec<Match> {
         // lint:sorted: result sorted below; iteration order is irrelevant
-        for e in self.entries.values() {
-            if e.state.phase() != Phase::Subscribable {
-                continue;
-            }
-            let exact = e.spec.cmp(probe);
-            let ov = if exact { 1.0 } else { e.spec.overlap(probe) };
-            if !exact && ov <= 0.0 {
-                continue;
-            }
-            out.push(GraftCandidate {
-                blob: e.id,
-                producer: e.producer,
-                exact,
-                overlap: ov,
-                reuse_bytes: if exact {
-                    e.spec.qoutsize()
-                } else {
-                    e.spec.reuse_bytes(probe)
-                },
-            });
-        }
-        out.sort_by(|a, b| {
-            b.exact
-                .cmp(&a.exact)
-                .then(b.reuse_bytes.cmp(&a.reuse_bytes))
-                .then(a.blob.cmp(&b.blob))
-        });
+        let in_flight = self.entries.values();
+        let mut out: Vec<Match> = in_flight
+            .filter(|e| e.state.phase() == Phase::Subscribable)
+            .filter_map(|e| Match::of(e, probe, true))
+            .collect();
+        out.sort_by(Match::most_useful_first);
         out
     }
 
@@ -844,7 +838,6 @@ impl<S: SpatialSpec> DataStore<S> {
     /// path is property-tested against.
     pub fn lookup_filtered(&self, probe: &S, candidates: Option<&[BlobId]>) -> Vec<Match> {
         let mut matches: Vec<Match> = Vec::new();
-        let mut exact: Option<Match> = None;
         let candidate_entries: Vec<&BlobEntry<S>> = match candidates {
             Some(ids) => ids
                 .iter()
@@ -859,35 +852,18 @@ impl<S: SpatialSpec> DataStore<S> {
                 all
             }
         };
+        let mut have_exact = false;
         for e in candidate_entries {
-            if exact.is_none() && e.spec.cmp(probe) {
-                exact = Some(Match {
-                    blob: e.id,
-                    producer: e.producer,
-                    overlap: 1.0,
-                    reuse_bytes: e.spec.qoutsize(),
-                });
-                continue;
-            }
-            let ov = e.spec.overlap(probe);
-            if ov > 0.0 {
-                matches.push(Match {
-                    blob: e.id,
-                    producer: e.producer,
-                    overlap: ov,
-                    reuse_bytes: e.spec.reuse_bytes(probe),
-                });
-            }
+            matches.extend(Match::of(e, probe, !have_exact));
+            have_exact |= matches.last().is_some_and(|m| m.exact);
         }
-        matches.sort_by(|a, b| b.reuse_bytes.cmp(&a.reuse_bytes).then(a.blob.cmp(&b.blob)));
-        if let Some(x) = exact {
-            matches.insert(0, x);
-            self.stats.exact_hits.fetch_add(1, Ordering::Relaxed);
-        } else if !matches.is_empty() {
-            self.stats.partial_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.stats.misses.fetch_add(1, Ordering::Relaxed);
-        }
+        matches.sort_by(Match::most_useful_first);
+        let outcome = match matches.first() {
+            Some(m) if m.exact => &self.stats.exact_hits,
+            Some(_) => &self.stats.partial_hits,
+            None => &self.stats.misses,
+        };
+        outcome.fetch_add(1, Ordering::Relaxed);
         for m in &matches {
             self.touch(m.blob);
         }
@@ -1129,9 +1105,15 @@ mod tests {
             .unwrap(); // superset, large reuse
         ds.insert(QueryId(2), spec(0, 100, 1), 100, Payload::Virtual, &mut ev)
             .unwrap(); // exact
+        ds.insert(QueryId(3), spec(0, 100, 1), 100, Payload::Virtual, &mut ev)
+            .unwrap(); // its `cmp`-equal twin
         let ms = ds.lookup(&spec(0, 100, 1));
         assert_eq!(ms[0].producer, QueryId(2));
         assert_eq!(ms[0].overlap, 1.0);
+        // Exactly one match is the exact one, and it says so; the twin is
+        // an ordinary (fully overlapping) partial match.
+        let exact: Vec<bool> = ms.iter().map(|m| m.exact).collect();
+        assert_eq!(exact, [true, false, false]);
         assert_eq!(ds.stats().exact_hits, 1);
     }
 

@@ -158,6 +158,56 @@ impl EventKind {
     }
 }
 
+/// Why a query's life ended, as the engine that ended it knows it. Owns
+/// which events that end implies and in what order, so neither engine
+/// spells the sequences out: the last event is always the one
+/// [`EventKind::is_terminal`] event of the query.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum Terminal {
+    /// Answered.
+    Completed,
+    /// Failed with an I/O error (or lost with the worker that had
+    /// already published it).
+    Failed,
+    /// Cancelled at its per-query deadline.
+    TimedOut,
+    /// Cancelled by the hang watchdog: `Hung`, then `TimedOut` (the
+    /// watchdog rides the deadline machinery).
+    Hung,
+    /// Admitted, then evicted from the waiting queue by the load shedder.
+    Shed,
+    /// Refused by the admission ladder.
+    Rejected {
+        /// By the client's token bucket (else by the full queue).
+        rate_limited: bool,
+    },
+    /// Failed at the quarantine limit: `Quarantined`, then `Failed`.
+    Quarantined {
+        /// Workers its compute killed.
+        attempts: u32,
+    },
+    /// Failed because the whole worker pool died: nothing would run it.
+    PoolDead,
+}
+
+impl Terminal {
+    /// The events this end implies, in emission order.
+    pub fn events(self) -> impl Iterator<Item = EventKind> {
+        let (first, last) = match self {
+            Terminal::Completed => (None, EventKind::Completed),
+            Terminal::Failed | Terminal::PoolDead => (None, EventKind::Failed),
+            Terminal::TimedOut => (None, EventKind::TimedOut),
+            Terminal::Hung => (Some(EventKind::Hung), EventKind::TimedOut),
+            Terminal::Shed => (None, EventKind::Shed),
+            Terminal::Rejected { rate_limited } => (None, EventKind::Rejected { rate_limited }),
+            Terminal::Quarantined { attempts } => {
+                (Some(EventKind::Quarantined { attempts }), EventKind::Failed)
+            }
+        };
+        first.into_iter().chain(std::iter::once(last))
+    }
+}
+
 /// One logged event: a global sequence number (total order across the
 /// run), a timestamp in seconds (real time since the log's origin for the
 /// server, virtual time for the simulator), the query, and the kind.
@@ -559,6 +609,33 @@ mod tests {
         assert!(!EventKind::Quarantined { attempts: 2 }.is_terminal());
         assert!(!EventKind::WorkerRestarted.is_terminal());
         assert!(!EventKind::Hung.is_terminal());
+    }
+
+    #[test]
+    fn every_end_implies_exactly_one_terminal_event_and_it_comes_last() {
+        let ends = [
+            Terminal::Completed,
+            Terminal::Failed,
+            Terminal::TimedOut,
+            Terminal::Hung,
+            Terminal::Shed,
+            Terminal::Rejected { rate_limited: true },
+            Terminal::Quarantined { attempts: 3 },
+            Terminal::PoolDead,
+        ];
+        for end in ends {
+            let events: Vec<EventKind> = end.events().collect();
+            let terminals = events.iter().filter(|e| e.is_terminal()).count();
+            assert_eq!(terminals, 1, "{end:?}");
+            assert!(events.last().is_some_and(|e| e.is_terminal()), "{end:?}");
+        }
+        let labels = |t: Terminal| t.events().map(|e| e.label()).collect::<Vec<_>>();
+        assert_eq!(labels(Terminal::Hung), ["hung", "timed_out"]);
+        assert_eq!(
+            labels(Terminal::Quarantined { attempts: 2 }),
+            ["quarantined", "failed"]
+        );
+        assert_eq!(labels(Terminal::PoolDead), ["failed"]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Counters, histograms, gauges, and the registry with JSON/Prometheus
 //! exposition.
 
+use crate::event::EventKind;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use vmqs_core::sync::atomic::{AtomicU64, Ordering};
@@ -228,6 +229,36 @@ impl QueryMetrics {
             queue_wait: reg.histogram("vmqs_queue_wait_seconds"),
             service_time: reg.histogram("vmqs_service_time_seconds"),
         }
+    }
+
+    /// Bumps the counter `kind` stands for, if it has one: the one place
+    /// that ties an event to its counter, so a log and a snapshot of the
+    /// same run cannot disagree. No `_` arm: a new event kind has to say
+    /// here whether it is counted. (The `ds_{exact_hits,partial_hits,
+    /// misses}` counters have no event; they count answer paths.)
+    pub fn count(&self, kind: &EventKind) {
+        let counter = match kind {
+            EventKind::Submitted => &self.submitted,
+            EventKind::Degraded => &self.degraded,
+            EventKind::Completed => &self.completed,
+            EventKind::Failed => &self.failed,
+            EventKind::TimedOut => &self.timed_out,
+            EventKind::Rejected { .. } => &self.rejected,
+            EventKind::Shed => &self.shed,
+            EventKind::Evicted { .. } => &self.ds_evictions,
+            EventKind::Spilled { .. } => &self.ds_spills,
+            EventKind::Restored { .. } => &self.ds_restores,
+            EventKind::WorkerPanicked => &self.worker_panics,
+            EventKind::WorkerRestarted => &self.worker_restarts,
+            EventKind::Quarantined { .. } => &self.quarantined,
+            EventKind::Hung => &self.hung,
+            EventKind::Ranked { .. }
+            | EventKind::LookupHit { .. }
+            | EventKind::Grafted { .. }
+            | EventKind::SubquerySpawned { .. }
+            | EventKind::PageRead { .. } => return,
+        };
+        counter.inc();
     }
 }
 
@@ -485,6 +516,34 @@ mod tests {
         assert!(json.contains("\"vmqs_a_total\": 1"));
         assert!(json.contains("\"vmqs_g\": 1.25"));
         assert!(json.contains("\"count\": 1"));
+    }
+
+    #[test]
+    fn count_bumps_the_counter_an_event_stands_for_and_nothing_else() {
+        let reg = MetricsRegistry::new();
+        let qm = QueryMetrics::resolve(&reg);
+        qm.count(&EventKind::Rejected { rate_limited: true });
+        qm.count(&EventKind::Rejected {
+            rate_limited: false,
+        });
+        qm.count(&EventKind::Hung);
+        qm.count(&EventKind::PageRead {
+            cached: true,
+            retried: false,
+        });
+        let counted: Vec<(String, u64)> = reg
+            .snapshot()
+            .counters
+            .into_iter()
+            .filter(|(_, v)| *v > 0)
+            .collect();
+        assert_eq!(
+            counted,
+            [
+                ("vmqs_queries_hung_total".to_string(), 1),
+                ("vmqs_queries_rejected_total".to_string(), 2)
+            ]
+        );
     }
 
     #[test]

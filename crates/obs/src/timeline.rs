@@ -5,7 +5,10 @@ use crate::event::{EventKind, EventRecord};
 use std::collections::BTreeMap;
 use vmqs_core::QueryId;
 
-/// How a query's lifecycle ended.
+/// How a query's lifecycle ended as the log shows it: which of the five
+/// terminal events closed it. (The reason the engine had — which also
+/// tells a hang, a quarantine and pool death apart — is
+/// [`crate::Terminal`], which expands to these events.)
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Terminal {
     /// Completed successfully.

@@ -270,33 +270,6 @@ impl ServerConfig {
         self.quarantine_limit = n;
         self
     }
-
-    /// Builder-style admission bound (`0` = unbounded).
-    pub fn with_max_pending(mut self, n: usize) -> Self {
-        self.overload.max_pending = n;
-        self
-    }
-
-    /// Builder-style per-client rate limit in queries/second (`0.0` = off).
-    pub fn with_client_rate(mut self, qps: f64) -> Self {
-        assert!(qps >= 0.0, "client rate must be non-negative");
-        self.overload.client_rate = qps;
-        self
-    }
-
-    /// Builder-style degrade threshold (pressure in `[0, 1]`; `> 1`
-    /// disables).
-    pub fn with_degrade_threshold(mut self, t: f64) -> Self {
-        self.overload.degrade_threshold = t;
-        self
-    }
-
-    /// Builder-style shed threshold (pressure in `[0, 1]`; `> 1`
-    /// disables).
-    pub fn with_shed_threshold(mut self, t: f64) -> Self {
-        self.overload.shed_threshold = t;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -346,18 +319,18 @@ mod tests {
     #[test]
     fn overload_builders_compose_and_default_off() {
         assert!(!ServerConfig::small().overload.enabled());
-        let c = ServerConfig::small()
+        let ov = OverloadConfig::default()
             .with_max_pending(16)
             .with_client_rate(2.5)
             .with_degrade_threshold(0.5)
             .with_shed_threshold(0.9);
+        let c = ServerConfig::small().with_overload(ov);
         assert!(c.overload.enabled());
+        assert_eq!(c.overload, ov);
         assert_eq!(c.overload.max_pending, 16);
         assert_eq!(c.overload.client_rate, 2.5);
         assert_eq!(c.overload.degrade_threshold, 0.5);
         assert_eq!(c.overload.shed_threshold, 0.9);
-        let via_struct = ServerConfig::small().with_overload(c.overload);
-        assert_eq!(via_struct.overload, c.overload);
     }
 
     #[test]

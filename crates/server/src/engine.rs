@@ -34,27 +34,29 @@
 //!
 //! ## Locking
 //!
-//! * `shards[k].state: Mutex<ShardState>` — the shard's
+//! * `shards[k].state: ShardLock` — the shard's
 //!   [`vmqs_core::SchedShard`] (graph, per-query records with their reply
 //!   channels, blob liveness, eviction tombstones) plus the wait-for
 //!   edges. Every transition, and the exit, tombstone and quarantine
 //!   rules, are `SchedShard`'s, shared with the simulator and documented
 //!   there; this file takes the lock, calls the transition, and does the
-//!   driver's half: the `depth` / `total_waiting` mirrors under the lock;
-//!   replies, events, counters and wake-ups outside it. Each shard's
-//!   `done_cv` (query completion) is associated with its own mutex. A
-//!   lock-free `depth` mirror of the shard's ready-queue length lets
-//!   stealers pick victims without touching any lock.
+//!   driver's half outside it: replies, events and wake-ups. Each shard's
+//!   `done_cv` (query completion) is associated with its own mutex. The
+//!   lock-free `depth` / `total_waiting` mirrors of the ready-queue
+//!   length (stealers pick victims by them without touching any lock)
+//!   are republished by the [`ShardGuard`] as it lets go of the lock,
+//!   never adjusted by hand.
 //! * `store: RwLock<DataStore>` — the semantic cache, still
 //!   global so reuse crosses shard boundaries. Lookups are read-side
 //!   (`&self`, LRU stamps and counters are atomics); only insert/evict
 //!   takes the write lock.
 //! * `metrics: Mutex<Vec<QueryRecord>>` — completed-query records.
-//! * `admission: Mutex<AdmissionState>` — the overload ladder's slow
-//!   path only. At low pressure admission takes the **fast path**
-//!   ([`vmqs_core::fast_path_admissible`]): a queue-depth atomic read
-//!   decides admit/reject with no global lock, provably agreeing with
-//!   the full ladder because the pressure amplification is bounded.
+//! * `admission: Mutex<RateLimiter>` — the per-client token buckets,
+//!   held only while the admission ladder ([`vmqs_core::overload::admit`],
+//!   the same function the simulator calls) asks for a token. The ladder
+//!   itself takes no lock: it decides from one atomic read of
+//!   `total_waiting`, and asks for the Data Store / Page Space signals
+//!   only when that depth does not settle the verdict.
 //! * Idle workers park on an eventcount-style `idle` mutex + `work_cv`;
 //!   submitters only touch it when `sleepers > 0`.
 //! * `compute_slots` + `compute_cv` — the compute gate: kernel
@@ -65,10 +67,10 @@
 //!   timeslicing against each other. With a permit per worker the gate
 //!   is never contended, and at one worker it is inert.
 //!
-//! **Lock hierarchy rule:** `admission → shard` (submit slow path) and
-//! one shard at a time everywhere else; no thread holds two shard locks
-//! or a shard lock together with `store`/`metrics`. Payload bytes are
-//! materialized into `Arc<[u8]>` outside all critical sections.
+//! **Lock hierarchy rule:** one of these at a time; no thread holds two
+//! shard locks or a shard lock together with `admission`/`store`/
+//! `metrics`. Payload bytes are materialized into `Arc<[u8]>` outside
+//! all critical sections.
 //!
 //! Worker-side events are staged in per-worker [`EventBuffer`]s and
 //! drained at steal/idle boundaries — sequence numbers are stamped at
@@ -84,6 +86,7 @@ use crate::error::{deadline_error, ServerError};
 use crate::pages::SharedPageSpace;
 use crate::result::{AnswerPath, QueryRecord, QueryResult, ServerSummary};
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
@@ -92,13 +95,13 @@ use vmqs_core::clock;
 use vmqs_core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use vmqs_core::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use vmqs_core::{
-    fast_path_admissible, pressure_secondary, retry_after_estimate, shard_of_spec, shed_victim,
-    steal_order, BlobId, ClientId, FastAdmit, IdGen, PanicOutcome, PressureSignals, QueryId,
-    QuerySpec, QueryState, SchedShard, SpatialSpec, TokenBucket,
+    overload, shard_of_spec, shed_victim, steal_order, BlobId, ClientId, IdGen, PanicOutcome,
+    Pressure, QueryId, QuerySpec, QueryState, RateLimiter, SchedShard, Secondary, SpatialSpec,
+    Supervisor, Verdict, WorkerFate,
 };
 use vmqs_datastore::{DataStore, DsStats, EvictionRecord, Payload, Phase};
 use vmqs_microscope::PAGE_SIZE;
-use vmqs_obs::{EventBuffer, EventKind, EventRecord, MetricsSnapshot, Obs, QueryMetrics};
+use vmqs_obs::{EventBuffer, EventKind, EventRecord, MetricsSnapshot, Obs, QueryMetrics, Terminal};
 use vmqs_pagespace::PsStats;
 use vmqs_storage::{DataSource, SpillStore};
 
@@ -146,38 +149,101 @@ struct ShardState<S: SpatialSpec> {
     blocked_fallbacks: u64,
 }
 
-/// One scheduling shard: a worker's home scheduling graph plus the
-/// lock-free ready-queue depth mirror stealers scan.
+/// One scheduling shard: a worker's home scheduling graph behind its
+/// lock.
 struct Shard<S: SpatialSpec> {
-    state: Mutex<ShardState<S>>,
-    /// Mirror of `state.graph.waiting_len()`, maintained under the shard
-    /// lock but read without it by stealers picking the richest victim.
-    depth: AtomicUsize,
+    state: ShardLock<S>,
     /// Signaled when a query homed on this shard completes or is shed —
     /// wakes dependency blockers (associated with `state`).
     done_cv: Condvar,
 }
 
-impl<S: SpatialSpec> Shard<S> {
-    fn new(strategy: vmqs_core::Strategy) -> Self {
-        Shard {
-            state: Mutex::new(ShardState {
+/// A shard's mutex plus the lock-free mirrors of its ready-queue length.
+/// The mirrors are derived, not maintained: whoever changes the WAITING
+/// set holds a [`ShardGuard`], which republishes `waiting_len()` as it
+/// lets go of the lock — so no transition, present or future, can forget
+/// to.
+struct ShardLock<S: SpatialSpec> {
+    inner: Mutex<ShardState<S>>,
+    /// `waiting_len()` as of the last release, read without the lock by
+    /// stealers picking the richest victim.
+    depth: AtomicUsize,
+    /// Sum of every shard's `depth` ([`Core::total_waiting`]).
+    total_waiting: Arc<AtomicUsize>,
+}
+
+impl<S: SpatialSpec> ShardLock<S> {
+    fn new(strategy: vmqs_core::Strategy, total_waiting: Arc<AtomicUsize>) -> Self {
+        ShardLock {
+            inner: Mutex::new(ShardState {
                 sched: SchedShard::new(strategy),
                 waiting_on: HashMap::new(),
                 blocked_fallbacks: 0,
             }),
             depth: AtomicUsize::new(0),
-            done_cv: Condvar::new(),
+            total_waiting,
+        }
+    }
+
+    fn lock(&self) -> ShardGuard<'_, S> {
+        ShardGuard {
+            lock: self,
+            state: self.inner.lock(),
         }
     }
 }
 
-/// Slow-path admission state, taken only when
-/// [`vmqs_core::fast_path_admissible`] escalates. Workers never touch it.
-struct AdmissionState {
-    /// Per-client admission token buckets (only populated when
-    /// [`vmqs_core::OverloadConfig::client_rate`] is set).
-    buckets: HashMap<ClientId, TokenBucket>,
+/// Exclusive access to one shard's [`ShardState`].
+struct ShardGuard<'a, S: SpatialSpec> {
+    lock: &'a ShardLock<S>,
+    state: MutexGuard<'a, ShardState<S>>,
+}
+
+impl<S: SpatialSpec> ShardGuard<'_, S> {
+    /// Republishes the ready-queue length. Runs while the lock is still
+    /// held, so a dequeuer can never find a query the mirrors do not
+    /// account for yet; only lock holders write `depth`, so it is exact.
+    fn publish(&self) {
+        let now = self.state.sched.graph().waiting_len();
+        let was = self.lock.depth.load(Ordering::SeqCst);
+        if now != was {
+            self.lock.depth.store(now, Ordering::SeqCst);
+            // Atomic adds wrap: a shrinking queue adds its (negative)
+            // difference in two's complement.
+            let delta = now.wrapping_sub(was);
+            self.lock.total_waiting.fetch_add(delta, Ordering::SeqCst);
+        }
+    }
+
+    /// Parks on `cv`, releasing the lock, until notified or `deadline`.
+    fn wait(&mut self, cv: &Condvar, deadline: Option<Instant>) {
+        self.publish();
+        match deadline {
+            None => cv.wait(&mut self.state),
+            Some(d) => {
+                cv.wait_until(&mut self.state, d);
+            }
+        }
+    }
+}
+
+impl<S: SpatialSpec> Drop for ShardGuard<'_, S> {
+    fn drop(&mut self) {
+        self.publish();
+    }
+}
+
+impl<S: SpatialSpec> Deref for ShardGuard<'_, S> {
+    type Target = ShardState<S>;
+    fn deref(&self) -> &ShardState<S> {
+        &self.state
+    }
+}
+
+impl<S: SpatialSpec> DerefMut for ShardGuard<'_, S> {
+    fn deref_mut(&mut self) -> &mut ShardState<S> {
+        &mut self.state
+    }
 }
 
 struct Core<A: AppExecutor> {
@@ -187,8 +253,10 @@ struct Core<A: AppExecutor> {
     /// `num_threads == 1`, where the engine degenerates to the pre-shard
     /// scheduler). Never hold two shard locks at once.
     shards: Vec<Shard<A::Spec>>,
-    /// Overload ladder slow path (lock order: `admission` → shard).
-    admission: Mutex<AdmissionState>,
+    /// Per-client token buckets, locked only while the admission ladder
+    /// asks for a token (empty unless
+    /// [`vmqs_core::OverloadConfig::client_rate`] is set).
+    admission: Mutex<RateLimiter>,
     /// The semantic cache, under a reader-writer lock: lookups (the common
     /// case) share the read side; insert/evict takes the write side.
     /// Global, so result reuse crosses shard boundaries.
@@ -207,10 +275,10 @@ struct Core<A: AppExecutor> {
     work_cv: Condvar,
     /// Workers currently parked (or about to park) on `idle`/`work_cv`.
     sleepers: AtomicUsize,
-    /// WAITING queries across all shards — the admission fast path's
+    /// WAITING queries across all shards — the admission ladder's
     /// queue-depth input and the workers' "any work at all?" gate.
-    /// Maintained under the owning shard's lock.
-    total_waiting: AtomicUsize,
+    /// Published by each [`ShardGuard`] under its shard's lock.
+    total_waiting: Arc<AtomicUsize>,
     /// Admitted-but-unresolved queries across all shards (what `drain`
     /// waits on).
     outstanding: AtomicUsize,
@@ -256,23 +324,20 @@ struct Core<A: AppExecutor> {
     /// coordinate (DESIGN.md §15). Counts every entry into the compute
     /// stage, across all workers.
     compute_seq: AtomicU64,
-    /// Replacement workers still allowed, counting down from
-    /// [`ServerConfig::restart_budget`].
-    restarts_left: AtomicUsize,
-    /// Workers currently alive. When a panic retires the last one, the
-    /// pool is dead: WAITING queries are failed typed-ly and later
-    /// submissions are refused with [`ServerError::WorkerPanicked`].
-    live_workers: AtomicUsize,
-    /// Set when the whole pool has died (restart budget exhausted).
-    pool_dead: AtomicBool,
+    /// Restart budget, live-worker count and pool-dead latch. When a
+    /// panic retires the last worker the pool is dead: WAITING queries
+    /// are failed typed-ly and later submissions are refused with
+    /// [`ServerError::WorkerPanicked`].
+    sup: Supervisor,
     /// Handles of respawned replacement workers, joined at shutdown.
     respawned: Mutex<Vec<JoinHandle<()>>>,
     /// Event log + metrics registry (DESIGN.md §9). Counters are always
     /// live; the event log records only when `cfg.observe` is set.
     obs: Arc<Obs>,
     /// Pre-resolved query-lifecycle metric handles (no registry lock on
-    /// the hot path). The registry is per-server, so these are also the
-    /// terminal counts `summary()` reports.
+    /// the hot path), bumped by [`Core::emit`] and nowhere else. The
+    /// registry is per-server, so these are also the terminal counts
+    /// `summary()` reports.
     qmet: QueryMetrics,
 }
 
@@ -333,20 +398,22 @@ impl<A: AppExecutor> QueryServer<A> {
                 }
             }
         }
+        let total_waiting = Arc::new(AtomicUsize::new(0));
         let core = Arc::new(Core {
             shards: (0..cfg.num_threads)
-                .map(|_| Shard::new(cfg.strategy))
+                .map(|_| Shard {
+                    state: ShardLock::new(cfg.strategy, Arc::clone(&total_waiting)),
+                    done_cv: Condvar::new(),
+                })
                 .collect(),
-            admission: Mutex::new(AdmissionState {
-                buckets: HashMap::new(),
-            }),
+            admission: Mutex::new(RateLimiter::default()),
             store: RwLock::new(store),
             spill,
             metrics: Mutex::new(Vec::new()),
             idle: Mutex::new(()),
             work_cv: Condvar::new(),
             sleepers: AtomicUsize::new(0),
-            total_waiting: AtomicUsize::new(0),
+            total_waiting,
             outstanding: AtomicUsize::new(0),
             paused: AtomicBool::new(cfg.start_paused),
             shutdown: AtomicBool::new(false),
@@ -377,9 +444,7 @@ impl<A: AppExecutor> QueryServer<A> {
             idgen: IdGen::new(0),
             duplicate_full_computes: AtomicU64::new(0),
             compute_seq: AtomicU64::new(0),
-            restarts_left: AtomicUsize::new(cfg.restart_budget),
-            live_workers: AtomicUsize::new(cfg.num_threads),
-            pool_dead: AtomicBool::new(false),
+            sup: Supervisor::new(cfg.num_threads, cfg.restart_budget),
             respawned: Mutex::new(Vec::new()),
             obs,
             qmet,
@@ -404,7 +469,9 @@ impl<A: AppExecutor> QueryServer<A> {
             !workers.is_empty(),
             "could not spawn any query worker thread"
         );
-        core.live_workers.store(workers.len(), Ordering::SeqCst);
+        for _ in workers.len()..num_threads {
+            core.sup.retire();
+        }
         QueryServer { core, workers }
     }
 
@@ -418,258 +485,83 @@ impl<A: AppExecutor> QueryServer<A> {
     /// on. The client id keys the per-client token-bucket rate limiter
     /// when [`vmqs_core::OverloadConfig::client_rate`] is set.
     ///
-    /// With overload management enabled the admission ladder runs here,
-    /// at submit time (DESIGN.md §10): rate limit → bounded queue →
-    /// degrade → shed. A refused query still gets a handle — it resolves
-    /// immediately with [`ServerError::Overloaded`] (rejection) or
-    /// [`ServerError::Shed`] (shed later, possibly by another submission)
-    /// — so callers never block on admission and never hang.
+    /// The admission ladder runs here, at submit time (DESIGN.md §10):
+    /// rate limit → bounded queue → degrade → shed-while. It is
+    /// [`vmqs_core::overload::admit`], the function the simulator calls
+    /// too; this driver supplies the queue depth and, only if the ladder
+    /// asks, a token from the client's bucket, the Data Store / Page
+    /// Space signals and the mean service time. With overload management
+    /// off it asks for nothing and admits. A refused query still gets a
+    /// handle — it resolves immediately with [`ServerError::Overloaded`]
+    /// (rejection) or [`ServerError::Shed`] (shed later, possibly by
+    /// another submission) — so callers never block on admission and
+    /// never hang.
     pub fn submit_from(&self, client: ClientId, spec: A::Spec) -> QueryHandle<A::Spec> {
-        let id = self.core.idgen.next_query();
+        let core = &*self.core;
+        let id = core.idgen.next_query();
         let (tx, rx) = sync_channel(1);
-        let ov = self.core.cfg.overload;
         assert!(
-            !self.core.shutdown.load(Ordering::SeqCst),
+            !core.shutdown.load(Ordering::SeqCst),
             "submit after shutdown"
         );
-        if self.core.pool_dead.load(Ordering::SeqCst) {
+        core.emit(None, id, EventKind::Submitted);
+        if core.sup.pool_dead() {
             // The whole pool died (restart budget exhausted): refuse
             // typed-ly instead of queueing work no one will ever run.
-            self.core.qmet.submitted.inc();
-            self.core.obs.log.log(id, EventKind::Submitted);
-            self.core.qmet.failed.inc();
-            self.core.obs.log.log(id, EventKind::Failed);
+            core.end(None, id, Terminal::PoolDead);
             let _ = tx.send(Err(ServerError::WorkerPanicked));
             return QueryHandle { id, rx };
         }
-        if !ov.enabled() {
-            // Fast path: no pressure-signal gathering, identical to the
-            // pre-overload submit. Touches only the home shard's lock.
-            self.core.admit(id, spec, tx, false);
-            self.core.obs.log.log(id, EventKind::Submitted);
-            self.core.qmet.submitted.inc();
-            self.core.wake(false);
-            return QueryHandle { id, rx };
-        }
-
-        // Overload fast path (DESIGN.md §12): one atomic queue-depth
-        // read decides admit/reject without the admission lock or any
-        // pressure-signal gathering. Sound because the ladder's
-        // amplification is bounded — `fast_path_admissible` only
-        // returns a verdict the full ladder is guaranteed to agree
-        // with, and escalates otherwise.
-        let depth = self.core.total_waiting.load(Ordering::SeqCst);
-        // Queue-fraction-only pressure gauge: the secondary signals are
-        // not gathered on this path, and the bound that decided the
-        // verdict caps the difference.
-        let queue_only = |depth: usize| {
-            PressureSignals {
-                queue_depth: depth,
-                max_pending: ov.max_pending,
-                ..PressureSignals::default()
-            }
-            .level()
-        };
-        match fast_path_admissible(&ov, depth) {
-            FastAdmit::Admit => {
-                self.core.admit(id, spec, tx, false);
-                self.core.qmet.submitted.inc();
-                self.core.obs.log.log(id, EventKind::Submitted);
-                self.core
-                    .obs
-                    .metrics
-                    .set_gauge("vmqs_pressure", queue_only(depth + 1));
-                self.core.wake(false);
-                return QueryHandle { id, rx };
-            }
-            FastAdmit::RejectFull => {
-                // Histogram reads are atomic — still no lock taken.
-                let mean_service = self.core.qmet.service_time.snapshot().mean();
-                let retry_after = Duration::from_secs_f64(retry_after_estimate(
-                    depth,
-                    self.core.cfg.num_threads,
-                    mean_service,
-                ));
-                self.core.qmet.submitted.inc();
-                self.core.obs.log.log(id, EventKind::Submitted);
-                self.core
-                    .obs
-                    .metrics
-                    .set_gauge("vmqs_pressure", queue_only(depth));
-                self.core.qmet.rejected.inc();
-                self.core.obs.log.log(
-                    id,
-                    EventKind::Rejected {
-                        rate_limited: false,
-                    },
-                );
-                let _ = tx.send(Err(ServerError::Overloaded { retry_after }));
-                return QueryHandle { id, rx };
-            }
-            FastAdmit::Escalate => {}
-        }
-
-        // Slow path: the full ladder under the admission lock. Secondary
-        // pressure inputs come from the store and page-space components,
-        // gathered *before* the admission lock (lock hierarchy: the
-        // store lock is never taken below `admission`).
-        let (ds_occupancy, ps_miss_ratio, retry_ratio) = {
-            let (used, budget) = {
-                let ds = self.core.store.read();
-                (ds.used(), ds.budget())
-            };
-            let ps = self.core.ps.stats();
-            pressure_secondary(
-                used,
-                budget,
-                ps.hits,
-                ps.misses,
-                ps.pages_fetched,
-                ps.read_retries,
-            )
-        };
-        let now_s = self.core.obs.log.now();
-        let signals = |depth: usize| PressureSignals {
-            queue_depth: depth,
-            max_pending: ov.max_pending,
-            ds_occupancy,
-            ps_miss_ratio,
-            retry_ratio,
-        };
-
-        // The response sender travels *inside* the decision: an admitted
-        // query's sender is parked in `pending` under its shard's lock, a
-        // rejected query's sender rides out in `Rejected` so the refusal
-        // can be delivered outside the lock. No slot, no take(), no
-        // "taken once" invariant to uphold at runtime.
-        enum Decision<S> {
-            Admitted {
-                degraded: bool,
+        let ov = core.cfg.overload;
+        let (verdict, pressure) = overload::admit(
+            &ov,
+            core.total_waiting.load(Ordering::SeqCst),
+            core.cfg.num_threads,
+            || {
+                let now = core.obs.log.now();
+                core.admission.lock().take(client, ov.client_rate, now)
             },
-            Rejected {
-                rate_limited: bool,
-                retry_after: Duration,
-                tx: ReplyTx<S>,
+            || {
+                let (used, budget) = {
+                    let ds = core.store.read();
+                    (ds.used(), ds.budget())
+                };
+                let ps = core.ps.stats();
+                Secondary::from_counters(
+                    used,
+                    budget,
+                    ps.hits,
+                    ps.misses,
+                    ps.pages_fetched,
+                    ps.read_retries,
+                )
             },
-        }
-        // Shed victims staged for delivery outside all scheduler locks:
-        // (query, home shard, record, pressure level that shed it).
-        let mut shed_out = Vec::new();
-        let mut observed_level;
-        let decision = {
-            let mut adm = self.core.admission.lock();
-            let depth = self.core.total_waiting.load(Ordering::SeqCst);
-            observed_level = signals(depth).level();
-            let over_rate = ov.client_rate > 0.0 && {
-                let bucket = adm
-                    .buckets
-                    .entry(client)
-                    .or_insert_with(|| TokenBucket::new(ov.client_rate));
-                !bucket.try_take(now_s)
-            };
-            if over_rate {
-                let wait = adm.buckets[&client].time_to_token(now_s).max(1e-3);
-                Decision::Rejected {
-                    rate_limited: true,
-                    retry_after: Duration::from_secs_f64(wait),
-                    tx,
-                }
-            } else if ov.max_pending > 0 && depth >= ov.max_pending {
-                // Histogram reads are atomic — no lock below `admission`
-                // here.
-                let mean_service = self.core.qmet.service_time.snapshot().mean();
-                Decision::Rejected {
-                    rate_limited: false,
-                    retry_after: Duration::from_secs_f64(retry_after_estimate(
-                        depth,
-                        self.core.cfg.num_threads,
-                        mean_service,
-                    )),
-                    tx,
-                }
-            } else {
-                let mut level = signals(depth + 1).level();
-                let mut spec = spec;
-                let mut degraded = false;
-                if level >= ov.degrade_threshold {
-                    if let Some(cheaper) = self.core.app.degrade(&spec) {
-                        spec = cheaper;
-                        degraded = true;
-                    }
-                }
-                self.core.admit(id, spec, tx, degraded);
-                // Shed the largest-`qinputsize` WAITING queries (newest
-                // first on ties — the IoAware/SJF rationale) until
-                // pressure drops below the threshold. The victim may be
-                // the query just admitted, and may live on any shard
-                // (candidates are gathered one shard lock at a time).
-                while level >= ov.shed_threshold
-                    && self.core.total_waiting.load(Ordering::SeqCst) > 0
-                {
-                    let mut cands: Vec<(QueryId, u64, u64, usize)> = Vec::new();
-                    for (si, sh) in self.core.shards.iter().enumerate() {
-                        let s = sh.state.lock();
-                        cands.extend(s.sched.shed_candidates().map(|(q, sz, ar)| (q, sz, ar, si)));
-                    }
-                    let victim = shed_victim(cands.iter().map(|&(q, sz, ar, _)| (q, sz, ar)));
-                    let Some(vid) = victim else { break };
-                    let Some(&(_, _, _, vk)) = cands.iter().find(|c| c.0 == vid) else {
-                        break;
-                    };
-                    let mut s = self.core.shards[vk].state.lock();
-                    if s.sched.graph().state_of(vid) != Some(QueryState::Waiting) {
-                        // A worker raced us to this victim; re-evaluate.
-                        continue;
-                    }
-                    let victim = s.sched.retire(vid);
-                    self.core.shards[vk].depth.fetch_sub(1, Ordering::SeqCst);
-                    self.core.total_waiting.fetch_sub(1, Ordering::SeqCst);
-                    drop(s);
-                    shed_out.push((vid, vk, victim, level));
-                    level = signals(self.core.total_waiting.load(Ordering::SeqCst)).level();
-                }
-                observed_level = level;
-                drop(adm);
-                Decision::Admitted { degraded }
-            }
-        };
-
-        // Events, counters, and deliveries — all outside the admission
-        // and shard locks, in the canonical order the simulator mirrors:
-        // Submitted, [Degraded | Rejected], then Shed for each victim.
-        self.core.qmet.submitted.inc();
-        self.core.obs.log.log(id, EventKind::Submitted);
-        self.core
-            .obs
-            .metrics
-            .set_gauge("vmqs_pressure", observed_level);
-        match decision {
-            Decision::Admitted { degraded } => {
-                if degraded {
-                    self.core.qmet.degraded.inc();
-                    self.core.obs.log.log(id, EventKind::Degraded);
-                }
-            }
-            Decision::Rejected {
+            // Histogram reads are atomic: no lock taken.
+            || core.qmet.service_time.snapshot().mean(),
+        );
+        match verdict {
+            Verdict::Reject {
                 rate_limited,
                 retry_after,
-                tx,
             } => {
-                self.core.qmet.rejected.inc();
-                self.core
-                    .obs
-                    .log
-                    .log(id, EventKind::Rejected { rate_limited });
+                core.end(None, id, Terminal::Rejected { rate_limited });
+                let retry_after = Duration::from_secs_f64(retry_after);
                 let _ = tx.send(Err(ServerError::Overloaded { retry_after }));
             }
+            Verdict::Admit { degrade } => {
+                let cheaper = degrade.then(|| core.app.degrade(&spec)).flatten();
+                if cheaper.is_some() {
+                    core.emit(None, id, EventKind::Degraded);
+                }
+                core.admit(id, cheaper.unwrap_or(spec), tx, cheaper.is_some());
+                core.shed_while(pressure);
+                core.wake(false);
+            }
         }
-        for (vid, vk, victim, level) in shed_out {
-            self.core.qmet.shed.inc();
-            self.core.obs.log.log(vid, EventKind::Shed);
-            self.core
-                .answer(vk, victim, Err(ServerError::Shed { pressure: level }));
+        if ov.enabled() {
+            let level = pressure.level(core.total_waiting.load(Ordering::SeqCst));
+            core.obs.metrics.set_gauge("vmqs_pressure", level);
         }
-        self.core.wake(false);
         QueryHandle { id, rx }
     }
 
@@ -712,12 +604,16 @@ impl<A: AppExecutor> QueryServer<A> {
             }
             sh.done_cv.notify_all();
         }
-        let mut join_panics = 0u64;
-        for w in self.workers.drain(..) {
+        // A panic that escaped the supervision layer entirely (outside
+        // `run_one`) is accounted, not asserted on: every client gets a
+        // typed error below, and the summary reports the damage. It has
+        // no query to log against, so it is counted without an event.
+        let join = |w: JoinHandle<()>| {
             if w.join().is_err() {
-                join_panics += 1;
+                self.core.qmet.count(&EventKind::WorkerPanicked);
             }
-        }
+        };
+        self.workers.drain(..).for_each(join);
         // Replacement workers the supervision layer spawned. A panic
         // during this join can itself respawn one more, so drain until
         // the list stays empty.
@@ -726,11 +622,7 @@ impl<A: AppExecutor> QueryServer<A> {
             if respawned.is_empty() {
                 break;
             }
-            for w in respawned {
-                if w.join().is_err() {
-                    join_panics += 1;
-                }
-            }
+            respawned.into_iter().for_each(join);
         }
         // Exiting workers flush their own event buffers; sweep them all
         // anyway so a panicked worker's staged events are not lost.
@@ -744,10 +636,6 @@ impl<A: AppExecutor> QueryServer<A> {
                 let _ = p.tx.send(Err(ServerError::Shutdown));
             }
         }
-        // A panic that escaped the supervision layer entirely (outside
-        // `run_one`) is accounted, not asserted on: every client already
-        // got a typed error above, and the summary reports the damage.
-        self.core.qmet.worker_panics.add(join_panics);
     }
 
     /// Execution records of all completed queries so far. This copies the
@@ -936,10 +824,9 @@ impl<A: AppExecutor> QueryServer<A> {
 }
 
 impl<A: AppExecutor> Core<A> {
-    /// Inserts an admitted query into its home shard and publishes the
-    /// bookkeeping counters. The `total_waiting`/`depth` increments
-    /// happen under the shard lock, so a dequeuer can never observe the
-    /// query before the counters account for it.
+    /// Inserts an admitted query into its home shard. `outstanding`
+    /// counts it before the shard lock is released, and the release
+    /// publishes the new ready-queue length.
     fn admit(&self, id: QueryId, spec: A::Spec, tx: ReplyTx<A::Spec>, degraded: bool) {
         let k = shard_of_spec(&spec, self.shards.len());
         let mut s = self.shards[k].state.lock();
@@ -950,18 +837,48 @@ impl<A: AppExecutor> Core<A> {
         };
         s.sched.admit(id, spec, record);
         self.outstanding.fetch_add(1, Ordering::SeqCst);
-        self.total_waiting.fetch_add(1, Ordering::SeqCst);
-        self.shards[k].depth.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// The ladder's last rung: while `pressure` says so, sheds the
+    /// largest-`qinputsize` WAITING query (newest first on ties — the
+    /// IoAware/SJF rationale). The victim may be the query just
+    /// admitted, and may live on any shard (candidates are gathered one
+    /// shard lock at a time).
+    fn shed_while(&self, pressure: Pressure) {
+        loop {
+            let waiting = self.total_waiting.load(Ordering::SeqCst);
+            if !pressure.sheds_at(waiting) {
+                return;
+            }
+            let mut cands = Vec::new();
+            for sh in &self.shards {
+                cands.extend(sh.state.lock().sched.shed_candidates());
+            }
+            let Some(vid) = shed_victim(cands) else {
+                return;
+            };
+            // Its home shard is the one where it is still WAITING; none,
+            // when a worker raced us to it: re-evaluate.
+            let retired = self.shards.iter().enumerate().find_map(|(k, sh)| {
+                let mut s = sh.state.lock();
+                let waiting = s.sched.graph().state_of(vid) == Some(QueryState::Waiting);
+                waiting.then(|| (k, s.sched.retire(vid)))
+            });
+            let Some((k, record)) = retired else { continue };
+            self.end(None, vid, Terminal::Shed);
+            let pressure = pressure.level(waiting);
+            self.answer(k, record, Err(ServerError::Shed { pressure }));
+        }
     }
 
     /// Submitter half of the eventcount idle protocol: the
-    /// `total_waiting` increment (SeqCst, already published by `admit`)
-    /// and the `sleepers` check form a Dekker pair with the worker's
-    /// park sequence — at least one side always sees the other, and the
-    /// `idle` lock bridges the check-to-wait window. Wakes one worker, or
-    /// `all` of them (batch submission).
+    /// `total_waiting` increment (SeqCst, published when `admit` released
+    /// the shard lock) and the `sleepers` check form a Dekker pair with
+    /// the worker's park sequence — at least one side always sees the
+    /// other, and the `idle` lock bridges the check-to-wait window. Wakes
+    /// one worker, or `all` of them (batch submission).
     fn wake(&self, all: bool) {
-        if self.pool_dead.load(Ordering::SeqCst) {
+        if self.sup.pool_dead() {
             // The pool died; whatever was just queued will never run.
             // Every admit path calls a wake, so sweeping here closes the
             // admit/pool-death race: either the submitter sees the flag
@@ -996,14 +913,26 @@ impl<A: AppExecutor> Core<A> {
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Stages a worker-side event in the worker's buffer. The sequence
-    /// number is stamped now, so the eventual batched append lands in
-    /// the log exactly where direct logging would have put it.
-    fn buf_push(&self, me: usize, query: QueryId, kind: EventKind) {
+    /// The engine's one way to say something happened: bumps the counter
+    /// the event stands for ([`QueryMetrics::count`]) and logs it —
+    /// staged in worker `me`'s buffer, or directly from a submitter
+    /// (`None`). The sequence number is stamped now either way, so a
+    /// batched append lands in the log exactly where direct logging would
+    /// have put it.
+    fn emit(&self, me: Option<usize>, query: QueryId, kind: EventKind) {
+        self.qmet.count(&kind);
         if !self.obs.log.enabled() {
             return;
         }
-        self.event_bufs[me].lock().push(&self.obs.log, query, kind);
+        match me {
+            Some(w) => self.event_bufs[w].lock().push(&self.obs.log, query, kind),
+            None => self.obs.log.log(query, kind),
+        }
+    }
+
+    /// Emits the events a query's end implies, in [`Terminal`]'s order.
+    fn end(&self, me: Option<usize>, query: QueryId, how: Terminal) {
+        how.events().for_each(|kind| self.emit(me, query, kind));
     }
 
     /// Drains a worker's staged events into the shared log.
@@ -1102,7 +1031,7 @@ fn worker_entry<A: AppExecutor>(core: Arc<Core<A>>, me: usize) {
                 core.buf_flush(me);
                 let mut best: Option<(usize, usize)> = None;
                 for &v in &order {
-                    let d = core.shards[v].depth.load(Ordering::SeqCst);
+                    let d = core.shards[v].state.depth.load(Ordering::SeqCst);
                     if d > 0 && best.is_none_or(|(bd, _)| d > bd) {
                         best = Some((d, v));
                     }
@@ -1117,130 +1046,76 @@ fn worker_entry<A: AppExecutor>(core: Arc<Core<A>>, me: usize) {
         // Supervision (DESIGN.md §15): a panicking compute kills this
         // worker, not the pool. The unwind is caught here — after the
         // inner guard in `execute_query` has already returned the compute
-        // permit and aborted the reservation — the orphaned query is
-        // requeued or quarantined, and a replacement worker is spawned
-        // under the restart budget. Lock guards released on the unwind
-        // path leave consistent state: the injected panic point fires
-        // with no engine lock held.
+        // permit and aborted the reservation. Lock guards released on the
+        // unwind path leave consistent state: the injected panic point
+        // fires with no engine lock held.
         let (k, id) = (job.shard, job.id);
         if catch_unwind(AssertUnwindSafe(|| run_one(&core, me, job))).is_err() {
-            // The restart-budget token is claimed (and the restart
-            // counted) *before* the query's handle resolves, so a caller
-            // whose wait() just returned observes restart accounting
-            // consistent with the panics that caused it; only the thread
-            // spawn itself happens after the back-out.
-            let replacement = claim_restart(&core);
-            handle_worker_panic(&core, me, k, id, replacement);
-            respawn_or_retire(core, me, replacement);
+            on_worker_panic(core, me, k, id);
             return;
         }
     }
 }
 
-/// Backs out a panicked worker's in-flight query. The panic unwound
-/// through `run_one` with no locks held (guards release on unwind) and
-/// the compute permit/reservation already returned by the inner guard in
-/// `execute_query`; what remains is the scheduling residue, which
-/// [`SchedShard::on_panic`] resolves: requeued for a sibling shard's
-/// worker (or the replacement) below the quarantine limit, failed
-/// typed-ly at it.
-fn handle_worker_panic<A: AppExecutor>(
-    core: &Core<A>,
-    me: usize,
-    k: usize,
-    id: QueryId,
-    replacement: bool,
-) {
-    core.qmet.worker_panics.inc();
-    core.buf_push(me, id, EventKind::WorkerPanicked);
-    let mut s = core.shards[k].state.lock();
-    s.waiting_on.remove(&id);
-    let outcome = s.sched.on_panic(id, core.cfg.quarantine_limit);
-    if matches!(outcome, PanicOutcome::Requeued) {
-        // Like `admit`, the counter increments stay under the shard lock
-        // so a dequeuer never sees the query before they account for it.
-        core.shards[k].depth.fetch_add(1, Ordering::SeqCst);
-        core.total_waiting.fetch_add(1, Ordering::SeqCst);
-    }
-    drop(s);
+/// A panicked worker's last act. The [`Supervisor`] decides its fate
+/// first, so the restart is accounted (counter + event) before the
+/// query's handle resolves — a caller whose `wait()` just returned
+/// observes restart counts consistent with the panics that caused them.
+/// Then the scheduling residue, which [`SchedShard::on_panic`] resolves:
+/// requeued for a sibling shard's worker (or the replacement) below the
+/// quarantine limit, failed typed-ly at it. Last, the replacement is
+/// spawned, or the worker retires for good; when that was the last live
+/// worker the pool is dead — WAITING queries are failed typed-ly (no one
+/// will ever run them; the sweep runs after the back-out, so it catches
+/// the query just requeued) and later submissions are refused up front.
+fn on_worker_panic<A: AppExecutor>(core: Arc<Core<A>>, me: usize, k: usize, id: QueryId) {
+    // A worker dying during shutdown is neither replaced nor mourned:
+    // `shutdown` itself fails whatever is left.
+    let mut fate = if core.shutdown.load(Ordering::SeqCst) {
+        WorkerFate::Retire
+    } else {
+        core.sup.on_worker_death()
+    };
+    core.emit(Some(me), id, EventKind::WorkerPanicked);
+    let outcome = {
+        let mut s = core.shards[k].state.lock();
+        s.waiting_on.remove(&id);
+        s.sched.on_panic(id, core.cfg.quarantine_limit)
+    };
     let failure = match outcome {
         PanicOutcome::Requeued => None,
         PanicOutcome::Quarantined { attempts, record } => {
-            core.qmet.quarantined.inc();
-            core.buf_push(me, id, EventKind::Quarantined { attempts });
+            core.end(Some(me), id, Terminal::Quarantined { attempts });
             Some((Some(record), ServerError::Quarantined { attempts }))
         }
-        PanicOutcome::Gone => Some((None, ServerError::WorkerPanicked)),
+        PanicOutcome::Gone => {
+            core.end(Some(me), id, Terminal::Failed);
+            Some((None, ServerError::WorkerPanicked))
+        }
     };
-    if failure.is_some() {
-        core.qmet.failed.inc();
-        core.buf_push(me, id, EventKind::Failed);
-    }
-    if replacement {
-        // Counted here, behind the panic/quarantine events in this
-        // worker's buffer and before the query's handle resolves.
-        core.qmet.worker_restarts.inc();
-        core.buf_push(me, id, EventKind::WorkerRestarted);
+    if fate == WorkerFate::Respawn {
+        core.emit(Some(me), id, EventKind::WorkerRestarted);
     }
     core.buf_flush(me);
     match failure {
         None => core.wake(false),
         Some((record, err)) => core.answer(k, record, Err(err)),
     }
-}
-
-/// Claims one restart-budget token for a replacement worker, without
-/// spawning it yet. Called before the panicked query's back-out so the
-/// restart is accounted (counter + event, in `handle_worker_panic`) before
-/// the query's handle resolves — a caller observing the typed failure
-/// sees restart counts consistent with the panics that caused them.
-fn claim_restart<A: AppExecutor>(core: &Core<A>) -> bool {
-    if core.shutdown.load(Ordering::SeqCst) {
-        return false;
-    }
-    let mut left = core.restarts_left.load(Ordering::SeqCst);
-    while left > 0 {
-        match core.restarts_left.compare_exchange(
-            left,
-            left - 1,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        ) {
-            Ok(_) => return true,
-            Err(v) => left = v,
-        }
-    }
-    false
-}
-
-/// A panicked worker's last act: spawn the replacement whose budget
-/// token [`claim_restart`] already claimed (and whose restart
-/// `handle_worker_panic` already accounted), or retire for good. When the
-/// last live worker retires, the pool is dead — WAITING queries are
-/// failed typed-ly (no one will ever run them) and later submissions
-/// are refused up front. Runs after the back-out so a retiring worker's
-/// pool-death sweep catches the query the back-out just requeued.
-fn respawn_or_retire<A: AppExecutor>(core: Arc<Core<A>>, me: usize, replacement: bool) {
-    if replacement {
+    if fate == WorkerFate::Respawn {
         let c2 = Arc::clone(&core);
-        // On Err the OS refused the thread: retire instead. The budget
-        // token is forfeit and the restart stays counted — a one-off
-        // overcount in a corner where the process is already failing to
-        // spawn threads.
-        if let Ok(h) = std::thread::Builder::new()
+        match std::thread::Builder::new()
             .name(format!("vmqs-query-{me}"))
             .spawn(move || worker_entry(c2, me))
         {
-            core.respawned.lock().push(h);
-            return;
+            Ok(h) => return core.respawned.lock().push(h),
+            // The OS refused the thread: retire instead. The budget token
+            // is forfeit and the restart stays counted — a one-off
+            // overcount in a corner where the process is already failing
+            // to spawn threads.
+            Err(_) => fate = core.sup.retire(),
         }
     }
-    // Retiring for good. If this was the last live worker, the pool is
-    // dead: nothing WAITING will ever run.
-    if core.live_workers.fetch_sub(1, Ordering::SeqCst) == 1
-        && !core.shutdown.load(Ordering::SeqCst)
-    {
-        core.pool_dead.store(true, Ordering::SeqCst);
+    if fate == WorkerFate::PoolDead {
         fail_all_waiting(&core);
     }
 }
@@ -1250,17 +1125,9 @@ fn respawn_or_retire<A: AppExecutor>(core: Arc<Core<A>>, me: usize, replacement:
 /// exhausted, so queued work would wedge forever.
 fn fail_all_waiting<A: AppExecutor>(core: &Core<A>) {
     for (k, sh) in core.shards.iter().enumerate() {
-        let victims = {
-            let mut s = sh.state.lock();
-            let victims = s.sched.drain(Some(QueryState::Waiting));
-            sh.depth.fetch_sub(victims.len(), Ordering::SeqCst);
-            core.total_waiting
-                .fetch_sub(victims.len(), Ordering::SeqCst);
-            victims
-        };
+        let victims = sh.state.lock().sched.drain(Some(QueryState::Waiting));
         for (vid, record) in victims {
-            core.qmet.failed.inc();
-            core.obs.log.log(vid, EventKind::Failed);
+            core.end(None, vid, Terminal::PoolDead);
             core.answer(k, Some(record), Err(ServerError::WorkerPanicked));
         }
     }
@@ -1270,7 +1137,7 @@ fn fail_all_waiting<A: AppExecutor>(core: &Core<A>) {
 /// Peeks the lock-free depth mirror first so scanning an empty shard
 /// costs no lock at all.
 fn try_dequeue<A: AppExecutor>(core: &Core<A>, k: usize) -> Option<Job<A::Spec>> {
-    if core.shards[k].depth.load(Ordering::SeqCst) == 0 {
+    if core.shards[k].state.depth.load(Ordering::SeqCst) == 0 {
         return None;
     }
     let mut s = core.shards[k].state.lock();
@@ -1279,8 +1146,6 @@ fn try_dequeue<A: AppExecutor>(core: &Core<A>, k: usize) -> Option<Job<A::Spec>>
     // producer that has not even started.
     let (id, spec, score, p) = s.sched.dequeue(core.cfg.graft)?;
     let (submitted, was_degraded) = (p.submitted, p.degraded);
-    core.shards[k].depth.fetch_sub(1, Ordering::SeqCst);
-    core.total_waiting.fetch_sub(1, Ordering::SeqCst);
     Some(Job {
         shard: k,
         id,
@@ -1294,14 +1159,11 @@ fn try_dequeue<A: AppExecutor>(core: &Core<A>, k: usize) -> Option<Job<A::Spec>>
 
 fn run_one<A: AppExecutor>(core: &Core<A>, me: usize, job: Job<A::Spec>) {
     let (k, id, spec, submitted) = (job.shard, job.id, job.spec, job.submitted);
-    core.buf_push(
-        me,
-        id,
-        EventKind::Ranked {
-            strategy: core.cfg.strategy.name(),
-            score: job.score,
-        },
-    );
+    let ranked = EventKind::Ranked {
+        strategy: core.cfg.strategy.name(),
+        score: job.score,
+    };
+    core.emit(Some(me), id, ranked);
     // The deadline covers the whole client-visible response time:
     // it starts at submission, so queue wait counts against it.
     let query_deadline = core.cfg.query_timeout.map(|t| submitted + t);
@@ -1394,11 +1256,10 @@ fn run_one<A: AppExecutor>(core: &Core<A>, me: usize, job: Job<A::Spec>) {
                 // store's hit/miss counters never saw a lookup for them.
                 AnswerPath::Grafted => {}
             }
-            core.qmet.completed.inc();
             core.qmet
                 .service_time
                 .observe((finished - started).as_secs_f64());
-            core.buf_push(me, id, EventKind::Completed);
+            core.end(Some(me), id, Terminal::Completed);
             let (w, h) = core.app.output_dims(&spec);
             let record = QueryRecord {
                 id,
@@ -1423,27 +1284,21 @@ fn run_one<A: AppExecutor>(core: &Core<A>, me: usize, job: Job<A::Spec>) {
             core.answer(k, pending, Ok(result));
         }
         Err(e) => {
-            let mut err = ServerError::from_io(&e, core.cfg.query_timeout);
+            let err = ServerError::from_io(&e, core.cfg.query_timeout);
             // A deadline cancellation whose binding bound was the hang
-            // limit is a watchdog cancellation, not a client timeout —
-            // rewrite it, but keep the timeout classification so the
-            // conservation accounting folds it into `timed_out`.
-            if matches!(err, ServerError::Timeout { .. }) {
-                if let Some(h) = core.cfg.hang_timeout {
-                    if query_deadline.is_none_or(|d| started + h < d) {
-                        err = ServerError::Hung { limit: h };
-                        core.qmet.hung.inc();
-                        core.buf_push(me, id, EventKind::Hung);
-                    }
-                }
-            }
-            if err.is_timeout() {
-                core.qmet.timed_out.inc();
-                core.buf_push(me, id, EventKind::TimedOut);
-            } else {
-                core.qmet.failed.inc();
-                core.buf_push(me, id, EventKind::Failed);
-            }
+            // limit is a watchdog cancellation, not a client timeout
+            // (`Terminal::Hung` still ends in `TimedOut`, so conservation
+            // accounting folds it into `timed_out`).
+            let hung = core
+                .cfg
+                .hang_timeout
+                .filter(|&h| err.is_timeout() && query_deadline.is_none_or(|d| started + h < d));
+            let (err, how) = match hung {
+                Some(limit) => (ServerError::Hung { limit }, Terminal::Hung),
+                None if err.is_timeout() => (err, Terminal::TimedOut),
+                None => (err, Terminal::Failed),
+            };
+            core.end(Some(me), id, how);
             let record = core.shards[k].state.lock().sched.retire(id);
             core.answer(k, record, Err(err));
         }
@@ -1505,7 +1360,7 @@ fn would_deadlock(
 fn wait_for_peer<A: AppExecutor>(
     core: &Core<A>,
     k: usize,
-    s: &mut MutexGuard<'_, ShardState<A::Spec>>,
+    s: &mut ShardGuard<'_, A::Spec>,
     id: QueryId,
     peer: QueryId,
     deadline: Option<Instant>,
@@ -1520,16 +1375,11 @@ fn wait_for_peer<A: AppExecutor>(
     while s.sched.graph().state_of(peer) == Some(QueryState::Executing)
         && !core.shutdown.load(Ordering::SeqCst)
     {
-        match deadline {
-            None => core.shards[k].done_cv.wait(s),
-            Some(d) if clock::now() >= d => {
-                expired = true;
-                break;
-            }
-            Some(d) => {
-                core.shards[k].done_cv.wait_until(s, d);
-            }
+        if deadline.is_some_and(|d| clock::now() >= d) {
+            expired = true;
+            break;
         }
+        s.wait(&core.shards[k].done_cv, deadline);
     }
     s.waiting_on.remove(&id);
     if expired {
@@ -1568,23 +1418,16 @@ fn execute_query<A: AppExecutor>(
         let mut exact: Option<Arc<[u8]>> = None;
         let mut sources: Vec<(A::Spec, Arc<[u8]>)> = Vec::new();
         let ds = core.store.read();
-        let log_on = core.obs.log.enabled();
         for m in ds.lookup(&spec) {
             if let Some(e) = ds.get(m.blob) {
                 if let Payload::Bytes(bytes) = &e.payload {
-                    let is_exact = exact.is_none() && e.spec.cmp(&spec);
-                    if log_on {
-                        core.buf_push(
-                            me,
-                            id,
-                            EventKind::LookupHit {
-                                source: m.producer,
-                                overlap: m.overlap,
-                                exact: is_exact,
-                            },
-                        );
-                    }
-                    if is_exact {
+                    let hit = EventKind::LookupHit {
+                        source: m.producer,
+                        overlap: m.overlap,
+                        exact: m.exact,
+                    };
+                    core.emit(Some(me), id, hit);
+                    if m.exact {
                         exact = Some(Arc::clone(bytes));
                     } else {
                         sources.push((e.spec, Arc::clone(bytes)));
@@ -1696,13 +1539,10 @@ fn execute_query<A: AppExecutor>(
                 bytes
             };
             let Some(bytes) = published else { continue };
-            core.buf_push(
-                me,
-                id,
-                EventKind::Grafted {
-                    producer: c.producer,
-                },
-            );
+            let grafted = EventKind::Grafted {
+                producer: c.producer,
+            };
+            core.emit(Some(me), id, grafted);
             if c.exact {
                 return Ok(ExecOutcome {
                     image: bytes,
@@ -1844,13 +1684,10 @@ fn execute_query<A: AppExecutor>(
     };
     debug_assert_eq!(out.bytes.len(), core.app.output_len(&spec));
     if out.subqueries > 0 {
-        core.buf_push(
-            me,
-            id,
-            EventKind::SubquerySpawned {
-                count: out.subqueries,
-            },
-        );
+        let spawned = EventKind::SubquerySpawned {
+            count: out.subqueries,
+        };
+        core.emit(Some(me), id, spawned);
     }
     let path = if out.reused_bytes > 0 {
         AnswerPath::PartialReuse
@@ -1887,15 +1724,11 @@ fn route_evictions<A: AppExecutor>(
         s.sched.route_eviction(r.producer, r.blob);
     }
     for r in evicted {
-        core.buf_push(
-            me,
-            r.producer,
-            EventKind::Evicted {
-                tier: r.tier,
-                score: r.score,
-            },
-        );
-        core.qmet.ds_evictions.inc();
+        let kind = EventKind::Evicted {
+            tier: r.tier,
+            score: r.score,
+        };
+        core.emit(Some(me), r.producer, kind);
     }
 }
 
@@ -1950,8 +1783,7 @@ fn drain_spills<A: AppExecutor>(
 /// outside the store lock.
 fn emit_spills<A: AppExecutor>(core: &Core<A>, me: usize, spills: Vec<(QueryId, u64)>) {
     for (producer, bytes) in spills {
-        core.buf_push(me, producer, EventKind::Spilled { bytes });
-        core.qmet.ds_spills.inc();
+        core.emit(Some(me), producer, EventKind::Spilled { bytes });
     }
 }
 
@@ -2011,24 +1843,20 @@ fn try_restore<A: AppExecutor>(
     route_evictions(core, me, evicted);
     emit_spills(core, me, spills);
     let (producer, bytes, size) = restored?;
-    core.buf_push(me, producer, EventKind::Restored { bytes: size });
-    core.qmet.ds_restores.inc();
-    core.buf_push(
-        me,
-        id,
-        EventKind::LookupHit {
-            source: producer,
-            overlap: 1.0,
-            exact: true,
-        },
-    );
+    core.emit(Some(me), producer, EventKind::Restored { bytes: size });
+    let hit = EventKind::LookupHit {
+        source: producer,
+        overlap: 1.0,
+        exact: true,
+    };
+    core.emit(Some(me), id, hit);
     Some(bytes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vmqs_core::{DatasetId, Rect};
+    use vmqs_core::{DatasetId, OverloadConfig, Rect};
     use vmqs_microscope::kernels::reference_render;
     use vmqs_microscope::{SlideDataset, VmOp, VmQuery};
     use vmqs_storage::SyntheticSource;
@@ -2224,7 +2052,7 @@ mod tests {
                 .with_threads(1)
                 .with_start_paused(true)
                 .with_observability(true)
-                .with_max_pending(2),
+                .with_overload(OverloadConfig::default().with_max_pending(2)),
         );
         let handles: Vec<_> = (0..4)
             .map(|i| s.submit(q(i * 50, 0, 64, 64, 2, VmOp::Subsample)))
@@ -2274,8 +2102,11 @@ mod tests {
                 .with_threads(1)
                 .with_start_paused(true)
                 .with_observability(true)
-                .with_max_pending(4)
-                .with_shed_threshold(0.75),
+                .with_overload(
+                    OverloadConfig::default()
+                        .with_max_pending(4)
+                        .with_shed_threshold(0.75),
+                ),
         );
         let small_a = s.submit(q(0, 0, 64, 64, 1, VmOp::Subsample));
         let big = s.submit(q(0, 0, 300, 300, 1, VmOp::Subsample));
@@ -2313,8 +2144,11 @@ mod tests {
                 .with_threads(1)
                 .with_start_paused(true)
                 .with_observability(true)
-                .with_max_pending(8)
-                .with_degrade_threshold(0.25),
+                .with_overload(
+                    OverloadConfig::default()
+                        .with_max_pending(8)
+                        .with_degrade_threshold(0.25),
+                ),
         );
         let handles: Vec<_> = (0..3)
             .map(|i| s.submit(q(i * 80, 0, 128, 128, 2, VmOp::Average)))
@@ -2354,7 +2188,7 @@ mod tests {
                 .with_threads(1)
                 .with_start_paused(true)
                 .with_observability(true)
-                .with_client_rate(0.1),
+                .with_overload(OverloadConfig::default().with_client_rate(0.1)),
         );
         let a1 = s.submit_from(ClientId(7), q(0, 0, 64, 64, 2, VmOp::Subsample));
         let a2 = s.submit_from(ClientId(7), q(64, 0, 64, 64, 2, VmOp::Subsample));
@@ -2388,7 +2222,7 @@ mod tests {
             ServerConfig::small()
                 .with_threads(2)
                 .with_start_paused(true)
-                .with_max_pending(4),
+                .with_overload(OverloadConfig::default().with_max_pending(4)),
         );
         let handles: Vec<_> = (0..6)
             .map(|i| s.submit(q((i % 3) * 100, 0, 80, 80, 2, VmOp::Subsample)))

@@ -26,12 +26,12 @@ use crate::report::{SimRecord, SimReport};
 use crate::vm::VmSimApp;
 use std::collections::HashMap;
 use vmqs_core::{
-    pressure_secondary, shed_victim, ClientId, IdGen, PanicOutcome, PressureSignals, QueryId,
-    QuerySpec, QueryState, SchedShard, Strategy, TokenBucket,
+    overload, shed_victim, ClientId, IdGen, PanicOutcome, QueryId, QuerySpec, QueryState,
+    RateLimiter, SchedShard, Secondary, Strategy, Supervisor, Verdict, WorkerFate,
 };
 use vmqs_datastore::{DataStore, EvictionRecord, Payload};
 use vmqs_microscope::PAGE_SIZE;
-use vmqs_obs::{EventKind, Obs, PageMetrics, QueryMetrics};
+use vmqs_obs::{EventKind, Obs, PageMetrics, QueryMetrics, Terminal};
 use vmqs_pagespace::{PageCacheCore, PageData, PageDisposition, PageKey};
 use vmqs_storage::SPILL_DEVICE;
 
@@ -155,33 +155,26 @@ pub struct Simulator<A: SimApplication> {
     makespan: f64,
     tuner: Option<Tuner>,
     policy_overrides: u64,
-    io_faults: u64,
-    io_retries: u64,
-    restore_failures: u64,
     recomputed_bytes: u64,
     /// Per-client token buckets for the admission rate limiter, refilled
     /// in virtual time (the threaded engine refills the same bucket code
     /// in real time).
-    buckets: HashMap<ClientId, TokenBucket>,
+    buckets: RateLimiter,
     /// Global compute ordinal — the chaos injector's panic-at-nth
     /// coordinate, counted exactly like the threaded engine's
     /// `Core::compute_seq` (every entry into the compute stage).
     compute_seq: u64,
-    /// Replacement virtual workers still allowed, counting down from
-    /// [`SimConfig::restart_budget`].
-    restarts_left: usize,
-    /// Worker slots retired for good (a panic with no restart budget
-    /// left). Capacity is `cfg.threads - dead_workers`.
-    dead_workers: usize,
-    /// Set when every worker slot has been retired: WAITING queries are
-    /// failed typed-ly and later arrivals are refused.
-    pool_dead: bool,
+    /// Restart budget, live worker slots (the pool's capacity) and the
+    /// pool-dead latch: once every slot has been retired, WAITING queries
+    /// are failed typed-ly and later arrivals are refused.
+    sup: Supervisor,
     /// Event log + metrics registry; events stamped with *virtual* time
     /// via `log_at`, using the same schema as the threaded engine so the
     /// conformance harness can compare the two (DESIGN.md §9).
     obs: Obs,
-    /// Per-run query counters; the report's terminal counts are read
-    /// from these, not kept twice.
+    /// Per-run query counters, bumped by [`Simulator::emit`] and nowhere
+    /// else; the report's terminal counts are read from these, not kept
+    /// twice.
     qmet: QueryMetrics,
     pmet: PageMetrics,
 }
@@ -253,15 +246,10 @@ impl<A: SimApplication> Simulator<A> {
             makespan: 0.0,
             tuner: cfg.tuner.map(Tuner::new),
             policy_overrides: 0,
-            io_faults: 0,
-            io_retries: 0,
-            restore_failures: 0,
             recomputed_bytes: 0,
-            buckets: HashMap::new(),
+            buckets: RateLimiter::default(),
             compute_seq: 0,
-            restarts_left: cfg.restart_budget,
-            dead_workers: 0,
-            pool_dead: false,
+            sup: Supervisor::new(cfg.threads, cfg.restart_budget),
             obs,
             qmet,
             pmet,
@@ -335,8 +323,8 @@ impl<A: SimApplication> Simulator<A> {
             ps_stats,
             graph_stats: self.sched.graph().stats(),
             disk_stats: self.disk.stats(),
-            io_faults: self.io_faults,
-            io_retries: self.io_retries,
+            io_faults: self.pmet.read_faults.get(),
+            io_retries: self.pmet.read_retries.get(),
             events: self.obs.log.snapshot(),
             metrics: self.obs.metrics.snapshot(),
             rejected: self.qmet.rejected.get(),
@@ -345,7 +333,7 @@ impl<A: SimApplication> Simulator<A> {
             grafted: self.grafted,
             spilled: self.qmet.ds_spills.get(),
             restored: self.qmet.ds_restores.get(),
-            restore_failures: self.restore_failures,
+            restore_failures: ds_stats.restore_failures,
             recomputed_bytes: self.recomputed_bytes,
             failed: self.qmet.failed.get(),
             timed_out: self.qmet.timed_out.get(),
@@ -356,131 +344,100 @@ impl<A: SimApplication> Simulator<A> {
         }
     }
 
+    /// The engine's one way to say something happened: bumps the counter
+    /// the event stands for ([`QueryMetrics::count`]) and logs it at
+    /// virtual time `now`.
+    fn emit(&mut self, now: f64, id: QueryId, kind: EventKind) {
+        self.qmet.count(&kind);
+        self.obs.log.log_at(now, id, kind);
+    }
+
+    /// The driver's half of a query's end (a rejection, or an exit the
+    /// shard made: `retire`, `on_panic`, `drain`): emits the events it
+    /// implies, in [`Terminal`]'s order, and lets the client move on.
+    fn end(&mut self, now: f64, id: QueryId, how: Terminal, client: ClientId) {
+        how.events().for_each(|kind| self.emit(now, id, kind));
+        self.advance_client(now, client);
+    }
+
+    /// Runs the admission ladder — [`vmqs_core::overload::admit`], the
+    /// function `QueryServer::submit_from` calls too — in virtual time.
+    /// Events come out in the canonical order (Submitted, [Degraded |
+    /// Rejected], then Shed per victim) the conformance harness pins
+    /// across engines.
     fn on_arrival(&mut self, now: f64, client: ClientId, spec: A::Spec, defer_start: bool) {
         // The id is assigned before the admission decision, exactly like
         // the threaded engine — a rejected query still consumes an id, so
         // id sequences stay comparable across engines.
         let id = self.idgen.next_query();
-        self.qmet.submitted.inc();
-        self.obs.log.log_at(now, id, EventKind::Submitted);
+        self.emit(now, id, EventKind::Submitted);
         // A dead pool refuses synchronously: the query is acknowledged
-        // (Submitted) and immediately failed, exactly like the threaded
-        // engine's `submit_from` once `pool_dead` is set.
-        if self.pool_dead {
-            self.qmet.failed.inc();
-            self.obs.log.log_at(now, id, EventKind::Failed);
-            self.advance_client(now, client);
-            return;
+        // (Submitted) and immediately failed.
+        if self.sup.pool_dead() {
+            return self.end(now, id, Terminal::PoolDead, client);
         }
         let ov = self.cfg.overload;
+        let (verdict, pressure) = overload::admit(
+            &ov,
+            self.sched.graph().waiting_len(),
+            self.cfg.threads,
+            || self.buckets.take(client, ov.client_rate, now),
+            || {
+                let ps = self.ps.stats();
+                Secondary::from_counters(
+                    self.ds.used(),
+                    self.ds.budget(),
+                    ps.hits,
+                    ps.misses,
+                    ps.pages_fetched,
+                    ps.read_retries,
+                )
+            },
+            || self.qmet.service_time.snapshot().mean(),
+        );
+        match verdict {
+            // The refusal is the client's answer: an interactive client
+            // moves on to its next query.
+            Verdict::Reject { rate_limited, .. } => {
+                self.end(now, id, Terminal::Rejected { rate_limited }, client);
+            }
+            Verdict::Admit { degrade } => {
+                let cheaper = degrade.then(|| self.app.degrade(&spec)).flatten();
+                if cheaper.is_some() {
+                    self.emit(now, id, EventKind::Degraded);
+                }
+                let info = QInfo {
+                    client,
+                    spec: cheaper.unwrap_or(spec),
+                    arrival: now,
+                    start: f64::NAN,
+                    blocked_since: None,
+                    blocked_total: 0.0,
+                    degraded: cheaper.is_some(),
+                    graft_of: None,
+                    grafted: false,
+                    metrics: None,
+                };
+                self.sched.admit(id, info.spec, info);
+                // The ladder's last rung: shed the largest-`qinputsize`
+                // WAITING queries (newest first on ties) while pressure
+                // says so; the victim may be the query just admitted.
+                while pressure.sheds_at(self.sched.graph().waiting_len()) {
+                    let Some(vid) = shed_victim(self.sched.shed_candidates()) else {
+                        break;
+                    };
+                    let info = self.sched.retire(vid).expect("WAITING victim has info");
+                    self.end(now, vid, Terminal::Shed, info.client);
+                }
+            }
+        }
         if ov.enabled() {
-            self.admit_under_overload(now, id, client, spec);
-        } else {
-            // Fast path: identical to the pre-overload arrival.
-            self.admit(now, id, client, spec, false);
+            let level = pressure.level(self.sched.graph().waiting_len());
+            self.obs.metrics.set_gauge("vmqs_pressure", level);
         }
         if !defer_start {
             self.try_start(now);
         }
-    }
-
-    fn admit(&mut self, now: f64, id: QueryId, client: ClientId, spec: A::Spec, degraded: bool) {
-        let info = QInfo {
-            client,
-            spec,
-            arrival: now,
-            start: f64::NAN,
-            blocked_since: None,
-            blocked_total: 0.0,
-            degraded,
-            graft_of: None,
-            grafted: false,
-            metrics: None,
-        };
-        self.sched.admit(id, spec, info);
-    }
-
-    /// The same admission ladder as `QueryServer::submit_from`, run in
-    /// virtual time: rate limit → bounded queue → degrade → shed, with
-    /// events emitted in the canonical order (Submitted, [Degraded |
-    /// Rejected], then Shed per victim) so the conformance harness can
-    /// pin the decision trace across engines.
-    fn admit_under_overload(&mut self, now: f64, id: QueryId, client: ClientId, spec: A::Spec) {
-        let ov = self.cfg.overload;
-        let ps = self.ps.stats();
-        let (ds_occupancy, ps_miss_ratio, retry_ratio) = pressure_secondary(
-            self.ds.used(),
-            self.ds.budget(),
-            ps.hits,
-            ps.misses,
-            ps.pages_fetched,
-            ps.read_retries,
-        );
-        let level_at = |depth: usize| {
-            PressureSignals {
-                queue_depth: depth,
-                max_pending: ov.max_pending,
-                ds_occupancy,
-                ps_miss_ratio,
-                retry_ratio,
-            }
-            .level()
-        };
-        let depth = self.sched.graph().waiting_len();
-        let over_rate = ov.client_rate > 0.0
-            && !self
-                .buckets
-                .entry(client)
-                .or_insert_with(|| TokenBucket::new(ov.client_rate))
-                .try_take(now);
-        if over_rate || (ov.max_pending > 0 && depth >= ov.max_pending) {
-            self.obs.metrics.set_gauge("vmqs_pressure", level_at(depth));
-            self.qmet.rejected.inc();
-            self.obs.log.log_at(
-                now,
-                id,
-                EventKind::Rejected {
-                    rate_limited: over_rate,
-                },
-            );
-            // The refusal is the client's answer: an interactive client
-            // moves on to its next query.
-            self.advance_client(now, client);
-            return;
-        }
-        let mut level = level_at(depth + 1);
-        let cheaper = (level >= ov.degrade_threshold)
-            .then(|| self.app.degrade(&spec))
-            .flatten();
-        self.admit(now, id, client, cheaper.unwrap_or(spec), cheaper.is_some());
-        if cheaper.is_some() {
-            self.qmet.degraded.inc();
-            self.obs.log.log_at(now, id, EventKind::Degraded);
-        }
-        // Shed the largest-`qinputsize` WAITING queries (newest first on
-        // ties) until pressure drops below the threshold; the victim may
-        // be the query just admitted.
-        while level >= ov.shed_threshold {
-            let victim = shed_victim(self.sched.shed_candidates());
-            let Some(vid) = victim else { break };
-            let info = self.sched.retire(vid).expect("WAITING victim has info");
-            self.retired(now, vid, EventKind::Shed, info.client);
-            level = level_at(self.sched.graph().waiting_len());
-        }
-        self.obs.metrics.set_gauge("vmqs_pressure", level);
-    }
-
-    /// The driver's half of a terminal exit the shard made
-    /// ([`SchedShard::retire`], `on_panic`, `drain`): counts and logs
-    /// `terminal` and lets the client move on.
-    fn retired(&mut self, now: f64, id: QueryId, terminal: EventKind, client: ClientId) {
-        match terminal {
-            EventKind::Shed => self.qmet.shed.inc(),
-            EventKind::TimedOut => self.qmet.timed_out.inc(),
-            _ => self.qmet.failed.inc(),
-        }
-        self.obs.log.log_at(now, id, terminal);
-        self.advance_client(now, client);
     }
 
     /// Wakes every query blocked on `id` — it published, or never will —
@@ -524,7 +481,7 @@ impl<A: SimApplication> Simulator<A> {
     /// worker slot is free; returns it with the rank it was chosen by.
     fn pick_next(&mut self, now: f64) -> Option<(QueryId, f64)> {
         // Panics with no restart budget left retire their worker slot.
-        if self.busy_slots >= self.cfg.threads - self.dead_workers {
+        if self.busy_slots >= self.sup.live_workers() {
             return None;
         }
         let started = match self.cfg.policy {
@@ -559,14 +516,11 @@ impl<A: SimApplication> Simulator<A> {
             self.busy_slots += 1;
             // The rank the scheduler chose the query by, frozen at dequeue
             // — same emission point as the threaded engine's worker loop.
-            self.obs.log.log_at(
-                now,
-                id,
-                EventKind::Ranked {
-                    strategy: self.cfg.strategy.name(),
-                    score,
-                },
-            );
+            let ranked = EventKind::Ranked {
+                strategy: self.cfg.strategy.name(),
+                score,
+            };
+            self.emit(now, id, ranked);
             let info = self.sched.record_mut(id).expect("dequeued query has info");
             info.start = now;
             let spec = info.spec;
@@ -630,11 +584,9 @@ impl<A: SimApplication> Simulator<A> {
         // evicted), fall through to the normal path and compute.
         if let Some(producer) = info.graft_of.take() {
             if self.ds.has_equivalent(&spec) {
-                self.obs
-                    .log
-                    .log_at(now, id, EventKind::Grafted { producer });
                 self.grafted += 1;
                 info.grafted = true;
+                self.emit(now, id, EventKind::Grafted { producer });
                 self.finish_at(now, id, (1.0, spec.qoutsize(), 0.0, 0.0, false));
                 return;
             }
@@ -642,30 +594,15 @@ impl<A: SimApplication> Simulator<A> {
 
         // Data Store lookup (virtual payloads: metadata only).
         let matches = self.ds.lookup(&spec);
-        if self.obs.log.enabled() {
-            // Same loop shape as the threaded engine's lookup: first
-            // `cmp`-equal match is the exact source, the rest are partial.
-            let mut exact_taken = false;
-            for m in &matches {
-                if let Some(e) = self.ds.get(m.blob) {
-                    let is_exact = !exact_taken && e.spec.cmp(&spec);
-                    exact_taken |= is_exact;
-                    self.obs.log.log_at(
-                        now,
-                        id,
-                        EventKind::LookupHit {
-                            source: m.producer,
-                            overlap: m.overlap,
-                            exact: is_exact,
-                        },
-                    );
-                }
-            }
+        for m in &matches {
+            let hit = EventKind::LookupHit {
+                source: m.producer,
+                overlap: m.overlap,
+                exact: m.exact,
+            };
+            self.emit(now, id, hit);
         }
-        let exact = matches
-            .iter()
-            .find(|m| self.ds.get(m.blob).is_some_and(|e| e.spec.cmp(&spec)));
-        if let Some(m) = exact {
+        if let Some(m) = matches.first().filter(|m| m.exact) {
             let reused = m.reuse_bytes;
             let cpu = self.app.planning_seconds();
             self.qmet.ds_exact_hits.inc();
@@ -681,28 +618,21 @@ impl<A: SimApplication> Simulator<A> {
         if self.cfg.tier2_budget > 0 {
             if let Some((blob, producer, size)) = self.ds.lookup_restorable_exact(&spec) {
                 if self.cfg.fault.page_is_poisoned(SPILL_DEVICE, blob.raw()) {
-                    self.restore_failures += 1;
                     if let Some(r) = self.ds.drop_restorable(blob) {
                         self.route_evictions(now, vec![r]);
                     }
                 } else {
                     let mut evicted = Vec::new();
                     if self.ds.restore(blob, Payload::Virtual, &mut evicted) {
-                        self.qmet.ds_restores.inc();
                         self.route_evictions(now, evicted);
                         self.drain_spills(now);
-                        self.obs
-                            .log
-                            .log_at(now, producer, EventKind::Restored { bytes: size });
-                        self.obs.log.log_at(
-                            now,
-                            id,
-                            EventKind::LookupHit {
-                                source: producer,
-                                overlap: 1.0,
-                                exact: true,
-                            },
-                        );
+                        self.emit(now, producer, EventKind::Restored { bytes: size });
+                        let hit = EventKind::LookupHit {
+                            source: producer,
+                            overlap: 1.0,
+                            exact: true,
+                        };
+                        self.emit(now, id, hit);
                         let io = self.cfg.disk.service_time(size);
                         let cpu = self.app.planning_seconds();
                         self.finish_at(now + io + cpu, id, (1.0, spec.qoutsize(), io, cpu, true));
@@ -749,16 +679,11 @@ impl<A: SimApplication> Simulator<A> {
             let fetched: usize = read.fetch_runs.iter().map(|r| r.pages().count()).sum();
             self.pmet.pages_fetched.add(fetched as u64);
             if self.obs.log.enabled() {
-                for _ in 0..cached_pages {
-                    self.obs.log.log_at(
-                        now,
-                        id,
-                        EventKind::PageRead {
-                            cached: true,
-                            retried: false,
-                        },
-                    );
-                }
+                let hit = EventKind::PageRead {
+                    cached: true,
+                    retried: false,
+                };
+                (0..cached_pages).for_each(|_| self.emit(now, id, hit));
             }
             // Queries concurrently in their I/O phase interleave on the
             // disk; blocked queries hold a thread slot but issue no I/O.
@@ -786,8 +711,6 @@ impl<A: SimApplication> Simulator<A> {
                         );
                         if streak > 0 {
                             retried = true;
-                            self.io_faults += streak as u64;
-                            self.io_retries += streak as u64;
                             self.pmet.read_faults.add(streak as u64);
                             self.pmet.read_retries.add(streak as u64);
                             let mut extra =
@@ -799,14 +722,11 @@ impl<A: SimApplication> Simulator<A> {
                             io_ready = io_ready.max(ready);
                         }
                     }
-                    self.obs.log.log_at(
-                        now,
-                        id,
-                        EventKind::PageRead {
-                            cached: false,
-                            retried,
-                        },
-                    );
+                    let fetched = EventKind::PageRead {
+                        cached: false,
+                        retried,
+                    };
+                    self.emit(now, id, fetched);
                     for evicted in self.ps.complete_fetch(page, PageData::Virtual) {
                         self.page_ready.remove(&evicted);
                     }
@@ -858,15 +778,11 @@ impl<A: SimApplication> Simulator<A> {
     fn route_evictions(&mut self, now: f64, evicted: Vec<EvictionRecord<A::Spec>>) {
         for r in evicted {
             self.sched.route_eviction(r.producer, r.blob);
-            self.obs.log.log_at(
-                now,
-                r.producer,
-                EventKind::Evicted {
-                    tier: r.tier,
-                    score: r.score,
-                },
-            );
-            self.qmet.ds_evictions.inc();
+            let kind = EventKind::Evicted {
+                tier: r.tier,
+                score: r.score,
+            };
+            self.emit(now, r.producer, kind);
         }
     }
 
@@ -877,10 +793,7 @@ impl<A: SimApplication> Simulator<A> {
     /// data still exists, one disk read away.
     fn drain_spills(&mut self, now: f64) {
         for req in self.ds.take_pending_spills() {
-            self.qmet.ds_spills.inc();
-            self.obs
-                .log
-                .log_at(now, req.producer, EventKind::Spilled { bytes: req.size });
+            self.emit(now, req.producer, EventKind::Spilled { bytes: req.size });
         }
     }
 
@@ -912,9 +825,7 @@ impl<A: SimApplication> Simulator<A> {
         let info = self.sched.publish(id, blob).expect("record checked above");
         self.route_evictions(now, evicted);
         self.drain_spills(now);
-        self.qmet.completed.inc();
         self.qmet.service_time.observe(now - info.start);
-        self.obs.log.log_at(now, id, EventKind::Completed);
 
         let record = SimRecord {
             id,
@@ -950,21 +861,21 @@ impl<A: SimApplication> Simulator<A> {
         self.busy_slots -= 1;
 
         // Interactive clients submit their next query on completion.
-        self.advance_client(now, info.client);
+        self.end(now, id, Terminal::Completed, info.client);
 
         self.try_start(now);
     }
 
-    /// A virtual worker dies mid-compute (DESIGN.md §15). Mirrors the
-    /// threaded engine's `handle_worker_panic` + `respawn_or_retire`:
-    /// count and log the panic, wake anything blocked on the victim (the
+    /// A virtual worker dies mid-compute (DESIGN.md §15), in the threaded
+    /// engine's order: the [`Supervisor`] decides the worker's fate,
+    /// the panic is logged, anything blocked on the victim is woken (the
     /// back-out aborts the Data Store reservation, so subscribers go
-    /// compute for themselves), let [`SchedShard::on_panic`] requeue or
-    /// retire it — and finally respawn the worker from the restart
-    /// budget or retire its slot for good.
+    /// compute for themselves), [`SchedShard::on_panic`] requeues or
+    /// retires the query — and finally the worker is respawned or its
+    /// slot retired for good.
     fn on_worker_panic(&mut self, now: f64, id: QueryId) {
-        self.qmet.worker_panics.inc();
-        self.obs.log.log_at(now, id, EventKind::WorkerPanicked);
+        let fate = self.sup.on_worker_death();
+        self.emit(now, id, EventKind::WorkerPanicked);
         self.wake_waiters(now, id);
         match self.sched.on_panic(id, self.cfg.quarantine_limit) {
             PanicOutcome::Requeued => {
@@ -973,33 +884,21 @@ impl<A: SimApplication> Simulator<A> {
                 // (the start reverts to NAN until the next dequeue).
                 self.sched.record_mut(id).expect("requeued with info").start = f64::NAN;
             }
-            // Same event order as the threaded engine: Quarantined, then
-            // the terminal Failed.
             PanicOutcome::Quarantined { attempts, record } => {
-                self.qmet.quarantined.inc();
-                self.obs
-                    .log
-                    .log_at(now, id, EventKind::Quarantined { attempts });
-                self.retired(now, id, EventKind::Failed, record.client);
+                self.end(now, id, Terminal::Quarantined { attempts }, record.client);
             }
             PanicOutcome::Gone => {}
         }
-
-        // The worker slot died either way.
         self.busy_slots -= 1;
-        if self.restarts_left > 0 {
-            self.restarts_left -= 1;
-            self.qmet.worker_restarts.inc();
-            self.obs.log.log_at(now, id, EventKind::WorkerRestarted);
-        } else {
-            self.dead_workers += 1;
-            if self.dead_workers >= self.cfg.threads {
-                // Every worker slot is retired: WAITING queries can never
-                // start. Fail them typed-ly in id order — the same sweep
-                // as the threaded engine's `fail_all_waiting`.
-                self.pool_dead = true;
+        match fate {
+            WorkerFate::Respawn => self.emit(now, id, EventKind::WorkerRestarted),
+            WorkerFate::Retire => {}
+            // Every worker slot is retired: WAITING queries can never
+            // start. Fail them typed-ly in id order — the same sweep as
+            // the threaded engine's `fail_all_waiting`.
+            WorkerFate::PoolDead => {
                 for (w, info) in self.sched.drain(Some(QueryState::Waiting)) {
-                    self.retired(now, w, EventKind::Failed, info.client);
+                    self.end(now, w, Terminal::PoolDead, info.client);
                 }
             }
         }
@@ -1022,15 +921,11 @@ impl<A: SimApplication> Simulator<A> {
         if self.sched.graph().state_of(id) != Some(QueryState::Executing) || now != info.start + h {
             return;
         }
-        // Hung first, then the terminal TimedOut — the watchdog folds
-        // into the deadline machinery, same as the threaded engine.
-        self.qmet.hung.inc();
-        self.obs.log.log_at(now, id, EventKind::Hung);
         // It can never publish: anything blocked on it computes for
         // itself.
         self.wake_waiters(now, id);
         let info = self.sched.retire(id).expect("record checked above");
-        self.retired(now, id, EventKind::TimedOut, info.client);
+        self.end(now, id, Terminal::Hung, info.client);
         // If the hung query was itself blocked on a peer, unhook it from
         // that peer's wake list.
         if info.blocked_since.is_some() {

@@ -19,14 +19,16 @@
 //! mismatch both traces are written to `target/conformance/` as JSON
 //! before the panic, so CI can upload them as artifacts.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use vmqs_core::{ClientId, DatasetId, OverloadConfig, QueryId, Rect, Strategy};
 use vmqs_microscope::{SlideDataset, VmOp, VmQuery};
 use vmqs_obs::timeline::{
     admission_sequence, grafted_edges, ranked_sequence, reuse_edges, timelines, Terminal,
 };
-use vmqs_obs::{events_to_json, EventKind, EventRecord};
+use vmqs_obs::{
+    events_to_json, EventKind, EventRecord, MetricsRegistry, MetricsSnapshot, QueryMetrics,
+};
 use vmqs_server::{QueryServer, ServerConfig, ServerError};
 use vmqs_sim::{run_sim, ClientStream, SimConfig, SubmissionMode};
 use vmqs_storage::SyntheticSource;
@@ -538,5 +540,129 @@ fn legacy_policy_emits_no_tier2_events() {
             }
             _ => {}
         }
+    }
+}
+
+/// Replays `events` through [`QueryMetrics::count`] into a fresh registry
+/// and checks every counter that `count` can reach against the engine's
+/// own snapshot: the log and the counters of one run tell one story. The
+/// three Data Store answer-path counters are the only ones in
+/// `QueryMetrics` that no event stands for.
+fn assert_log_agrees_with_counters(events: &[EventRecord], engine: &MetricsSnapshot, ctx: &str) {
+    let replay = MetricsRegistry::new();
+    let counters = QueryMetrics::resolve(&replay);
+    for e in events {
+        counters.count(&e.kind);
+    }
+    let unlogged = [
+        "vmqs_ds_exact_hits_total",
+        "vmqs_ds_partial_hits_total",
+        "vmqs_ds_misses_total",
+    ];
+    let mut checked = 0;
+    for (name, from_log) in replay.snapshot().counters {
+        if unlogged.contains(&name.as_str()) {
+            continue;
+        }
+        let counted = engine.counters.get(&name).copied();
+        assert_eq!(counted, Some(from_log), "{ctx}: {name}");
+        checked += 1;
+    }
+    assert_eq!(checked, 14, "{ctx}: every event-backed counter compared");
+}
+
+/// The conformance workload under everything that ends a query some other
+/// way than completing it — shedding, degradation, rejection, poison
+/// queries killing workers, a cost-based store small enough to evict,
+/// spill and restore — in both engines: each lifecycle counter equals the
+/// number of its events in the log. (`CONFORMANCE_WORKERS` applies to the
+/// server side, as everywhere in this file.)
+#[test]
+fn event_log_and_lifecycle_counters_agree_in_both_engines() {
+    let workers: usize = std::env::var("CONFORMANCE_WORKERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1);
+    let chaos = vmqs_storage::ChaosConfig::none()
+        .with_seed(7)
+        .with_poison_rate(0.15);
+    let spill_dir = std::env::temp_dir().join(format!("vmqs_conf_agree_{}", std::process::id()));
+    let mut seen = [HashSet::new(), HashSet::new()];
+    for (name, ov) in overload_configs()
+        .into_iter()
+        .chain([("clean", OverloadConfig::default())])
+    {
+        let cfg = ServerConfig::small()
+            .with_threads(workers)
+            .with_ds_budget(DS_BUDGET)
+            .with_ps_budget(PS_BUDGET)
+            .with_index_cell(INDEX_CELL)
+            .with_observability(true)
+            .with_start_paused(true)
+            .with_cache_policy(vmqs_datastore::EvictionPolicy::CostBased)
+            .with_spill_dir(Some(spill_dir.clone()))
+            .with_tier2_budget(128 << 10)
+            .with_chaos(chaos)
+            .with_quarantine_limit(2)
+            .with_restart_budget(64)
+            .with_overload(ov);
+        let server = QueryServer::new(cfg, Arc::new(SyntheticSource::new()));
+        let handles = server.submit_batch(workload());
+        server.resume_workers();
+        handles.into_iter().for_each(|h| drop(h.wait()));
+        server.drain();
+        let (events, metrics) = (server.events(), server.metrics());
+        assert_log_agrees_with_counters(&events, &metrics, &format!("server/{name}"));
+        seen[0].extend(events.iter().map(|e| e.kind.label()));
+        server.shutdown();
+        std::fs::remove_dir_all(&spill_dir).ok();
+
+        let cfg = SimConfig::paper_baseline()
+            .with_threads(1)
+            .with_ds_budget(DS_BUDGET)
+            .with_ps_budget(PS_BUDGET)
+            .with_index_cell(INDEX_CELL)
+            .with_mode(SubmissionMode::Batch)
+            .with_observe(true)
+            .with_batch_gate(true)
+            .with_cache_policy(vmqs_datastore::EvictionPolicy::CostBased)
+            .with_tier2_budget(128 << 10)
+            .with_chaos(chaos)
+            .with_quarantine_limit(2)
+            .with_restart_budget(64)
+            .with_overload(ov);
+        let streams = vec![ClientStream {
+            client: ClientId(0),
+            queries: workload(),
+        }];
+        let report = run_sim(cfg, streams);
+        assert_log_agrees_with_counters(&report.events, &report.metrics, &format!("sim/{name}"));
+        seen[1].extend(report.events.iter().map(|e| e.kind.label()));
+    }
+    // Between them the three configs must have driven each engine down
+    // the paths that count: an agreement of zeros would prove nothing.
+    for (engine, seen) in ["server", "sim"].iter().zip(&seen) {
+        for label in [
+            "submitted",
+            "degraded",
+            "completed",
+            "failed",
+            "rejected",
+            "shed",
+            "worker_panicked",
+            "worker_restarted",
+            "quarantined",
+        ] {
+            assert!(
+                seen.contains(label),
+                "{engine}: no `{label}` event in any run"
+            );
+        }
+        // Which of the two a full store produces depends on benefit scores
+        // (wall time on the server, virtual time in the simulator).
+        assert!(
+            seen.contains("evicted") || seen.contains("spilled"),
+            "{engine}"
+        );
     }
 }

@@ -679,7 +679,7 @@ fn worker_death_backout_wakes_subscriber() {
                 // `DataStore::abort` (inner unwind guard): SWAPPED_OUT
                 // before the entry is removed.
                 st.force_swap_out();
-                // `handle_worker_panic` under the shard lock: the query
+                // `on_worker_panic` under the shard lock: the query
                 // leaves EXECUTING...
                 *executing.lock() = false;
                 // ...and `answer` notifies the shard's `done_cv`.

@@ -1151,4 +1151,85 @@ proptest! {
         reversed.reverse();
         prop_assert_eq!(vmqs_core::shed_victim(reversed), Some(victim));
     }
+
+    /// The admission ladder asks its driver for the Data Store / Page
+    /// Space signals only when the queue depth alone does not settle the
+    /// verdict. This is why that never matters: over any config, depth
+    /// and signals, the ladder decides what the same rungs decide when
+    /// written the naive way — signals always gathered, no bound — and
+    /// when it did not ask, the signals could not have changed anything.
+    #[test]
+    fn ladder_verdict_does_not_depend_on_when_the_signals_are_gathered(
+        max_pending in 0usize..40,
+        depth in 0usize..48,
+        rate_limited in prop::bool::ANY,
+        token in prop::bool::ANY,
+        // Thresholds in tenths; above 10 (> 1.0) the mechanism is off.
+        thresholds in (0u32..16, 0u32..16),
+        // Signals in quarters of their [0, 1] range.
+        signals in (0u32..5, 0u32..5, 0u32..5),
+    ) {
+        use std::cell::Cell;
+        use vmqs_core::{overload, OverloadConfig, Secondary, Verdict};
+        let cfg = OverloadConfig::default()
+            .with_max_pending(max_pending)
+            .with_client_rate(if rate_limited { 2.0 } else { 0.0 })
+            .with_degrade_threshold(thresholds.0 as f64 / 10.0)
+            .with_shed_threshold(thresholds.1 as f64 / 10.0);
+        let secondary = Secondary {
+            ds_occupancy: signals.0 as f64 / 4.0,
+            ps_miss_ratio: signals.1 as f64 / 4.0,
+            retry_ratio: signals.2 as f64 / 4.0,
+        };
+        let asked = Cell::new(0u32);
+        let (verdict, pressure) = overload::admit(
+            &cfg,
+            depth,
+            4,
+            || if token { Ok(()) } else { Err(0.5) },
+            || {
+                asked.set(asked.get() + 1);
+                secondary
+            },
+            || 0.1,
+        );
+        prop_assert!(asked.get() <= 1);
+
+        // The naive ladder: the level formula of DESIGN.md §10 with the
+        // signals in hand from the start.
+        let level = |waiting: usize| {
+            if max_pending == 0 {
+                return 0.0;
+            }
+            let amplification = 1.0
+                + 0.5 * secondary.ds_occupancy
+                + 0.25 * secondary.ps_miss_ratio
+                + 0.25 * secondary.retry_ratio;
+            ((waiting as f64 / max_pending as f64).min(1.0) * amplification).min(1.0)
+        };
+        if rate_limited && !token {
+            let refused = matches!(verdict, Verdict::Reject { rate_limited: true, .. });
+            prop_assert!(refused, "{:?}", verdict);
+            prop_assert_eq!(asked.get(), 0);
+        } else if max_pending > 0 && depth >= max_pending {
+            let refused = matches!(verdict, Verdict::Reject { rate_limited: false, .. });
+            prop_assert!(refused, "{:?}", verdict);
+            prop_assert_eq!(asked.get(), 0);
+        } else {
+            let degrade = level(depth + 1) >= cfg.degrade_threshold;
+            prop_assert_eq!(verdict, Verdict::Admit { degrade });
+            // Shed-while, as the drivers run it: from the depth the
+            // arrival made, down to an empty queue.
+            for waiting in (0..=depth + 1).rev() {
+                let sheds = level(waiting) >= cfg.shed_threshold;
+                prop_assert_eq!(pressure.sheds_at(waiting), sheds, "waiting {}", waiting);
+                if asked.get() == 1 {
+                    prop_assert_eq!(pressure.level(waiting), level(waiting));
+                }
+            }
+            if !cfg.enabled() {
+                prop_assert_eq!(asked.get(), 0, "overload off gathers nothing");
+            }
+        }
+    }
 }
