@@ -8,10 +8,19 @@
 //! configured [`Strategy`]; graph updates (insertion, state transitions,
 //! swap-out) re-rank only the affected neighborhood, mirroring the paper's
 //! incremental topological-sort maintenance.
+//!
+//! Insertion is incremental too: the graph keeps the Index Manager's
+//! [`GridIndex`] over the footprints of its nodes, and a new query is
+//! compared only against the nodes whose footprint intersects its own
+//! (`O(overlapping nodes)`, not `O(V)`). By [`SpatialSpec`]'s contract
+//! every other node has zero reuse in both directions, and the index
+//! answers in ascending id order, so the edge lists (and with them the
+//! float summation order inside [`Strategy::rank`]) are exactly those of
+//! comparing against every node in id order.
 
 use crate::ids::QueryId;
 use crate::rank::Rank;
-use crate::spec::QuerySpec;
+use crate::spatial::{GridIndex, SpatialSpec};
 use crate::state::QueryState;
 use crate::strategy::{RankInputs, Strategy};
 use std::cmp::Reverse;
@@ -34,7 +43,7 @@ struct Node<S> {
     arrival_seq: u64,
     qinputsize: u64,
     /// Sorted, deduplicated chunk keys of the query's input (the
-    /// application's [`QuerySpec::chunk_keys`]); drives ChunkBatch's
+    /// application's [`crate::QuerySpec::chunk_keys`]); drives ChunkBatch's
     /// hot-chunk affinity.
     chunks: Vec<u64>,
     /// Edges `e_{self,k}`: k can reuse self's result.
@@ -71,11 +80,16 @@ pub struct GraphStats {
 /// The scheduling graph / dynamic priority queue.
 ///
 /// Generic over the application's predicate type `S`; all reuse reasoning
-/// goes through the [`QuerySpec`] metadata functions.
+/// goes through the [`crate::QuerySpec`] metadata functions.
 #[derive(Debug)]
-pub struct SchedulingGraph<S: QuerySpec> {
+pub struct SchedulingGraph<S: SpatialSpec> {
     strategy: Strategy,
     nodes: HashMap<QueryId, Node<S>>,
+    /// Footprints of the nodes, for edge discovery in
+    /// [`SchedulingGraph::insert`]. A node is filed when it is inserted
+    /// and dropped in [`SchedulingGraph::swap_out`], the one place a node
+    /// leaves; a node whose footprint is empty is never filed.
+    index: GridIndex,
     waiting: BTreeSet<WaitKey>,
     arrival_counter: u64,
     stats: GraphStats,
@@ -86,12 +100,22 @@ pub struct SchedulingGraph<S: QuerySpec> {
     hot_chunks: HashMap<u64, u32>,
 }
 
-impl<S: QuerySpec> SchedulingGraph<S> {
-    /// Creates an empty graph ranking with `strategy`.
+impl<S: SpatialSpec> SchedulingGraph<S> {
+    /// Creates an empty graph ranking with `strategy`, its footprint
+    /// index at the threaded server's default `index_cell` (512 pixels).
     pub fn new(strategy: Strategy) -> Self {
+        Self::with_index_cell(strategy, 512)
+    }
+
+    /// Creates an empty graph whose footprint index has cells of
+    /// `index_cell` base-resolution pixels a side (pick roughly the
+    /// footprint of a typical query; the cell size moves cost, never a
+    /// decision).
+    pub fn with_index_cell(strategy: Strategy, index_cell: u32) -> Self {
         SchedulingGraph {
             strategy,
             nodes: HashMap::new(),
+            index: GridIndex::new(index_cell),
             waiting: BTreeSet::new(),
             arrival_counter: 0,
             stats: GraphStats::default(),
@@ -136,6 +160,8 @@ impl<S: QuerySpec> SchedulingGraph<S> {
     /// Inserts a new WAITING query, creating edges to every current node
     /// with nonzero reuse in either direction and re-ranking affected
     /// WAITING neighbors (paper §4: steps (1)–(3) of new-query handling).
+    /// Only nodes whose footprint intersects the new query's are
+    /// evaluated.
     ///
     /// Panics if `id` is already present.
     pub fn insert(&mut self, id: QueryId, spec: S) {
@@ -149,18 +175,17 @@ impl<S: QuerySpec> SchedulingGraph<S> {
 
         let qinputsize = spec.qinputsize();
 
-        // Discover reuse relationships against every existing node.
+        // Discover reuse relationships against the nodes that can have
+        // any. The index answers in ascending id order, which fixes the
+        // order of the edge lists built here and so the float-summation
+        // order inside `Strategy::rank` (strategies like CF scale weights
+        // by α, making float addition order observable).
+        let (dataset, footprint) = spec.region_key();
         let mut new_in: Vec<Edge> = Vec::new();
         let mut new_out: Vec<Edge> = Vec::new();
         let mut touched: Vec<QueryId> = Vec::new();
-        // Deterministic peer order: the edge lists built here fix the
-        // float-summation order inside `Strategy::rank`, so iterating the
-        // node map directly would leak HashMap order into ranks (caught
-        // by `xtask lint` rule nondet-iter).
-        // lint:sorted: iterated via the sorted id vector below
-        let mut peer_ids: Vec<QueryId> = self.nodes.keys().copied().collect();
-        peer_ids.sort_unstable();
-        for peer_id in peer_ids {
+        let peers = self.index.query(dataset, &footprint);
+        for peer_id in peers.into_iter().map(QueryId) {
             let peer = &self.nodes[&peer_id];
             self.stats.overlap_evals += 2;
             let w_peer_to_new = peer.spec.reuse_bytes(&spec) as f64;
@@ -181,13 +206,6 @@ impl<S: QuerySpec> SchedulingGraph<S> {
                 touched.push(peer_id);
             }
         }
-        // The discovery loop above iterates a HashMap, whose order varies
-        // between graph instances. Edge order must be deterministic: rank
-        // computations sum edge weights in list order, and strategies like
-        // CF scale weights by α, making float addition order observable.
-        new_in.sort_by_key(|e| e.peer);
-        new_out.sort_by_key(|e| e.peer);
-        touched.sort_unstable();
         self.stats.edges_created += (new_in.len() + new_out.len()) as u64;
 
         // Mirror the edges onto the peers.
@@ -220,6 +238,12 @@ impl<S: QuerySpec> SchedulingGraph<S> {
             in_edges: new_in,
         };
         self.nodes.insert(id, node);
+        // An empty footprint intersects nothing: the node gets no edges
+        // and is not filed (the index refuses empty rectangles, and
+        // submit must not panic on a degenerate predicate).
+        if !footprint.is_empty() {
+            self.index.insert(id.raw(), dataset, footprint);
+        }
 
         // Rank the new node and insert it into the WAITING index.
         let rank = self.compute_rank(id);
@@ -323,6 +347,7 @@ impl<S: QuerySpec> SchedulingGraph<S> {
             node.state
         );
         self.stats.swapped_out += 1;
+        self.index.remove(id.raw());
         if node.state == QueryState::Waiting {
             self.waiting
                 .remove(&WaitKey(node.rank, Reverse(node.arrival_seq), id));
@@ -368,6 +393,14 @@ impl<S: QuerySpec> SchedulingGraph<S> {
     /// dequeue policies without re-evaluating the spec).
     pub fn qinputsize_of(&self, id: QueryId) -> Option<u64> {
         self.nodes.get(&id).map(|n| n.qinputsize)
+    }
+
+    /// A query's edges as stored, `(in, out)`: each list in the order the
+    /// rank function sums it (ascending peer id among the nodes present
+    /// when the query arrived, later arrivals after them).
+    pub fn edges_of(&self, id: QueryId) -> Option<(&[Edge], &[Edge])> {
+        let n = self.nodes.get(&id)?;
+        Some((&n.in_edges, &n.out_edges))
     }
 
     /// Queries whose results this query can reuse (`e_{k,id}`), sorted by
@@ -462,11 +495,14 @@ impl<S: QuerySpec> SchedulingGraph<S> {
     }
 
     /// Internal consistency check (test/debug aid): edge mirroring, WAITING
-    /// index membership, and rank agreement with a from-scratch computation.
+    /// index membership, rank agreement with a from-scratch computation,
+    /// and one footprint filed per node that has one.
     pub fn validate(&self) -> Result<(), String> {
+        let mut footprints = 0;
         // lint:sorted: order-independent consistency check (the first
         // reported error may vary, but pass/fail cannot)
         for (&id, n) in &self.nodes {
+            footprints += usize::from(!n.spec.region_key().1.is_empty());
             for e in &n.out_edges {
                 let peer = self
                     .nodes
@@ -496,6 +532,10 @@ impl<S: QuerySpec> SchedulingGraph<S> {
                     n.rank, fresh
                 ));
             }
+        }
+        if self.index.len() != footprints {
+            let filed = self.index.len();
+            return Err(format!("{filed} footprints filed for {footprints}"));
         }
         Ok(())
     }
@@ -903,6 +943,69 @@ mod tests {
         assert_eq!(s.dequeued, 1);
         assert_eq!(s.overlap_evals, 2);
         assert!(s.edges_created >= 2);
+    }
+
+    #[test]
+    fn insert_compares_only_intersecting_footprints() {
+        let mut g = graph(Strategy::Cnbf);
+        for i in 0..50 {
+            g.insert(q(i), IntervalSpec::new(1000 + i * 200, 100, 1));
+        }
+        assert_eq!(g.stats().overlap_evals, 0, "disjoint tiles never meet");
+        g.insert(q(50), IntervalSpec::new(1050, 100, 1));
+        assert_eq!(g.stats().overlap_evals, 2, "one peer, both directions");
+        assert_eq!(g.reuse_sources(q(50))[0].peer, q(0));
+        // A node that left no longer costs an evaluation.
+        assert!(g.dequeue_specific(q(50)));
+        g.mark_cached(q(50));
+        g.swap_out(q(50));
+        g.insert(q(51), IntervalSpec::new(1050, 100, 1));
+        assert_eq!(g.stats().overlap_evals, 4);
+        g.validate().unwrap();
+    }
+
+    /// A window over one dataset; unlike [`IntervalSpec`] it can be empty.
+    #[derive(Clone, Debug)]
+    struct Window(crate::geom::Rect);
+
+    impl crate::spec::QuerySpec for Window {
+        fn cmp(&self, other: &Self) -> bool {
+            self.0 == other.0
+        }
+        fn overlap(&self, other: &Self) -> f64 {
+            let area = other.0.area().max(1) as f64;
+            self.0.intersection_area(&other.0) as f64 / area
+        }
+        fn qoutsize(&self) -> u64 {
+            self.0.area()
+        }
+        fn qinputsize(&self) -> u64 {
+            self.0.area()
+        }
+    }
+
+    impl SpatialSpec for Window {
+        fn region_key(&self) -> (crate::ids::DatasetId, crate::geom::Rect) {
+            (crate::ids::DatasetId(0), self.0)
+        }
+    }
+
+    #[test]
+    fn empty_footprint_is_admitted_without_edges_or_panic() {
+        use crate::geom::Rect;
+        let mut g: SchedulingGraph<Window> = SchedulingGraph::with_index_cell(Strategy::Cnbf, 64);
+        g.insert(q(1), Window(Rect::new(0, 0, 100, 100)));
+        g.insert(q(2), Window(Rect::new(10, 10, 0, 50)));
+        g.insert(q(3), Window(Rect::new(50, 50, 100, 100)));
+        assert_eq!(g.edges_of(q(2)), Some((&[][..], &[][..])));
+        assert_eq!(g.reuse_sources(q(3)).len(), 1, "only q1: q2 is not filed");
+        g.validate().unwrap();
+        // It still runs its whole life cycle like any other node.
+        assert!(g.dequeue_specific(q(2)));
+        g.mark_cached(q(2));
+        g.swap_out(q(2));
+        assert_eq!(g.len(), 2);
+        g.validate().unwrap();
     }
 
     #[test]

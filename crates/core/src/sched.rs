@@ -27,7 +27,7 @@
 
 use crate::graph::SchedulingGraph;
 use crate::ids::{BlobId, QueryId};
-use crate::spec::QuerySpec;
+use crate::spatial::SpatialSpec;
 use crate::state::QueryState;
 use crate::strategy::Strategy;
 use std::collections::{HashMap, HashSet};
@@ -54,7 +54,7 @@ pub enum PanicOutcome<R> {
 /// timings); a record exists exactly from [`SchedShard::admit`] until the
 /// query's [`SchedShard::publish`] or [`SchedShard::retire`].
 #[derive(Debug)]
-pub struct SchedShard<S: QuerySpec, R> {
+pub struct SchedShard<S: SpatialSpec, R> {
     graph: SchedulingGraph<S>,
     /// Each record with the worker deaths its query's computes have caused
     /// (the quarantine count, which survives requeues).
@@ -66,11 +66,13 @@ pub struct SchedShard<S: QuerySpec, R> {
     tombstones: HashSet<BlobId>,
 }
 
-impl<S: QuerySpec, R> SchedShard<S, R> {
-    /// An empty shard ranking with `strategy`.
-    pub fn new(strategy: Strategy) -> Self {
+impl<S: SpatialSpec, R> SchedShard<S, R> {
+    /// An empty shard ranking with `strategy`; `index_cell` is the cell
+    /// side of the graph's footprint index, the one the driver also gives
+    /// its Data Store.
+    pub fn new(strategy: Strategy, index_cell: u32) -> Self {
         SchedShard {
-            graph: SchedulingGraph::new(strategy),
+            graph: SchedulingGraph::with_index_cell(strategy, index_cell),
             records: HashMap::new(),
             live_blobs: HashMap::new(),
             tombstones: HashSet::new(),
@@ -267,7 +269,7 @@ mod tests {
     /// every transition re-ranks neighbors and a dangling edge or stale
     /// rank would fail `validate`.
     fn shard() -> Shard {
-        let mut s = Shard::new(Strategy::Cnbf);
+        let mut s = Shard::new(Strategy::Cnbf, 64);
         s.admit(q(1), IntervalSpec::new(0, 100, 1), "one");
         s.admit(q(2), IntervalSpec::new(50, 100, 1), "two");
         s.admit(q(3), IntervalSpec::new(80, 100, 1), "three");
@@ -318,7 +320,7 @@ mod tests {
 
     #[test]
     fn on_panic_requeues_below_the_limit_and_quarantines_at_it() {
-        let mut s = Shard::new(Strategy::Fifo);
+        let mut s = Shard::new(Strategy::Fifo, 64);
         s.admit(q(1), IntervalSpec::new(0, 100, 1), "poison");
         s.admit(q(2), IntervalSpec::new(500, 100, 1), "bystander");
         for attempt in 1..3 {

@@ -3,11 +3,14 @@
 //! The paper's architecture includes an Index Manager that locates, for a
 //! query predicate, the stored entities intersecting it. For the regular
 //! chunk grids of the bundled applications that is closed-form arithmetic,
-//! but the *semantic cache* needs a true spatial lookup: "which cached
-//! results overlap this window?" A linear scan is fine at the paper's
-//! scale (≲ a few hundred cached blobs); [`GridIndex`] provides the
-//! sub-linear alternative for larger deployments — a uniform-grid spatial
-//! hash over rectangles, returning candidates in deterministic order.
+//! but two structures need a true spatial lookup on every query: the
+//! *semantic cache* ("which cached results overlap this window?",
+//! `vmqs-datastore`) and the *scheduling graph* ("which nodes can share
+//! an edge with this new query?", [`crate::graph`]). The second runs under
+//! the shard lock on every submit and both grow with what is cached, so
+//! neither walks its whole population: [`GridIndex`] is a uniform-grid
+//! spatial hash over rectangles that returns the intersecting ids in
+//! ascending order, which is also what keeps both callers deterministic.
 
 use crate::geom::Rect;
 use crate::ids::DatasetId;
@@ -24,13 +27,15 @@ pub trait SpatialSpec: crate::spec::QuerySpec {
 
 /// A uniform-grid spatial hash from rectangles to `u64` ids.
 ///
-/// Cell size is fixed at construction; each entry is registered in every
-/// cell its rectangle touches. Queries return each matching id exactly
-/// once, sorted, so downstream behaviour is deterministic.
+/// Cell size is fixed at construction; each entry is registered, with its
+/// rectangle, in every cell the rectangle touches, so a probe costs the
+/// population of the cells it touches and nothing per entry elsewhere.
+/// Queries return each matching id exactly once, sorted, so downstream
+/// behaviour is deterministic.
 #[derive(Debug)]
 pub struct GridIndex {
     cell: u32,
-    cells: HashMap<(DatasetId, u32, u32), Vec<u64>>,
+    cells: HashMap<(DatasetId, u32, u32), Vec<(u64, Rect)>>,
     entries: HashMap<u64, (DatasetId, Rect)>,
 }
 
@@ -72,7 +77,8 @@ impl GridIndex {
         let (c0, c1, r0, r1) = self.cell_range(&rect);
         for cy in r0..=r1 {
             for cx in c0..=c1 {
-                self.cells.entry((dataset, cx, cy)).or_default().push(id);
+                let cell = self.cells.entry((dataset, cx, cy)).or_default();
+                cell.push((id, rect));
             }
         }
     }
@@ -87,7 +93,7 @@ impl GridIndex {
         for cy in r0..=r1 {
             for cx in c0..=c1 {
                 if let Some(v) = self.cells.get_mut(&(dataset, cx, cy)) {
-                    v.retain(|&x| x != id);
+                    v.retain(|&(x, _)| x != id);
                     if v.is_empty() {
                         self.cells.remove(&(dataset, cx, cy));
                     }
@@ -107,13 +113,10 @@ impl GridIndex {
         for cy in r0..=r1 {
             for cx in c0..=c1 {
                 if let Some(v) = self.cells.get(&(dataset, cx, cy)) {
-                    for &id in v {
-                        // Confirm actual intersection (grid cells
-                        // over-approximate).
-                        if self.entries[&id].1.intersects(probe) {
-                            out.push(id);
-                        }
-                    }
+                    // Confirm actual intersection (grid cells
+                    // over-approximate).
+                    let hits = v.iter().filter(|(_, r)| r.intersects(probe));
+                    out.extend(hits.map(|&(id, _)| id));
                 }
             }
         }

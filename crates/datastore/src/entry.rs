@@ -425,6 +425,9 @@ pub struct BlobEntry<S> {
     /// Observed reuses (lookup matches that touched this entry); atomic so
     /// the read-side lookup path can count through `&self`.
     pub(crate) hits: AtomicU64,
+    /// The key this entry is filed under in the store's victim index;
+    /// `None` while it is not visible (or the policy keeps no order).
+    pub(crate) filed: Option<crate::store::VictimKey>,
 }
 
 impl<S: Clone> Clone for BlobEntry<S> {
@@ -439,6 +442,8 @@ impl<S: Clone> Clone for BlobEntry<S> {
             last_access: AtomicU64::new(self.last_access.load(Ordering::Relaxed)),
             cost: self.cost,
             hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
+            // A clone lives outside the store and its index.
+            filed: None,
         }
     }
 }

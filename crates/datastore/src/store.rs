@@ -17,9 +17,15 @@
 //! application's operators on those candidates only. The linear scan
 //! survives as `lookup_filtered(probe, None)`, the reference an
 //! equivalence property test compares the indexed path against.
+//!
+//! Beside it sits the *victim index*: the visible entries ordered by the
+//! eviction policy's key, so making room takes the front of an ordered
+//! set instead of scanning every entry under the write lock. Both
+//! indexes are maintained at the same few points — where an entry
+//! becomes visible and where it stops being so.
 
 use crate::entry::{BlobEntry, EntryState, Payload, Phase};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use vmqs_core::spatial::{GridIndex, SpatialSpec};
 use vmqs_core::sync::atomic::{AtomicU64, Ordering};
 use vmqs_core::{BlobId, QueryId};
@@ -81,6 +87,49 @@ const COST_FLOOR: f64 = 1e-9;
 /// recomputation. Higher is more worth keeping.
 pub fn benefit_score(cost: f64, hits: u64, size: u64) -> f64 {
     (cost.max(COST_FLOOR) * (1.0 + hits as f64)) / size.max(1) as f64
+}
+
+/// Where a visible entry stands in its policy's eviction order (smallest
+/// goes first); `None` under [`EvictionPolicy::Mru`], which keeps no
+/// order. `touch` runs through `&self` and cannot re-file an entry, so
+/// [`DataStore::pick_victim`] works from keys that were current when the
+/// entry was filed. That is sound because a key never falls below its
+/// filed value: keys are read under `&mut self`, when no touch is in
+/// flight, every later touch stores a later tick of the store's clock and
+/// adds a hit, and an entry's size and cost are fixed at commit. `Mru`
+/// wants the *largest* stamp, which a touch moves the wrong way.
+pub(crate) type VictimKey = (u64, u64);
+
+fn victim_key<S>(policy: EvictionPolicy, e: &BlobEntry<S>) -> Option<VictimKey> {
+    let stamp = e.last_access.load(Ordering::Relaxed);
+    match policy {
+        EvictionPolicy::Lru => Some((0, stamp)),
+        // Largest first, the oldest among equals.
+        EvictionPolicy::LargestFirst => Some((u64::MAX - e.size, stamp)),
+        // Greedy knapsack: sacrifice the entry whose retention saves the
+        // least recomputation per byte, the oldest among equals. With the
+        // blob id the index appends, a deterministic total order, so the
+        // victim sequence is reproducible bit for bit.
+        EvictionPolicy::CostBased => Some((total_order_bits(e.score()), stamp)),
+        EvictionPolicy::Mru => None,
+    }
+}
+
+/// Takes `e` out of the victim index; a no-op when it is not filed.
+fn unfile<S>(victims: &mut BTreeSet<(VictimKey, BlobId)>, e: &mut BlobEntry<S>) {
+    if let Some(key) = e.filed.take() {
+        victims.remove(&(key, e.id));
+    }
+}
+
+/// Maps a float to an integer that orders as `f64::total_cmp` does.
+fn total_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
 }
 
 /// A spill handed back to the caller by an eviction pass: the entry has
@@ -296,6 +345,12 @@ pub struct DataStore<S: SpatialSpec> {
     /// ([`DataStore::remove`], the single exit every eviction, drop and
     /// abort goes through); uncommitted reservations are never indexed.
     index: GridIndex,
+    /// The visible entries under the [`VictimKey`] each was last filed
+    /// with ([`BlobEntry::filed`]), kept where `index` is: an entry joins
+    /// when it becomes visible ([`DataStore::commit_costed`],
+    /// [`DataStore::restore`]) and leaves when it spills or is removed.
+    /// Empty under [`EvictionPolicy::Mru`].
+    victims: BTreeSet<(VictimKey, BlobId)>,
     next_blob: u64,
     clock: AtomicU64,
     policy: EvictionPolicy,
@@ -322,6 +377,7 @@ impl<S: SpatialSpec> DataStore<S> {
             pending_spills: Vec::new(),
             entries: HashMap::new(),
             index: GridIndex::new(cell_size),
+            victims: BTreeSet::new(),
             next_blob: 0,
             clock: AtomicU64::new(0),
             policy,
@@ -453,6 +509,7 @@ impl<S: SpatialSpec> DataStore<S> {
                 last_access: AtomicU64::new(now),
                 cost: 0.0,
                 hits: AtomicU64::new(0),
+                filed: None,
             },
         );
         self.used += size;
@@ -466,6 +523,7 @@ impl<S: SpatialSpec> DataStore<S> {
     fn evict_or_spill(&mut self, victim: BlobId, evicted: &mut Vec<EvictionRecord<S>>) {
         if self.tier2_budget > 0 && self.entries[&victim].state.try_spill() {
             let e = self.entries.get_mut(&victim).expect("victim exists");
+            unfile(&mut self.victims, e);
             let payload = std::mem::replace(&mut e.payload, Payload::Virtual);
             let (size, producer, spec) = (e.size, e.producer, e.spec.clone());
             self.used -= size;
@@ -551,21 +609,7 @@ impl<S: SpatialSpec> DataStore<S> {
     /// Publishes a previously `malloc`ed blob with its final payload; it is
     /// now visible to lookups and eligible for eviction.
     pub fn commit(&mut self, blob: BlobId, payload: Payload) {
-        let e = self
-            .entries
-            .get_mut(&blob)
-            .unwrap_or_else(|| panic!("commit of unknown blob {blob}"));
-        if let Some(len) = payload.len() {
-            debug_assert_eq!(
-                len as u64, e.size,
-                "committed payload size differs from reservation"
-            );
-        }
-        e.payload = payload;
-        assert!(e.state.publish(), "double commit of {blob}");
-        let (dataset, rect) = e.spec.region_key();
-        self.index.insert(blob.raw(), dataset, rect);
-        self.stats.committed.fetch_add(1, Ordering::Relaxed);
+        self.commit_costed(blob, payload, 0.0);
     }
 
     /// Convenience: `malloc` + `commit` in one step (used by tests and by
@@ -587,9 +631,23 @@ impl<S: SpatialSpec> DataStore<S> {
     /// cost (I/O + kernel seconds; virtual seconds in the simulator),
     /// which seeds the entry's benefit score.
     pub fn commit_costed(&mut self, blob: BlobId, payload: Payload, cost: f64) {
-        self.commit(blob, payload);
-        let e = self.entries.get_mut(&blob).expect("just committed");
+        let e = self
+            .entries
+            .get_mut(&blob)
+            .unwrap_or_else(|| panic!("commit of unknown blob {blob}"));
+        if let Some(len) = payload.len() {
+            debug_assert_eq!(
+                len as u64, e.size,
+                "committed payload size differs from reservation"
+            );
+        }
+        e.payload = payload;
         e.cost = if cost.is_finite() { cost.max(0.0) } else { 0.0 };
+        assert!(e.state.publish(), "double commit of {blob}");
+        let (dataset, rect) = e.spec.region_key();
+        self.index.insert(blob.raw(), dataset, rect);
+        self.file(blob);
+        self.stats.committed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// [`DataStore::insert`] with a measured recomputation cost: the
@@ -621,11 +679,8 @@ impl<S: SpatialSpec> DataStore<S> {
     /// require restoring before knowing whether the overlap is worth the
     /// disk read, so partial candidates are left to recomputation.
     pub fn lookup_restorable_exact(&self, probe: &S) -> Option<(BlobId, QueryId, u64)> {
-        // lint:sorted: min over blob id; iteration order is irrelevant
-        self.entries
-            .values()
-            .filter(|e| e.state.is_restorable() && e.spec.cmp(probe))
-            .min_by_key(|e| e.id)
+        self.candidates(probe)
+            .find(|e| e.state.is_restorable() && e.spec.cmp(probe))
             .map(|e| (e.id, e.producer, e.size))
     }
 
@@ -670,6 +725,7 @@ impl<S: SpatialSpec> DataStore<S> {
         self.tier2_used -= size;
         self.used += size;
         self.touch(blob);
+        self.file(blob);
         self.stats.restored.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes_restored.fetch_add(size, Ordering::Relaxed);
         // Restoring may have spilled others past the tier-2 budget.
@@ -740,6 +796,7 @@ impl<S: SpatialSpec> DataStore<S> {
                 last_access: AtomicU64::new(now),
                 cost: 0.0,
                 hits: AtomicU64::new(0),
+                filed: None,
             },
         );
         self.tier2_used += size;
@@ -812,9 +869,17 @@ impl<S: SpatialSpec> DataStore<S> {
     /// [`DataStore::lookup`] this reads no stats and touches no LRU
     /// stamp — it is the duplicate-full-compute detector, a pure probe.
     pub fn has_equivalent(&self, probe: &S) -> bool {
-        self.entries
-            .values()
+        self.candidates(probe)
             .any(|e| e.visible() && e.spec.cmp(probe))
+    }
+
+    /// The committed entries, FULL or RESTORABLE, whose footprint
+    /// intersects `probe`'s — the only ones that can `cmp`-match or
+    /// overlap it — in blob-id order.
+    fn candidates<'a>(&'a self, probe: &S) -> impl Iterator<Item = &'a BlobEntry<S>> + 'a {
+        let (dataset, rect) = probe.region_key();
+        let ids = self.index.query(dataset, &rect).into_iter();
+        ids.filter_map(|raw| self.entries.get(&BlobId(raw)))
     }
 
     /// The paper's `lookup`: finds cached results that can answer `probe`
@@ -888,7 +953,8 @@ impl<S: SpatialSpec> DataStore<S> {
     /// Removes an entry, releasing its bytes (from tier 2 when the entry
     /// is RESTORABLE, from tier 1 otherwise); returns it.
     pub fn remove(&mut self, blob: BlobId) -> Option<BlobEntry<S>> {
-        let e = self.entries.remove(&blob)?;
+        let mut e = self.entries.remove(&blob)?;
+        unfile(&mut self.victims, &mut e);
         self.index.remove(blob.raw());
         if e.state.is_restorable() {
             self.tier2_used -= e.size;
@@ -898,33 +964,52 @@ impl<S: SpatialSpec> DataStore<S> {
         Some(e)
     }
 
-    fn pick_victim(&self) -> Option<BlobId> {
-        // Entries with live graft subscriptions are as good as pinned: a
-        // consumer is committed to reading them the moment they publish.
-        let candidates = self
-            .entries
-            .values()
-            .filter(|e| e.visible() && e.state.subscribers() == 0);
-        let stamp = |e: &BlobEntry<S>| e.last_access.load(Ordering::Relaxed);
-        match self.policy {
-            EvictionPolicy::Lru => candidates.min_by_key(|e| stamp(e)).map(|e| e.id),
-            EvictionPolicy::Mru => candidates.max_by_key(|e| stamp(e)).map(|e| e.id),
-            EvictionPolicy::LargestFirst => candidates
-                .max_by_key(|e| (e.size, u64::MAX - stamp(e)))
-                .map(|e| e.id),
-            // Greedy knapsack: sacrifice the entry whose retention saves
-            // the least recomputation per byte. `total_cmp` plus the
-            // stamp/id tie-breaks give a deterministic total order, so
-            // the victim sequence is reproducible bit for bit.
-            EvictionPolicy::CostBased => candidates
-                .min_by(|a, b| {
-                    a.score()
-                        .total_cmp(&b.score())
-                        .then_with(|| stamp(a).cmp(&stamp(b)))
-                        .then_with(|| a.id.cmp(&b.id))
-                })
-                .map(|e| e.id),
+    /// Files `blob` in the victim index under its current key, replacing
+    /// the key it was filed with before, if any.
+    fn file(&mut self, blob: BlobId) {
+        if let Some(e) = self.entries.get_mut(&blob) {
+            unfile(&mut self.victims, e);
+            e.filed = victim_key(self.policy, e);
+            self.victims.extend(e.filed.map(|key| (key, blob)));
         }
+    }
+
+    /// The next eviction victim under the store's policy, among visible
+    /// entries nobody is subscribed to (an entry with live graft
+    /// subscriptions is as good as pinned: a consumer is committed to
+    /// reading it the moment it publishes).
+    ///
+    /// The front of the victim index is the entry with the smallest
+    /// *filed* key; lookups since may have raised its real key. When the
+    /// two agree it is the true minimum, because every other entry's real
+    /// key is at least its filed one, which is larger; when they differ
+    /// the entry is re-filed where it now belongs and the new front is
+    /// looked at. A call re-files an entry at most once, and only one
+    /// touched since it was last filed, so the work is bounded by the
+    /// touches since the previous call.
+    fn pick_victim(&mut self) -> Option<BlobId> {
+        let evictable = |e: &BlobEntry<S>| e.visible() && e.state.subscribers() == 0;
+        if self.policy == EvictionPolicy::Mru {
+            let candidates = self.entries.values().filter(|e| evictable(e));
+            let newest = candidates.max_by_key(|e| e.last_access.load(Ordering::Relaxed));
+            return newest.map(|e| e.id);
+        }
+        let victim = loop {
+            let front = self.victims.iter().find_map(|&(key, blob)| {
+                let e = &self.entries[&blob];
+                evictable(e).then(|| (key, blob, victim_key(self.policy, e)))
+            });
+            match front {
+                None => break None,
+                Some((key, blob, current)) if current == Some(key) => break Some(blob),
+                Some((_, blob, _)) => self.file(blob),
+            }
+        };
+        // Every eviction decision any test of this crate provokes is
+        // checked against the scan.
+        #[cfg(test)]
+        assert_eq!(victim, self.scan_victim(), "victim index disagrees");
+        victim
     }
 }
 
@@ -932,6 +1017,53 @@ impl<S: SpatialSpec> DataStore<S> {
 mod tests {
     use super::*;
     use vmqs_core::spec::testutil::IntervalSpec;
+
+    impl<S: SpatialSpec> DataStore<S> {
+        /// [`DataStore::pick_victim`] as a scan of every entry: what the
+        /// victim index replaced, kept as the oracle it is tested against.
+        pub(super) fn scan_victim(&self) -> Option<BlobId> {
+            let candidates = self
+                .entries
+                .values()
+                .filter(|e| e.visible() && e.state.subscribers() == 0);
+            let stamp = |e: &BlobEntry<S>| e.last_access.load(Ordering::Relaxed);
+            match self.policy {
+                EvictionPolicy::Lru => candidates.min_by_key(|e| stamp(e)).map(|e| e.id),
+                EvictionPolicy::Mru => candidates.max_by_key(|e| stamp(e)).map(|e| e.id),
+                EvictionPolicy::LargestFirst => candidates
+                    .max_by_key(|e| (e.size, u64::MAX - stamp(e)))
+                    .map(|e| e.id),
+                EvictionPolicy::CostBased => candidates
+                    .min_by(|a, b| {
+                        a.score()
+                            .total_cmp(&b.score())
+                            .then_with(|| stamp(a).cmp(&stamp(b)))
+                            .then_with(|| a.id.cmp(&b.id))
+                    })
+                    .map(|e| e.id),
+            }
+        }
+
+        /// The victim index holds exactly the visible entries, each under a
+        /// key no larger than its current one (none under `Mru`).
+        fn check_victim_index(&self) {
+            let mut filed = 0;
+            for e in self.entries.values() {
+                let ordered = e.visible() && self.policy != EvictionPolicy::Mru;
+                assert_eq!(e.filed.is_some(), ordered, "{} filed wrongly", e.id);
+                if let Some(key) = e.filed {
+                    assert!(self.victims.contains(&(key, e.id)), "{} lost", e.id);
+                    assert!(
+                        Some(key) <= victim_key(self.policy, e),
+                        "{} moved down",
+                        e.id
+                    );
+                    filed += 1;
+                }
+            }
+            assert_eq!(self.victims.len(), filed, "index holds a departed entry");
+        }
+    }
 
     fn spec(start: u64, len: u64, scale: u64) -> IntervalSpec {
         IntervalSpec::new(start, len, scale)
@@ -1254,10 +1386,54 @@ mod tests {
         assert!(!ds.has_equivalent(&s));
         ds.insert(QueryId(1), s.clone(), 100, Payload::Virtual, &mut ev)
             .unwrap();
+        // Far-away entries, a `cmp`-unequal neighbour on the same ground
+        // and a spilled twin: the probe goes through the grid and must
+        // neither miss the one match nor count the others.
+        for i in 1..40 {
+            ds.insert(
+                QueryId(1 + i),
+                spec(5000 + 200 * i, 100, 1),
+                10,
+                Payload::Virtual,
+                &mut ev,
+            )
+            .unwrap();
+        }
+        ds.insert(QueryId(50), spec(0, 100, 2), 50, Payload::Virtual, &mut ev)
+            .unwrap();
         let before = ds.stats();
+        let stamps = |ds: &DataStore<IntervalSpec>| -> Vec<(BlobId, u64, u64)> {
+            let mut v: Vec<_> = ds
+                .entries
+                .values()
+                .map(|e| (e.id, e.hits(), e.last_access.load(Ordering::Relaxed)))
+                .collect();
+            v.sort_unstable();
+            v
+        };
+        let untouched = stamps(&ds);
         assert!(ds.has_equivalent(&s));
+        assert!(ds.has_equivalent(&spec(5200, 100, 1)));
         assert!(!ds.has_equivalent(&spec(500, 10, 1)));
+        assert!(!ds.has_equivalent(&spec(0, 100, 4)), "overlap is not cmp");
+        assert!(!ds.has_equivalent(&spec(5200, 50, 1)));
         assert_eq!(ds.stats(), before, "no hit/miss accounting");
+        assert_eq!(stamps(&ds), untouched, "no touch");
+        // A spilled entry is indexed but not visible: not an equivalent.
+        let mut ds = cost_store(100).with_tier2(100);
+        ds.insert_costed(QueryId(1), s.clone(), 100, 1.0, Payload::Virtual, &mut ev)
+            .unwrap();
+        ds.insert_costed(
+            QueryId(2),
+            spec(900, 100, 1),
+            100,
+            2.0,
+            Payload::Virtual,
+            &mut ev,
+        )
+        .unwrap();
+        assert!(ds.lookup_restorable_exact(&s).is_some());
+        assert!(!ds.has_equivalent(&s));
     }
 
     #[test]
@@ -1487,7 +1663,9 @@ mod tests {
     /// The grid index holds exactly the committed entries: it gains one
     /// at commit and adoption, keeps spilled ones, and loses one at every
     /// exit (eviction, tier-2 drop, `drop_restorable`, `remove`).
-    /// Reservations are never in it, aborted or not.
+    /// Reservations are never in it, aborted or not. The victim index
+    /// beside it holds exactly the *visible* ones: a spilled or adopted
+    /// entry is out of it until it is restored.
     #[test]
     fn index_follows_every_entry_in_and_out() {
         let mut ds = cost_store(100).with_tier2(100);
@@ -1507,6 +1685,7 @@ mod tests {
             .malloc(QueryId(9), spec(900, 10, 1), 0, &mut Vec::new())
             .unwrap();
         assert_eq!(ds.index.len(), 0, "reservations are not indexed");
+        assert!(ds.victims.is_empty());
         ds.abort(r);
         assert_eq!(ds.index.len(), 0);
         // Commit indexes; the next insert spills `a`, which stays indexed
@@ -1515,22 +1694,32 @@ mod tests {
         let b = costed(&mut ds, 2, 1000, 2.0);
         assert!(ds.get(a).unwrap().state.is_restorable());
         assert_eq!(ds.index.len(), 2);
+        let filed = |ds: &DataStore<IntervalSpec>| -> Vec<BlobId> {
+            ds.check_victim_index();
+            ds.victims.iter().map(|v| v.1).collect()
+        };
+        assert_eq!(filed(&ds), [b], "the spilled `a` left the victim index");
         assert!(ds.lookup(&spec(0, 100, 1)).is_empty());
         // `b` spills past the tier-2 budget: the shrink drops `a`.
         let c = costed(&mut ds, 3, 2000, 3.0);
         assert!(ds.get(a).is_none());
         assert_eq!(ds.index.len(), 2);
+        assert_eq!(filed(&ds), [c]);
         // A failed tier-2 read drops `b`, `remove` drops `c`; an adopted
         // frame joins at adoption and serves indexed lookups once restored.
         assert!(ds.drop_restorable(b).is_some());
         ds.remove(c);
         assert_eq!(ds.index.len(), 0);
+        assert!(filed(&ds).is_empty());
         assert!(ds.adopt_restorable(BlobId(50), spec(5000, 100, 1), 100));
         assert_eq!(ds.index.len(), 1);
+        assert!(filed(&ds).is_empty(), "adopted frames are not visible");
         assert!(ds.restore(BlobId(50), Payload::Virtual, &mut Vec::new()));
+        assert_eq!(filed(&ds), [BlobId(50)]);
         assert_eq!(ds.lookup(&spec(5000, 100, 1)).len(), 1);
         ds.remove(BlobId(50));
         assert_eq!(ds.index.len(), 0);
+        assert!(filed(&ds).is_empty());
         assert!(ds.lookup_filtered(&spec(5000, 100, 1), None).is_empty());
     }
 
@@ -1795,5 +1984,148 @@ mod tests {
         assert!(ds.lookup_restorable_exact(&spec(0, 100, 1)).is_none());
         let (b_blob, b_producer, _) = ds.lookup_restorable_exact(&spec(500, 100, 1)).unwrap();
         assert_eq!((b_blob, b_producer), (b, QueryId(2)));
+    }
+    #[test]
+    fn equal_scores_evict_the_older_stamp_before_the_lower_blob_id() {
+        let mut ds = cost_store(200).with_tier2(200);
+        let mut ev = Vec::new();
+        // Only adopted frames can have ids out of stamp order.
+        assert!(ds.adopt_restorable(BlobId(7), spec(0, 100, 1), 100));
+        assert!(ds.adopt_restorable(BlobId(3), spec(500, 100, 1), 100));
+        assert!(ds.restore(BlobId(7), Payload::Virtual, &mut ev));
+        assert!(ds.restore(BlobId(3), Payload::Virtual, &mut ev));
+        assert_eq!(
+            ds.get(BlobId(3)).unwrap().score(),
+            ds.get(BlobId(7)).unwrap().score()
+        );
+        ds.malloc(QueryId(1), spec(900, 100, 1), 100, &mut ev)
+            .unwrap();
+        assert!(
+            ds.get(BlobId(7)).unwrap().state.is_restorable(),
+            "older stamp"
+        );
+        assert!(ds.get(BlobId(3)).unwrap().visible());
+    }
+
+    /// Applies one random operation. `held` are uncommitted reservations,
+    /// `pins` and `subs` the pins and subscriptions taken so far.
+    fn apply(
+        ds: &mut DataStore<IntervalSpec>,
+        (op, a, b, c): (u8, u64, u64, u64),
+        held: &mut Vec<BlobId>,
+        pins: &mut Vec<(BlobId, usize)>,
+        subs: &mut Vec<BlobId>,
+    ) {
+        let mut ev = Vec::new();
+        let nth = |ds: &DataStore<IntervalSpec>,
+                   keep: &dyn Fn(&BlobEntry<IntervalSpec>) -> bool| {
+            let mut ids: Vec<BlobId> = ds
+                .entries
+                .values()
+                .filter(|e| keep(e))
+                .map(|e| e.id)
+                .collect();
+            ids.sort_unstable();
+            (!ids.is_empty()).then(|| ids[c as usize % ids.len()])
+        };
+        let s = spec(a, b, 1 + c % 2);
+        let cost = c as f64 / 8.0;
+        match op {
+            0 => drop(ds.insert(QueryId(a), s, b, Payload::Virtual, &mut ev)),
+            1 => drop(ds.insert_costed(QueryId(a), s, b, cost, Payload::Virtual, &mut ev)),
+            2 => held.extend(ds.malloc(QueryId(a), s, b, &mut ev)),
+            3 => held.extend(ds.reserve_subscribable(QueryId(a), s, b, &mut ev)),
+            4 if !held.is_empty() => {
+                let blob = held.swap_remove(c as usize % held.len());
+                if c % 3 == 0 {
+                    ds.commit(blob, Payload::Virtual);
+                } else {
+                    ds.commit_costed(blob, Payload::Virtual, cost);
+                }
+            }
+            5 if !held.is_empty() => {
+                let blob = held.swap_remove(c as usize % held.len());
+                subs.retain(|x| *x != blob);
+                ds.abort(blob);
+            }
+            6 => drop(ds.lookup(&s)),
+            7 => match (c % 2 == 0, nth(ds, &|e| e.visible())) {
+                (true, Some(blob)) if ds.entries[&blob].state.pin_at(c as usize) => {
+                    pins.push((blob, c as usize));
+                }
+                (false, _) if !pins.is_empty() => {
+                    let (blob, stripe) = pins.swap_remove(c as usize % pins.len());
+                    if let Some(e) = ds.get(blob) {
+                        e.state.unpin_at(stripe);
+                    }
+                }
+                _ => {}
+            },
+            8 => match (c % 2 == 0, nth(ds, &|_| true)) {
+                (true, Some(blob))
+                    if matches!(ds.subscribe(blob), Some(Phase::Subscribable | Phase::Full)) =>
+                {
+                    subs.push(blob);
+                }
+                (false, _) if !subs.is_empty() => {
+                    ds.unsubscribe(subs.swap_remove(c as usize % subs.len()));
+                }
+                _ => {}
+            },
+            9 => {
+                if let Some(blob) = nth(ds, &|e| e.state.is_restorable()) {
+                    ds.restore(blob, Payload::Virtual, &mut ev);
+                }
+            }
+            10 => {
+                let free = |e: &BlobEntry<IntervalSpec>| {
+                    e.state.pin_count() == 0 && e.state.subscribers() == 0
+                };
+                if let Some(blob) = nth(ds, &|e| e.state.phase() != Phase::Accumulating && free(e))
+                {
+                    if c % 2 == 0 || ds.drop_restorable(blob).is_none() {
+                        ds.remove(blob);
+                    }
+                    held.retain(|x| *x != blob);
+                }
+            }
+            _ => drop(ds.adopt_restorable(BlobId(10_000 + a), s, b)),
+        }
+        if c % 4 == 0 {
+            ds.take_pending_spills();
+        }
+    }
+
+    proptest::proptest! {
+        /// Under every policy, with and without tier 2, through inserts,
+        /// touches, pins, subscriptions, spills, restores, adoptions and
+        /// removals: the victim index names the victim the scan names,
+        /// at every step, and holds exactly the visible entries. (Every
+        /// eviction the operations themselves provoke is cross-checked
+        /// too, inside `pick_victim`.)
+        #[test]
+        fn victim_index_picks_what_the_scan_picks(
+            policy in 0usize..4,
+            budget in 100u64..500,
+            tier2 in 0u64..600,
+            ops in proptest::collection::vec((0u8..12, 0u64..1500, 1u64..120, 0u64..64), 1..120),
+        ) {
+            use EvictionPolicy::*;
+            let policy = [Lru, LargestFirst, Mru, CostBased][policy];
+            // Half the stores have no spill tier.
+            let tier2 = tier2.saturating_sub(300);
+            let mut ds: DataStore<IntervalSpec> =
+                DataStore::with_policy(budget, 64, policy).with_tier2(tier2);
+            let (mut held, mut pins, mut subs) = (Vec::new(), Vec::new(), Vec::new());
+            for op in ops {
+                apply(&mut ds, op, &mut held, &mut pins, &mut subs);
+                ds.check_victim_index();
+                // A pure read first: the pick below may re-file.
+                let scanned = ds.scan_victim();
+                proptest::prop_assert_eq!(ds.pick_victim(), scanned);
+                ds.check_victim_index();
+                proptest::prop_assert!(ds.used() <= budget && ds.tier2_used() <= tier2);
+            }
+        }
     }
 }

@@ -173,10 +173,14 @@ struct ShardLock<S: SpatialSpec> {
 }
 
 impl<S: SpatialSpec> ShardLock<S> {
-    fn new(strategy: vmqs_core::Strategy, total_waiting: Arc<AtomicUsize>) -> Self {
+    fn new(
+        strategy: vmqs_core::Strategy,
+        index_cell: u32,
+        total_waiting: Arc<AtomicUsize>,
+    ) -> Self {
         ShardLock {
             inner: Mutex::new(ShardState {
-                sched: SchedShard::new(strategy),
+                sched: SchedShard::new(strategy, index_cell),
                 waiting_on: HashMap::new(),
                 blocked_fallbacks: 0,
             }),
@@ -402,7 +406,7 @@ impl<A: AppExecutor> QueryServer<A> {
         let core = Arc::new(Core {
             shards: (0..cfg.num_threads)
                 .map(|_| Shard {
-                    state: ShardLock::new(cfg.strategy, Arc::clone(&total_waiting)),
+                    state: ShardLock::new(cfg.strategy, cfg.index_cell, Arc::clone(&total_waiting)),
                     done_cv: Condvar::new(),
                 })
                 .collect(),

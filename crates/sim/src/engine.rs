@@ -228,7 +228,7 @@ impl<A: SimApplication> Simulator<A> {
         let pmet = PageMetrics::resolve(&obs.metrics);
         Simulator {
             app,
-            sched: SchedShard::new(cfg.strategy),
+            sched: SchedShard::new(cfg.strategy, cfg.index_cell),
             ds: DataStore::with_policy(cfg.ds_budget, cfg.index_cell, cfg.ds_policy)
                 .with_tier2(cfg.tier2_budget),
             ps: PageCacheCore::new(cfg.ps_budget, PAGE_SIZE as u64),

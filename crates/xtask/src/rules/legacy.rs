@@ -25,12 +25,14 @@ pub const SURFACE_FILES: &[&str] = &[
 ];
 
 /// Files on the server hot path: the worker loop and the submit path,
-/// and the shard transitions they call under the shard lock. Rules
-/// `hot-unwrap` and `guard-across-io` apply.
+/// the shard transitions they call under the shard lock, and the
+/// footprint index every submit probes and files into under that lock.
+/// Rules `hot-unwrap` and `guard-across-io` apply.
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/server/src/engine.rs",
     "crates/server/src/pages.rs",
     "crates/core/src/sched.rs",
+    "crates/core/src/spatial.rs",
 ];
 
 /// Crates allowed to contain `unsafe` (and therefore exempt from the

@@ -11,8 +11,8 @@ use vmqs::prelude::{
 };
 use vmqs_core::geom::{greedy_cover, subtract_all, total_area};
 use vmqs_core::spec::testutil::IntervalSpec;
-use vmqs_core::QueryId;
 use vmqs_core::Strategy as RankStrategy;
+use vmqs_core::{QueryId, SpatialSpec};
 use vmqs_datastore::DsError;
 use vmqs_microscope::kernels::{compute_from_chunks, reference_render};
 use vmqs_microscope::PAGE_SIZE;
@@ -250,6 +250,188 @@ proptest! {
             }
             prop_assert!(ps.resident_pages() <= capacity as usize);
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Edge discovery through the footprint index changes no decision: the
+// indexed graph against all-pairs discovery, step by step.
+// ---------------------------------------------------------------------------
+
+/// `S` with the whole plane as its footprint. Every node then intersects
+/// every other, so the graph compares a new query against all of them in
+/// ascending id order: the all-pairs discovery the footprint index
+/// replaced, with nothing of the index left to be wrong (one cell holds
+/// everything).
+#[derive(Clone)]
+struct Everywhere<S>(S);
+
+impl<S: SpatialSpec> QuerySpec for Everywhere<S> {
+    fn cmp(&self, other: &Self) -> bool {
+        self.0.cmp(&other.0)
+    }
+    fn overlap(&self, other: &Self) -> f64 {
+        self.0.overlap(&other.0)
+    }
+    fn qoutsize(&self) -> u64 {
+        self.0.qoutsize()
+    }
+    fn qinputsize(&self) -> u64 {
+        self.0.qinputsize()
+    }
+    fn chunk_keys(&self) -> Vec<u64> {
+        self.0.chunk_keys()
+    }
+}
+
+impl<S: SpatialSpec> SpatialSpec for Everywhere<S> {
+    fn region_key(&self) -> (DatasetId, Rect) {
+        (DatasetId(0), Rect::new(0, 0, u32::MAX, u32::MAX))
+    }
+}
+
+fn all_strategies() -> Vec<RankStrategy> {
+    let mut all = RankStrategy::paper_set().to_vec();
+    all.extend([
+        RankStrategy::hybrid_default(),
+        RankStrategy::chunk_batch_default(),
+    ]);
+    all
+}
+
+fn edge_bits(edges: &[vmqs_core::Edge]) -> Vec<(QueryId, u64)> {
+    edges.iter().map(|e| (e.peer, e.weight.to_bits())).collect()
+}
+
+/// Drives an indexed graph (cells of `cell` pixels) and the all-pairs
+/// oracle through the same operations. After every step both must hold
+/// the same nodes in the same states with bit-identical ranks, the same
+/// edge lists in the same order, and the same dequeue order.
+fn indexed_graph_matches_all_pairs<S: SpatialSpec>(
+    strategy: RankStrategy,
+    cell: u32,
+    mut specs: Vec<S>,
+    ops: &[(u8, usize)],
+) -> Result<(), TestCaseError> {
+    let mut g: SchedulingGraph<S> = SchedulingGraph::with_index_cell(strategy, cell);
+    let mut oracle: SchedulingGraph<Everywhere<S>> =
+        SchedulingGraph::with_index_cell(strategy, u32::MAX);
+    let mut live: Vec<(QueryId, S)> = Vec::new();
+    let mut next = 0u64;
+    let pick = |ids: Vec<QueryId>, k: usize| {
+        let mut ids = ids;
+        ids.sort_unstable();
+        (!ids.is_empty()).then(|| ids[k % ids.len()])
+    };
+    for &(op, k) in ops {
+        match op {
+            0..=2 => {
+                if let Some(spec) = specs.pop() {
+                    g.insert(QueryId(next), spec.clone());
+                    oracle.insert(QueryId(next), Everywhere(spec.clone()));
+                    live.push((QueryId(next), spec));
+                    next += 1;
+                }
+            }
+            3 => prop_assert_eq!(g.dequeue(), oracle.dequeue()),
+            4 => prop_assert_eq!(
+                g.dequeue_preferring_producer(),
+                oracle.dequeue_preferring_producer()
+            ),
+            5 => {
+                if let Some(id) = pick(g.ids_in_state(QueryState::Executing), k) {
+                    g.mark_cached(id);
+                    oracle.mark_cached(id);
+                }
+            }
+            6 => {
+                if let Some(id) = pick(g.ids_in_state(QueryState::Executing), k) {
+                    prop_assert!(g.requeue(id) && oracle.requeue(id));
+                }
+            }
+            _ => {
+                if let Some(id) = pick(g.ids_in_state(QueryState::Cached), k) {
+                    g.swap_out(id);
+                    oracle.swap_out(id);
+                    live.retain(|(l, _)| *l != id);
+                }
+            }
+        }
+        g.validate().map_err(TestCaseError::fail)?;
+        oracle.validate().map_err(TestCaseError::fail)?;
+        prop_assert_eq!(g.len(), live.len());
+        prop_assert_eq!(oracle.len(), live.len());
+        for (id, _) in &live {
+            prop_assert_eq!(g.state_of(*id), oracle.state_of(*id));
+            let rank = |r: Option<vmqs_core::Rank>| r.map(|r| r.value().to_bits());
+            prop_assert_eq!(
+                rank(g.rank_of(*id)),
+                rank(oracle.rank_of(*id)),
+                "rank of {}",
+                id
+            );
+            let (gi, go) = g.edges_of(*id).unwrap();
+            let (oi, oo) = oracle.edges_of(*id).unwrap();
+            prop_assert_eq!(edge_bits(gi), edge_bits(oi), "in-edges of {}", id);
+            prop_assert_eq!(edge_bits(go), edge_bits(oo), "out-edges of {}", id);
+        }
+        prop_assert_eq!(g.peek_top_k(live.len()), oracle.peek_top_k(live.len()));
+        prop_assert_eq!(g.stats().edges_created, oracle.stats().edges_created);
+        prop_assert!(g.stats().overlap_evals <= oracle.stats().overlap_evals);
+    }
+    // The edges are the ones the definition asks for, whichever way they
+    // were found: `a -> b` exactly when a result for `a` holds bytes `b`
+    // can reuse.
+    for (a, sa) in &live {
+        let (_, out) = g.edges_of(*a).unwrap();
+        for (b, sb) in live.iter().filter(|(b, _)| b != a) {
+            let want = sa.reuse_bytes(sb);
+            let have = out.iter().find(|e| e.peer == *b).map(|e| e.weight);
+            prop_assert_eq!(
+                have,
+                (want > 0).then_some(want as f64),
+                "edge {} -> {}",
+                a,
+                b
+            );
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn indexed_edge_discovery_changes_no_decision_for_intervals(
+        specs in prop::collection::vec((0u64..2000, 1u64..5, 1u64..5), 3..30),
+        ops in prop::collection::vec((0u8..8, 0usize..64), 0..70),
+        strat in 0usize..8,
+        cell in 1u32..2048,
+    ) {
+        let specs = specs
+            .into_iter()
+            .map(|(start, len, scale)| IntervalSpec::new(start, 60 * len * scale, scale))
+            .collect();
+        indexed_graph_matches_all_pairs(all_strategies()[strat], cell, specs, &ops)?;
+    }
+
+    #[test]
+    fn indexed_edge_discovery_changes_no_decision_for_vm_queries(
+        specs in prop::collection::vec(
+            (0u64..2, 0u32..3600, 0u32..3600, 0usize..4, 0usize..3, prop::bool::ANY), 3..30),
+        ops in prop::collection::vec((0u8..8, 0usize..64), 0..70),
+        strat in 0usize..8,
+        cell in 32u32..8192,
+    ) {
+        let specs = specs
+            .into_iter()
+            .map(|(slide, x, y, side, zoom, average)| {
+                let slide = SlideDataset::new(DatasetId(slide), 4096, 4096);
+                let side = [64, 256, 512, 1024][side];
+                let op = if average { VmOp::Average } else { VmOp::Subsample };
+                VmQuery::new(slide, Rect::new(x, y, side, side), [1, 2, 4][zoom], op)
+            })
+            .collect();
+        indexed_graph_matches_all_pairs(all_strategies()[strat], cell, specs, &ops)?;
     }
 }
 
