@@ -121,7 +121,12 @@ fn fmt_ns(ns: f64) -> String {
 /// averaging over enough iterations to be stable.
 const SAMPLE_BUDGET: Duration = Duration::from_millis(10);
 
-fn run_one<F: FnMut(&mut Bencher)>(label: &str, sample_size: usize, mut f: F) {
+fn run_one<F: FnMut(&mut Bencher)>(
+    label: &str,
+    sample_size: usize,
+    throughput: Option<Throughput>,
+    mut f: F,
+) {
     // Calibration pass: one iteration, to size later samples.
     let mut b = Bencher {
         iters: 1,
@@ -144,14 +149,26 @@ fn run_one<F: FnMut(&mut Bencher)>(label: &str, sample_size: usize, mut f: F) {
     let min = samples_ns[0];
     let median = samples_ns[samples_ns.len() / 2];
     let mean = samples_ns.iter().sum::<f64>() / samples_ns.len() as f64;
+    // Bytes per nanosecond is GB/s.
+    let thrpt = throughput.map_or(String::new(), |Throughput::Bytes(n)| {
+        format!("  thrpt {:.2} GB/s", n as f64 / median)
+    });
     println!(
-        "{label:<50} min {:>10}  median {:>10}  mean {:>10}  ({} samples x {} iters)",
+        "{label:<50} min {:>10}  median {:>10}  mean {:>10}  ({} samples x {} iters){thrpt}",
         fmt_ns(min),
         fmt_ns(median),
         fmt_ns(mean),
         samples_ns.len(),
         iters
     );
+}
+
+/// Work done by one iteration, so a group's results also read as a
+/// rate.
+#[derive(Clone, Copy, Debug)]
+pub enum Throughput {
+    /// Bytes processed per iteration.
+    Bytes(u64),
 }
 
 /// Benchmark registry and runner.
@@ -171,13 +188,14 @@ impl Criterion {
         BenchmarkGroup {
             name,
             sample_size: 20,
+            throughput: None,
             _criterion: self,
         }
     }
 
     /// Runs a standalone benchmark.
     pub fn bench_function<F: FnMut(&mut Bencher)>(&mut self, id: &str, f: F) -> &mut Self {
-        run_one(id, 20, f);
+        run_one(id, 20, None, f);
         self
     }
 }
@@ -186,6 +204,7 @@ impl Criterion {
 pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
+    throughput: Option<Throughput>,
     _criterion: &'a mut Criterion,
 }
 
@@ -197,6 +216,12 @@ impl BenchmarkGroup<'_> {
         self
     }
 
+    /// Declares the work one iteration of the following benchmarks does.
+    pub fn throughput(&mut self, throughput: Throughput) -> &mut Self {
+        self.throughput = Some(throughput);
+        self
+    }
+
     /// Runs a benchmark in this group.
     pub fn bench_function<I, F>(&mut self, id: I, f: F) -> &mut Self
     where
@@ -204,7 +229,7 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let label = format!("{}/{}", self.name, String::from(id.into()));
-        run_one(&label, self.sample_size, f);
+        run_one(&label, self.sample_size, self.throughput, f);
         self
     }
 
@@ -214,7 +239,7 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher, &I),
     {
         let label = format!("{}/{}", self.name, id.id);
-        run_one(&label, self.sample_size, |b| f(b, input));
+        run_one(&label, self.sample_size, self.throughput, |b| f(b, input));
         self
     }
 

@@ -101,7 +101,9 @@ use vmqs_core::{
 };
 use vmqs_datastore::{DataStore, DsStats, EvictionRecord, Payload, Phase};
 use vmqs_microscope::PAGE_SIZE;
-use vmqs_obs::{EventBuffer, EventKind, EventRecord, MetricsSnapshot, Obs, QueryMetrics, Terminal};
+use vmqs_obs::{
+    EventBuffer, EventKind, EventRecord, Histogram, MetricsSnapshot, Obs, QueryMetrics, Terminal,
+};
 use vmqs_pagespace::PsStats;
 use vmqs_storage::{DataSource, SpillStore};
 
@@ -343,6 +345,12 @@ struct Core<A: AppExecutor> {
     /// registry is per-server, so these are also the terminal counts
     /// `summary()` reports.
     qmet: QueryMetrics,
+    /// `vmqs_tier2_write_seconds` / `vmqs_tier2_read_seconds`: one sample
+    /// per frame write or read attempted, failed ones included. Spilling
+    /// runs after a query's `finished` stamp, so this is the only place
+    /// its time shows.
+    tier2_write: Arc<Histogram>,
+    tier2_read: Arc<Histogram>,
 }
 
 /// The public server: spawns the thread pool on construction; submit
@@ -450,6 +458,8 @@ impl<A: AppExecutor> QueryServer<A> {
             compute_seq: AtomicU64::new(0),
             sup: Supervisor::new(cfg.num_threads, cfg.restart_budget),
             respawned: Mutex::new(Vec::new()),
+            tier2_write: obs.metrics.histogram("vmqs_tier2_write_seconds"),
+            tier2_read: obs.metrics.histogram("vmqs_tier2_read_seconds"),
             obs,
             qmet,
             app,
@@ -1759,11 +1769,19 @@ fn drain_spills<A: AppExecutor>(
     };
     for req in ds.take_pending_spills() {
         let written = match &req.payload {
-            // The frame's meta block carries the serialized predicate so
-            // a post-crash recovery scan can rebuild the entry.
-            Payload::Bytes(b) => spill
-                .write(req.blob, &core.app.encode_spec(&req.spec), b)
-                .is_ok(),
+            Payload::Bytes(b) => {
+                // The frame's meta block carries the serialized predicate
+                // so a post-crash recovery scan can rebuild the entry.
+                let meta = core.app.encode_spec(&req.spec);
+                // lint:allow(guard-across-io): the caller's store write
+                // guard is held on purpose: no thread may see a RESTORABLE
+                // entry without its frame. Held for one frame write, about
+                // 0.3 ms for a 192 KiB tile (DESIGN.md §14).
+                let t0 = clock::now();
+                let written = spill.write(req.blob, &meta, b).is_ok();
+                core.tier2_write.observe(t0.elapsed().as_secs_f64());
+                written
+            }
             // A FULL entry in the threaded engine always carries bytes;
             // anything else cannot be restored later, so drop it.
             Payload::Virtual => false,
@@ -1813,11 +1831,20 @@ fn try_restore<A: AppExecutor>(
     let mut evicted: Vec<EvictionRecord<A::Spec>> = Vec::new();
     let mut restored: Option<(QueryId, Arc<[u8]>, u64)> = None;
     let spills = {
+        // Probe, frame read and promotion are one critical section, so a
+        // second restore, a drop or an eviction pass cannot reach the
+        // entry between them. Held for one frame read, about 0.15 ms for
+        // a 192 KiB tile (DESIGN.md §14).
+        // lint:allow(guard-across-io): no thread may see a RESTORABLE
+        // entry without its frame
         let mut ds = core.store.write();
         // Re-probe under the write lock: a peer may have restored or
         // dropped the candidate while this thread upgraded.
         let (blob, producer, size) = ds.lookup_restorable_exact(spec)?;
-        match spill.read(blob) {
+        let t0 = clock::now();
+        let read = spill.read(blob);
+        core.tier2_read.observe(t0.elapsed().as_secs_f64());
+        match read {
             Ok(bytes) => {
                 let payload: Arc<[u8]> = bytes.into();
                 if ds.restore(blob, Payload::Bytes(Arc::clone(&payload)), &mut evicted) {
@@ -2502,6 +2529,15 @@ mod tests {
         (cfg, dir)
     }
 
+    /// Samples in `vmqs_tier2_write_seconds` / `vmqs_tier2_read_seconds`.
+    fn tier2_io_samples(m: &MetricsSnapshot) -> (u64, u64) {
+        let count = |name: &str| m.histograms[name].count;
+        (
+            count("vmqs_tier2_write_seconds"),
+            count("vmqs_tier2_read_seconds"),
+        )
+    }
+
     #[test]
     fn spilled_entry_restores_as_exact_hit() {
         let (cfg, dir) = spill_cfg("restore");
@@ -2532,6 +2568,13 @@ mod tests {
             .any(|e| matches!(e.kind, EventKind::Restored { bytes } if bytes == 49_152)));
         let m = s.metrics();
         assert!(m.gauges["vmqs_ds_tier2_used_bytes"] > 0.0);
+        // Tier-2 I/O time belongs to no `QueryRecord` (a spill runs after
+        // `finished`), so it is a metric: one sample per frame attempt.
+        assert_eq!(tier2_io_samples(&m), (sum.spilled, sum.restored));
+        for export in [m.to_json(), m.to_prometheus()] {
+            assert!(export.contains("vmqs_tier2_write_seconds"), "{export}");
+            assert!(export.contains("vmqs_tier2_read_seconds"), "{export}");
+        }
         s.check_invariants();
         s.shutdown();
         let _ = std::fs::remove_dir_all(dir);
@@ -2554,6 +2597,11 @@ mod tests {
         assert_eq!(*res.image, reference_render(&a).data);
         let sum = s.summary();
         assert_eq!((sum.restored, sum.restore_failures), (0, 1));
+        // The failed read was timed all the same.
+        assert_eq!(
+            tier2_io_samples(&s.metrics()),
+            (sum.spilled, sum.restored + sum.restore_failures)
+        );
         s.check_invariants();
         s.shutdown();
         let _ = std::fs::remove_dir_all(dir);

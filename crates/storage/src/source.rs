@@ -16,6 +16,7 @@ use crate::disk::DiskModel;
 use std::collections::HashMap;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::mem::MaybeUninit;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
@@ -73,10 +74,11 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Fills `buf[i] = mix(base + i) as u8` with scalar code.
-fn fill_page_scalar(base: u64, buf: &mut [u8]) {
+/// Fills `buf[i] = mix(base + i) as u8` with scalar code. The buffer is
+/// a `Vec`'s spare capacity: a page is written once, not zeroed first.
+fn fill_page_scalar(base: u64, buf: &mut [MaybeUninit<u8>]) {
     for (i, b) in buf.iter_mut().enumerate() {
-        *b = mix(base.wrapping_add(i as u64)) as u8;
+        b.write(mix(base.wrapping_add(i as u64)) as u8);
     }
 }
 
@@ -90,14 +92,15 @@ fn fill_page_scalar(base: u64, buf: &mut [u8]) {
 /// dispatch site with `is_x86_feature_detected!`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl")]
-unsafe fn fill_page_avx512(base: u64, buf: &mut [u8]) {
+unsafe fn fill_page_avx512(base: u64, buf: &mut [MaybeUninit<u8>]) {
     for (i, b) in buf.iter_mut().enumerate() {
-        *b = mix(base.wrapping_add(i as u64)) as u8;
+        b.write(mix(base.wrapping_add(i as u64)) as u8);
     }
 }
 
-/// Dispatches to the fastest available page fill for this CPU.
-fn fill_page(base: u64, buf: &mut [u8]) {
+/// Dispatches to the fastest available page fill for this CPU. Every
+/// element of `buf` is initialized on return.
+fn fill_page(base: u64, buf: &mut [MaybeUninit<u8>]) {
     #[cfg(target_arch = "x86_64")]
     {
         use std::sync::atomic::{AtomicU8, Ordering};
@@ -131,8 +134,14 @@ impl DataSource for SyntheticSource {
         index: u64,
         page_size: usize,
     ) -> std::io::Result<Vec<u8>> {
-        let mut buf = vec![0u8; page_size];
-        fill_page(page_base(dataset, index), &mut buf);
+        let mut buf = Vec::with_capacity(page_size);
+        // Slicing checks the capacity; `fill_page` then writes every
+        // element of the slice, so the page is never zeroed first.
+        let spare = &mut buf.spare_capacity_mut()[..page_size];
+        fill_page(page_base(dataset, index), spare);
+        // SAFETY: the first `page_size` elements are within capacity and
+        // were all initialized by `fill_page` just above.
+        unsafe { buf.set_len(page_size) };
         Ok(buf)
     }
 }

@@ -69,11 +69,18 @@ pub struct SpillStats {
     pub bit_flips: u64,
 }
 
-/// CRC32 (IEEE 802.3, the zlib polynomial), hand-rolled over a const
-/// table — the workspace vendors no checksum crate, and 4 bytes of
+/// Bytes the checksum kernel folds per step (two 64-bit words), one
+/// lookup table each.
+const SLICES: usize = 16;
+
+/// CRC32 (IEEE 802.3, the zlib polynomial), hand-rolled over const
+/// tables: the workspace vendors no checksum crate, and 4 bytes of
 /// trailer catch torn writes, truncation, and single-bit rot alike.
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `tables[k][b]` is the CRC of byte `b` followed by `k` zero bytes, so
+/// the `SLICES` bytes of one step are looked up independently and XORed
+/// (table slicing) instead of chaining one dependent lookup per byte.
+const fn crc32_tables() -> [[u32; 256]; SLICES] {
+    let mut tables = [[0u32; 256]; SLICES];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -86,21 +93,97 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < SLICES {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; SLICES] = crc32_tables();
+
+/// A CRC32 in progress: [`Crc32::update`] over consecutive pieces gives
+/// what one pass over their concatenation gives, so a frame is
+/// checksummed where its parts already lie.
+struct Crc32(u32);
+
+impl Crc32 {
+    fn new() -> Self {
+        Crc32(0xFFFF_FFFF)
+    }
+
+    fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC32_TABLES;
+        let mut c = self.0;
+        let mut steps = bytes.chunks_exact(SLICES);
+        for step in &mut steps {
+            // The running CRC folds into the first four bytes; byte `j`
+            // of the step then has `15 - j` bytes after it.
+            let (lo, hi) = step.split_at(8);
+            let lo = u64::from_le_bytes(lo.try_into().expect("8 bytes")) ^ u64::from(c);
+            let lo = lo.to_le_bytes();
+            c = 0;
+            for j in 0..8 {
+                c ^= t[15 - j][lo[j] as usize] ^ t[7 - j][hi[j] as usize];
+            }
+        }
+        for &b in steps.remainder() {
+            c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.0 = c;
+    }
+
+    fn finish(self) -> u32 {
+        self.0 ^ 0xFFFF_FFFF
+    }
+}
 
 /// CRC32 over `bytes` (init and final XOR `0xFFFF_FFFF`).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFF_u32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
+}
+
+/// The v2 frame header for a frame holding `meta_len` + `payload_len`
+/// bytes.
+fn encode_header(meta_len: usize, payload_len: usize) -> [u8; HEADER_LEN] {
+    let mut header = [0u8; HEADER_LEN];
+    header[..4].copy_from_slice(&MAGIC);
+    header[4] = VERSION;
+    header[8..16].copy_from_slice(&(meta_len as u64).to_le_bytes());
+    header[16..24].copy_from_slice(&(payload_len as u64).to_le_bytes());
+    header
+}
+
+/// Reads exactly `len` bytes into a buffer of exactly that capacity,
+/// filled by the read itself (no zero-fill first).
+fn read_vec(f: &mut fs::File, len: u64) -> io::Result<Vec<u8>> {
+    let cap = usize::try_from(len).map_err(|_| io::ErrorKind::OutOfMemory)?;
+    let mut buf = Vec::with_capacity(cap);
+    f.take(len).read_to_end(&mut buf)?;
+    if buf.len() != cap {
+        return Err(io::ErrorKind::UnexpectedEof.into());
     }
-    c ^ 0xFFFF_FFFF
+    Ok(buf)
+}
+
+/// A frame [`SpillStore::validate`] accepted.
+struct Frame {
+    meta: Vec<u8>,
+    /// Empty when the caller asked for verification only.
+    payload: Vec<u8>,
+    /// Payload bytes the frame holds.
+    size: u64,
 }
 
 /// One frame [`SpillStore::recover`] found intact: the blob id (from the
@@ -247,7 +330,9 @@ impl SpillStore {
     /// `payload` as the v2 frame for `blob`, overwriting any previous
     /// frame. Atomic: the frame is staged as a `.tmp` sibling and renamed
     /// into place, so a crash between the two leaves the old frame (or no
-    /// frame) — never a torn one — under the `.spill` name.
+    /// frame) — never a torn one — under the `.spill` name. The frame is
+    /// never assembled in memory: its parts are checksummed where they
+    /// lie and written one after another.
     pub fn write(&self, blob: BlobId, meta: &[u8], payload: &[u8]) -> io::Result<()> {
         use std::sync::atomic::Ordering::Relaxed;
         if self.crashed.load(Relaxed) {
@@ -256,41 +341,45 @@ impl SpillStore {
             ));
         }
         let ordinal = self.write_seq.fetch_add(1, Relaxed);
-        let mut frame = Vec::with_capacity(HEADER_LEN + meta.len() + payload.len() + TRAILER_LEN);
-        frame.extend_from_slice(&MAGIC);
-        frame.push(VERSION);
-        frame.extend_from_slice(&[0u8; 3]);
-        frame.extend_from_slice(&(meta.len() as u64).to_le_bytes());
-        frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        frame.extend_from_slice(meta);
-        frame.extend_from_slice(payload);
-        let crc = crc32(&frame);
-        frame.extend_from_slice(&crc.to_le_bytes());
-        if self.chaos.bit_flip_frame == Some(ordinal) {
-            // Corrupt one payload byte *after* the CRC was computed: the
-            // frame lands on disk looking complete, and only the trailer
-            // check at read/recovery time can reject it.
-            let at = HEADER_LEN + meta.len() + payload.len() / 2;
-            if at < frame.len() - TRAILER_LEN {
-                frame[at] ^= 0x01;
+        let header = encode_header(meta.len(), payload.len());
+        let mut crc = Crc32::new();
+        crc.update(&header);
+        crc.update(meta);
+        crc.update(payload);
+        let trailer = crc.finish().to_le_bytes();
+        // Corrupt one payload byte *after* the CRC was computed: the
+        // frame lands on disk looking complete, and only the trailer
+        // check at read/recovery time can reject it.
+        let mid = payload.len() / 2;
+        let flipped = (self.chaos.bit_flip_frame == Some(ordinal) && !payload.is_empty())
+            .then(|| [payload[mid] ^ 0x01]);
+        let (before, flip, after) = match &flipped {
+            Some(byte) => {
                 self.bit_flips.fetch_add(1, Relaxed);
+                (&payload[..mid], &byte[..], &payload[mid + 1..])
             }
-        }
+            None => (payload, &[][..], &[][..]),
+        };
+        let frame_len = HEADER_LEN + meta.len() + payload.len() + TRAILER_LEN;
+        let crash = self.chaos.crash_spill_write == Some(ordinal);
+        // Kill-point: the process "dies" after flushing only half the
+        // frame. No rename happens, so the `.spill` namespace is
+        // untouched; the torn `.tmp` waits for recovery hygiene.
+        let mut left = if crash { frame_len / 2 } else { frame_len };
         let tmp = self.tmp_path_of(blob);
-        if self.chaos.crash_spill_write == Some(ordinal) {
-            // Kill-point: the process "dies" after flushing only half the
-            // staged bytes. No rename happens, so the `.spill` namespace
-            // is untouched; the torn `.tmp` waits for recovery hygiene.
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&frame[..frame.len() / 2])?;
+        let mut f = fs::File::create(&tmp)?;
+        for part in [&header[..], meta, before, flip, after, &trailer[..]] {
+            let n = part.len().min(left);
+            f.write_all(&part[..n])?;
+            left -= n;
+        }
+        if crash {
             self.torn_writes.fetch_add(1, Relaxed);
             self.crashed.store(true, Relaxed);
             return Err(io::Error::other(format!(
                 "injected crash mid-spill-write for {blob} (ordinal {ordinal})"
             )));
         }
-        let mut f = fs::File::create(&tmp)?;
-        f.write_all(&frame)?;
         drop(f);
         fs::rename(&tmp, self.path_of(blob))?;
         self.writes.fetch_add(1, Relaxed);
@@ -298,43 +387,72 @@ impl SpillStore {
         Ok(())
     }
 
-    /// Validates a whole raw frame: magic, version, lengths, CRC trailer.
-    /// Returns `(meta, payload)` slices on success.
-    fn validate(bytes: &[u8]) -> Result<(&[u8], &[u8]), String> {
-        if bytes.len() < HEADER_LEN + TRAILER_LEN {
-            return Err(format!("short frame ({} bytes)", bytes.len()));
+    /// Validates the frame at `path` in one streaming pass: magic,
+    /// version, the header's lengths against the file's, CRC trailer.
+    /// Only the header is trusted with an allocation, and only after its
+    /// lengths were found to add up to the file's own. The payload is
+    /// read once, into the buffer that is handed on, when `keep_payload`
+    /// is set; otherwise it passes through a fixed scratch buffer and
+    /// only its length comes back. A frame that fails a check is
+    /// `InvalidData`; I/O errors pass through as they are.
+    fn validate(path: &Path, keep_payload: bool) -> io::Result<Frame> {
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
+        let mut f = fs::File::open(path)?;
+        let file_len = f.metadata()?.len();
+        if file_len < (HEADER_LEN + TRAILER_LEN) as u64 {
+            return Err(invalid(format!("short frame ({file_len} bytes)")));
         }
-        if bytes[..4] != MAGIC {
-            return Err("bad spill magic".into());
+        let mut header = [0u8; HEADER_LEN];
+        f.read_exact(&mut header)?;
+        if header[..4] != MAGIC {
+            return Err(invalid("bad spill magic".into()));
         }
-        if bytes[4] != VERSION {
-            return Err(format!("unsupported spill frame version {}", bytes[4]));
+        if header[4] != VERSION {
+            return Err(invalid(format!(
+                "unsupported spill frame version {}",
+                header[4]
+            )));
         }
-        let meta_len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
-        let payload_len = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")) as usize;
-        let want_len = HEADER_LEN
+        let meta_len = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
+        let size = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
+        let want_len = (HEADER_LEN as u64)
             .checked_add(meta_len)
-            .and_then(|n| n.checked_add(payload_len))
-            .and_then(|n| n.checked_add(TRAILER_LEN));
-        if want_len != Some(bytes.len()) {
-            return Err(format!(
-                "frame length mismatch ({} bytes, header claims {meta_len}+{payload_len})",
-                bytes.len()
-            ));
+            .and_then(|n| n.checked_add(size))
+            .and_then(|n| n.checked_add(TRAILER_LEN as u64));
+        if want_len != Some(file_len) {
+            return Err(invalid(format!(
+                "frame length mismatch ({file_len} bytes, header claims {meta_len}+{size})"
+            )));
         }
-        let body = &bytes[..bytes.len() - TRAILER_LEN];
-        let want = u32::from_le_bytes(
-            bytes[bytes.len() - TRAILER_LEN..]
-                .try_into()
-                .expect("4 bytes"),
-        );
-        if crc32(body) != want {
-            return Err("spill CRC mismatch".into());
+        let mut crc = Crc32::new();
+        crc.update(&header);
+        let meta = read_vec(&mut f, meta_len)?;
+        crc.update(&meta);
+        let payload = if keep_payload {
+            let payload = read_vec(&mut f, size)?;
+            crc.update(&payload);
+            payload
+        } else {
+            let mut scratch = [0u8; 16 << 10];
+            let mut left = size;
+            while left > 0 {
+                let n = left.min(scratch.len() as u64) as usize;
+                f.read_exact(&mut scratch[..n])?;
+                crc.update(&scratch[..n]);
+                left -= n as u64;
+            }
+            Vec::new()
+        };
+        let mut trailer = [0u8; TRAILER_LEN];
+        f.read_exact(&mut trailer)?;
+        if crc.finish() != u32::from_le_bytes(trailer) {
+            return Err(invalid("spill CRC mismatch".into()));
         }
-        Ok((
-            &bytes[HEADER_LEN..HEADER_LEN + meta_len],
-            &bytes[HEADER_LEN + meta_len..HEADER_LEN + meta_len + payload_len],
-        ))
+        Ok(Frame {
+            meta,
+            payload,
+            size,
+        })
     }
 
     /// Reads back the payload for `blob`, validating magic, version,
@@ -344,29 +462,24 @@ impl SpillStore {
     /// the CRC covers the header, metadata, and payload alike.
     pub fn read(&self, blob: BlobId) -> io::Result<Vec<u8>> {
         use std::sync::atomic::Ordering::Relaxed;
-        let fail = |msg: String| -> io::Error { io::Error::new(io::ErrorKind::InvalidData, msg) };
         if self.blob_is_poisoned(blob) {
             self.read_failures.fetch_add(1, Relaxed);
-            return Err(fail(format!("injected permanent fault: spill read {blob}")));
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("injected permanent fault: spill read {blob}"),
+            ));
         }
-        let inner = (|| -> io::Result<Vec<u8>> {
-            let mut f = fs::File::open(self.path_of(blob))?;
-            let mut bytes = Vec::new();
-            f.read_to_end(&mut bytes)?;
-            let (_, payload) =
-                Self::validate(&bytes).map_err(|m| fail(format!("{m} for {blob}")))?;
-            Ok(payload.to_vec())
-        })();
-        match &inner {
-            Ok(p) => {
+        match Self::validate(&self.path_of(blob), true) {
+            Ok(frame) => {
                 self.reads.fetch_add(1, Relaxed);
-                self.bytes_read.fetch_add(p.len() as u64, Relaxed);
+                self.bytes_read.fetch_add(frame.size, Relaxed);
+                Ok(frame.payload)
             }
-            Err(_) => {
+            Err(e) => {
                 self.read_failures.fetch_add(1, Relaxed);
+                Err(io::Error::new(e.kind(), format!("{e} for {blob}")))
             }
         }
-        inner
     }
 
     /// Startup scan (DESIGN.md §15): walks the spill directory, validates
@@ -396,19 +509,12 @@ impl SpillStore {
                         .and_then(|s| s.strip_prefix("blob-"))
                         .and_then(|s| s.parse::<u64>().ok())
                         .map(BlobId);
-                    let frame = match blob {
-                        Some(blob) => fs::read(&p)
-                            .ok()
-                            .and_then(|bytes| {
-                                Self::validate(&bytes)
-                                    .ok()
-                                    .map(|(meta, payload)| (meta.to_vec(), payload.len() as u64))
-                            })
-                            .map(|(meta, size)| RecoveredFrame { blob, meta, size }),
-                        // An unparsable name is an orphan: no Data Store
-                        // entry could ever reference it.
-                        None => None,
-                    };
+                    // An unparsable name is an orphan: no Data Store
+                    // entry could ever reference it.
+                    let frame = blob.and_then(|blob| {
+                        let Frame { meta, size, .. } = Self::validate(&p, false).ok()?;
+                        Some(RecoveredFrame { blob, meta, size })
+                    });
                     match frame {
                         Some(f) => report.restorable.push(f),
                         None => {
@@ -512,6 +618,87 @@ mod tests {
         );
     }
 
+    /// The bytewise table walk the sliced kernel replaced, kept as the
+    /// oracle: one dependent lookup per byte, nothing to get wrong.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFF_u32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    proptest::proptest! {
+        // The Miri job interprets every test of this crate.
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(
+            if cfg!(miri) { 4 } else { 256 }
+        ))]
+
+        /// Any bytes, any length around the kernel's step (so the sliced
+        /// body and the bytewise tail both move), any start offset in the
+        /// buffer: one-shot equals the oracle, and `update` over any
+        /// split of the input equals one-shot.
+        #[test]
+        fn sliced_crc_equals_the_bytewise_oracle_under_any_split(
+            seed in 0u64..u64::MAX,
+            len in 0usize..4097,
+            offset in 0usize..8,
+            cuts in proptest::collection::vec(0usize..4097, 0..4),
+        ) {
+            let mut z = seed;
+            let buf: Vec<u8> = (0..offset + len)
+                .map(|_| {
+                    z = z.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (z >> 56) as u8
+                })
+                .collect();
+            let bytes = &buf[offset..];
+            let whole = crc32(bytes);
+            proptest::prop_assert_eq!(whole, crc32_bytewise(bytes));
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(len)).collect();
+            cuts.sort_unstable();
+            let mut crc = Crc32::new();
+            let mut from = 0;
+            for to in cuts.into_iter().chain([len]) {
+                crc.update(&bytes[from..to]);
+                from = to;
+            }
+            proptest::prop_assert_eq!(crc.finish(), whole);
+        }
+    }
+
+    /// Blob 17, meta `vmqs:golden`, 37 payload bytes `7i + 3`, as the
+    /// staging writer of the commit before the streaming one put it on
+    /// disk.
+    const GOLDEN_V2_FRAME: &str = "564d5153020000000b000000000000002500000000000000\
+        766d71733a676f6c64656e\
+        030a11181f262d343b424950575e656c737a81888f969da4abb2b9c0c7ced5dce3eaf1f8ff\
+        42dfef4e";
+
+    #[test]
+    fn golden_v2_frame_is_accepted_and_reproduced_byte_for_byte() {
+        let golden: Vec<u8> = (0..GOLDEN_V2_FRAME.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&GOLDEN_V2_FRAME[i..i + 2], 16).unwrap())
+            .collect();
+        let payload: Vec<u8> = (0..37u32).map(|i| (i * 7 + 3) as u8).collect();
+        let s = SpillStore::new(tmpdir("golden")).unwrap();
+        // A frame from the previous writer is restored by this reader...
+        fs::write(s.dir().join("blob-17.spill"), &golden).unwrap();
+        assert_eq!(s.read(BlobId(17)).unwrap(), payload);
+        let rec = s.recover().unwrap();
+        let adopted = RecoveredFrame {
+            blob: BlobId(17),
+            meta: b"vmqs:golden".to_vec(),
+            size: 37,
+        };
+        assert_eq!(rec.restorable, vec![adopted]);
+        // ...and this writer puts the same bytes down.
+        s.write(BlobId(18), b"vmqs:golden", &payload).unwrap();
+        assert_eq!(fs::read(s.dir().join("blob-18.spill")).unwrap(), golden);
+        cleanup(&s);
+    }
+
     #[test]
     fn roundtrip_preserves_bytes() {
         let s = SpillStore::new(tmpdir("roundtrip")).unwrap();
@@ -561,15 +748,23 @@ mod tests {
         let s = SpillStore::new(tmpdir("corrupt")).unwrap();
         s.write(BlobId(3), b"spec", &[1, 2, 3, 4, 5, 6, 7, 8])
             .unwrap();
-        // Flip one payload byte on disk (not in the trailer).
         let p = s.dir().join("blob-3.spill");
-        let mut bytes = fs::read(&p).unwrap();
-        let mid = HEADER_LEN + 2;
-        bytes[mid] ^= 0xFF;
-        fs::write(&p, bytes).unwrap();
-        let e = s.read(BlobId(3)).unwrap_err();
-        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
-        assert!(e.to_string().contains("CRC"));
+        let intact = fs::read(&p).unwrap();
+        // One flipped bit on disk, wherever it lands: a header pad byte
+        // (which nothing but the CRC looks at), the meta block, the
+        // payload, the trailer itself.
+        let (meta_at, payload_at) = (HEADER_LEN, HEADER_LEN + 4);
+        for at in [6, meta_at + 1, payload_at + 2, intact.len() - 1] {
+            let mut bytes = intact.clone();
+            bytes[at] ^= 0x10;
+            fs::write(&p, bytes).unwrap();
+            let e = s.read(BlobId(3)).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "byte {at}");
+            assert!(e.to_string().contains("CRC"), "byte {at}: {e}");
+        }
+        assert_eq!(s.stats().read_failures, 4);
+        fs::write(&p, intact).unwrap();
+        assert_eq!(s.read(BlobId(3)).unwrap(), [1, 2, 3, 4, 5, 6, 7, 8]);
         cleanup(&s);
     }
 
@@ -743,6 +938,45 @@ mod tests {
         assert_eq!(rec.restorable[1].meta, b"spec-5");
         assert_eq!(rec.bytes_restorable(), 96);
         assert_eq!(rec.removed_torn, 1);
+        cleanup(&s);
+    }
+
+    #[test]
+    fn recovery_sorts_a_valid_frame_a_torn_tmp_and_a_flipped_frame() {
+        let dir = tmpdir("recover-mixed");
+        // Three lives of one directory: a clean write, a write whose
+        // payload rots after its CRC, a write that dies half-way.
+        SpillStore::new(&dir)
+            .unwrap()
+            .write(BlobId(1), b"spec-1", &[1u8; 40_000])
+            .unwrap();
+        SpillStore::new(&dir)
+            .unwrap()
+            .with_chaos(ChaosConfig::none().with_bit_flip_frame(Some(0)))
+            .write(BlobId(2), b"spec-2", &[2u8; 40_000])
+            .unwrap();
+        SpillStore::new(&dir)
+            .unwrap()
+            .with_chaos(ChaosConfig::none().with_crash_spill_write(Some(0)))
+            .write(BlobId(3), b"spec-3", &[3u8; 40_000])
+            .unwrap_err();
+        // The torn tmp holds exactly the first half of its frame.
+        let torn = fs::read(dir.join("blob-3.tmp")).unwrap();
+        assert_eq!(torn.len(), (HEADER_LEN + 6 + 40_000 + TRAILER_LEN) / 2);
+        assert_eq!(torn[..HEADER_LEN], encode_header(6, 40_000));
+        assert!(torn[HEADER_LEN + 6..].iter().all(|&b| b == 3));
+
+        let s = SpillStore::new(&dir).unwrap();
+        let rec = s.recover().unwrap();
+        let survivor = RecoveredFrame {
+            blob: BlobId(1),
+            meta: b"spec-1".to_vec(),
+            size: 40_000,
+        };
+        assert_eq!(rec.restorable, vec![survivor]);
+        assert_eq!((rec.removed_torn, rec.removed_tmp), (1, 1));
+        assert_eq!(s.len().unwrap(), 1);
+        assert_eq!(s.read(BlobId(1)).unwrap(), vec![1u8; 40_000]);
         cleanup(&s);
     }
 

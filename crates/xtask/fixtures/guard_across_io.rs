@@ -20,6 +20,35 @@ pub fn bad_lock_across_batch_fetch(session: &PageSpaceSession, core: &Core) {
     consume(pages);
 }
 
+pub fn bad_store_guard_across_frame_write(core: &Core, spill: &SpillStore) {
+    let mut ds = core.store.write();
+    for req in ds.take_pending_spills() {
+        consume(spill.write(req.blob, &req.meta, &req.bytes));
+    }
+}
+
+pub fn bad_store_guard_across_frame_read(core: &Core, spill: &SpillStore, blob: BlobId) {
+    let mut ds = core.store.write();
+    let bytes = spill.read(blob);
+    ds.restore(blob, bytes);
+}
+
+pub fn bad_store_guard_across_frame_unlink(core: &Core, spill: &SpillStore, blob: BlobId) {
+    let ds = core.store.write();
+    let _ = spill.remove(blob);
+    drop(ds);
+}
+
+pub fn good_frame_io_outside_the_store_lock(core: &Core, spill: &SpillStore, blob: BlobId) {
+    let bytes = spill.read(blob);
+    core.store.write().restore(blob, bytes);
+    let pending = core.store.write().take_pending_spills();
+    for req in pending {
+        consume(spill.write(req.blob, &req.meta, &req.bytes));
+    }
+    let _ = spill.remove(blob);
+}
+
 pub fn good_bookkeeping_under_the_lock(core: &Core, page: PageKey) {
     let cache = core.cache.lock();
     cache.complete_fetch(page, data());

@@ -365,10 +365,18 @@ mod tests {
         };
         let f = fixture_file("guard_across_io.rs");
         let v = legacy::check_file(ctx, &f);
-        assert_eq!(rules_of(&v), ["guard-across-io"; 3]);
+        assert_eq!(rules_of(&v), ["guard-across-io"; 6]);
         assert!(v[0].message.contains("`g`"), "{:?}", v[0]);
         assert!(v[1].message.contains("`ds`"), "{:?}", v[1]);
         assert!(v[2].message.contains("`plan`"), "{:?}", v[2]);
+        // Tier-2 frame I/O (write, read, unlink) under the store guard.
+        for (d, call) in v[3..]
+            .iter()
+            .zip(["spill.write(", "spill.read(", "spill.remove("])
+        {
+            assert!(d.message.contains("`ds`"), "{d:?}");
+            assert!(f.raw_lines[d.line - 1].contains(call), "{d:?}");
+        }
         assert!(legacy::check_file(legacy::FileCtx::default(), &f).is_empty());
     }
 

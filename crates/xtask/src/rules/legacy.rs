@@ -169,12 +169,18 @@ pub fn check_file(ctx: FileCtx, f: &SourceFile) -> Vec<Diagnostic> {
     if ctx.hot_path {
         // `.fetch(` with its dot: the Page Space core's `complete_fetch(`
         // and `abort_fetch(` are bookkeeping under the lock, not I/O.
+        // The `spill.` calls are tier-2 file I/O (a frame write, read or
+        // unlink), named with their receiver because `.write(` and
+        // `.read(` alone are how the guards themselves are taken.
         const IO_MARKERS: &[&str] = &[
             "read_page(",
             "fetch_pages(",
             ".fetch(",
             ".execute(",
             "session_for(",
+            "spill.write(",
+            "spill.read(",
+            "spill.remove(",
         ];
         for (i, code) in code_lines.iter().enumerate().take(test_start) {
             let trimmed = code.trim_start();
