@@ -280,41 +280,6 @@ impl EventLog {
         });
     }
 
-    /// Stamps an event (sequence number + current time) *without*
-    /// appending it, for callers that batch records into a local buffer
-    /// and drain them off the hot path ([`EventBuffer`]). Returns `None`
-    /// on a disabled log.
-    ///
-    /// The sequence number is taken at stamp time, so a buffered record
-    /// occupies the same position in the global order as an immediate
-    /// [`EventLog::log`] call would have — [`EventLog::snapshot`] sorts
-    /// by `seq`, making the eventual drain invisible to trace consumers.
-    pub fn make(&self, query: QueryId, kind: EventKind) -> Option<EventRecord> {
-        if !self.enabled {
-            return None;
-        }
-        Some(EventRecord {
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            time: self.now(),
-            query,
-            kind,
-        })
-    }
-
-    /// Appends a batch of already-stamped records (from [`EventLog::make`])
-    /// under a single shard lock.
-    ///
-    /// Records land in the shard of the *first* record's sequence number
-    /// rather than each in its own — shard choice only spreads lock
-    /// contention and is invisible after the seq sort in `snapshot`.
-    pub fn append_batch(&self, batch: &mut Vec<EventRecord>) {
-        if batch.is_empty() {
-            return;
-        }
-        let shard = batch[0].seq as usize % SHARDS;
-        self.shards[shard].lock().extend(batch.drain(..));
-    }
-
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
@@ -344,64 +309,6 @@ impl EventLog {
             .collect();
         v.sort_unstable_by_key(|e| e.seq);
         v
-    }
-}
-
-/// A fixed-capacity per-worker staging buffer for event records.
-///
-/// Workers on the engine hot path stamp events with [`EventLog::make`]
-/// (one relaxed `fetch_add`, no lock) and stage them here; the buffer is
-/// drained into the shared log with [`EventBuffer::flush`] at
-/// steal/idle boundaries, when it fills, and at worker exit. Because
-/// every record carries its stamp-time sequence number, a drained trace
-/// is byte-identical to one produced by unbuffered logging.
-#[derive(Debug)]
-pub struct EventBuffer {
-    records: Vec<EventRecord>,
-    capacity: usize,
-}
-
-impl EventBuffer {
-    /// Default staging capacity: large enough that a typical query's 2–4
-    /// events amortize the shard-lock acquisition ~100x, small enough to
-    /// keep drained batches cheap to sort.
-    pub const DEFAULT_CAPACITY: usize = 256;
-
-    /// Creates a buffer that self-flushes once `capacity` records are
-    /// staged (`capacity = 0` is treated as 1).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        EventBuffer {
-            records: Vec::with_capacity(capacity),
-            capacity,
-        }
-    }
-
-    /// Stamps and stages one event; flushes to `log` when the buffer is
-    /// full. A disabled log makes this a single branch.
-    pub fn push(&mut self, log: &EventLog, query: QueryId, kind: EventKind) {
-        if let Some(rec) = log.make(query, kind) {
-            self.records.push(rec);
-            if self.records.len() >= self.capacity {
-                self.flush(log);
-            }
-        }
-    }
-
-    /// Drains all staged records into the log.
-    pub fn flush(&mut self, log: &EventLog) {
-        log.append_batch(&mut self.records);
-    }
-
-    /// Number of staged (not yet flushed) records.
-    pub fn staged(&self) -> usize {
-        self.records.len()
-    }
-}
-
-impl Default for EventBuffer {
-    fn default() -> Self {
-        EventBuffer::new(Self::DEFAULT_CAPACITY)
     }
 }
 
@@ -516,75 +423,6 @@ mod tests {
         let mut seqs: Vec<u64> = snap.iter().map(|e| e.seq).collect();
         seqs.dedup();
         assert_eq!(seqs.len(), 400, "sequence numbers must be unique");
-    }
-
-    #[test]
-    fn buffered_emission_matches_direct_logging() {
-        // Two logs fed the same interleaving — one direct, one through a
-        // worker buffer drained late — must snapshot identically (modulo
-        // timestamps, which come from different real-clock reads).
-        let direct = EventLog::new(true);
-        let buffered = EventLog::new(true);
-        let mut buf = EventBuffer::new(64);
-        for i in 0..10u64 {
-            direct.log(QueryId(i), EventKind::Submitted);
-            buf.push(&buffered, QueryId(i), EventKind::Submitted);
-            direct.log(QueryId(i), EventKind::Completed);
-            buf.push(&buffered, QueryId(i), EventKind::Completed);
-        }
-        assert_eq!(buffered.len(), 0, "nothing visible before the flush");
-        assert_eq!(buf.staged(), 20);
-        buf.flush(&buffered);
-        assert_eq!(buf.staged(), 0);
-        let a = direct.snapshot();
-        let b = buffered.snapshot();
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.seq, y.seq);
-            assert_eq!(x.query, y.query);
-            assert_eq!(x.kind, y.kind);
-        }
-    }
-
-    #[test]
-    fn buffer_self_flushes_at_capacity() {
-        let log = EventLog::new(true);
-        let mut buf = EventBuffer::new(4);
-        for i in 0..9u64 {
-            buf.push(&log, QueryId(i), EventKind::Submitted);
-        }
-        // Two capacity flushes happened; one record remains staged.
-        assert_eq!(log.len(), 8);
-        assert_eq!(buf.staged(), 1);
-        buf.flush(&log);
-        assert_eq!(log.len(), 9);
-        let seqs: Vec<u64> = log.snapshot().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, (0..9).collect::<Vec<u64>>());
-    }
-
-    #[test]
-    fn buffer_on_disabled_log_stages_nothing() {
-        let log = EventLog::new(false);
-        let mut buf = EventBuffer::default();
-        buf.push(&log, QueryId(1), EventKind::Submitted);
-        assert_eq!(buf.staged(), 0);
-        buf.flush(&log);
-        assert!(log.is_empty());
-    }
-
-    #[test]
-    fn buffered_and_direct_writers_interleave_by_seq() {
-        // A buffered worker and a direct submitter sharing one log: after
-        // the drain, the global order is exactly stamp order.
-        let log = EventLog::new(true);
-        let mut buf = EventBuffer::new(64);
-        log.log(QueryId(0), EventKind::Submitted); // seq 0
-        buf.push(&log, QueryId(0), EventKind::Completed); // seq 1, staged
-        log.log(QueryId(1), EventKind::Submitted); // seq 2
-        buf.push(&log, QueryId(1), EventKind::Completed); // seq 3, staged
-        buf.flush(&log);
-        let kinds: Vec<&str> = log.snapshot().iter().map(|e| e.kind.label()).collect();
-        assert_eq!(kinds, ["submitted", "completed", "submitted", "completed"]);
     }
 
     #[test]

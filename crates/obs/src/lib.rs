@@ -31,7 +31,7 @@ mod event;
 mod metrics;
 pub mod timeline;
 
-pub use event::{events_to_json, EventBuffer, EventKind, EventLog, EventRecord, Terminal};
+pub use event::{events_to_json, EventKind, EventLog, EventRecord, Terminal};
 pub use metrics::{
     Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, PageMetrics,
     QueryMetrics,

@@ -72,11 +72,6 @@
 //! `metrics`. Payload bytes are materialized into `Arc<[u8]>` outside
 //! all critical sections.
 //!
-//! Worker-side events are staged in per-worker [`EventBuffer`]s and
-//! drained at steal/idle boundaries — sequence numbers are stamped at
-//! emission, so the batched log is indistinguishable from direct
-//! logging (the conformance traces rely on this).
-//!
 //! The engine is generic over the application ([`VmExecutor`] is the
 //! default); everything scheduling-related is application-neutral.
 
@@ -101,9 +96,7 @@ use vmqs_core::{
 };
 use vmqs_datastore::{DataStore, DsStats, EvictionRecord, Payload, Phase};
 use vmqs_microscope::PAGE_SIZE;
-use vmqs_obs::{
-    EventBuffer, EventKind, EventRecord, Histogram, MetricsSnapshot, Obs, QueryMetrics, Terminal,
-};
+use vmqs_obs::{EventKind, EventRecord, Histogram, MetricsSnapshot, Obs, QueryMetrics, Terminal};
 use vmqs_pagespace::PsStats;
 use vmqs_storage::{DataSource, SpillStore};
 
@@ -316,10 +309,6 @@ struct Core<A: AppExecutor> {
     /// wait (compute turned into reuse).
     relookups: AtomicU64,
     relookup_hits: AtomicU64,
-    /// Per-worker staging buffers for hot-path events, drained at
-    /// steal/idle boundaries and by [`QueryServer::events`]. Each mutex
-    /// is all but uncontended (its worker plus occasional snapshots).
-    event_bufs: Vec<Mutex<EventBuffer>>,
     ps: SharedPageSpace,
     idgen: IdGen,
     /// Full computes whose output already had a `cmp`-equivalent visible
@@ -442,9 +431,6 @@ impl<A: AppExecutor> QueryServer<A> {
             publish_epoch: AtomicU64::new(0),
             relookups: AtomicU64::new(0),
             relookup_hits: AtomicU64::new(0),
-            event_bufs: (0..cfg.num_threads)
-                .map(|_| Mutex::new(EventBuffer::default()))
-                .collect(),
             ps: SharedPageSpace::with_retry_obs(
                 cfg.ps_budget,
                 PAGE_SIZE,
@@ -518,11 +504,11 @@ impl<A: AppExecutor> QueryServer<A> {
             !core.shutdown.load(Ordering::SeqCst),
             "submit after shutdown"
         );
-        core.emit(None, id, EventKind::Submitted);
+        core.emit(id, EventKind::Submitted);
         if core.sup.pool_dead() {
             // The whole pool died (restart budget exhausted): refuse
             // typed-ly instead of queueing work no one will ever run.
-            core.end(None, id, Terminal::PoolDead);
+            core.end(id, Terminal::PoolDead);
             let _ = tx.send(Err(ServerError::WorkerPanicked));
             return QueryHandle { id, rx };
         }
@@ -558,14 +544,14 @@ impl<A: AppExecutor> QueryServer<A> {
                 rate_limited,
                 retry_after,
             } => {
-                core.end(None, id, Terminal::Rejected { rate_limited });
+                core.end(id, Terminal::Rejected { rate_limited });
                 let retry_after = Duration::from_secs_f64(retry_after);
                 let _ = tx.send(Err(ServerError::Overloaded { retry_after }));
             }
             Verdict::Admit { degrade } => {
                 let cheaper = degrade.then(|| core.app.degrade(&spec)).flatten();
                 if cheaper.is_some() {
-                    core.emit(None, id, EventKind::Degraded);
+                    core.emit(id, EventKind::Degraded);
                 }
                 core.admit(id, cheaper.unwrap_or(spec), tx, cheaper.is_some());
                 core.shed_while(pressure);
@@ -637,11 +623,6 @@ impl<A: AppExecutor> QueryServer<A> {
                 break;
             }
             respawned.into_iter().for_each(join);
-        }
-        // Exiting workers flush their own event buffers; sweep them all
-        // anyway so a panicked worker's staged events are not lost.
-        for i in 0..self.core.event_bufs.len() {
-            self.core.buf_flush(i);
         }
         // Fail any queries still pending — even if a worker panicked, no
         // client is left hanging on its handle.
@@ -770,12 +751,7 @@ impl<A: AppExecutor> QueryServer<A> {
 
     /// Snapshot of the event log so far, in emission order. Empty unless
     /// the server was built with [`ServerConfig::with_observability`].
-    /// Force-flushes every worker's staging buffer first, so the snapshot
-    /// is complete up to this call.
     pub fn events(&self) -> Vec<EventRecord> {
-        for i in 0..self.core.event_bufs.len() {
-            self.core.buf_flush(i);
-        }
         self.core.obs.log.snapshot()
     }
 
@@ -879,7 +855,7 @@ impl<A: AppExecutor> Core<A> {
                 waiting.then(|| (k, s.sched.retire(vid)))
             });
             let Some((k, record)) = retired else { continue };
-            self.end(None, vid, Terminal::Shed);
+            self.end(vid, Terminal::Shed);
             let pressure = pressure.level(waiting);
             self.answer(k, record, Err(ServerError::Shed { pressure }));
         }
@@ -911,11 +887,9 @@ impl<A: AppExecutor> Core<A> {
         }
     }
 
-    /// Worker half of the idle protocol: flush staged events (an idle
-    /// boundary is a drain point), advertise as a sleeper, then re-check
-    /// the wait condition under the `idle` lock before parking.
-    fn idle_sleep(&self, me: usize) {
-        self.buf_flush(me);
+    /// Worker half of the idle protocol: advertise as a sleeper, then
+    /// re-check the wait condition under the `idle` lock before parking.
+    fn idle_sleep(&self) {
         let mut g = self.idle.lock();
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         if !self.shutdown.load(Ordering::SeqCst)
@@ -928,33 +902,15 @@ impl<A: AppExecutor> Core<A> {
     }
 
     /// The engine's one way to say something happened: bumps the counter
-    /// the event stands for ([`QueryMetrics::count`]) and logs it —
-    /// staged in worker `me`'s buffer, or directly from a submitter
-    /// (`None`). The sequence number is stamped now either way, so a
-    /// batched append lands in the log exactly where direct logging would
-    /// have put it.
-    fn emit(&self, me: Option<usize>, query: QueryId, kind: EventKind) {
+    /// the event stands for ([`QueryMetrics::count`]) and logs it.
+    fn emit(&self, query: QueryId, kind: EventKind) {
         self.qmet.count(&kind);
-        if !self.obs.log.enabled() {
-            return;
-        }
-        match me {
-            Some(w) => self.event_bufs[w].lock().push(&self.obs.log, query, kind),
-            None => self.obs.log.log(query, kind),
-        }
+        self.obs.log.log(query, kind);
     }
 
     /// Emits the events a query's end implies, in [`Terminal`]'s order.
-    fn end(&self, me: Option<usize>, query: QueryId, how: Terminal) {
-        how.events().for_each(|kind| self.emit(me, query, kind));
-    }
-
-    /// Drains a worker's staged events into the shared log.
-    fn buf_flush(&self, me: usize) {
-        if !self.obs.log.enabled() {
-            return;
-        }
-        self.event_bufs[me].lock().flush(&self.obs.log);
+    fn end(&self, query: QueryId, how: Terminal) {
+        how.events().for_each(|kind| self.emit(query, kind));
     }
 
     /// Delivers a query's one answer and retires it from shard `k`'s
@@ -1028,11 +984,10 @@ fn worker_entry<A: AppExecutor>(core: Arc<Core<A>>, me: usize) {
     let order = steal_order(me, core.shards.len(), core.cfg.steal_seed);
     loop {
         if core.shutdown.load(Ordering::SeqCst) {
-            core.buf_flush(me);
             return;
         }
         if core.paused.load(Ordering::SeqCst) || core.total_waiting.load(Ordering::SeqCst) == 0 {
-            core.idle_sleep(me);
+            core.idle_sleep();
             continue;
         }
         // Own shard first; steal from the richest victim (by the
@@ -1041,8 +996,6 @@ fn worker_entry<A: AppExecutor>(core: Arc<Core<A>>, me: usize) {
         let job = match try_dequeue(&core, me) {
             Some(job) => Some(job),
             None => {
-                // A steal boundary is an event-drain point.
-                core.buf_flush(me);
                 let mut best: Option<(usize, usize)> = None;
                 for &v in &order {
                     let d = core.shards[v].state.depth.load(Ordering::SeqCst);
@@ -1064,7 +1017,7 @@ fn worker_entry<A: AppExecutor>(core: Arc<Core<A>>, me: usize) {
         // unwind path leave consistent state: the injected panic point
         // fires with no engine lock held.
         let (k, id) = (job.shard, job.id);
-        if catch_unwind(AssertUnwindSafe(|| run_one(&core, me, job))).is_err() {
+        if catch_unwind(AssertUnwindSafe(|| run_one(&core, job))).is_err() {
             on_worker_panic(core, me, k, id);
             return;
         }
@@ -1090,7 +1043,7 @@ fn on_worker_panic<A: AppExecutor>(core: Arc<Core<A>>, me: usize, k: usize, id: 
     } else {
         core.sup.on_worker_death()
     };
-    core.emit(Some(me), id, EventKind::WorkerPanicked);
+    core.emit(id, EventKind::WorkerPanicked);
     let outcome = {
         let mut s = core.shards[k].state.lock();
         s.waiting_on.remove(&id);
@@ -1099,18 +1052,17 @@ fn on_worker_panic<A: AppExecutor>(core: Arc<Core<A>>, me: usize, k: usize, id: 
     let failure = match outcome {
         PanicOutcome::Requeued => None,
         PanicOutcome::Quarantined { attempts, record } => {
-            core.end(Some(me), id, Terminal::Quarantined { attempts });
+            core.end(id, Terminal::Quarantined { attempts });
             Some((Some(record), ServerError::Quarantined { attempts }))
         }
         PanicOutcome::Gone => {
-            core.end(Some(me), id, Terminal::Failed);
+            core.end(id, Terminal::Failed);
             Some((None, ServerError::WorkerPanicked))
         }
     };
     if fate == WorkerFate::Respawn {
-        core.emit(Some(me), id, EventKind::WorkerRestarted);
+        core.emit(id, EventKind::WorkerRestarted);
     }
-    core.buf_flush(me);
     match failure {
         None => core.wake(false),
         Some((record, err)) => core.answer(k, record, Err(err)),
@@ -1141,7 +1093,7 @@ fn fail_all_waiting<A: AppExecutor>(core: &Core<A>) {
     for (k, sh) in core.shards.iter().enumerate() {
         let victims = sh.state.lock().sched.drain(Some(QueryState::Waiting));
         for (vid, record) in victims {
-            core.end(None, vid, Terminal::PoolDead);
+            core.end(vid, Terminal::PoolDead);
             core.answer(k, Some(record), Err(ServerError::WorkerPanicked));
         }
     }
@@ -1171,13 +1123,13 @@ fn try_dequeue<A: AppExecutor>(core: &Core<A>, k: usize) -> Option<Job<A::Spec>>
     })
 }
 
-fn run_one<A: AppExecutor>(core: &Core<A>, me: usize, job: Job<A::Spec>) {
+fn run_one<A: AppExecutor>(core: &Core<A>, job: Job<A::Spec>) {
     let (k, id, spec, submitted) = (job.shard, job.id, job.spec, job.submitted);
     let ranked = EventKind::Ranked {
         strategy: core.cfg.strategy.name(),
         score: job.score,
     };
-    core.emit(Some(me), id, ranked);
+    core.emit(id, ranked);
     // The deadline covers the whole client-visible response time:
     // it starts at submission, so queue wait counts against it.
     let query_deadline = core.cfg.query_timeout.map(|t| submitted + t);
@@ -1198,7 +1150,7 @@ fn run_one<A: AppExecutor>(core: &Core<A>, me: usize, job: Job<A::Spec>) {
     core.qmet
         .queue_wait
         .observe((started - submitted).as_secs_f64());
-    let exec = execute_query(core, me, k, id, spec, deadline);
+    let exec = execute_query(core, k, id, spec, deadline);
     let finished = clock::now();
 
     // Publish the result. Each state component is locked on its own,
@@ -1260,8 +1212,8 @@ fn run_one<A: AppExecutor>(core: &Core<A>, me: usize, job: Job<A::Spec>) {
             // An `Err` (budget too small to cache the result) publishes
             // without a blob; the record comes out with the transition.
             let pending = core.shards[k].state.lock().sched.publish(id, cached.ok());
-            route_evictions(core, me, evicted);
-            emit_spills(core, me, spills);
+            route_evictions(core, evicted);
+            emit_spills(core, spills);
             match out.path {
                 AnswerPath::ExactHit => core.qmet.ds_exact_hits.inc(),
                 AnswerPath::PartialReuse => core.qmet.ds_partial_hits.inc(),
@@ -1273,7 +1225,7 @@ fn run_one<A: AppExecutor>(core: &Core<A>, me: usize, job: Job<A::Spec>) {
             core.qmet
                 .service_time
                 .observe((finished - started).as_secs_f64());
-            core.end(Some(me), id, Terminal::Completed);
+            core.end(id, Terminal::Completed);
             let (w, h) = core.app.output_dims(&spec);
             let record = QueryRecord {
                 id,
@@ -1312,7 +1264,7 @@ fn run_one<A: AppExecutor>(core: &Core<A>, me: usize, job: Job<A::Spec>) {
                 None if err.is_timeout() => (err, Terminal::TimedOut),
                 None => (err, Terminal::Failed),
             };
-            core.end(Some(me), id, how);
+            core.end(id, how);
             let record = core.shards[k].state.lock().sched.retire(id);
             core.answer(k, record, Err(err));
         }
@@ -1404,7 +1356,6 @@ fn wait_for_peer<A: AppExecutor>(
 
 fn execute_query<A: AppExecutor>(
     core: &Core<A>,
-    me: usize,
     k: usize,
     id: QueryId,
     spec: A::Spec,
@@ -1440,7 +1391,7 @@ fn execute_query<A: AppExecutor>(
                         overlap: m.overlap,
                         exact: m.exact,
                     };
-                    core.emit(Some(me), id, hit);
+                    core.emit(id, hit);
                     if m.exact {
                         exact = Some(Arc::clone(bytes));
                     } else {
@@ -1476,7 +1427,7 @@ fn execute_query<A: AppExecutor>(
     // costs a disk read instead of a recompute. A failed read (poisoned
     // or corrupt frame) drops the entry and falls through to the normal
     // compute path via the typed-error machinery — never a worker panic.
-    if let Some(bytes) = try_restore(core, me, id, &spec) {
+    if let Some(bytes) = try_restore(core, id, &spec) {
         return Ok(exact_outcome(bytes, blocked));
     }
 
@@ -1556,7 +1507,7 @@ fn execute_query<A: AppExecutor>(
             let grafted = EventKind::Grafted {
                 producer: c.producer,
             };
-            core.emit(Some(me), id, grafted);
+            core.emit(id, grafted);
             if c.exact {
                 return Ok(ExecOutcome {
                     image: bytes,
@@ -1604,8 +1555,8 @@ fn execute_query<A: AppExecutor>(
             reserved = ds.reserve_subscribable(id, spec, size, &mut evicted).ok();
             drain_spills(core, &mut ds, &mut evicted)
         };
-        route_evictions(core, me, evicted);
-        emit_spills(core, me, spills);
+        route_evictions(core, evicted);
+        emit_spills(core, spills);
     }
     // Every early exit below this point must abort the reservation, or
     // subscribers would wait on an entry no one will ever commit.
@@ -1701,7 +1652,7 @@ fn execute_query<A: AppExecutor>(
         let spawned = EventKind::SubquerySpawned {
             count: out.subqueries,
         };
-        core.emit(Some(me), id, spawned);
+        core.emit(id, spawned);
     }
     let path = if out.reused_bytes > 0 {
         AnswerPath::PartialReuse
@@ -1727,11 +1678,7 @@ fn execute_query<A: AppExecutor>(
 
 /// Routes eviction records to their producers' home shards (one shard
 /// lock at a time) and emits their eviction events.
-fn route_evictions<A: AppExecutor>(
-    core: &Core<A>,
-    me: usize,
-    evicted: Vec<EvictionRecord<A::Spec>>,
-) {
+fn route_evictions<A: AppExecutor>(core: &Core<A>, evicted: Vec<EvictionRecord<A::Spec>>) {
     let n = core.shards.len();
     for r in &evicted {
         let mut s = core.shards[shard_of_spec(&r.spec, n)].state.lock();
@@ -1742,7 +1689,7 @@ fn route_evictions<A: AppExecutor>(
             tier: r.tier,
             score: r.score,
         };
-        core.emit(Some(me), r.producer, kind);
+        core.emit(r.producer, kind);
     }
 }
 
@@ -1803,9 +1750,9 @@ fn drain_spills<A: AppExecutor>(
 
 /// Emits `Spilled` events and counters for `drain_spills` results —
 /// outside the store lock.
-fn emit_spills<A: AppExecutor>(core: &Core<A>, me: usize, spills: Vec<(QueryId, u64)>) {
+fn emit_spills<A: AppExecutor>(core: &Core<A>, spills: Vec<(QueryId, u64)>) {
     for (producer, bytes) in spills {
-        core.emit(Some(me), producer, EventKind::Spilled { bytes });
+        core.emit(producer, EventKind::Spilled { bytes });
     }
 }
 
@@ -1818,12 +1765,7 @@ fn emit_spills<A: AppExecutor>(core: &Core<A>, me: usize, spills: Vec<(QueryId, 
 /// compute path (no candidate, unreadable frame, or tier-1 space could
 /// not be freed). An unreadable frame drops the entry for good — the
 /// typed-error fallback the fault sweep exercises.
-fn try_restore<A: AppExecutor>(
-    core: &Core<A>,
-    me: usize,
-    id: QueryId,
-    spec: &A::Spec,
-) -> Option<Arc<[u8]>> {
+fn try_restore<A: AppExecutor>(core: &Core<A>, id: QueryId, spec: &A::Spec) -> Option<Arc<[u8]>> {
     let spill = core.spill.as_ref()?;
     // Cheap read-lock probe first: the common case is "nothing spilled
     // matches", which must not serialize on the write lock.
@@ -1871,16 +1813,16 @@ fn try_restore<A: AppExecutor>(
         // Making room in tier 1 may itself have demoted entries.
         drain_spills(core, &mut ds, &mut evicted)
     };
-    route_evictions(core, me, evicted);
-    emit_spills(core, me, spills);
+    route_evictions(core, evicted);
+    emit_spills(core, spills);
     let (producer, bytes, size) = restored?;
-    core.emit(Some(me), producer, EventKind::Restored { bytes: size });
+    core.emit(producer, EventKind::Restored { bytes: size });
     let hit = EventKind::LookupHit {
         source: producer,
         overlap: 1.0,
         exact: true,
     };
-    core.emit(Some(me), id, hit);
+    core.emit(id, hit);
     Some(bytes)
 }
 
@@ -2348,14 +2290,7 @@ mod tests {
                 None => std::thread::sleep(Duration::from_millis(1)),
             }
         };
-        while s
-            .core
-            .store
-            .read()
-            .get(blob)
-            .map_or(0, |e| e.state.subscribers())
-            == 0
-        {
+        while s.core.store.read().get(blob).map_or(0, |e| e.subscribers()) == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         {
@@ -2452,14 +2387,7 @@ mod tests {
                 None => std::thread::sleep(Duration::from_millis(1)),
             }
         };
-        while s
-            .core
-            .store
-            .read()
-            .get(blob)
-            .map_or(0, |e| e.state.subscribers())
-            == 0
-        {
+        while s.core.store.read().get(blob).map_or(0, |e| e.subscribers()) == 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         {

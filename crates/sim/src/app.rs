@@ -25,6 +25,8 @@ pub struct ReusePlan {
     pub pages: Vec<PageKey>,
     /// Input bytes the processing kernel scans for the remainder.
     pub input_bytes: u64,
+    /// Sub-queries the uncovered remainder decomposes into.
+    pub subqueries: u64,
 }
 
 /// A data-analysis application, as seen by the discrete-event simulator.

@@ -741,6 +741,12 @@ impl<A: SimApplication> Simulator<A> {
                 }
             }
         }
+        if plan.subqueries > 0 {
+            let spawned = EventKind::SubquerySpawned {
+                count: plan.subqueries,
+            };
+            self.emit(now, id, spawned);
+        }
 
         let io_time = (io_ready - now).max(0.0);
         let cpu = self.app.planning_seconds()

@@ -42,8 +42,9 @@ impl SimApplication for VmSimApp {
         }
 
         let mut pages = Vec::new();
-        let mut input_bytes = 0u64;
+        let (mut input_bytes, mut subqueries) = (0u64, 0u64);
         for sub in target.subqueries_for_remainder(&covered) {
+            subqueries += 1;
             let chunks = sub.slide.chunks_intersecting(&sub.region);
             input_bytes += chunks.len() as u64 * PAGE_SIZE as u64;
             pages.extend(chunks.into_iter().map(|i| PageKey::new(sub.slide.id, i)));
@@ -60,6 +61,7 @@ impl SimApplication for VmSimApp {
             reused_bytes: reused_px * BYTES_PER_PIXEL as u64,
             pages,
             input_bytes,
+            subqueries,
         }
     }
 

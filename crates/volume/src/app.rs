@@ -83,8 +83,9 @@ impl SimApplication for VolSimApp {
         }
 
         let mut pages = Vec::new();
-        let mut input_bytes = 0u64;
+        let (mut input_bytes, mut subqueries) = (0u64, 0u64);
         for sub in target.subqueries_for_remainder(&covered) {
+            subqueries += 1;
             let bricks = sub.volume.bricks_intersecting(&sub.input_box());
             input_bytes += bricks.len() as u64 * crate::dataset::PAGE_SIZE as u64;
             pages.extend(bricks.into_iter().map(|i| PageKey::new(sub.volume.id, i)));
@@ -101,6 +102,7 @@ impl SimApplication for VolSimApp {
             reused_bytes: reused_px, // one byte per output pixel
             pages,
             input_bytes,
+            subqueries,
         }
     }
 

@@ -6,7 +6,7 @@
 //! deliberately excludes line numbers: moving unrelated code above a
 //! finding must not change its identity, or the baseline would churn on
 //! every refactor. Rules choose semantic keys (held→acquired lock pair,
-//! phase-transition triple, event-variant name); the legacy line rules
+//! event-variant name); the legacy line rules
 //! key on the sanitized line *text* plus an occurrence index among
 //! identical texts in the same file.
 //!

@@ -3,8 +3,8 @@
 //! Produces two views of a source file in one pass:
 //!
 //! * a token stream (identifiers, punctuation, literals, lifetimes) with
-//!   line numbers, for the syntax-aware rules (lock-order, phase
-//!   transitions, event parity, item/function segmentation), and
+//!   line numbers, for the syntax-aware rules (lock-order, event
+//!   parity, item/function segmentation), and
 //! * *sanitized lines*: the original lines with comment text and
 //!   string/char-literal *contents* blanked to spaces (delimiters kept),
 //!   so the line-oriented legacy rules stop false-positiving on rule

@@ -9,7 +9,7 @@
 //!
 //! `analyze` lexes every Rust source under `crates/`, `src/`, `tests/`,
 //! and `examples/` (token stream + sanitized lines; see `lexer`) and
-//! runs seven rules over the workspace:
+//! runs six rules over the workspace:
 //!
 //! * the four line rules — `nondet-iter`, `hot-unwrap`,
 //!   `guard-across-io`, `safety-comment` (plus `forbid-unsafe` per
@@ -18,8 +18,6 @@
 //! * `lock-order` — static lock-acquisition-order analysis against
 //!   `docs/lock-order.md` with depth-1 call propagation and cycle
 //!   detection (production sources under `crates/*/src/`);
-//! * `phase-transition` — `EntryState` atomic-phase conformance against
-//!   `docs/phase-transitions.md`, cross-validated with the loom models;
 //! * `event-parity` — server/sim `EventKind` construction parity.
 //!
 //! Diagnostics carry reorder-stable fingerprints. With `--baseline`,
@@ -36,7 +34,7 @@ mod lexer;
 mod rules;
 
 use diag::{apply_baseline, disambiguate, parse_baseline, to_json, Diagnostic};
-use rules::{event_parity, fenced_block, legacy, lock_order, phase, SourceFile};
+use rules::{event_parity, fenced_block, legacy, lock_order, SourceFile};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -113,18 +111,6 @@ fn analyze(root: &Path) -> Result<Vec<Diagnostic>, String> {
         .filter(|f| f.rel.starts_with("crates/") && f.rel.contains("/src/"))
         .collect();
     diags.extend(lock_order::check(&lock_spec, &prod));
-
-    // Phase-transition conformance.
-    let phase_md = std::fs::read_to_string(root.join("docs/phase-transitions.md"))
-        .map_err(|e| format!("read docs/phase-transitions.md: {e}"))?;
-    let phase_spec = phase::PhaseSpec::parse(&fenced_block(&phase_md, "phase-transitions")?)?;
-    let loom = files.iter().find(|f| f.rel == "tests/loom.rs");
-    diags.extend(phase::check(
-        &phase_spec,
-        "docs/phase-transitions.md",
-        &files,
-        loom,
-    ));
 
     // Server/sim event parity.
     if let Some(obs) = files.iter().find(|f| f.rel == "crates/obs/src/event.rs") {
@@ -472,58 +458,6 @@ mod tests {
         let v = lock_order::check(
             &fixture_lock_spec(),
             &[&fixture_file("lock_order_clean.rs")],
-        );
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    // ---- phase-transition fixtures -----------------------------------
-
-    fn fixture_phase_spec() -> phase::PhaseSpec {
-        let block: Vec<(usize, String)> = "\
-transition publish cas Accumulating Full SeqCst
-transition force_swap_out store * SwappedOut Release
-model publish fixture_publish_model
-model force_swap_out fixture_swap_model
-"
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.to_string()))
-        .collect();
-        phase::PhaseSpec::parse(&block).unwrap()
-    }
-
-    fn fixture_loom() -> SourceFile {
-        SourceFile::new(
-            "tests/loom.rs",
-            "fn fixture_publish_model() { loom::model(|| { s.publish(); }); }\n\
-             fn fixture_swap_model() { loom::model(|| { s.force_swap_out(); }); }\n",
-        )
-    }
-
-    #[test]
-    fn phase_bad_fixture_fires() {
-        let v = phase::check(
-            &fixture_phase_spec(),
-            "docs/phase-transitions.md",
-            &[fixture_file("phase_bad.rs")],
-            Some(&fixture_loom()),
-        );
-        assert!(
-            v.iter().any(|d| d.rule == "phase-transition"
-                && d.file == "phase_bad.rs"
-                && d.message.contains("undeclared phase transition")
-                && d.message.contains("`abort`")),
-            "{v:?}"
-        );
-    }
-
-    #[test]
-    fn phase_clean_fixture_is_clean() {
-        let v = phase::check(
-            &fixture_phase_spec(),
-            "docs/phase-transitions.md",
-            &[fixture_file("phase_clean.rs")],
-            Some(&fixture_loom()),
         );
         assert!(v.is_empty(), "{v:?}");
     }

@@ -6,15 +6,11 @@
 //!   literals and comments no longer fire.
 //! * [`lock_order`] — static lock-acquisition-order analysis against
 //!   the declared hierarchy in `docs/lock-order.md`.
-//! * [`phase`] — `EntryState` phase-transition conformance against the
-//!   declared table in `docs/phase-transitions.md`, cross-validated
-//!   against the loom models.
 //! * [`event_parity`] — server/sim `EventKind` construction parity.
 
 pub mod event_parity;
 pub mod legacy;
 pub mod lock_order;
-pub mod phase;
 
 use crate::lexer::{self, Lexed};
 
@@ -118,8 +114,7 @@ pub fn skip_group_back(tokens: &[lexer::Tok], i: usize) -> usize {
 /// Extracts a fenced code block tagged `tag` from a markdown document:
 /// the lines between ```` ```<tag> ```` and the closing ```` ``` ````,
 /// each paired with its 1-based line number in the document. This is
-/// the machine-readable-spec convention used by `docs/lock-order.md`
-/// and `docs/phase-transitions.md`.
+/// the machine-readable-spec convention used by `docs/lock-order.md`.
 pub fn fenced_block(md: &str, tag: &str) -> Result<Vec<(usize, String)>, String> {
     let fence = format!("```{tag}");
     let mut out = Vec::new();

@@ -644,6 +644,7 @@ fn event_log_and_lifecycle_counters_agree_in_both_engines() {
     for (engine, seen) in ["server", "sim"].iter().zip(&seen) {
         for label in [
             "submitted",
+            "subquery_spawned",
             "degraded",
             "completed",
             "failed",
