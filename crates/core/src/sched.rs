@@ -21,6 +21,10 @@
 //!   `quarantine_limit` times, then is retired
 //!   ([`SchedShard::on_panic`]).
 //!
+//! and so is the one rule for waiting *inside* it: which EXECUTING peer a
+//! dequeued query stalls on, as a dependency or as a graft
+//! ([`SchedShard::wait_target`]).
+//!
 //! The shard is sans-I/O: it takes no lock, reads no clock, emits no
 //! event and never asks which engine is calling. Replies, counters,
 //! events, the `depth` mirrors and every wake-up stay with the driver.
@@ -142,6 +146,30 @@ impl<S: SpatialSpec, R> SchedShard<S, R> {
     pub fn executing_sources(&self, id: QueryId) -> impl Iterator<Item = QueryId> + '_ {
         let sources = self.graph.reuse_sources(id).into_iter().map(|e| e.peer);
         sources.filter(|&p| self.graph.state_of(p) == Some(QueryState::Executing))
+    }
+
+    /// The in-flight query a just-dequeued `id` waits for before it looks
+    /// at computing (paper §4: queries stall on EXECUTING dependencies),
+    /// and whether that wait is a graft. With `graft`, an EXECUTING peer
+    /// whose predicate `cmp`-equals `id`'s is a producer of this very
+    /// answer: wait for it whatever `allow_blocking` says and consume what
+    /// it publishes (DESIGN.md §13). Otherwise, with `allow_blocking`, the
+    /// strongest EXECUTING source, whose result can shrink the compute.
+    pub fn wait_target(
+        &self,
+        id: QueryId,
+        graft: bool,
+        allow_blocking: bool,
+    ) -> Option<(QueryId, bool)> {
+        let spec = self.graph.spec_of(id)?;
+        let same = |p: &QueryId| self.graph.spec_of(*p).is_some_and(|ps| ps.cmp(spec));
+        let mut sources = self.executing_sources(id).peekable();
+        let strongest = sources.peek().copied();
+        let producer = if graft { sources.find(same) } else { None };
+        match producer {
+            Some(p) => Some((p, true)),
+            None => strongest.filter(|_| allow_blocking).map(|p| (p, false)),
+        }
     }
 
     /// Completes an EXECUTING query and gives up its record. With a
@@ -362,6 +390,36 @@ mod tests {
         s.route_eviction(q(99), BlobId(1));
         assert!(s.tombstones.is_empty());
         s.validate(false).unwrap();
+    }
+
+    #[test]
+    fn wait_target_prefers_a_cmp_equal_producer_and_only_executing_peers() {
+        let mut s = Shard::new(Strategy::Fifo, 64);
+        // Into the consumer, the partial source's edge (half of 400 bytes)
+        // outweighs the twin's (all of 100).
+        s.admit(q(1), IntervalSpec::new(50, 400, 1), "partial");
+        s.admit(q(2), IntervalSpec::new(0, 100, 1), "twin");
+        s.admit(q(3), IntervalSpec::new(0, 100, 1), "consumer");
+        let flags = [(false, false), (false, true), (true, false), (true, true)];
+        let targets = |s: &Shard| flags.map(|(graft, block)| s.wait_target(q(3), graft, block));
+        // A WAITING peer, `cmp`-equal or not, is never waited for.
+        s.dequeue_specific(q(3)).unwrap();
+        assert_eq!(targets(&s), [None; 4]);
+        // Only the partial source EXECUTING: blocking waits for it, graft
+        // alone does not.
+        s.dequeue_specific(q(1)).unwrap();
+        let dep = Some((q(1), false));
+        assert_eq!(targets(&s), [None, dep, None, dep]);
+        // The twin EXECUTING too: a graft picks it over the heavier source;
+        // graft off is `executing_sources().next()`.
+        s.dequeue_specific(q(2)).unwrap();
+        assert_eq!(s.executing_sources(q(3)).next(), Some(q(1)));
+        let producer = Some((q(2), true));
+        assert_eq!(targets(&s), [None, dep, producer, producer]);
+        // Once CACHED the twin is the store's to serve, not a wait target.
+        assert!(s.publish(q(2), Some(BlobId(1))).is_some());
+        assert_eq!(targets(&s), [None, dep, None, dep]);
+        assert_eq!(s.wait_target(q(99), true, true), None, "unknown query");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Blob entries held by the Data Store Manager.
 
 use std::sync::Arc;
-use vmqs_core::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use vmqs_core::sync::atomic::{AtomicU64, Ordering};
 use vmqs_core::{BlobId, QueryId};
 
 /// The stored contents of a blob.
@@ -35,12 +35,12 @@ impl Payload {
 }
 
 /// Lifecycle phase of a blob entry (paper §2's accumulator meta-data
-/// object states; grafting DESIGN.md §13, the spill tier §14):
+/// object states; the spill tier DESIGN.md §14):
 ///
 /// ```text
-/// ACCUMULATING -> SUBSCRIBABLE -> FULL <-> RESTORABLE
-///              \________________/    \
-///                 (publish)           -> SWAPPED_OUT
+/// ACCUMULATING -> FULL <-> RESTORABLE
+///                     \
+///                      -> SWAPPED_OUT
 /// ```
 ///
 /// Every arc is a `&mut self` method below that refuses an illegal source
@@ -58,11 +58,6 @@ pub enum Phase {
     /// Evicted, aborted or dropped from tier 2: the entry has left the
     /// store and must never be read again.
     SwappedOut,
-    /// In-flight with grafting enabled: like ACCUMULATING (invisible to
-    /// lookups, protected from eviction) but *discoverable* by
-    /// overlapping queries, which may subscribe and consume the result
-    /// the moment it is published instead of recomputing it.
-    Subscribable,
     /// Spilled to the tier-2 store: the in-memory payload is gone, but a
     /// compact on-disk copy exists, so a later exact-match lookup can
     /// re-heat the entry at disk cost instead of recompute cost.
@@ -74,35 +69,29 @@ pub enum Phase {
 impl Phase {
     /// Takes the arc `from -> to`; false (and no change) from any other
     /// phase.
-    fn step(&mut self, from: &[Phase], to: Phase) -> bool {
-        let legal = from.contains(self);
+    fn step(&mut self, from: Phase, to: Phase) -> bool {
+        let legal = *self == from;
         if legal {
             *self = to;
         }
         legal
     }
 
-    /// ACCUMULATING or SUBSCRIBABLE -> FULL. False on a double commit or
-    /// an entry that already left the store.
+    /// ACCUMULATING -> FULL. False on a double commit or an entry that
+    /// already left the store.
     pub(crate) fn publish(&mut self) -> bool {
-        self.step(&[Phase::Accumulating, Phase::Subscribable], Phase::Full)
-    }
-
-    /// ACCUMULATING -> SUBSCRIBABLE: opens the in-flight entry to graft
-    /// subscriptions.
-    pub(crate) fn make_subscribable(&mut self) -> bool {
-        self.step(&[Phase::Accumulating], Phase::Subscribable)
+        self.step(Phase::Accumulating, Phase::Full)
     }
 
     /// FULL -> RESTORABLE: the caller owns the in-memory payload and may
     /// move it to tier 2.
     pub(crate) fn spill(&mut self) -> bool {
-        self.step(&[Phase::Full], Phase::Restorable)
+        self.step(Phase::Full, Phase::Restorable)
     }
 
     /// RESTORABLE -> FULL: the payload was re-read from tier 2.
     pub(crate) fn restore(&mut self) -> bool {
-        self.step(&[Phase::Restorable], Phase::Full)
+        self.step(Phase::Restorable, Phase::Full)
     }
 
     /// Any phase -> SWAPPED_OUT: eviction, `abort` and a dropped tier-2
@@ -131,11 +120,6 @@ pub struct BlobEntry<S> {
     /// Lifecycle phase: entries are invisible to lookups and protected
     /// from eviction until published. Written only through `&mut self`.
     pub(crate) phase: Phase,
-    /// Grafting consumers attached to this entry (subscribed between
-    /// SUBSCRIBABLE and their post-publish read); a non-zero count keeps
-    /// the entry out of `pick_victim`. Atomic so subscribers can count
-    /// through `&self` under the store's read lock.
-    pub(crate) subs: AtomicU32,
     /// LRU stamp; atomic so lookups can touch entries through `&self`
     /// (concurrent readers under the store's read lock).
     pub(crate) last_access: AtomicU64,
@@ -161,8 +145,6 @@ impl<S: Clone> Clone for BlobEntry<S> {
             size: self.size,
             payload: self.payload.clone(),
             phase: self.phase,
-            // A clone is a fresh, unsubscribed snapshot.
-            subs: AtomicU32::new(0),
             last_access: AtomicU64::new(self.last_access.load(Ordering::Relaxed)),
             cost: self.cost,
             hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
@@ -173,8 +155,8 @@ impl<S: Clone> Clone for BlobEntry<S> {
 }
 
 impl<S> BlobEntry<S> {
-    /// A fresh entry in `phase`: virtual payload, no subscribers, no
-    /// cost or hits yet, stamped `now`, not filed.
+    /// A fresh entry in `phase`: virtual payload, no cost or hits yet,
+    /// stamped `now`, not filed.
     pub(crate) fn new(
         id: BlobId,
         producer: QueryId,
@@ -190,7 +172,6 @@ impl<S> BlobEntry<S> {
             size,
             payload: Payload::Virtual,
             phase,
-            subs: AtomicU32::new(0),
             last_access: AtomicU64::new(now),
             cost: 0.0,
             hits: AtomicU64::new(0),
@@ -211,32 +192,6 @@ impl<S> BlobEntry<S> {
     /// True when the entry is spilled to tier 2 and can be re-heated.
     pub fn restorable(&self) -> bool {
         self.phase == Phase::Restorable
-    }
-
-    /// Attaches a graft subscription: counts the subscriber, reads the
-    /// phase, and gives the count back unless the entry is SUBSCRIBABLE
-    /// (wait for the producer's publish) or FULL (the result is already
-    /// out, read it now); the returned phase tells the caller which.
-    /// `Relaxed` suffices: subscribers hold the store's read guard and
-    /// every phase writer its write guard, so the phase cannot move
-    /// between the count and the read.
-    pub(crate) fn subscribe(&self) -> Phase {
-        self.subs.fetch_add(1, Ordering::Relaxed);
-        if !matches!(self.phase, Phase::Subscribable | Phase::Full) {
-            self.subs.fetch_sub(1, Ordering::Relaxed);
-        }
-        self.phase
-    }
-
-    /// Releases a subscription taken with [`BlobEntry::subscribe`] (only
-    /// when it returned `Subscribable` or `Full`).
-    pub(crate) fn unsubscribe(&self) {
-        self.subs.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// Current graft-subscriber count.
-    pub fn subscribers(&self) -> u32 {
-        self.subs.load(Ordering::Relaxed)
     }
 
     /// Measured recomputation cost in seconds (0 until a costed commit).
@@ -273,61 +228,24 @@ mod tests {
     }
 
     #[test]
-    fn lifecycle_through_all_five_phases() {
+    fn lifecycle_through_all_four_phases() {
         let mut ph = Phase::Accumulating;
         assert!(!ph.spill(), "only FULL entries can spill");
         assert!(!ph.restore());
-        assert!(ph.make_subscribable());
-        assert!(!ph.make_subscribable(), "double open refused");
-        assert_eq!(ph, Phase::Subscribable);
-        assert!(ph.publish(), "publish works from SUBSCRIBABLE");
+        assert!(ph.publish());
         assert!(!ph.publish(), "double publish refused");
-        assert!(!ph.make_subscribable(), "refused once published");
         assert_eq!(ph, Phase::Full);
         assert!(ph.spill());
         assert!(!ph.spill(), "double spill refused");
         assert_eq!(ph, Phase::Restorable);
         assert!(!ph.publish(), "publish cannot resurrect a spilled entry");
-        assert!(!ph.make_subscribable());
         assert!(ph.restore());
         assert!(!ph.restore(), "second restore refused");
         assert_eq!(ph, Phase::Full);
         ph.kill();
         assert_eq!(ph, Phase::SwappedOut);
-        for arc in [
-            Phase::publish,
-            Phase::make_subscribable,
-            Phase::spill,
-            Phase::restore,
-        ] {
+        for arc in [Phase::publish, Phase::spill, Phase::restore] {
             assert!(!arc(&mut ph), "no arc leaves SWAPPED_OUT");
-        }
-        assert!(Phase::Accumulating.publish(), "and from ACCUMULATING");
-    }
-
-    fn entry(phase: Phase) -> BlobEntry<()> {
-        BlobEntry::new(BlobId(0), QueryId(0), (), 1, phase, 0)
-    }
-
-    #[test]
-    fn subscribe_counts_only_on_subscribable_and_full() {
-        for live in [Phase::Subscribable, Phase::Full] {
-            let e = entry(live);
-            assert_eq!(e.subscribe(), live);
-            assert_eq!(e.subscribers(), 1);
-            assert_eq!(e.clone().subscribers(), 0, "a clone is unsubscribed");
-            e.unsubscribe();
-            assert_eq!(e.subscribers(), 0);
-        }
-        // Not (or no longer) graftable: the phase comes back and the count
-        // is already released. SWAPPED_OUT is what a subscriber woken by
-        // the producer's back-out (DESIGN.md §15) reads.
-        for dead in [Phase::Accumulating, Phase::Restorable, Phase::SwappedOut] {
-            let e = entry(dead);
-            assert_eq!(e.subscribe(), dead);
-            assert_eq!(e.subscribers(), 0, "failed subscribe leaves no count");
-            assert!(!e.visible());
-            assert_eq!(e.restorable(), dead == Phase::Restorable);
         }
     }
 }

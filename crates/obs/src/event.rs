@@ -29,12 +29,11 @@ pub enum EventKind {
         /// True when the match satisfies the query exactly.
         exact: bool,
     },
-    /// The query grafted onto an in-flight peer: instead of recomputing
-    /// (or waiting for the result to reach CACHED), it subscribed to the
-    /// producer's reserved Data Store entry while the producer was still
-    /// EXECUTING and consumed the published bytes directly. A reuse edge
-    /// like `LookupHit`, but sourced from the in-flight entry rather than
-    /// a committed cache hit.
+    /// The query grafted onto an in-flight peer: instead of recomputing,
+    /// it waited for a producer of the same predicate that was still
+    /// EXECUTING and consumed the bytes that producer published. A reuse
+    /// edge like `LookupHit`, but decided from the in-flight query rather
+    /// than found by a cache lookup.
     Grafted {
         /// The executing query whose output was consumed (edge source).
         producer: QueryId,

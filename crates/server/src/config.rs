@@ -57,11 +57,10 @@ pub struct ServerConfig {
     /// Fixed by default so steal order is reproducible run to run; it has
     /// no effect at 1 worker (a single shard never steals).
     pub steal_seed: u64,
-    /// Grafting onto in-flight queries (DESIGN.md §13): producers reserve
-    /// a subscribable Data Store entry before computing, and an admitted
-    /// query that overlaps an EXECUTING one subscribes to that entry and
-    /// consumes the published bytes instead of recomputing or waiting for
-    /// the result to reach CACHED. Also switches dequeue to the
+    /// Grafting onto in-flight queries (DESIGN.md §13): a dequeued query
+    /// whose answer an EXECUTING peer is already computing waits for that
+    /// producer, whatever `allow_blocking` says, and consumes the bytes
+    /// it publishes instead of recomputing. Also switches dequeue to the
     /// producer-affinity order so a consumer never runs ahead of a
     /// same-predicate producer. Disabled by default.
     pub graft: bool,

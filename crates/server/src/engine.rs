@@ -8,7 +8,9 @@
 //!    match answers immediately,
 //! 2. otherwise optionally **block** on an EXECUTING query whose result
 //!    it could reuse (guarded by a wait-for-graph cycle check — the
-//!    paper's deadlock avoidance), re-probing the store after the wait,
+//!    paper's deadlock avoidance), re-probing the store after the wait;
+//!    with grafting, a peer computing the very same result is waited for
+//!    first and its published bytes are the answer (DESIGN.md §13),
 //! 3. hand the query and its reuse sources to the application's
 //!    [`AppExecutor`], which **projects** cached results (Eq. 3), creates
 //!    **sub-queries** for the uncovered remainder, and computes them from
@@ -82,7 +84,7 @@ use crate::pages::SharedPageSpace;
 use crate::result::{AnswerPath, QueryRecord, QueryResult, ServerSummary};
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -90,11 +92,11 @@ use vmqs_core::clock;
 use vmqs_core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use vmqs_core::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use vmqs_core::{
-    overload, shard_of_spec, shed_victim, steal_order, BlobId, ClientId, IdGen, PanicOutcome,
-    Pressure, QueryId, QuerySpec, QueryState, RateLimiter, SchedShard, Secondary, SpatialSpec,
-    Supervisor, Verdict, WorkerFate,
+    overload, shard_of_spec, shed_victim, steal_order, ClientId, IdGen, PanicOutcome, Pressure,
+    QueryId, QuerySpec, QueryState, RateLimiter, SchedShard, Secondary, SpatialSpec, Supervisor,
+    Verdict, WorkerFate,
 };
-use vmqs_datastore::{DataStore, DsStats, EvictionRecord, Payload, Phase};
+use vmqs_datastore::{DataStore, DsStats, EvictionRecord, Payload};
 use vmqs_microscope::PAGE_SIZE;
 use vmqs_obs::{EventKind, EventRecord, Histogram, MetricsSnapshot, Obs, QueryMetrics, Terminal};
 use vmqs_pagespace::PsStats;
@@ -788,11 +790,6 @@ impl<A: AppExecutor> QueryServer<A> {
         self.core.obs.metrics.snapshot()
     }
 
-    /// Disables Page Space run merging (ablation knob).
-    pub fn set_ps_merging(&self, enabled: bool) {
-        self.core.ps.set_merging(enabled);
-    }
-
     /// Validates every shard's invariants (graph state/index consistency
     /// and edge symmetry, every live blob naming a CACHED node) and that
     /// no per-query state outlives its query: with nothing outstanding,
@@ -935,11 +932,14 @@ impl<A: AppExecutor> Core<A> {
     }
 
     /// Takes a compute permit, waiting (deadline-aware) while all cores
-    /// are busy with kernel executions. Returns whether a permit was
-    /// actually taken: during shutdown the gate opens unconditionally so
-    /// in-flight queries can finish, and those bypasses must not release
-    /// a permit they never held. Callers hold no locks here.
-    fn acquire_compute(&self, deadline: Option<Instant>) -> std::io::Result<bool> {
+    /// are busy with kernel executions. `None` is the shutdown bypass:
+    /// the gate opens unconditionally so in-flight queries can finish,
+    /// and a bypass holds nothing to hand back. Callers hold no locks
+    /// here.
+    fn acquire_compute(
+        &self,
+        deadline: Option<Instant>,
+    ) -> std::io::Result<Option<ComputePermit<'_>>> {
         let mut slots = self.compute_slots.lock();
         while *slots == 0 && !self.shutdown.load(Ordering::SeqCst) {
             match deadline {
@@ -952,20 +952,28 @@ impl<A: AppExecutor> Core<A> {
                 }
             }
         }
-        if *slots > 0 {
+        Ok((*slots > 0).then(|| {
             *slots -= 1;
-            Ok(true)
-        } else {
-            Ok(false)
-        }
+            ComputePermit {
+                slots: &self.compute_slots,
+                freed: &self.compute_cv,
+            }
+        }))
     }
+}
 
-    /// Returns a compute permit and wakes one gate waiter.
-    fn release_compute(&self) {
-        let mut slots = self.compute_slots.lock();
-        *slots += 1;
-        drop(slots);
-        self.compute_cv.notify_one();
+/// A held compute-gate permit. Dropping it returns the permit and wakes
+/// one gate waiter, on whatever path the holder leaves by: a result, a
+/// typed error, or a compute panic unwinding toward `worker_entry`.
+struct ComputePermit<'a> {
+    slots: &'a Mutex<usize>,
+    freed: &'a Condvar,
+}
+
+impl Drop for ComputePermit<'_> {
+    fn drop(&mut self) {
+        *self.slots.lock() += 1;
+        self.freed.notify_one();
     }
 }
 
@@ -1011,11 +1019,10 @@ fn worker_entry<A: AppExecutor>(core: Arc<Core<A>>, me: usize) {
         // park instead of spinning).
         let Some(job) = job else { continue };
         // Supervision (DESIGN.md §15): a panicking compute kills this
-        // worker, not the pool. The unwind is caught here — after the
-        // inner guard in `execute_query` has already returned the compute
-        // permit and aborted the reservation. Lock guards released on the
-        // unwind path leave consistent state: the injected panic point
-        // fires with no engine lock held.
+        // worker, not the pool. The unwind is caught here, the one place;
+        // on its way it dropped `execute_query`'s compute permit. Lock
+        // guards released on the unwind path leave consistent state: the
+        // injected panic point fires with no engine lock held.
         let (k, id) = (job.shard, job.id);
         if catch_unwind(AssertUnwindSafe(|| run_one(&core, job))).is_err() {
             on_worker_panic(core, me, k, id);
@@ -1064,7 +1071,13 @@ fn on_worker_panic<A: AppExecutor>(core: Arc<Core<A>>, me: usize, k: usize, id: 
         core.emit(id, EventKind::WorkerRestarted);
     }
     match failure {
-        None => core.wake(false),
+        None => {
+            // Back in WAITING: a worker must pick it up, and a peer parked
+            // in `wait_for_peer` on it must stop waiting for an execution
+            // that is over (`answer` does the same on the other arm).
+            core.wake(false);
+            core.shards[k].done_cv.notify_all();
+        }
         Some((record, err)) => core.answer(k, record, Err(err)),
     }
     if fate == WorkerFate::Respawn {
@@ -1170,29 +1183,18 @@ fn run_one<A: AppExecutor>(core: &Core<A>, job: Job<A::Spec>) {
                 // A full compute landing next to an already-visible
                 // equivalent result is work a perfect co-scheduler would
                 // have avoided (ROADMAP item 1); count it before
-                // publishing our own copy. The reserved entry (if any)
-                // is still invisible, so it never matches itself.
-                if out.path == AnswerPath::FullCompute && ds.has_equivalent(&spec) {
+                // publishing our own copy.
+                if out.path == AnswerPath::FullCompute && ds.equivalent(&spec).is_some() {
                     core.duplicate_full_computes.fetch_add(1, Ordering::Relaxed);
                 }
-                let cached = match out.reserved {
-                    // Commit the pre-reserved SUBSCRIBABLE entry in
-                    // place: subscribers that grafted onto it mid-flight
-                    // read exactly these bytes. Space was accounted at
-                    // reservation, so no eviction happens here.
-                    Some(blob) => {
-                        ds.commit_costed(blob, Payload::Bytes(Arc::clone(&out.image)), cost);
-                        Ok(blob)
-                    }
-                    None => ds.insert_costed(
-                        id,
-                        spec,
-                        size,
-                        cost,
-                        Payload::Bytes(Arc::clone(&out.image)),
-                        &mut evicted,
-                    ),
-                };
+                let cached = ds.insert_costed(
+                    id,
+                    spec,
+                    size,
+                    cost,
+                    Payload::Bytes(Arc::clone(&out.image)),
+                    &mut evicted,
+                );
                 // Persist any demotions inside this same critical
                 // section: no thread may observe a RESTORABLE entry
                 // whose frame is not on disk yet.
@@ -1206,9 +1208,7 @@ fn run_one<A: AppExecutor>(core: &Core<A>, job: Job<A::Spec>) {
             // Only now hand the compute permit back: a peer queued at
             // the gate for this very spec wakes into a store that
             // already holds the answer.
-            if out.held_permit {
-                core.release_compute();
-            }
+            drop(out.permit);
             // An `Err` (budget too small to cache the result) publishes
             // without a blob; the record comes out with the transition.
             let pending = core.shards[k].state.lock().sched.publish(id, cached.ok());
@@ -1271,26 +1271,18 @@ fn run_one<A: AppExecutor>(core: &Core<A>, job: Job<A::Spec>) {
     }
 }
 
-struct ExecOutcome {
+struct ExecOutcome<'a> {
     image: Arc<[u8]>,
     path: AnswerPath,
     reused_bytes: u64,
     covered_fraction: f64,
     pages_requested: u64,
     blocked: Duration,
-    /// True when the query computed and still holds its compute-gate
-    /// permit: the caller releases it only *after* the result is
-    /// inserted and the publish epoch bumped, so a peer waking at the
-    /// gate always finds the freshly published result on its re-probe.
-    held_permit: bool,
-    /// The SUBSCRIBABLE Data Store reservation this query opened before
-    /// computing (grafting enabled, DESIGN.md §13). `run_one` publishes
-    /// the result by *committing* this blob — in place, so subscribers
-    /// that discovered the entry mid-flight read the bytes they were
-    /// promised — instead of inserting a fresh entry. `None` when
-    /// grafting is off, the reservation failed (budget), or the query
-    /// never reached the compute path.
-    reserved: Option<BlobId>,
+    /// The compute-gate permit of a query that computed: the caller drops
+    /// it only *after* the result is inserted and the publish epoch
+    /// bumped, so a peer waking at the gate always finds the freshly
+    /// published result on its re-probe.
+    permit: Option<ComputePermit<'a>>,
 }
 
 /// True when making `waiter` wait on `target` would close a cycle in the
@@ -1360,7 +1352,7 @@ fn execute_query<A: AppExecutor>(
     id: QueryId,
     spec: A::Spec,
     deadline: Option<Instant>,
-) -> std::io::Result<ExecOutcome> {
+) -> std::io::Result<ExecOutcome<'_>> {
     let mut blocked = Duration::ZERO;
 
     // A query that spent its whole budget queued is cancelled before any
@@ -1410,8 +1402,7 @@ fn execute_query<A: AppExecutor>(
         covered_fraction: 1.0,
         pages_requested: 0,
         blocked,
-        held_permit: false,
-        reserved: None,
+        permit: None,
     };
 
     let (exact, mut sources) = lookup();
@@ -1431,140 +1422,50 @@ fn execute_query<A: AppExecutor>(
         return Ok(exact_outcome(bytes, blocked));
     }
 
-    // Step 2a — grafting (DESIGN.md §13): probe for an in-flight peer
-    // whose eventual result covers this query, subscribe to its
-    // SUBSCRIBABLE reservation, and consume the published bytes instead
-    // of recomputing or waiting for the result to reach CACHED. Only
-    // same-shard producers are grafted onto, so the wait can reuse the
-    // shard's wait-for map and the deadlock cycle check stays complete —
-    // an exact-coverage producer is always same-shard, since identical
-    // specs hash to the same home (this is also why a graft can never be
-    // stolen away from its producer's shard: both queries live there).
-    let mut graft_waited = false;
-    if core.cfg.graft {
-        let cands = core.store.read().lookup_subscribable(&spec);
-        for c in cands {
-            if c.producer == id {
-                continue;
-            }
-            let (pspec, phase) = {
-                let ds = core.store.read();
-                let Some(e) = ds.get(c.blob) else { continue };
-                let pspec = e.spec;
-                if shard_of_spec(&pspec, core.shards.len()) != k {
-                    continue;
-                }
-                let Some(phase) = ds.subscribe(c.blob) else {
-                    continue;
-                };
-                (pspec, phase)
-            };
-            if !matches!(phase, Phase::Subscribable | Phase::Full) {
-                // `subscribe` released the count itself: the entry died
-                // or was republished between probe and attach.
-                continue;
-            }
-            if phase == Phase::Subscribable {
-                // The producer is still computing. Wait for the publish
-                // on its home shard (ours) exactly like a dependency
-                // block. `run_one` commits the entry before it
-                // transitions the producer out of EXECUTING, so when
-                // this wait ends the bytes are already in the store.
-                let waited = {
-                    let mut s = core.shards[k].state.lock();
-                    wait_for_peer(core, k, &mut s, id, c.producer, deadline)
-                };
-                match waited {
-                    Ok(Some(t)) => {
-                        blocked += t;
-                        graft_waited = true;
-                    }
-                    // A cycle (try the next candidate) or an expired
-                    // deadline (cancel): withdraw the subscription.
-                    Ok(None) => {
-                        core.store.read().unsubscribe(c.blob);
-                        continue;
-                    }
-                    Err(e) => {
-                        core.store.read().unsubscribe(c.blob);
-                        return Err(e);
-                    }
-                }
-            }
-            // The subscription pinned the entry against eviction and
-            // swap-out; it is gone (or still unpublished) only if the
-            // producer failed and aborted the reservation.
-            let published = {
-                let ds = core.store.read();
-                let bytes = ds.get(c.blob).and_then(|e| match &e.payload {
-                    Payload::Bytes(b) if e.visible() => Some(Arc::clone(b)),
-                    _ => None,
-                });
-                ds.unsubscribe(c.blob);
-                bytes
-            };
-            let Some(bytes) = published else { continue };
-            let grafted = EventKind::Grafted {
-                producer: c.producer,
-            };
-            core.emit(id, grafted);
-            if c.exact {
-                return Ok(ExecOutcome {
-                    image: bytes,
-                    path: AnswerPath::Grafted,
-                    reused_bytes: core.app.output_len(&spec) as u64,
-                    covered_fraction: 1.0,
-                    pages_requested: 0,
-                    blocked,
-                    held_permit: false,
-                    reserved: None,
-                });
-            }
-            // Partial graft: the producer's bytes join the reuse sources
-            // (most-reusable first) and the remainder is computed below.
-            sources.insert(0, (pspec, bytes));
-            break;
-        }
-    }
-
-    // Step 2 — deadlock-avoiding block on the strongest EXECUTING query we
-    // could reuse (paper §4: queries stall on in-flight dependencies; CNBF
-    // exists to make this rare). Reuse edges are intra-shard, so the
-    // dependency — and the wait-for cycle check — live entirely on the
+    // Step 2 — wait, once, for the in-flight query `SchedShard` names
+    // (paper §4: queries stall on EXECUTING dependencies; CNBF exists to
+    // make this rare): the strongest EXECUTING source this query could
+    // reuse, or with grafting a peer computing this very predicate. Reuse
+    // edges are intra-shard (identical specs hash to the same home), so
+    // the dependency, and the wait-for cycle check, live entirely on the
     // query's home shard; its `done_cv` signals the peer's completion.
-    // A graft already waited out (and consumed) its strongest in-flight
-    // dependency, so it skips straight to the compute.
-    if core.cfg.allow_blocking && !graft_waited {
+    let mut producer = None;
+    if core.cfg.graft || core.cfg.allow_blocking {
         let mut s = core.shards[k].state.lock();
-        let dep = s.sched.executing_sources(id).next();
-        if let Some(dep) = dep {
-            blocked += wait_for_peer(core, k, &mut s, id, dep, deadline)?.unwrap_or_default();
+        let target = s
+            .sched
+            .wait_target(id, core.cfg.graft, core.cfg.allow_blocking);
+        if let Some((peer, graft)) = target {
+            let waited = wait_for_peer(core, k, &mut s, id, peer, deadline)?;
+            blocked += waited.unwrap_or_default();
+            if graft && waited.is_some() {
+                producer = Some(peer);
+            }
         }
     }
 
-    // Step 2b — open this query's own SUBSCRIBABLE reservation so later
-    // overlapping admissions can graft onto *us* while we compute. The
-    // exact output size is known up front; a failed reservation (budget
-    // too small) just means no one can graft onto this query.
-    let mut reserved: Option<BlobId> = None;
-    if core.cfg.graft {
-        let mut evicted: Vec<EvictionRecord<A::Spec>> = Vec::new();
-        let size = core.app.output_len(&spec) as u64;
-        let spills = {
-            let mut ds = core.store.write();
-            reserved = ds.reserve_subscribable(id, spec, size, &mut evicted).ok();
-            drain_spills(core, &mut ds, &mut evicted)
+    // Grafting (DESIGN.md §13): the producer inserted its result before
+    // it left EXECUTING, so the wait ended on a store that holds these
+    // bytes. Take them by a pure probe: no hit/miss stat, no LRU touch.
+    // Nothing there (the producer failed, its insert was refused, or the
+    // entry is already evicted) means computing like anyone else.
+    if let Some(producer) = producer {
+        let published = {
+            let ds = core.store.read();
+            let entry = ds.equivalent(&spec).and_then(|blob| ds.get(blob));
+            entry.and_then(|e| match &e.payload {
+                Payload::Bytes(bytes) => Some(Arc::clone(bytes)),
+                Payload::Virtual => None,
+            })
         };
-        route_evictions(core, evicted);
-        emit_spills(core, spills);
-    }
-    // Every early exit below this point must abort the reservation, or
-    // subscribers would wait on an entry no one will ever commit.
-    let abort_reservation = |r: Option<BlobId>| {
-        if let Some(b) = r {
-            core.store.write().abort(b);
+        if let Some(bytes) = published {
+            core.emit(id, EventKind::Grafted { producer });
+            return Ok(ExecOutcome {
+                path: AnswerPath::Grafted,
+                ..exact_outcome(bytes, blocked)
+            });
         }
-    };
+    }
 
     // Steps 3–4 — the application projects cached coverage and computes
     // the remainder through a deadline-scoped Page Space session. No
@@ -1572,13 +1473,7 @@ fn execute_query<A: AppExecutor>(
     // to the core count so an oversubscribed pool pipelines computes
     // instead of timeslicing them (cache hits returned above never get
     // stuck behind one).
-    let took_permit = match core.acquire_compute(deadline) {
-        Ok(t) => t,
-        Err(e) => {
-            abort_reservation(reserved);
-            return Err(e);
-        }
-    };
+    let permit = core.acquire_compute(deadline)?;
     if core.publish_epoch.load(Ordering::SeqCst) != epoch0 {
         // A peer published a result after our first lookup — whether we
         // blocked on a dependency, queued at the gate, or simply lost a
@@ -1592,16 +1487,7 @@ fn execute_query<A: AppExecutor>(
         let (exact, mut fresh) = lookup();
         if let Some(bytes) = exact {
             core.relookup_hits.fetch_add(1, Ordering::Relaxed);
-            if took_permit {
-                core.release_compute();
-            }
-            // The reservation rides along: `run_one` commits the hit's
-            // bytes into it, so subscribers that grafted onto this query
-            // get the answer rather than a dead entry.
-            return Ok(ExecOutcome {
-                reserved,
-                ..exact_outcome(bytes, blocked)
-            });
+            return Ok(exact_outcome(bytes, blocked));
         }
         // Keep first-probe sources the re-probe no longer sees (evicted
         // meanwhile) — their payloads are still valid Arcs, and dropping
@@ -1613,40 +1499,17 @@ fn execute_query<A: AppExecutor>(
         }
         sources = fresh;
     }
-    // The chaos panic point and the application kernel run inside an
-    // unwind guard: a panic here must not leak the compute permit or
-    // wedge graft subscribers on an uncommitted reservation, so both are
-    // released before the panic resumes toward the supervision layer in
-    // `worker_entry` (DESIGN.md §15). The ordinal is drawn outside the
-    // guard so a poisoned retry consumes a fresh one.
+    // The chaos panic point and the application kernel: a panic here
+    // unwinds to the supervision layer in `worker_entry` (DESIGN.md §15),
+    // dropping `permit` on the way. The ordinal is drawn per execution,
+    // so a poisoned retry consumes a fresh one.
     let ordinal = core.compute_seq.fetch_add(1, Ordering::Relaxed);
-    let out = match catch_unwind(AssertUnwindSafe(|| {
-        if core.cfg.chaos.compute_should_panic(ordinal, id.0) {
-            panic!("injected chaos panic: compute ordinal {ordinal}, query {id:?}");
-        }
-        core.app
-            .execute(&spec, &sources, &core.ps.session_for(id, deadline))
-    })) {
-        Ok(Ok(out)) => out,
-        Ok(Err(e)) => {
-            // Nothing will be published on this path, so the permit is
-            // returned right away and the reservation aborted —
-            // subscribers wake on this query's terminal transition and
-            // find the entry gone.
-            if took_permit {
-                core.release_compute();
-            }
-            abort_reservation(reserved);
-            return Err(e);
-        }
-        Err(payload) => {
-            if took_permit {
-                core.release_compute();
-            }
-            abort_reservation(reserved);
-            resume_unwind(payload);
-        }
-    };
+    if core.cfg.chaos.compute_should_panic(ordinal, id.0) {
+        panic!("injected chaos panic: compute ordinal {ordinal}, query {id:?}");
+    }
+    let out = core
+        .app
+        .execute(&spec, &sources, &core.ps.session_for(id, deadline))?;
     debug_assert_eq!(out.bytes.len(), core.app.output_len(&spec));
     if out.subqueries > 0 {
         let spawned = EventKind::SubquerySpawned {
@@ -1668,11 +1531,10 @@ fn execute_query<A: AppExecutor>(
         covered_fraction: out.covered_fraction,
         pages_requested: out.pages_requested,
         blocked,
-        // The permit rides along: `run_one` releases it after the
-        // insert + epoch bump so gate-waiters re-probe a store that
-        // already contains this result.
-        held_permit: took_permit,
-        reserved,
+        // The permit rides along: `run_one` drops it after the insert +
+        // epoch bump so gate-waiters re-probe a store that already
+        // contains this result.
+        permit,
     })
 }
 
@@ -2213,13 +2075,62 @@ mod tests {
         assert_eq!((shut, overloaded), (4, 2));
     }
 
-    /// An executor that parks its first `execute` call until released —
-    /// the deterministic way to hold a producer EXECUTING while a graft
-    /// consumer discovers and subscribes to its reservation.
+    /// What a [`StallingExecutor`]'s first `execute` does once released.
+    #[derive(Clone, Copy)]
+    enum Released {
+        Compute,
+        Fail,
+        Panic,
+    }
+
+    /// `(entered, released)` of a [`StallingExecutor`]'s first call under
+    /// the mutex; the condvar signals both transitions.
+    #[derive(Default)]
+    struct Gate(Mutex<(bool, bool)>, Condvar);
+
+    impl Gate {
+        /// Blocks until the first `execute` call is parked on the gate.
+        fn wait_entered(&self) {
+            let mut g = self.0.lock();
+            while !g.0 {
+                self.1.wait(&mut g);
+            }
+        }
+
+        fn release(&self) {
+            self.0.lock().1 = true;
+            self.1.notify_all();
+        }
+    }
+
+    /// An executor that parks its first `execute` call until released:
+    /// the deterministic way to hold a query EXECUTING while a peer finds
+    /// it in flight and waits for it.
     struct StallingExecutor {
-        /// `(entered, released)` under the mutex; the condvar signals
-        /// both transitions.
-        gate: Arc<(Mutex<(bool, bool)>, Condvar)>,
+        gate: Arc<Gate>,
+        then: Released,
+    }
+
+    /// A server over a fresh [`StallingExecutor`], with its gate.
+    fn stalling(cfg: ServerConfig, then: Released) -> (QueryServer<StallingExecutor>, Arc<Gate>) {
+        let gate = Arc::new(Gate::default());
+        let app = StallingExecutor {
+            gate: Arc::clone(&gate),
+            then,
+        };
+        let s = QueryServer::with_app(cfg, app, Arc::new(SyntheticSource::new()));
+        (s, gate)
+    }
+
+    /// Polls until query `id` is parked in `wait_for_peer`.
+    fn wait_until_blocked(s: &QueryServer<StallingExecutor>, id: QueryId) {
+        let parked = || {
+            let mut shards = s.core.shards.iter();
+            shards.any(|sh| sh.state.lock().waiting_on.contains_key(&id))
+        };
+        while !parked() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     impl AppExecutor for StallingExecutor {
@@ -2251,6 +2162,14 @@ mod tests {
                 while !g.1 {
                     self.gate.1.wait(&mut g);
                 }
+                drop(g);
+                match self.then {
+                    Released::Compute => {}
+                    Released::Fail => {
+                        return Err(std::io::Error::other("injected producer failure"));
+                    }
+                    Released::Panic => panic!("injected producer panic"),
+                }
             }
             VmExecutor.execute(spec, sources, ps)
         }
@@ -2258,46 +2177,23 @@ mod tests {
 
     #[test]
     fn graft_subscribes_to_in_flight_producer_and_reuses_bytes() {
-        let gate = Arc::new((Mutex::new((false, false)), Condvar::new()));
-        let s = QueryServer::with_app(
+        let (s, gate) = stalling(
             ServerConfig::small()
                 .with_threads(2)
                 .with_graft(true)
                 .with_observability(true),
-            StallingExecutor {
-                gate: Arc::clone(&gate),
-            },
-            Arc::new(SyntheticSource::new()),
+            Released::Compute,
         );
         let spec = q(0, 0, 128, 128, 2, VmOp::Subsample);
         let producer = s.submit(spec);
-        // Wait until the producer is inside `execute`: its SUBSCRIBABLE
-        // reservation was opened before the compute gate, so it is now
-        // discoverable.
-        {
-            let mut g = gate.0.lock();
-            while !g.0 {
-                gate.1.wait(&mut g);
-            }
-        }
+        // Wait until the producer is inside `execute`, EXECUTING on the
+        // shard its twin will be homed on.
+        gate.wait_entered();
         let consumer = s.submit(spec);
-        // Wait until the consumer has attached its graft subscription,
-        // then let the producer publish.
-        let blob = loop {
-            let c = s.core.store.read().lookup_subscribable(&spec);
-            match c.first() {
-                Some(c0) => break c0.blob,
-                None => std::thread::sleep(Duration::from_millis(1)),
-            }
-        };
-        while s.core.store.read().get(blob).map_or(0, |e| e.subscribers()) == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        {
-            let mut g = gate.0.lock();
-            g.1 = true;
-            gate.1.notify_all();
-        }
+        // Wait until the consumer has attached (it is parked on the
+        // producer), then let the producer publish.
+        wait_until_blocked(&s, consumer.id);
+        gate.release();
         let p = producer.wait().unwrap();
         let c = consumer.wait().unwrap();
         assert_eq!(p.record.path, AnswerPath::FullCompute);
@@ -2324,77 +2220,21 @@ mod tests {
 
     #[test]
     fn graft_consumer_survives_producer_failure() {
-        // The producer's reservation is aborted when it fails; a grafted
-        // consumer must wake, find the entry gone, and compute on its own.
-        struct FailFirstExecutor {
-            gate: Arc<(Mutex<(bool, bool)>, Condvar)>,
-        }
-        impl AppExecutor for FailFirstExecutor {
-            type Spec = VmQuery;
-            fn output_dims(&self, spec: &VmQuery) -> (u32, u32) {
-                VmExecutor.output_dims(spec)
-            }
-            fn output_len(&self, spec: &VmQuery) -> usize {
-                VmExecutor.output_len(spec)
-            }
-            fn execute(
-                &self,
-                spec: &VmQuery,
-                sources: &[(VmQuery, Arc<[u8]>)],
-                ps: &crate::pages::PageSpaceSession<'_>,
-            ) -> std::io::Result<crate::app::AppOutcome> {
-                let first = {
-                    let mut g = self.gate.0.lock();
-                    let first = !g.0;
-                    g.0 = true;
-                    self.gate.1.notify_all();
-                    first
-                };
-                if first {
-                    let mut g = self.gate.0.lock();
-                    while !g.1 {
-                        self.gate.1.wait(&mut g);
-                    }
-                    return Err(std::io::Error::other("injected producer failure"));
-                }
-                VmExecutor.execute(spec, sources, ps)
-            }
-        }
-        let gate = Arc::new((Mutex::new((false, false)), Condvar::new()));
-        let s = QueryServer::with_app(
+        // A producer that fails publishes nothing; a grafted consumer
+        // must wake, find no entry, and compute on its own.
+        let (s, gate) = stalling(
             ServerConfig::small()
                 .with_threads(2)
                 .with_graft(true)
                 .with_observability(true),
-            FailFirstExecutor {
-                gate: Arc::clone(&gate),
-            },
-            Arc::new(SyntheticSource::new()),
+            Released::Fail,
         );
         let spec = q(0, 0, 96, 96, 2, VmOp::Subsample);
         let producer = s.submit(spec);
-        {
-            let mut g = gate.0.lock();
-            while !g.0 {
-                gate.1.wait(&mut g);
-            }
-        }
+        gate.wait_entered();
         let consumer = s.submit(spec);
-        let blob = loop {
-            let c = s.core.store.read().lookup_subscribable(&spec);
-            match c.first() {
-                Some(c0) => break c0.blob,
-                None => std::thread::sleep(Duration::from_millis(1)),
-            }
-        };
-        while s.core.store.read().get(blob).map_or(0, |e| e.subscribers()) == 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        {
-            let mut g = gate.0.lock();
-            g.1 = true;
-            gate.1.notify_all();
-        }
+        wait_until_blocked(&s, consumer.id);
+        gate.release();
         assert!(producer.wait().is_err(), "producer failure must propagate");
         let c = consumer.wait().unwrap();
         // The consumer fell back to computing for itself.
@@ -2402,6 +2242,43 @@ mod tests {
         assert_ne!(c.record.path, AnswerPath::Grafted);
         let sum = s.summary();
         assert_eq!((sum.completed, sum.failed, sum.grafted), (1, 1, 0));
+        s.check_invariants();
+        s.shutdown();
+    }
+
+    /// A query parked on an EXECUTING peer must wake when that peer's
+    /// worker dies and the peer goes back to WAITING: the requeue arm of
+    /// `on_worker_panic` has to notify the shard's `done_cv` like `answer`
+    /// does. With the restart budget spent the waiter is the last worker,
+    /// so nothing else would ever wake it.
+    #[test]
+    fn blocked_waiter_wakes_when_its_producer_is_requeued() {
+        let (s, gate) = stalling(
+            ServerConfig::small().with_threads(2).with_restart_budget(0),
+            Released::Panic,
+        );
+        let spec = q(0, 0, 96, 96, 2, VmOp::Subsample);
+        let first = s.submit(spec);
+        gate.wait_entered();
+        let second = s.submit(spec);
+        wait_until_blocked(&s, second.id);
+        gate.release();
+        // The waiter finds its peer WAITING and computes for itself; the
+        // requeued query then runs on the one worker left.
+        let give_up = clock::now() + Duration::from_secs(5);
+        for h in [second, first] {
+            let res = loop {
+                match h.try_wait() {
+                    Some(res) => break res.unwrap(),
+                    None if clock::now() >= give_up => panic!("query {} never woke", h.id),
+                    None => std::thread::sleep(Duration::from_millis(1)),
+                }
+            };
+            assert_eq!(*res.image, reference_render(&spec).data);
+        }
+        let sum = s.summary();
+        assert_eq!((sum.completed, sum.failed), (2, 0));
+        assert_eq!((sum.worker_panics, sum.worker_restarts), (1, 0));
         s.check_invariants();
         s.shutdown();
     }
@@ -2750,32 +2627,19 @@ mod tests {
     /// deadline and cancels.
     #[test]
     fn hang_watchdog_cancels_stuck_query_and_spares_successors() {
-        let gate = Arc::new((Mutex::new((false, false)), Condvar::new()));
-        let s = QueryServer::with_app(
+        let (s, gate) = stalling(
             ServerConfig::small()
                 .with_threads(1)
                 .with_observability(true)
                 .with_hang_timeout(Some(Duration::from_millis(40))),
-            StallingExecutor {
-                gate: Arc::clone(&gate),
-            },
-            Arc::new(SyntheticSource::new()),
+            Released::Compute,
         );
         let spec = q(0, 0, 128, 128, 2, VmOp::Subsample);
         let stuck = s.submit(spec);
-        {
-            let mut g = gate.0.lock();
-            while !g.0 {
-                gate.1.wait(&mut g);
-            }
-        }
+        gate.wait_entered();
         // Hold the query stalled past its watchdog limit, then let go.
         std::thread::sleep(Duration::from_millis(80));
-        {
-            let mut g = gate.0.lock();
-            g.1 = true;
-            gate.1.notify_all();
-        }
+        gate.release();
         match stuck.wait() {
             Err(ServerError::Hung { limit }) => {
                 assert_eq!(limit, Duration::from_millis(40));

@@ -125,11 +125,6 @@ impl SharedPageSpace {
         self.retry
     }
 
-    /// Enables/disables run merging (ablation knob).
-    pub fn set_merging(&self, enabled: bool) {
-        self.core.lock().set_merging(enabled);
-    }
-
     /// Opens a deadline-scoped view for one query's reads. All fetches and
     /// waits through the session fail with a deadline error once
     /// `deadline` passes; `None` never times out.

@@ -35,9 +35,9 @@ pub enum AnswerPath {
     /// Computed entirely from raw chunks.
     FullCompute,
     /// Answered entirely by grafting onto an in-flight peer: the query
-    /// subscribed to an EXECUTING producer's reserved Data Store entry
-    /// and consumed the published bytes (DESIGN.md §13). An exact-match
-    /// sibling of `ExactHit`, hit before the producer's result was CACHED.
+    /// waited for an EXECUTING producer of this very predicate and
+    /// consumed the bytes it published (DESIGN.md §13). An exact-match
+    /// sibling of `ExactHit`, decided while the producer was in flight.
     Grafted,
 }
 
@@ -90,9 +90,8 @@ pub struct ServerSummary {
     pub partial_reuse: usize,
     /// Of which: computed entirely from raw pages.
     pub full_compute: usize,
-    /// Of which: answered by grafting onto an in-flight producer's
-    /// subscribable Data Store entry (exact-coverage grafts only; partial
-    /// grafts count under `partial_reuse`).
+    /// Of which: answered by grafting onto an in-flight producer of the
+    /// same predicate (DESIGN.md §13).
     pub grafted: usize,
     /// Full computes whose output already had a `cmp`-equivalent visible
     /// Data Store entry at publish time — redundant work a perfect

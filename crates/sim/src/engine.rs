@@ -523,7 +523,6 @@ impl<A: SimApplication> Simulator<A> {
             self.emit(now, id, ranked);
             let info = self.sched.record_mut(id).expect("dequeued query has info");
             info.start = now;
-            let spec = info.spec;
             self.qmet.queue_wait.observe(now - info.arrival);
             // Arm the hang watchdog for this execution span. The deadline
             // event carries no span marker: on firing it re-derives the
@@ -533,32 +532,20 @@ impl<A: SimApplication> Simulator<A> {
                 self.events.push(now + h, Event::HangDeadline { id });
             }
 
-            // Grafting (DESIGN.md §13): an EXECUTING peer computing this
-            // exact predicate is a producer to subscribe to — the consumer
-            // waits like a blocked query but consumes the published result
-            // at resume instead of performing its own lookup. Independent
-            // of `allow_blocking`, mirroring the threaded engine.
-            let graft_src = if self.cfg.graft {
-                self.sched
-                    .executing_sources(id)
-                    .find(|&p| self.sched.record(p).is_some_and(|pi| pi.spec.cmp(&spec)))
-            } else {
-                None
-            };
-            // Deadlock-free blocking: a query only ever blocks on a query
-            // that started executing earlier, so wait-for edges cannot
-            // cycle (see vmqs-server for the racy-threads variant that
-            // needs an explicit cycle check).
-            let dep = graft_src.or_else(|| {
-                self.cfg
-                    .allow_blocking
-                    .then(|| self.sched.executing_sources(id).next())
-                    .flatten()
-            });
+            // Whom to wait for is `SchedShard`'s rule, the one the threaded
+            // engine asks too: a graft producer (DESIGN.md §13), whose
+            // result this query consumes at resume instead of performing
+            // its own lookup, or a dependency. Deadlock-free here: a query
+            // only ever blocks on a query that started executing earlier,
+            // so wait-for edges cannot cycle (vmqs-server, with racing
+            // threads, needs an explicit cycle check).
+            let target = self
+                .sched
+                .wait_target(id, self.cfg.graft, self.cfg.allow_blocking);
             let info = self.sched.record_mut(id).expect("checked above");
-            info.graft_of = graft_src;
-            match dep {
-                Some(dep) => {
+            info.graft_of = target.and_then(|(peer, graft)| graft.then_some(peer));
+            match target {
+                Some((dep, _)) => {
                     info.blocked_since = Some(now);
                     self.blocked_count += 1;
                     self.waiters.entry(dep).or_default().push(id);
@@ -583,7 +570,7 @@ impl<A: SimApplication> Simulator<A> {
         // producer's entry never materialized (insert rejected or already
         // evicted), fall through to the normal path and compute.
         if let Some(producer) = info.graft_of.take() {
-            if self.ds.has_equivalent(&spec) {
+            if self.ds.equivalent(&spec).is_some() {
                 self.grafted += 1;
                 info.grafted = true;
                 self.emit(now, id, EventKind::Grafted { producer });
@@ -874,11 +861,10 @@ impl<A: SimApplication> Simulator<A> {
 
     /// A virtual worker dies mid-compute (DESIGN.md §15), in the threaded
     /// engine's order: the [`Supervisor`] decides the worker's fate,
-    /// the panic is logged, anything blocked on the victim is woken (the
-    /// back-out aborts the Data Store reservation, so subscribers go
-    /// compute for themselves), [`SchedShard::on_panic`] requeues or
-    /// retires the query — and finally the worker is respawned or its
-    /// slot retired for good.
+    /// the panic is logged, anything blocked on the victim is woken (a
+    /// graft consumer finds nothing published and computes for itself),
+    /// [`SchedShard::on_panic`] requeues or retires the query — and
+    /// finally the worker is respawned or its slot retired for good.
     fn on_worker_panic(&mut self, now: f64, id: QueryId) {
         let fate = self.sup.on_worker_death();
         self.emit(now, id, EventKind::WorkerPanicked);

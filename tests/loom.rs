@@ -22,7 +22,6 @@ use loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use loom::sync::{Arc, Condvar, Mutex};
 use loom::thread;
 use vmqs_core::DatasetId;
-use vmqs_datastore::Phase;
 use vmqs_obs::{Counter, Histogram};
 use vmqs_pagespace::{PageCacheCore, PageData, PageDisposition, PageKey};
 
@@ -254,61 +253,40 @@ fn engine_idle_wakeup_no_lost_submit() {
     });
 }
 
-/// Worker-death back-out of a CLAIMED entry (DESIGN.md §15): a producer
-/// that panics while holding a SUBSCRIBABLE reservation must (a) abort
-/// the reservation under the store's write lock *before* the graph
-/// transition that ends the wait, so a subscriber that wakes finds no
-/// entry rather than one nobody will ever commit, and (b) notify the
-/// shard condvar after the producer leaves EXECUTING, so a subscriber
-/// blocked on that state always re-checks its predicate. Dropping the
-/// notify strands the subscriber forever (loom reports the lost wakeup as
-/// a deadlock); dropping the abort trips the post-wake assertion. The
-/// entry is a slot behind the modelled store lock: phase writes and
-/// `subscribe` both run under it, as `&mut DataStore` / the read guard
-/// make them in the engine.
+/// Worker-death back-out (DESIGN.md §15): a query parked in
+/// `wait_for_peer` checked its peer EXECUTING under the shard lock, and
+/// re-reads that state only when the shard's `done_cv` is notified. So a
+/// worker that dies mid-compute moves its query out of EXECUTING under
+/// the same lock (requeued to WAITING, or retired) and *then* notifies
+/// `done_cv`: on the terminal arms through `answer`, on the requeue arm
+/// directly. The waiter, a dependency blocker or a graft consumer alike,
+/// always wakes and computes for itself. Dropping the notify strands it
+/// forever (loom reports the lost wakeup as a deadlock).
 #[test]
-fn worker_death_backout_wakes_subscriber() {
+fn worker_death_backout_wakes_waiter() {
     loom::model(|| {
-        // The producer's reservation, open to grafts before the race.
-        let store = Arc::new(Mutex::new(Some(Phase::Subscribable)));
-        // The shard's view of the producer: EXECUTING until the back-out.
+        // The shard's view of the peer: EXECUTING until the back-out.
         let executing = Arc::new(Mutex::new(true));
         let done_cv = Arc::new(Condvar::new());
 
         let dying = {
-            let (store, executing, done_cv) = (store.clone(), executing.clone(), done_cv.clone());
+            let (executing, done_cv) = (executing.clone(), done_cv.clone());
             thread::spawn(move || {
-                // `DataStore::abort` (inner unwind guard) empties the slot.
-                *store.lock() = None;
                 // `on_worker_panic` under the shard lock: the query
                 // leaves EXECUTING...
                 *executing.lock() = false;
-                // ...and `answer` notifies the shard's `done_cv`.
+                // ...and the lock released, every arm notifies `done_cv`.
                 done_cv.notify_all();
             })
         };
 
-        // The grafting consumer (engine's graft wait loop): subscribe
-        // under the store lock, and while the producer is EXECUTING, wait
-        // for its terminal.
-        let subscribed = *store.lock();
-        if subscribed == Some(Phase::Subscribable) {
-            let mut g = executing.lock();
-            while *g {
-                done_cv.wait(&mut g);
-            }
-            drop(g);
-            // The producer died: the reservation must be gone, never
-            // still in flight, so the consumer computes for itself.
-            assert_eq!(
-                *store.lock(),
-                None,
-                "aborted reservation still looks in-flight"
-            );
-        } else {
-            // Subscribe raced the abort: nothing to wait on.
-            assert_eq!(subscribed, None, "aborted entry can never be FULL");
+        // `wait_for_peer`: the predicate is read, and the wait entered,
+        // under the shard lock the dying worker must take to change it.
+        let mut g = executing.lock();
+        while *g {
+            done_cv.wait(&mut g);
         }
+        drop(g);
         dying.join().unwrap();
     });
 }
