@@ -74,6 +74,15 @@ fn bench_read_page(c: &mut Criterion) {
             live[index as usize % 128] = page;
         });
     });
+    // "Memory speed" on this machine: the same buffer cycle fed by a copy
+    // of a resident page instead of the fill.
+    let resident = source.read_page(DatasetId(0), 0, PAGE).expect("page");
+    group.bench_function("memcpy_64KiB", |b| {
+        b.iter(|| {
+            index += 1;
+            live[index as usize % 128] = black_box(&resident).clone();
+        });
+    });
     group.finish();
     black_box(live);
 }

@@ -36,7 +36,7 @@ use vmqs_core::{ClientId, DatasetId, OverloadConfig, Rect, Strategy};
 use vmqs_microscope::{SlideDataset, VmOp, VmQuery};
 use vmqs_server::{QueryServer, ServerConfig, ServerError};
 use vmqs_sim::{run_sim, ClientStream, SimConfig, SubmissionMode};
-use vmqs_storage::SyntheticSource;
+use vmqs_storage::{DiskModel, SyntheticSource, ThrottledSource};
 use vmqs_workload::{
     flatten_to_batch, generate, run_server_batch, run_server_interactive, zipfian, WorkloadConfig,
 };
@@ -481,7 +481,12 @@ fn run_graft_contention_once(graft: bool, workers: usize) -> GraftContentionResu
         .with_observability(true)
         .with_start_paused(true)
         .with_graft(graft);
-    let server = QueryServer::new(cfg, Arc::new(SyntheticSource::new()));
+    // 0.2 ms a page: a 256-px window's compute must outlast a stealer's
+    // wake-up for a copy to find its producer EXECUTING, and an unthrottled
+    // synthetic page is too quick for that on a 2-core box (the assert on
+    // `grafted` below failed 6 runs in 20 there).
+    let source = ThrottledSource::new(SyntheticSource::new(), DiskModel::new(2e-4, f64::MAX), 1.0);
+    let server = QueryServer::new(cfg, Arc::new(source));
 
     let start = vmqs_core::clock::now();
     let handles = server.submit_batch(specs);
@@ -843,7 +848,7 @@ fn main() {
     };
     let mut graft_contention = Vec::new();
     println!(
-        "{:<12} {:>6} {:>8} {:>9} {:>10} {:>6} {:>6} {:>6} {:>8} {:>6}",
+        "{:<12} {:>6} {:>8} {:>9} {:>10} {:>6} {:>6} {:>6} {:>8} {:>6}  (source throttled, 0.2 ms/page)",
         "graft-cont",
         "graft",
         "workers",

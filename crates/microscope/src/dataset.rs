@@ -259,6 +259,28 @@ mod tests {
         }
     }
 
+    /// A window shifted by one pixel must not render the same bytes: over
+    /// a full chunk, neighbouring pixels differ almost everywhere.
+    #[test]
+    fn synthetic_pixel_differs_from_its_right_and_lower_neighbour() {
+        let s = slide();
+        let side = CHUNK_SIDE - 1;
+        let (mut right, mut below) = (0, 0);
+        for y in 0..side {
+            for x in 0..side {
+                let p = s.synthetic_pixel(x, y);
+                right += usize::from(p != s.synthetic_pixel(x + 1, y));
+                below += usize::from(p != s.synthetic_pixel(x, y + 1));
+            }
+        }
+        let pairs = (side * side) as usize;
+        assert!(
+            right * 100 > pairs * 99,
+            "{right} of {pairs} differ to the right"
+        );
+        assert!(below * 100 > pairs * 99, "{below} of {pairs} differ below");
+    }
+
     #[test]
     fn offset_in_chunk_row_major() {
         let s = slide();

@@ -48,16 +48,17 @@ impl SyntheticSource {
     }
 
     /// The deterministic content function (exposed so kernels/tests can
-    /// predict page contents without I/O).
+    /// predict page contents without I/O): a page is a run of SplitMix64
+    /// outputs stored little-endian, every byte of each output kept.
     #[inline]
     pub fn byte_at(dataset: DatasetId, page: u64, offset: u64) -> u8 {
-        // SplitMix64-style mixing of the coordinates.
-        mix(page_base(dataset, page).wrapping_add(offset)) as u8
+        let word = mix(page_base(dataset, page).wrapping_add(offset / 8));
+        word.to_le_bytes()[(offset % 8) as usize]
     }
 }
 
 /// Per-page loop-invariant part of the content function: within a page,
-/// byte `i` is `mix(page_base + i)`.
+/// 8-byte word `k` is `mix(page_base + k)`.
 #[inline(always)]
 fn page_base(dataset: DatasetId, page: u64) -> u64 {
     dataset
@@ -74,18 +75,33 @@ fn mix(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Fills `buf[i] = mix(base + i) as u8` with scalar code. The buffer is
-/// a `Vec`'s spare capacity: a page is written once, not zeroed first.
-fn fill_page_scalar(base: u64, buf: &mut [MaybeUninit<u8>]) {
-    for (i, b) in buf.iter_mut().enumerate() {
-        b.write(mix(base.wrapping_add(i as u64)) as u8);
+/// Fills word `k` of `buf` with `mix(base + k)`, little-endian; a length
+/// that is not a multiple of 8 ends in a truncated word. `put` makes a
+/// slot from a byte: `read_page` fills a `Vec`'s spare capacity (a page is
+/// written once, not zeroed first), the tests fill plain bytes.
+#[inline(always)]
+fn fill_words<T: Copy>(base: u64, buf: &mut [T], put: impl Fn(u8) -> T) {
+    let last = mix(base.wrapping_add(buf.len() as u64 / 8)).to_le_bytes();
+    let mut words = buf.chunks_exact_mut(8);
+    for (k, w) in words.by_ref().enumerate() {
+        // One 8-byte store per word: written a byte at a time this
+        // compiles to byte stores and runs at a hash per byte's speed.
+        w.copy_from_slice(&mix(base.wrapping_add(k as u64)).to_le_bytes().map(&put));
     }
+    for (b, v) in words.into_remainder().iter_mut().zip(last) {
+        *b = put(v);
+    }
+}
+
+/// [`fill_words`] compiled for the baseline target.
+fn fill_page_scalar<T: Copy>(base: u64, buf: &mut [T], put: impl Fn(u8) -> T) {
+    fill_words(base, buf, put);
 }
 
 /// Same fill, compiled with AVX-512 enabled: AVX-512DQ's native 64-bit
 /// lane multiply lets the compiler vectorize the SplitMix64 finalizer
-/// (~3× on page generation, which dominates cold-read cost). The loop
-/// body is identical to [`fill_page_scalar`], so output is byte-identical.
+/// (~4x on page generation, DESIGN.md §14). The loop body is
+/// [`fill_page_scalar`]'s, so output is byte-identical.
 ///
 /// # Safety
 /// Callers must ensure the CPU supports avx512f/dq/bw/vl (checked at the
@@ -93,9 +109,7 @@ fn fill_page_scalar(base: u64, buf: &mut [MaybeUninit<u8>]) {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512dq,avx512bw,avx512vl")]
 unsafe fn fill_page_avx512(base: u64, buf: &mut [MaybeUninit<u8>]) {
-    for (i, b) in buf.iter_mut().enumerate() {
-        b.write(mix(base.wrapping_add(i as u64)) as u8);
-    }
+    fill_words(base, buf, MaybeUninit::new);
 }
 
 /// Dispatches to the fastest available page fill for this CPU. Every
@@ -124,7 +138,7 @@ fn fill_page(base: u64, buf: &mut [MaybeUninit<u8>]) {
             return;
         }
     }
-    fill_page_scalar(base, buf);
+    fill_page_scalar(base, buf, MaybeUninit::new);
 }
 
 impl DataSource for SyntheticSource {
@@ -303,6 +317,64 @@ mod tests {
             for (i, &b) in page.iter().enumerate() {
                 assert_eq!(b, SyntheticSource::byte_at(DatasetId(11), 42, i as u64));
             }
+        }
+    }
+
+    proptest::proptest! {
+        // The Miri job interprets every test of this crate.
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(
+            if cfg!(miri) { 4 } else { 256 }
+        ))]
+
+        /// Whatever this CPU dispatches to, the scalar compilation and the
+        /// per-byte definition agree on any page: at lengths below one
+        /// word, with every truncated last word, and with none.
+        #[test]
+        fn dispatched_fill_scalar_fill_and_byte_at_agree(
+            dataset in 0u64..u64::MAX,
+            page in 0u64..u64::MAX,
+            len in 0usize..4097,
+        ) {
+            let dataset = DatasetId(dataset);
+            let dispatched = SyntheticSource::new().read_page(dataset, page, len).unwrap();
+            let mut scalar = vec![0u8; len];
+            fill_page_scalar(page_base(dataset, page), &mut scalar, |b| b);
+            let defined: Vec<u8> = (0..len as u64)
+                .map(|i| SyntheticSource::byte_at(dataset, page, i))
+                .collect();
+            proptest::prop_assert_eq!(&dispatched, &defined);
+            proptest::prop_assert_eq!(&scalar, &defined);
+        }
+    }
+
+    /// What synthetic bytes are for: a wrong reuse (shifted window, wrong
+    /// source chunk, stale page) must not be byte-equal to the right
+    /// answer by luck. With one hash per byte that held by accident; with
+    /// eight bytes per hash it is pinned here.
+    #[test]
+    fn synthetic_content_cannot_be_matched_by_a_misplaced_read() {
+        const PAGE: usize = 64 << 10;
+        let s = SyntheticSource::new();
+        let page = s.read_page(DatasetId(5), 9, PAGE).unwrap();
+        let mut histogram = [0usize; 256];
+        for &b in &page {
+            histogram[b as usize] += 1;
+        }
+        assert!(
+            histogram.iter().all(|&n| (192..=320).contains(&n)),
+            "byte values are not uniform over a page: {histogram:?}"
+        );
+        let lane = |l: usize| page.iter().skip(l).step_by(8);
+        for a in 0..8 {
+            for b in a + 1..8 {
+                assert!(!lane(a).eq(lane(b)), "byte lanes {a} and {b} coincide");
+            }
+        }
+        let next_page = s.read_page(DatasetId(5), 10, PAGE).unwrap();
+        let next_dataset = s.read_page(DatasetId(6), 9, PAGE).unwrap();
+        for other in [next_page, next_dataset] {
+            let differing = page.iter().zip(&other).filter(|(a, b)| a != b).count();
+            assert!(differing * 100 > PAGE * 99, "{differing} of {PAGE} differ");
         }
     }
 
