@@ -17,10 +17,11 @@ fn filled_store(n: u64) -> DataStore<VmQuery> {
         let x = ((i * 997) % 27000) as u32;
         let y = ((i * 641) % 27000) as u32;
         let spec = VmQuery::new(slide, Rect::new(x, y, 2048, 2048), 2, VmOp::Subsample);
-        ds.insert(
+        ds.insert_costed(
             QueryId(i),
             spec,
             spec_outsize(&spec),
+            0.0,
             Payload::Virtual,
             &mut ev,
         )
@@ -57,7 +58,7 @@ fn bench_insert_with_eviction(c: &mut Criterion) {
         b.iter(|| {
             let x = (i % 26) as u32 * 1024;
             let spec = VmQuery::new(slide, Rect::new(x, 0, 1024, 1024), 1, VmOp::Subsample);
-            ds.insert(QueryId(i), spec, 3 << 20, Payload::Virtual, &mut ev)
+            ds.insert_costed(QueryId(i), spec, 3 << 20, 0.0, Payload::Virtual, &mut ev)
                 .unwrap();
             i += 1;
             ev.clear();

@@ -1,6 +1,6 @@
 //! Subcommand implementations.
 
-use crate::args::{parse_strategy, Args};
+use crate::args::{parse_strategy, ArgError, Args};
 use std::error::Error;
 use std::sync::Arc;
 use vmqs_core::{DatasetId, OverloadConfig, Rect, Strategy};
@@ -19,6 +19,13 @@ fn parse_vm_op(s: &str) -> Result<VmOp, String> {
         "average" => Ok(VmOp::Average),
         other => Err(format!("unknown op '{other}' (subsample|average)")),
     }
+}
+
+/// The byte count of `--name mb`. A plain `<< 20` drops the high bits of
+/// a huge value without a word and runs with some other budget.
+fn mb_to_bytes(name: &str, mb: u64) -> Result<u64, ArgError> {
+    mb.checked_mul(1 << 20)
+        .ok_or_else(|| ArgError::Invalid(name.into(), mb.to_string()))
 }
 
 /// Parses the shared fault-injection options (`--fault-rate`,
@@ -64,7 +71,7 @@ fn parse_overload(args: &Args) -> Result<OverloadConfig, Box<dyn Error>> {
 }
 
 /// Parses the shared cache-hierarchy options (DESIGN.md §14):
-/// `--cache-policy lru|mru|largest|cost` picks the Data Store eviction
+/// `--cache-policy lru|cost` picks the Data Store eviction
 /// policy, `--spill-dir` points the tier-2 spill store at a directory,
 /// and `--tier2-budget` caps it in MB (default 64 once a directory is
 /// given). Returns `(policy, spill_dir, tier2_bytes)`; the policy is
@@ -83,19 +90,15 @@ fn parse_cache(args: &Args, need_dir: bool) -> Result<CacheOptions, Box<dyn Erro
     let policy = match args.get("cache-policy") {
         None => None,
         Some("lru") => Some(EvictionPolicy::Lru),
-        Some("mru") => Some(EvictionPolicy::Mru),
-        Some("largest") => Some(EvictionPolicy::LargestFirst),
         Some("cost") => Some(EvictionPolicy::CostBased),
-        Some(other) => {
-            return Err(format!("unknown cache policy '{other}' (lru|mru|largest|cost)").into())
-        }
+        Some(other) => return Err(format!("unknown cache policy '{other}' (lru|cost)").into()),
     };
     let spill_dir = args.get("spill-dir").map(std::path::PathBuf::from);
     let tier2_mb: u64 = args.get_or("tier2-budget", if spill_dir.is_some() { 64 } else { 0 })?;
     if need_dir && tier2_mb > 0 && spill_dir.is_none() {
         return Err("--tier2-budget needs --spill-dir (the tier-2 store lives on disk)".into());
     }
-    Ok((policy, spill_dir, tier2_mb << 20))
+    Ok((policy, spill_dir, mb_to_bytes("tier2-budget", tier2_mb)?))
 }
 
 /// Parses the failure-containment options (DESIGN.md §15):
@@ -326,7 +329,8 @@ pub fn simulate(args: &Args) -> CliResult {
     let op = parse_vm_op(args.get("op").unwrap_or("subsample"))?;
     let threads: usize = args.get_positive("threads", 4)?;
     let ds_mb: u64 = args.get_or("ds-mb", 64)?;
-    let ps_mb: u64 = args.get_or("ps-mb", 32)?;
+    let ds_bytes = mb_to_bytes("ds-mb", ds_mb)?;
+    let ps_bytes = mb_to_bytes("ps-mb", args.get_or("ps-mb", 32)?)?;
     let seed: u64 = args.get_or("seed", 42)?;
     let mode = if args.flag("batch") {
         SubmissionMode::Batch
@@ -353,8 +357,8 @@ pub fn simulate(args: &Args) -> CliResult {
     let mut cfg = SimConfig::paper_baseline()
         .with_strategy(strategy)
         .with_threads(threads)
-        .with_ds_budget(ds_mb << 20)
-        .with_ps_budget(ps_mb << 20)
+        .with_ds_budget(ds_bytes)
+        .with_ps_budget(ps_bytes)
         .with_mode(mode)
         .with_faults(fault)
         .with_graft(graft)
@@ -510,14 +514,16 @@ mod tests {
     fn every_policy_name_parses_and_typos_are_rejected() {
         for (name, want) in [
             ("lru", EvictionPolicy::Lru),
-            ("mru", EvictionPolicy::Mru),
-            ("largest", EvictionPolicy::LargestFirst),
             ("cost", EvictionPolicy::CostBased),
         ] {
             let a = args(&format!("--cache-policy {name}"));
             assert_eq!(parse_cache(&a, true).unwrap().0, Some(want), "{name}");
         }
-        assert!(parse_cache(&args("--cache-policy fancy"), true).is_err());
+        // The two retired policies (EXPERIMENTS.md X4) are typos now.
+        for name in ["fancy", "mru", "largest"] {
+            let a = args(&format!("--cache-policy {name}"));
+            assert!(parse_cache(&a, true).is_err(), "{name}");
+        }
         // Absent flag keeps the config default.
         assert_eq!(parse_cache(&args(""), true).unwrap().0, None);
     }

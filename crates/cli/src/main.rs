@@ -19,7 +19,7 @@ USAGE:
   vmqsctl render   --x N --y N --w N --h N [--zoom N] [--op subsample|average]
                    [--slide-width N] [--slide-height N] [--out FILE.ppm]
                    [--strategy NAME] [--starvation-dial F] [--graft]
-                   [--cache-policy lru|mru|largest|cost] [--spill-dir DIR]
+                   [--cache-policy lru|cost] [--spill-dir DIR]
                    [--tier2-budget MB]
                    [--fault-rate F] [--fault-seed N] [--query-timeout-ms N]
                    [--max-pending N] [--client-rate QPS]
@@ -49,7 +49,7 @@ USAGE:
   vmqsctl simulate [--strategy FIFO|MUF|FF|CF|CNBF|SJF|HYBRID|CHUNKBATCH]
                    [--starvation-dial F] [--graft] [--op subsample|average]
                    [--threads N] [--ds-mb N] [--ps-mb N] [--seed N] [--batch]
-                   [--cache-policy lru|mru|largest|cost] [--tier2-budget MB]
+                   [--cache-policy lru|cost] [--tier2-budget MB]
                    [--fault-rate F] [--fault-seed N]
                    [--max-pending N] [--client-rate QPS]
                    [--degrade-threshold F] [--shed-threshold F]

@@ -349,6 +349,31 @@ fn simulate_rejects_zero_threads() {
     );
 }
 
+/// A size in MB whose byte count overflows `u64` is refused by name, not
+/// shifted into some other budget.
+#[test]
+fn simulate_rejects_megabyte_counts_that_overflow() {
+    const HUGE: &str = "17592186044416"; // 2^44 MB = 2^64 bytes
+    for flag in ["--ds-mb", "--ps-mb", "--tier2-budget"] {
+        assert_refused(
+            &["simulate", "--batch", "--threads", "2", flag, HUGE],
+            &format!("invalid value '{HUGE}' for {flag}"),
+        );
+    }
+}
+
+/// The two eviction policies EXPERIMENTS.md X4 retired are refused with
+/// the choices that remain.
+#[test]
+fn simulate_rejects_retired_cache_policies() {
+    for policy in ["mru", "largest"] {
+        assert_refused(
+            &["simulate", "--batch", "--cache-policy", policy],
+            "lru|cost",
+        );
+    }
+}
+
 #[test]
 fn render_rejects_zero_zoom() {
     let path = tmp("zoom0.ppm");

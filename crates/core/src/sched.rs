@@ -29,6 +29,11 @@
 //! event and never asks which engine is calling. Replies, counters,
 //! events, the `depth` mirrors and every wake-up stay with the driver.
 
+// A panic here takes down a worker or a submitter: every `unwrap` /
+// `expect` outside the tests needs an `#[expect(.., reason)]` saying why
+// it cannot fire.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::graph::SchedulingGraph;
 use crate::ids::{BlobId, QueryId};
 use crate::spatial::SpatialSpec;
@@ -134,10 +139,16 @@ impl<S: SpatialSpec, R> SchedShard<S, R> {
 
     fn started(&mut self, id: QueryId) -> (QueryId, S, f64, &mut R) {
         let rank = self.graph.rank_of(id).map_or(0.0, |r| r.value());
-        // lint:allow(unwrap): the graph just moved this node to EXECUTING
+        #[expect(
+            clippy::expect_used,
+            reason = "the graph just moved this node to EXECUTING"
+        )]
         let spec = self.graph.spec_of(id).expect("dequeued node").clone();
-        // lint:allow(unwrap): admit inserts node and record together; only
-        // publish/retire, which need the node out of WAITING, remove either
+        #[expect(
+            clippy::expect_used,
+            reason = "admit inserts node and record together; only publish/retire, \
+                      which need the node out of WAITING, remove either"
+        )]
         let record = self.records.get_mut(&id).expect("node has a record");
         (id, spec, rank, &mut record.0)
     }

@@ -12,6 +12,11 @@
 //! spatial hash over rectangles that returns the intersecting ids in
 //! ascending order, which is also what keeps both callers deterministic.
 
+// A panic here takes down a worker or a submitter: every `unwrap` /
+// `expect` outside the tests needs an `#[expect(.., reason)]` saying why
+// it cannot fire.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::geom::Rect;
 use crate::ids::DatasetId;
 use std::collections::HashMap;

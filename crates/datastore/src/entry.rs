@@ -35,12 +35,15 @@ impl Payload {
 }
 
 /// Lifecycle phase of a blob entry (paper §2's accumulator meta-data
-/// object states; the spill tier DESIGN.md §14):
+/// object states; the spill tier DESIGN.md §14). An entry is born FULL
+/// (or RESTORABLE, adopted from a recovered spill frame): results are
+/// computed outside the store, so the paper's ACCUMULATING state has no
+/// occupant here.
 ///
 /// ```text
-/// ACCUMULATING -> FULL <-> RESTORABLE
-///                     \
-///                      -> SWAPPED_OUT
+/// FULL <-> RESTORABLE
+///     \       \
+///      -> SWAPPED_OUT
 /// ```
 ///
 /// Every arc is a `&mut self` method below that refuses an illegal source
@@ -50,13 +53,10 @@ impl Payload {
 /// single-threaded simulator) and no reader can observe one in flight.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Phase {
-    /// `malloc`ed, producer still writing: invisible to lookups and
-    /// protected from eviction.
-    Accumulating,
-    /// Committed: visible to lookups, eligible for eviction.
+    /// In memory: visible to lookups, eligible for eviction.
     Full,
-    /// Evicted, aborted or dropped from tier 2: the entry has left the
-    /// store and must never be read again.
+    /// Evicted or dropped from tier 2: the entry has left the store and
+    /// must never be read again.
     SwappedOut,
     /// Spilled to the tier-2 store: the in-memory payload is gone, but a
     /// compact on-disk copy exists, so a later exact-match lookup can
@@ -77,12 +77,6 @@ impl Phase {
         legal
     }
 
-    /// ACCUMULATING -> FULL. False on a double commit or an entry that
-    /// already left the store.
-    pub(crate) fn publish(&mut self) -> bool {
-        self.step(Phase::Accumulating, Phase::Full)
-    }
-
     /// FULL -> RESTORABLE: the caller owns the in-memory payload and may
     /// move it to tier 2.
     pub(crate) fn spill(&mut self) -> bool {
@@ -94,8 +88,8 @@ impl Phase {
         self.step(Phase::Restorable, Phase::Full)
     }
 
-    /// Any phase -> SWAPPED_OUT: eviction, `abort` and a dropped tier-2
-    /// frame. Terminal: no arc leaves SWAPPED_OUT.
+    /// Any phase -> SWAPPED_OUT: eviction and a dropped tier-2 frame.
+    /// Terminal: no arc leaves SWAPPED_OUT.
     pub(crate) fn kill(&mut self) {
         *self = Phase::SwappedOut;
     }
@@ -107,7 +101,7 @@ impl Phase {
 pub struct BlobEntry<S> {
     /// The blob's identity.
     pub id: BlobId,
-    /// The query whose execution produced (or is producing) this blob. Used
+    /// The query whose execution produced this blob. Used
     /// to propagate evictions back to the scheduling graph as SWAPPED_OUT
     /// transitions.
     pub producer: QueryId,
@@ -117,22 +111,21 @@ pub struct BlobEntry<S> {
     pub size: u64,
     /// Result contents (or virtual for simulation).
     pub payload: Payload,
-    /// Lifecycle phase: entries are invisible to lookups and protected
-    /// from eviction until published. Written only through `&mut self`.
+    /// Lifecycle phase. Written only through `&mut self`.
     pub(crate) phase: Phase,
     /// LRU stamp; atomic so lookups can touch entries through `&self`
     /// (concurrent readers under the store's read lock).
     pub(crate) last_access: AtomicU64,
     /// Measured recomputation cost in seconds (the producer's I/O + kernel
     /// time; virtual time in the simulator). Feeds the benefit-per-byte
-    /// eviction score of [`crate::EvictionPolicy::CostBased`]. Written
-    /// only under structural (`&mut`) access at commit time.
+    /// eviction score of [`crate::EvictionPolicy::CostBased`]. Fixed at
+    /// insertion.
     pub(crate) cost: f64,
     /// Observed reuses (lookup matches that touched this entry); atomic so
     /// the read-side lookup path can count through `&self`.
     pub(crate) hits: AtomicU64,
     /// The key this entry is filed under in the store's victim index;
-    /// `None` while it is not visible (or the policy keeps no order).
+    /// `None` only while it is spilled.
     pub(crate) filed: Option<crate::store::VictimKey>,
 }
 
@@ -194,7 +187,7 @@ impl<S> BlobEntry<S> {
         self.phase == Phase::Restorable
     }
 
-    /// Measured recomputation cost in seconds (0 until a costed commit).
+    /// Measured recomputation cost in seconds.
     pub fn cost(&self) -> f64 {
         self.cost
     }
@@ -228,23 +221,18 @@ mod tests {
     }
 
     #[test]
-    fn lifecycle_through_all_four_phases() {
-        let mut ph = Phase::Accumulating;
-        assert!(!ph.spill(), "only FULL entries can spill");
-        assert!(!ph.restore());
-        assert!(ph.publish());
-        assert!(!ph.publish(), "double publish refused");
-        assert_eq!(ph, Phase::Full);
+    fn lifecycle_through_all_three_phases() {
+        let mut ph = Phase::Full;
+        assert!(!ph.restore(), "only RESTORABLE entries can be restored");
         assert!(ph.spill());
         assert!(!ph.spill(), "double spill refused");
         assert_eq!(ph, Phase::Restorable);
-        assert!(!ph.publish(), "publish cannot resurrect a spilled entry");
         assert!(ph.restore());
         assert!(!ph.restore(), "second restore refused");
         assert_eq!(ph, Phase::Full);
         ph.kill();
         assert_eq!(ph, Phase::SwappedOut);
-        for arc in [Phase::publish, Phase::spill, Phase::restore] {
+        for arc in [Phase::spill, Phase::restore] {
             assert!(!arc(&mut ph), "no arc leaves SWAPPED_OUT");
         }
     }

@@ -6,10 +6,10 @@
 //! Results are stored together with their predicate meta-information, so a
 //! later query can discover — via the application's `cmp`/`overlap`
 //! operators — that a cached result answers it completely or partially. The
-//! store exposes the paper's interface: a `malloc`-style two-phase
-//! allocation (reserve while the producing query executes, commit on
-//! completion) and a `lookup` operation used by the query server before
-//! planning any I/O.
+//! store exposes the paper's interface minus the reserve-then-fill half of
+//! its `malloc`: a result is computed outside the store and handed to
+//! [`DataStore::insert_costed`] on completion, visible from then on, and
+//! `lookup` is what the query server calls before planning any I/O.
 //!
 //! Evictions are reported back to the caller as `(blob, producer-query,
 //! spec)` triples so the scheduling graph can transition the producers to

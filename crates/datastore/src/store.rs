@@ -2,15 +2,18 @@
 //!
 //! A semantic cache: buffer space for intermediate results tagged with
 //! predicate metadata, so that results of finished queries can answer (or
-//! partially answer) queries submitted later. Provides the paper's
-//! `malloc`-style two-phase allocation (space is reserved and metadata
-//! recorded while the producing query executes; the blob becomes visible to
-//! `lookup` once committed) and byte-budgeted eviction, which reports the
-//! evicted producers so the engine can mark them SWAPPED_OUT in the
+//! partially answer) queries submitted later. There is one way in:
+//! [`DataStore::insert_costed`] takes a finished result, decides whether
+//! to admit it, makes room and publishes it, so an entry is visible to
+//! `lookup` from the moment it exists. (The paper reserves space first and
+//! fills it while the query runs; both engines here compute a result
+//! outside the store and insert it on completion, so that reserve-then-fill
+//! half had no caller and is gone.) Eviction is byte-budgeted and reports
+//! the evicted producers so the engine can mark them SWAPPED_OUT in the
 //! scheduling graph.
 //!
 //! The store carries the Index Manager's spatial index (paper Fig. 1): a
-//! [`GridIndex`] over the footprints of every committed entry. `lookup`
+//! [`GridIndex`] over the footprints of every entry. `lookup`
 //! probes the grid for blobs whose rectangles intersect the query window —
 //! a sound filter, since two predicates can only have nonzero `overlap`
 //! if their footprints intersect on the same dataset — and evaluates the
@@ -22,7 +25,7 @@
 //! eviction policy's key, so making room takes the front of an ordered
 //! set instead of scanning every entry under the write lock. Both
 //! indexes are maintained at the same few points — where an entry
-//! becomes visible and where it stops being so.
+//! enters, spills, re-heats and leaves.
 
 use crate::entry::{BlobEntry, Payload, Phase};
 use std::collections::{BTreeSet, HashMap};
@@ -51,32 +54,29 @@ pub struct EvictionRecord<S> {
     /// Tier the data was dropped from: `1` = in-memory, `2` = spill store.
     pub tier: u8,
     /// The victim's benefit-per-byte score at eviction time (see
-    /// [`benefit_score`]; `0` for entries that never got a costed commit).
+    /// [`benefit_score`]).
     pub score: f64,
 }
 
-/// Which ready, unpinned blob to evict first when space is needed.
+/// Which blob to evict first when space is needed. (Largest-first and
+/// most-recently-used were measured and retired: EXPERIMENTS.md X4.)
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EvictionPolicy {
     /// Least recently used first (default; what a buffer manager would do).
     Lru,
-    /// Largest blob first (frees space fastest).
-    LargestFirst,
-    /// Most recently used first (pessimal for locality; ablation baseline).
-    Mru,
     /// Benefit-aware (DESIGN.md §14): evict the entry with the smallest
     /// [`benefit_score`] — recomputation cost × observed reuse per byte —
     /// i.e. the greedy knapsack approximation of keeping the set of
     /// entries whose retention saves the most recomputation per byte of
-    /// budget. Costed inserts additionally run admission control: a new
-    /// entry whose score cannot beat the victim it would displace is
-    /// rejected instead of churning the cache.
+    /// budget. Inserts additionally run admission control: a new entry
+    /// whose score cannot beat every victim it would displace is rejected
+    /// instead of churning the cache.
     CostBased,
 }
 
-/// Floor on the cost factor of the benefit score, so entries that were
-/// committed before any cost measurement (legacy `insert`/`commit`) still
-/// order deterministically by reuse and size instead of collapsing to 0.
+/// Floor on the cost factor of the benefit score, so entries inserted at
+/// cost 0 still order deterministically by reuse and size instead of
+/// collapsing to 0.
 const COST_FLOOR: f64 = 1e-9;
 
 /// The benefit-per-byte eviction score of [`EvictionPolicy::CostBased`]
@@ -90,28 +90,23 @@ pub fn benefit_score(cost: f64, hits: u64, size: u64) -> f64 {
 }
 
 /// Where a visible entry stands in its policy's eviction order (smallest
-/// goes first); `None` under [`EvictionPolicy::Mru`], which keeps no
-/// order. `touch` runs through `&self` and cannot re-file an entry, so
-/// [`DataStore::pick_victim`] works from keys that were current when the
-/// entry was filed. That is sound because a key never falls below its
+/// goes first). `touch` runs through `&self` and cannot re-file an entry,
+/// so [`DataStore::pick_victim`] works from keys that were current when
+/// the entry was filed. That is sound because a key never falls below its
 /// filed value: keys are read under `&mut self`, when no touch is in
 /// flight, every later touch stores a later tick of the store's clock and
-/// adds a hit, and an entry's size and cost are fixed at commit. `Mru`
-/// wants the *largest* stamp, which a touch moves the wrong way.
+/// adds a hit, and an entry's size and cost are fixed at insertion.
 pub(crate) type VictimKey = (u64, u64);
 
-fn victim_key<S>(policy: EvictionPolicy, e: &BlobEntry<S>) -> Option<VictimKey> {
+fn victim_key<S>(policy: EvictionPolicy, e: &BlobEntry<S>) -> VictimKey {
     let stamp = e.last_access.load(Ordering::Relaxed);
     match policy {
-        EvictionPolicy::Lru => Some((0, stamp)),
-        // Largest first, the oldest among equals.
-        EvictionPolicy::LargestFirst => Some((u64::MAX - e.size, stamp)),
+        EvictionPolicy::Lru => (0, stamp),
         // Greedy knapsack: sacrifice the entry whose retention saves the
         // least recomputation per byte, the oldest among equals. With the
         // blob id the index appends, a deterministic total order, so the
         // victim sequence is reproducible bit for bit.
-        EvictionPolicy::CostBased => Some((total_order_bits(e.score()), stamp)),
-        EvictionPolicy::Mru => None,
+        EvictionPolicy::CostBased => (total_order_bits(e.score()), stamp),
     }
 }
 
@@ -212,14 +207,13 @@ pub struct DsStats {
     pub partial_hits: u64,
     /// Lookups with no usable match.
     pub misses: u64,
-    /// Blobs committed.
+    /// Blobs inserted.
     pub committed: u64,
     /// Blobs evicted to make room.
     pub evicted: u64,
     /// Bytes freed by eviction.
     pub bytes_evicted: u64,
-    /// Allocations rejected because the blob exceeds the whole budget (or
-    /// pinned entries prevent freeing enough space).
+    /// Inserts rejected because the blob exceeds the whole budget.
     pub rejected: u64,
     /// Entries demoted to the tier-2 spill store instead of dropped.
     pub spilled: u64,
@@ -232,25 +226,23 @@ pub struct DsStats {
     /// Tier-2 entries dropped because a restore failed (I/O error or
     /// poisoned read) — the caller fell back to recomputation.
     pub restore_failures: u64,
-    /// Costed inserts refused by cost-based admission control (their
-    /// benefit score could not beat the would-be victim's).
+    /// Inserts refused by cost-based admission control (their benefit
+    /// score could not beat a would-be victim's).
     pub unprofitable: u64,
     /// RESTORABLE entries adopted from recovered spill frames at startup
     /// (DESIGN.md §15).
     pub adopted: u64,
 }
 
-/// Error returned by [`DataStore::malloc`].
+/// Error returned by [`DataStore::insert_costed`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DsError {
     /// The requested size can never fit (larger than the total budget, or
     /// caching is disabled with a zero budget).
     TooLarge,
-    /// Enough bytes exist but are held by uncommitted (pinned) entries.
-    Busy,
     /// Cost-based admission refused the entry: its benefit-per-byte score
-    /// cannot beat the victim it would displace, and displacement would
-    /// lose the victim's data (DESIGN.md §14).
+    /// cannot beat every victim it would displace, and displacement would
+    /// lose the victims' data (DESIGN.md §14).
     Unprofitable,
 }
 
@@ -258,7 +250,6 @@ impl std::fmt::Display for DsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DsError::TooLarge => write!(f, "allocation exceeds data store budget"),
-            DsError::Busy => write!(f, "data store space held by uncommitted entries"),
             DsError::Unprofitable => {
                 write!(
                     f,
@@ -317,7 +308,7 @@ impl StatCells {
 
 /// The Data Store Manager.
 ///
-/// Structural mutation (`malloc`/`commit`/`insert`/`remove`) requires
+/// Structural mutation (`insert_costed`/`restore`/`remove`) requires
 /// `&mut self`; the read side (`lookup*`, `touch`, `stats`) takes `&self`
 /// with LRU stamps and counters in atomics, so the threaded server can
 /// serve many concurrent lookups under a shared read lock and take the
@@ -336,18 +327,17 @@ pub struct DataStore<S: SpatialSpec> {
     /// persist these before releasing structural exclusivity.
     pending_spills: Vec<SpillRequest<S>>,
     entries: HashMap<BlobId, BlobEntry<S>>,
-    /// Footprints of every committed entry, FULL or RESTORABLE (a spilled
-    /// entry still holds its claim and re-heats in place). Maintained
-    /// where an entry becomes visible ([`DataStore::commit`],
+    /// Footprints of every entry, FULL or RESTORABLE (a spilled entry
+    /// still holds its claim and re-heats in place). Maintained where an
+    /// entry enters ([`DataStore::insert_costed`],
     /// [`DataStore::adopt_restorable`]) and where it leaves
-    /// ([`DataStore::remove`], the single exit every eviction, drop and
-    /// abort goes through); uncommitted reservations are never indexed.
+    /// ([`DataStore::remove`], the single exit every eviction and drop
+    /// goes through).
     index: GridIndex,
     /// The visible entries under the [`VictimKey`] each was last filed
     /// with ([`BlobEntry::filed`]), kept where `index` is: an entry joins
-    /// when it becomes visible ([`DataStore::commit_costed`],
+    /// when it becomes visible ([`DataStore::insert_costed`],
     /// [`DataStore::restore`]) and leaves when it spills or is removed.
-    /// Empty under [`EvictionPolicy::Mru`].
     victims: BTreeSet<(VictimKey, BlobId)>,
     next_blob: u64,
     clock: AtomicU64,
@@ -359,7 +349,7 @@ impl<S: SpatialSpec> DataStore<S> {
     /// Creates a store with the given byte budget and index cell size (in
     /// base-resolution pixels; pick roughly the footprint of a typical
     /// cached result). A budget of `0` disables caching entirely (every
-    /// `malloc` is rejected) — used by the paper's caching-on/off
+    /// insert is rejected) — used by the paper's caching-on/off
     /// experiment.
     pub fn new(budget: u64, cell_size: u32) -> Self {
         Self::with_policy(budget, cell_size, EvictionPolicy::Lru)
@@ -396,7 +386,7 @@ impl<S: SpatialSpec> DataStore<S> {
         self.budget
     }
 
-    /// Bytes currently allocated (committed + uncommitted).
+    /// Bytes currently held in tier 1.
     pub fn used(&self) -> u64 {
         self.used
     }
@@ -420,7 +410,7 @@ impl<S: SpatialSpec> DataStore<S> {
         std::mem::take(&mut self.pending_spills)
     }
 
-    /// Number of entries (committed + uncommitted).
+    /// Number of entries, FULL and RESTORABLE.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -435,70 +425,93 @@ impl<S: SpatialSpec> DataStore<S> {
         self.stats.snapshot()
     }
 
-    /// Reserves `size` bytes for the result of `producer` described by
-    /// `spec` (the paper's `malloc` with its accumulator meta-data object).
+    /// Caches the finished result of `producer` described by `spec`: the
+    /// store's one way in (the paper's `malloc` with its accumulator
+    /// meta-data object, taken after the fact). `cost` is the producer's
+    /// measured recomputation cost (I/O + kernel seconds; virtual seconds
+    /// in the simulator), which seeds the entry's benefit score.
     ///
-    /// Evicts ready blobs per the eviction policy until the reservation
-    /// fits; evicted producers are appended to `evicted` so the caller can
-    /// transition them to SWAPPED_OUT in the scheduling graph. The new entry
-    /// is invisible to lookups until [`DataStore::commit`].
-    pub fn malloc(
+    /// Evicts or spills blobs per the eviction policy until the entry
+    /// fits; producers whose data was lost are appended to `evicted` so
+    /// the caller can transition them to SWAPPED_OUT in the scheduling
+    /// graph. The entry is visible to lookups on return.
+    ///
+    /// Under [`EvictionPolicy::CostBased`], when making room would *lose*
+    /// a victim's data (spilling disabled, so eviction means dropping), an
+    /// entry whose benefit score cannot beat every victim it would
+    /// displace is refused with [`DsError::Unprofitable`] instead of
+    /// churning the cache. A refused insert changes nothing.
+    pub fn insert_costed(
         &mut self,
         producer: QueryId,
         spec: S,
         size: u64,
-        evicted: &mut Vec<EvictionRecord<S>>,
-    ) -> Result<BlobId, DsError> {
-        self.malloc_scored(producer, spec, size, None, evicted)
-    }
-
-    /// [`DataStore::malloc`] with an admission score: when the policy is
-    /// [`EvictionPolicy::CostBased`] and making room would *lose* a
-    /// victim's data (spilling disabled, so eviction means dropping), an
-    /// incoming entry whose benefit score cannot beat that victim's is
-    /// refused with [`DsError::Unprofitable`] instead of churning the
-    /// cache. Reservations pass `None` (their cost is unknown until the
-    /// producer finishes) and are always admitted.
-    fn malloc_scored(
-        &mut self,
-        producer: QueryId,
-        spec: S,
-        size: u64,
-        incoming_score: Option<f64>,
+        cost: f64,
+        payload: Payload,
         evicted: &mut Vec<EvictionRecord<S>>,
     ) -> Result<BlobId, DsError> {
         if size > self.budget {
             self.stats.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(DsError::TooLarge);
         }
-        while self.used + size > self.budget {
-            match self.pick_victim() {
-                Some(victim) => {
-                    let vscore = self.entries[&victim].score();
-                    if let (EvictionPolicy::CostBased, Some(inc)) = (self.policy, incoming_score) {
-                        // Spilling preserves the victim's data, so the
-                        // knapsack trade is free; only a lossy drop has
-                        // to be won on score.
-                        if self.tier2_budget == 0 && vscore >= inc {
-                            self.stats.unprofitable.fetch_add(1, Ordering::Relaxed);
-                            return Err(DsError::Unprofitable);
-                        }
-                    }
-                    self.evict_or_spill(victim, evicted);
-                }
-                None => {
-                    self.stats.rejected.fetch_add(1, Ordering::Relaxed);
-                    return Err(DsError::Busy);
-                }
-            }
+        if let Some(len) = payload.len() {
+            debug_assert_eq!(len as u64, size, "payload size differs from the charge");
+        }
+        // Spilling preserves the victim's data, so the knapsack trade is
+        // free; only a lossy drop has to be won on score.
+        let lossy = self.policy == EvictionPolicy::CostBased && self.tier2_budget == 0;
+        let must_beat = lossy.then(|| benefit_score(cost, 0, size));
+        if !self.make_room(size, must_beat, evicted) {
+            self.stats.unprofitable.fetch_add(1, Ordering::Relaxed);
+            return Err(DsError::Unprofitable);
         }
         let id = BlobId(self.next_blob);
         self.next_blob += 1;
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let entry = BlobEntry::new(id, producer, spec, size, Phase::Accumulating, now);
+        let mut entry = BlobEntry::new(id, producer, spec, size, Phase::Full, now);
+        entry.payload = payload;
+        entry.cost = if cost.is_finite() { cost.max(0.0) } else { 0.0 };
+        let (dataset, rect) = entry.spec.region_key();
+        self.index.insert(id.raw(), dataset, rect);
         self.entries.insert(id, entry);
         self.used += size;
+        self.file(id);
+        self.stats.committed.fetch_add(1, Ordering::Relaxed);
         Ok(id)
+    }
+
+    /// Frees tier-1 space until `size` more bytes fit (`size` is within
+    /// the budget, and every byte of tier 1 belongs to a filed entry, so
+    /// they can). All or nothing: the victims are chosen first, taken off
+    /// the front of the victim index in eviction order, and evicted or
+    /// spilled only once the last of them is known. With `must_beat`, a
+    /// victim scoring at least that much refuses the whole trade: the
+    /// chosen ones are re-filed untouched and the answer is `false`.
+    fn make_room(
+        &mut self,
+        size: u64,
+        must_beat: Option<f64>,
+        evicted: &mut Vec<EvictionRecord<S>>,
+    ) -> bool {
+        let mut chosen: Vec<(VictimKey, BlobId)> = Vec::new();
+        let mut free = self.budget - self.used;
+        while free < size {
+            let victim = self
+                .pick_victim()
+                .expect("tier-1 bytes belong to filed entries");
+            let e = &self.entries[&victim];
+            if must_beat.is_some_and(|incoming| e.score() >= incoming) {
+                self.victims.extend(chosen);
+                return false;
+            }
+            free += e.size;
+            // `pick_victim` left it at the front.
+            chosen.extend(self.victims.pop_first());
+        }
+        for (_, victim) in chosen {
+            self.evict_or_spill(victim, evicted);
+        }
+        true
     }
 
     /// Demotes `victim` to the tier-2 spill store when one is configured
@@ -524,129 +537,53 @@ impl<S: SpatialSpec> DataStore<S> {
             });
             self.shrink_tier2(None, evicted);
         } else {
-            let score = self.entries[&victim].score();
-            let e = self.remove(victim).expect("victim exists");
-            self.stats.evicted.fetch_add(1, Ordering::Relaxed);
-            self.stats
-                .bytes_evicted
-                .fetch_add(e.size, Ordering::Relaxed);
-            evicted.push(EvictionRecord {
-                blob: e.id,
-                producer: e.producer,
-                spec: e.spec,
-                tier: 1,
-                score,
-            });
+            evicted.push(self.evict(victim));
+        }
+    }
+
+    /// Drops `blob`, which the caller found, for good from whichever tier
+    /// holds it and accounts for the loss: where every [`EvictionRecord`]
+    /// is made.
+    fn evict(&mut self, blob: BlobId) -> EvictionRecord<S> {
+        let tier = if self.entries[&blob].restorable() {
+            2
+        } else {
+            1
+        };
+        if tier == 2 {
+            // The payload may still sit in the pending-spill queue
+            // (spilled and dropped within one eviction pass): cancel the
+            // write so no orphan file appears.
+            self.pending_spills.retain(|p| p.blob != blob);
+        }
+        let e = self.remove(blob).expect("the caller found it");
+        self.stats.evicted.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .bytes_evicted
+            .fetch_add(e.size, Ordering::Relaxed);
+        EvictionRecord {
+            blob,
+            producer: e.producer,
+            score: e.score(),
+            spec: e.spec,
+            tier,
         }
     }
 
     /// Drops the lowest-scoring RESTORABLE entries until tier 2 fits its
     /// budget again, skipping `protect` (the entry currently being
-    /// restored). Ties break on the oldest stamp, then the lowest blob
-    /// id, so the victim sequence is deterministic.
+    /// restored): the cost-based victim order whatever the tier-1 policy
+    /// is, so ties break on the oldest stamp, then the lowest blob id.
     fn shrink_tier2(&mut self, protect: Option<BlobId>, evicted: &mut Vec<EvictionRecord<S>>) {
         while self.tier2_used > self.tier2_budget {
-            let victim = self
-                .entries
-                .values()
+            let spilled = self.entries.values();
+            let victim = spilled
                 .filter(|e| e.restorable() && Some(e.id) != protect)
-                .min_by(|a, b| {
-                    a.score()
-                        .total_cmp(&b.score())
-                        .then_with(|| {
-                            a.last_access
-                                .load(Ordering::Relaxed)
-                                .cmp(&b.last_access.load(Ordering::Relaxed))
-                        })
-                        .then_with(|| a.id.cmp(&b.id))
-                })
+                .min_by_key(|e| (victim_key(EvictionPolicy::CostBased, e), e.id))
                 .map(|e| e.id);
-            match victim {
-                Some(v) => {
-                    let score = self.entries[&v].score();
-                    // The payload may still sit in the pending-spill
-                    // queue (spilled and dropped within one eviction
-                    // pass): cancel the write so no orphan file appears.
-                    self.pending_spills.retain(|p| p.blob != v);
-                    let e = self.remove(v).expect("victim exists");
-                    self.stats.evicted.fetch_add(1, Ordering::Relaxed);
-                    self.stats
-                        .bytes_evicted
-                        .fetch_add(e.size, Ordering::Relaxed);
-                    evicted.push(EvictionRecord {
-                        blob: e.id,
-                        producer: e.producer,
-                        spec: e.spec,
-                        tier: 2,
-                        score,
-                    });
-                }
-                None => break,
-            }
+            let Some(victim) = victim else { break };
+            evicted.push(self.evict(victim));
         }
-    }
-
-    /// Publishes a previously `malloc`ed blob with its final payload; it is
-    /// now visible to lookups and eligible for eviction.
-    pub fn commit(&mut self, blob: BlobId, payload: Payload) {
-        self.commit_costed(blob, payload, 0.0);
-    }
-
-    /// Convenience: `malloc` + `commit` in one step (used by tests and by
-    /// engines that compute results before caching them).
-    pub fn insert(
-        &mut self,
-        producer: QueryId,
-        spec: S,
-        size: u64,
-        payload: Payload,
-        evicted: &mut Vec<EvictionRecord<S>>,
-    ) -> Result<BlobId, DsError> {
-        let id = self.malloc(producer, spec, size, evicted)?;
-        self.commit(id, payload);
-        Ok(id)
-    }
-
-    /// [`DataStore::commit`] with the producer's measured recomputation
-    /// cost (I/O + kernel seconds; virtual seconds in the simulator),
-    /// which seeds the entry's benefit score.
-    pub fn commit_costed(&mut self, blob: BlobId, payload: Payload, cost: f64) {
-        let e = self
-            .entries
-            .get_mut(&blob)
-            .unwrap_or_else(|| panic!("commit of unknown blob {blob}"));
-        if let Some(len) = payload.len() {
-            debug_assert_eq!(
-                len as u64, e.size,
-                "committed payload size differs from reservation"
-            );
-        }
-        e.payload = payload;
-        e.cost = if cost.is_finite() { cost.max(0.0) } else { 0.0 };
-        assert!(e.phase.publish(), "double commit of {blob}");
-        let (dataset, rect) = e.spec.region_key();
-        self.index.insert(blob.raw(), dataset, rect);
-        self.file(blob);
-        self.stats.committed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// [`DataStore::insert`] with a measured recomputation cost: the
-    /// costed entry runs cost-based admission control (see
-    /// [`DsError::Unprofitable`]) and its benefit score starts from
-    /// `cost` instead of the floor.
-    pub fn insert_costed(
-        &mut self,
-        producer: QueryId,
-        spec: S,
-        size: u64,
-        cost: f64,
-        payload: Payload,
-        evicted: &mut Vec<EvictionRecord<S>>,
-    ) -> Result<BlobId, DsError> {
-        let score = benefit_score(cost, 0, size);
-        let id = self.malloc_scored(producer, spec, size, Some(score), evicted)?;
-        self.commit_costed(id, payload, cost);
-        Ok(id)
     }
 
     /// Finds a RESTORABLE entry whose predicate `cmp`-matches `probe`
@@ -668,7 +605,7 @@ impl<S: SpatialSpec> DataStore<S> {
     /// (evicting or spilling other entries to make room), attaches the
     /// payload re-read from the tier-2 store, and promotes the entry to
     /// FULL. Returns `false` when the entry no longer exists, is not
-    /// RESTORABLE, or tier-1 space cannot be freed — including the corner
+    /// RESTORABLE, or is larger than tier 1 — and in the corner
     /// where making room spills a victim past the tier-2 budget and the
     /// shrink drops *this* entry as the lowest-scoring RESTORABLE one.
     /// The caller falls back to recomputation in every `false` case.
@@ -685,12 +622,7 @@ impl<S: SpatialSpec> DataStore<S> {
         if size > self.budget {
             return false;
         }
-        while self.used + size > self.budget {
-            match self.pick_victim() {
-                Some(victim) => self.evict_or_spill(victim, evicted),
-                None => return false,
-            }
-        }
+        self.make_room(size, None, evicted);
         // Making room may have spilled a victim past the tier-2 budget,
         // and the resulting shrink drops the lowest-scoring RESTORABLE
         // entry — possibly this one. Its eviction record is already in
@@ -718,25 +650,11 @@ impl<S: SpatialSpec> DataStore<S> {
     /// be marked SWAPPED_OUT in the graph. Returns the eviction record,
     /// or `None` when the entry already vanished.
     pub fn drop_restorable(&mut self, blob: BlobId) -> Option<EvictionRecord<S>> {
-        match self.entries.get(&blob) {
-            Some(e) if e.restorable() => {}
-            _ => return None,
+        if !self.entries.get(&blob)?.restorable() {
+            return None;
         }
-        let score = self.entries[&blob].score();
-        self.pending_spills.retain(|p| p.blob != blob);
-        let e = self.remove(blob).expect("checked above");
-        self.stats.evicted.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_evicted
-            .fetch_add(e.size, Ordering::Relaxed);
         self.stats.restore_failures.fetch_add(1, Ordering::Relaxed);
-        Some(EvictionRecord {
-            blob: e.id,
-            producer: e.producer,
-            spec: e.spec,
-            tier: 2,
-            score,
-        })
+        Some(self.evict(blob))
     }
 
     /// Adopts a spill frame recovered from a previous process as a
@@ -757,24 +675,13 @@ impl<S: SpatialSpec> DataStore<S> {
         // Future allocations must never reuse an adopted id.
         self.next_blob = self.next_blob.max(blob.raw() + 1);
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
-        let mut phase = Phase::Accumulating;
-        let reached = phase.publish() && phase.spill();
-        debug_assert!(reached, "fresh entry reaches RESTORABLE");
         let (dataset, rect) = spec.region_key();
         self.index.insert(blob.raw(), dataset, rect);
-        let entry = BlobEntry::new(blob, RECOVERED_PRODUCER, spec, size, phase, now);
+        let entry = BlobEntry::new(blob, RECOVERED_PRODUCER, spec, size, Phase::Restorable, now);
         self.entries.insert(blob, entry);
         self.tier2_used += size;
         self.stats.adopted.fetch_add(1, Ordering::Relaxed);
         true
-    }
-
-    /// Drops an uncommitted reservation (producing query aborted).
-    pub fn abort(&mut self, blob: BlobId) {
-        if let Some(e) = self.entries.get(&blob) {
-            assert!(!e.visible(), "abort of committed blob {blob}");
-            self.remove(blob);
-        }
     }
 
     /// The *visible* cached entry that `cmp`-matches `probe`, lowest blob
@@ -788,7 +695,7 @@ impl<S: SpatialSpec> DataStore<S> {
             .map(|e| e.id)
     }
 
-    /// The committed entries, FULL or RESTORABLE, whose footprint
+    /// The entries, FULL or RESTORABLE, whose footprint
     /// intersects `probe`'s — the only ones that can `cmp`-match or
     /// overlap it — in blob-id order.
     fn candidates<'a>(&'a self, probe: &S) -> impl Iterator<Item = &'a BlobEntry<S>> + 'a {
@@ -885,13 +792,14 @@ impl<S: SpatialSpec> DataStore<S> {
     fn file(&mut self, blob: BlobId) {
         if let Some(e) = self.entries.get_mut(&blob) {
             unfile(&mut self.victims, e);
-            e.filed = victim_key(self.policy, e);
-            self.victims.extend(e.filed.map(|key| (key, blob)));
+            let key = victim_key(self.policy, e);
+            e.filed = Some(key);
+            self.victims.insert((key, blob));
         }
     }
 
-    /// The next eviction victim under the store's policy, among visible
-    /// entries.
+    /// The next eviction victim under the store's policy, among the
+    /// entries in the victim index.
     ///
     /// The front of the victim index is the entry with the smallest
     /// *filed* key; lookups since may have raised its real key. When the
@@ -902,16 +810,11 @@ impl<S: SpatialSpec> DataStore<S> {
     /// touched since it was last filed, so the work is bounded by the
     /// touches since the previous call.
     fn pick_victim(&mut self) -> Option<BlobId> {
-        if self.policy == EvictionPolicy::Mru {
-            let candidates = self.entries.values().filter(|e| e.visible());
-            let newest = candidates.max_by_key(|e| e.last_access.load(Ordering::Relaxed));
-            return newest.map(|e| e.id);
-        }
         let victim = loop {
             let Some(&(key, blob)) = self.victims.first() else {
                 break None;
             };
-            if victim_key(self.policy, &self.entries[&blob]) == Some(key) {
+            if victim_key(self.policy, &self.entries[&blob]) == key {
                 break Some(blob);
             }
             self.file(blob);
@@ -932,15 +835,17 @@ mod tests {
     impl<S: SpatialSpec> DataStore<S> {
         /// [`DataStore::pick_victim`] as a scan of every entry: what the
         /// victim index replaced, kept as the oracle it is tested against.
+        /// Skips the victims `make_room` has already taken off the index
+        /// (filed, but not in it).
         pub(super) fn scan_victim(&self) -> Option<BlobId> {
-            let candidates = self.entries.values().filter(|e| e.visible());
+            let taken = |e: &BlobEntry<S>| {
+                e.filed
+                    .is_some_and(|key| !self.victims.contains(&(key, e.id)))
+            };
+            let candidates = self.entries.values().filter(|e| e.visible() && !taken(e));
             let stamp = |e: &BlobEntry<S>| e.last_access.load(Ordering::Relaxed);
             match self.policy {
                 EvictionPolicy::Lru => candidates.min_by_key(|e| stamp(e)).map(|e| e.id),
-                EvictionPolicy::Mru => candidates.max_by_key(|e| stamp(e)).map(|e| e.id),
-                EvictionPolicy::LargestFirst => candidates
-                    .max_by_key(|e| (e.size, u64::MAX - stamp(e)))
-                    .map(|e| e.id),
                 EvictionPolicy::CostBased => candidates
                     .min_by(|a, b| {
                         a.score()
@@ -953,19 +858,14 @@ mod tests {
         }
 
         /// The victim index holds exactly the visible entries, each under a
-        /// key no larger than its current one (none under `Mru`).
+        /// key no larger than its current one.
         fn check_victim_index(&self) {
             let mut filed = 0;
             for e in self.entries.values() {
-                let ordered = e.visible() && self.policy != EvictionPolicy::Mru;
-                assert_eq!(e.filed.is_some(), ordered, "{} filed wrongly", e.id);
+                assert_eq!(e.filed.is_some(), e.visible(), "{} filed wrongly", e.id);
                 if let Some(key) = e.filed {
                     assert!(self.victims.contains(&(key, e.id)), "{} lost", e.id);
-                    assert!(
-                        Some(key) <= victim_key(self.policy, e),
-                        "{} moved down",
-                        e.id
-                    );
+                    assert!(key <= victim_key(self.policy, e), "{} moved down", e.id);
                     filed += 1;
                 }
             }
@@ -981,13 +881,24 @@ mod tests {
         DataStore::new(budget, 64)
     }
 
+    /// An insert at cost 0: under LRU, where nothing is refused on score,
+    /// the plain "cache this" most tests want.
+    fn put(
+        ds: &mut DataStore<IntervalSpec>,
+        producer: u64,
+        spec: IntervalSpec,
+        size: u64,
+        ev: &mut Vec<EvictionRecord<IntervalSpec>>,
+    ) -> Result<BlobId, DsError> {
+        ds.insert_costed(QueryId(producer), spec, size, 0.0, Payload::Virtual, ev)
+    }
+
     #[test]
     fn insert_and_exact_lookup() {
         let mut ds = store(1000);
         let mut ev = Vec::new();
         let s = spec(0, 100, 1);
-        ds.insert(QueryId(1), s.clone(), 100, Payload::Virtual, &mut ev)
-            .unwrap();
+        put(&mut ds, 1, s.clone(), 100, &mut ev).unwrap();
         assert!(ev.is_empty());
         let ms = ds.lookup(&s);
         assert_eq!(ms.len(), 1);
@@ -999,33 +910,11 @@ mod tests {
     }
 
     #[test]
-    fn uncommitted_blobs_invisible_and_unevictable() {
-        let mut ds = store(100);
-        let mut ev = Vec::new();
-        let s = spec(0, 100, 1);
-        let blob = ds.malloc(QueryId(1), s.clone(), 100, &mut ev).unwrap();
-        assert!(ds.lookup(&s).is_empty());
-        // A second allocation cannot evict the uncommitted one.
-        assert_eq!(
-            ds.malloc(QueryId(2), spec(200, 50, 1), 50, &mut ev),
-            Err(DsError::Busy)
-        );
-        ds.commit(blob, Payload::Virtual);
-        assert_eq!(ds.lookup(&s).len(), 1);
-        // Now eviction is possible.
-        assert!(ds.malloc(QueryId(2), spec(200, 50, 1), 50, &mut ev).is_ok());
-        assert_eq!(ev.len(), 1);
-        assert_eq!((ev[0].blob, ev[0].producer), (blob, QueryId(1)));
-        assert_eq!(ev[0].spec, s, "eviction record carries the victim's spec");
-        assert_eq!(ev[0].tier, 1, "no spill tier configured");
-    }
-
-    #[test]
     fn zero_budget_disables_caching() {
         let mut ds = store(0);
         let mut ev = Vec::new();
         assert_eq!(
-            ds.insert(QueryId(1), spec(0, 10, 1), 10, Payload::Virtual, &mut ev),
+            put(&mut ds, 1, spec(0, 10, 1), 10, &mut ev),
             Err(DsError::TooLarge)
         );
         assert_eq!(ds.stats().rejected, 1);
@@ -1035,86 +924,15 @@ mod tests {
     fn lru_evicts_least_recently_used() {
         let mut ds = store(300);
         let mut ev = Vec::new();
-        let a = ds
-            .insert(QueryId(1), spec(0, 100, 1), 100, Payload::Virtual, &mut ev)
-            .unwrap();
-        let _b = ds
-            .insert(
-                QueryId(2),
-                spec(1000, 100, 1),
-                100,
-                Payload::Virtual,
-                &mut ev,
-            )
-            .unwrap();
-        let _c = ds
-            .insert(
-                QueryId(3),
-                spec(2000, 100, 1),
-                100,
-                Payload::Virtual,
-                &mut ev,
-            )
-            .unwrap();
+        let a = put(&mut ds, 1, spec(0, 100, 1), 100, &mut ev).unwrap();
+        let _b = put(&mut ds, 2, spec(1000, 100, 1), 100, &mut ev).unwrap();
+        let _c = put(&mut ds, 3, spec(2000, 100, 1), 100, &mut ev).unwrap();
         // Touch a so b becomes the LRU victim.
         ds.touch(a);
-        ds.insert(
-            QueryId(4),
-            spec(3000, 100, 1),
-            100,
-            Payload::Virtual,
-            &mut ev,
-        )
-        .unwrap();
+        put(&mut ds, 4, spec(3000, 100, 1), 100, &mut ev).unwrap();
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].producer, QueryId(2));
         assert_eq!(ds.used(), 300);
-    }
-
-    #[test]
-    fn largest_first_evicts_biggest() {
-        let mut ds: DataStore<IntervalSpec> =
-            DataStore::with_policy(300, 64, EvictionPolicy::LargestFirst);
-        let mut ev = Vec::new();
-        ds.insert(QueryId(1), spec(0, 200, 1), 200, Payload::Virtual, &mut ev)
-            .unwrap();
-        ds.insert(QueryId(2), spec(1000, 50, 1), 50, Payload::Virtual, &mut ev)
-            .unwrap();
-        ds.insert(
-            QueryId(3),
-            spec(2000, 100, 1),
-            100,
-            Payload::Virtual,
-            &mut ev,
-        )
-        .unwrap();
-        assert_eq!(ev.len(), 1);
-        assert_eq!(ev[0].producer, QueryId(1));
-    }
-
-    #[test]
-    fn mru_evicts_most_recent() {
-        let mut ds: DataStore<IntervalSpec> = DataStore::with_policy(200, 64, EvictionPolicy::Mru);
-        let mut ev = Vec::new();
-        ds.insert(QueryId(1), spec(0, 100, 1), 100, Payload::Virtual, &mut ev)
-            .unwrap();
-        ds.insert(
-            QueryId(2),
-            spec(1000, 100, 1),
-            100,
-            Payload::Virtual,
-            &mut ev,
-        )
-        .unwrap();
-        ds.insert(
-            QueryId(3),
-            spec(2000, 100, 1),
-            100,
-            Payload::Virtual,
-            &mut ev,
-        )
-        .unwrap();
-        assert_eq!(ev[0].producer, QueryId(2));
     }
 
     #[test]
@@ -1123,12 +941,9 @@ mod tests {
         let mut ev = Vec::new();
         // Three cached results overlapping the probe [0, 100) by different
         // amounts.
-        ds.insert(QueryId(1), spec(90, 100, 1), 100, Payload::Virtual, &mut ev)
-            .unwrap(); // 10 bytes reuse
-        ds.insert(QueryId(2), spec(40, 100, 1), 100, Payload::Virtual, &mut ev)
-            .unwrap(); // 60 bytes
-        ds.insert(QueryId(3), spec(70, 100, 1), 100, Payload::Virtual, &mut ev)
-            .unwrap(); // 30 bytes
+        put(&mut ds, 1, spec(90, 100, 1), 100, &mut ev).unwrap(); // 10 bytes reuse
+        put(&mut ds, 2, spec(40, 100, 1), 100, &mut ev).unwrap(); // 60 bytes
+        put(&mut ds, 3, spec(70, 100, 1), 100, &mut ev).unwrap(); // 30 bytes
         let probe = spec(0, 100, 1);
         let ms = ds.lookup(&probe);
         assert_eq!(ms.len(), 3);
@@ -1141,12 +956,9 @@ mod tests {
     fn lookup_puts_exact_match_first() {
         let mut ds = store(10_000);
         let mut ev = Vec::new();
-        ds.insert(QueryId(1), spec(0, 200, 1), 200, Payload::Virtual, &mut ev)
-            .unwrap(); // superset, large reuse
-        ds.insert(QueryId(2), spec(0, 100, 1), 100, Payload::Virtual, &mut ev)
-            .unwrap(); // exact
-        ds.insert(QueryId(3), spec(0, 100, 1), 100, Payload::Virtual, &mut ev)
-            .unwrap(); // its `cmp`-equal twin
+        put(&mut ds, 1, spec(0, 200, 1), 200, &mut ev).unwrap(); // superset, large reuse
+        put(&mut ds, 2, spec(0, 100, 1), 100, &mut ev).unwrap(); // exact
+        put(&mut ds, 3, spec(0, 100, 1), 100, &mut ev).unwrap(); // its `cmp`-equal twin
         let ms = ds.lookup(&spec(0, 100, 1));
         assert_eq!(ms[0].producer, QueryId(2));
         assert_eq!(ms[0].overlap, 1.0);
@@ -1165,66 +977,20 @@ mod tests {
     }
 
     #[test]
-    fn abort_releases_reservation() {
-        let mut ds = store(100);
-        let mut ev = Vec::new();
-        let b = ds
-            .malloc(QueryId(1), spec(0, 100, 1), 100, &mut ev)
-            .unwrap();
-        ds.abort(b);
-        assert_eq!(ds.used(), 0);
-        assert!(ds.malloc(QueryId(2), spec(0, 100, 1), 100, &mut ev).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "double commit")]
-    fn double_commit_panics() {
-        let mut ds = store(100);
-        let mut ev = Vec::new();
-        let b = ds.malloc(QueryId(1), spec(0, 10, 1), 10, &mut ev).unwrap();
-        ds.commit(b, Payload::Virtual);
-        ds.commit(b, Payload::Virtual);
-    }
-
-    #[test]
     fn eviction_cascade_frees_enough_for_large_alloc() {
         let mut ds = store(300);
         let mut ev = Vec::new();
         for i in 0..3 {
-            ds.insert(
-                QueryId(i),
-                spec(i * 1000, 100, 1),
-                100,
-                Payload::Virtual,
-                &mut ev,
-            )
-            .unwrap();
+            put(&mut ds, i, spec(i * 1000, 100, 1), 100, &mut ev).unwrap();
         }
-        ds.insert(
-            QueryId(9),
-            spec(9000, 250, 1),
-            250,
-            Payload::Virtual,
-            &mut ev,
-        )
-        .unwrap();
-        assert_eq!(ev.len(), 3);
+        // Make LRU order differ from insertion order.
+        ds.touch(BlobId(0));
+        put(&mut ds, 9, spec(9000, 250, 1), 250, &mut ev).unwrap();
+        // Choosing the victims before evicting them did not reorder them.
+        let producers: Vec<u64> = ev.iter().map(|r| r.producer.raw()).collect();
+        assert_eq!(producers, [1, 2, 0], "least recently used first");
         assert_eq!(ds.used(), 250);
         assert_eq!(ds.stats().bytes_evicted, 300);
-    }
-
-    #[test]
-    #[should_panic(expected = "double commit")]
-    fn restorable_entry_refuses_commit() {
-        let mut ds = cost_store(100).with_tier2(100);
-        let mut ev = Vec::new();
-        let s = spec(0, 100, 1);
-        let blob = ds
-            .insert(QueryId(1), s, 100, Payload::Virtual, &mut ev)
-            .unwrap();
-        ds.malloc(QueryId(2), spec(200, 50, 1), 50, &mut ev)
-            .unwrap();
-        ds.commit(blob, Payload::Virtual);
     }
 
     #[test]
@@ -1233,27 +999,14 @@ mod tests {
         let mut ev = Vec::new();
         let s = spec(0, 100, 1);
         assert_eq!(ds.equivalent(&s), None);
-        // A reservation still ACCUMULATING is nobody's equivalent.
-        ds.malloc(QueryId(99), s.clone(), 100, &mut ev).unwrap();
-        assert_eq!(ds.equivalent(&s), None);
-        let blob = ds
-            .insert(QueryId(1), s.clone(), 100, Payload::Virtual, &mut ev)
-            .unwrap();
+        let blob = put(&mut ds, 1, s.clone(), 100, &mut ev).unwrap();
         // Far-away entries, a `cmp`-unequal neighbour on the same ground
         // and a spilled twin: the probe goes through the grid and must
         // neither miss the one match nor count the others.
         for i in 1..40 {
-            ds.insert(
-                QueryId(1 + i),
-                spec(5000 + 200 * i, 100, 1),
-                10,
-                Payload::Virtual,
-                &mut ev,
-            )
-            .unwrap();
+            put(&mut ds, 1 + i, spec(5000 + 200 * i, 100, 1), 10, &mut ev).unwrap();
         }
-        ds.insert(QueryId(50), spec(0, 100, 2), 50, Payload::Virtual, &mut ev)
-            .unwrap();
+        put(&mut ds, 50, spec(0, 100, 2), 50, &mut ev).unwrap();
         let before = ds.stats();
         let stamps = |ds: &DataStore<IntervalSpec>| -> Vec<(BlobId, u64, u64)> {
             let mut v: Vec<_> = ds
@@ -1293,9 +1046,7 @@ mod tests {
     fn used_accounting_tracks_remove() {
         let mut ds = store(1000);
         let mut ev = Vec::new();
-        let b = ds
-            .insert(QueryId(1), spec(0, 100, 1), 100, Payload::Virtual, &mut ev)
-            .unwrap();
+        let b = put(&mut ds, 1, spec(0, 100, 1), 100, &mut ev).unwrap();
         assert_eq!(ds.used(), 100);
         assert_eq!(ds.len(), 1);
         ds.remove(b);
@@ -1441,25 +1192,33 @@ mod tests {
         assert_eq!(ev[0].producer, QueryId(1));
     }
 
+    /// Admission is all or nothing: an insert that needs two victims and
+    /// loses to the second must not have dropped the first.
     #[test]
-    fn uncosted_reservations_bypass_admission() {
-        let mut ds = cost_store(100);
+    fn refused_insert_evicts_nothing() {
+        let mut ds = cost_store(300);
         let mut ev = Vec::new();
-        ds.insert_costed(
-            QueryId(1),
-            spec(0, 100, 1),
-            100,
-            10.0,
+        for (q, cost) in [(1, 1.0), (2, 100.0), (3, 100.0)] {
+            let s = spec(q * 1000, 100, 1);
+            ds.insert_costed(QueryId(q), s, 100, cost, Payload::Virtual, &mut ev)
+                .unwrap();
+        }
+        let before = (ds.len(), ds.used(), ds.stats().evicted, ds.victims.clone());
+        // 200 bytes at cost 20 outscore the first victim and not the second.
+        let refused = ds.insert_costed(
+            QueryId(4),
+            spec(9000, 200, 1),
+            200,
+            20.0,
             Payload::Virtual,
             &mut ev,
-        )
-        .unwrap();
-        // A plain malloc (cost unknown until the producer finishes) is
-        // always admitted, displacing on score order.
-        assert!(ds
-            .malloc(QueryId(2), spec(1000, 100, 1), 100, &mut ev)
-            .is_ok());
-        assert_eq!(ev.len(), 1);
+        );
+        assert_eq!(refused, Err(DsError::Unprofitable));
+        assert!(ev.is_empty(), "{ev:?}");
+        ds.check_victim_index();
+        let after = (ds.len(), ds.used(), ds.stats().evicted, ds.victims.clone());
+        assert_eq!(after, before);
+        assert_eq!(ds.stats().unprofitable, 1);
     }
 
     #[test]
@@ -1497,11 +1256,10 @@ mod tests {
         assert!(ds.lookup_restorable_exact(&spec(0, 50, 1)).is_none());
     }
 
-    /// The grid index holds exactly the committed entries: it gains one
-    /// at commit and adoption, keeps spilled ones, and loses one at every
-    /// exit (eviction, tier-2 drop, `drop_restorable`, `remove`).
-    /// Reservations are never in it, aborted or not. The victim index
-    /// beside it holds exactly the *visible* ones: a spilled or adopted
+    /// The grid index holds every entry: it gains one at insertion and
+    /// adoption, keeps spilled ones, and loses one at every exit
+    /// (eviction, tier-2 drop, `drop_restorable`, `remove`). The victim
+    /// index beside it holds exactly the *visible* ones: a spilled or adopted
     /// entry is out of it until it is restored.
     #[test]
     fn index_follows_every_entry_in_and_out() {
@@ -1518,14 +1276,7 @@ mod tests {
             )
             .unwrap()
         };
-        let r = ds
-            .malloc(QueryId(9), spec(900, 10, 1), 0, &mut Vec::new())
-            .unwrap();
-        assert_eq!(ds.index.len(), 0, "reservations are not indexed");
-        assert!(ds.victims.is_empty());
-        ds.abort(r);
-        assert_eq!(ds.index.len(), 0);
-        // Commit indexes; the next insert spills `a`, which stays indexed
+        // An insert indexes; the next insert spills `a`, which stays indexed
         // (it still re-heats in place) but answers no ordinary lookup.
         let a = costed(&mut ds, 1, 0, 1.0);
         let b = costed(&mut ds, 2, 1000, 2.0);
@@ -1757,16 +1508,8 @@ mod tests {
         // victims exactly as before this layer existed.
         let mut ds = store(100);
         let mut ev = Vec::new();
-        ds.insert(QueryId(1), spec(0, 100, 1), 100, Payload::Virtual, &mut ev)
-            .unwrap();
-        ds.insert(
-            QueryId(2),
-            spec(1000, 100, 1),
-            100,
-            Payload::Virtual,
-            &mut ev,
-        )
-        .unwrap();
+        put(&mut ds, 1, spec(0, 100, 1), 100, &mut ev).unwrap();
+        put(&mut ds, 2, spec(1000, 100, 1), 100, &mut ev).unwrap();
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].tier, 1);
         assert_eq!(ds.stats().spilled, 0);
@@ -1835,18 +1578,13 @@ mod tests {
             ds.get(BlobId(3)).unwrap().score(),
             ds.get(BlobId(7)).unwrap().score()
         );
-        ds.malloc(QueryId(1), spec(900, 100, 1), 100, &mut ev)
-            .unwrap();
+        put(&mut ds, 1, spec(900, 100, 1), 100, &mut ev).unwrap();
         assert!(ds.get(BlobId(7)).unwrap().restorable(), "older stamp");
         assert!(ds.get(BlobId(3)).unwrap().visible());
     }
 
-    /// Applies one random operation. `held` are uncommitted reservations.
-    fn apply(
-        ds: &mut DataStore<IntervalSpec>,
-        (op, a, b, c): (u8, u64, u64, u64),
-        held: &mut Vec<BlobId>,
-    ) {
+    /// Applies one random operation.
+    fn apply(ds: &mut DataStore<IntervalSpec>, (op, a, b, c): (u8, u64, u64, u64)) {
         let mut ev = Vec::new();
         let nth = |ds: &DataStore<IntervalSpec>,
                    keep: &dyn Fn(&BlobEntry<IntervalSpec>) -> bool| {
@@ -1862,26 +1600,16 @@ mod tests {
         let s = spec(a, b, 1 + c % 2);
         let cost = c as f64 / 8.0;
         match op {
-            0 => drop(ds.insert(QueryId(a), s, b, Payload::Virtual, &mut ev)),
+            0 => drop(put(ds, a, s, b, &mut ev)),
             1 => drop(ds.insert_costed(QueryId(a), s, b, cost, Payload::Virtual, &mut ev)),
-            2 => held.extend(ds.malloc(QueryId(a), s, b, &mut ev)),
-            3 if !held.is_empty() => {
-                let blob = held.swap_remove(c as usize % held.len());
-                if c % 3 == 0 {
-                    ds.commit(blob, Payload::Virtual);
-                } else {
-                    ds.commit_costed(blob, Payload::Virtual, cost);
-                }
-            }
-            4 if !held.is_empty() => ds.abort(held.swap_remove(c as usize % held.len())),
-            5 => drop(ds.lookup(&s)),
-            6 => {
+            2 => drop(ds.lookup(&s)),
+            3 => {
                 if let Some(blob) = nth(ds, &|e| e.restorable()) {
                     ds.restore(blob, Payload::Virtual, &mut ev);
                 }
             }
-            7 => {
-                if let Some(blob) = nth(ds, &|e| e.phase != Phase::Accumulating) {
+            4 => {
+                if let Some(blob) = nth(ds, &|_| true) {
                     if c % 2 == 0 || ds.drop_restorable(blob).is_none() {
                         ds.remove(blob);
                     }
@@ -1895,27 +1623,26 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// Under every policy, with and without tier 2, through inserts,
-        /// touches, spills, restores, adoptions and removals: the victim index names the victim the scan names,
+        /// Under both policies, with and without tier 2, through inserts
+        /// (admitted and refused), touches, spills, restores, adoptions
+        /// and removals: the victim index names the victim the scan names,
         /// at every step, and holds exactly the visible entries. (Every
         /// eviction the operations themselves provoke is cross-checked
         /// too, inside `pick_victim`.)
         #[test]
         fn victim_index_picks_what_the_scan_picks(
-            policy in 0usize..4,
+            cost_based in proptest::bool::ANY,
             budget in 100u64..500,
             tier2 in 0u64..600,
-            ops in proptest::collection::vec((0u8..9, 0u64..1500, 1u64..120, 0u64..64), 1..120),
+            ops in proptest::collection::vec((0u8..6, 0u64..1500, 1u64..120, 0u64..64), 1..120),
         ) {
-            use EvictionPolicy::*;
-            let policy = [Lru, LargestFirst, Mru, CostBased][policy];
+            let policy = if cost_based { EvictionPolicy::CostBased } else { EvictionPolicy::Lru };
             // Half the stores have no spill tier.
             let tier2 = tier2.saturating_sub(300);
             let mut ds: DataStore<IntervalSpec> =
                 DataStore::with_policy(budget, 64, policy).with_tier2(tier2);
-            let mut held = Vec::new();
             for op in ops {
-                apply(&mut ds, op, &mut held);
+                apply(&mut ds, op);
                 ds.check_victim_index();
                 // A pure read first: the pick below may re-file.
                 let scanned = ds.scan_victim();

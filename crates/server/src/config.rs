@@ -288,8 +288,8 @@ mod tests {
         assert_eq!(c.ds_budget, 1024);
         assert_eq!(c.ps_budget, 2048);
         assert!(!c.allow_blocking);
-        let c2 = ServerConfig::small().with_cache_policy(EvictionPolicy::Mru);
-        assert_eq!(c2.ds_policy, EvictionPolicy::Mru);
+        let c2 = ServerConfig::small().with_cache_policy(EvictionPolicy::CostBased);
+        assert_eq!(c2.ds_policy, EvictionPolicy::CostBased);
         let c3 = ServerConfig::small()
             .with_retry(RetryPolicy::none())
             .with_retry_seed(9)

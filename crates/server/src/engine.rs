@@ -77,6 +77,11 @@
 //! The engine is generic over the application ([`VmExecutor`] is the
 //! default); everything scheduling-related is application-neutral.
 
+// A panic here takes down a worker or a submitter: every `unwrap` /
+// `expect` outside the tests needs an `#[expect(.., reason)]` saying why
+// it cannot fire.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::app::{AppExecutor, VmExecutor};
 use crate::config::ServerConfig;
 use crate::error::{deadline_error, ServerError};
@@ -372,13 +377,14 @@ impl<A: AppExecutor> QueryServer<A> {
             // Construction-time config validation, not a worker path: an
             // unusable spill configuration fails server startup loudly
             // (like a zero-thread pool), never a query.
-            // lint:allow(unwrap): spill_enabled() implies the dir is Some
+            #[expect(
+                clippy::expect_used,
+                reason = "spill_enabled() implies the dir is Some"
+            )]
             let dir = cfg.spill_dir.clone().expect("spill_enabled implies dir");
-            // lint:allow(unwrap): startup-time directory creation
-            SpillStore::new(dir)
-                .expect("spill directory must be creatable")
-                .with_faults(cfg.spill_fault)
-                .with_chaos(cfg.chaos)
+            #[expect(clippy::expect_used, reason = "startup-time directory creation")]
+            let store = SpillStore::new(dir).expect("spill directory must be creatable");
+            store.with_faults(cfg.spill_fault).with_chaos(cfg.chaos)
         });
         let tier2_budget = if spill.is_some() { cfg.tier2_budget } else { 0 };
         let mut store = DataStore::with_policy(cfg.ds_budget, cfg.index_cell, cfg.ds_policy)

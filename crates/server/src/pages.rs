@@ -36,6 +36,11 @@
 //! therefore the consumed budget — short. Covered by the engine test
 //! `deadline_is_anchored_at_submit_so_queue_wait_counts`.
 
+// A panic here takes down a worker or a submitter: every `unwrap` /
+// `expect` outside the tests needs an `#[expect(.., reason)]` saying why
+// it cannot fire.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::error::{deadline_error, is_deadline};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};

@@ -17,7 +17,7 @@
 //! reads. Everything else — struct-literal or bare-variant expressions
 //! — counts as a construction site.
 
-use crate::diag::{fingerprint, Diagnostic};
+use crate::diag::Diagnostic;
 use crate::lexer::TokKind;
 use crate::rules::{skip_group, SourceFile};
 use std::collections::BTreeMap;
@@ -148,7 +148,6 @@ pub fn check(
             file: obs_event.rel.clone(),
             line: 1,
             message: "could not parse `enum EventKind` variants — rule cannot run".into(),
-            fingerprint: fingerprint("event-parity", &obs_event.rel, "no-enum"),
         }];
     }
     let collect = |files: &[&SourceFile]| -> BTreeMap<String, (String, usize)> {
@@ -181,7 +180,6 @@ pub fn check(
                  never by the {other} engine — golden traces can diverge on this variant",
                 lifecycle(v)
             ),
-            fingerprint: fingerprint("event-parity", "workspace", &format!("{v}|{only}-only")),
         });
     }
     out
@@ -275,20 +273,5 @@ pub enum EventKind {
         // Shed is constructed by neither engine's production code.
         let v = check(&e, &[&srv], &[&sim]);
         assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn fingerprint_is_site_independent() {
-        let e = sf("event.rs", ENUM);
-        let srv1 = sf("server.rs", "fn a() { emit(EventKind::Shed); }");
-        let srv2 = sf(
-            "server.rs",
-            "fn pad() {}\nfn a() { emit(EventKind::Shed); }",
-        );
-        let sim = sf("sim.rs", "fn b() {}");
-        let v1 = check(&e, &[&srv1], &[&sim]);
-        let v2 = check(&e, &[&srv2], &[&sim]);
-        assert_eq!(v1[0].fingerprint, v2[0].fingerprint);
-        assert_ne!(v1[0].line, v2[0].line);
     }
 }

@@ -1,15 +1,18 @@
-//! The four line-oriented determinism/safety lints, on the lexer's
-//! sanitized line view.
+//! The two line-oriented lints clippy has no equal for (`nondet-iter`,
+//! `guard-across-io`) plus `forbid-unsafe`, on the lexer's sanitized line
+//! view. Panics on the hot path and undocumented `unsafe` are clippy's
+//! now: `unwrap_used` / `expect_used` at the top of the hot-path files
+//! and `-W clippy::undocumented_unsafe_blocks` on the clippy command line.
 //!
 //! The rules keep their line-oriented shape (they reason about guard
 //! extents and marker windows in terms of lines), but match against
 //! [`SourceFile::lexed::code_lines`] — the source with comment text and
 //! string/char-literal contents blanked — so a rule pattern that
 //! appears inside a string literal or a comment can no longer fire.
-//! Escape-hatch markers (`lint:allow(…)`, `lint:sorted:`, `SAFETY:`)
-//! live in comments, so those are looked up on the *raw* lines.
+//! Escape-hatch markers (`lint:allow(…)`, `lint:sorted:`) live in
+//! comments, so those are looked up on the *raw* lines.
 
-use crate::diag::{fingerprint, Diagnostic};
+use crate::diag::Diagnostic;
 use crate::rules::SourceFile;
 
 /// Files on the deterministic surface: ranking decisions and
@@ -27,7 +30,7 @@ pub const SURFACE_FILES: &[&str] = &[
 /// Files on the server hot path: the worker loop and the submit path,
 /// the shard transitions they call under the shard lock, and the
 /// footprint index every submit probes and files into under that lock.
-/// Rules `hot-unwrap` and `guard-across-io` apply.
+/// Rule `guard-across-io` applies.
 pub const HOT_PATH_FILES: &[&str] = &[
     "crates/server/src/engine.rs",
     "crates/server/src/pages.rs",
@@ -57,33 +60,22 @@ impl FileCtx {
     }
 }
 
-/// Builds a diagnostic whose fingerprint keys on the sanitized line
-/// *text*, not the line number — reordering unrelated code does not
-/// change a finding's identity. Identical lines in one file are told
-/// apart later by [`crate::diag::disambiguate`].
-fn line_diag(
-    file: &SourceFile,
-    rule: &'static str,
-    idx: usize,
-    code: &str,
-    message: String,
-) -> Diagnostic {
+fn line_diag(file: &SourceFile, rule: &'static str, idx: usize, message: String) -> Diagnostic {
     Diagnostic {
         rule,
         file: file.rel.clone(),
         line: idx + 1,
         message,
-        fingerprint: fingerprint(rule, &file.rel, code.trim()),
     }
 }
 
-/// Runs the four line rules on one file. `idx` below is 0-based;
+/// Runs the two line rules on one file. `idx` below is 0-based;
 /// diagnostics carry 1-based lines.
 pub fn check_file(ctx: FileCtx, f: &SourceFile) -> Vec<Diagnostic> {
     let code_lines = &f.lexed.code_lines;
     let mut out = Vec::new();
-    // Lines at or after the `#[cfg(test)]` boundary are test code:
-    // hot-path panics there are fine.
+    // Lines at or after the `#[cfg(test)]` boundary are test code,
+    // which neither rule reads.
     let test_start = if f.test_boundary == usize::MAX {
         code_lines.len()
     } else {
@@ -135,32 +127,12 @@ pub fn check_file(ctx: FileCtx, f: &SourceFile) -> Vec<Diagnostic> {
                         f,
                         "nondet-iter",
                         i,
-                        code,
                         format!(
                             "iterating hash-ordered `{name}` on a deterministic surface; \
                              use BTreeMap/BTreeSet, sort first, or justify with `// lint:sorted:`"
                         ),
                     ));
                 }
-            }
-        }
-    }
-
-    // ---- hot-unwrap ---------------------------------------------------
-    if ctx.hot_path {
-        for (i, code) in code_lines.iter().enumerate().take(test_start) {
-            if (code.contains(".unwrap()") || code.contains(".expect("))
-                && !f.marked(i + 1, "lint:allow(unwrap)", 3)
-            {
-                out.push(line_diag(
-                    f,
-                    "hot-unwrap",
-                    i,
-                    code,
-                    "panic on the worker/submit path; return a typed ServerError \
-                     or justify with `// lint:allow(unwrap):`"
-                        .into(),
-                ));
             }
         }
     }
@@ -217,7 +189,6 @@ pub fn check_file(ctx: FileCtx, f: &SourceFile) -> Vec<Diagnostic> {
                         f,
                         "guard-across-io",
                         j,
-                        later,
                         format!(
                             "I/O or kernel call while guard `{name}` (taken at line {}) is \
                              held; drop it first or justify with \
@@ -228,24 +199,6 @@ pub fn check_file(ctx: FileCtx, f: &SourceFile) -> Vec<Diagnostic> {
                     break;
                 }
             }
-        }
-    }
-
-    // ---- safety-comment -----------------------------------------------
-    // Applies in test code too: unsafe in a test still needs a reason.
-    for (i, code) in code_lines.iter().enumerate() {
-        let code = code.trim_start();
-        let starts_unsafe = code.contains("unsafe fn ")
-            || code.contains("unsafe impl ")
-            || code.contains("unsafe {");
-        if starts_unsafe && !f.marked(i + 1, "SAFETY:", 2) && !f.marked(i + 1, "# Safety", 6) {
-            out.push(line_diag(
-                f,
-                "safety-comment",
-                i,
-                code,
-                "`unsafe` without a `// SAFETY:` comment within 5 lines".into(),
-            ));
         }
     }
 
@@ -264,7 +217,6 @@ pub fn check_forbid(rel_lib: &str, content: &str) -> Vec<Diagnostic> {
         file: rel_lib.to_string(),
         line: 1,
         message: "crate does not need unsafe: add `#![forbid(unsafe_code)]`".into(),
-        fingerprint: fingerprint("forbid-unsafe", rel_lib, "missing"),
     }]
 }
 
@@ -272,34 +224,29 @@ pub fn check_forbid(rel_lib: &str, content: &str) -> Vec<Diagnostic> {
 mod tests {
     use super::*;
 
+    const HOT: FileCtx = FileCtx {
+        surface: false,
+        hot_path: true,
+    };
+
     #[test]
     fn patterns_in_strings_and_comments_do_not_fire() {
         let src = r#"
-fn doc() {
-    let msg = "never call Instant::now() here";
-    // Instant::now() would be wrong
-    let p = "x.unwrap() is banned";
+fn doc(m: &Mutex<u8>) {
+    let g = m.lock();
+    let msg = "never call read_page( here";
+    // spill.write( would be wrong
 }
 "#;
-        let f = SourceFile::new("x.rs", src);
-        let ctx = FileCtx {
-            hot_path: true,
-            ..FileCtx::default()
-        };
-        assert!(check_file(ctx, &f).is_empty());
+        assert!(check_file(HOT, &SourceFile::new("x.rs", src)).is_empty());
     }
 
     #[test]
     fn real_sites_still_fire() {
-        let src = "fn f() {\n    let t = x.unwrap();\n}\n";
-        let f = SourceFile::new("x.rs", src);
-        let ctx = FileCtx {
-            hot_path: true,
-            ..FileCtx::default()
-        };
-        let v = check_file(ctx, &f);
+        let src = "fn f(m: &Mutex<u8>) {\n    let g = m.lock();\n    src.read_page(0);\n}\n";
+        let v = check_file(HOT, &SourceFile::new("x.rs", src));
         assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, "hot-unwrap");
-        assert_eq!(v[0].line, 2);
+        assert_eq!(v[0].rule, "guard-across-io");
+        assert_eq!(v[0].line, 3);
     }
 }

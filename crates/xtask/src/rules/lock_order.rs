@@ -33,7 +33,7 @@
 //! detector: any cycle among distinct classes is reported even if each
 //! individual edge was waved through.
 
-use crate::diag::{fingerprint, Diagnostic};
+use crate::diag::Diagnostic;
 use crate::lexer::{self, Tok, TokKind};
 use crate::rules::{skip_group_back, SourceFile};
 use std::collections::{BTreeMap, BTreeSet};
@@ -439,9 +439,10 @@ pub fn check(spec: &LockSpec, files: &[&SourceFile]) -> Vec<Diagnostic> {
     }
 
     let mut out: Vec<Diagnostic> = Vec::new();
-    let mut seen_keys: BTreeSet<String> = BTreeSet::new();
-    let mut push_once = |out: &mut Vec<Diagnostic>, d: Diagnostic| {
-        if seen_keys.insert(d.fingerprint.clone()) {
+    // One finding per (file, what is wrong), however many sites show it.
+    let mut seen_keys: BTreeSet<(String, String)> = BTreeSet::new();
+    let mut push_once = |out: &mut Vec<Diagnostic>, key: String, d: Diagnostic| {
+        if seen_keys.insert((d.file.clone(), key)) {
             out.push(d);
         }
     };
@@ -458,6 +459,7 @@ pub fn check(spec: &LockSpec, files: &[&SourceFile]) -> Vec<Diagnostic> {
                 let key = format!("unknown:{}@{}", u, p.func);
                 push_once(
                     &mut out,
+                    key,
                     Diagnostic {
                         rule: "lock-order",
                         file: file.rel.clone(),
@@ -468,7 +470,6 @@ pub fn check(spec: &LockSpec, files: &[&SourceFile]) -> Vec<Diagnostic> {
                             &u[1..],
                             p.func
                         ),
-                        fingerprint: fingerprint("lock-order", &file.rel, &key),
                     },
                 );
             }
@@ -482,6 +483,7 @@ pub fn check(spec: &LockSpec, files: &[&SourceFile]) -> Vec<Diagnostic> {
             let key = format!("same:{}@{}", p.acq, p.func);
             push_once(
                 &mut out,
+                key,
                 Diagnostic {
                     rule: "lock-order",
                     file: file.rel.clone(),
@@ -497,13 +499,13 @@ pub fn check(spec: &LockSpec, files: &[&SourceFile]) -> Vec<Diagnostic> {
                             .map(|v| format!(" (via call to `{v}`)"))
                             .unwrap_or_default(),
                     ),
-                    fingerprint: fingerprint("lock-order", &file.rel, &key),
                 },
             );
         } else if la <= lh {
             let key = format!("order:{}->{}@{}", p.held, p.acq, p.func);
             push_once(
                 &mut out,
+                key,
                 Diagnostic {
                     rule: "lock-order",
                     file: file.rel.clone(),
@@ -519,7 +521,6 @@ pub fn check(spec: &LockSpec, files: &[&SourceFile]) -> Vec<Diagnostic> {
                             .map(|v| format!(" (via call to `{v}`)"))
                             .unwrap_or_default(),
                     ),
-                    fingerprint: fingerprint("lock-order", &file.rel, &key),
                 },
             );
         }
@@ -542,6 +543,7 @@ pub fn check(spec: &LockSpec, files: &[&SourceFile]) -> Vec<Diagnostic> {
         let key = format!("cycle:{label}");
         push_once(
             &mut out,
+            key,
             Diagnostic {
                 rule: "lock-order",
                 file: files[fi].rel.clone(),
@@ -551,7 +553,6 @@ pub fn check(spec: &LockSpec, files: &[&SourceFile]) -> Vec<Diagnostic> {
                      of declared levels",
                     cycle[0]
                 ),
-                fingerprint: fingerprint("lock-order", &files[fi].rel, &key),
             },
         );
     }

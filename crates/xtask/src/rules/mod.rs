@@ -1,9 +1,9 @@
 //! Analysis rules. Shared source-file representation and helpers;
 //! one module per rule family.
 //!
-//! * [`legacy`] — the five line-oriented determinism/safety rules,
-//!   ported onto the lexer's sanitized lines so patterns inside string
-//!   literals and comments no longer fire.
+//! * [`legacy`] — the line-oriented determinism rules and
+//!   `forbid-unsafe`, on the lexer's sanitized lines so patterns inside
+//!   string literals and comments do not fire.
 //! * [`lock_order`] — static lock-acquisition-order analysis against
 //!   the declared hierarchy in `docs/lock-order.md`.
 //! * [`event_parity`] — server/sim `EventKind` construction parity.
@@ -18,7 +18,7 @@ use crate::lexer::{self, Lexed};
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators.
     pub rel: String,
-    /// Original lines — used for `lint:allow` / `SAFETY:` markers,
+    /// Original lines — used for `lint:allow` / `lint:sorted` markers,
     /// which live in comments and are blanked in the sanitized view.
     pub raw_lines: Vec<String>,
     pub lexed: Lexed,

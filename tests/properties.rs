@@ -13,7 +13,7 @@ use vmqs_core::geom::{greedy_cover, subtract_all, total_area};
 use vmqs_core::spec::testutil::IntervalSpec;
 use vmqs_core::Strategy as RankStrategy;
 use vmqs_core::{QueryId, SpatialSpec};
-use vmqs_datastore::DsError;
+use vmqs_datastore::{DsError, EvictionPolicy};
 use vmqs_microscope::kernels::{compute_from_chunks, reference_render};
 use vmqs_microscope::PAGE_SIZE;
 use vmqs_pagespace::{PageCacheCore, PageData, PageDisposition, PageKey};
@@ -190,19 +190,24 @@ proptest! {
     fn datastore_budget_and_visibility(
         inserts in prop::collection::vec((0u64..300, 1u64..80), 1..30),
         budget in 50u64..300,
+        cost_based in prop::bool::ANY,
     ) {
-        let mut ds: DataStore<IntervalSpec> = DataStore::new(budget, 64);
+        let policy = if cost_based { EvictionPolicy::CostBased } else { EvictionPolicy::Lru };
+        let mut ds: DataStore<IntervalSpec> = DataStore::with_policy(budget, 64, policy);
         let mut evicted = Vec::new();
         for (i, (start, len)) in inserts.iter().enumerate() {
             let spec = IntervalSpec::new(*start, *len, 1);
             let size = *len;
-            match ds.insert(QueryId(i as u64), spec.clone(), size, Payload::Virtual, &mut evicted) {
+            let (len_before, evicted_before) = (ds.len(), evicted.len());
+            match ds.insert_costed(QueryId(i as u64), spec.clone(), size, 0.0, Payload::Virtual, &mut evicted) {
                 Ok(_) => {}
                 Err(DsError::TooLarge) => prop_assert!(size > budget),
-                Err(DsError::Busy) => prop_assert!(false, "no pinned entries exist"),
-                // Admission control only rejects scored inserts under the
-                // cost-based policy; plain inserts always admit.
-                Err(DsError::Unprofitable) => prop_assert!(false, "uncosted inserts bypass admission"),
+                // Only cost-based admission refuses on score, and a
+                // refusal leaves the store as it was.
+                Err(DsError::Unprofitable) => {
+                    prop_assert!(cost_based);
+                    prop_assert_eq!((ds.len(), evicted.len()), (len_before, evicted_before));
+                }
             }
             prop_assert!(ds.used() <= budget, "used {} > budget {}", ds.used(), budget);
             let probe = IntervalSpec::new(*start, *len, 1);
@@ -1086,8 +1091,9 @@ proptest! {
                 prop_assert!(ds.remove(victim).is_some());
             } else {
                 let sp = IntervalSpec::new(*start, len * scales[*sc], scales[*sc]);
+                let q = vmqs_core::QueryId(i as u64);
                 let blob = ds
-                    .insert(vmqs_core::QueryId(i as u64), sp, 1, Payload::Virtual, &mut ev)
+                    .insert_costed(q, sp, 1, 0.0, Payload::Virtual, &mut ev)
                     .unwrap();
                 live.push(blob);
                 live.retain(|b| !ev.iter().any(|r| r.blob == *b));
