@@ -58,11 +58,11 @@ pub enum Phase {
     /// Evicted or dropped from tier 2: the entry has left the store and
     /// must never be read again.
     SwappedOut,
-    /// Spilled to the tier-2 store: the in-memory payload is gone, but a
-    /// compact on-disk copy exists, so a later exact-match lookup can
-    /// re-heat the entry at disk cost instead of recompute cost.
-    /// Invisible to normal lookups until [`Phase::restore`] brings it
-    /// back to FULL.
+    /// Spilled to the tier-2 store: charged to tier 2, and holding either
+    /// its bytes (while its frame is being written) or a compact on-disk
+    /// copy (once the frame has landed), so a later exact-match lookup
+    /// can re-heat the entry instead of recomputing it. Invisible to
+    /// normal lookups until [`Phase::restore`] brings it back to FULL.
     Restorable,
 }
 
@@ -77,8 +77,7 @@ impl Phase {
         legal
     }
 
-    /// FULL -> RESTORABLE: the caller owns the in-memory payload and may
-    /// move it to tier 2.
+    /// FULL -> RESTORABLE: the caller owes the entry a tier-2 frame.
     pub(crate) fn spill(&mut self) -> bool {
         self.step(Phase::Full, Phase::Restorable)
     }
@@ -127,6 +126,10 @@ pub struct BlobEntry<S> {
     /// The key this entry is filed under in the store's victim index;
     /// `None` only while it is spilled.
     pub(crate) filed: Option<crate::store::VictimKey>,
+    /// The demotion that last made this entry RESTORABLE (the store's
+    /// spill ordinal), stamped on its [`crate::SpillRequest`] too: only
+    /// the frame of that demotion may take the entry's bytes away.
+    pub(crate) generation: u64,
 }
 
 impl<S: Clone> Clone for BlobEntry<S> {
@@ -143,6 +146,7 @@ impl<S: Clone> Clone for BlobEntry<S> {
             hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
             // A clone lives outside the store and its index.
             filed: None,
+            generation: self.generation,
         }
     }
 }
@@ -169,6 +173,7 @@ impl<S> BlobEntry<S> {
             cost: 0.0,
             hits: AtomicU64::new(0),
             filed: None,
+            generation: 0,
         }
     }
 

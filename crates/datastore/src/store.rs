@@ -128,11 +128,11 @@ fn total_order_bits(x: f64) -> u64 {
 }
 
 /// A spill handed back to the caller by an eviction pass: the entry has
-/// transitioned FULL → RESTORABLE and its payload has been detached. The
-/// threaded engine must persist the payload to the tier-2 store *before*
-/// releasing its write lock (so no other thread can observe a RESTORABLE
-/// entry whose on-disk copy does not exist yet); the simulator only
-/// counts it.
+/// transitioned FULL → RESTORABLE and keeps its payload attached until
+/// the frame lands. The threaded engine writes the payload to the tier-2
+/// store after releasing its write lock and then reports the frame with
+/// [`DataStore::frame_landed`], which is when the entry lets its bytes
+/// go; the simulator only counts it.
 #[derive(Clone, Debug)]
 pub struct SpillRequest<S> {
     /// The spilled blob (also the tier-2 storage key).
@@ -144,9 +144,13 @@ pub struct SpillRequest<S> {
     pub spec: S,
     /// Payload bytes moved to tier 2.
     pub size: u64,
-    /// The detached payload to serialize ([`Payload::Virtual`] in the
-    /// simulator).
+    /// The payload to serialize, shared with the entry until its frame
+    /// lands ([`Payload::Virtual`] in the simulator).
     pub payload: Payload,
+    /// Which demotion of the blob this is. A blob can spill, re-heat from
+    /// its attached bytes and spill again while the first frame is still
+    /// being written; the generation tells the two landings apart.
+    pub generation: u64,
 }
 
 /// Sentinel producer id for entries adopted from a recovered spill frame
@@ -323,8 +327,8 @@ pub struct DataStore<S: SpatialSpec> {
     /// Bytes of RESTORABLE entries currently charged to tier 2.
     tier2_used: u64,
     /// Spills produced by eviction passes since the last
-    /// [`DataStore::take_pending_spills`]; the engine must drain and
-    /// persist these before releasing structural exclusivity.
+    /// [`DataStore::take_pending_spills`]; the engine drains them in the
+    /// critical section that produced them and writes them after it.
     pending_spills: Vec<SpillRequest<S>>,
     entries: HashMap<BlobId, BlobEntry<S>>,
     /// Footprints of every entry, FULL or RESTORABLE (a spilled entry
@@ -402,10 +406,12 @@ impl<S: SpatialSpec> DataStore<S> {
     }
 
     /// Drains the spills produced by eviction passes since the last call.
-    /// The threaded engine persists each payload to the tier-2 store
-    /// *within the same write-lock critical section* that produced it;
-    /// the simulator charges no write latency (spill writes are modeled
-    /// as off the critical path) and simply drops the requests.
+    /// Both engines keep spill writes off the critical path: the threaded
+    /// engine drains within the write-lock critical section that produced
+    /// the spills, writes each frame after releasing it, and lands it
+    /// with [`DataStore::frame_landed`] (until then the entry answers
+    /// restores from its attached bytes); the simulator charges no write
+    /// latency and simply drops the requests.
     pub fn take_pending_spills(&mut self) -> Vec<SpillRequest<S>> {
         std::mem::take(&mut self.pending_spills)
     }
@@ -516,24 +522,26 @@ impl<S: SpatialSpec> DataStore<S> {
 
     /// Demotes `victim` to the tier-2 spill store when one is configured
     /// (`victim` comes from `pick_victim`, so it is FULL); otherwise drops
-    /// it as a tier-1 eviction. Tier-2 overflow then
+    /// it as a tier-1 eviction. The demoted entry keeps its bytes until
+    /// [`DataStore::frame_landed`] reports its frame. Tier-2 overflow then
     /// drops the lowest-scoring RESTORABLE entries.
     fn evict_or_spill(&mut self, victim: BlobId, evicted: &mut Vec<EvictionRecord<S>>) {
         let e = self.entries.get_mut(&victim).expect("victim exists");
         if self.tier2_budget > 0 && e.phase.spill() {
             unfile(&mut self.victims, e);
-            let payload = std::mem::replace(&mut e.payload, Payload::Virtual);
-            let (size, producer, spec) = (e.size, e.producer, e.spec.clone());
+            let size = e.size;
+            // The spill ordinal numbers the demotion.
+            e.generation = self.stats.spilled.fetch_add(1, Ordering::Relaxed) + 1;
+            self.stats.bytes_spilled.fetch_add(size, Ordering::Relaxed);
             self.used -= size;
             self.tier2_used += size;
-            self.stats.spilled.fetch_add(1, Ordering::Relaxed);
-            self.stats.bytes_spilled.fetch_add(size, Ordering::Relaxed);
             self.pending_spills.push(SpillRequest {
                 blob: victim,
-                producer,
-                spec,
+                producer: e.producer,
+                spec: e.spec.clone(),
                 size,
-                payload,
+                payload: e.payload.clone(),
+                generation: e.generation,
             });
             self.shrink_tier2(None, evicted);
         } else {
@@ -601,9 +609,27 @@ impl<S: SpatialSpec> DataStore<S> {
             .map(|e| (e.id, e.producer, e.size))
     }
 
+    /// Reports that the frame of demotion `generation` of `blob` is on
+    /// disk. True when that is the demotion the entry is RESTORABLE from:
+    /// the entry lets its bytes go and the frame is now its only copy.
+    /// False, changing nothing, otherwise: a newer demotion owes the
+    /// entry its own frame of the same bytes (the entry is RESTORABLE,
+    /// and this frame may stay), or the entry is FULL again or gone and
+    /// the caller unlinks this stale frame before it lets the store go.
+    pub fn frame_landed(&mut self, blob: BlobId, generation: u64) -> bool {
+        match self.entries.get_mut(&blob) {
+            Some(e) if e.restorable() && e.generation == generation => {
+                e.payload = Payload::Virtual;
+                true
+            }
+            _ => false,
+        }
+    }
+
     /// Re-heats a RESTORABLE entry: charges its bytes back to tier 1
     /// (evicting or spilling other entries to make room), attaches the
-    /// payload re-read from the tier-2 store, and promotes the entry to
+    /// payload (its still-attached bytes, or the frame re-read from the
+    /// tier-2 store), and promotes the entry to
     /// FULL. Returns `false` when the entry no longer exists, is not
     /// RESTORABLE, or is larger than tier 1 — and in the corner
     /// where making room spills a victim past the tier-2 budget and the
@@ -1244,7 +1270,7 @@ mod tests {
         assert_eq!((st.spilled, st.bytes_spilled, st.evicted), (1, 100, 0));
         assert_eq!(ds.used(), 100);
         assert_eq!(ds.tier2_used(), 100);
-        // The engine gets the detached payload to persist.
+        // The engine gets the payload to persist.
         let spills = ds.take_pending_spills();
         assert_eq!(spills.len(), 1);
         assert_eq!(spills[0].blob, b1);
@@ -1254,6 +1280,80 @@ mod tests {
         assert_eq!(ds.lookup_restorable_exact(&s1), Some((b1, QueryId(1), 100)));
         // Restorable entries answer exact probes only.
         assert!(ds.lookup_restorable_exact(&spec(0, 50, 1)).is_none());
+    }
+
+    /// Inserts `bytes` at cost `cost` into a one-entry tier 1 and returns
+    /// the blob and the demotion it displaced, if any.
+    fn put_bytes(
+        ds: &mut DataStore<IntervalSpec>,
+        q: u64,
+        bytes: &[u8],
+        cost: f64,
+    ) -> (BlobId, Vec<SpillRequest<IntervalSpec>>) {
+        let s = spec(q * 1000, 100, 1);
+        let payload = Payload::Bytes(bytes.into());
+        let blob = ds
+            .insert_costed(QueryId(q), s, 100, cost, payload, &mut Vec::new())
+            .unwrap();
+        (blob, ds.take_pending_spills())
+    }
+
+    fn attached(ds: &DataStore<IntervalSpec>, blob: BlobId) -> Option<Vec<u8>> {
+        match &ds.get(blob)?.payload {
+            Payload::Bytes(b) => Some(b.to_vec()),
+            Payload::Virtual => None,
+        }
+    }
+
+    #[test]
+    fn frame_landed_is_true_only_for_the_current_generation_of_a_restorable_entry() {
+        let mut ds = cost_store(100).with_tier2(1000);
+        let (a, _) = put_bytes(&mut ds, 1, &[1; 100], 1.0);
+        let (b, spills) = put_bytes(&mut ds, 2, &[2; 100], 2.0);
+        let [req] = &spills[..] else {
+            panic!("{spills:?}")
+        };
+        assert_eq!((req.blob, req.generation), (a, 1));
+        // Demoted, and still holding its bytes for a restore to use.
+        assert!(ds.get(a).unwrap().restorable());
+        assert_eq!(attached(&ds, a), Some(vec![1; 100]));
+        assert!(!ds.frame_landed(a, 2), "no such demotion yet");
+        assert!(!ds.frame_landed(b, 1), "FULL");
+        assert!(!ds.frame_landed(BlobId(99), 1), "gone");
+        assert_eq!(attached(&ds, a), Some(vec![1; 100]), "nothing changed");
+        assert!(ds.frame_landed(a, 1));
+        assert_eq!(attached(&ds, a), None, "the frame is its only copy");
+        assert!(ds.get(a).unwrap().restorable());
+        assert_eq!(ds.tier2_used(), 100);
+    }
+
+    /// The late-landing race: demotion 1 is in flight, the entry re-heats
+    /// from its attached bytes and is demoted again. Demotion 1's frame
+    /// landing late must neither take the bytes demotion 2 still owes a
+    /// frame for nor count as that frame.
+    #[test]
+    fn a_stale_generation_landing_after_a_restore_from_attached_bytes_is_a_no_op() {
+        let mut ds = cost_store(100).with_tier2(1000);
+        let (a, _) = put_bytes(&mut ds, 1, &[1; 100], 1.0);
+        let (_, first) = put_bytes(&mut ds, 2, &[2; 100], 2.0);
+        let bytes = ds.get(a).unwrap().payload.clone();
+        let mut ev = Vec::new();
+        assert!(ds.restore(a, bytes, &mut ev), "re-heated from memory");
+        assert!(ev.is_empty(), "{ev:?}");
+        ds.take_pending_spills();
+        // A third, more valuable entry demotes `a` once more.
+        let (_, second) = put_bytes(&mut ds, 3, &[3; 100], 50.0);
+        let gens = |spills: &[SpillRequest<IntervalSpec>]| -> Vec<(BlobId, u64)> {
+            spills.iter().map(|r| (r.blob, r.generation)).collect()
+        };
+        let g1 = first[0].generation;
+        let g2 = second.iter().find(|r| r.blob == a).unwrap().generation;
+        assert!(g2 > g1, "{:?} then {:?}", gens(&first), gens(&second));
+        assert!(!ds.frame_landed(a, g1), "a stale landing");
+        assert_eq!(attached(&ds, a), Some(vec![1; 100]), "bytes kept for g2");
+        assert!(ds.frame_landed(a, g2));
+        assert_eq!(attached(&ds, a), None);
+        assert!(!ds.frame_landed(a, g1), "still stale after g2 landed");
     }
 
     /// The grid index holds every entry: it gains one at insertion and

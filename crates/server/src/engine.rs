@@ -48,10 +48,12 @@
 //!   length (stealers pick victims by them without touching any lock)
 //!   are republished by the [`ShardGuard`] as it lets go of the lock,
 //!   never adjusted by hand.
-//! * `store: RwLock<DataStore>` — the semantic cache, still
-//!   global so reuse crosses shard boundaries. Lookups are read-side
-//!   (`&self`, LRU stamps and counters are atomics); only insert/evict
-//!   takes the write lock.
+//! * `store: RwLock<Tiers>` — the semantic cache, still
+//!   global so reuse crosses shard boundaries, with the set of blobs
+//!   whose tier-2 frame has landed. Lookups are read-side
+//!   (`&self`, LRU stamps and counters are atomics); only insert/evict,
+//!   restore and a frame landing take the write lock. Tier-2 frames are
+//!   written outside it (DESIGN.md §14).
 //! * `metrics: Mutex<Vec<QueryRecord>>` — completed-query records.
 //! * `admission: Mutex<RateLimiter>` — the per-client token buckets,
 //!   held only while the admission ladder ([`vmqs_core::overload::admit`],
@@ -87,7 +89,7 @@ use crate::config::ServerConfig;
 use crate::error::{deadline_error, ServerError};
 use crate::pages::SharedPageSpace;
 use crate::result::{AnswerPath, QueryRecord, QueryResult, ServerSummary};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -97,11 +99,11 @@ use vmqs_core::clock;
 use vmqs_core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use vmqs_core::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use vmqs_core::{
-    overload, shard_of_spec, shed_victim, steal_order, ClientId, IdGen, PanicOutcome, Pressure,
-    QueryId, QuerySpec, QueryState, RateLimiter, SchedShard, Secondary, SpatialSpec, Supervisor,
-    Verdict, WorkerFate,
+    overload, shard_of_spec, shed_victim, steal_order, BlobId, ClientId, IdGen, PanicOutcome,
+    Pressure, QueryId, QuerySpec, QueryState, RateLimiter, SchedShard, Secondary, SpatialSpec,
+    Supervisor, Verdict, WorkerFate,
 };
-use vmqs_datastore::{DataStore, DsStats, EvictionRecord, Payload};
+use vmqs_datastore::{BlobEntry, DataStore, DsStats, EvictionRecord, Payload, SpillRequest};
 use vmqs_microscope::PAGE_SIZE;
 use vmqs_obs::{EventKind, EventRecord, Histogram, MetricsSnapshot, Obs, QueryMetrics, Terminal};
 use vmqs_pagespace::PsStats;
@@ -252,6 +254,43 @@ impl<S: SpatialSpec> DerefMut for ShardGuard<'_, S> {
     }
 }
 
+/// The Data Store and, under the same lock, the blobs whose only copy is
+/// a tier-2 frame on disk: RESTORABLE entries whose frame has landed
+/// ([`DataStore::frame_landed`]) or was adopted at startup. Dropping one
+/// of those from tier 2 leaves a file to unlink. Every other tier-2 drop
+/// still held its bytes: its write was cancelled in the pass that dropped
+/// it, or is in flight and unlinks its own frame when it lands.
+struct Tiers<S: SpatialSpec> {
+    ds: DataStore<S>,
+    framed: HashSet<BlobId>,
+}
+
+impl<S: SpatialSpec> Tiers<S> {
+    /// Forgets the frames of the tier-2 drops in `evicted` and returns
+    /// them for unlinking. Blob ids are never reused, so the caller may
+    /// unlink them after letting the lock go.
+    fn dead_frames(&mut self, evicted: &[EvictionRecord<S>]) -> Vec<BlobId> {
+        let dropped = evicted.iter().filter(|r| r.tier == 2);
+        dropped
+            .filter(|r| self.framed.remove(&r.blob))
+            .map(|r| r.blob)
+            .collect()
+    }
+}
+
+impl<S: SpatialSpec> Deref for Tiers<S> {
+    type Target = DataStore<S>;
+    fn deref(&self) -> &DataStore<S> {
+        &self.ds
+    }
+}
+
+impl<S: SpatialSpec> DerefMut for Tiers<S> {
+    fn deref_mut(&mut self) -> &mut DataStore<S> {
+        &mut self.ds
+    }
+}
+
 struct Core<A: AppExecutor> {
     cfg: ServerConfig,
     app: A,
@@ -266,11 +305,13 @@ struct Core<A: AppExecutor> {
     /// The semantic cache, under a reader-writer lock: lookups (the common
     /// case) share the read side; insert/evict takes the write side.
     /// Global, so result reuse crosses shard boundaries.
-    store: RwLock<DataStore<A::Spec>>,
+    store: RwLock<Tiers<A::Spec>>,
     /// The tier-2 spill store (DESIGN.md §14), present only when the
-    /// config enables spilling. Frames are written and read back *inside*
-    /// the store's write-lock critical sections, so a RESTORABLE entry
-    /// observable by any thread always has an on-disk copy.
+    /// config enables spilling. Frames are written *after* the store's
+    /// write-lock critical section that demoted their entries, which keep
+    /// their bytes until [`DataStore::frame_landed`]: a RESTORABLE entry
+    /// any thread can observe has its bytes or its frame. Frames are read
+    /// back, and unlinked while their blob lives, under the write lock.
     spill: Option<SpillStore>,
     /// Completed-query records, off the hot path.
     metrics: Mutex<Vec<QueryRecord<A::Spec>>>,
@@ -387,8 +428,11 @@ impl<A: AppExecutor> QueryServer<A> {
             store.with_faults(cfg.spill_fault).with_chaos(cfg.chaos)
         });
         let tier2_budget = if spill.is_some() { cfg.tier2_budget } else { 0 };
-        let mut store = DataStore::with_policy(cfg.ds_budget, cfg.index_cell, cfg.ds_policy)
-            .with_tier2(tier2_budget);
+        let mut store = Tiers {
+            ds: DataStore::with_policy(cfg.ds_budget, cfg.index_cell, cfg.ds_policy)
+                .with_tier2(tier2_budget),
+            framed: HashSet::new(),
+        };
         if let Some(spill) = &spill {
             // Crash-consistent recovery (DESIGN.md §15): validate every
             // frame a previous process left behind, adopt the intact ones
@@ -401,7 +445,9 @@ impl<A: AppExecutor> QueryServer<A> {
                     let adopted = app
                         .decode_spec(&f.meta)
                         .is_some_and(|spec| store.adopt_restorable(f.blob, spec, f.size));
-                    if !adopted {
+                    if adopted {
+                        store.framed.insert(f.blob);
+                    } else {
                         let _ = spill.remove(f.blob);
                     }
                 }
@@ -800,9 +846,22 @@ impl<A: AppExecutor> QueryServer<A> {
     /// and edge symmetry, every live blob naming a CACHED node) and that
     /// no per-query state outlives its query: with nothing outstanding,
     /// no shard may hold a record, an eviction tombstone or a wait-for
-    /// edge. Panics with the violation description — a test/debug aid for
-    /// asserting that error paths leave no residue.
+    /// edge; and every blob the engine holds a tier-2 frame for is a
+    /// RESTORABLE entry with no bytes attached. Panics with the violation
+    /// description — a test/debug aid for asserting that error paths
+    /// leave no residue.
     pub fn check_invariants(&self) {
+        let tiers = self.core.store.read();
+        for &blob in &tiers.framed {
+            let e = tiers.get(blob);
+            let frame_only = e.is_some_and(|e| e.restorable() && e.payload.len().is_none());
+            let phase = e.map(|e| (e.phase(), e.payload.len()));
+            assert!(
+                frame_only,
+                "{blob} is framed but (phase, bytes) is {phase:?}"
+            );
+        }
+        drop(tiers);
         for sh in &self.core.shards {
             let s = sh.state.lock();
             // Read under the shard lock: a record here is counted in
@@ -1184,7 +1243,7 @@ fn run_one<A: AppExecutor>(core: &Core<A>, job: Job<A::Spec>) {
             // Seeds the entry's benefit score under the cost-based
             // policy; the legacy policies carry it but never read it.
             let cost = (finished - started).as_secs_f64();
-            let (cached, spills) = {
+            let (cached, spills, dead) = {
                 let mut ds = core.store.write();
                 // A full compute landing next to an already-visible
                 // equivalent result is work a perfect co-scheduler would
@@ -1201,11 +1260,10 @@ fn run_one<A: AppExecutor>(core: &Core<A>, job: Job<A::Spec>) {
                     Payload::Bytes(Arc::clone(&out.image)),
                     &mut evicted,
                 );
-                // Persist any demotions inside this same critical
-                // section: no thread may observe a RESTORABLE entry
-                // whose frame is not on disk yet.
-                let spills = drain_spills(core, &mut ds, &mut evicted);
-                (cached, spills)
+                // Demotions keep their bytes: their frames are written
+                // once this critical section is over.
+                let dead = ds.dead_frames(&evicted);
+                (cached, ds.take_pending_spills(), dead)
             };
             // Publish-epoch bump *before* `done_cv` wakes dependency
             // blockers (in `answer`), so a woken waiter always sees
@@ -1218,8 +1276,11 @@ fn run_one<A: AppExecutor>(core: &Core<A>, job: Job<A::Spec>) {
             // An `Err` (budget too small to cache the result) publishes
             // without a blob; the record comes out with the transition.
             let pending = core.shards[k].state.lock().sched.publish(id, cached.ok());
+            // Landed before the reply: at one worker no query ever sees
+            // a frame in flight.
+            let spilled = write_frames(core, spills, dead, &mut evicted);
             route_evictions(core, evicted);
-            emit_spills(core, spills);
+            emit_spills(core, spilled);
             match out.path {
                 AnswerPath::ExactHit => core.qmet.ds_exact_hits.inc(),
                 AnswerPath::PartialReuse => core.qmet.ds_partial_hits.inc(),
@@ -1561,62 +1622,83 @@ fn route_evictions<A: AppExecutor>(core: &Core<A>, evicted: Vec<EvictionRecord<A
     }
 }
 
-/// Persists freshly demoted entries to the tier-2 store and deletes the
-/// frames of entries dropped *from* tier 2. Must run inside the caller's
-/// store write-lock critical section, so no thread can observe a
-/// RESTORABLE entry whose on-disk frame does not exist yet. A frame that
+/// The tier-2 half of a store critical section, run after it let the
+/// lock go (DESIGN.md §14). Unlinks `dead`, the frames of blobs dropped
+/// for good, writes the frames of the demotions `spills`, and lands them
+/// under one short write lock: a frame of the demotion its entry is
+/// RESTORABLE from takes the entry's bytes away
+/// ([`DataStore::frame_landed`]); one of an older demotion stays, as the
+/// newer demotion's frame holds the same bytes; and one whose entry is
+/// FULL again or gone is unlinked before the lock is let go, since after
+/// it a new demotion may land a frame at the same path. A frame that
 /// cannot be written turns its demotion into a drop (the entry joins
 /// `evicted` and its producer is swapped out like any other victim).
-/// Returns `(producer, bytes)` pairs for `Spilled` event emission after
-/// the lock is released.
-fn drain_spills<A: AppExecutor>(
+/// Returns `(producer, bytes)` pairs for `Spilled` event emission.
+fn write_frames<A: AppExecutor>(
     core: &Core<A>,
-    ds: &mut DataStore<A::Spec>,
+    spills: Vec<SpillRequest<A::Spec>>,
+    dead: Vec<BlobId>,
     evicted: &mut Vec<EvictionRecord<A::Spec>>,
 ) -> Vec<(QueryId, u64)> {
-    let mut out = Vec::new();
     let Some(spill) = &core.spill else {
         debug_assert!(
-            ds.take_pending_spills().is_empty(),
+            spills.is_empty() && dead.is_empty(),
             "tier-2 budget configured without a spill store"
         );
-        return out;
+        return Vec::new();
     };
-    for req in ds.take_pending_spills() {
-        let written = match &req.payload {
-            Payload::Bytes(b) => {
-                // The frame's meta block carries the serialized predicate
-                // so a post-crash recovery scan can rebuild the entry.
-                let meta = core.app.encode_spec(&req.spec);
-                // lint:allow(guard-across-io): the caller's store write
-                // guard is held on purpose: no thread may see a RESTORABLE
-                // entry without its frame. Held for one frame write, about
-                // 0.3 ms for a 192 KiB tile (DESIGN.md §14).
-                let t0 = clock::now();
-                let written = spill.write(req.blob, &meta, b).is_ok();
-                core.tier2_write.observe(t0.elapsed().as_secs_f64());
-                written
+    for blob in dead {
+        let _ = spill.remove(blob);
+    }
+    if spills.is_empty() {
+        return Vec::new();
+    }
+    let written: Vec<bool> = spills
+        .iter()
+        .map(|req| {
+            // A demoted entry in the threaded engine always carries bytes.
+            let Payload::Bytes(bytes) = &req.payload else {
+                return false;
+            };
+            // The frame's meta block carries the serialized predicate so
+            // a post-crash recovery scan can rebuild the entry.
+            let meta = core.app.encode_spec(&req.spec);
+            let t0 = clock::now();
+            let written = spill.write(req.blob, &meta, bytes).is_ok();
+            core.tier2_write.observe(t0.elapsed().as_secs_f64());
+            written
+        })
+        .collect();
+    let first_drop = evicted.len();
+    let dead = {
+        // lint:allow(guard-across-io): a stale frame is unlinked under the
+        // lock that found it stale, before a new demotion of its blob can
+        // land a frame at the same path (rare: a restore from attached bytes)
+        let mut ds = core.store.write();
+        for (req, &written) in spills.iter().zip(&written) {
+            if written && ds.frame_landed(req.blob, req.generation) {
+                ds.framed.insert(req.blob);
+                continue;
             }
-            // A FULL entry in the threaded engine always carries bytes;
-            // anything else cannot be restored later, so drop it.
-            Payload::Virtual => false,
-        };
-        if written {
-            out.push((req.producer, req.size));
-        } else if let Some(rec) = ds.drop_restorable(req.blob) {
-            evicted.push(rec);
+            let holds_bytes =
+                |e: &BlobEntry<_>| e.restorable() && matches!(e.payload, Payload::Bytes(_));
+            if !written && ds.get(req.blob).is_some_and(holds_bytes) {
+                evicted.extend(ds.drop_restorable(req.blob));
+            }
+            if !ds.get(req.blob).is_some_and(BlobEntry::restorable) {
+                let _ = spill.remove(req.blob);
+            }
         }
+        ds.dead_frames(&evicted[first_drop..])
+    };
+    for blob in dead {
+        let _ = spill.remove(blob);
     }
-    // Hygiene: entries dropped from tier 2 leave no frame behind. (Drops
-    // within this same eviction pass cancelled their pending write above
-    // and never had a frame; this cleans up frames from earlier passes.)
-    for r in evicted.iter().filter(|r| r.tier == 2) {
-        let _ = spill.remove(r.blob);
-    }
-    out
+    let landed = spills.iter().zip(written).filter(|(_, w)| *w);
+    landed.map(|(req, _)| (req.producer, req.size)).collect()
 }
 
-/// Emits `Spilled` events and counters for `drain_spills` results —
+/// Emits `Spilled` events and counters for `write_frames` results —
 /// outside the store lock.
 fn emit_spills<A: AppExecutor>(core: &Core<A>, spills: Vec<(QueryId, u64)>) {
     for (producer, bytes) in spills {
@@ -1625,14 +1707,15 @@ fn emit_spills<A: AppExecutor>(core: &Core<A>, spills: Vec<(QueryId, u64)>) {
 }
 
 /// Attempts to answer `spec` from the tier-2 spill store: finds a
-/// RESTORABLE entry whose predicate `cmp`-matches exactly, re-reads its
-/// frame, and promotes it back to FULL. The re-probe, disk read, and
-/// promotion all happen under the store's write lock so a restore cannot
-/// race another restore, a drop, or an eviction pass over the same entry.
-/// Returns the restored bytes, or `None` to fall back to the ordinary
-/// compute path (no candidate, unreadable frame, or tier-1 space could
-/// not be freed). An unreadable frame drops the entry for good — the
-/// typed-error fallback the fault sweep exercises.
+/// RESTORABLE entry whose predicate `cmp`-matches exactly, re-heats it
+/// from the bytes it still holds while its frame is in flight or else
+/// from its frame, and promotes it back to FULL. The re-probe, frame read
+/// and promotion all happen under the store's write lock so a restore
+/// cannot race another restore, a drop, or an eviction pass over the same
+/// entry. Returns the restored bytes, or `None` to fall back to the
+/// ordinary compute path (no candidate, unreadable frame, or tier-1 space
+/// could not be freed). An unreadable frame drops the entry for good —
+/// the typed-error fallback the fault sweep exercises.
 fn try_restore<A: AppExecutor>(core: &Core<A>, id: QueryId, spec: &A::Spec) -> Option<Arc<[u8]>> {
     let spill = core.spill.as_ref()?;
     // Cheap read-lock probe first: the common case is "nothing spilled
@@ -1640,49 +1723,56 @@ fn try_restore<A: AppExecutor>(core: &Core<A>, id: QueryId, spec: &A::Spec) -> O
     core.store.read().lookup_restorable_exact(spec)?;
     let mut evicted: Vec<EvictionRecord<A::Spec>> = Vec::new();
     let mut restored: Option<(QueryId, Arc<[u8]>, u64)> = None;
-    let spills = {
+    let (spills, dead) = {
         // Probe, frame read and promotion are one critical section, so a
         // second restore, a drop or an eviction pass cannot reach the
         // entry between them. Held for one frame read, about 0.15 ms for
-        // a 192 KiB tile (DESIGN.md §14).
+        // a 192 KiB tile (DESIGN.md §14), when the entry's bytes are gone.
         // lint:allow(guard-across-io): no thread may see a RESTORABLE
         // entry without its frame
         let mut ds = core.store.write();
         // Re-probe under the write lock: a peer may have restored or
         // dropped the candidate while this thread upgraded.
         let (blob, producer, size) = ds.lookup_restorable_exact(spec)?;
-        let t0 = clock::now();
-        let read = spill.read(blob);
-        core.tier2_read.observe(t0.elapsed().as_secs_f64());
+        let read = match &ds.get(blob)?.payload {
+            // Its frame is still in flight: no disk read at all.
+            Payload::Bytes(bytes) => Ok(Arc::clone(bytes)),
+            Payload::Virtual => {
+                let t0 = clock::now();
+                let read = spill.read(blob);
+                core.tier2_read.observe(t0.elapsed().as_secs_f64());
+                read.map(Arc::from)
+            }
+        };
         match read {
-            Ok(bytes) => {
-                let payload: Arc<[u8]> = bytes.into();
+            Ok(payload) => {
                 if ds.restore(blob, Payload::Bytes(Arc::clone(&payload)), &mut evicted) {
-                    // Tier 1 owns the entry again; its frame is dead.
-                    let _ = spill.remove(blob);
+                    // Tier 1 owns the entry again: a landed frame is
+                    // dead, one in flight is unlinked when it lands.
+                    if ds.framed.remove(&blob) {
+                        let _ = spill.remove(blob);
+                    }
                     restored = Some((producer, payload, size));
                 }
                 // On a false return the query recomputes: either tier 1
-                // could not make room (the entry stays RESTORABLE with
-                // its frame intact), or making room overflowed tier 2
-                // and the shrink dropped this very entry (its eviction
-                // record is in `evicted`; the drain below removes the
-                // dead frame).
+                // could not make room (the entry stays RESTORABLE as it
+                // was), or making room overflowed tier 2 and the shrink
+                // dropped this very entry (its eviction record is in
+                // `evicted`, and its frame among the dead).
             }
             Err(_) => {
                 // Poisoned or corrupt frame: unreadable for good. Drop
                 // the entry and recompute through the ordinary path.
-                if let Some(rec) = ds.drop_restorable(blob) {
-                    evicted.push(rec);
-                }
-                let _ = spill.remove(blob);
+                evicted.extend(ds.drop_restorable(blob));
             }
         }
         // Making room in tier 1 may itself have demoted entries.
-        drain_spills(core, &mut ds, &mut evicted)
+        let dead = ds.dead_frames(&evicted);
+        (ds.take_pending_spills(), dead)
     };
+    let spilled = write_frames(core, spills, dead, &mut evicted);
     route_evictions(core, evicted);
-    emit_spills(core, spills);
+    emit_spills(core, spilled);
     let (producer, bytes, size) = restored?;
     core.emit(producer, EventKind::Restored { bytes: size });
     let hit = EventKind::LookupHit {
@@ -2349,6 +2439,19 @@ mod tests {
         )
     }
 
+    /// `(frames, staging files)` in a spill directory.
+    fn spill_files(dir: &std::path::Path) -> (u64, u64) {
+        let mut n = (0, 0);
+        for e in std::fs::read_dir(dir).unwrap() {
+            match e.unwrap().path().extension().and_then(|x| x.to_str()) {
+                Some("spill") => n.0 += 1,
+                Some("tmp") => n.1 += 1,
+                _ => {}
+            }
+        }
+        n
+    }
+
     #[test]
     fn spilled_entry_restores_as_exact_hit() {
         let (cfg, dir) = spill_cfg("restore");
@@ -2430,16 +2533,7 @@ mod tests {
                 .wait()
                 .unwrap();
         }
-        let frames = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .path()
-                    .extension()
-                    .is_some_and(|x| x == "spill")
-            })
-            .count() as u64;
+        let (frames, _) = spill_files(&dir);
         let tier2_used = s.core.store.read().tier2_used();
         assert!(tier2_used > 0, "pressure must have demoted something");
         assert_eq!(
@@ -2450,6 +2544,62 @@ mod tests {
         s.check_invariants();
         s.shutdown();
         let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Frames are written after the store lock and land later, so a blob
+    /// can spill, re-heat from the bytes it kept, spill again and see
+    /// both frames land in either order. However they interleave, every
+    /// answer is byte-exact, no restore finds its frame missing, and at
+    /// quiescence the directory holds exactly one frame per tier-2
+    /// resident: a stale landing never unlinks a newer frame, and no
+    /// frame outlives its entry.
+    #[test]
+    fn spill_frames_match_tier2_under_concurrency() {
+        let hot: Vec<VmQuery> = (0..6u32)
+            .map(|i| q(i % 3 * 150, i / 3 * 150, 128, 128, 1, VmOp::Subsample))
+            .collect();
+        let want: Vec<Vec<u8>> = hot.iter().map(|s| reference_render(s).data).collect();
+        let (mut restored, mut frame_reads) = (0, 0);
+        for round in 0..20 {
+            let (cfg, dir) = spill_cfg("concurrent");
+            // Two tiles in tier 1, four in tier 2: six hot tiles keep
+            // every entry moving between the two.
+            let cfg = cfg
+                .with_threads(8)
+                .with_ds_budget(2 * 49_152)
+                .with_tier2_budget(4 * 49_152);
+            let s = server(cfg);
+            for pass in 0..8 {
+                let order: Vec<usize> = (0..12).map(|i| (i * 5 + pass + round) % 6).collect();
+                let handles = s.submit_batch(order.iter().map(|&i| hot[i]));
+                for (h, &i) in handles.into_iter().zip(&order) {
+                    let res = h.wait().unwrap();
+                    assert_eq!(*res.image, want[i], "round {round}: tile {i} diverged");
+                }
+            }
+            let sum = s.summary();
+            assert_eq!(
+                sum.restore_failures, 0,
+                "round {round}: a frame went missing"
+            );
+            s.check_invariants();
+            let (frames, tmps) = spill_files(&dir);
+            let tier2_used = s.core.store.read().tier2_used();
+            assert_eq!(
+                frames * 49_152,
+                tier2_used,
+                "round {round}: frames vs tier 2"
+            );
+            assert_eq!(tmps, 0, "round {round}: a staging file was left behind");
+            restored += sum.restored;
+            frame_reads += tier2_io_samples(&s.metrics()).1;
+            s.shutdown();
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        assert!(
+            restored > frame_reads,
+            "no restore came from attached bytes ({restored} restores, {frame_reads} frame reads)"
+        );
     }
 
     #[test]
@@ -2744,16 +2894,7 @@ mod tests {
         s.submit(a).wait().unwrap();
         s.submit(b).wait().unwrap();
         assert!(s.summary().spilled >= 1, "spilling works after recovery");
-        let frames = std::fs::read_dir(&dir)
-            .unwrap()
-            .filter(|e| {
-                e.as_ref()
-                    .unwrap()
-                    .path()
-                    .extension()
-                    .is_some_and(|x| x == "spill")
-            })
-            .count() as u64;
+        let (frames, _) = spill_files(&dir);
         assert_eq!(frames * 49_152, s.core.store.read().tier2_used());
         s.check_invariants();
         s.shutdown();

@@ -782,7 +782,7 @@ impl<A: SimApplication> Simulator<A> {
     /// Accepts the Data Store's queued demotions. The virtual tier needs
     /// no frame write, so a demotion is just the `Spilled` event and the
     /// counters — the simulator's analog of the threaded engine's
-    /// `drain_spills`. Producers stay CACHED in the scheduling graph: the
+    /// `write_frames`. Producers stay CACHED in the scheduling graph: the
     /// data still exists, one disk read away.
     fn drain_spills(&mut self, now: f64) {
         for req in self.ds.take_pending_spills() {

@@ -7,10 +7,11 @@
 //! is deliberately dumb — magic, version, a metadata block (the
 //! application-encoded predicate, so a cold restart can rebuild the Data
 //! Store index), the payload, and a CRC32 trailer over everything before
-//! it. Frames are written to a `.tmp` sibling and renamed into place, so
-//! a crash mid-write can never leave a half-frame under the `.spill`
-//! name: either the rename happened and the frame validates, or it did
-//! not and [`SpillStore::recover`] sweeps the torn `.tmp` away.
+//! it. Frames are written to a `.tmp` file (one per write) and renamed
+//! into place, so a crash mid-write can never leave a half-frame under
+//! the `.spill` name: either the rename happened and the frame
+//! validates, or it did not and [`SpillStore::recover`] sweeps the torn
+//! `.tmp` away.
 //!
 //! Fault injection reuses the crate's seeded [`FaultConfig`] draws keyed
 //! on the reserved [`SPILL_DEVICE`] dataset and the blob id, so tests can
@@ -224,12 +225,13 @@ impl RecoveryReport {
 /// An on-disk tier-2 store for spilled Data Store entries.
 ///
 /// One file per blob under the configured directory. The threaded engine
-/// calls [`SpillStore::write`] inside the same critical section that
-/// demoted the entry (so a RESTORABLE entry always has an on-disk copy)
-/// and [`SpillStore::read`] under the same exclusivity before promoting
-/// it back. All methods take `&self`; the store itself keeps no mutable
-/// state beyond atomic counters, and relies on the caller for exclusion
-/// per blob.
+/// calls [`SpillStore::write`] after the critical section that demoted
+/// the entry (which keeps its bytes until the frame has landed), and
+/// [`SpillStore::read`] and the unlinks a live entry depends on under the
+/// Data Store's write lock. All methods take `&self`; the store itself
+/// keeps no mutable state beyond atomic counters. Writes of one blob may
+/// overlap (each stages its own `.tmp`); every frame of a blob holds the
+/// same bytes, so whichever rename lands last is as good as the other.
 #[derive(Debug)]
 pub struct SpillStore {
     dir: PathBuf,
@@ -322,17 +324,20 @@ impl SpillStore {
         self.dir.join(format!("blob-{}.spill", blob.raw()))
     }
 
-    fn tmp_path_of(&self, blob: BlobId) -> PathBuf {
-        self.dir.join(format!("blob-{}.tmp", blob.raw()))
+    /// The staging file of write number `ordinal`: one per write, so two
+    /// writes of one blob in flight at once never share one.
+    fn tmp_path_of(&self, blob: BlobId, ordinal: u64) -> PathBuf {
+        self.dir.join(format!("blob-{}.w{ordinal}.tmp", blob.raw()))
     }
 
     /// Serializes `meta` (the application-encoded predicate) and
     /// `payload` as the v2 frame for `blob`, overwriting any previous
-    /// frame. Atomic: the frame is staged as a `.tmp` sibling and renamed
-    /// into place, so a crash between the two leaves the old frame (or no
-    /// frame) — never a torn one — under the `.spill` name. The frame is
-    /// never assembled in memory: its parts are checksummed where they
-    /// lie and written one after another.
+    /// frame. Atomic: the frame is staged as a `.tmp` file of its own and
+    /// renamed into place, so a crash between the two leaves the old
+    /// frame (or no frame) — never a torn one — under the `.spill` name,
+    /// and concurrent writes of one blob each rename a whole frame. The
+    /// frame is never assembled in memory: its parts are checksummed
+    /// where they lie and written one after another.
     pub fn write(&self, blob: BlobId, meta: &[u8], payload: &[u8]) -> io::Result<()> {
         use std::sync::atomic::Ordering::Relaxed;
         if self.crashed.load(Relaxed) {
@@ -366,13 +371,16 @@ impl SpillStore {
         // frame. No rename happens, so the `.spill` namespace is
         // untouched; the torn `.tmp` waits for recovery hygiene.
         let mut left = if crash { frame_len / 2 } else { frame_len };
-        let tmp = self.tmp_path_of(blob);
-        let mut f = fs::File::create(&tmp)?;
-        for part in [&header[..], meta, before, flip, after, &trailer[..]] {
-            let n = part.len().min(left);
-            f.write_all(&part[..n])?;
-            left -= n;
-        }
+        let tmp = self.tmp_path_of(blob, ordinal);
+        let staged = (|| {
+            let mut f = fs::File::create(&tmp)?;
+            for part in [&header[..], meta, before, flip, after, &trailer[..]] {
+                let n = part.len().min(left);
+                f.write_all(&part[..n])?;
+                left -= n;
+            }
+            Ok(())
+        })();
         if crash {
             self.torn_writes.fetch_add(1, Relaxed);
             self.crashed.store(true, Relaxed);
@@ -380,8 +388,11 @@ impl SpillStore {
                 "injected crash mid-spill-write for {blob} (ordinal {ordinal})"
             )));
         }
-        drop(f);
-        fs::rename(&tmp, self.path_of(blob))?;
+        if let Err(e) = staged.and_then(|()| fs::rename(&tmp, self.path_of(blob))) {
+            // A live process cleans up after its own failed write.
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
+        }
         self.writes.fetch_add(1, Relaxed);
         self.bytes_written.fetch_add(payload.len() as u64, Relaxed);
         Ok(())
@@ -532,18 +543,16 @@ impl SpillStore {
         Ok(report)
     }
 
-    /// Deletes the frame for `blob`, and any stale `.tmp` sibling a
-    /// crashed write left behind. Missing frames are not an error (the
-    /// drop may race a cancelled spill that never wrote one).
+    /// Deletes the frame for `blob`. Missing frames are not an error (a
+    /// stale landing may find its frame already unlinked). A write cleans
+    /// up its own staging file when it fails; only a crash leaves one,
+    /// for [`SpillStore::recover`].
     pub fn remove(&self, blob: BlobId) -> io::Result<()> {
         use std::sync::atomic::Ordering::Relaxed;
         if self.crashed.load(Relaxed) {
             // A crashed store leaves the directory untouched; recovery
             // on the next startup owns the cleanup.
             return Ok(());
-        }
-        match fs::remove_file(self.tmp_path_of(blob)) {
-            Ok(()) | Err(_) => {}
         }
         match fs::remove_file(self.path_of(blob)) {
             Ok(()) => {
@@ -879,13 +888,13 @@ mod tests {
         assert_eq!(s.stats().torn_writes, 1);
         // The .spill namespace never saw the torn frame.
         assert_eq!(s.len().unwrap(), 1);
-        assert!(s.dir().join("blob-1.tmp").exists());
+        assert!(s.dir().join("blob-1.w1.tmp").exists());
         assert!(s.read(BlobId(1)).is_err());
         // The crashed store is dead: later writes fail, and removes no
         // longer touch the directory (a dead process cleans nothing up).
         assert!(s.write(BlobId(2), b"spec2", &[3u8; 64]).is_err());
         s.remove(BlobId(1)).unwrap();
-        assert!(s.dir().join("blob-1.tmp").exists());
+        assert!(s.dir().join("blob-1.w1.tmp").exists());
         // Recovery: the intact frame survives, the torn tmp is deleted,
         // and byte accounting covers exactly the survivors.
         let rec = s.recover().unwrap();
@@ -895,7 +904,7 @@ mod tests {
         assert_eq!(rec.restorable[0].blob, BlobId(0));
         assert_eq!(rec.restorable[0].meta, b"spec0");
         assert_eq!(rec.bytes_restorable(), 128);
-        assert!(!s.dir().join("blob-1.tmp").exists());
+        assert!(!s.dir().join("blob-1.w1.tmp").exists());
         // Idempotent: a second scan finds the same state, removes nothing.
         let rec2 = s.recover().unwrap();
         assert_eq!((rec2.removed_tmp, rec2.removed_torn), (0, 0));
@@ -961,7 +970,7 @@ mod tests {
             .write(BlobId(3), b"spec-3", &[3u8; 40_000])
             .unwrap_err();
         // The torn tmp holds exactly the first half of its frame.
-        let torn = fs::read(dir.join("blob-3.tmp")).unwrap();
+        let torn = fs::read(dir.join("blob-3.w0.tmp")).unwrap();
         assert_eq!(torn.len(), (HEADER_LEN + 6 + 40_000 + TRAILER_LEN) / 2);
         assert_eq!(torn[..HEADER_LEN], encode_header(6, 40_000));
         assert!(torn[HEADER_LEN + 6..].iter().all(|&b| b == 3));
