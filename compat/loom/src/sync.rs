@@ -84,6 +84,14 @@ impl<T> Mutex<T> {
         }
     }
 
+    /// Creates a mutex, ignoring `class`: the lock class a
+    /// `vmqs_core::sync` lockdep checks in debug builds, which does not
+    /// run inside loom builds.
+    pub const fn ranked<C: Copy>(class: C, value: T) -> Self {
+        let _ = class;
+        Mutex::new(value)
+    }
+
     /// Consumes the mutex, returning the inner value.
     pub fn into_inner(self) -> T {
         self.inner
@@ -381,6 +389,13 @@ impl<T> RwLock<T> {
             ctl: StdMutex::new(None),
             inner: std::sync::RwLock::new(value),
         }
+    }
+
+    /// Creates a reader-writer lock, ignoring `class` (see
+    /// [`Mutex::ranked`]).
+    pub const fn ranked<C: Copy>(class: C, value: T) -> Self {
+        let _ = class;
+        RwLock::new(value)
     }
 
     /// Consumes the lock, returning the inner value.

@@ -3,7 +3,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 use vmqs_core::sync::atomic::{AtomicU64, Ordering};
-use vmqs_core::sync::Mutex;
+use vmqs_core::sync::{LockClass, Mutex};
 use vmqs_core::QueryId;
 
 /// What happened to a query. One variant per schema point shared by the
@@ -243,7 +243,9 @@ impl EventLog {
             enabled,
             origin: vmqs_core::clock::now(),
             seq: AtomicU64::new(0),
-            shards: (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect(),
+            shards: (0..SHARDS)
+                .map(|_| Mutex::ranked(LockClass::Events, Vec::new()))
+                .collect(),
         }
     }
 

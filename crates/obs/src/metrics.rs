@@ -5,7 +5,7 @@ use crate::event::EventKind;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use vmqs_core::sync::atomic::{AtomicU64, Ordering};
-use vmqs_core::sync::{Arc, Mutex};
+use vmqs_core::sync::{Arc, LockClass, Mutex};
 
 /// A monotonically increasing atomic counter.
 #[derive(Debug, Default)]
@@ -295,8 +295,8 @@ impl PageMetrics {
 
 /// A named registry of counters, histograms, and gauges. Handles are
 /// `Arc`s resolved once (see [`QueryMetrics`]/[`PageMetrics`]); the name
-/// maps are only locked at resolve and snapshot time.
-#[derive(Debug, Default)]
+/// maps are only locked at resolve and snapshot time, one at a time.
+#[derive(Debug)]
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
@@ -306,7 +306,11 @@ pub struct MetricsRegistry {
 impl MetricsRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
-        MetricsRegistry::default()
+        MetricsRegistry {
+            counters: Mutex::ranked(LockClass::ObsRegistry, BTreeMap::new()),
+            histograms: Mutex::ranked(LockClass::ObsRegistry, BTreeMap::new()),
+            gauges: Mutex::ranked(LockClass::ObsRegistry, BTreeMap::new()),
+        }
     }
 
     /// Returns (registering if new) the counter named `name`.
@@ -334,23 +338,34 @@ impl MetricsRegistry {
         self.gauges.lock().insert(name.to_string(), value);
     }
 
-    /// A point-in-time copy of every metric.
+    /// A point-in-time copy of every metric. Each map is copied under
+    /// its own lock, in a statement of its own: the maps share a lock
+    /// class, so holding two at once is a lock-order violation.
     pub fn snapshot(&self) -> MetricsSnapshot {
+        let counters = self
+            .counters
+            .lock()
+            .iter()
+            .map(|(k, v)| (k.clone(), v.get()))
+            .collect();
+        let gauges = self.gauges.lock().clone();
+        let histograms = self
+            .histograms
+            .lock()
+            .iter()
+            .map(|(k, v)| (k.clone(), v.snapshot()))
+            .collect();
         MetricsSnapshot {
-            counters: self
-                .counters
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: self.gauges.lock().clone(),
-            histograms: self
-                .histograms
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
+            counters,
+            gauges,
+            histograms,
         }
+    }
+}
+
+impl Default for MetricsRegistry {
+    fn default() -> Self {
+        MetricsRegistry::new()
     }
 }
 

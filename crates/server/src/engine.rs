@@ -74,7 +74,9 @@
 //! **Lock hierarchy rule:** one of these at a time; no thread holds two
 //! shard locks or a shard lock together with `admission`/`store`/
 //! `metrics`. Payload bytes are materialized into `Arc<[u8]>` outside
-//! all critical sections.
+//! all critical sections. Each lock is built with its
+//! [`vmqs_core::sync::LockClass`], and debug builds check the order at
+//! every acquisition ([`vmqs_core::sync::lockdep`]).
 //!
 //! The engine is generic over the application ([`VmExecutor`] is the
 //! default); everything scheduling-related is application-neutral.
@@ -97,7 +99,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vmqs_core::clock;
 use vmqs_core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use vmqs_core::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use vmqs_core::sync::{lockdep, Arc, Condvar, LockClass, Mutex, MutexGuard, RwLock};
 use vmqs_core::{
     overload, shard_of_spec, shed_victim, steal_order, BlobId, ClientId, IdGen, PanicOutcome,
     Pressure, QueryId, QuerySpec, QueryState, RateLimiter, SchedShard, Secondary, SpatialSpec,
@@ -183,11 +185,14 @@ impl<S: SpatialSpec> ShardLock<S> {
         total_waiting: Arc<AtomicUsize>,
     ) -> Self {
         ShardLock {
-            inner: Mutex::new(ShardState {
-                sched: SchedShard::new(strategy, index_cell),
-                waiting_on: HashMap::new(),
-                blocked_fallbacks: 0,
-            }),
+            inner: Mutex::ranked(
+                LockClass::ShardState,
+                ShardState {
+                    sched: SchedShard::new(strategy, index_cell),
+                    waiting_on: HashMap::new(),
+                    blocked_fallbacks: 0,
+                },
+            ),
             depth: AtomicUsize::new(0),
             total_waiting,
         }
@@ -461,20 +466,21 @@ impl<A: AppExecutor> QueryServer<A> {
                     done_cv: Condvar::new(),
                 })
                 .collect(),
-            admission: Mutex::new(RateLimiter::default()),
-            store: RwLock::new(store),
+            admission: Mutex::ranked(LockClass::Admission, RateLimiter::default()),
+            store: RwLock::ranked(LockClass::Store, store),
             spill,
-            metrics: Mutex::new(Vec::new()),
-            idle: Mutex::new(()),
+            metrics: Mutex::ranked(LockClass::Metrics, Vec::new()),
+            idle: Mutex::ranked(LockClass::Idle, ()),
             work_cv: Condvar::new(),
             sleepers: AtomicUsize::new(0),
             total_waiting,
             outstanding: AtomicUsize::new(0),
             paused: AtomicBool::new(cfg.start_paused),
             shutdown: AtomicBool::new(false),
-            drain_mx: Mutex::new(()),
+            drain_mx: Mutex::ranked(LockClass::Drain, ()),
             drain_cv: Condvar::new(),
-            compute_slots: Mutex::new(
+            compute_slots: Mutex::ranked(
+                LockClass::Compute,
                 std::thread::available_parallelism()
                     .map(|n| n.get())
                     .unwrap_or(cfg.num_threads)
@@ -497,7 +503,7 @@ impl<A: AppExecutor> QueryServer<A> {
             duplicate_full_computes: AtomicU64::new(0),
             compute_seq: AtomicU64::new(0),
             sup: Supervisor::new(cfg.num_threads, cfg.restart_budget),
-            respawned: Mutex::new(Vec::new()),
+            respawned: Mutex::ranked(LockClass::Respawned, Vec::new()),
             tier2_write: obs.metrics.histogram("vmqs_tier2_write_seconds"),
             tier2_read: obs.metrics.histogram("vmqs_tier2_read_seconds"),
             obs,
@@ -851,6 +857,10 @@ impl<A: AppExecutor> QueryServer<A> {
     /// description — a test/debug aid for asserting that error paths
     /// leave no residue.
     pub fn check_invariants(&self) {
+        // A lock-order violation panics where it happens, but a worker's
+        // supervisor may have caught that panic and requeued the query.
+        let violations = lockdep::violations();
+        assert_eq!(violations, 0, "lockdep found {violations} violation(s)");
         let tiers = self.core.store.read();
         for &blob in &tiers.framed {
             let e = tiers.get(blob);
@@ -1574,6 +1584,14 @@ fn execute_query<A: AppExecutor>(
     if core.cfg.chaos.compute_should_panic(ordinal, id.0) {
         panic!("injected chaos panic: compute ordinal {ordinal}, query {id:?}");
     }
+    lockdep::assert_unheld(
+        &[
+            LockClass::ShardState,
+            LockClass::Store,
+            LockClass::PagesCore,
+        ],
+        "kernel call",
+    );
     let out = core
         .app
         .execute(&spec, &sources, &core.ps.session_for(id, deadline))?;
@@ -1671,9 +1689,9 @@ fn write_frames<A: AppExecutor>(
         .collect();
     let first_drop = evicted.len();
     let dead = {
-        // lint:allow(guard-across-io): a stale frame is unlinked under the
-        // lock that found it stale, before a new demotion of its blob can
-        // land a frame at the same path (rare: a restore from attached bytes)
+        // A stale frame is unlinked under the lock that found it stale,
+        // before a new demotion of its blob can land a frame at the same
+        // path (rare: a restore from attached bytes).
         let mut ds = core.store.write();
         for (req, &written) in spills.iter().zip(&written) {
             if written && ds.frame_landed(req.blob, req.generation) {
@@ -1728,8 +1746,8 @@ fn try_restore<A: AppExecutor>(core: &Core<A>, id: QueryId, spec: &A::Spec) -> O
         // second restore, a drop or an eviction pass cannot reach the
         // entry between them. Held for one frame read, about 0.15 ms for
         // a 192 KiB tile (DESIGN.md §14), when the entry's bytes are gone.
-        // lint:allow(guard-across-io): no thread may see a RESTORABLE
-        // entry without its frame
+        // The frame is read under the lock because no thread may see a
+        // RESTORABLE entry without its frame.
         let mut ds = core.store.write();
         // Re-probe under the write lock: a peer may have restored or
         // dropped the candidate while this thread upgraded.

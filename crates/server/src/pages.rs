@@ -46,7 +46,7 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 use vmqs_core::clock;
 use vmqs_core::sync::atomic::{AtomicUsize, Ordering};
-use vmqs_core::sync::{Arc, Condvar, Mutex};
+use vmqs_core::sync::{lockdep, Arc, Condvar, LockClass, Mutex};
 use vmqs_core::{DatasetId, QueryId};
 use vmqs_obs::{EventKind, Obs, PageMetrics};
 use vmqs_pagespace::{PageCacheCore, PageData, PageKey, PsStats, RetryPolicy};
@@ -108,7 +108,10 @@ impl SharedPageSpace {
     ) -> Self {
         let pmet = obs.as_ref().map(|o| PageMetrics::resolve(&o.metrics));
         SharedPageSpace {
-            core: Mutex::new(PageCacheCore::new(budget_bytes, page_size as u64)),
+            core: Mutex::ranked(
+                LockClass::PagesCore,
+                PageCacheCore::new(budget_bytes, page_size as u64),
+            ),
             resident_cv: Condvar::new(),
             sleepers: AtomicUsize::new(0),
             source,
@@ -186,6 +189,14 @@ impl SharedPageSpace {
                 self.core.lock().note_failed_read();
                 return Err(deadline_error());
             }
+            lockdep::assert_unheld(
+                &[
+                    LockClass::ShardState,
+                    LockClass::Store,
+                    LockClass::PagesCore,
+                ],
+                "device read",
+            );
             match self
                 .source
                 .read_page(page.dataset, page.index, self.page_size)

@@ -24,8 +24,8 @@ use crate::source::DataSource;
 use std::collections::HashMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
+use vmqs_core::sync::{LockClass, Mutex};
 use vmqs_core::DatasetId;
 
 /// True when an I/O error is worth retrying: the documented transient
@@ -187,7 +187,7 @@ impl<S: DataSource> FaultInjectingSource<S> {
         FaultInjectingSource {
             inner,
             cfg,
-            attempts: Mutex::new(HashMap::new()),
+            attempts: Mutex::ranked(LockClass::Storage, HashMap::new()),
             reads: AtomicU64::new(0),
             transient: AtomicU64::new(0),
             permanent: AtomicU64::new(0),
@@ -221,12 +221,7 @@ impl<S: DataSource> DataSource for FaultInjectingSource<S> {
     fn read_page(&self, dataset: DatasetId, index: u64, page_size: usize) -> io::Result<Vec<u8>> {
         self.reads.fetch_add(1, Ordering::Relaxed);
         let attempt = {
-            // Poison recovery: fault bookkeeping must not take workers
-            // down with a panicked peer.
-            let mut map = match self.attempts.lock() {
-                Ok(g) => g,
-                Err(p) => p.into_inner(),
-            };
+            let mut map = self.attempts.lock();
             let a = map.entry((dataset, index)).or_insert(0);
             let cur = *a;
             *a += 1;

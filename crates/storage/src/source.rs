@@ -18,8 +18,8 @@ use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::mem::MaybeUninit;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 use std::time::Duration;
+use vmqs_core::sync::{LockClass, Mutex};
 use vmqs_core::DatasetId;
 
 /// A source of fixed-size pages. Implementations must be thread-safe: the
@@ -176,7 +176,7 @@ impl FileSource {
     pub fn new<P: AsRef<Path>>(dir: P) -> Self {
         FileSource {
             dir: dir.as_ref().to_path_buf(),
-            handles: Mutex::new(HashMap::new()),
+            handles: Mutex::ranked(LockClass::Storage, HashMap::new()),
         }
     }
 
@@ -211,12 +211,9 @@ impl DataSource for FileSource {
         index: u64,
         page_size: usize,
     ) -> std::io::Result<Vec<u8>> {
-        // Poison recovery: the map only caches open handles, so state is
-        // valid even if a peer panicked mid-insert; never take readers down.
-        let mut handles = match self.handles.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
+        // The facade recovers a poisoned lock: the map only caches open
+        // handles, so it is valid even if a peer panicked mid-insert.
+        let mut handles = self.handles.lock();
         let f = match handles.get_mut(&dataset) {
             Some(f) => f,
             None => {

@@ -27,6 +27,7 @@ use crate::fault::FaultConfig;
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
+use vmqs_core::sync::{lockdep, LockClass};
 use vmqs_core::{BlobId, DatasetId};
 
 /// The reserved dataset key under which tier-2 read faults are drawn:
@@ -228,7 +229,9 @@ impl RecoveryReport {
 /// calls [`SpillStore::write`] after the critical section that demoted
 /// the entry (which keeps its bytes until the frame has landed), and
 /// [`SpillStore::read`] and the unlinks a live entry depends on under the
-/// Data Store's write lock. All methods take `&self`; the store itself
+/// Data Store's write lock. Debug builds check this: a frame write
+/// panics under a `Store` or `ShardState` lock, a read or unlink under a
+/// `ShardState` lock ([`lockdep::assert_unheld`]). All methods take `&self`; the store itself
 /// keeps no mutable state beyond atomic counters. Writes of one blob may
 /// overlap (each stages its own `.tmp`); every frame of a blob holds the
 /// same bytes, so whichever rename lands last is as good as the other.
@@ -340,6 +343,7 @@ impl SpillStore {
     /// where they lie and written one after another.
     pub fn write(&self, blob: BlobId, meta: &[u8], payload: &[u8]) -> io::Result<()> {
         use std::sync::atomic::Ordering::Relaxed;
+        lockdep::assert_unheld(&[LockClass::ShardState, LockClass::Store], "frame write");
         if self.crashed.load(Relaxed) {
             return Err(io::Error::other(
                 "spill store crashed at a chaos kill-point",
@@ -473,6 +477,7 @@ impl SpillStore {
     /// the CRC covers the header, metadata, and payload alike.
     pub fn read(&self, blob: BlobId) -> io::Result<Vec<u8>> {
         use std::sync::atomic::Ordering::Relaxed;
+        lockdep::assert_unheld(&[LockClass::ShardState], "frame read");
         if self.blob_is_poisoned(blob) {
             self.read_failures.fetch_add(1, Relaxed);
             return Err(io::Error::new(
@@ -549,6 +554,7 @@ impl SpillStore {
     /// for [`SpillStore::recover`].
     pub fn remove(&self, blob: BlobId) -> io::Result<()> {
         use std::sync::atomic::Ordering::Relaxed;
+        lockdep::assert_unheld(&[LockClass::ShardState], "frame unlink");
         if self.crashed.load(Relaxed) {
             // A crashed store leaves the directory untouched; recovery
             // on the next startup owns the cleanup.
@@ -836,6 +842,52 @@ mod tests {
         s.clear().unwrap();
         assert!(s.is_empty().unwrap());
         assert_eq!(s.stats().removes, 1);
+        cleanup(&s);
+    }
+
+    /// Runs `f`, which must panic, and returns the panic's message.
+    #[cfg(all(debug_assertions, not(loom)))]
+    fn panic_message(f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the lockdep should have panicked");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    }
+
+    #[test]
+    #[cfg(all(debug_assertions, not(loom)))]
+    fn frame_write_under_store_guard_panics() {
+        use vmqs_core::sync::RwLock;
+        let s = SpillStore::new(tmpdir("lockdep-write")).unwrap();
+        let store = RwLock::ranked(LockClass::Store, ());
+        let msg = panic_message(|| {
+            let _ds = store.read();
+            let _ = s.write(BlobId(1), b"", &[1u8; 8]);
+        });
+        assert_eq!(msg, "lockdep: frame write while holding Store");
+        // Nothing was written, and the same write outside the guard lands.
+        assert!(s.is_empty().unwrap());
+        s.write(BlobId(1), b"", &[1u8; 8]).unwrap();
+        cleanup(&s);
+    }
+
+    #[test]
+    #[cfg(all(debug_assertions, not(loom)))]
+    fn frame_read_under_shard_guard_panics() {
+        use vmqs_core::sync::{Mutex, RwLock};
+        let s = SpillStore::new(tmpdir("lockdep-read")).unwrap();
+        s.write(BlobId(2), b"", &[2u8; 8]).unwrap();
+        let shard = Mutex::ranked(LockClass::ShardState, ());
+        let msg = panic_message(|| {
+            let _g = shard.lock();
+            let _ = s.read(BlobId(2));
+        });
+        assert_eq!(msg, "lockdep: frame read while holding ShardState");
+        // Reads and unlinks may run under the store lock by design.
+        let store = RwLock::ranked(LockClass::Store, ());
+        let ds = store.write();
+        assert_eq!(s.read(BlobId(2)).unwrap(), [2u8; 8]);
+        s.remove(BlobId(2)).unwrap();
+        drop(ds);
         cleanup(&s);
     }
 

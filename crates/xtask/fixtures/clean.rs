@@ -1,5 +1,5 @@
-// Clean fixture: scanned with every rule enabled (surface + hot path),
-// expecting zero findings.
+// Clean fixture: scanned as a deterministic-surface file, expecting
+// zero findings.
 use std::collections::BTreeMap;
 
 pub struct Ranked {

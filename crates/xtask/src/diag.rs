@@ -1,7 +1,6 @@
 //! Structured diagnostics and their text and JSON renderings. Every
-//! rule emits [`Diagnostic`]s; any finding fails the run, and a site that
-//! is right as it stands says why in a `// lint:allow(<rule>): why`
-//! comment, which every rule honours.
+//! rule emits [`Diagnostic`]s; any finding fails the run. The one escape
+//! hatch is `nondet-iter`'s `// lint:sorted: why` comment.
 
 use std::fmt;
 

@@ -3,8 +3,7 @@
 //! Produces two views of a source file in one pass:
 //!
 //! * a token stream (identifiers, punctuation, literals, lifetimes) with
-//!   line numbers, for the syntax-aware rules (lock-order, event
-//!   parity, item/function segmentation), and
+//!   line numbers, for the syntax-aware rule (event parity), and
 //! * *sanitized lines*: the original lines with comment text and
 //!   string/char-literal *contents* blanked to spaces (delimiters kept),
 //!   so the line-oriented legacy rules stop false-positiving on rule
@@ -13,8 +12,7 @@
 //! The lexer understands line comments, nested block comments, string
 //! and byte-string literals with escapes, raw strings (`r#"…"#`, any
 //! number of `#`s), char literals, lifetimes, and numeric literals. It
-//! does not expand macros or resolve paths — the rules that need
-//! structure work on the token stream at item granularity.
+//! does not expand macros or resolve paths.
 
 /// Token classification — only as fine as the rules need.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -336,93 +334,6 @@ fn raw_or_byte_string(b: &[u8], i: usize) -> Option<(usize, usize)> {
     }
 }
 
-/// A function item found in the token stream.
-#[derive(Clone, Debug)]
-pub struct FnItem {
-    pub name: String,
-    /// 1-based line of the `fn` keyword.
-    pub line: usize,
-    /// Token-index range of the body `{ … }`, inclusive of both braces.
-    pub body: (usize, usize),
-}
-
-/// Finds every `fn` item (free functions, methods, nested fns) in the
-/// token stream. Trait method *declarations* (`fn f();`) have no body
-/// and are skipped. Bodies of nested fns are contained in their parent's
-/// range; [`direct_range_excludes`] lets a caller walk a function's own
-/// code without descending into nested items.
-pub fn fn_items(tokens: &[Tok]) -> Vec<FnItem> {
-    let mut out = Vec::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if tokens[i].is_ident("fn") && i + 1 < tokens.len() && tokens[i + 1].kind == TokKind::Ident
-        {
-            let name = tokens[i + 1].text.clone();
-            let line = tokens[i].line;
-            // Scan to the body `{` (or `;` for a bodiless declaration) at
-            // bracket-neutral depth. Generics/params/return types contain
-            // no top-level braces.
-            let mut j = i + 2;
-            let mut paren = 0i32;
-            let mut bracket = 0i32;
-            let mut body_start = None;
-            while j < tokens.len() {
-                let t = &tokens[j];
-                if t.kind == TokKind::Punct {
-                    match t.text.as_bytes().first() {
-                        Some(b'(') => paren += 1,
-                        Some(b')') => paren -= 1,
-                        Some(b'[') => bracket += 1,
-                        Some(b']') => bracket -= 1,
-                        Some(b'{') if paren == 0 && bracket == 0 => {
-                            body_start = Some(j);
-                            break;
-                        }
-                        Some(b';') if paren == 0 && bracket == 0 => break,
-                        _ => {}
-                    }
-                }
-                j += 1;
-            }
-            if let Some(bs) = body_start {
-                let mut depth = 0i32;
-                let mut k = bs;
-                while k < tokens.len() {
-                    if tokens[k].is_punct('{') {
-                        depth += 1;
-                    } else if tokens[k].is_punct('}') {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    k += 1;
-                }
-                out.push(FnItem {
-                    name,
-                    line,
-                    body: (bs, k.min(tokens.len().saturating_sub(1))),
-                });
-            }
-            i += 2;
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
-
-/// The token-index ranges of `item`'s *nested* fn bodies — sub-ranges a
-/// walker over `item` should skip so a nested fn's code is not attributed
-/// to its parent.
-pub fn nested_bodies(items: &[FnItem], item: &FnItem) -> Vec<(usize, usize)> {
-    items
-        .iter()
-        .filter(|o| o.body.0 > item.body.0 && o.body.1 <= item.body.1)
-        .map(|o| o.body)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -461,21 +372,8 @@ mod tests {
     fn token_lines_survive_multiline_strings() {
         let src = "let s = \"a\nb\nc\";\nfn g() {}";
         let lx = lex(src);
-        let f = fn_items(&lx.tokens);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].name, "g");
-        assert_eq!(f[0].line, 4);
-    }
-
-    #[test]
-    fn fn_items_found_with_generics_and_nesting() {
-        let src = "impl<T: Clone> S<T> {\n  fn outer<A: Fn(u8) -> u8>(x: A) -> Vec<u8> {\n    fn inner() {}\n    inner()\n  }\n}\nfn decl_only();";
-        let lx = lex(src);
-        let items = fn_items(&lx.tokens);
-        let names: Vec<_> = items.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(names, ["outer", "inner"]);
-        let nested = nested_bodies(&items, &items[0]);
-        assert_eq!(nested.len(), 1);
+        let g = lx.tokens.iter().find(|t| t.is_ident("g")).unwrap();
+        assert_eq!(g.line, 4);
     }
 
     #[test]

@@ -7,29 +7,28 @@
 //!
 //! `analyze` lexes every Rust source under `crates/`, `src/`, `tests/`,
 //! and `examples/` (token stream + sanitized lines; see `lexer`) and
-//! runs five rules over the workspace:
+//! runs three rules over the workspace:
 //!
-//! * the two line rules — `nondet-iter`, `guard-across-io` — blind to
-//!   string/comment text, plus `forbid-unsafe` per crate (raw clock
-//!   reads, panics on the hot path and undocumented `unsafe` are clippy
-//!   lints, not rules here);
-//! * `lock-order` — static lock-acquisition-order analysis against
-//!   `docs/lock-order.md` with depth-1 call propagation and cycle
-//!   detection (production sources under `crates/*/src/`);
+//! * `nondet-iter`, a line rule blind to string/comment text, on the
+//!   deterministic-surface files;
+//! * `forbid-unsafe` per crate (raw clock reads, panics on the hot path
+//!   and undocumented `unsafe` are clippy lints, not rules here);
 //! * `event-parity` — server/sim `EventKind` construction parity.
 //!
-//! Exit is non-zero on any finding; a site that is right as it stands
-//! carries a `// lint:allow(<rule>): why` comment. The seeded-violation
-//! fixtures under `crates/xtask/fixtures/` are exercised only by the unit
-//! tests, which double as mutation validation: deleting a rule's core
-//! check makes its fixture test fail.
+//! Lock order and locks held across I/O are checked by the debug-build
+//! lockdep in `vmqs_core::sync`, on every path the tests run.
+//!
+//! Exit is non-zero on any finding. The seeded-violation fixtures under
+//! `crates/xtask/fixtures/` are exercised only by the unit tests, which
+//! double as mutation validation: deleting a rule's core check makes its
+//! fixture test fail.
 
 mod diag;
 mod lexer;
 mod rules;
 
 use diag::{to_json, Diagnostic};
-use rules::{event_parity, fenced_block, legacy, lock_order, SourceFile};
+use rules::{event_parity, legacy, SourceFile};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -87,25 +86,14 @@ fn analyze(root: &Path) -> Result<Vec<Diagnostic>, String> {
     let files = collect_sources(root)?;
     let mut diags: Vec<Diagnostic> = Vec::new();
 
-    // Line rules, every scanned file.
     for f in &files {
-        diags.extend(legacy::check_file(legacy::FileCtx::for_path(&f.rel), f));
+        if legacy::SURFACE_FILES.contains(&f.rel.as_str()) {
+            diags.extend(legacy::check_file(f));
+        }
         if f.rel.starts_with("crates/") && f.rel.ends_with("/src/lib.rs") {
             diags.extend(legacy::check_forbid(&f.rel, &f.raw_lines.join("\n")));
         }
     }
-
-    // Lock-order: production sources only (crates/*/src/**) — loom
-    // models and integration tests construct scratch locks whose
-    // classes are meaningless to the declared hierarchy.
-    let lock_md = std::fs::read_to_string(root.join("docs/lock-order.md"))
-        .map_err(|e| format!("read docs/lock-order.md: {e}"))?;
-    let lock_spec = lock_order::LockSpec::parse(&fenced_block(&lock_md, "lock-order")?)?;
-    let prod: Vec<&SourceFile> = files
-        .iter()
-        .filter(|f| f.rel.starts_with("crates/") && f.rel.contains("/src/"))
-        .collect();
-    diags.extend(lock_order::check(&lock_spec, &prod));
 
     // Server/sim event parity.
     if let Some(obs) = files.iter().find(|f| f.rel == "crates/obs/src/event.rs") {
@@ -246,47 +234,13 @@ mod tests {
 
     #[test]
     fn nondet_iter_fixture_fires() {
-        let ctx = legacy::FileCtx {
-            surface: true,
-            ..legacy::FileCtx::default()
-        };
-        let f = fixture_file("nondet_iter.rs");
-        let v = legacy::check_file(ctx, &f);
+        let v = legacy::check_file(&fixture_file("nondet_iter.rs"));
         assert_eq!(rules_of(&v), ["nondet-iter", "nondet-iter"]);
-        // ...but not on a non-surface file.
-        assert!(legacy::check_file(legacy::FileCtx::default(), &f).is_empty());
-    }
-
-    #[test]
-    fn guard_across_io_fixture_fires() {
-        let ctx = legacy::FileCtx {
-            hot_path: true,
-            ..legacy::FileCtx::default()
-        };
-        let f = fixture_file("guard_across_io.rs");
-        let v = legacy::check_file(ctx, &f);
-        assert_eq!(rules_of(&v), ["guard-across-io"; 6]);
-        assert!(v[0].message.contains("`g`"), "{:?}", v[0]);
-        assert!(v[1].message.contains("`ds`"), "{:?}", v[1]);
-        assert!(v[2].message.contains("`plan`"), "{:?}", v[2]);
-        // Tier-2 frame I/O (write, read, unlink) under the store guard.
-        for (d, call) in v[3..]
-            .iter()
-            .zip(["spill.write(", "spill.read(", "spill.remove("])
-        {
-            assert!(d.message.contains("`ds`"), "{d:?}");
-            assert!(f.raw_lines[d.line - 1].contains(call), "{d:?}");
-        }
-        assert!(legacy::check_file(legacy::FileCtx::default(), &f).is_empty());
     }
 
     #[test]
     fn clean_fixture_is_clean() {
-        let ctx = legacy::FileCtx {
-            surface: true,
-            hot_path: true,
-        };
-        let v = legacy::check_file(ctx, &fixture_file("clean.rs"));
+        let v = legacy::check_file(&fixture_file("clean.rs"));
         assert!(v.is_empty(), "{v:?}");
     }
 
@@ -294,11 +248,7 @@ mod tests {
     fn string_literal_fixture_is_clean() {
         // Rule patterns inside strings, raw strings, and comments — the
         // regex linter used to flag these; the lexer view must not.
-        let ctx = legacy::FileCtx {
-            surface: true,
-            hot_path: true,
-        };
-        let v = legacy::check_file(ctx, &fixture_file("strings_clean.rs"));
+        let v = legacy::check_file(&fixture_file("strings_clean.rs"));
         assert!(v.is_empty(), "{v:?}");
     }
 
@@ -318,53 +268,6 @@ mod tests {
         .is_empty());
         // Allowlisted unsafe crate.
         assert!(legacy::check_forbid("crates/storage/src/lib.rs", "pub fn f() {}").is_empty());
-    }
-
-    // ---- lock-order fixtures -----------------------------------------
-
-    fn fixture_lock_spec() -> lock_order::LockSpec {
-        lock_order::LockSpec::parse(&[
-            (1, "class admission 10 admission".into()),
-            (2, "class quarantine 20 quarantine".into()),
-            (3, "class shard.state 30 state".into()),
-            (4, "class store 40 store".into()),
-            (5, "class metrics 60 metrics".into()),
-        ])
-        .unwrap()
-    }
-
-    #[test]
-    fn lock_order_bad_fixture_fires() {
-        let v = lock_order::check(&fixture_lock_spec(), &[&fixture_file("lock_order_bad.rs")]);
-        assert_eq!(v.len(), 3, "{v:?}");
-        assert!(v.iter().all(|d| d.rule == "lock-order"));
-        assert!(
-            v.iter()
-                .any(|d| d.message.contains("`inverted`") && d.message.contains("ascending")),
-            "{v:?}"
-        );
-        assert!(
-            v.iter().any(|d| d.message.contains("same-shard-only")),
-            "{v:?}"
-        );
-        assert!(
-            v.iter()
-                .any(|d| d.message.contains("via call to `lock_admission_inner`")),
-            "{v:?}"
-        );
-        // Each diagnostic names the file and a real line.
-        assert!(v
-            .iter()
-            .all(|d| d.file == "lock_order_bad.rs" && d.line > 0));
-    }
-
-    #[test]
-    fn lock_order_clean_fixture_is_clean() {
-        let v = lock_order::check(
-            &fixture_lock_spec(),
-            &[&fixture_file("lock_order_clean.rs")],
-        );
-        assert!(v.is_empty(), "{v:?}");
     }
 
     // ---- event-parity fixtures ---------------------------------------

@@ -1,16 +1,13 @@
 //! Analysis rules. Shared source-file representation and helpers;
 //! one module per rule family.
 //!
-//! * [`legacy`] — the line-oriented determinism rules and
+//! * [`legacy`] — the line-oriented determinism rule and
 //!   `forbid-unsafe`, on the lexer's sanitized lines so patterns inside
 //!   string literals and comments do not fire.
-//! * [`lock_order`] — static lock-acquisition-order analysis against
-//!   the declared hierarchy in `docs/lock-order.md`.
 //! * [`event_parity`] — server/sim `EventKind` construction parity.
 
 pub mod event_parity;
 pub mod legacy;
-pub mod lock_order;
 
 use crate::lexer::{self, Lexed};
 
@@ -18,7 +15,7 @@ use crate::lexer::{self, Lexed};
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators.
     pub rel: String,
-    /// Original lines — used for `lint:allow` / `lint:sorted` markers,
+    /// Original lines — used for `lint:sorted` markers,
     /// which live in comments and are blanked in the sanitized view.
     pub raw_lines: Vec<String>,
     pub lexed: Lexed,
@@ -85,57 +82,6 @@ pub fn skip_group(tokens: &[lexer::Tok], i: usize) -> usize {
     j
 }
 
-/// Skips a balanced group backward: `i` indexes the closing token;
-/// returns the index of the matching opener.
-pub fn skip_group_back(tokens: &[lexer::Tok], i: usize) -> usize {
-    let (open, close) = match tokens[i].text.as_str() {
-        ")" => ('(', ')'),
-        "]" => ('[', ']'),
-        "}" => ('{', '}'),
-        _ => return i,
-    };
-    let mut depth = 0i32;
-    let mut j = i as isize;
-    while j >= 0 {
-        let t = &tokens[j as usize];
-        if t.is_punct(close) {
-            depth += 1;
-        } else if t.is_punct(open) {
-            depth -= 1;
-            if depth == 0 {
-                return j as usize;
-            }
-        }
-        j -= 1;
-    }
-    0
-}
-
-/// Extracts a fenced code block tagged `tag` from a markdown document:
-/// the lines between ```` ```<tag> ```` and the closing ```` ``` ````,
-/// each paired with its 1-based line number in the document. This is
-/// the machine-readable-spec convention used by `docs/lock-order.md`.
-pub fn fenced_block(md: &str, tag: &str) -> Result<Vec<(usize, String)>, String> {
-    let fence = format!("```{tag}");
-    let mut out = Vec::new();
-    let mut inside = false;
-    for (i, line) in md.lines().enumerate() {
-        let t = line.trim();
-        if !inside && t == fence {
-            inside = true;
-        } else if inside && t == "```" {
-            return Ok(out);
-        } else if inside {
-            out.push((i + 1, line.to_string()));
-        }
-    }
-    if inside {
-        Err(format!("unterminated ```{tag} block"))
-    } else {
-        Err(format!("no ```{tag} block found"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,20 +90,12 @@ mod tests {
     fn test_boundary_and_marked() {
         let f = SourceFile::new(
             "x.rs",
-            "fn a() {}\n// lint:allow(x): why\nfn b() {}\n#[cfg(test)]\nmod t {}\n",
+            "fn a() {}\n// lint:sorted: why\nfn b() {}\n#[cfg(test)]\nmod t {}\n",
         );
         assert_eq!(f.test_boundary, 4);
         assert!(f.in_test(4) && f.in_test(5) && !f.in_test(3));
-        assert!(f.marked(3, "lint:allow(x)", 3));
-        assert!(!f.marked(1, "lint:allow(x)", 3));
-    }
-
-    #[test]
-    fn fenced_block_extraction() {
-        let md = "# Doc\n\n```lock-order\nclass a 10 a\n```\ntrailing\n";
-        let b = fenced_block(md, "lock-order").unwrap();
-        assert_eq!(b, vec![(4, "class a 10 a".to_string())]);
-        assert!(fenced_block(md, "other").is_err());
+        assert!(f.marked(3, "lint:sorted", 3));
+        assert!(!f.marked(1, "lint:sorted", 3));
     }
 
     #[test]
@@ -167,7 +105,6 @@ mod tests {
         let open = toks.iter().position(|t| t.is_punct('(')).unwrap();
         let past = skip_group(toks, open);
         assert!(toks[past].is_punct('['));
-        let close = past - 1;
-        assert_eq!(skip_group_back(toks, close), open);
+        assert!(toks[skip_group(toks, past)].is_punct('+'));
     }
 }
