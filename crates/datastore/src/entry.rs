@@ -77,7 +77,7 @@ impl Phase {
         legal
     }
 
-    /// FULL -> RESTORABLE: the caller owes the entry a tier-2 frame.
+    /// FULL -> RESTORABLE: demoted to the tier-2 spill store.
     pub(crate) fn spill(&mut self) -> bool {
         self.step(Phase::Full, Phase::Restorable)
     }
@@ -92,6 +92,18 @@ impl Phase {
     pub(crate) fn kill(&mut self) {
         *self = Phase::SwappedOut;
     }
+}
+
+/// Where a blob's tier-2 frame stands (DESIGN.md §14): written once, at
+/// its first demotion, and kept until the blob leaves the store.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Frame {
+    /// Never demoted, or its write failed.
+    None,
+    /// Being written outside the store's lock.
+    Writing,
+    /// On disk ([`crate::DataStore::frame_landed`], or adopted).
+    Landed,
 }
 
 /// One intermediate result registered in the Data Store, together with its
@@ -126,34 +138,14 @@ pub struct BlobEntry<S> {
     /// The key this entry is filed under in the store's victim index;
     /// `None` only while it is spilled.
     pub(crate) filed: Option<crate::store::VictimKey>,
-    /// The demotion that last made this entry RESTORABLE (the store's
-    /// spill ordinal), stamped on its [`crate::SpillRequest`] too: only
-    /// the frame of that demotion may take the entry's bytes away.
-    pub(crate) generation: u64,
-}
-
-impl<S: Clone> Clone for BlobEntry<S> {
-    fn clone(&self) -> Self {
-        BlobEntry {
-            id: self.id,
-            producer: self.producer,
-            spec: self.spec.clone(),
-            size: self.size,
-            payload: self.payload.clone(),
-            phase: self.phase,
-            last_access: AtomicU64::new(self.last_access.load(Ordering::Relaxed)),
-            cost: self.cost,
-            hits: AtomicU64::new(self.hits.load(Ordering::Relaxed)),
-            // A clone lives outside the store and its index.
-            filed: None,
-            generation: self.generation,
-        }
-    }
+    /// The blob's tier-2 frame, kept through restores. Written only by
+    /// the store.
+    pub frame: Frame,
 }
 
 impl<S> BlobEntry<S> {
-    /// A fresh entry in `phase`: virtual payload, no cost or hits yet,
-    /// stamped `now`, not filed.
+    /// A fresh entry in `phase`: virtual payload, no cost, hits or frame
+    /// yet, stamped `now`, not filed.
     pub(crate) fn new(
         id: BlobId,
         producer: QueryId,
@@ -173,7 +165,7 @@ impl<S> BlobEntry<S> {
             cost: 0.0,
             hits: AtomicU64::new(0),
             filed: None,
-            generation: 0,
+            frame: Frame::None,
         }
     }
 

@@ -23,7 +23,7 @@
 mod entry;
 mod store;
 
-pub use entry::{BlobEntry, Payload, Phase};
+pub use entry::{BlobEntry, Frame, Payload, Phase};
 pub use store::{
     benefit_score, DataStore, DsError, DsStats, EvictionPolicy, EvictionRecord, Match,
     SpillRequest, RECOVERED_PRODUCER,

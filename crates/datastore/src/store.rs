@@ -27,7 +27,7 @@
 //! indexes are maintained at the same few points — where an entry
 //! enters, spills, re-heats and leaves.
 
-use crate::entry::{BlobEntry, Payload, Phase};
+use crate::entry::{BlobEntry, Frame, Payload, Phase};
 use std::collections::{BTreeSet, HashMap};
 use vmqs_core::spatial::{GridIndex, SpatialSpec};
 use vmqs_core::sync::atomic::{AtomicU64, Ordering};
@@ -56,6 +56,9 @@ pub struct EvictionRecord<S> {
     /// The victim's benefit-per-byte score at eviction time (see
     /// [`benefit_score`]).
     pub score: f64,
+    /// The blob's tier-2 frame had landed: the caller unlinks it after
+    /// letting the store go (one in flight is its writer's to unlink).
+    pub had_frame: bool,
 }
 
 /// Which blob to evict first when space is needed. (Largest-first and
@@ -127,12 +130,11 @@ fn total_order_bits(x: f64) -> u64 {
     }
 }
 
-/// A spill handed back to the caller by an eviction pass: the entry has
-/// transitioned FULL → RESTORABLE and keeps its payload attached until
-/// the frame lands. The threaded engine writes the payload to the tier-2
-/// store after releasing its write lock and then reports the frame with
-/// [`DataStore::frame_landed`], which is when the entry lets its bytes
-/// go; the simulator only counts it.
+/// A demotion handed back to the caller by an eviction pass: the entry
+/// has transitioned FULL → RESTORABLE. Only a blob without a frame asks
+/// for one ([`SpillRequest::payload`]), which the threaded engine writes
+/// after releasing its write lock and reports with
+/// [`DataStore::frame_landed`]; the simulator only counts demotions.
 #[derive(Clone, Debug)]
 pub struct SpillRequest<S> {
     /// The spilled blob (also the tier-2 storage key).
@@ -144,13 +146,10 @@ pub struct SpillRequest<S> {
     pub spec: S,
     /// Payload bytes moved to tier 2.
     pub size: u64,
-    /// The payload to serialize, shared with the entry until its frame
-    /// lands ([`Payload::Virtual`] in the simulator).
-    pub payload: Payload,
-    /// Which demotion of the blob this is. A blob can spill, re-heat from
-    /// its attached bytes and spill again while the first frame is still
-    /// being written; the generation tells the two landings apart.
-    pub generation: u64,
+    /// The bytes of the blob's one frame, shared with the entry until it
+    /// lands ([`Payload::Virtual`] in the simulator); `None` when the
+    /// frame has landed or is being written already.
+    pub payload: Option<Payload>,
 }
 
 /// Sentinel producer id for entries adopted from a recovered spill frame
@@ -202,40 +201,68 @@ impl Match {
     }
 }
 
-/// Counters exposed for experiments and tests.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DsStats {
+/// Declares [`DsStats`] and `StatCells`, its atomic twin, from one list
+/// of counters.
+macro_rules! ds_stats {
+    ($($(#[doc = $doc:literal])+ $field:ident,)+) => {
+        /// Counters exposed for experiments and tests.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct DsStats {
+            $($(#[doc = $doc])+ pub $field: u64,)+
+        }
+
+        /// The counters kept in atomics so the read-side API (`lookup*`,
+        /// `touch`, `stats`) works through `&self`: the threaded server
+        /// holds only a read lock on the store for the per-query lookup
+        /// hot path. All counters use relaxed ordering — they are
+        /// statistics, not synchronization.
+        #[derive(Debug, Default)]
+        struct StatCells {
+            $($field: AtomicU64,)+
+        }
+
+        impl StatCells {
+            fn snapshot(&self) -> DsStats {
+                DsStats {
+                    $($field: self.$field.load(Ordering::Relaxed),)+
+                }
+            }
+        }
+    };
+}
+
+ds_stats! {
     /// Lookups answered completely by one cached blob (`cmp` true).
-    pub exact_hits: u64,
+    exact_hits,
     /// Lookups with at least one nonzero-overlap match (but no exact hit).
-    pub partial_hits: u64,
+    partial_hits,
     /// Lookups with no usable match.
-    pub misses: u64,
+    misses,
     /// Blobs inserted.
-    pub committed: u64,
+    committed,
     /// Blobs evicted to make room.
-    pub evicted: u64,
+    evicted,
     /// Bytes freed by eviction.
-    pub bytes_evicted: u64,
+    bytes_evicted,
     /// Inserts rejected because the blob exceeds the whole budget.
-    pub rejected: u64,
+    rejected,
     /// Entries demoted to the tier-2 spill store instead of dropped.
-    pub spilled: u64,
+    spilled,
     /// Bytes moved to tier 2.
-    pub bytes_spilled: u64,
+    bytes_spilled,
     /// Entries re-heated from tier 2 back into memory.
-    pub restored: u64,
+    restored,
     /// Bytes restored from tier 2.
-    pub bytes_restored: u64,
-    /// Tier-2 entries dropped because a restore failed (I/O error or
-    /// poisoned read) — the caller fell back to recomputation.
-    pub restore_failures: u64,
+    bytes_restored,
+    /// Tier-2 entries dropped because a restore (I/O error or poisoned
+    /// read) or their frame write failed — the caller recomputes.
+    restore_failures,
     /// Inserts refused by cost-based admission control (their benefit
     /// score could not beat a would-be victim's).
-    pub unprofitable: u64,
+    unprofitable,
     /// RESTORABLE entries adopted from recovered spill frames at startup
     /// (DESIGN.md §15).
-    pub adopted: u64,
+    adopted,
 }
 
 /// Error returned by [`DataStore::insert_costed`].
@@ -252,63 +279,14 @@ pub enum DsError {
 
 impl std::fmt::Display for DsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DsError::TooLarge => write!(f, "allocation exceeds data store budget"),
-            DsError::Unprofitable => {
-                write!(
-                    f,
-                    "entry's benefit score cannot beat the current victim set"
-                )
-            }
-        }
+        f.write_str(match self {
+            DsError::TooLarge => "allocation exceeds data store budget",
+            DsError::Unprofitable => "entry's benefit score cannot beat the current victim set",
+        })
     }
 }
 
 impl std::error::Error for DsError {}
-
-/// Hit/miss and eviction counters kept in atomics so the read-side API
-/// (`lookup*`, `touch`, `stats`) works through `&self`: the threaded
-/// server holds only a read lock on the store for the per-query lookup
-/// hot path. All counters use relaxed ordering — they are statistics,
-/// not synchronization.
-#[derive(Debug, Default)]
-struct StatCells {
-    exact_hits: AtomicU64,
-    partial_hits: AtomicU64,
-    misses: AtomicU64,
-    committed: AtomicU64,
-    evicted: AtomicU64,
-    bytes_evicted: AtomicU64,
-    rejected: AtomicU64,
-    spilled: AtomicU64,
-    bytes_spilled: AtomicU64,
-    restored: AtomicU64,
-    bytes_restored: AtomicU64,
-    restore_failures: AtomicU64,
-    unprofitable: AtomicU64,
-    adopted: AtomicU64,
-}
-
-impl StatCells {
-    fn snapshot(&self) -> DsStats {
-        DsStats {
-            exact_hits: self.exact_hits.load(Ordering::Relaxed),
-            partial_hits: self.partial_hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            committed: self.committed.load(Ordering::Relaxed),
-            evicted: self.evicted.load(Ordering::Relaxed),
-            bytes_evicted: self.bytes_evicted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            spilled: self.spilled.load(Ordering::Relaxed),
-            bytes_spilled: self.bytes_spilled.load(Ordering::Relaxed),
-            restored: self.restored.load(Ordering::Relaxed),
-            bytes_restored: self.bytes_restored.load(Ordering::Relaxed),
-            restore_failures: self.restore_failures.load(Ordering::Relaxed),
-            unprofitable: self.unprofitable.load(Ordering::Relaxed),
-            adopted: self.adopted.load(Ordering::Relaxed),
-        }
-    }
-}
 
 /// The Data Store Manager.
 ///
@@ -405,13 +383,11 @@ impl<S: SpatialSpec> DataStore<S> {
         self.tier2_used
     }
 
-    /// Drains the spills produced by eviction passes since the last call.
-    /// Both engines keep spill writes off the critical path: the threaded
-    /// engine drains within the write-lock critical section that produced
-    /// the spills, writes each frame after releasing it, and lands it
-    /// with [`DataStore::frame_landed`] (until then the entry answers
-    /// restores from its attached bytes); the simulator charges no write
-    /// latency and simply drops the requests.
+    /// Drains the demotions produced by eviction passes since the last
+    /// call. The threaded engine drains within the write-lock critical
+    /// section that produced them, writes the frames asked for after
+    /// releasing it and reports each with [`DataStore::frame_landed`] or
+    /// [`DataStore::frame_failed`]; the simulator only counts them.
     pub fn take_pending_spills(&mut self) -> Vec<SpillRequest<S>> {
         std::mem::take(&mut self.pending_spills)
     }
@@ -522,16 +498,26 @@ impl<S: SpatialSpec> DataStore<S> {
 
     /// Demotes `victim` to the tier-2 spill store when one is configured
     /// (`victim` comes from `pick_victim`, so it is FULL); otherwise drops
-    /// it as a tier-1 eviction. The demoted entry keeps its bytes until
-    /// [`DataStore::frame_landed`] reports its frame. Tier-2 overflow then
+    /// it as a tier-1 eviction. The entry keeps its bytes until its one
+    /// frame lands, asking for it if it has none. Tier-2 overflow then
     /// drops the lowest-scoring RESTORABLE entries.
     fn evict_or_spill(&mut self, victim: BlobId, evicted: &mut Vec<EvictionRecord<S>>) {
         let e = self.entries.get_mut(&victim).expect("victim exists");
         if self.tier2_budget > 0 && e.phase.spill() {
             unfile(&mut self.victims, e);
+            let payload = match e.frame {
+                Frame::None => {
+                    e.frame = Frame::Writing;
+                    Some(e.payload.clone())
+                }
+                Frame::Writing => None,
+                Frame::Landed => {
+                    e.payload = Payload::Virtual;
+                    None
+                }
+            };
             let size = e.size;
-            // The spill ordinal numbers the demotion.
-            e.generation = self.stats.spilled.fetch_add(1, Ordering::Relaxed) + 1;
+            self.stats.spilled.fetch_add(1, Ordering::Relaxed);
             self.stats.bytes_spilled.fetch_add(size, Ordering::Relaxed);
             self.used -= size;
             self.tier2_used += size;
@@ -540,8 +526,7 @@ impl<S: SpatialSpec> DataStore<S> {
                 producer: e.producer,
                 spec: e.spec.clone(),
                 size,
-                payload: e.payload.clone(),
-                generation: e.generation,
+                payload,
             });
             self.shrink_tier2(None, evicted);
         } else {
@@ -559,8 +544,8 @@ impl<S: SpatialSpec> DataStore<S> {
             1
         };
         if tier == 2 {
-            // The payload may still sit in the pending-spill queue
-            // (spilled and dropped within one eviction pass): cancel the
+            // The demotion may still sit in the pending-spill queue
+            // (spilled and dropped within one eviction pass): cancel its
             // write so no orphan file appears.
             self.pending_spills.retain(|p| p.blob != blob);
         }
@@ -573,6 +558,7 @@ impl<S: SpatialSpec> DataStore<S> {
             blob,
             producer: e.producer,
             score: e.score(),
+            had_frame: e.frame == Frame::Landed,
             spec: e.spec,
             tier,
         }
@@ -609,27 +595,34 @@ impl<S: SpatialSpec> DataStore<S> {
             .map(|e| (e.id, e.producer, e.size))
     }
 
-    /// Reports that the frame of demotion `generation` of `blob` is on
-    /// disk. True when that is the demotion the entry is RESTORABLE from:
-    /// the entry lets its bytes go and the frame is now its only copy.
-    /// False, changing nothing, otherwise: a newer demotion owes the
-    /// entry its own frame of the same bytes (the entry is RESTORABLE,
-    /// and this frame may stay), or the entry is FULL again or gone and
-    /// the caller unlinks this stale frame before it lets the store go.
-    pub fn frame_landed(&mut self, blob: BlobId, generation: u64) -> bool {
-        match self.entries.get_mut(&blob) {
-            Some(e) if e.restorable() && e.generation == generation => {
-                e.payload = Payload::Virtual;
-                true
-            }
-            _ => false,
+    /// Reports that the frame a demotion of `blob` asked for is on disk.
+    /// True while the blob lives: the frame is its own for life, and a
+    /// RESTORABLE entry lets its bytes go. False when the blob has left the
+    /// store: the caller unlinks the frame after letting the store go.
+    pub fn frame_landed(&mut self, blob: BlobId) -> bool {
+        let Some(e) = self.entries.get_mut(&blob) else {
+            return false;
+        };
+        debug_assert_eq!(e.frame, Frame::Writing, "{blob}: nobody asked");
+        e.frame = Frame::Landed;
+        if e.restorable() {
+            e.payload = Payload::Virtual;
         }
+        true
+    }
+
+    /// Reports that the frame a demotion of `blob` asked for could not be
+    /// written: a RESTORABLE entry is dropped like a failed restore, a
+    /// FULL one asks again at its next demotion.
+    pub fn frame_failed(&mut self, blob: BlobId) -> Option<EvictionRecord<S>> {
+        self.entries.get_mut(&blob)?.frame = Frame::None;
+        self.drop_restorable(blob)
     }
 
     /// Re-heats a RESTORABLE entry: charges its bytes back to tier 1
     /// (evicting or spilling other entries to make room), attaches the
     /// payload (its still-attached bytes, or the frame re-read from the
-    /// tier-2 store), and promotes the entry to
+    /// tier-2 store, which keeps it), and promotes the entry to
     /// FULL. Returns `false` when the entry no longer exists, is not
     /// RESTORABLE, or is larger than tier 1 — and in the corner
     /// where making room spills a victim past the tier-2 budget and the
@@ -690,11 +683,15 @@ impl<S: SpatialSpec> DataStore<S> {
     /// a dead process and is in no graph), and its bytes are charged to
     /// tier 2. Returns `false` — and the caller deletes the frame — when
     /// the spill tier is disabled, the frame would overflow the tier-2
-    /// budget, or the blob id is somehow already taken.
+    /// budget, or the blob id is taken or in the upper half of the id
+    /// space. The id comes from a file name, which the frame's CRC does not
+    /// cover; fresh ids count up from past the largest adopted one, so the
+    /// allocator keeps 2^63 of them and never wraps onto an entry's id.
     pub fn adopt_restorable(&mut self, blob: BlobId, spec: S, size: u64) -> bool {
         if self.tier2_budget == 0
             || self.tier2_used + size > self.tier2_budget
             || self.entries.contains_key(&blob)
+            || blob.raw() >= 1 << 63
         {
             return false;
         }
@@ -703,7 +700,9 @@ impl<S: SpatialSpec> DataStore<S> {
         let now = self.clock.fetch_add(1, Ordering::Relaxed) + 1;
         let (dataset, rect) = spec.region_key();
         self.index.insert(blob.raw(), dataset, rect);
-        let entry = BlobEntry::new(blob, RECOVERED_PRODUCER, spec, size, Phase::Restorable, now);
+        let mut entry =
+            BlobEntry::new(blob, RECOVERED_PRODUCER, spec, size, Phase::Restorable, now);
+        entry.frame = Frame::Landed;
         self.entries.insert(blob, entry);
         self.tier2_used += size;
         self.stats.adopted.fetch_add(1, Ordering::Relaxed);
@@ -786,6 +785,11 @@ impl<S: SpatialSpec> DataStore<S> {
     /// Reads an entry.
     pub fn get(&self, blob: BlobId) -> Option<&BlobEntry<S>> {
         self.entries.get(&blob)
+    }
+
+    /// Every entry, in no particular order.
+    pub fn entries(&self) -> impl Iterator<Item = &BlobEntry<S>> {
+        self.entries.values()
     }
 
     /// Marks a blob as used now (LRU bookkeeping) and counts one observed
@@ -1306,54 +1310,92 @@ mod tests {
     }
 
     #[test]
-    fn frame_landed_is_true_only_for_the_current_generation_of_a_restorable_entry() {
+    fn frame_landed_is_true_while_the_blob_lives() {
         let mut ds = cost_store(100).with_tier2(1000);
         let (a, _) = put_bytes(&mut ds, 1, &[1; 100], 1.0);
         let (b, spills) = put_bytes(&mut ds, 2, &[2; 100], 2.0);
         let [req] = &spills[..] else {
             panic!("{spills:?}")
         };
-        assert_eq!((req.blob, req.generation), (a, 1));
+        assert_eq!(req.blob, a);
+        let asked = matches!(&req.payload, Some(Payload::Bytes(p)) if p[..] == [1; 100]);
+        assert!(asked, "the first demotion asks for its bytes to be written");
         // Demoted, and still holding its bytes for a restore to use.
         assert!(ds.get(a).unwrap().restorable());
+        assert_eq!(ds.get(a).unwrap().frame, Frame::Writing);
         assert_eq!(attached(&ds, a), Some(vec![1; 100]));
-        assert!(!ds.frame_landed(a, 2), "no such demotion yet");
-        assert!(!ds.frame_landed(b, 1), "FULL");
-        assert!(!ds.frame_landed(BlobId(99), 1), "gone");
-        assert_eq!(attached(&ds, a), Some(vec![1; 100]), "nothing changed");
-        assert!(ds.frame_landed(a, 1));
+        assert!(ds.frame_landed(a));
         assert_eq!(attached(&ds, a), None, "the frame is its only copy");
+        assert_eq!(ds.get(a).unwrap().frame, Frame::Landed);
         assert!(ds.get(a).unwrap().restorable());
         assert_eq!(ds.tier2_used(), 100);
+        // `b` leaves the store while its frame is being written: the
+        // landing reports it gone, for the writer to unlink.
+        put_bytes(&mut ds, 3, &[3; 100], 3.0);
+        assert_eq!(ds.get(b).unwrap().frame, Frame::Writing);
+        ds.remove(b);
+        assert!(!ds.frame_landed(b), "gone");
     }
 
-    /// The late-landing race: demotion 1 is in flight, the entry re-heats
-    /// from its attached bytes and is demoted again. Demotion 1's frame
-    /// landing late must neither take the bytes demotion 2 still owes a
-    /// frame for nor count as that frame.
+    /// One frame per blob, whichever comes first, its landing or the
+    /// blob's next demotion. Demoted, restored and demoted again, a blob
+    /// asks for one write: when the frame landed first, the second
+    /// demotion leaves the entry RESTORABLE with no bytes attached; while
+    /// the frame is in flight, the entry keeps its bytes until it lands.
     #[test]
-    fn a_stale_generation_landing_after_a_restore_from_attached_bytes_is_a_no_op() {
-        let mut ds = cost_store(100).with_tier2(1000);
-        let (a, _) = put_bytes(&mut ds, 1, &[1; 100], 1.0);
-        let (_, first) = put_bytes(&mut ds, 2, &[2; 100], 2.0);
-        let bytes = ds.get(a).unwrap().payload.clone();
+    fn one_write_per_blob_however_often_it_is_demoted() {
+        for land_first in [true, false] {
+            let mut ds = cost_store(100).with_tier2(1000);
+            let (a, _) = put_bytes(&mut ds, 1, &[1; 100], 1.0);
+            let (_, first) = put_bytes(&mut ds, 2, &[2; 100], 2.0);
+            assert!(first[0].payload.is_some(), "the first demotion writes");
+            if land_first {
+                assert!(ds.frame_landed(a));
+            }
+            let bytes = Payload::Bytes([1; 100].into());
+            assert!(ds.restore(a, bytes, &mut Vec::new()));
+            assert_eq!(ds.get(a).unwrap().frame == Frame::Landed, land_first);
+            assert_eq!(ds.take_pending_spills().len(), 1, "making room demoted b");
+            // A more valuable entry demotes `a` once more.
+            let (_, second) = put_bytes(&mut ds, 3, &[3; 100], 50.0);
+            let [req] = &second[..] else {
+                panic!("{second:?}")
+            };
+            assert_eq!(req.blob, a);
+            assert!(req.payload.is_none(), "land_first {land_first}: a rewrite");
+            assert!(ds.get(a).unwrap().restorable());
+            if !land_first {
+                assert_eq!(attached(&ds, a), Some(vec![1; 100]), "kept for the frame");
+                assert!(ds.frame_landed(a));
+            }
+            assert_eq!(attached(&ds, a), None, "land_first {land_first}");
+            assert_eq!(ds.get(a).unwrap().frame, Frame::Landed);
+        }
+    }
+
+    /// A frame's file name lies outside its CRC, so the id recovery hands
+    /// over is untrusted: one the allocator could not count past without
+    /// wrapping is refused, and fresh ids never land on an adopted one.
+    #[test]
+    fn adopt_restorable_refuses_ids_the_allocator_cannot_step_past() {
+        let mut ds = store(1000).with_tier2(1000);
+        for (i, (raw, adopted)) in [(0, true), (u64::MAX - 1, false), (u64::MAX, false)]
+            .into_iter()
+            .enumerate()
+        {
+            let s = spec(i as u64 * 500, 100, 1);
+            assert_eq!(ds.adopt_restorable(BlobId(raw), s, 100), adopted, "{raw}");
+        }
+        assert_eq!((ds.tier2_used(), ds.stats().adopted), (100, 1));
         let mut ev = Vec::new();
-        assert!(ds.restore(a, bytes, &mut ev), "re-heated from memory");
+        let fresh: Vec<BlobId> = (1..=3)
+            .map(|q| put(&mut ds, q, spec(q * 2000, 100, 1), 100, &mut ev).unwrap())
+            .collect();
         assert!(ev.is_empty(), "{ev:?}");
-        ds.take_pending_spills();
-        // A third, more valuable entry demotes `a` once more.
-        let (_, second) = put_bytes(&mut ds, 3, &[3; 100], 50.0);
-        let gens = |spills: &[SpillRequest<IntervalSpec>]| -> Vec<(BlobId, u64)> {
-            spills.iter().map(|r| (r.blob, r.generation)).collect()
-        };
-        let g1 = first[0].generation;
-        let g2 = second.iter().find(|r| r.blob == a).unwrap().generation;
-        assert!(g2 > g1, "{:?} then {:?}", gens(&first), gens(&second));
-        assert!(!ds.frame_landed(a, g1), "a stale landing");
-        assert_eq!(attached(&ds, a), Some(vec![1; 100]), "bytes kept for g2");
-        assert!(ds.frame_landed(a, g2));
-        assert_eq!(attached(&ds, a), None);
-        assert!(!ds.frame_landed(a, g1), "still stale after g2 landed");
+        assert_eq!(fresh, [BlobId(1), BlobId(2), BlobId(3)]);
+        assert_eq!(ds.len(), 4, "no entry was overwritten");
+        assert_eq!(ds.get(BlobId(0)).unwrap().producer, RECOVERED_PRODUCER);
+        assert_eq!((ds.used(), ds.tier2_used()), (300, 100));
     }
 
     /// The grid index holds every entry: it gains one at insertion and
@@ -1718,14 +1760,19 @@ mod tests {
             _ => drop(ds.adopt_restorable(BlobId(10_000 + a), s, b)),
         }
         if c % 4 == 0 {
-            ds.take_pending_spills();
+            for req in ds.take_pending_spills() {
+                if req.payload.is_some() {
+                    ds.frame_landed(req.blob);
+                }
+            }
         }
     }
 
     proptest::proptest! {
         /// Under both policies, with and without tier 2, through inserts
-        /// (admitted and refused), touches, spills, restores, adoptions
-        /// and removals: the victim index names the victim the scan names,
+        /// (admitted and refused), touches, spills, frame landings,
+        /// restores, adoptions and removals: the victim index names the
+        /// victim the scan names,
         /// at every step, and holds exactly the visible entries. (Every
         /// eviction the operations themselves provoke is cross-checked
         /// too, inside `pick_victim`.)

@@ -48,12 +48,11 @@
 //!   length (stealers pick victims by them without touching any lock)
 //!   are republished by the [`ShardGuard`] as it lets go of the lock,
 //!   never adjusted by hand.
-//! * `store: RwLock<Tiers>` — the semantic cache, still
-//!   global so reuse crosses shard boundaries, with the set of blobs
-//!   whose tier-2 frame has landed. Lookups are read-side
+//! * `store: RwLock<DataStore>` — the semantic cache, still
+//!   global so reuse crosses shard boundaries. Lookups are read-side
 //!   (`&self`, LRU stamps and counters are atomics); only insert/evict,
 //!   restore and a frame landing take the write lock. Tier-2 frames are
-//!   written outside it (DESIGN.md §14).
+//!   written and unlinked outside it (DESIGN.md §14).
 //! * `metrics: Mutex<Vec<QueryRecord>>` — completed-query records.
 //! * `admission: Mutex<RateLimiter>` — the per-client token buckets,
 //!   held only while the admission ladder ([`vmqs_core::overload::admit`],
@@ -91,7 +90,7 @@ use crate::config::ServerConfig;
 use crate::error::{deadline_error, ServerError};
 use crate::pages::SharedPageSpace;
 use crate::result::{AnswerPath, QueryRecord, QueryResult, ServerSummary};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -105,7 +104,7 @@ use vmqs_core::{
     Pressure, QueryId, QuerySpec, QueryState, RateLimiter, SchedShard, Secondary, SpatialSpec,
     Supervisor, Verdict, WorkerFate,
 };
-use vmqs_datastore::{BlobEntry, DataStore, DsStats, EvictionRecord, Payload, SpillRequest};
+use vmqs_datastore::{DataStore, DsStats, EvictionRecord, Frame, Payload, SpillRequest};
 use vmqs_microscope::PAGE_SIZE;
 use vmqs_obs::{EventKind, EventRecord, Histogram, MetricsSnapshot, Obs, QueryMetrics, Terminal};
 use vmqs_pagespace::PsStats;
@@ -259,43 +258,6 @@ impl<S: SpatialSpec> DerefMut for ShardGuard<'_, S> {
     }
 }
 
-/// The Data Store and, under the same lock, the blobs whose only copy is
-/// a tier-2 frame on disk: RESTORABLE entries whose frame has landed
-/// ([`DataStore::frame_landed`]) or was adopted at startup. Dropping one
-/// of those from tier 2 leaves a file to unlink. Every other tier-2 drop
-/// still held its bytes: its write was cancelled in the pass that dropped
-/// it, or is in flight and unlinks its own frame when it lands.
-struct Tiers<S: SpatialSpec> {
-    ds: DataStore<S>,
-    framed: HashSet<BlobId>,
-}
-
-impl<S: SpatialSpec> Tiers<S> {
-    /// Forgets the frames of the tier-2 drops in `evicted` and returns
-    /// them for unlinking. Blob ids are never reused, so the caller may
-    /// unlink them after letting the lock go.
-    fn dead_frames(&mut self, evicted: &[EvictionRecord<S>]) -> Vec<BlobId> {
-        let dropped = evicted.iter().filter(|r| r.tier == 2);
-        dropped
-            .filter(|r| self.framed.remove(&r.blob))
-            .map(|r| r.blob)
-            .collect()
-    }
-}
-
-impl<S: SpatialSpec> Deref for Tiers<S> {
-    type Target = DataStore<S>;
-    fn deref(&self) -> &DataStore<S> {
-        &self.ds
-    }
-}
-
-impl<S: SpatialSpec> DerefMut for Tiers<S> {
-    fn deref_mut(&mut self) -> &mut DataStore<S> {
-        &mut self.ds
-    }
-}
-
 struct Core<A: AppExecutor> {
     cfg: ServerConfig,
     app: A,
@@ -310,13 +272,14 @@ struct Core<A: AppExecutor> {
     /// The semantic cache, under a reader-writer lock: lookups (the common
     /// case) share the read side; insert/evict takes the write side.
     /// Global, so result reuse crosses shard boundaries.
-    store: RwLock<Tiers<A::Spec>>,
+    store: RwLock<DataStore<A::Spec>>,
     /// The tier-2 spill store (DESIGN.md §14), present only when the
-    /// config enables spilling. Frames are written *after* the store's
-    /// write-lock critical section that demoted their entries, which keep
-    /// their bytes until [`DataStore::frame_landed`]: a RESTORABLE entry
-    /// any thread can observe has its bytes or its frame. Frames are read
-    /// back, and unlinked while their blob lives, under the write lock.
+    /// config enables spilling. A blob's frame is written once, *after*
+    /// the store's write-lock critical section that first demoted it; the
+    /// entry keeps its bytes until [`DataStore::frame_landed`], so a
+    /// RESTORABLE entry any thread can observe has its bytes or its frame.
+    /// Frames are read back under the write lock and unlinked after it,
+    /// once their blob has left the store for good.
     spill: Option<SpillStore>,
     /// Completed-query records, off the hot path.
     metrics: Mutex<Vec<QueryRecord<A::Spec>>>,
@@ -433,11 +396,8 @@ impl<A: AppExecutor> QueryServer<A> {
             store.with_faults(cfg.spill_fault).with_chaos(cfg.chaos)
         });
         let tier2_budget = if spill.is_some() { cfg.tier2_budget } else { 0 };
-        let mut store = Tiers {
-            ds: DataStore::with_policy(cfg.ds_budget, cfg.index_cell, cfg.ds_policy)
-                .with_tier2(tier2_budget),
-            framed: HashSet::new(),
-        };
+        let mut store = DataStore::with_policy(cfg.ds_budget, cfg.index_cell, cfg.ds_policy)
+            .with_tier2(tier2_budget);
         if let Some(spill) = &spill {
             // Crash-consistent recovery (DESIGN.md §15): validate every
             // frame a previous process left behind, adopt the intact ones
@@ -450,9 +410,7 @@ impl<A: AppExecutor> QueryServer<A> {
                     let adopted = app
                         .decode_spec(&f.meta)
                         .is_some_and(|spec| store.adopt_restorable(f.blob, spec, f.size));
-                    if adopted {
-                        store.framed.insert(f.blob);
-                    } else {
+                    if !adopted {
                         let _ = spill.remove(f.blob);
                     }
                 }
@@ -852,8 +810,8 @@ impl<A: AppExecutor> QueryServer<A> {
     /// and edge symmetry, every live blob naming a CACHED node) and that
     /// no per-query state outlives its query: with nothing outstanding,
     /// no shard may hold a record, an eviction tombstone or a wait-for
-    /// edge; and every blob the engine holds a tier-2 frame for is a
-    /// RESTORABLE entry with no bytes attached. Panics with the violation
+    /// edge; and every RESTORABLE entry holds either its bytes (its frame
+    /// is being written) or a landed frame. Panics with the violation
     /// description — a test/debug aid for asserting that error paths
     /// leave no residue.
     pub fn check_invariants(&self) {
@@ -861,17 +819,16 @@ impl<A: AppExecutor> QueryServer<A> {
         // supervisor may have caught that panic and requeued the query.
         let violations = lockdep::violations();
         assert_eq!(violations, 0, "lockdep found {violations} violation(s)");
-        let tiers = self.core.store.read();
-        for &blob in &tiers.framed {
-            let e = tiers.get(blob);
-            let frame_only = e.is_some_and(|e| e.restorable() && e.payload.len().is_none());
-            let phase = e.map(|e| (e.phase(), e.payload.len()));
-            assert!(
-                frame_only,
-                "{blob} is framed but (phase, bytes) is {phase:?}"
+        let ds = self.core.store.read();
+        for e in ds.entries().filter(|e| e.restorable()) {
+            let bytes = e.payload.len().is_some();
+            let one_copy = matches!(
+                (e.frame, bytes),
+                (Frame::Writing, true) | (Frame::Landed, false)
             );
+            assert!(one_copy, "{} has frame {:?}, bytes {bytes}", e.id, e.frame);
         }
-        drop(tiers);
+        drop(ds);
         for sh in &self.core.shards {
             let s = sh.state.lock();
             // Read under the shard lock: a record here is counted in
@@ -1253,7 +1210,7 @@ fn run_one<A: AppExecutor>(core: &Core<A>, job: Job<A::Spec>) {
             // Seeds the entry's benefit score under the cost-based
             // policy; the legacy policies carry it but never read it.
             let cost = (finished - started).as_secs_f64();
-            let (cached, spills, dead) = {
+            let (cached, spills) = {
                 let mut ds = core.store.write();
                 // A full compute landing next to an already-visible
                 // equivalent result is work a perfect co-scheduler would
@@ -1272,8 +1229,7 @@ fn run_one<A: AppExecutor>(core: &Core<A>, job: Job<A::Spec>) {
                 );
                 // Demotions keep their bytes: their frames are written
                 // once this critical section is over.
-                let dead = ds.dead_frames(&evicted);
-                (cached, ds.take_pending_spills(), dead)
+                (cached, ds.take_pending_spills())
             };
             // Publish-epoch bump *before* `done_cv` wakes dependency
             // blockers (in `answer`), so a woken waiter always sees
@@ -1288,7 +1244,7 @@ fn run_one<A: AppExecutor>(core: &Core<A>, job: Job<A::Spec>) {
             let pending = core.shards[k].state.lock().sched.publish(id, cached.ok());
             // Landed before the reply: at one worker no query ever sees
             // a frame in flight.
-            let spilled = write_frames(core, spills, dead, &mut evicted);
+            let spilled = write_frames(core, spills, &mut evicted);
             route_evictions(core, evicted);
             emit_spills(core, spilled);
             match out.path {
@@ -1641,79 +1597,65 @@ fn route_evictions<A: AppExecutor>(core: &Core<A>, evicted: Vec<EvictionRecord<A
 }
 
 /// The tier-2 half of a store critical section, run after it let the
-/// lock go (DESIGN.md §14). Unlinks `dead`, the frames of blobs dropped
-/// for good, writes the frames of the demotions `spills`, and lands them
-/// under one short write lock: a frame of the demotion its entry is
-/// RESTORABLE from takes the entry's bytes away
-/// ([`DataStore::frame_landed`]); one of an older demotion stays, as the
-/// newer demotion's frame holds the same bytes; and one whose entry is
-/// FULL again or gone is unlinked before the lock is let go, since after
-/// it a new demotion may land a frame at the same path. A frame that
-/// cannot be written turns its demotion into a drop (the entry joins
-/// `evicted` and its producer is swapped out like any other victim).
-/// Returns `(producer, bytes)` pairs for `Spilled` event emission.
+/// lock go (DESIGN.md §14). Writes the frames the demotions in `spills`
+/// ask for, one per blob for its whole life, and reports them under one
+/// short write lock ([`DataStore::frame_landed`]). A frame that cannot be
+/// written turns a RESTORABLE entry's demotion into a drop
+/// ([`DataStore::frame_failed`]: the entry joins `evicted` and its
+/// producer is swapped out like any other victim). With the lock let go,
+/// it unlinks the frames of the blobs `evicted` dropped for good and of
+/// those that left the store while theirs was being written: blob ids
+/// are never reused and a blob never has two writes in flight, so
+/// nothing lands at those paths afterwards. Returns `(producer, bytes)`
+/// pairs for `Spilled` event emission, one per demotion that stands.
 fn write_frames<A: AppExecutor>(
     core: &Core<A>,
     spills: Vec<SpillRequest<A::Spec>>,
-    dead: Vec<BlobId>,
     evicted: &mut Vec<EvictionRecord<A::Spec>>,
 ) -> Vec<(QueryId, u64)> {
     let Some(spill) = &core.spill else {
         debug_assert!(
-            spills.is_empty() && dead.is_empty(),
+            spills.is_empty(),
             "tier-2 budget configured without a spill store"
         );
         return Vec::new();
     };
-    for blob in dead {
-        let _ = spill.remove(blob);
-    }
-    if spills.is_empty() {
-        return Vec::new();
-    }
-    let written: Vec<bool> = spills
+    let written: Vec<(BlobId, bool)> = spills
         .iter()
-        .map(|req| {
+        .filter_map(|req| {
+            // `None`: the blob's frame has landed or is being written.
+            let payload = req.payload.as_ref()?;
             // A demoted entry in the threaded engine always carries bytes.
-            let Payload::Bytes(bytes) = &req.payload else {
-                return false;
+            let Payload::Bytes(bytes) = payload else {
+                return Some((req.blob, false));
             };
             // The frame's meta block carries the serialized predicate so
             // a post-crash recovery scan can rebuild the entry.
             let meta = core.app.encode_spec(&req.spec);
             let t0 = clock::now();
-            let written = spill.write(req.blob, &meta, bytes).is_ok();
+            let ok = spill.write(req.blob, &meta, bytes).is_ok();
             core.tier2_write.observe(t0.elapsed().as_secs_f64());
-            written
+            Some((req.blob, ok))
         })
         .collect();
-    let first_drop = evicted.len();
-    let dead = {
-        // A stale frame is unlinked under the lock that found it stale,
-        // before a new demotion of its blob can land a frame at the same
-        // path (rare: a restore from attached bytes).
+    let mut orphans = Vec::new();
+    if !written.is_empty() {
         let mut ds = core.store.write();
-        for (req, &written) in spills.iter().zip(&written) {
-            if written && ds.frame_landed(req.blob, req.generation) {
-                ds.framed.insert(req.blob);
-                continue;
-            }
-            let holds_bytes =
-                |e: &BlobEntry<_>| e.restorable() && matches!(e.payload, Payload::Bytes(_));
-            if !written && ds.get(req.blob).is_some_and(holds_bytes) {
-                evicted.extend(ds.drop_restorable(req.blob));
-            }
-            if !ds.get(req.blob).is_some_and(BlobEntry::restorable) {
-                let _ = spill.remove(req.blob);
+        for &(blob, ok) in &written {
+            if !ok {
+                evicted.extend(ds.frame_failed(blob));
+            } else if !ds.frame_landed(blob) {
+                orphans.push(blob);
             }
         }
-        ds.dead_frames(&evicted[first_drop..])
-    };
-    for blob in dead {
+    }
+    let dead = evicted.iter().filter(|r| r.had_frame).map(|r| r.blob);
+    for blob in dead.chain(orphans) {
         let _ = spill.remove(blob);
     }
-    let landed = spills.iter().zip(written).filter(|(_, w)| *w);
-    landed.map(|(req, _)| (req.producer, req.size)).collect()
+    let failed = |blob| written.contains(&(blob, false));
+    let stand = spills.into_iter().filter(|req| !failed(req.blob));
+    stand.map(|req| (req.producer, req.size)).collect()
 }
 
 /// Emits `Spilled` events and counters for `write_frames` results —
@@ -1727,13 +1669,14 @@ fn emit_spills<A: AppExecutor>(core: &Core<A>, spills: Vec<(QueryId, u64)>) {
 /// Attempts to answer `spec` from the tier-2 spill store: finds a
 /// RESTORABLE entry whose predicate `cmp`-matches exactly, re-heats it
 /// from the bytes it still holds while its frame is in flight or else
-/// from its frame, and promotes it back to FULL. The re-probe, frame read
-/// and promotion all happen under the store's write lock so a restore
-/// cannot race another restore, a drop, or an eviction pass over the same
-/// entry. Returns the restored bytes, or `None` to fall back to the
-/// ordinary compute path (no candidate, unreadable frame, or tier-1 space
-/// could not be freed). An unreadable frame drops the entry for good —
-/// the typed-error fallback the fault sweep exercises.
+/// from its frame, and promotes it back to FULL; the frame stays on disk
+/// for the entry's next demotion. The re-probe, frame read and promotion
+/// all happen under the store's write lock so a restore cannot race
+/// another restore, a drop, or an eviction pass over the same entry.
+/// Returns the restored bytes, or `None` to fall back to the ordinary
+/// compute path (no candidate, unreadable frame, or tier-1 space could
+/// not be freed). An unreadable frame drops the entry for good — the
+/// typed-error fallback the fault sweep exercises.
 fn try_restore<A: AppExecutor>(core: &Core<A>, id: QueryId, spec: &A::Spec) -> Option<Arc<[u8]>> {
     let spill = core.spill.as_ref()?;
     // Cheap read-lock probe first: the common case is "nothing spilled
@@ -1741,13 +1684,11 @@ fn try_restore<A: AppExecutor>(core: &Core<A>, id: QueryId, spec: &A::Spec) -> O
     core.store.read().lookup_restorable_exact(spec)?;
     let mut evicted: Vec<EvictionRecord<A::Spec>> = Vec::new();
     let mut restored: Option<(QueryId, Arc<[u8]>, u64)> = None;
-    let (spills, dead) = {
+    let spills = {
         // Probe, frame read and promotion are one critical section, so a
         // second restore, a drop or an eviction pass cannot reach the
         // entry between them. Held for one frame read, about 0.15 ms for
         // a 192 KiB tile (DESIGN.md §14), when the entry's bytes are gone.
-        // The frame is read under the lock because no thread may see a
-        // RESTORABLE entry without its frame.
         let mut ds = core.store.write();
         // Re-probe under the write lock: a peer may have restored or
         // dropped the candidate while this thread upgraded.
@@ -1765,18 +1706,13 @@ fn try_restore<A: AppExecutor>(core: &Core<A>, id: QueryId, spec: &A::Spec) -> O
         match read {
             Ok(payload) => {
                 if ds.restore(blob, Payload::Bytes(Arc::clone(&payload)), &mut evicted) {
-                    // Tier 1 owns the entry again: a landed frame is
-                    // dead, one in flight is unlinked when it lands.
-                    if ds.framed.remove(&blob) {
-                        let _ = spill.remove(blob);
-                    }
                     restored = Some((producer, payload, size));
                 }
                 // On a false return the query recomputes: either tier 1
                 // could not make room (the entry stays RESTORABLE as it
                 // was), or making room overflowed tier 2 and the shrink
                 // dropped this very entry (its eviction record is in
-                // `evicted`, and its frame among the dead).
+                // `evicted`).
             }
             Err(_) => {
                 // Poisoned or corrupt frame: unreadable for good. Drop
@@ -1785,10 +1721,9 @@ fn try_restore<A: AppExecutor>(core: &Core<A>, id: QueryId, spec: &A::Spec) -> O
             }
         }
         // Making room in tier 1 may itself have demoted entries.
-        let dead = ds.dead_frames(&evicted);
-        (ds.take_pending_spills(), dead)
+        ds.take_pending_spills()
     };
-    let spilled = write_frames(core, spills, dead, &mut evicted);
+    let spilled = write_frames(core, spills, &mut evicted);
     route_evictions(core, evicted);
     emit_spills(core, spilled);
     let (producer, bytes, size) = restored?;
@@ -2457,6 +2392,13 @@ mod tests {
         )
     }
 
+    /// Entries whose tier-2 frame has landed, FULL or RESTORABLE: at
+    /// quiescence, exactly the frames in the spill directory.
+    fn landed_frames(s: &QueryServer) -> u64 {
+        let ds = s.core.store.read();
+        ds.entries().filter(|e| e.frame == Frame::Landed).count() as u64
+    }
+
     /// `(frames, staging files)` in a spill directory.
     fn spill_files(dir: &std::path::Path) -> (u64, u64) {
         let mut n = (0, 0);
@@ -2502,7 +2444,12 @@ mod tests {
         assert!(m.gauges["vmqs_ds_tier2_used_bytes"] > 0.0);
         // Tier-2 I/O time belongs to no `QueryRecord` (a spill runs after
         // `finished`), so it is a metric: one sample per frame attempt.
-        assert_eq!(tier2_io_samples(&m), (sum.spilled, sum.restored));
+        // Once restored, `a` was demoted again to make room for the exact
+        // hit's own copy; its frame was on disk already, so three
+        // demotions took two writes.
+        assert_eq!(sum.spilled, 3);
+        assert_eq!(tier2_io_samples(&m), (landed_frames(&s), sum.restored));
+        assert_eq!(landed_frames(&s), 2);
         for export in [m.to_json(), m.to_prometheus()] {
             assert!(export.contains("vmqs_tier2_write_seconds"), "{export}");
             assert!(export.contains("vmqs_tier2_read_seconds"), "{export}");
@@ -2539,13 +2486,38 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// Demoted, restored and demoted again, a blob is written once. At one
+    /// worker with a one-tile tier 1, `a, b, a, b` demotes A, then B (to
+    /// restore A), A again (for the exact hit's own copy A2), A2 (to
+    /// restore B) and B again (for B2): five demotions of three blobs,
+    /// three frame writes.
+    #[test]
+    fn one_write_per_blob_in_the_server() {
+        let (cfg, dir) = spill_cfg("once");
+        let s = server(cfg);
+        let a = q(0, 0, 128, 128, 1, VmOp::Subsample);
+        let b = q(200, 200, 128, 128, 1, VmOp::Subsample);
+        for spec in [a, b, a, b] {
+            let res = s.submit(spec).wait().unwrap();
+            assert_eq!(*res.image, reference_render(&spec).data);
+        }
+        let sum = s.summary();
+        assert_eq!((sum.spilled, sum.restored), (5, 2));
+        let (writes, reads) = tier2_io_samples(&s.metrics());
+        assert_eq!(writes, landed_frames(&s), "one write per blob demoted");
+        assert_eq!((writes, reads), (3, 2));
+        assert_eq!(spill_files(&dir), (3, 0));
+        s.check_invariants();
+        s.shutdown();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     #[test]
     fn spill_frames_are_cleaned_up_as_entries_leave_tier2() {
         let (cfg, dir) = spill_cfg("hygiene");
         let s = server(cfg);
-        // Cycle enough distinct queries that entries spill, restore, and
-        // get re-demoted; every frame on disk must belong to a live
-        // tier-2 resident (tier2_used bytes account for all of them).
+        // Cycle enough distinct queries that entries spill; every frame
+        // on disk must belong to a live entry whose frame landed.
         for i in 0..4u32 {
             s.submit(q(i * 130, 0, 128, 128, 1, VmOp::Subsample))
                 .wait()
@@ -2554,30 +2526,28 @@ mod tests {
         let (frames, _) = spill_files(&dir);
         let tier2_used = s.core.store.read().tier2_used();
         assert!(tier2_used > 0, "pressure must have demoted something");
-        assert_eq!(
-            frames * 49_152,
-            tier2_used,
-            "one frame per tier-2 resident, no orphans"
-        );
+        assert_eq!(frames * 49_152, tier2_used, "nothing restored yet");
+        assert_eq!(frames, landed_frames(&s), "one frame per blob, no orphans");
         s.check_invariants();
         s.shutdown();
         let _ = std::fs::remove_dir_all(dir);
     }
 
     /// Frames are written after the store lock and land later, so a blob
-    /// can spill, re-heat from the bytes it kept, spill again and see
-    /// both frames land in either order. However they interleave, every
-    /// answer is byte-exact, no restore finds its frame missing, and at
-    /// quiescence the directory holds exactly one frame per tier-2
-    /// resident: a stale landing never unlinks a newer frame, and no
-    /// frame outlives its entry.
+    /// can spill, re-heat from the bytes it kept and spill again before
+    /// its one frame lands, or leave the store while it is written.
+    /// However they interleave, every answer is byte-exact, no restore
+    /// finds its frame missing, and at quiescence the directory holds
+    /// exactly one frame per entry whose frame landed: no frame outlives
+    /// its entry. (A restore from attached bytes must fall inside a blob's
+    /// one write, which only some runs hit; the store's unit tests and the
+    /// loom model pin that path.)
     #[test]
     fn spill_frames_match_tier2_under_concurrency() {
         let hot: Vec<VmQuery> = (0..6u32)
             .map(|i| q(i % 3 * 150, i / 3 * 150, 128, 128, 1, VmOp::Subsample))
             .collect();
         let want: Vec<Vec<u8>> = hot.iter().map(|s| reference_render(s).data).collect();
-        let (mut restored, mut frame_reads) = (0, 0);
         for round in 0..20 {
             let (cfg, dir) = spill_cfg("concurrent");
             // Two tiles in tier 1, four in tier 2: six hot tiles keep
@@ -2602,22 +2572,15 @@ mod tests {
             );
             s.check_invariants();
             let (frames, tmps) = spill_files(&dir);
-            let tier2_used = s.core.store.read().tier2_used();
             assert_eq!(
-                frames * 49_152,
-                tier2_used,
-                "round {round}: frames vs tier 2"
+                frames,
+                landed_frames(&s),
+                "round {round}: frames vs landed entries"
             );
             assert_eq!(tmps, 0, "round {round}: a staging file was left behind");
-            restored += sum.restored;
-            frame_reads += tier2_io_samples(&s.metrics()).1;
             s.shutdown();
             let _ = std::fs::remove_dir_all(dir);
         }
-        assert!(
-            restored > frame_reads,
-            "no restore came from attached bytes ({restored} restores, {frame_reads} frame reads)"
-        );
     }
 
     #[test]
@@ -2843,30 +2806,57 @@ mod tests {
 
     /// Crash-consistent recovery: frames spilled by one server instance
     /// are adopted by the next one on the same directory and restore as
-    /// byte-exact hits without touching the page space.
+    /// byte-exact hits without touching the page space. `a` is either
+    /// RESTORABLE at shutdown, or restored and FULL with its frame kept:
+    /// with two tiles in tier 1 under LRU, restoring `a` demotes `b` and
+    /// the hit's own copy of `a` demotes `c`.
     #[test]
     fn recovered_spill_frames_survive_server_restart() {
-        let (cfg, dir) = spill_cfg("recover");
+        use vmqs_datastore::{EvictionPolicy, Phase};
         let a = q(0, 0, 128, 128, 1, VmOp::Subsample);
         let b = q(200, 200, 128, 128, 1, VmOp::Subsample);
-        {
-            let s = server(cfg.clone());
-            s.submit(a).wait().unwrap();
-            s.submit(b).wait().unwrap();
-            assert!(s.summary().spilled >= 1, "a must be demoted to disk");
+        let c = q(400, 0, 128, 128, 1, VmOp::Subsample);
+        let cases = [
+            (Phase::Restorable, &[a, b][..]),
+            (Phase::Full, &[a, b, c, a][..]),
+        ];
+        for (phase, warm) in cases {
+            let (cfg, dir) = spill_cfg("recover");
+            let cfg = match phase {
+                Phase::Full => cfg
+                    .with_ds_budget(2 * 50_000)
+                    .with_cache_policy(EvictionPolicy::Lru),
+                _ => cfg,
+            };
+            {
+                let s = server(cfg.clone());
+                for &spec in warm {
+                    s.submit(spec).wait().unwrap();
+                }
+                assert!(s.summary().spilled >= 1, "a must be demoted to disk");
+                let kept = {
+                    let ds = s.core.store.read();
+                    let restorable = ds.lookup_restorable_exact(&a).map(|m| m.0);
+                    let blob = ds.equivalent(&a).or(restorable);
+                    blob.and_then(|blob| ds.get(blob))
+                        .map(|e| (e.phase(), e.frame))
+                };
+                assert_eq!(kept, Some((phase, Frame::Landed)));
+                s.shutdown();
+            }
+            // A fresh server on the same directory adopts the surviving
+            // frames.
+            let s = server(cfg);
+            assert!(s.ds_stats().adopted >= 1, "recovery must adopt the frame");
+            let res = s.submit(a).wait().unwrap();
+            assert_eq!(res.record.path, AnswerPath::ExactHit, "{phase:?}");
+            assert_eq!(res.record.pages_requested, 0);
+            assert_eq!(*res.image, reference_render(&a).data);
+            assert_eq!(s.summary().restored, 1);
+            s.check_invariants();
             s.shutdown();
+            let _ = std::fs::remove_dir_all(dir);
         }
-        // A fresh server on the same directory adopts the surviving frame.
-        let s = server(cfg);
-        assert!(s.ds_stats().adopted >= 1, "recovery must adopt the frame");
-        let res = s.submit(a).wait().unwrap();
-        assert_eq!(res.record.path, AnswerPath::ExactHit);
-        assert_eq!(res.record.pages_requested, 0);
-        assert_eq!(*res.image, reference_render(&a).data);
-        assert_eq!(s.summary().restored, 1);
-        s.check_invariants();
-        s.shutdown();
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     /// Satellite: a crash mid-spill leaves a torn `.tmp` staging file;
@@ -2914,6 +2904,7 @@ mod tests {
         assert!(s.summary().spilled >= 1, "spilling works after recovery");
         let (frames, _) = spill_files(&dir);
         assert_eq!(frames * 49_152, s.core.store.read().tier2_used());
+        assert_eq!(frames, landed_frames(&s));
         s.check_invariants();
         s.shutdown();
         let _ = std::fs::remove_dir_all(dir);

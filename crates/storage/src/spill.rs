@@ -7,8 +7,8 @@
 //! is deliberately dumb — magic, version, a metadata block (the
 //! application-encoded predicate, so a cold restart can rebuild the Data
 //! Store index), the payload, and a CRC32 trailer over everything before
-//! it. Frames are written to a `.tmp` file (one per write) and renamed
-//! into place, so a crash mid-write can never leave a half-frame under
+//! it. Frames are written to the blob's `.tmp` file and renamed into
+//! place, so a crash mid-write can never leave a half-frame under
 //! the `.spill` name: either the rename happened and the frame
 //! validates, or it did not and [`SpillStore::recover`] sweeps the torn
 //! `.tmp` away.
@@ -225,16 +225,18 @@ impl RecoveryReport {
 
 /// An on-disk tier-2 store for spilled Data Store entries.
 ///
-/// One file per blob under the configured directory. The threaded engine
-/// calls [`SpillStore::write`] after the critical section that demoted
-/// the entry (which keeps its bytes until the frame has landed), and
-/// [`SpillStore::read`] and the unlinks a live entry depends on under the
-/// Data Store's write lock. Debug builds check this: a frame write
-/// panics under a `Store` or `ShardState` lock, a read or unlink under a
-/// `ShardState` lock ([`lockdep::assert_unheld`]). All methods take `&self`; the store itself
-/// keeps no mutable state beyond atomic counters. Writes of one blob may
-/// overlap (each stages its own `.tmp`); every frame of a blob holds the
-/// same bytes, so whichever rename lands last is as good as the other.
+/// One file per blob under the configured directory, written once: the
+/// Data Store asks for a blob's frame at its first demotion and keeps it
+/// until the blob leaves for good, so a blob never has two writes in
+/// flight and its staging file is simply `blob-<id>.tmp`. The threaded
+/// engine calls [`SpillStore::write`] after the critical section that
+/// demoted the entry (which keeps its bytes until the frame has landed),
+/// [`SpillStore::read`] under the Data Store's write lock, and
+/// [`SpillStore::remove`] after it. Debug builds check this: a write or
+/// unlink panics under a `Store` or `ShardState` lock, a read under a
+/// `ShardState` lock ([`lockdep::assert_unheld`]). All methods take
+/// `&self`; the store itself keeps no mutable state beyond atomic
+/// counters.
 #[derive(Debug)]
 pub struct SpillStore {
     dir: PathBuf,
@@ -327,20 +329,19 @@ impl SpillStore {
         self.dir.join(format!("blob-{}.spill", blob.raw()))
     }
 
-    /// The staging file of write number `ordinal`: one per write, so two
-    /// writes of one blob in flight at once never share one.
-    fn tmp_path_of(&self, blob: BlobId, ordinal: u64) -> PathBuf {
-        self.dir.join(format!("blob-{}.w{ordinal}.tmp", blob.raw()))
+    fn tmp_path_of(&self, blob: BlobId) -> PathBuf {
+        self.dir.join(format!("blob-{}.tmp", blob.raw()))
     }
 
     /// Serializes `meta` (the application-encoded predicate) and
     /// `payload` as the v2 frame for `blob`, overwriting any previous
-    /// frame. Atomic: the frame is staged as a `.tmp` file of its own and
-    /// renamed into place, so a crash between the two leaves the old
-    /// frame (or no frame) — never a torn one — under the `.spill` name,
-    /// and concurrent writes of one blob each rename a whole frame. The
-    /// frame is never assembled in memory: its parts are checksummed
-    /// where they lie and written one after another.
+    /// frame. Atomic: the frame is staged as `blob-<id>.tmp` and renamed
+    /// into place, so a crash between the two leaves the old frame (or no
+    /// frame) — never a torn one — under the `.spill` name. The caller
+    /// writes a blob at most once at a time, since the two writes would
+    /// share the staging file. The frame is never assembled in memory:
+    /// its parts are checksummed where they lie and written one after
+    /// another.
     pub fn write(&self, blob: BlobId, meta: &[u8], payload: &[u8]) -> io::Result<()> {
         use std::sync::atomic::Ordering::Relaxed;
         lockdep::assert_unheld(&[LockClass::ShardState, LockClass::Store], "frame write");
@@ -375,7 +376,7 @@ impl SpillStore {
         // frame. No rename happens, so the `.spill` namespace is
         // untouched; the torn `.tmp` waits for recovery hygiene.
         let mut left = if crash { frame_len / 2 } else { frame_len };
-        let tmp = self.tmp_path_of(blob, ordinal);
+        let tmp = self.tmp_path_of(blob);
         let staged = (|| {
             let mut f = fs::File::create(&tmp)?;
             for part in [&header[..], meta, before, flip, after, &trailer[..]] {
@@ -548,13 +549,12 @@ impl SpillStore {
         Ok(report)
     }
 
-    /// Deletes the frame for `blob`. Missing frames are not an error (a
-    /// stale landing may find its frame already unlinked). A write cleans
-    /// up its own staging file when it fails; only a crash leaves one,
-    /// for [`SpillStore::recover`].
+    /// Deletes the frame for `blob`. Missing frames are not an error. A
+    /// write cleans up its own staging file when it fails; only a crash
+    /// leaves one, for [`SpillStore::recover`].
     pub fn remove(&self, blob: BlobId) -> io::Result<()> {
         use std::sync::atomic::Ordering::Relaxed;
-        lockdep::assert_unheld(&[LockClass::ShardState], "frame unlink");
+        lockdep::assert_unheld(&[LockClass::ShardState, LockClass::Store], "frame unlink");
         if self.crashed.load(Relaxed) {
             // A crashed store leaves the directory untouched; recovery
             // on the next startup owns the cleanup.
@@ -882,12 +882,31 @@ mod tests {
             let _ = s.read(BlobId(2));
         });
         assert_eq!(msg, "lockdep: frame read while holding ShardState");
-        // Reads and unlinks may run under the store lock by design.
+        // Reads may run under the store lock by design.
         let store = RwLock::ranked(LockClass::Store, ());
         let ds = store.write();
         assert_eq!(s.read(BlobId(2)).unwrap(), [2u8; 8]);
-        s.remove(BlobId(2)).unwrap();
         drop(ds);
+        cleanup(&s);
+    }
+
+    #[test]
+    #[cfg(all(debug_assertions, not(loom)))]
+    fn frame_unlink_under_store_guard_panics() {
+        use vmqs_core::sync::RwLock;
+        let s = SpillStore::new(tmpdir("lockdep-unlink")).unwrap();
+        s.write(BlobId(3), b"", &[3u8; 8]).unwrap();
+        let store = RwLock::ranked(LockClass::Store, ());
+        let msg = panic_message(|| {
+            let _ds = store.write();
+            let _ = s.remove(BlobId(3));
+        });
+        assert_eq!(msg, "lockdep: frame unlink while holding Store");
+        // The frame is still there, and the same unlink after the guard
+        // goes through.
+        assert_eq!(s.len().unwrap(), 1);
+        s.remove(BlobId(3)).unwrap();
+        assert!(s.is_empty().unwrap());
         cleanup(&s);
     }
 
@@ -940,13 +959,13 @@ mod tests {
         assert_eq!(s.stats().torn_writes, 1);
         // The .spill namespace never saw the torn frame.
         assert_eq!(s.len().unwrap(), 1);
-        assert!(s.dir().join("blob-1.w1.tmp").exists());
+        assert!(s.dir().join("blob-1.tmp").exists());
         assert!(s.read(BlobId(1)).is_err());
         // The crashed store is dead: later writes fail, and removes no
         // longer touch the directory (a dead process cleans nothing up).
         assert!(s.write(BlobId(2), b"spec2", &[3u8; 64]).is_err());
         s.remove(BlobId(1)).unwrap();
-        assert!(s.dir().join("blob-1.w1.tmp").exists());
+        assert!(s.dir().join("blob-1.tmp").exists());
         // Recovery: the intact frame survives, the torn tmp is deleted,
         // and byte accounting covers exactly the survivors.
         let rec = s.recover().unwrap();
@@ -956,7 +975,7 @@ mod tests {
         assert_eq!(rec.restorable[0].blob, BlobId(0));
         assert_eq!(rec.restorable[0].meta, b"spec0");
         assert_eq!(rec.bytes_restorable(), 128);
-        assert!(!s.dir().join("blob-1.w1.tmp").exists());
+        assert!(!s.dir().join("blob-1.tmp").exists());
         // Idempotent: a second scan finds the same state, removes nothing.
         let rec2 = s.recover().unwrap();
         assert_eq!((rec2.removed_tmp, rec2.removed_torn), (0, 0));
@@ -1022,7 +1041,7 @@ mod tests {
             .write(BlobId(3), b"spec-3", &[3u8; 40_000])
             .unwrap_err();
         // The torn tmp holds exactly the first half of its frame.
-        let torn = fs::read(dir.join("blob-3.w0.tmp")).unwrap();
+        let torn = fs::read(dir.join("blob-3.tmp")).unwrap();
         assert_eq!(torn.len(), (HEADER_LEN + 6 + 40_000 + TRAILER_LEN) / 2);
         assert_eq!(torn[..HEADER_LEN], encode_header(6, 40_000));
         assert!(torn[HEADER_LEN + 6..].iter().all(|&b| b == 3));

@@ -22,7 +22,7 @@
 use loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use loom::sync::{Arc, Condvar, Mutex};
 use loom::thread;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use vmqs_core::spec::testutil::IntervalSpec;
 use vmqs_core::{BlobId, DatasetId, QueryId};
 use vmqs_datastore::{DataStore, EvictionPolicy, Payload, SpillRequest};
@@ -295,53 +295,52 @@ fn worker_death_backout_wakes_waiter() {
     });
 }
 
-/// A spill directory: the generation whose frame each blob's file holds.
-type Frames = vmqs_core::sync::Mutex<HashMap<BlobId, u64>>;
+/// A spill directory: the blobs whose frame file is on disk.
+type Frames = vmqs_core::sync::Mutex<HashSet<BlobId>>;
 type Store = vmqs_core::sync::Mutex<DataStore<IntervalSpec>>;
 
 /// No RESTORABLE entry has lost both copies: with its bytes gone, its
-/// frame is on disk. Read under the store lock, where every unlink a live
-/// entry could miss happens.
+/// frame is on disk. Read under the store lock.
 fn assert_bytes_or_frame(ds: &DataStore<IntervalSpec>, frames: &Frames, blob: BlobId) {
     let Some(e) = ds.get(blob) else { return };
     if e.restorable() && e.payload.len().is_none() {
         assert!(
-            frames.lock().contains_key(&blob),
+            frames.lock().contains(&blob),
             "{blob} is RESTORABLE with neither its bytes nor its frame"
         );
     }
 }
 
-/// The engine's `write_frames` for one demotion: the frame is written
-/// (renamed into place) outside the store lock, then lands under it.
+/// The engine's `write_frames` for the one write a blob gets: the frame
+/// is written (renamed into place) outside the store lock and lands under
+/// it; a blob gone by then has its frame unlinked after the lock.
 fn write_and_land(store: &Store, frames: &Frames, req: &SpillRequest<IntervalSpec>) {
-    frames.lock().insert(req.blob, req.generation);
+    frames.lock().insert(req.blob);
     let mut ds = store.lock();
-    let landed = ds.frame_landed(req.blob, req.generation);
-    // A stale frame goes only when no entry is RESTORABLE any more; a
-    // newer demotion's entry is owed a frame of the same bytes.
-    if !landed && !ds.get(req.blob).is_some_and(|e| e.restorable()) {
+    let landed = ds.frame_landed(req.blob);
+    assert_bytes_or_frame(&ds, frames, req.blob);
+    drop(ds);
+    if !landed {
         frames.lock().remove(&req.blob);
     }
-    assert_bytes_or_frame(&ds, frames, req.blob);
 }
 
-/// The tier-2 landing rule (DESIGN.md §14), over the real Data Store:
-/// frames are written after the store lock that demoted their entry,
-/// which keeps its bytes until [`DataStore::frame_landed`]. Blob `a` is
-/// demoted (generation 1, its writer racing everything below), re-heated
-/// — from its attached bytes, or from its frame if that landed first —
-/// and demoted again (generation 2, a second writer), so the two late
-/// landings meet in either order. A landing that unlinks whenever its
-/// generation is not the current one deletes generation 2's frame, and
-/// the model reports `a` RESTORABLE with neither copy.
+/// The tier-2 landing rule (DESIGN.md §14), over the real Data Store: a
+/// blob's one frame is written after the store lock that first demoted
+/// it, and the entry keeps its bytes until [`DataStore::frame_landed`].
+/// Blob `a` is demoted (its single writer racing everything below),
+/// re-heated — from its attached bytes, or from its frame if that landed
+/// first — and demoted again, which asks for no second write. A
+/// re-demotion that treats the frame in flight as landed lets the bytes
+/// go before the frame is on disk, and the model reports `a` RESTORABLE
+/// with neither copy.
 #[test]
 fn spill_landing_never_loses_a_frame() {
     loom::model(|| {
         let store: Arc<Store> = Arc::new(vmqs_core::sync::Mutex::new(
             DataStore::with_policy(100, 64, EvictionPolicy::Lru).with_tier2(1000),
         ));
-        let frames: Arc<Frames> = Arc::new(vmqs_core::sync::Mutex::new(HashMap::new()));
+        let frames: Arc<Frames> = Arc::new(vmqs_core::sync::Mutex::new(HashSet::new()));
         let put = |ds: &mut DataStore<IntervalSpec>, q: u64| {
             let (s, bytes) = (
                 IntervalSpec::new(q * 1000, 100, 1),
@@ -350,40 +349,38 @@ fn spill_landing_never_loses_a_frame() {
             ds.insert_costed(QueryId(q), s, 100, 1.0, bytes, &mut Vec::new())
                 .unwrap()
         };
-        let writer = |req: SpillRequest<IntervalSpec>| {
-            let (store, frames) = (store.clone(), frames.clone());
-            thread::spawn(move || write_and_land(&store, &frames, &req))
-        };
         let (a, first) = {
             let mut ds = store.lock();
             let a = put(&mut ds, 1);
             put(&mut ds, 2);
             (a, ds.take_pending_spills())
         };
-        let t1 = writer(first[0].clone());
-        let second = {
+        let req = first[0].clone();
+        assert!(req.payload.is_some(), "the first demotion writes");
+        let writer = {
+            let (store, frames) = (store.clone(), frames.clone());
+            thread::spawn(move || write_and_land(&store, &frames, &req))
+        };
+        {
             let mut ds = store.lock();
             let from_frame = ds.get(a).unwrap().payload.len().is_none();
             if from_frame {
-                assert!(frames.lock().contains_key(&a), "restore found no frame");
+                assert!(frames.lock().contains(&a), "restore found no frame");
             }
             let bytes = Payload::Bytes([7; 100].into());
             assert!(ds.restore(a, bytes, &mut Vec::new()));
-            if from_frame {
-                frames.lock().remove(&a);
-            }
             // Restoring demoted `b`; a third entry demotes `a` again.
             ds.take_pending_spills();
             put(&mut ds, 3);
-            ds.take_pending_spills()
-        };
-        let t2 = writer(second[0].clone());
-        t1.join().unwrap();
-        t2.join().unwrap();
+            let second = ds.take_pending_spills();
+            assert!(second[0].payload.is_none(), "a second write of a");
+            assert_bytes_or_frame(&ds, &frames, a);
+        }
+        writer.join().unwrap();
         let ds = store.lock();
         assert!(
             ds.get(a).unwrap().payload.len().is_none(),
-            "generation 2 landed"
+            "the frame landed"
         );
         assert_bytes_or_frame(&ds, &frames, a);
     });
