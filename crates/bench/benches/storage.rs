@@ -6,7 +6,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::path::Path;
 use vmqs_core::{BlobId, DatasetId};
-use vmqs_storage::{crc32, DataSource, SpillStore, SyntheticSource};
+use vmqs_storage::{crc32, crc32_table, DataSource, SpillStore, SyntheticSource};
 
 /// One 256x256 RGB tile, the benchmark's `zipf_spill` payload.
 const TILE: usize = 192 << 10;
@@ -17,13 +17,18 @@ fn bytes(n: usize) -> Vec<u8> {
     (0..n).map(|i| (i * 31 % 251) as u8).collect()
 }
 
+/// The frame checksum as frames compute it (`dispatched`: carry-less
+/// multiply where the CPU has it) and by the portable table kernel.
 fn bench_crc32(c: &mut Criterion) {
     let mut group = c.benchmark_group("crc32");
     for (name, n) in [("4KiB", 4 << 10), ("192KiB", TILE)] {
         let data = bytes(n);
         group.throughput(Throughput::Bytes(n as u64));
-        group.bench_with_input(BenchmarkId::from_parameter(name), &data, |b, data| {
+        group.bench_with_input(BenchmarkId::new("dispatched", name), &data, |b, data| {
             b.iter(|| crc32(black_box(data)));
+        });
+        group.bench_with_input(BenchmarkId::new("table", name), &data, |b, data| {
+            b.iter(|| crc32_table(black_box(data)));
         });
     }
     group.finish();

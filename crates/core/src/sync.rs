@@ -59,8 +59,8 @@ pub enum LockClass {
     /// whatever the instances: a worker waits only on the `done_cv` of
     /// the one shard lock it owns (DESIGN.md §13).
     ShardState = 30,
-    /// `Core::store`, the Data Store. Frame writes and unlinks run after
-    /// it is let go; only a restore's frame read runs under it.
+    /// `Core::store`, the Data Store. No tier-2 frame call (write, read or
+    /// unlink) runs under it.
     Store = 40,
     /// `SharedPageSpace::core`, the Page Space's claim table and pages.
     PagesCore = 50,

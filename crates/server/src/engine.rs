@@ -1666,68 +1666,119 @@ fn emit_spills<A: AppExecutor>(core: &Core<A>, spills: Vec<(QueryId, u64)>) {
     }
 }
 
-/// Attempts to answer `spec` from the tier-2 spill store: finds a
-/// RESTORABLE entry whose predicate `cmp`-matches exactly, re-heats it
-/// from the bytes it still holds while its frame is in flight or else
-/// from its frame, and promotes it back to FULL; the frame stays on disk
-/// for the entry's next demotion. The re-probe, frame read and promotion
-/// all happen under the store's write lock so a restore cannot race
-/// another restore, a drop, or an eviction pass over the same entry.
-/// Returns the restored bytes, or `None` to fall back to the ordinary
-/// compute path (no candidate, unreadable frame, or tier-1 space could
-/// not be freed). An unreadable frame drops the entry for good — the
-/// typed-error fallback the fault sweep exercises.
+/// A RESTORABLE entry that `cmp`-matches a query, as
+/// [`probe_restorable`] found it under the store's read lock.
+struct Restorable {
+    blob: BlobId,
+    producer: QueryId,
+    size: u64,
+    /// The entry's bytes when its frame was still in flight.
+    attached: Option<Arc<[u8]>>,
+}
+
+/// Attempts to answer `spec` from the tier-2 spill store (DESIGN.md §14)
+/// in three steps, none of which holds a store lock across frame I/O:
+/// [`probe_restorable`] finds a RESTORABLE entry matching exactly,
+/// [`read_restorable`] fetches its bytes, and [`promote_restorable`]
+/// re-heats the entry if it is still RESTORABLE. Returns the bytes, or
+/// `None` to fall back to the ordinary compute path (no candidate, an
+/// unreadable frame, or tier-1 space could not be freed).
 fn try_restore<A: AppExecutor>(core: &Core<A>, id: QueryId, spec: &A::Spec) -> Option<Arc<[u8]>> {
     let spill = core.spill.as_ref()?;
-    // Cheap read-lock probe first: the common case is "nothing spilled
-    // matches", which must not serialize on the write lock.
-    core.store.read().lookup_restorable_exact(spec)?;
+    let found = probe_restorable(core, spec)?;
+    let read = read_restorable(core, spill, &found);
+    promote_restorable(core, id, found, read)
+}
+
+/// Step 1, under the store's read lock, so the common case, "nothing
+/// spilled matches", never serialises on the write lock. Takes the
+/// entry's bytes if its frame is still in flight, and touches nothing.
+fn probe_restorable<A: AppExecutor>(core: &Core<A>, spec: &A::Spec) -> Option<Restorable> {
+    let ds = core.store.read();
+    let (blob, producer, size) = ds.lookup_restorable_exact(spec)?;
+    let attached = match &ds.get(blob)?.payload {
+        Payload::Bytes(bytes) => Some(Arc::clone(bytes)),
+        Payload::Virtual => None,
+    };
+    Some(Restorable {
+        blob,
+        producer,
+        size,
+        attached,
+    })
+}
+
+/// Step 2, with no lock held: the bytes the probe took, or the entry's
+/// frame. A frame is written once and unlinked only after its blob has
+/// left the store for good, and blob ids are never reused, so the read
+/// either returns this blob's CRC-checked bytes or fails because the
+/// blob is gone, or because the frame is poisoned or corrupt.
+fn read_restorable<A: AppExecutor>(
+    core: &Core<A>,
+    spill: &SpillStore,
+    found: &Restorable,
+) -> std::io::Result<Arc<[u8]>> {
+    if let Some(bytes) = &found.attached {
+        return Ok(Arc::clone(bytes));
+    }
+    let t0 = clock::now();
+    let read = spill.read(found.blob);
+    core.tier2_read.observe(t0.elapsed().as_secs_f64());
+    read.map(Arc::from)
+}
+
+/// Step 3, under the store's write lock: re-probes the blob and promotes
+/// it back to FULL only if it is still RESTORABLE; the frame stays on
+/// disk for the entry's next demotion. A failed read drops the entry for
+/// good — the typed-error fallback the fault sweep exercises — again
+/// only if it is still RESTORABLE. A blob that left the store, or that a
+/// peer restored, during the read is no restore failure: the query is
+/// answered from the bytes it read, or else computes.
+fn promote_restorable<A: AppExecutor>(
+    core: &Core<A>,
+    id: QueryId,
+    found: Restorable,
+    read: std::io::Result<Arc<[u8]>>,
+) -> Option<Arc<[u8]>> {
+    let Restorable {
+        blob,
+        producer,
+        size,
+        ..
+    } = found;
     let mut evicted: Vec<EvictionRecord<A::Spec>> = Vec::new();
-    let mut restored: Option<(QueryId, Arc<[u8]>, u64)> = None;
-    let spills = {
-        // Probe, frame read and promotion are one critical section, so a
-        // second restore, a drop or an eviction pass cannot reach the
-        // entry between them. Held for one frame read, about 0.15 ms for
-        // a 192 KiB tile (DESIGN.md §14), when the entry's bytes are gone.
+    let mut promoted = false;
+    let (answer, spills) = {
         let mut ds = core.store.write();
-        // Re-probe under the write lock: a peer may have restored or
-        // dropped the candidate while this thread upgraded.
-        let (blob, producer, size) = ds.lookup_restorable_exact(spec)?;
-        let read = match &ds.get(blob)?.payload {
-            // Its frame is still in flight: no disk read at all.
-            Payload::Bytes(bytes) => Ok(Arc::clone(bytes)),
-            Payload::Virtual => {
-                let t0 = clock::now();
-                let read = spill.read(blob);
-                core.tier2_read.observe(t0.elapsed().as_secs_f64());
-                read.map(Arc::from)
-            }
-        };
-        match read {
-            Ok(payload) => {
-                if ds.restore(blob, Payload::Bytes(Arc::clone(&payload)), &mut evicted) {
-                    restored = Some((producer, payload, size));
-                }
+        let answer = match read {
+            Ok(bytes) if ds.get(blob).is_some_and(|e| e.restorable()) => {
+                promoted = ds.restore(blob, Payload::Bytes(Arc::clone(&bytes)), &mut evicted);
                 // On a false return the query recomputes: either tier 1
                 // could not make room (the entry stays RESTORABLE as it
                 // was), or making room overflowed tier 2 and the shrink
                 // dropped this very entry (its eviction record is in
                 // `evicted`).
+                promoted.then_some(bytes)
             }
+            // The blob left, or a peer restored it, during the read.
+            Ok(bytes) => Some(bytes),
+            // `drop_restorable` re-probes too: it drops and counts the
+            // entry only if it is still RESTORABLE.
             Err(_) => {
-                // Poisoned or corrupt frame: unreadable for good. Drop
-                // the entry and recompute through the ordinary path.
                 evicted.extend(ds.drop_restorable(blob));
+                None
             }
-        }
+        };
         // Making room in tier 1 may itself have demoted entries.
-        ds.take_pending_spills()
+        (answer, ds.take_pending_spills())
     };
     let spilled = write_frames(core, spills, &mut evicted);
     route_evictions(core, evicted);
     emit_spills(core, spilled);
-    let (producer, bytes, size) = restored?;
-    core.emit(producer, EventKind::Restored { bytes: size });
+    let bytes = answer?;
+    if promoted {
+        core.emit(producer, EventKind::Restored { bytes: size });
+    }
     let hit = EventKind::LookupHit {
         source: producer,
         overlap: 1.0,
@@ -2507,6 +2558,134 @@ mod tests {
         assert_eq!(writes, landed_frames(&s), "one write per blob demoted");
         assert_eq!((writes, reads), (3, 2));
         assert_eq!(spill_files(&dir), (3, 0));
+        s.check_invariants();
+        s.shutdown();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    // ----- a restore's three steps, driven one at a time -----
+
+    /// Caches `spec`'s reference answer for `producer` at recompute cost
+    /// `cost`, as `run_one` publishes a compute: insert, then the frames
+    /// its demotions ask for. `producer` is in no scheduling graph.
+    fn publish(s: &QueryServer, producer: u64, spec: VmQuery, cost: f64) {
+        let core = &s.core;
+        let mut evicted = Vec::new();
+        let spills = {
+            let mut ds = core.store.write();
+            let bytes = Payload::Bytes(reference_render(&spec).data.into());
+            let size = core.app.output_len(&spec) as u64;
+            ds.insert_costed(QueryId(producer), spec, size, cost, bytes, &mut evicted)
+                .unwrap();
+            ds.take_pending_spills()
+        };
+        let spilled = write_frames(core, spills, &mut evicted);
+        route_evictions(core, evicted);
+        emit_spills(core, spilled);
+    }
+
+    /// A RESTORABLE `a` whose frame has landed, demoted by `b`.
+    fn restorable_a(s: &QueryServer, a: VmQuery, a_cost: f64) -> Restorable {
+        publish(s, 1001, a, a_cost);
+        publish(s, 1002, q(200, 200, 128, 128, 1, VmOp::Subsample), 1.0);
+        let found = probe_restorable(&s.core, &a).expect("a is RESTORABLE");
+        assert!(found.attached.is_none(), "a's frame has landed");
+        found
+    }
+
+    fn evictions_of(s: &QueryServer, producer: u64) -> usize {
+        let ev = s.events();
+        let of = |e: &&EventRecord| e.query == QueryId(producer);
+        let evicted = |e: &&EventRecord| matches!(e.kind, EventKind::Evicted { .. });
+        ev.iter().filter(of).filter(evicted).count()
+    }
+
+    /// Between the off-lock read and the promotion, a tier-2 shrink drops
+    /// the blob and unlinks its frame. The read's bytes still answer the
+    /// query; the drop was the shrink's, so it is no restore failure and
+    /// the blob has one eviction record.
+    #[test]
+    fn restore_racing_a_tier2_drop_answers_from_the_bytes_it_read() {
+        let (cfg, dir) = spill_cfg("race-drop");
+        let s = server(cfg.with_tier2_budget(49_152).with_observability(true));
+        let a = q(0, 0, 128, 128, 1, VmOp::Subsample);
+        // The cheapest entry, so the shrink picks it.
+        let found = restorable_a(&s, a, 1e-6);
+        let frame = dir.join(format!("blob-{}.spill", found.blob.raw()));
+        let read = read_restorable(&s.core, s.core.spill.as_ref().unwrap(), &found);
+        assert!(read.is_ok());
+        // `c` demotes `b`, and tier 2 overflows onto `a`.
+        publish(&s, 1003, q(400, 0, 128, 128, 1, VmOp::Subsample), 1.0);
+        assert!(
+            s.core.store.read().get(found.blob).is_none(),
+            "a was dropped"
+        );
+        assert!(!frame.exists(), "a's frame was unlinked");
+        let bytes = promote_restorable(&s.core, QueryId(1), found, read).expect("answered");
+        assert_eq!(*bytes, reference_render(&a).data);
+        let sum = s.summary();
+        assert_eq!((sum.restored, sum.restore_failures), (0, 0));
+        assert_eq!(s.core.store.read().stats().evicted, 1);
+        assert_eq!(evictions_of(&s, 1001), 1);
+        s.check_invariants();
+        s.shutdown();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Two restorers probe and read one blob; the first promotion wins and
+    /// the second answers from the bytes it read.
+    #[test]
+    fn two_restorers_of_one_blob_promote_it_once() {
+        let (cfg, dir) = spill_cfg("race-peer");
+        let s = server(cfg.with_observability(true));
+        let a = q(0, 0, 128, 128, 1, VmOp::Subsample);
+        let first = restorable_a(&s, a, 1.0);
+        let second = probe_restorable(&s.core, &a).expect("still RESTORABLE");
+        let spill = s.core.spill.as_ref().unwrap();
+        let (r1, r2) = (
+            read_restorable(&s.core, spill, &first),
+            read_restorable(&s.core, spill, &second),
+        );
+        let want = reference_render(&a).data;
+        for (found, read, id) in [(first, r1, 1), (second, r2, 2)] {
+            let bytes = promote_restorable(&s.core, QueryId(id), found, read);
+            assert_eq!(*bytes.expect("answered"), want, "restorer {id}");
+        }
+        let sum = s.summary();
+        assert_eq!((sum.restored, sum.restore_failures), (1, 0));
+        let restored = s
+            .events()
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::Restored { .. }))
+            .count();
+        assert_eq!(restored, 1);
+        s.check_invariants();
+        s.shutdown();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A frame that fails its CRC on a live entry: the read fails outside
+    /// the lock, the entry is still RESTORABLE at the promotion, so it is
+    /// dropped, counted, and its frame unlinked.
+    #[test]
+    fn poisoned_frame_of_a_live_entry_is_dropped_after_an_off_lock_read() {
+        let (cfg, dir) = spill_cfg("race-poison");
+        let s = server(cfg.with_observability(true));
+        let a = q(0, 0, 128, 128, 1, VmOp::Subsample);
+        let found = restorable_a(&s, a, 1.0);
+        let frame = dir.join(format!("blob-{}.spill", found.blob.raw()));
+        let mut bytes = std::fs::read(&frame).unwrap();
+        bytes[100] ^= 0x10;
+        std::fs::write(&frame, bytes).unwrap();
+        let blob = found.blob;
+        let read = read_restorable(&s.core, s.core.spill.as_ref().unwrap(), &found);
+        assert!(read.is_err());
+        assert!(promote_restorable(&s.core, QueryId(1), found, read).is_none());
+        let sum = s.summary();
+        assert_eq!((sum.restored, sum.restore_failures), (0, 1));
+        assert!(s.core.store.read().get(blob).is_none());
+        assert!(!frame.exists(), "the dropper unlinked the frame");
+        assert_eq!(evictions_of(&s, 1001), 1);
         s.check_invariants();
         s.shutdown();
         let _ = std::fs::remove_dir_all(dir);

@@ -35,4 +35,6 @@ pub use chaos::ChaosConfig;
 pub use disk::DiskModel;
 pub use fault::{is_transient, FaultConfig, FaultInjectingSource, FaultStats};
 pub use source::{DataSource, FileSource, SyntheticSource, ThrottledSource};
-pub use spill::{crc32, RecoveredFrame, RecoveryReport, SpillStats, SpillStore, SPILL_DEVICE};
+pub use spill::{
+    crc32, crc32_table, RecoveredFrame, RecoveryReport, SpillStats, SpillStore, SPILL_DEVICE,
+};

@@ -113,6 +113,123 @@ const fn crc32_tables() -> [[u32; 256]; SLICES] {
 
 static CRC32_TABLES: [[u32; 256]; SLICES] = crc32_tables();
 
+/// The portable kernel: advances the CRC register `c` over `bytes`,
+/// [`SLICES`] bytes a step, then a byte at a time.
+fn table_update(mut c: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut steps = bytes.chunks_exact(SLICES);
+    for step in &mut steps {
+        // The running CRC folds into the first four bytes; byte `j`
+        // of the step then has `15 - j` bytes after it.
+        let (lo, hi) = step.split_at(8);
+        let lo = u64::from_le_bytes(lo.try_into().expect("8 bytes")) ^ u64::from(c);
+        let lo = lo.to_le_bytes();
+        c = 0;
+        for j in 0..8 {
+            c ^= t[15 - j][lo[j] as usize] ^ t[7 - j][hi[j] as usize];
+        }
+    }
+    for &b in steps.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c
+}
+
+/// The carry-less-multiply kernel for x86-64 CPUs with PCLMULQDQ (Intel,
+/// "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
+/// Instruction", 2009). It folds the input into four 128-bit lanes 64
+/// bytes a step, folds the lanes and any further 16-byte blocks into one,
+/// and reduces that to the 32-bit register: to 64 bits by two more folds,
+/// then by a Barrett reduction. A tail under 16 bytes goes to the table.
+/// The constants are powers of x modulo the polynomial, bit-reflected like
+/// the register, so the CRC is the table's bit for bit. Miri and other
+/// targets take the table path.
+#[cfg(all(target_arch = "x86_64", not(miri)))]
+mod clmul {
+    use std::arch::x86_64::*;
+
+    /// x^(4·128+32) and x^(4·128-32) mod P: fold a lane over 64 bytes.
+    const K1: i64 = 0x1_5444_2BD4;
+    const K2: i64 = 0x1_C6E4_1596;
+    /// x^(128+32) and x^(128-32) mod P: fold a lane over 16 bytes.
+    const K3: i64 = 0x1_7519_97D0;
+    const K4: i64 = 0x0_CCAA_009E;
+    /// x^64 mod P: the fold from 96 to 64 bits.
+    const K5: i64 = 0x1_63CD_6124;
+    /// P itself and μ = x^64 / P, for the Barrett reduction.
+    const P: i64 = 0x1_DB71_0641;
+    const MU: i64 = 0x1_F701_1641;
+
+    /// True when this CPU has what [`update`] needs (std caches the
+    /// probe, so this is a load per call).
+    pub(super) fn available() -> bool {
+        is_x86_feature_detected!("pclmulqdq") && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Sixteen bytes as one lane, little-endian.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn lane(bytes: &[u8]) -> __m128i {
+        let half = |at: usize| i64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        _mm_set_epi64x(half(8), half(0))
+    }
+
+    /// `acc` carried over the 128 bits of `next` (`keys` says how far
+    /// ahead it sits) and added to them.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold(acc: __m128i, next: __m128i, keys: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(acc, keys, 0x00);
+        let hi = _mm_clmulepi64_si128(acc, keys, 0x11);
+        _mm_xor_si128(_mm_xor_si128(next, lo), hi)
+    }
+
+    /// [`super::table_update`], for a CPU that has [`available`].
+    ///
+    /// # Safety
+    /// Calling it from code not compiled with these features is `unsafe`:
+    /// the caller must have checked [`available`].
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn update(c: u32, bytes: &[u8]) -> u32 {
+        let mut blocks = bytes.chunks_exact(64);
+        let Some(first) = blocks.next() else {
+            return super::table_update(c, bytes);
+        };
+        let mut x = [
+            _mm_xor_si128(lane(first), _mm_cvtsi32_si128(c as i32)),
+            lane(&first[16..]),
+            lane(&first[32..]),
+            lane(&first[48..]),
+        ];
+        let k1k2 = _mm_set_epi64x(K2, K1);
+        for block in &mut blocks {
+            for (i, lane_x) in x.iter_mut().enumerate() {
+                *lane_x = fold(*lane_x, lane(&block[16 * i..]), k1k2);
+            }
+        }
+        let k3k4 = _mm_set_epi64x(K4, K3);
+        let mut acc = fold(fold(fold(x[0], x[1], k3k4), x[2], k3k4), x[3], k3k4);
+        let mut rest = blocks.remainder().chunks_exact(16);
+        for block in &mut rest {
+            acc = fold(acc, lane(block), k3k4);
+        }
+        // 128 -> 96 -> 64 bits.
+        let low32 = _mm_set_epi32(0, 0, 0, -1);
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(acc, k3k4, 0x10),
+            _mm_srli_si128(acc, 8),
+        );
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+        // Barrett: 64 -> 32 bits, the quotient estimated through μ.
+        let pu = _mm_set_epi64x(MU, P);
+        let t1 = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pu, 0x10);
+        let t2 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), pu, 0x00);
+        let c = _mm_extract_epi32(_mm_xor_si128(x, t2), 1) as u32;
+        super::table_update(c, rest.remainder())
+    }
+}
+
 /// A CRC32 in progress: [`Crc32::update`] over consecutive pieces gives
 /// what one pass over their concatenation gives, so a frame is
 /// checksummed where its parts already lie.
@@ -123,25 +240,17 @@ impl Crc32 {
         Crc32(0xFFFF_FFFF)
     }
 
+    /// Runs the carry-less-multiply kernel where the CPU has it, the
+    /// table kernel otherwise.
     fn update(&mut self, bytes: &[u8]) {
-        let t = &CRC32_TABLES;
-        let mut c = self.0;
-        let mut steps = bytes.chunks_exact(SLICES);
-        for step in &mut steps {
-            // The running CRC folds into the first four bytes; byte `j`
-            // of the step then has `15 - j` bytes after it.
-            let (lo, hi) = step.split_at(8);
-            let lo = u64::from_le_bytes(lo.try_into().expect("8 bytes")) ^ u64::from(c);
-            let lo = lo.to_le_bytes();
-            c = 0;
-            for j in 0..8 {
-                c ^= t[15 - j][lo[j] as usize] ^ t[7 - j][hi[j] as usize];
-            }
+        #[cfg(all(target_arch = "x86_64", not(miri)))]
+        if clmul::available() {
+            // SAFETY: `available` found PCLMULQDQ and SSE4.1 on this CPU,
+            // every feature `clmul::update` is compiled with.
+            self.0 = unsafe { clmul::update(self.0, bytes) };
+            return;
         }
-        for &b in steps.remainder() {
-            c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-        }
-        self.0 = c;
+        self.0 = table_update(self.0, bytes);
     }
 
     fn finish(self) -> u32 {
@@ -154,6 +263,12 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = Crc32::new();
     crc.update(bytes);
     crc.finish()
+}
+
+/// [`crc32`] by the portable table kernel whatever the CPU: the
+/// reference the dispatched kernel is benchmarked and tested against.
+pub fn crc32_table(bytes: &[u8]) -> u32 {
+    table_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
 }
 
 /// The v2 frame header for a frame holding `meta_len` + `payload_len`
@@ -229,14 +344,15 @@ impl RecoveryReport {
 /// Data Store asks for a blob's frame at its first demotion and keeps it
 /// until the blob leaves for good, so a blob never has two writes in
 /// flight and its staging file is simply `blob-<id>.tmp`. The threaded
-/// engine calls [`SpillStore::write`] after the critical section that
-/// demoted the entry (which keeps its bytes until the frame has landed),
-/// [`SpillStore::read`] under the Data Store's write lock, and
-/// [`SpillStore::remove`] after it. Debug builds check this: a write or
-/// unlink panics under a `Store` or `ShardState` lock, a read under a
-/// `ShardState` lock ([`lockdep::assert_unheld`]). All methods take
-/// `&self`; the store itself keeps no mutable state beyond atomic
-/// counters.
+/// engine makes every frame call with no Data Store lock held:
+/// [`SpillStore::write`] after the critical section that demoted the
+/// entry (which keeps its bytes until the frame has landed),
+/// [`SpillStore::read`] between the probe that found a RESTORABLE entry
+/// and the critical section that promotes it, and [`SpillStore::remove`]
+/// after the one that dropped the blob for good. Debug builds check this:
+/// each of the three panics under a `Store` or `ShardState` lock
+/// ([`lockdep::assert_unheld`]). All methods take `&self`; the store
+/// itself keeps no mutable state beyond atomic counters.
 #[derive(Debug)]
 pub struct SpillStore {
     dir: PathBuf,
@@ -478,7 +594,7 @@ impl SpillStore {
     /// the CRC covers the header, metadata, and payload alike.
     pub fn read(&self, blob: BlobId) -> io::Result<Vec<u8>> {
         use std::sync::atomic::Ordering::Relaxed;
-        lockdep::assert_unheld(&[LockClass::ShardState], "frame read");
+        lockdep::assert_unheld(&[LockClass::ShardState, LockClass::Store], "frame read");
         if self.blob_is_poisoned(blob) {
             self.read_failures.fetch_add(1, Relaxed);
             return Err(io::Error::new(
@@ -643,43 +759,86 @@ mod tests {
         c ^ 0xFFFF_FFFF
     }
 
+    /// `len` pseudo-random bytes from `seed`.
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut z = seed;
+        (0..len)
+            .map(|_| {
+                z = z
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (z >> 56) as u8
+            })
+            .collect()
+    }
+
+    /// The dispatched kernel (carry-less multiply where the CPU has it),
+    /// the table kernel and the oracle agree on `bytes`, and `update` over
+    /// the pieces `cuts` splits it into equals one pass: a frame is
+    /// checksummed as header + meta + payload.
+    fn check_kernels(bytes: &[u8], cuts: &[usize]) {
+        let whole = crc32(bytes);
+        assert_eq!(whole, crc32_bytewise(bytes), "{} bytes", bytes.len());
+        assert_eq!(crc32_table(bytes), whole, "{} bytes", bytes.len());
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| c.min(bytes.len())).collect();
+        cuts.sort_unstable();
+        let mut crc = Crc32::new();
+        let mut from = 0;
+        for to in cuts.into_iter().chain([bytes.len()]) {
+            crc.update(&bytes[from..to]);
+            from = to;
+        }
+        assert_eq!(crc.finish(), whole, "{} bytes split", bytes.len());
+    }
+
     proptest::proptest! {
         // The Miri job interprets every test of this crate.
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(
             if cfg!(miri) { 4 } else { 256 }
         ))]
 
-        /// Any bytes, any length around the kernel's step (so the sliced
-        /// body and the bytewise tail both move), any start offset in the
-        /// buffer: one-shot equals the oracle, and `update` over any
-        /// split of the input equals one-shot.
+        /// Any bytes, any length around both kernels' steps (so the
+        /// 64-byte folds, the 16-byte folds, the sliced body and the
+        /// bytewise tail all move), any start offset in the buffer.
         #[test]
-        fn sliced_crc_equals_the_bytewise_oracle_under_any_split(
+        fn dispatched_and_table_crcs_equal_the_bytewise_oracle_under_any_split(
             seed in 0u64..u64::MAX,
             len in 0usize..4097,
-            offset in 0usize..8,
+            offset in 0usize..16,
             cuts in proptest::collection::vec(0usize..4097, 0..4),
         ) {
-            let mut z = seed;
-            let buf: Vec<u8> = (0..offset + len)
-                .map(|_| {
-                    z = z.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                    (z >> 56) as u8
-                })
-                .collect();
-            let bytes = &buf[offset..];
-            let whole = crc32(bytes);
-            proptest::prop_assert_eq!(whole, crc32_bytewise(bytes));
-            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(len)).collect();
-            cuts.sort_unstable();
-            let mut crc = Crc32::new();
-            let mut from = 0;
-            for to in cuts.into_iter().chain([len]) {
-                crc.update(&bytes[from..to]);
-                from = to;
-            }
-            proptest::prop_assert_eq!(crc.finish(), whole);
+            check_kernels(&noise(seed, offset + len)[offset..], &cuts);
         }
+    }
+
+    /// A 192 KiB tile frame's worth of bytes and 61 more, at every start
+    /// offset of a 16-byte lane.
+    #[test]
+    #[cfg_attr(miri, ignore = "three passes over 192 KiB at 16 offsets")]
+    fn dispatched_crc_equals_the_oracle_on_a_tile() {
+        let buf = noise(7, (192 << 10) + 61 + 15);
+        for offset in 0..16 {
+            let bytes = &buf[offset..offset + (192 << 10) + 61];
+            check_kernels(bytes, &[24, 24 + 48, 100_003]);
+        }
+    }
+
+    /// A frame checksummed by the table kernel validates through the
+    /// dispatched one, and a frame the store writes carries the trailer
+    /// the table kernel computes: the format did not change.
+    #[test]
+    fn frames_checksummed_by_either_kernel_validate_through_the_other() {
+        let s = SpillStore::new(tmpdir("kernels")).unwrap();
+        let (meta, payload) = (noise(1, 48), noise(2, 4096 + 61));
+        let mut frame = encode_header(meta.len(), payload.len()).to_vec();
+        frame.extend_from_slice(&meta);
+        frame.extend_from_slice(&payload);
+        frame.extend_from_slice(&crc32_table(&frame).to_le_bytes());
+        fs::write(s.dir().join("blob-1.spill"), &frame).unwrap();
+        assert_eq!(s.read(BlobId(1)).unwrap(), payload);
+        s.write(BlobId(2), &meta, &payload).unwrap();
+        assert_eq!(fs::read(s.dir().join("blob-2.spill")).unwrap(), frame);
+        cleanup(&s);
     }
 
     /// Blob 17, meta `vmqs:golden`, 37 payload bytes `7i + 3`, as the
@@ -873,7 +1032,7 @@ mod tests {
     #[test]
     #[cfg(all(debug_assertions, not(loom)))]
     fn frame_read_under_shard_guard_panics() {
-        use vmqs_core::sync::{Mutex, RwLock};
+        use vmqs_core::sync::Mutex;
         let s = SpillStore::new(tmpdir("lockdep-read")).unwrap();
         s.write(BlobId(2), b"", &[2u8; 8]).unwrap();
         let shard = Mutex::ranked(LockClass::ShardState, ());
@@ -882,11 +1041,26 @@ mod tests {
             let _ = s.read(BlobId(2));
         });
         assert_eq!(msg, "lockdep: frame read while holding ShardState");
-        // Reads may run under the store lock by design.
-        let store = RwLock::ranked(LockClass::Store, ());
-        let ds = store.write();
         assert_eq!(s.read(BlobId(2)).unwrap(), [2u8; 8]);
-        drop(ds);
+        cleanup(&s);
+    }
+
+    #[test]
+    #[cfg(all(debug_assertions, not(loom)))]
+    fn frame_read_under_store_guard_panics() {
+        use vmqs_core::sync::RwLock;
+        let s = SpillStore::new(tmpdir("lockdep-read-store")).unwrap();
+        s.write(BlobId(4), b"", &[4u8; 8]).unwrap();
+        let store = RwLock::ranked(LockClass::Store, ());
+        let msg = panic_message(|| {
+            let _ds = store.read();
+            let _ = s.read(BlobId(4));
+        });
+        assert_eq!(msg, "lockdep: frame read while holding Store");
+        // The panic came before the read: nothing was counted, and the
+        // same read after the guard goes through.
+        assert_eq!(s.stats().reads, 0);
+        assert_eq!(s.read(BlobId(4)).unwrap(), [4u8; 8]);
         cleanup(&s);
     }
 

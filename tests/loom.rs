@@ -15,8 +15,8 @@
 //! engine's wakeup handshakes); weakening any of them makes the matching
 //! model fail — see `docs/loom-counterexamples.md` for the recorded
 //! counterexamples. A Data Store entry's phase is a plain field written
-//! only through `&mut DataStore`; what has a model is the tier-2 landing
-//! rule, where frame files change outside the store's lock.
+//! only through `&mut DataStore`; what has models is tier 2, whose frame
+//! files are written, read and unlinked outside the store's lock.
 #![cfg(loom)]
 
 use loom::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -25,7 +25,7 @@ use loom::thread;
 use std::collections::HashSet;
 use vmqs_core::spec::testutil::IntervalSpec;
 use vmqs_core::{BlobId, DatasetId, QueryId};
-use vmqs_datastore::{DataStore, EvictionPolicy, Payload, SpillRequest};
+use vmqs_datastore::{DataStore, EvictionPolicy, EvictionRecord, Payload, SpillRequest};
 use vmqs_obs::{Counter, Histogram};
 use vmqs_pagespace::{PageCacheCore, PageData, PageDisposition, PageKey};
 
@@ -383,6 +383,130 @@ fn spill_landing_never_loses_a_frame() {
             "the frame landed"
         );
         assert_bytes_or_frame(&ds, &frames, a);
+    });
+}
+
+/// [`assert_bytes_or_frame`] for every entry.
+fn assert_all_bytes_or_frames(ds: &DataStore<IntervalSpec>, frames: &Frames) {
+    for e in ds.entries() {
+        assert_bytes_or_frame(ds, frames, e.id);
+    }
+}
+
+/// What the engine does after a critical section (`write_frames`): the
+/// frames its demotions ask for are written and landed, then the frames
+/// of the blobs it dropped for good are unlinked.
+fn settle(
+    store: &Store,
+    frames: &Frames,
+    spills: &[SpillRequest<IntervalSpec>],
+    evicted: &[EvictionRecord<IntervalSpec>],
+) {
+    for req in spills.iter().filter(|r| r.payload.is_some()) {
+        write_and_land(store, frames, req);
+    }
+    for r in evicted.iter().filter(|r| r.had_frame) {
+        frames.lock().remove(&r.blob);
+    }
+}
+
+/// The engine's `try_restore` of `spec` in its three steps: probe under
+/// the store lock, taking the bytes if the frame is still in flight;
+/// read the frame with no lock held; promote under the lock only if the
+/// blob is still RESTORABLE, or on a failed read drop it
+/// (`drop_restorable` drops only a RESTORABLE entry).
+fn restore_off_lock(store: &Store, frames: &Frames, spec: &IntervalSpec) {
+    let probe = {
+        let ds = store.lock();
+        let blob = ds.lookup_restorable_exact(spec).map(|m| m.0);
+        blob.map(|b| (b, ds.get(b).unwrap().payload.len().is_some()))
+    };
+    let Some((blob, attached)) = probe else {
+        return;
+    };
+    let read_ok = attached || frames.lock().contains(&blob);
+    let mut evicted = Vec::new();
+    let spills = {
+        let mut ds = store.lock();
+        if !read_ok {
+            evicted.extend(ds.drop_restorable(blob));
+        } else if ds.get(blob).is_some_and(|e| e.restorable()) {
+            let bytes = Payload::Bytes([1; 100].into());
+            if ds.restore(blob, bytes, &mut evicted) {
+                let e = ds.get(blob);
+                assert!(
+                    e.is_some_and(|e| !e.restorable()),
+                    "{blob} promoted, not FULL"
+                );
+            }
+        }
+        assert_all_bytes_or_frames(&ds, frames);
+        ds.take_pending_spills()
+    };
+    settle(store, frames, &spills, &evicted);
+}
+
+/// Tier-2 restores read frames outside the store lock (DESIGN.md §14),
+/// over the real Data Store. `a` is demoted and its one frame is in
+/// flight; two restorers of `a` race a thread that lands that frame and
+/// then inserts two entries, which overflows tier 2 onto `a` (the
+/// cheapest entry): it is dropped and its frame unlinked after the lock.
+/// However they interleave, no restore reads a frame that is not there
+/// for a live entry, so no live entry is dropped as unreadable
+/// (`restore_failures` stays 0: no frame in the model is bad), no blob
+/// is promoted unless it is RESTORABLE in the store, and no RESTORABLE
+/// entry without its bytes is missing its frame. A restorer that reads
+/// the frame even when the probe found the bytes attached reads a frame
+/// still being written, fails, and drops a live entry.
+#[test]
+fn restore_reads_frame_outside_the_lock() {
+    loom::model(|| {
+        let store: Arc<Store> = Arc::new(vmqs_core::sync::Mutex::new(
+            DataStore::with_policy(100, 64, EvictionPolicy::CostBased).with_tier2(200),
+        ));
+        let frames: Arc<Frames> = Arc::new(vmqs_core::sync::Mutex::new(HashSet::new()));
+        let spec = |q: u64| IntervalSpec::new(q * 1000, 100, 1);
+        let put = move |ds: &mut DataStore<IntervalSpec>,
+                        q: u64,
+                        cost: f64,
+                        evicted: &mut Vec<EvictionRecord<IntervalSpec>>| {
+            let bytes = Payload::Bytes([q as u8; 100].into());
+            ds.insert_costed(QueryId(q), spec(q), 100, cost, bytes, evicted)
+                .unwrap();
+        };
+        let first = {
+            let mut ds = store.lock();
+            put(&mut ds, 1, 0.001, &mut Vec::new());
+            put(&mut ds, 2, 1.0, &mut Vec::new());
+            ds.take_pending_spills()
+        };
+        assert!(first[0].payload.is_some(), "a's one write");
+        let shrink = {
+            let (store, frames) = (store.clone(), frames.clone());
+            thread::spawn(move || {
+                write_and_land(&store, &frames, &first[0]);
+                let mut evicted = Vec::new();
+                let spills = {
+                    let mut ds = store.lock();
+                    put(&mut ds, 3, 1.0, &mut evicted);
+                    put(&mut ds, 4, 1.0, &mut evicted);
+                    assert_all_bytes_or_frames(&ds, &frames);
+                    ds.take_pending_spills()
+                };
+                settle(&store, &frames, &spills, &evicted);
+            })
+        };
+        let peer = {
+            let (store, frames) = (store.clone(), frames.clone());
+            thread::spawn(move || restore_off_lock(&store, &frames, &spec(1)))
+        };
+        restore_off_lock(&store, &frames, &spec(1));
+        shrink.join().unwrap();
+        peer.join().unwrap();
+        let ds = store.lock();
+        assert!(ds.lookup_restorable_exact(&spec(1)).is_none(), "a left");
+        assert_eq!(ds.stats().restore_failures, 0, "a live entry was dropped");
+        assert_all_bytes_or_frames(&ds, &frames);
     });
 }
 
