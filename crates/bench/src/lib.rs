@@ -7,7 +7,6 @@
 //! This library crate carries the small amount of shared code the
 //! experiment binaries use: multi-seed averaging and table printing.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use vmqs_core::Strategy;

@@ -18,6 +18,11 @@
 //! float summation order inside [`Strategy::rank`]) are exactly those of
 //! comparing against every node in id order.
 
+// Iteration order here reaches ranks and the conformance traces: a `for`
+// loop over a hash map or set needs an `#[expect(.., reason)]` saying why
+// its order cannot matter (DESIGN.md §11).
+#![warn(clippy::iter_over_hash_type)]
+
 use crate::ids::QueryId;
 use crate::rank::Rank;
 use crate::spatial::{GridIndex, SpatialSpec};
@@ -437,20 +442,22 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
         v
     }
 
-    /// Ids of all queries currently in a given state (unordered).
+    /// Ids of all queries currently in a given state, in ascending order.
     pub fn ids_in_state(&self, state: QueryState) -> Vec<QueryId> {
-        self.nodes
+        let mut ids: Vec<QueryId> = self
+            .nodes
             .iter()
             .filter(|(_, n)| n.state == state)
             .map(|(&id, _)| id)
-            .collect()
+            .collect();
+        ids.sort_unstable();
+        ids
     }
 
     /// Recomputes every node's rank from scratch and rebuilds the WAITING
     /// index. Exists for the incremental-vs-full re-ranking ablation and as
     /// a test oracle; `O(V + E)` per call.
     pub fn recompute_all_ranks(&mut self) {
-        // lint:sorted: sorted below so the oracle is order-deterministic
         let mut ids: Vec<QueryId> = self.nodes.keys().copied().collect();
         ids.sort_unstable();
         self.waiting.clear();
@@ -468,7 +475,6 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
     /// Renders the graph in Graphviz DOT format (debugging aid).
     pub fn to_dot(&self) -> String {
         let mut s = String::from("digraph scheduling {\n");
-        // lint:sorted: sorted on the next line before rendering
         let mut ids: Vec<&QueryId> = self.nodes.keys().collect();
         ids.sort();
         for id in &ids {
@@ -499,8 +505,10 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
     /// and one footprint filed per node that has one.
     pub fn validate(&self) -> Result<(), String> {
         let mut footprints = 0;
-        // lint:sorted: order-independent consistency check (the first
-        // reported error may vary, but pass/fail cannot)
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "pass/fail cannot depend on the order; only which error is reported first can"
+        )]
         for (&id, n) in &self.nodes {
             footprints += usize::from(!n.spec.region_key().1.is_empty());
             for e in &n.out_edges {
@@ -1179,7 +1187,9 @@ mod tests {
         let a = g.dequeue().unwrap();
         let b = g.dequeue().unwrap();
         g.mark_cached(a);
-        assert_eq!(g.ids_in_state(QueryState::Waiting).len(), 4);
+        // Ascending ids, not the node map's order.
+        let waiting: Vec<QueryId> = (2..6).map(q).collect();
+        assert_eq!(g.ids_in_state(QueryState::Waiting), waiting);
         assert_eq!(g.ids_in_state(QueryState::Executing), vec![b]);
         assert_eq!(g.ids_in_state(QueryState::Cached), vec![a]);
     }

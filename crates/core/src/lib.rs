@@ -28,7 +28,6 @@
 //! discrete-event simulator in `vmqs-sim`) drive this graph; applications
 //! (the Virtual Microscope in `vmqs-microscope`) plug in a `QuerySpec`.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod clock;

@@ -6,6 +6,11 @@
 //! collections. Construction rejects NaN; infinities are clamped so that
 //! arithmetic overflow cannot poison the queue.
 
+// Iteration order here reaches ranks and the conformance traces: a `for`
+// loop over a hash map or set needs an `#[expect(.., reason)]` saying why
+// its order cannot matter (DESIGN.md §11).
+#![warn(clippy::iter_over_hash_type)]
+
 use std::cmp::Ordering;
 use std::fmt;
 

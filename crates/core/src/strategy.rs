@@ -6,6 +6,11 @@
 //! dequeue operation always picks the WAITING node with the highest rank
 //! (ties broken by arrival order, i.e. FIFO is every strategy's tiebreak).
 
+// Iteration order here reaches ranks and the conformance traces: a `for`
+// loop over a hash map or set needs an `#[expect(.., reason)]` saying why
+// its order cannot matter (DESIGN.md §11).
+#![warn(clippy::iter_over_hash_type)]
+
 use crate::rank::Rank;
 use crate::state::QueryState;
 use std::fmt;

@@ -17,7 +17,6 @@
 //! each eviction to the producer's home shard — keeping "the up-to-date
 //! state of the system … reflected to the query server" (paper §4).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod entry;

@@ -15,7 +15,6 @@
 //! * [`VmCostModel`] — CPU costs calibrated to the paper's measured
 //!   CPU:I/O ratios, consumed by the discrete-event simulator.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cost;

@@ -1,5 +1,10 @@
 //! Typed scheduler events and the append-only event log.
 
+// Iteration order here reaches ranks and the conformance traces: a `for`
+// loop over a hash map or set needs an `#[expect(.., reason)]` saying why
+// its order cannot matter (DESIGN.md §11).
+#![warn(clippy::iter_over_hash_type)]
+
 use std::fmt::Write as _;
 use std::time::Instant;
 use vmqs_core::sync::atomic::{AtomicU64, Ordering};
@@ -38,9 +43,10 @@ pub enum EventKind {
         /// The executing query whose output was consumed (edge source).
         producer: QueryId,
     },
-    /// The application spawned sub-queries for the uncovered remainder
-    /// (threaded engine only; the simulator's cost model does not
-    /// decompose remainders).
+    /// The application spawned sub-queries for the uncovered remainder.
+    /// Both engines emit it after the query's page events: the simulator's
+    /// plan counts the remainder's sub-queries as the server's executor
+    /// does.
     SubquerySpawned {
         /// Number of sub-queries created.
         count: u64,

@@ -24,7 +24,6 @@
 //! assert_eq!(vmqs_obs::timeline::timelines(&events).len(), 1);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod event;

@@ -1,6 +1,11 @@
 //! Counters, histograms, gauges, and the registry with JSON/Prometheus
 //! exposition.
 
+// Iteration order here reaches ranks and the conformance traces: a `for`
+// loop over a hash map or set needs an `#[expect(.., reason)]` saying why
+// its order cannot matter (DESIGN.md §11).
+#![warn(clippy::iter_over_hash_type)]
+
 use crate::event::EventKind;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -1,6 +1,11 @@
 //! Per-query lifecycle timelines reconstructed from the event log, plus
 //! the extraction helpers the conformance harness compares.
 
+// Iteration order here reaches ranks and the conformance traces: a `for`
+// loop over a hash map or set needs an `#[expect(.., reason)]` saying why
+// its order cannot matter (DESIGN.md §11).
+#![warn(clippy::iter_over_hash_type)]
+
 use crate::event::{EventKind, EventRecord};
 use std::collections::BTreeMap;
 use vmqs_core::QueryId;

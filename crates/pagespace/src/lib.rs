@@ -13,7 +13,6 @@
 //! simulator turns the planned runs into disk events. Sharing the core
 //! guarantees both engines exhibit identical caching behaviour.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;

@@ -12,7 +12,6 @@
 //! same scheduling graph, data store, and page cache cores in virtual
 //! time.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod app;

@@ -28,7 +28,6 @@
 //! assert!(report.records[1].exact_hit); // second query reuses the first
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod app;

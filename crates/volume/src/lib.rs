@@ -22,7 +22,6 @@
 //! reuse graph is sparser and depth-stepping clients periodically break
 //! locality — a different stress pattern for the ranking strategies.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod app;

@@ -12,7 +12,6 @@
 //!   workloads against the *real threaded engine* at laptop scale;
 //! * [`ExpRow`] / [`write_csv`] — experiment table rows and CSV output.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod experiment;

@@ -19,9 +19,11 @@
 //! mismatch both traces are written to `target/conformance/` as JSON
 //! before the panic, so CI can upload them as artifacts.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
+use std::time::Duration;
 use vmqs_core::{ClientId, DatasetId, OverloadConfig, QueryId, Rect, Strategy};
+use vmqs_datastore::EvictionPolicy;
 use vmqs_microscope::{SlideDataset, VmOp, VmQuery};
 use vmqs_obs::timeline::{
     admission_sequence, grafted_edges, ranked_sequence, reuse_edges, timelines, Terminal,
@@ -31,7 +33,7 @@ use vmqs_obs::{
 };
 use vmqs_server::{QueryServer, ServerConfig, ServerError};
 use vmqs_sim::{run_sim, ClientStream, SimConfig, SubmissionMode};
-use vmqs_storage::SyntheticSource;
+use vmqs_storage::{ChaosConfig, SyntheticSource};
 
 const QUERIES: usize = 32;
 /// Small enough that the workload's results force mid-run evictions, so
@@ -477,7 +479,7 @@ fn run_simulator_costed(tier2_budget: u64) -> Vec<EventRecord> {
         .with_mode(SubmissionMode::Batch)
         .with_observe(true)
         .with_batch_gate(true)
-        .with_cache_policy(vmqs_datastore::EvictionPolicy::CostBased)
+        .with_cache_policy(EvictionPolicy::CostBased)
         .with_tier2_budget(tier2_budget);
     let streams = vec![ClientStream {
         client: ClientId(0),
@@ -571,45 +573,174 @@ fn assert_log_agrees_with_counters(events: &[EventRecord], engine: &MetricsSnaps
     assert_eq!(checked, 14, "{ctx}: every event-backed counter compared");
 }
 
-/// The conformance workload under everything that ends a query some other
-/// way than completing it — shedding, degradation, rejection, poison
-/// queries killing workers, a cost-based store small enough to evict,
-/// spill and restore — in both engines: each lifecycle counter equals the
-/// number of its events in the log. (`CONFORMANCE_WORKERS` applies to the
-/// server side, as everywhere in this file.)
+/// One config of the parity corpus, in terms both engines take.
+#[derive(Clone, Copy)]
+struct Knobs {
+    overload: OverloadConfig,
+    chaos: ChaosConfig,
+    policy: EvictionPolicy,
+    ds_budget: u64,
+    tier2_budget: u64,
+    /// Arms the hang watchdog: 50 µs of wall time on the server, 1 ms of
+    /// virtual time in the simulator.
+    hang: bool,
+    /// Feeds the workload twice, one query at a time (submit-and-wait on
+    /// the server, one interactive client in the simulator), so the
+    /// second pass asks for what the first one spilled. Otherwise it is
+    /// one batch: a paused server, the simulator's batch gate.
+    two_passes: bool,
+}
+
+/// The parity corpus: the conformance workload under everything that
+/// ends a query some other way than completing it (shedding,
+/// degradation, rejection, poison queries killing workers, a hang
+/// watchdog) and under stores small enough to evict, spill and restore.
+fn parity_corpus() -> Vec<(&'static str, Knobs)> {
+    let base = Knobs {
+        overload: OverloadConfig::default(),
+        chaos: ChaosConfig::none(),
+        policy: EvictionPolicy::CostBased,
+        ds_budget: DS_BUDGET,
+        tier2_budget: 128 << 10,
+        hang: false,
+        two_passes: false,
+    };
+    let chaos = Knobs {
+        chaos: ChaosConfig::none().with_seed(7).with_poison_rate(0.15),
+        ..base
+    };
+    let mut corpus: Vec<_> = overload_configs()
+        .into_iter()
+        .chain([("chaos", OverloadConfig::default())])
+        .map(|(name, overload)| (name, Knobs { overload, ..chaos }))
+        .collect();
+    corpus.extend([
+        // Which of evict and spill a full cost-based store picks depends
+        // on benefit scores (wall time on the server, virtual time in the
+        // simulator); LRU overflows this tier 2 in both.
+        (
+            "lru",
+            Knobs {
+                policy: EvictionPolicy::Lru,
+                ..base
+            },
+        ),
+        ("hang", Knobs { hang: true, ..base }),
+        (
+            "second pass",
+            Knobs {
+                policy: EvictionPolicy::Lru,
+                ds_budget: 256 << 10,
+                tier2_budget: 4 << 20,
+                two_passes: true,
+                ..base
+            },
+        ),
+    ]);
+    corpus
+}
+
+/// One value of every `EventKind` variant.
+#[rustfmt::skip]
+const EVERY_KIND: [EventKind; 19] = [
+    EventKind::Submitted,
+    EventKind::Ranked { strategy: "", score: 0.0 },
+    EventKind::LookupHit { source: QueryId(0), overlap: 0.0, exact: false },
+    EventKind::Grafted { producer: QueryId(0) },
+    EventKind::SubquerySpawned { count: 0 },
+    EventKind::PageRead { cached: false, retried: false },
+    EventKind::Evicted { tier: 1, score: 0.0 },
+    EventKind::Spilled { bytes: 0 },
+    EventKind::Restored { bytes: 0 },
+    EventKind::Degraded, EventKind::Completed, EventKind::Failed, EventKind::TimedOut,
+    EventKind::Rejected { rate_limited: false },
+    EventKind::Shed,
+    EventKind::WorkerPanicked,
+    EventKind::Quarantined { attempts: 0 },
+    EventKind::WorkerRestarted,
+    EventKind::Hung,
+];
+
+/// Whether both engines must emit `kind` somewhere in the parity corpus.
+/// The match is exhaustive, so a new variant fails to compile until it is
+/// placed here (and listed in [`EVERY_KIND`]).
+fn corpus_reaches(kind: &EventKind) -> bool {
+    match kind {
+        // A graft needs a producer still EXECUTING when its consumer is
+        // dequeued, which one worker never has, in either engine, and the
+        // corpus runs with grafting off. The per-engine tests pin it
+        // instead: `graft_subscribes_to_in_flight_producer_and_reuses_bytes`
+        // on the server, `grafting_consumes_in_flight_producer_deterministically`
+        // in the simulator.
+        EventKind::Grafted { .. } => false,
+        EventKind::Submitted
+        | EventKind::Ranked { .. }
+        | EventKind::LookupHit { .. }
+        | EventKind::SubquerySpawned { .. }
+        | EventKind::PageRead { .. }
+        | EventKind::Evicted { .. }
+        | EventKind::Spilled { .. }
+        | EventKind::Restored { .. }
+        | EventKind::Degraded
+        | EventKind::Completed
+        | EventKind::Failed
+        | EventKind::TimedOut
+        | EventKind::Rejected { .. }
+        | EventKind::Shed
+        | EventKind::WorkerPanicked
+        | EventKind::Quarantined { .. }
+        | EventKind::WorkerRestarted
+        | EventKind::Hung => true,
+    }
+}
+
+/// Over the parity corpus, in both engines: each lifecycle counter equals
+/// the number of its events in the log, and the two engines emit the
+/// same kinds of event, exactly those [`corpus_reaches`] names.
+/// Kinds are compared over the whole corpus, not per config: where wall
+/// time decides (a hang cut short on the server, a benefit score), one
+/// config may take a path in one engine only. (`CONFORMANCE_WORKERS`
+/// applies to the server side, as everywhere in this file.)
 #[test]
 fn event_log_and_lifecycle_counters_agree_in_both_engines() {
     let workers: usize = std::env::var("CONFORMANCE_WORKERS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1);
-    let chaos = vmqs_storage::ChaosConfig::none()
-        .with_seed(7)
-        .with_poison_rate(0.15);
     let spill_dir = std::env::temp_dir().join(format!("vmqs_conf_agree_{}", std::process::id()));
-    let mut seen = [HashSet::new(), HashSet::new()];
-    for (name, ov) in overload_configs()
-        .into_iter()
-        .chain([("clean", OverloadConfig::default())])
-    {
+    let mut seen = [BTreeSet::new(), BTreeSet::new()];
+    for (name, k) in parity_corpus() {
+        let batch = !k.two_passes;
+        let queries = if batch {
+            workload()
+        } else {
+            [workload(), workload()].concat()
+        };
         let cfg = ServerConfig::small()
             .with_threads(workers)
-            .with_ds_budget(DS_BUDGET)
+            .with_ds_budget(k.ds_budget)
             .with_ps_budget(PS_BUDGET)
             .with_index_cell(INDEX_CELL)
             .with_observability(true)
-            .with_start_paused(true)
-            .with_cache_policy(vmqs_datastore::EvictionPolicy::CostBased)
+            .with_start_paused(batch)
+            .with_overload(k.overload)
+            .with_cache_policy(k.policy)
             .with_spill_dir(Some(spill_dir.clone()))
-            .with_tier2_budget(128 << 10)
-            .with_chaos(chaos)
+            .with_tier2_budget(k.tier2_budget)
+            .with_chaos(k.chaos)
             .with_quarantine_limit(2)
             .with_restart_budget(64)
-            .with_overload(ov);
+            .with_hang_timeout(k.hang.then(|| Duration::from_micros(50)));
         let server = QueryServer::new(cfg, Arc::new(SyntheticSource::new()));
-        let handles = server.submit_batch(workload());
-        server.resume_workers();
-        handles.into_iter().for_each(|h| drop(h.wait()));
+        if batch {
+            let handles = server.submit_batch(queries.clone());
+            server.resume_workers();
+            handles.into_iter().for_each(|h| drop(h.wait()));
+        } else {
+            for q in queries.clone() {
+                drop(server.submit(q).wait());
+            }
+        }
         server.drain();
         let (events, metrics) = (server.events(), server.metrics());
         assert_log_agrees_with_counters(&events, &metrics, &format!("server/{name}"));
@@ -619,51 +750,34 @@ fn event_log_and_lifecycle_counters_agree_in_both_engines() {
 
         let cfg = SimConfig::paper_baseline()
             .with_threads(1)
-            .with_ds_budget(DS_BUDGET)
+            .with_ds_budget(k.ds_budget)
             .with_ps_budget(PS_BUDGET)
             .with_index_cell(INDEX_CELL)
-            .with_mode(SubmissionMode::Batch)
             .with_observe(true)
-            .with_batch_gate(true)
-            .with_cache_policy(vmqs_datastore::EvictionPolicy::CostBased)
-            .with_tier2_budget(128 << 10)
-            .with_chaos(chaos)
+            .with_mode(if batch {
+                SubmissionMode::Batch
+            } else {
+                SubmissionMode::Interactive
+            })
+            .with_batch_gate(batch)
+            .with_overload(k.overload)
+            .with_cache_policy(k.policy)
+            .with_tier2_budget(k.tier2_budget)
+            .with_chaos(k.chaos)
             .with_quarantine_limit(2)
             .with_restart_budget(64)
-            .with_overload(ov);
+            .with_hang_timeout(k.hang.then_some(1e-3));
         let streams = vec![ClientStream {
             client: ClientId(0),
-            queries: workload(),
+            queries,
         }];
         let report = run_sim(cfg, streams);
         assert_log_agrees_with_counters(&report.events, &report.metrics, &format!("sim/{name}"));
         seen[1].extend(report.events.iter().map(|e| e.kind.label()));
     }
-    // Between them the three configs must have driven each engine down
-    // the paths that count: an agreement of zeros would prove nothing.
-    for (engine, seen) in ["server", "sim"].iter().zip(&seen) {
-        for label in [
-            "submitted",
-            "subquery_spawned",
-            "degraded",
-            "completed",
-            "failed",
-            "rejected",
-            "shed",
-            "worker_panicked",
-            "worker_restarted",
-            "quarantined",
-        ] {
-            assert!(
-                seen.contains(label),
-                "{engine}: no `{label}` event in any run"
-            );
-        }
-        // Which of the two a full store produces depends on benefit scores
-        // (wall time on the server, virtual time in the simulator).
-        assert!(
-            seen.contains("evicted") || seen.contains("spilled"),
-            "{engine}"
-        );
-    }
+    let [server, sim] = &seen;
+    assert_eq!(server, sim, "the engines emit different kinds of event");
+    let reached = EVERY_KIND.iter().filter(|k| corpus_reaches(k));
+    let expected: BTreeSet<_> = reached.map(EventKind::label).collect();
+    assert_eq!(*server, expected, "the corpus misses a kind of event");
 }

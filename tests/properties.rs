@@ -153,9 +153,7 @@ proptest! {
                 }
                 // Swap out the oldest cached node.
                 _ => {
-                    let mut cached = g.ids_in_state(QueryState::Cached);
-                    cached.sort();
-                    if let Some(&id) = cached.first() {
+                    if let Some(&id) = g.ids_in_state(QueryState::Cached).first() {
                         g.swap_out(id);
                     }
                 }
@@ -323,11 +321,7 @@ fn indexed_graph_matches_all_pairs<S: SpatialSpec>(
         SchedulingGraph::with_index_cell(strategy, u32::MAX);
     let mut live: Vec<(QueryId, S)> = Vec::new();
     let mut next = 0u64;
-    let pick = |ids: Vec<QueryId>, k: usize| {
-        let mut ids = ids;
-        ids.sort_unstable();
-        (!ids.is_empty()).then(|| ids[k % ids.len()])
-    };
+    let pick = |ids: Vec<QueryId>, k: usize| (!ids.is_empty()).then(|| ids[k % ids.len()]);
     for &(op, k) in ops {
         match op {
             0..=2 => {
@@ -1305,9 +1299,8 @@ proptest! {
     /// The shed victim is the unique max by (qinputsize, arrival, id)
     /// — and therefore invariant under any permutation of the
     /// candidate list, even with adversarial ties on size and arrival.
-    /// (HashMap-order-dependent shedding is exactly the kind of
-    /// nondeterminism `xtask lint` rule nondet-iter exists to keep off
-    /// this surface.)
+    /// (The candidates come from `SchedulingGraph::ids_in_state`, in id
+    /// order today; the verdict must not lean on that.)
     #[test]
     fn shed_victim_tie_breaking_is_total_and_order_free(
         candidates in prop::collection::vec((0u64..32, 0u64..4, 0u64..4), 1..24),
