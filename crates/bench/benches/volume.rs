@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
-use vmqs_core::{DatasetId, Rect, Strategy};
+use vmqs_core::{DatasetId, Rect, Strategy, Windowed};
 use vmqs_sim::SimConfig;
 use vmqs_storage::{DataSource, SyntheticSource};
 use vmqs_volume::kernels::{compute_from_bricks, project, reference_render};
@@ -43,7 +43,7 @@ fn bench_lod_project_vs_recompute(c: &mut Criterion) {
     group.bench_function("project_from_cache", |b| {
         let (w, h) = target.output_dims();
         let mut out = GrayImage::new(w, h);
-        b.iter(|| black_box(project(&mut out, &target, &cached, &cached_img)));
+        b.iter(|| black_box(project(&mut out, &target, &cached, &cached_img.data)));
     });
     group
         .sample_size(10)

@@ -11,6 +11,9 @@
 //!   generation,
 //! * [`spec::QuerySpec`] — the application-developer contract (`cmp`,
 //!   `overlap`, `qoutsize`, `qinputsize`; paper §2),
+//! * [`plan::Plan`] — reuse planning over [`plan::Windowed`] predicates:
+//!   which cached results to project and which sub-queries compute the
+//!   rest, written once for both engines,
 //! * [`graph::SchedulingGraph`] — the priority queue implemented as a
 //!   directed reuse graph with incremental re-ranking (paper §4),
 //! * [`sched::SchedShard`] — the graph plus per-query records, blob
@@ -35,6 +38,7 @@ pub mod geom;
 pub mod graph;
 pub mod ids;
 pub mod overload;
+pub mod plan;
 pub mod rank;
 pub mod sched;
 pub mod shard;
@@ -52,6 +56,7 @@ pub use ids::{BlobId, ClientId, DatasetId, IdGen, QueryId};
 pub use overload::{
     shed_victim, OverloadConfig, Pressure, RateLimiter, Secondary, TokenBucket, Verdict,
 };
+pub use plan::{Plan, Windowed};
 pub use rank::Rank;
 pub use sched::{PanicOutcome, SchedShard};
 pub use shard::{shard_of_spec, steal_order};

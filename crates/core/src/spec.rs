@@ -14,7 +14,8 @@
 //!
 //! The data-transforming `project` function itself lives with the execution
 //! engines (it needs access to actual bytes); the scheduling layer only needs
-//! the four metadata functions above.
+//! the four metadata functions above. Reuse planning over them is
+//! [`crate::plan`].
 
 /// Predicate meta-information for a schedulable query.
 ///
@@ -60,6 +61,14 @@ pub trait QuerySpec: Clone + Send + Sync + 'static {
     /// applications that do not opt in.
     fn chunk_keys(&self) -> Vec<u64> {
         Vec::new()
+    }
+
+    /// A strictly cheaper predicate that still answers the query window,
+    /// or `None` when there is none: the quality knob the overload policy
+    /// turns under pressure (DESIGN.md §10), read by both engines. The
+    /// default has no cheaper form.
+    fn degrade(&self) -> Option<Self> {
+        None
     }
 }
 

@@ -8,7 +8,7 @@
 //! [`QuerySpec`] with the paper's overlap index (Eq. 4).
 
 use crate::dataset::{SlideDataset, BYTES_PER_PIXEL};
-use vmqs_core::{QuerySpec, Rect};
+use vmqs_core::{QuerySpec, Rect, Windowed};
 
 /// The processing function applied to retrieved chunks.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -70,57 +70,50 @@ impl VmQuery {
         }
     }
 
+    // Inherent forwarders to `Windowed`, callable without importing it.
+
     /// Output image dimensions `(width, height)` in pixels.
     pub fn output_dims(&self) -> (u32, u32) {
-        (self.region.w / self.zoom, self.region.h / self.zoom)
+        Windowed::output_dims(self)
     }
 
-    /// True when a cached result for `self` can contribute to `other`: same
-    /// slide, same processing function, and `other`'s zoom a multiple of
-    /// `self`'s (the transformation is not invertible in the other
-    /// direction — paper §4, Fig. 3).
-    pub fn can_project_to(&self, other: &VmQuery) -> bool {
-        self.slide.id == other.slide.id
-            && self.op == other.op
-            && other.zoom.is_multiple_of(self.zoom)
-    }
-
-    /// The portion of `target`'s window that a cached `self` result covers,
-    /// snapped inward to `target`'s zoom grid so it corresponds to whole
-    /// output pixels. `None` when incompatible or empty after snapping.
+    /// See [`Windowed::aligned_coverage`].
     pub fn aligned_coverage(&self, target: &VmQuery) -> Option<Rect> {
-        if !self.can_project_to(target) {
-            return None;
-        }
-        let inter = self.region.intersect(&target.region)?;
-        let z = target.zoom;
-        let x0 = inter.x.div_ceil(z) * z;
-        let y0 = inter.y.div_ceil(z) * z;
-        let x1 = inter.x1() / z * z;
-        let y1 = inter.y1() / z * z;
-        if x0 < x1 && y0 < y1 {
-            Some(Rect::from_edges(x0, y0, x1, y1))
-        } else {
-            None
-        }
+        Windowed::aligned_coverage(self, target)
     }
 
-    /// Sub-queries for the uncovered remainder of this query's window after
-    /// `covered` (zoom-aligned) pieces are answered from cache (paper §2:
-    /// "sub-queries are created to compute the results for the portions of
-    /// the query that have not been computed from cached results").
+    /// See [`Windowed::subqueries_for_remainder`].
     pub fn subqueries_for_remainder(&self, covered: &[Rect]) -> Vec<VmQuery> {
-        vmqs_core::geom::subtract_all(&self.region, covered)
-            .into_iter()
-            .filter(|r| r.w >= self.zoom && r.h >= self.zoom)
-            .map(|r| VmQuery::new(self.slide, r, self.zoom, self.op))
-            .collect()
+        Windowed::subqueries_for_remainder(self, covered)
     }
 }
 
 impl vmqs_core::SpatialSpec for VmQuery {
     fn region_key(&self) -> (vmqs_core::DatasetId, Rect) {
         (self.slide.id, self.region)
+    }
+}
+
+impl Windowed for VmQuery {
+    fn scale(&self) -> u32 {
+        self.zoom
+    }
+
+    /// Same slide, same processing function, and `other`'s zoom a multiple
+    /// of `self`'s (the transformation is not invertible in the other
+    /// direction — paper §4, Fig. 3).
+    fn can_project_to(&self, other: &VmQuery) -> bool {
+        self.slide.id == other.slide.id
+            && self.op == other.op
+            && other.zoom.is_multiple_of(self.zoom)
+    }
+
+    fn with_window(&self, window: Rect) -> VmQuery {
+        VmQuery::new(self.slide, window, self.zoom, self.op)
+    }
+
+    fn pages(&self) -> Vec<u64> {
+        self.slide.chunks_intersecting(&self.region)
     }
 }
 
@@ -167,6 +160,16 @@ impl QuerySpec for VmQuery {
             .into_iter()
             .map(|c| (self.slide.id.0 << 32) | c)
             .collect()
+    }
+
+    /// `Average` degrades to `Subsample` over the same window — the
+    /// paper's explicit quality/cost pair (Subsample reads one pixel per
+    /// output pixel; Average reads the full zoom² window).
+    fn degrade(&self) -> Option<VmQuery> {
+        (self.op == VmOp::Average).then_some(VmQuery {
+            op: VmOp::Subsample,
+            ..*self
+        })
     }
 }
 

@@ -3,18 +3,18 @@
 //! shared Page Space Manager.
 //!
 //! The scheduling graph, Data Store bookkeeping, blocking/deadlock
-//! avoidance, and thread-pool mechanics live in the engine; everything an
-//! application developer must supply — kernels, projection, sub-query
-//! assembly — lives behind [`AppExecutor`]. [`VmExecutor`] is the Virtual
-//! Microscope implementation; the §6 volume application implements the
-//! same trait in `vmqs-volume`.
+//! avoidance, and thread-pool mechanics live in the engine; reuse planning
+//! is [`vmqs_core::Plan`], shared with the simulator. What an application
+//! developer must supply beyond its predicate — running a plan: kernels,
+//! projection, assembly — lives behind [`AppExecutor`]. [`VmExecutor`] is
+//! the Virtual Microscope implementation; the §6 volume application
+//! implements the same trait in `vmqs-volume`.
 
 use crate::pages::PageSpaceSession;
 use std::sync::Arc;
-use vmqs_core::geom::subtract_all;
-use vmqs_core::{QuerySpec, Rect, SpatialSpec};
+use vmqs_core::{Plan, QuerySpec, Rect, Windowed};
 use vmqs_microscope::kernels::{project, render_streamed};
-use vmqs_microscope::{RgbImage, RgbView, SlideDataset, VmQuery, BYTES_PER_PIXEL};
+use vmqs_microscope::{RgbImage, RgbView, SlideDataset, VmQuery};
 
 /// The result of executing one query.
 #[derive(Debug)]
@@ -31,23 +31,43 @@ pub struct AppOutcome {
     pub subqueries: u64,
 }
 
+impl AppOutcome {
+    /// The outcome of running `plan`: its reuse facts, the answer's
+    /// `bytes`, and the pages the kernels asked the Page Space for.
+    pub fn of_plan<S>(plan: &Plan<S>, bytes: Vec<u8>, pages_requested: u64) -> Self {
+        AppOutcome {
+            bytes,
+            reused_bytes: plan.reused_bytes,
+            covered_fraction: plan.covered_fraction,
+            pages_requested,
+            subqueries: plan.subqueries.len() as u64,
+        }
+    }
+}
+
 /// A data-analysis application runnable on the threaded engine.
 pub trait AppExecutor: Send + Sync + 'static {
-    /// The application's predicate type. [`SpatialSpec`] so the engine's
-    /// Data Store can serve lookups through its grid index.
-    type Spec: SpatialSpec + Copy + std::fmt::Debug;
+    /// The application's predicate type. [`Windowed`] so the engine's
+    /// Data Store can serve lookups through its grid index and the
+    /// application can plan with [`Plan::new`].
+    type Spec: Windowed + std::fmt::Debug;
 
     /// Output image dimensions for a predicate (for clients assembling
     /// the answer).
-    fn output_dims(&self, spec: &Self::Spec) -> (u32, u32);
+    fn output_dims(&self, spec: &Self::Spec) -> (u32, u32) {
+        spec.output_dims()
+    }
 
     /// Exact output byte length for a predicate.
-    fn output_len(&self, spec: &Self::Spec) -> usize;
+    fn output_len(&self, spec: &Self::Spec) -> usize {
+        spec.qoutsize() as usize
+    }
 
-    /// Computes the full answer for `spec`: project from `sources`
-    /// (cached predicate + payload bytes, most-reusable first — exact
-    /// `cmp` matches are handled by the engine before this is called),
-    /// then compute the uncovered remainder reading pages through `ps`.
+    /// Computes the full answer for `spec`: plans it with [`Plan::new`]
+    /// over `sources` (cached predicate + payload bytes, most-reusable
+    /// first — exact `cmp` matches are handled by the engine before this
+    /// is called), projects the plan's sources, then computes its
+    /// sub-queries reading pages through `ps`.
     ///
     /// `ps` is a deadline-scoped Page Space view: reads fail with a
     /// timeout error once the query's deadline passes, so implementations
@@ -60,12 +80,10 @@ pub trait AppExecutor: Send + Sync + 'static {
         ps: &PageSpaceSession<'_>,
     ) -> std::io::Result<AppOutcome>;
 
-    /// The cheaper plan for `spec`, if the application has one — the
-    /// quality knob the overload policy turns under pressure (DESIGN.md
-    /// §10). `None` (the default) means the query either has no cheaper
-    /// form or is already at its cheapest.
-    fn degrade(&self, _spec: &Self::Spec) -> Option<Self::Spec> {
-        None
+    /// The cheaper predicate for `spec`, if it has one:
+    /// [`QuerySpec::degrade`].
+    fn degrade(&self, spec: &Self::Spec) -> Option<Self::Spec> {
+        spec.degrade()
     }
 
     /// Serializes a predicate into the meta block of a tier-2 spill frame
@@ -93,27 +111,6 @@ pub struct VmExecutor;
 
 impl AppExecutor for VmExecutor {
     type Spec = VmQuery;
-
-    fn output_dims(&self, spec: &VmQuery) -> (u32, u32) {
-        spec.output_dims()
-    }
-
-    fn output_len(&self, spec: &VmQuery) -> usize {
-        spec.qoutsize() as usize
-    }
-
-    /// `Average` degrades to `Subsample` over the same region — the
-    /// paper's explicit quality/cost pair (Subsample reads one pixel per
-    /// output pixel; Average reads the full zoom² window).
-    fn degrade(&self, spec: &VmQuery) -> Option<VmQuery> {
-        match spec.op {
-            vmqs_microscope::VmOp::Average => Some(VmQuery {
-                op: vmqs_microscope::VmOp::Subsample,
-                ..*spec
-            }),
-            vmqs_microscope::VmOp::Subsample => None,
-        }
-    }
 
     /// Fixed-width little-endian frame meta: dataset id, slide dims,
     /// window, zoom, op tag. 37 bytes; no varints so `decode_spec` can
@@ -189,29 +186,14 @@ impl AppExecutor for VmExecutor {
         sources: &[(VmQuery, Arc<[u8]>)],
         ps: &PageSpaceSession<'_>,
     ) -> std::io::Result<AppOutcome> {
-        // Project partial matches (Eq. 3) greedily, best first.
+        // Project partial matches (Eq. 3) in the plan's order.
+        let plan = Plan::new(spec, sources.iter().map(|(src, _)| src));
         let (w, h) = spec.output_dims();
         let mut out = RgbImage::new(w, h);
-        let mut covered: Vec<Rect> = Vec::new();
-        let mut reused_px: u64 = 0;
-        for (src_spec, bytes) in sources {
-            let Some(cov) = src_spec.aligned_coverage(spec) else {
-                continue;
-            };
-            // Skip sources whose coverage is already fully projected from
-            // earlier (higher-ranked) sources.
-            let fresh = subtract_all(&cov, &covered);
-            if fresh.is_empty() {
-                continue;
-            }
+        for &i in &plan.projected {
+            let (src_spec, bytes) = &sources[i];
             let (sw, sh) = src_spec.output_dims();
-            let view = RgbView::new(sw, sh, bytes);
-            project(&mut out, spec, src_spec, view);
-            let z2 = spec.zoom as u64 * spec.zoom as u64;
-            for f in fresh {
-                reused_px += f.area() / z2;
-                covered.push(f);
-            }
+            project(&mut out, spec, src_spec, RgbView::new(sw, sh, bytes));
         }
 
         // Sub-queries for the uncovered remainder, rendered from raw chunks
@@ -219,29 +201,15 @@ impl AppExecutor for VmExecutor {
         // row is one fetch (so overlapping requests merge) whose handles
         // feed the kernel whatever the Page Space evicts meanwhile.
         let mut pages_requested = 0u64;
-        let mut subqueries = 0u64;
-        for sub in spec.subqueries_for_remainder(&covered) {
-            subqueries += 1;
+        for sub in &plan.subqueries {
             let at = (
                 (sub.region.x - spec.region.x) / spec.zoom,
                 (sub.region.y - spec.region.y) / spec.zoom,
             );
             let fetch = |row: &[u64]| ps.fetch(sub.slide.id, row);
-            pages_requested += render_streamed(&mut out, at, &sub, fetch)?;
+            pages_requested += render_streamed(&mut out, at, sub, fetch)?;
         }
-
-        let total_px = w as u64 * h as u64;
-        Ok(AppOutcome {
-            bytes: out.data,
-            reused_bytes: reused_px * BYTES_PER_PIXEL as u64,
-            covered_fraction: if total_px == 0 {
-                0.0
-            } else {
-                reused_px as f64 / total_px as f64
-            },
-            pages_requested,
-            subqueries,
-        })
+        Ok(AppOutcome::of_plan(&plan, out.data, pages_requested))
     }
 }
 

@@ -2236,14 +2236,6 @@ mod tests {
     impl AppExecutor for StallingExecutor {
         type Spec = VmQuery;
 
-        fn output_dims(&self, spec: &VmQuery) -> (u32, u32) {
-            VmExecutor.output_dims(spec)
-        }
-
-        fn output_len(&self, spec: &VmQuery) -> usize {
-            VmExecutor.output_len(spec)
-        }
-
         fn execute(
             &self,
             spec: &VmQuery,

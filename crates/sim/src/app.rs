@@ -3,42 +3,20 @@
 //!
 //! The paper's middleware is application-neutral — an application supplies
 //! predicate operators (`cmp`/`overlap`/`project`/`qoutsize`) and
-//! processing functions. The simulator likewise executes *any* application
-//! through this trait: given a target query and the cached results that
-//! can contribute to it, the application plans how much is reusable and
-//! which storage pages the remainder must scan; plus CPU cost rates for
-//! its kernels. The Virtual Microscope adapter lives in
-//! [`crate::VmSimApp`]; the 3-D volume visualization application of the
-//! paper's §6 future work implements the same trait in `vmqs-volume`.
+//! processing functions. The predicate ([`Windowed`]) is all the engine
+//! needs to plan a query with [`vmqs_core::Plan`]; this trait adds what
+//! the plan costs in CPU time. The Virtual Microscope's cost model
+//! ([`vmqs_microscope::VmCostModel`]) implements it in this crate; the
+//! 3-D volume visualization application of the paper's §6 future work
+//! implements it in `vmqs-volume`.
 
-use vmqs_core::SpatialSpec;
-use vmqs_pagespace::PageKey;
+use vmqs_core::Windowed;
 
-/// Result of planning one query's execution against the cache.
-#[derive(Clone, Debug, Default)]
-pub struct ReusePlan {
-    /// Fraction of the output answered from cached results, in `[0, 1]`.
-    pub covered_fraction: f64,
-    /// Output bytes obtained by projection from cache.
-    pub reused_bytes: u64,
-    /// Storage pages the uncovered remainder must read.
-    pub pages: Vec<PageKey>,
-    /// Input bytes the processing kernel scans for the remainder.
-    pub input_bytes: u64,
-    /// Sub-queries the uncovered remainder decomposes into.
-    pub subqueries: u64,
-}
-
-/// A data-analysis application, as seen by the discrete-event simulator.
+/// A data-analysis application, as seen by the discrete-event simulator:
+/// the CPU cost of running a plan.
 pub trait SimApplication: Send + Sync + 'static {
     /// The application's predicate type.
-    type Spec: SpatialSpec + Copy + std::fmt::Debug;
-
-    /// Plans `target` against `cached` results (most-reusable first, as
-    /// returned by the Data Store lookup): greedy coverage, remainder page
-    /// set, and scan size. Exact (`cmp`) hits are handled by the engine
-    /// before this is called.
-    fn plan(&self, target: &Self::Spec, cached: &[Self::Spec]) -> ReusePlan;
+    type Spec: Windowed + std::fmt::Debug;
 
     /// CPU seconds for the processing function of `spec` over
     /// `input_bytes` of chunk data.
@@ -48,16 +26,5 @@ pub trait SimApplication: Send + Sync + 'static {
     fn project_seconds(&self, reused_bytes: u64) -> f64;
 
     /// Fixed per-query planning overhead (index lookup, graph updates).
-    fn planning_seconds(&self) -> f64 {
-        1e-4
-    }
-
-    /// A strictly cheaper variant of `spec` that still answers the
-    /// query window, or `None` when no cheaper plan exists. Used by the
-    /// overload manager's graceful-degradation step; must match the
-    /// threaded engine's `AppExecutor::degrade` for the same application
-    /// so both engines make identical decisions.
-    fn degrade(&self, _spec: &Self::Spec) -> Option<Self::Spec> {
-        None
-    }
+    fn planning_seconds(&self) -> f64;
 }

@@ -6,10 +6,13 @@
 //! experiments (24 query threads, 7.5 GB of slides, 2002-era disks)
 //! deterministically in milliseconds on any machine.
 //!
-//! The engine is generic over a [`SimApplication`]: the Virtual Microscope
-//! adapter is [`crate::VmSimApp`] (with `Simulator::new` / [`run_sim`] as
-//! VM-typed conveniences); the 3-D volume visualization application of the
-//! paper's §6 plugs in the same way.
+//! The engine is generic over a [`SimApplication`]: it plans each query
+//! with [`vmqs_core::Plan`], the planner the threaded server runs, and asks
+//! the application only what the plan costs. The Virtual Microscope's
+//! application is its [`vmqs_microscope::VmCostModel`] (with
+//! `Simulator::new` / [`run_sim`] as VM-typed conveniences); the 3-D
+//! volume visualization application of the paper's §6 plugs in the same
+//! way.
 //!
 //! Execution model per query (mirrors `vmqs-server`):
 //! dequeue → optional block on an EXECUTING reuse source → Data Store
@@ -23,14 +26,13 @@ use crate::config::{ClientStream, SchedPolicy, SimConfig, SubmissionMode, TunerC
 use crate::disk::DiskQueue;
 use crate::events::{Event, EventQueue};
 use crate::report::{SimRecord, SimReport};
-use crate::vm::VmSimApp;
 use std::collections::HashMap;
 use vmqs_core::{
-    overload, shed_victim, ClientId, IdGen, PanicOutcome, QueryId, QuerySpec, QueryState,
+    overload, shed_victim, ClientId, IdGen, PanicOutcome, Plan, QueryId, QuerySpec, QueryState,
     RateLimiter, SchedShard, Secondary, Strategy, Supervisor, Verdict, WorkerFate,
 };
 use vmqs_datastore::{DataStore, EvictionRecord, Payload};
-use vmqs_microscope::PAGE_SIZE;
+use vmqs_microscope::{VmCostModel, PAGE_SIZE};
 use vmqs_obs::{EventKind, Obs, PageMetrics, QueryMetrics, Terminal};
 use vmqs_pagespace::{PageCacheCore, PageData, PageDisposition, PageKey};
 use vmqs_storage::SPILL_DEVICE;
@@ -179,11 +181,11 @@ pub struct Simulator<A: SimApplication> {
     pmet: PageMetrics,
 }
 
-impl Simulator<VmSimApp> {
+impl Simulator<VmCostModel> {
     /// Creates a Virtual Microscope simulator (cost model taken from
     /// `cfg.cost`).
     pub fn new(cfg: SimConfig, workload: Vec<ClientStream>) -> Self {
-        Simulator::with_app(cfg, VmSimApp::new(cfg.cost), workload)
+        Simulator::with_app(cfg, cfg.cost, workload)
     }
 }
 
@@ -402,7 +404,7 @@ impl<A: SimApplication> Simulator<A> {
                 self.end(now, id, Terminal::Rejected { rate_limited }, client);
             }
             Verdict::Admit { degrade } => {
-                let cheaper = degrade.then(|| self.app.degrade(&spec)).flatten();
+                let cheaper = degrade.then(|| spec.degrade()).flatten();
                 if cheaper.is_some() {
                     self.emit(now, id, EventKind::Degraded);
                 }
@@ -642,19 +644,18 @@ impl<A: SimApplication> Simulator<A> {
             return;
         }
 
-        // Application-specific reuse planning over the cached candidates
-        // (ordered most-reusable first by the lookup).
-        let cached: Vec<A::Spec> = matches
-            .iter()
-            .filter_map(|m| self.ds.get(m.blob).map(|e| e.spec))
-            .collect();
-        let plan = self.app.plan(&spec, &cached);
+        // Reuse planning over the cached candidates (ordered most-reusable
+        // first by the lookup).
+        let cached = matches.iter().filter_map(|m| self.ds.get(m.blob));
+        let plan = Plan::new(&spec, cached.map(|e| &e.spec));
         debug_assert!((0.0..=1.0 + 1e-9).contains(&plan.covered_fraction));
+        let pages: Vec<PageKey> = plan.pages().map(|(d, i)| PageKey::new(d, i)).collect();
+        let input_bytes = pages.len() as u64 * PAGE_SIZE as u64;
 
         // Remainder I/O through the page cache and the disk farm.
         let mut io_ready = now;
-        if !plan.pages.is_empty() {
-            let read = self.ps.plan_read(&plan.pages);
+        if !pages.is_empty() {
+            let read = self.ps.plan_read(&pages);
             self.pmet.page_reads.add(read.pages.len() as u64);
             let cached_pages = read
                 .pages
@@ -728,9 +729,9 @@ impl<A: SimApplication> Simulator<A> {
                 }
             }
         }
-        if plan.subqueries > 0 {
+        if !plan.subqueries.is_empty() {
             let spawned = EventKind::SubquerySpawned {
-                count: plan.subqueries,
+                count: plan.subqueries.len() as u64,
             };
             self.emit(now, id, spawned);
         }
@@ -738,7 +739,7 @@ impl<A: SimApplication> Simulator<A> {
         let io_time = (io_ready - now).max(0.0);
         let cpu = self.app.planning_seconds()
             + self.app.project_seconds(plan.reused_bytes)
-            + self.app.compute_seconds(&spec, plan.input_bytes);
+            + self.app.compute_seconds(&spec, input_bytes);
         if plan.reused_bytes > 0 {
             self.qmet.ds_partial_hits.inc();
         } else {

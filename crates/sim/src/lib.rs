@@ -38,10 +38,9 @@ mod events;
 mod report;
 mod vm;
 
-pub use app::{ReusePlan, SimApplication};
+pub use app::SimApplication;
 pub use config::{ClientStream, SchedPolicy, SimConfig, SubmissionMode, TunerConfig};
 pub use disk::{DiskQueue, DiskStats};
 pub use engine::{run_sim, run_sim_app, Simulator};
 pub use events::{Event, EventQueue};
 pub use report::{SimRecord, SimReport};
-pub use vm::VmSimApp;

@@ -1,12 +1,9 @@
-//! The volume application's cost model and [`SimApplication`] adapter —
-//! plugging the §6 3-D visualization application into the same simulated
+//! The volume application's cost model, which is its [`SimApplication`]:
+//! it plugs the §6 3-D visualization application into the same simulated
 //! middleware the Virtual Microscope runs on.
 
 use crate::query::{VolOp, VolQuery};
-use vmqs_core::geom::subtract_all;
-use vmqs_core::Rect;
-use vmqs_pagespace::PageKey;
-use vmqs_sim::{ReusePlan, SimApplication};
+use vmqs_sim::SimApplication;
 use vmqs_storage::DiskModel;
 
 /// CPU cost rates for the projection kernels, in seconds per input byte.
@@ -50,83 +47,34 @@ impl VolCostModel {
     }
 }
 
-/// Volume visualization adapter for the discrete-event simulator.
-#[derive(Clone, Copy, Debug)]
-pub struct VolSimApp {
-    /// CPU cost rates.
-    pub cost: VolCostModel,
-}
-
-impl VolSimApp {
-    /// Creates the adapter.
-    pub fn new(cost: VolCostModel) -> Self {
-        VolSimApp { cost }
-    }
-}
-
-impl SimApplication for VolSimApp {
+impl SimApplication for VolCostModel {
     type Spec = VolQuery;
 
-    fn plan(&self, target: &VolQuery, cached: &[VolQuery]) -> ReusePlan {
-        let mut covered: Vec<Rect> = Vec::new();
-        let mut reused_px: u64 = 0;
-        let l2 = target.lod as u64 * target.lod as u64;
-        for src in cached {
-            let cov = match src.aligned_coverage(target) {
-                Some(c) => c,
-                None => continue,
-            };
-            for frag in subtract_all(&cov, &covered) {
-                reused_px += frag.area() / l2;
-                covered.push(frag);
-            }
-        }
-
-        let mut pages = Vec::new();
-        let (mut input_bytes, mut subqueries) = (0u64, 0u64);
-        for sub in target.subqueries_for_remainder(&covered) {
-            subqueries += 1;
-            let bricks = sub.volume.bricks_intersecting(&sub.input_box());
-            input_bytes += bricks.len() as u64 * crate::dataset::PAGE_SIZE as u64;
-            pages.extend(bricks.into_iter().map(|i| PageKey::new(sub.volume.id, i)));
-        }
-
-        let (w, h) = target.output_dims();
-        let total_px = w as u64 * h as u64;
-        ReusePlan {
-            covered_fraction: if total_px == 0 {
-                0.0
-            } else {
-                reused_px as f64 / total_px as f64
-            },
-            reused_bytes: reused_px, // one byte per output pixel
-            pages,
-            input_bytes,
-            subqueries,
-        }
-    }
-
     fn compute_seconds(&self, spec: &VolQuery, input_bytes: u64) -> f64 {
-        self.cost.compute_time(spec.op, input_bytes)
+        self.compute_time(spec.op, input_bytes)
     }
 
     fn project_seconds(&self, reused_bytes: u64) -> f64 {
-        self.cost.project_per_byte * reused_bytes as f64
+        self.project_per_byte * reused_bytes as f64
     }
 
     fn planning_seconds(&self) -> f64 {
-        self.cost.planning_overhead
+        self.planning_overhead
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::VolumeDataset;
-    use vmqs_core::{DatasetId, QuerySpec};
+    use crate::dataset::{VolumeDataset, PAGE_SIZE};
+    use vmqs_core::{DatasetId, Plan, QuerySpec, Rect};
 
-    fn app() -> VolSimApp {
-        VolSimApp::new(VolCostModel::calibrated(&DiskModel::circa_2002()))
+    fn app() -> VolCostModel {
+        VolCostModel::calibrated(&DiskModel::circa_2002())
+    }
+
+    fn input_bytes(plan: &Plan<VolQuery>) -> u64 {
+        plan.pages().count() as u64 * PAGE_SIZE as u64
     }
 
     fn vol() -> VolumeDataset {
@@ -140,19 +88,19 @@ mod tests {
     #[test]
     fn plan_without_cache_scans_whole_box() {
         let t = q(0, 0, 512, 0, 256, 2, VolOp::Mip);
-        let plan = app().plan(&t, &[]);
+        let plan = Plan::new(&t, &[]);
         assert_eq!(plan.covered_fraction, 0.0);
-        assert_eq!(plan.input_bytes, t.qinputsize());
-        assert!(!plan.pages.is_empty());
+        assert_eq!(input_bytes(&plan), t.qinputsize());
+        assert!(plan.pages().count() > 0);
     }
 
     #[test]
     fn plan_full_cover_from_finer_lod() {
         let t = q(0, 0, 512, 0, 256, 4, VolOp::Mip);
         let cached = q(0, 0, 1024, 0, 256, 2, VolOp::Mip);
-        let plan = app().plan(&t, &[cached]);
+        let plan = Plan::new(&t, &[cached]);
         assert!((plan.covered_fraction - 1.0).abs() < 1e-9);
-        assert!(plan.pages.is_empty());
+        assert_eq!(plan.pages().count(), 0);
         assert_eq!(plan.reused_bytes, t.qoutsize());
     }
 
@@ -160,17 +108,16 @@ mod tests {
     fn plan_ignores_depth_mismatched_candidates() {
         let t = q(0, 0, 512, 0, 256, 2, VolOp::Mip);
         let wrong_depth = q(0, 0, 1024, 0, 512, 2, VolOp::Mip);
-        let plan = app().plan(&t, &[wrong_depth]);
+        let plan = Plan::new(&t, &[wrong_depth]);
         assert_eq!(plan.covered_fraction, 0.0);
-        assert_eq!(plan.input_bytes, t.qinputsize());
+        assert_eq!(input_bytes(&plan), t.qinputsize());
     }
 
     #[test]
     fn cost_regimes_contrast() {
         let a = app();
         assert!(
-            a.cost.compute_time(VolOp::AvgProj, 1 << 20)
-                > 3.0 * a.cost.compute_time(VolOp::Mip, 1 << 20)
+            a.compute_time(VolOp::AvgProj, 1 << 20) > 3.0 * a.compute_time(VolOp::Mip, 1 << 20)
         );
     }
 }

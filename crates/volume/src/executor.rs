@@ -7,8 +7,7 @@ use crate::kernels::{compute_from_bricks, project};
 use crate::query::VolQuery;
 use std::collections::HashMap;
 use std::sync::Arc;
-use vmqs_core::geom::subtract_all;
-use vmqs_core::{QuerySpec, Rect};
+use vmqs_core::{Plan, Windowed};
 use vmqs_server::{AppExecutor, AppOutcome, PageSpaceSession};
 
 /// Volume application executor for [`vmqs_server::QueryServer`].
@@ -18,77 +17,35 @@ pub struct VolExecutor;
 impl AppExecutor for VolExecutor {
     type Spec = VolQuery;
 
-    fn output_dims(&self, spec: &VolQuery) -> (u32, u32) {
-        spec.output_dims()
-    }
-
-    fn output_len(&self, spec: &VolQuery) -> usize {
-        spec.qoutsize() as usize
-    }
-
     fn execute(
         &self,
         spec: &VolQuery,
         sources: &[(VolQuery, Arc<[u8]>)],
         ps: &PageSpaceSession<'_>,
     ) -> std::io::Result<AppOutcome> {
+        // Project cached projections (exact for both operators).
+        let plan = Plan::new(spec, sources.iter().map(|(src, _)| src));
         let (w, h) = spec.output_dims();
         let mut out = GrayImage::new(w, h);
-        let mut covered: Vec<Rect> = Vec::new();
-        let mut reused_px: u64 = 0;
-
-        // Project cached projections (exact for both operators).
-        for (src_spec, bytes) in sources {
-            let cov = match src_spec.aligned_coverage(spec) {
-                Some(c) => c,
-                None => continue,
-            };
-            let fresh = subtract_all(&cov, &covered);
-            if fresh.is_empty() {
-                continue;
-            }
-            let (sw, sh) = src_spec.output_dims();
-            let src_img = GrayImage {
-                width: sw,
-                height: sh,
-                data: bytes.to_vec(),
-            };
-            project(&mut out, spec, src_spec, &src_img);
-            let l2 = spec.lod as u64 * spec.lod as u64;
-            for f in fresh {
-                reused_px += f.area() / l2;
-                covered.push(f);
-            }
+        for &i in &plan.projected {
+            let (src_spec, bytes) = &sources[i];
+            project(&mut out, spec, src_spec, bytes);
         }
 
         // Compute uncovered footprint remainders from raw bricks.
         let mut pages_requested = 0u64;
-        let mut subqueries = 0u64;
-        for sub in spec.subqueries_for_remainder(&covered) {
-            subqueries += 1;
-            let bricks = sub.volume.bricks_intersecting(&sub.input_box());
+        for sub in &plan.subqueries {
+            let bricks = sub.pages();
             pages_requested += bricks.len() as u64;
             let fetched = ps.fetch(sub.volume.id, &bricks)?;
             let pages: HashMap<u64, _> = bricks.iter().copied().zip(fetched).collect();
-            let img = compute_from_bricks(&sub, |idx| Arc::clone(&pages[&idx]));
+            let img = compute_from_bricks(sub, |idx| Arc::clone(&pages[&idx]));
             let ox = (sub.footprint.x - spec.footprint.x) / spec.lod;
             let oy = (sub.footprint.y - spec.footprint.y) / spec.lod;
             let (sw, sh) = sub.output_dims();
             out.blit(ox, oy, &img, 0, 0, sw, sh);
         }
-
-        let total_px = w as u64 * h as u64;
-        Ok(AppOutcome {
-            bytes: out.data,
-            reused_bytes: reused_px, // one byte per output pixel
-            covered_fraction: if total_px == 0 {
-                0.0
-            } else {
-                reused_px as f64 / total_px as f64
-            },
-            pages_requested,
-            subqueries,
-        })
+        Ok(AppOutcome::of_plan(&plan, out.data, pages_requested))
     }
 }
 
@@ -98,7 +55,7 @@ mod tests {
     use crate::dataset::VolumeDataset;
     use crate::kernels::reference_render;
     use crate::query::VolOp;
-    use vmqs_core::DatasetId;
+    use vmqs_core::{DatasetId, Rect};
     use vmqs_server::{AnswerPath, QueryServer, ServerConfig};
     use vmqs_storage::SyntheticSource;
 

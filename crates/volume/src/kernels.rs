@@ -11,7 +11,7 @@
 
 use crate::image::GrayImage;
 use crate::query::{VolOp, VolQuery};
-use vmqs_core::Rect;
+use vmqs_core::{Rect, Windowed};
 
 /// Accumulator for per-brick projection: tracks, per output pixel, the
 /// running max (MIP) or running sum and slice count (AvgProj) over the
@@ -112,26 +112,28 @@ where
 }
 
 /// The LOD `project` transformation: fills the part of `target`'s output
-/// derivable from `src_query`'s cached output. Returns the covered
-/// footprint rectangle (target-LOD-aligned), or `None`. Exact for both
-/// operators (sample columns coincide).
+/// derivable from `src_query`'s cached output `src`, row-major bytes sized
+/// by `src_query.output_dims()`. Returns the covered footprint rectangle
+/// (target-LOD-aligned), or `None`. Exact for both operators (sample
+/// columns coincide).
 pub fn project(
     out: &mut GrayImage,
     target: &VolQuery,
     src_query: &VolQuery,
-    src_img: &GrayImage,
+    src: &[u8],
 ) -> Option<Rect> {
     let coverage = src_query.aligned_coverage(target)?;
     let tl = target.lod;
     let sl = src_query.lod;
-    debug_assert_eq!(src_img.width, src_query.output_dims().0);
+    let (sw, sh) = src_query.output_dims();
+    debug_assert_eq!(src.len(), sw as usize * sh as usize);
     for by in (coverage.y..coverage.y1()).step_by(tl as usize) {
         let oy = (by - target.footprint.y) / tl;
         let sy = (by - src_query.footprint.y) / sl;
         for bx in (coverage.x..coverage.x1()).step_by(tl as usize) {
             let ox = (bx - target.footprint.x) / tl;
             let sx = (bx - src_query.footprint.x) / sl;
-            out.set(ox, oy, src_img.get(sx, sy));
+            out.set(ox, oy, src[sy as usize * sw as usize + sx as usize]);
         }
     }
     Some(coverage)
@@ -223,7 +225,7 @@ mod tests {
             let target = q(0, 0, 80, 0, 50, 8, op);
             let (w, h) = target.output_dims();
             let mut out = GrayImage::new(w, h);
-            let cov = project(&mut out, &target, &cached, &cached_img).unwrap();
+            let cov = project(&mut out, &target, &cached, &cached_img.data).unwrap();
             assert_eq!(cov, target.footprint);
             assert_eq!(out, reference_render(&target), "op {op:?}");
         }
@@ -236,7 +238,7 @@ mod tests {
         let target = q(0, 0, 80, 0, 60, 4, VolOp::Mip);
         let (w, h) = target.output_dims();
         let mut out = GrayImage::new(w, h);
-        assert!(project(&mut out, &target, &cached, &cached_img).is_none());
+        assert!(project(&mut out, &target, &cached, &cached_img.data).is_none());
     }
 
     #[test]
@@ -246,7 +248,7 @@ mod tests {
         let target = q(20, 0, 80, 10, 40, 2, VolOp::Mip);
         let (w, h) = target.output_dims();
         let mut out = GrayImage::new(w, h);
-        let cov = project(&mut out, &target, &cached, &cached_img).unwrap();
+        let cov = project(&mut out, &target, &cached, &cached_img.data).unwrap();
         for sub in target.subqueries_for_remainder(&[cov]) {
             let img = compute_from_bricks(&sub, fetch(&sub));
             let ox = (sub.footprint.x - target.footprint.x) / target.lod;

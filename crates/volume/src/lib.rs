@@ -10,11 +10,12 @@
 //! footprint × depth-slab sub-volume at a level of detail. The predicate
 //! implements [`vmqs_core::QuerySpec`] with an Eq.-4-style overlap index,
 //! so the *unchanged* scheduling graph, ranking strategies, Data Store,
-//! and Page Space serve this application too; [`VolSimApp`] plugs it into
-//! the discrete-event simulator through the same
-//! [`vmqs_sim::SimApplication`] interface the microscope uses, and
-//! [`VolExecutor`] runs it on the *real* multithreaded server through
-//! [`vmqs_server::AppExecutor`].
+//! and Page Space serve this application too. It also implements
+//! [`vmqs_core::Windowed`], so both engines plan its queries with the
+//! same [`vmqs_core::Plan`] as the microscope's; [`VolCostModel`] costs a
+//! plan in the discrete-event simulator through
+//! [`vmqs_sim::SimApplication`], and [`VolExecutor`] runs it on the *real*
+//! multithreaded server through [`vmqs_server::AppExecutor`].
 //!
 //! Notable semantic contrast with the 2-D microscope: a cached projection
 //! is only reusable for queries over the **same depth range** (a
@@ -33,7 +34,7 @@ pub mod kernels;
 mod query;
 mod workload;
 
-pub use app::{VolCostModel, VolSimApp};
+pub use app::VolCostModel;
 pub use dataset::{VolumeDataset, BRICK_SIDE, PAGE_SIZE};
 pub use executor::VolExecutor;
 pub use geom3::Box3;

@@ -18,7 +18,7 @@
 
 use crate::dataset::VolumeDataset;
 use crate::geom3::Box3;
-use vmqs_core::{QuerySpec, Rect};
+use vmqs_core::{QuerySpec, Rect, Windowed};
 
 /// Projection operator along the Z axis.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -96,14 +96,22 @@ impl VolQuery {
     pub fn input_box(&self) -> Box3 {
         Box3::from_footprint(self.footprint, self.z0, self.z1)
     }
+}
 
-    /// Output image dimensions.
-    pub fn output_dims(&self) -> (u32, u32) {
-        (self.footprint.w / self.lod, self.footprint.h / self.lod)
+impl vmqs_core::SpatialSpec for VolQuery {
+    fn region_key(&self) -> (vmqs_core::DatasetId, Rect) {
+        (self.volume.id, self.footprint)
+    }
+}
+
+impl Windowed for VolQuery {
+    fn scale(&self) -> u32 {
+        self.lod
     }
 
-    /// True when a cached `self` result can contribute to `other`.
-    pub fn can_project_to(&self, other: &VolQuery) -> bool {
+    /// Same volume, operator and depth range, and `other`'s LOD a multiple
+    /// of `self`'s.
+    fn can_project_to(&self, other: &VolQuery) -> bool {
         self.volume.id == other.volume.id
             && self.op == other.op
             && self.z0 == other.z0
@@ -111,38 +119,12 @@ impl VolQuery {
             && other.lod.is_multiple_of(self.lod)
     }
 
-    /// The part of `target`'s footprint a cached `self` covers, snapped
-    /// inward to `target`'s LOD grid.
-    pub fn aligned_coverage(&self, target: &VolQuery) -> Option<Rect> {
-        if !self.can_project_to(target) {
-            return None;
-        }
-        let inter = self.footprint.intersect(&target.footprint)?;
-        let l = target.lod;
-        let x0 = inter.x.div_ceil(l) * l;
-        let y0 = inter.y.div_ceil(l) * l;
-        let x1 = inter.x1() / l * l;
-        let y1 = inter.y1() / l * l;
-        if x0 < x1 && y0 < y1 {
-            Some(Rect::from_edges(x0, y0, x1, y1))
-        } else {
-            None
-        }
+    fn with_window(&self, window: Rect) -> VolQuery {
+        VolQuery::new(self.volume, window, self.z0, self.z1, self.lod, self.op)
     }
 
-    /// Sub-queries for the uncovered footprint remainder.
-    pub fn subqueries_for_remainder(&self, covered: &[Rect]) -> Vec<VolQuery> {
-        vmqs_core::geom::subtract_all(&self.footprint, covered)
-            .into_iter()
-            .filter(|r| r.w >= self.lod && r.h >= self.lod)
-            .map(|r| VolQuery::new(self.volume, r, self.z0, self.z1, self.lod, self.op))
-            .collect()
-    }
-}
-
-impl vmqs_core::SpatialSpec for VolQuery {
-    fn region_key(&self) -> (vmqs_core::DatasetId, Rect) {
-        (self.volume.id, self.footprint)
+    fn pages(&self) -> Vec<u64> {
+        self.volume.bricks_intersecting(&self.input_box())
     }
 }
 

@@ -2,7 +2,6 @@
 //! exploring 3-D datasets — panning over a depth slab, changing level of
 //! detail, and occasionally stepping to a different depth.
 
-use crate::app::VolSimApp;
 use crate::dataset::VolumeDataset;
 use crate::query::{VolOp, VolQuery};
 use rand::rngs::StdRng;
@@ -158,20 +157,20 @@ fn query_for(cfg: &VolWorkloadConfig, dataset: &VolumeDataset, s: &Session) -> V
     )
 }
 
-/// Convenience: run a volume workload through the simulator with the
-/// volume adapter.
+/// Convenience: run a volume workload through the simulator, costed by
+/// `cost`.
 pub fn run_volume_sim(
     cfg: vmqs_sim::SimConfig,
     cost: crate::app::VolCostModel,
     workload: Vec<ClientStream<VolQuery>>,
 ) -> vmqs_sim::SimReport<VolQuery> {
-    vmqs_sim::run_sim_app(cfg, VolSimApp::new(cost), workload)
+    vmqs_sim::run_sim_app(cfg, cost, workload)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vmqs_core::QuerySpec;
+    use vmqs_core::{QuerySpec, Windowed};
 
     #[test]
     fn workload_shape_and_validity() {

@@ -12,7 +12,7 @@ use vmqs::prelude::{
 use vmqs_core::geom::{greedy_cover, subtract_all, total_area};
 use vmqs_core::spec::testutil::IntervalSpec;
 use vmqs_core::Strategy as RankStrategy;
-use vmqs_core::{QueryId, SpatialSpec};
+use vmqs_core::{Plan, QueryId, SpatialSpec, Windowed};
 use vmqs_datastore::{DsError, EvictionPolicy};
 use vmqs_microscope::kernels::{compute_from_chunks, reference_render};
 use vmqs_microscope::PAGE_SIZE;
@@ -1055,6 +1055,122 @@ proptest! {
         }
         let b = vmqs_volume::run_volume_sim(cfg, cost, streams);
         prop_assert_eq!(a.makespan, b.makespan);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Plan versus run: what `Plan::new` predicts (pages, coverage, reuse,
+// sub-queries) is what each application's executor does.
+// ---------------------------------------------------------------------------
+
+use std::sync::Arc;
+use vmqs_server::{AppExecutor, SharedPageSpace};
+
+/// Runs `app` on `target` with each of `cached` answered by its reference
+/// render, and checks the run's counters against the plan and its answer
+/// against `render(target)`: byte for byte, or at most `slack(target,
+/// source)` below it per byte where the plan projects `source`.
+fn run_matches_plan<A: AppExecutor>(
+    app: &A,
+    target: A::Spec,
+    cached: &[A::Spec],
+    render: impl Fn(&A::Spec) -> Vec<u8>,
+    slack: impl Fn(&A::Spec, &A::Spec) -> u8,
+) -> Result<(), TestCaseError> {
+    let ps = SharedPageSpace::new(16 << 20, PAGE_SIZE, Arc::new(SyntheticSource::new()));
+    let sources: Vec<(A::Spec, Arc<[u8]>)> =
+        cached.iter().map(|c| (*c, render(c).into())).collect();
+    let out = app.execute(&target, &sources, &ps.session(None)).unwrap();
+    let plan = Plan::new(&target, cached);
+    prop_assert_eq!(out.pages_requested, plan.pages().count() as u64);
+    prop_assert_eq!(out.covered_fraction, plan.covered_fraction);
+    prop_assert_eq!(out.reused_bytes, plan.reused_bytes);
+    prop_assert_eq!(out.subqueries, plan.subqueries.len() as u64);
+    let want = render(&target);
+    let slack = plan.projected.iter().map(|&i| slack(&target, &cached[i]));
+    let slack = slack.max().unwrap_or(0);
+    prop_assert_eq!(out.bytes.len(), want.len());
+    for (got, want) in out.bytes.iter().zip(&want) {
+        prop_assert!(got <= want && want - got <= slack, "{} vs {}", got, want);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // Cached windows sit near the target, at its zoom or finer (one in
+    // four coarser), and one in four with the other op: most plans
+    // project something, many leave a remainder. Averages projected
+    // across a zoom change are re-quantized, one below the direct
+    // average at most (`project`'s docs in vmqs-microscope).
+    #[test]
+    fn vm_run_matches_its_plan(
+        (x, y, w, h, zexp) in (0u32..400, 0u32..400, 1u32..160, 1u32..160, 0u32..3),
+        subsample in prop::bool::ANY,
+        cached in prop::collection::vec(
+            (-120i32..120, -120i32..120, 1u32..200, 1u32..200, 0u32..4, 0u8..4),
+            0..4,
+        ),
+    ) {
+        let slide = SlideDataset::new(DatasetId(5), 600, 600);
+        let op = |same: bool| if same == subsample { VmOp::Subsample } else { VmOp::Average };
+        let q = |x, y, w: u32, h: u32, zexp: u32, op| {
+            let zoom = 1u32 << zexp;
+            VmQuery::new(slide, Rect::new(x, y, w.max(zoom), h.max(zoom)), zoom, op)
+        };
+        let near = |base: u32, d: i32| base.saturating_add_signed(d).min(500);
+        let target = q(x, y, w, h, zexp, op(true));
+        let cached: Vec<VmQuery> = cached
+            .into_iter()
+            .map(|(dx, dy, w, h, zsel, other)| {
+                let zexp = if zsel == 3 { zexp + 1 } else { zsel.min(zexp) };
+                q(near(x, dx), near(y, dy), w, h, zexp, op(other != 0))
+            })
+            .collect();
+        let requantized = |t: &VmQuery, s: &VmQuery| {
+            u8::from(t.op == VmOp::Average && t.zoom != s.zoom)
+        };
+        let render = |s: &VmQuery| reference_render(s).data;
+        run_matches_plan(&vmqs_server::VmExecutor, target, &cached, render, requantized)?;
+    }
+
+    // The same for volumes; one cached projection in four is over the
+    // other depth slab, which no projection can serve.
+    #[test]
+    fn volume_run_matches_its_plan(
+        (x, y, side, lexp) in (0u32..80, 0u32..80, 4u32..60, 0u32..3),
+        mip in prop::bool::ANY,
+        cached in prop::collection::vec(
+            (
+                -40i32..40,
+                -40i32..40,
+                4u32..60,
+                0u32..4,
+                0u8..4,
+                0u8..4,
+            ),
+            0..4,
+        ),
+    ) {
+        let vol = VolumeDataset::new(DatasetId(6), 120, 120, 100);
+        let op = |same: bool| if same == mip { VolOp::Mip } else { VolOp::AvgProj };
+        let q = |x, y, side: u32, slab: bool, lexp: u32, op| {
+            let lod = 1u32 << lexp;
+            let (z0, z1) = if slab { (0, 40) } else { (20, 60) };
+            VolQuery::new(vol, Rect::new(x, y, side.max(lod), side.max(lod)), z0, z1, lod, op)
+        };
+        let near = |base: u32, d: i32| base.saturating_add_signed(d).min(100);
+        let target = q(x, y, side, true, lexp, op(true));
+        let cached: Vec<VolQuery> = cached
+            .into_iter()
+            .map(|(dx, dy, side, lsel, slab, other)| {
+                let lexp = if lsel == 3 { lexp + 1 } else { lsel.min(lexp) };
+                q(near(x, dx), near(y, dy), side, slab != 0, lexp, op(other != 0))
+            })
+            .collect();
+        let render = |s: &VolQuery| vmqs_volume::kernels::reference_render(s).data;
+        run_matches_plan(&vmqs_volume::VolExecutor, target, &cached, render, |_, _| 0)?;
     }
 }
 
