@@ -1,41 +1,23 @@
 //! # vmqs-bench
 //!
-//! The benchmark harness: Criterion micro-benchmarks (under `benches/`)
-//! and one binary per figure/table of the paper's evaluation (under
-//! `src/bin/`, see DESIGN.md §4 for the experiment index).
+//! The benchmark harness: Criterion micro-benchmarks (under `benches/`),
+//! the `experiments` driver that regenerates every table and chart of
+//! the paper's evaluation under `results/` (see DESIGN.md §4 for the
+//! experiment index), and the stand-alone experiment and benchmark
+//! binaries beside it in `src/bin/`.
 //!
-//! This library crate carries the small amount of shared code the
-//! experiment binaries use: multi-seed averaging and table printing.
+//! This library crate carries the small amount of shared code those
+//! binaries use: seed averaging, table printing and SVG charts.
 
 #![warn(missing_docs)]
 
-use vmqs_core::Strategy;
-use vmqs_microscope::VmOp;
-use vmqs_sim::SubmissionMode;
-use vmqs_workload::{run_paper_experiment, ExpRow};
+use vmqs_workload::ExpRow;
 
 pub mod plot;
 
 /// Seeds every experiment averages over (the paper reports single runs;
 /// averaging a few seeds makes the reproduced shapes stable).
 pub const SEEDS: [u64; 3] = [42, 43, 44];
-
-/// Runs the paper workload for each seed and averages the aggregate
-/// metrics into one row.
-pub fn averaged_run(
-    strategy: Strategy,
-    op: VmOp,
-    threads: usize,
-    ds_mb: u64,
-    ps_mb: u64,
-    mode: SubmissionMode,
-) -> ExpRow {
-    let rows: Vec<ExpRow> = SEEDS
-        .iter()
-        .map(|&seed| run_paper_experiment(strategy, op, threads, ds_mb, ps_mb, mode, seed).1)
-        .collect();
-    average_rows(&rows)
-}
 
 /// Averages the numeric fields of several rows (labels come from the
 /// first).
@@ -81,18 +63,13 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// The thread counts swept by Fig. 4.
-pub const FIG4_THREADS: [usize; 6] = [1, 2, 4, 8, 16, 24];
-
-/// The Data Store sizes (MB) swept by Figs. 5–7.
-pub const DS_SWEEP_MB: [u64; 5] = [32, 64, 128, 192, 256];
-
-/// Standard Page Space budget (MB) from §5.
-pub const PS_MB: u64 = 32;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vmqs_core::Strategy;
+    use vmqs_microscope::VmOp;
+    use vmqs_sim::SubmissionMode;
+    use vmqs_workload::run_paper_experiment;
 
     #[test]
     fn average_rows_averages() {

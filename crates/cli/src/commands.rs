@@ -373,7 +373,7 @@ pub fn simulate(args: &Args) -> CliResult {
         cfg = cfg.with_cache_policy(p);
     }
     let report = run_sim(cfg, streams);
-    let row = ExpRow::from_report(&report, strategy, op, threads, ds_mb);
+    let row = ExpRow::from_report(&report, strategy, op.name(), threads, ds_mb);
     println!("{}", ExpRow::csv_header());
     println!("{}", row.to_csv());
     println!();

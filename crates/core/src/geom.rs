@@ -212,41 +212,6 @@ pub fn total_area(rects: &[Rect]) -> u64 {
     rects.iter().map(Rect::area).sum()
 }
 
-/// Greedily selects, from `candidates` (cover rectangle, tag), a subset of
-/// non-overlapping (against already chosen pieces) clipped covers of
-/// `target`, largest intersection first. Returns `(clipped rect, tag index)`
-/// pairs whose rects are pairwise disjoint pieces of `target`.
-///
-/// Used by the Data Store lookup to decide which cached blobs actually
-/// contribute to a query when several cached results overlap the same window.
-pub fn greedy_cover(target: &Rect, candidates: &[Rect]) -> Vec<(Rect, usize)> {
-    // Sort candidate indices by intersection area, descending; stable on tie
-    // by index so the selection is deterministic.
-    let mut order: Vec<usize> = (0..candidates.len())
-        .filter(|&i| target.intersects(&candidates[i]))
-        .collect();
-    order.sort_by(|&a, &b| {
-        let aa = target.intersection_area(&candidates[a]);
-        let ab = target.intersection_area(&candidates[b]);
-        ab.cmp(&aa).then(a.cmp(&b))
-    });
-
-    let mut chosen: Vec<(Rect, usize)> = Vec::new();
-    let mut covered: Vec<Rect> = Vec::new();
-    for idx in order {
-        let clip = match target.intersect(&candidates[idx]) {
-            Some(c) => c,
-            None => continue,
-        };
-        // Fragments of this candidate not yet covered by earlier choices.
-        for frag in subtract_all(&clip, &covered) {
-            covered.push(frag);
-            chosen.push((frag, idx));
-        }
-    }
-    chosen
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,39 +336,5 @@ mod tests {
         let r = Rect::new(10, 20, 5, 5);
         assert_eq!(r.relative_to(10, 20), Rect::new(0, 0, 5, 5));
         assert_eq!(r.relative_to(5, 15), Rect::new(5, 5, 5, 5));
-    }
-
-    #[test]
-    fn greedy_cover_prefers_larger_intersections() {
-        let target = Rect::new(0, 0, 100, 100);
-        let candidates = vec![
-            Rect::new(0, 0, 10, 10),   // 100 px
-            Rect::new(0, 0, 50, 50),   // 2500 px, should be chosen first
-            Rect::new(200, 200, 5, 5), // disjoint
-        ];
-        let cover = greedy_cover(&target, &candidates);
-        assert!(!cover.is_empty());
-        assert_eq!(cover[0].1, 1);
-        // The small candidate is fully inside the big one, so it contributes
-        // no fragments.
-        assert!(cover.iter().all(|&(_, i)| i == 1));
-        // Chosen fragments are disjoint and within target.
-        for (i, (r, _)) in cover.iter().enumerate() {
-            assert!(target.contains(r));
-            for (s, _) in &cover[i + 1..] {
-                assert!(!r.intersects(s));
-            }
-        }
-    }
-
-    #[test]
-    fn greedy_cover_combines_partial_candidates() {
-        let target = Rect::new(0, 0, 20, 10);
-        let candidates = vec![Rect::new(0, 0, 10, 10), Rect::new(10, 0, 10, 10)];
-        let cover = greedy_cover(&target, &candidates);
-        let covered: u64 = cover.iter().map(|(r, _)| r.area()).sum();
-        assert_eq!(covered, 200); // fully covered by the two halves
-        let tags: std::collections::HashSet<usize> = cover.iter().map(|&(_, i)| i).collect();
-        assert_eq!(tags.len(), 2);
     }
 }

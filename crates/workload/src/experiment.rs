@@ -58,18 +58,19 @@ impl ExpRow {
         )
     }
 
-    /// Builds a row from a finished simulation.
-    pub fn from_report(
-        report: &SimReport,
+    /// Builds a row from a finished simulation of any application; `op`
+    /// names its processing function.
+    pub fn from_report<S>(
+        report: &SimReport<S>,
         strategy: Strategy,
-        op: VmOp,
+        op: &str,
         threads: usize,
         ds_mb: u64,
     ) -> Self {
         let s = report.response_summary();
         ExpRow {
             strategy: strategy.name().to_string(),
-            op: op.name().to_string(),
+            op: op.to_string(),
             threads,
             ds_mb,
             trimmed_response: report.trimmed_mean_response(),
@@ -108,7 +109,7 @@ pub fn run_paper_experiment(
         .with_ps_budget(ps_mb << 20)
         .with_mode(mode);
     let report = run_sim(cfg, streams);
-    let row = ExpRow::from_report(&report, strategy, op, threads, ds_mb);
+    let row = ExpRow::from_report(&report, strategy, op.name(), threads, ds_mb);
     (report, row)
 }
 

@@ -302,7 +302,7 @@ pub fn zipfian_catalog(catalog: usize) -> Vec<VmQuery> {
 /// Flattens per-client streams into one batch stream (for the paper's
 /// Fig. 7: "a single batch of 256 queries"), interleaving clients
 /// round-robin so the batch is not sorted by client.
-pub fn flatten_to_batch(streams: &[ClientStream]) -> Vec<ClientStream> {
+pub fn flatten_to_batch<S: Copy>(streams: &[ClientStream<S>]) -> Vec<ClientStream<S>> {
     let max_len = streams.iter().map(|s| s.queries.len()).max().unwrap_or(0);
     let mut queries = Vec::new();
     for i in 0..max_len {

@@ -6,8 +6,8 @@
 //!   workloads reproducing the paper's setup (16 clients × 16 queries over
 //!   three slides split 8/6/2, 1024×1024 RGB outputs, hotspot-clustered
 //!   sessions so clients' queries overlap);
-//! * [`run_paper_experiment`] — one-call paper-scale simulated runs used
-//!   by every figure-reproduction binary;
+//! * [`run_paper_experiment`] — one paper-scale simulated run in one
+//!   call;
 //! * [`run_server_interactive`] / [`run_server_batch`] — the same
 //!   workloads against the *real threaded engine* at laptop scale;
 //! * [`ExpRow`] / [`write_csv`] — experiment table rows and CSV output.

@@ -9,7 +9,7 @@ use vmqs::prelude::{
     DataStore, DatasetId, Payload, QuerySpec, QueryState, Rect, SchedulingGraph, SimConfig,
     SlideDataset, SubmissionMode, SyntheticSource, VmOp, VmQuery, WorkloadConfig,
 };
-use vmqs_core::geom::{greedy_cover, subtract_all, total_area};
+use vmqs_core::geom::{subtract_all, total_area};
 use vmqs_core::spec::testutil::IntervalSpec;
 use vmqs_core::Strategy as RankStrategy;
 use vmqs_core::{Plan, QueryId, SpatialSpec, Windowed};
@@ -69,21 +69,6 @@ proptest! {
         let in_cover = covers.iter().any(|c| c.contains_point(px, py));
         let in_rem = rem.iter().any(|r| r.contains_point(px, py));
         prop_assert!(in_cover || in_rem);
-    }
-
-    #[test]
-    fn greedy_cover_fragments_disjoint_and_tagged_correctly(
-        target in arb_rect(),
-        candidates in prop::collection::vec(arb_rect(), 0..6),
-    ) {
-        let cover = greedy_cover(&target, &candidates);
-        for (i, (frag, tag)) in cover.iter().enumerate() {
-            prop_assert!(target.contains(frag));
-            prop_assert!(candidates[*tag].contains(frag));
-            for (other, _) in &cover[i + 1..] {
-                prop_assert!(!frag.intersects(other));
-            }
-        }
     }
 
     #[test]
