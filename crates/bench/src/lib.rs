@@ -2,12 +2,12 @@
 //!
 //! The benchmark harness: Criterion micro-benchmarks (under `benches/`),
 //! the `experiments` driver that regenerates every table and chart of
-//! the paper's evaluation under `results/` (see DESIGN.md §4 for the
-//! experiment index), and the stand-alone experiment and benchmark
-//! binaries beside it in `src/bin/`.
+//! the evaluation under `results/` (see DESIGN.md §4 and §4b for the
+//! experiment index), and beside it in `src/bin/` the `bench_e2e`
+//! throughput benchmark and the repo benchmark (`vmqs_benchmark/`).
 //!
-//! This library crate carries the small amount of shared code those
-//! binaries use: seed averaging, table printing and SVG charts.
+//! This library crate carries the small amount of shared code the
+//! driver uses: seed averaging, table printing and SVG charts.
 
 #![warn(missing_docs)]
 

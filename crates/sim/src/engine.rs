@@ -1858,37 +1858,6 @@ mod tests {
 
     #[test]
     fn poison_query_is_quarantined_and_run_twice_golden_matches() {
-        // Exactly query id 1 (of 0..3) draws poison: it panics on every
-        // attempt and must be contained by the quarantine counter while
-        // its peers complete.
-        let seed = poison_seed(0.3, 3, &[1]);
-        let chaos = ChaosConfig::none().with_seed(seed).with_poison_rate(0.3);
-        let mk = || {
-            run_sim(
-                SimConfig::paper_baseline()
-                    .with_threads(1)
-                    .with_mode(SubmissionMode::Batch)
-                    .with_chaos(chaos)
-                    .with_quarantine_limit(3)
-                    .with_restart_budget(8)
-                    .with_observe(true),
-                one_client(vec![
-                    q(0, 0, 1024, 1, VmOp::Subsample),
-                    q(5000, 0, 1024, 1, VmOp::Subsample),
-                    q(10000, 0, 1024, 1, VmOp::Subsample),
-                ]),
-            )
-        };
-        let r = mk();
-        assert_eq!(r.records.len(), 2);
-        assert!(r.records.iter().all(|x| x.id.raw() != 1));
-        assert_eq!((r.failed, r.quarantined), (1, 1));
-        assert_eq!((r.worker_panics, r.worker_restarts), (3, 3));
-        // Conservation: every submitted query terminated exactly once.
-        assert_eq!(
-            r.records.len() as u64 + r.failed + r.timed_out + r.shed + r.rejected,
-            3
-        );
         let golden = |rep: &SimReport| -> Vec<(f64, u64, u32)> {
             rep.events
                 .iter()
@@ -1898,14 +1867,72 @@ mod tests {
                 })
                 .collect()
         };
+        // Runs one input twice: every submitted query must terminate
+        // exactly once, and the same seed and chaos plan must reproduce
+        // the identical Quarantined sequence, makespan and quarantine
+        // count, bit for bit.
+        let check = |threads: usize, queries: &[VmQuery], chaos, limit, budget| {
+            let mk = || {
+                run_sim(
+                    SimConfig::paper_baseline()
+                        .with_threads(threads)
+                        .with_mode(SubmissionMode::Batch)
+                        .with_chaos(chaos)
+                        .with_quarantine_limit(limit)
+                        .with_restart_budget(budget)
+                        .with_observe(true),
+                    one_client(queries.to_vec()),
+                )
+            };
+            let r = mk();
+            assert_eq!(
+                r.records.len() as u64 + r.failed + r.timed_out + r.shed + r.rejected,
+                queries.len() as u64,
+                "conservation, {chaos:?}"
+            );
+            let r2 = mk();
+            assert_eq!(golden(&r), golden(&r2), "{chaos:?}");
+            assert_eq!(r.makespan, r2.makespan, "{chaos:?}");
+            assert_eq!(r.quarantined, r2.quarantined, "{chaos:?}");
+            r
+        };
+
+        // One worker, three queries: exactly query id 1 draws poison. It
+        // panics on every attempt and must be contained by the
+        // quarantine counter while its peers complete.
+        let seed = poison_seed(0.3, 3, &[1]);
+        let three = [
+            q(0, 0, 1024, 1, VmOp::Subsample),
+            q(5000, 0, 1024, 1, VmOp::Subsample),
+            q(10000, 0, 1024, 1, VmOp::Subsample),
+        ];
+        let chaos = ChaosConfig::none().with_seed(seed).with_poison_rate(0.3);
+        let r = check(1, &three, chaos, 3, 8);
+        assert_eq!(r.records.len(), 2);
+        assert!(r.records.iter().all(|x| x.id.raw() != 1));
+        assert_eq!((r.failed, r.quarantined), (1, 1));
+        assert_eq!((r.worker_panics, r.worker_restarts), (3, 3));
         let g1 = golden(&r);
         assert_eq!(g1.len(), 1);
         assert_eq!((g1[0].1, g1[0].2), (1, 3));
-        // Run-twice golden: the same seed and chaos plan must reproduce
-        // the identical Quarantined sequence, bit for bit.
-        let r2 = mk();
-        assert_eq!(g1, golden(&r2));
-        assert_eq!(r.makespan, r2.makespan);
+
+        // Eight workers on a batch of 48 disjoint tiles, 5% poison and a
+        // panic at compute #1, quarantine limit 2, restart budget 32.
+        let tiles: Vec<VmQuery> = (0..48)
+            .map(|i| q((i % 8) * 1024, (i / 8) * 1024, 256, 1, VmOp::Subsample))
+            .collect();
+        for seed in 42..47 {
+            let chaos = ChaosConfig::none()
+                .with_seed(seed)
+                .with_poison_rate(0.05)
+                .with_panic_at_compute(Some(1));
+            let r = check(8, &tiles, chaos, 2, 32);
+            assert!(r.worker_panics >= 1, "seed {seed}: compute #1 panics");
+            assert!(
+                r.quarantined >= 1,
+                "seed {seed}: a poison query is quarantined"
+            );
+        }
     }
 
     #[test]
