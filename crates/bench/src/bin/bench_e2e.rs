@@ -35,10 +35,10 @@ use std::sync::Arc;
 use vmqs_core::{ClientId, DatasetId, OverloadConfig, Rect, Strategy};
 use vmqs_microscope::{SlideDataset, VmOp, VmQuery};
 use vmqs_server::{QueryServer, ServerConfig, ServerError};
-use vmqs_sim::{run_sim, ClientStream, SimConfig, SubmissionMode};
+use vmqs_sim::ClientStream;
 use vmqs_storage::{DiskModel, SyntheticSource, ThrottledSource};
 use vmqs_workload::{
-    flatten_to_batch, generate, run_server_batch, run_server_interactive, zipfian, WorkloadConfig,
+    flatten_to_batch, generate, run_server_batch, run_server_interactive, WorkloadConfig,
 };
 
 struct BenchParams {
@@ -532,80 +532,6 @@ fn run_graft_contention_once(graft: bool, workers: usize) -> GraftContentionResu
     }
 }
 
-/// One row of the cache-pressure section: the zipfian workload in the
-/// discrete-event simulator (virtual time, bit-for-bit deterministic per
-/// seed) at equal tier-1 memory across policies. `recomputed_bytes` is
-/// the tentpole metric of DESIGN.md §14: output bytes derived again
-/// because a previously computed result had been dropped.
-struct CachePressureResult {
-    policy: &'static str,
-    tier2_tiles: u64,
-    queries: usize,
-    recomputed_bytes: u64,
-    exact_hits: u64,
-    spilled: u64,
-    restored: u64,
-    /// Reduction in recomputed bytes vs the `lru` row (0 for `lru`).
-    reduction_vs_lru_pct: f64,
-}
-
-/// Output bytes of one zipfian catalog tile (256² RGB).
-const PRESSURE_TILE_BYTES: u64 = 3 * 256 * 256;
-
-/// Zipfian cache pressure at equal tier-1 memory: recency eviction vs
-/// the benefit-aware policy, with and without the tier-2 spill store
-/// (tier 1 = 8 tiles, tier 2 = 32 tiles, catalog far above both). The
-/// cost-based + spill arm must cut recomputed bytes by >= 25%.
-fn run_cache_pressure(seed: u64, quick: bool) -> Vec<CachePressureResult> {
-    let (catalog, draws) = if quick { (64, 256) } else { (128, 1024) };
-    let arms: [(&'static str, vmqs_datastore::EvictionPolicy, u64); 3] = [
-        ("lru", vmqs_datastore::EvictionPolicy::Lru, 0),
-        ("cost", vmqs_datastore::EvictionPolicy::CostBased, 0),
-        ("cost+spill", vmqs_datastore::EvictionPolicy::CostBased, 32),
-    ];
-    let mut out = Vec::new();
-    let mut lru_recomputed = 0u64;
-    for (policy, p, tier2_tiles) in arms {
-        let cfg = SimConfig::paper_baseline()
-            .with_threads(4)
-            .with_ds_budget(8 * PRESSURE_TILE_BYTES)
-            // A tight page cache keeps recomputation honest: re-deriving
-            // an evicted result re-scans its inputs from (virtual) disk.
-            .with_ps_budget(1 << 20)
-            .with_mode(SubmissionMode::Interactive)
-            .with_cache_policy(p)
-            .with_tier2_budget(tier2_tiles * PRESSURE_TILE_BYTES);
-        let r = run_sim(cfg, zipfian(catalog, draws, 1.1, seed));
-        assert_eq!(r.records.len(), draws, "every draw must complete");
-        if policy == "lru" {
-            lru_recomputed = r.recomputed_bytes;
-        }
-        let reduction = if policy == "lru" {
-            0.0
-        } else {
-            100.0 * (1.0 - r.recomputed_bytes as f64 / lru_recomputed as f64)
-        };
-        if policy == "cost+spill" {
-            assert!(
-                reduction >= 25.0,
-                "cost-based + spill must recompute >= 25% fewer bytes than \
-                 recency at equal tier-1 memory, got {reduction:.1}%"
-            );
-        }
-        out.push(CachePressureResult {
-            policy,
-            tier2_tiles,
-            queries: draws,
-            recomputed_bytes: r.recomputed_bytes,
-            exact_hits: r.ds_stats.exact_hits,
-            spilled: r.spilled,
-            restored: r.restored,
-            reduction_vs_lru_pct: reduction,
-        });
-    }
-    out
-}
-
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -617,7 +543,6 @@ fn write_json(
     contention: &[ContentionResult],
     graft_contention: &[GraftContentionResult],
     overload: &[OverloadResult],
-    cache_pressure: &[CachePressureResult],
 ) -> std::io::Result<()> {
     use std::io::Write;
     let mut f = std::fs::File::create(path)?;
@@ -726,30 +651,6 @@ fn write_json(
             r.degraded_fraction,
             r.wall_s,
             r.p95_admitted_ms,
-            comma
-        )?;
-    }
-    writeln!(f, "  ],")?;
-    writeln!(f, "  \"cache_pressure_results\": [")?;
-    for (i, r) in cache_pressure.iter().enumerate() {
-        let comma = if i + 1 < cache_pressure.len() {
-            ","
-        } else {
-            ""
-        };
-        writeln!(
-            f,
-            "    {{\"policy\": \"{}\", \"tier2_tiles\": {}, \"queries\": {}, \
-             \"recomputed_bytes\": {}, \"exact_hits\": {}, \"spilled\": {}, \
-             \"restored\": {}, \"reduction_vs_lru_pct\": {:.1}}}{}",
-            json_escape(r.policy),
-            r.tier2_tiles,
-            r.queries,
-            r.recomputed_bytes,
-            r.exact_hits,
-            r.spilled,
-            r.restored,
-            r.reduction_vs_lru_pct,
             comma
         )?;
     }
@@ -904,25 +805,6 @@ fn main() {
         );
         overload.push(r);
     }
-    // Cache-pressure section: the zipfian sweep in virtual time. One
-    // run per policy arm — the simulator is deterministic per seed.
-    let cache_pressure = run_cache_pressure(params.seed, params.quick);
-    println!(
-        "{:<14} {:>8} {:>9} {:>15} {:>8} {:>9} {:>10}",
-        "cache-pressure", "policy", "tier2", "recomputed (MB)", "spilled", "restored", "vs lru"
-    );
-    for r in &cache_pressure {
-        println!(
-            "{:<14} {:>8} {:>8}t {:>15.1} {:>8} {:>9} {:>9.1}%",
-            "zipfian",
-            r.policy,
-            r.tier2_tiles,
-            r.recomputed_bytes as f64 / (1 << 20) as f64,
-            r.spilled,
-            r.restored,
-            r.reduction_vs_lru_pct
-        );
-    }
     write_json(
         &params.out_path,
         &params,
@@ -930,7 +812,6 @@ fn main() {
         &contention,
         &graft_contention,
         &overload,
-        &cache_pressure,
     )
     .expect("write BENCH_e2e.json");
     println!("wrote {}", params.out_path);

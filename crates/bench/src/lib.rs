@@ -66,27 +66,33 @@ pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vmqs_core::Strategy;
-    use vmqs_microscope::VmOp;
-    use vmqs_sim::SubmissionMode;
-    use vmqs_workload::run_paper_experiment;
 
     #[test]
     fn average_rows_averages() {
-        let (_, a) = run_paper_experiment(
-            Strategy::Fifo,
-            VmOp::Subsample,
-            2,
-            64,
-            32,
-            SubmissionMode::Interactive,
-            42,
-        );
-        let mut b = a.clone();
-        b.trimmed_response = a.trimmed_response + 2.0;
-        b.makespan = a.makespan + 4.0;
+        let a = ExpRow {
+            strategy: "FIFO".to_string(),
+            op: "subsample".to_string(),
+            threads: 2,
+            ds_mb: 64,
+            trimmed_response: 1.5,
+            mean_response: 2.0,
+            avg_overlap: 0.25,
+            makespan: 30.0,
+            mean_blocked: 0.5,
+            exact_hits: 10,
+            partial_hits: 4,
+        };
+        let b = ExpRow {
+            trimmed_response: a.trimmed_response + 2.0,
+            makespan: a.makespan + 4.0,
+            exact_hits: a.exact_hits + 3,
+            ..a.clone()
+        };
         let avg = average_rows(&[a.clone(), b]);
         assert!((avg.trimmed_response - (a.trimmed_response + 1.0)).abs() < 1e-9);
         assert!((avg.makespan - (a.makespan + 2.0)).abs() < 1e-9);
+        // Counts are averaged and truncated.
+        assert_eq!((avg.exact_hits, avg.partial_hits), (11, 4));
+        assert_eq!((avg.strategy.as_str(), avg.threads), ("FIFO", 2));
     }
 }

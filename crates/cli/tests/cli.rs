@@ -10,6 +10,30 @@ fn tmp(name: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("vmqsctl_{}_{name}", std::process::id()))
 }
 
+/// Runs `vmqsctl simulate` with `args`, requiring success, and returns
+/// its stdout.
+fn simulate(args: &[&str]) -> String {
+    let out = vmqsctl().arg("simulate").args(args).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// The numbers on the line of `text` that starts with `label`.
+fn counts(text: &str, label: &str) -> Vec<u64> {
+    let line = text
+        .lines()
+        .find_map(|l| l.strip_prefix(label))
+        .unwrap_or_else(|| panic!("no {label:?} line in:\n{text}"));
+    line.split(|c: char| !c.is_ascii_digit())
+        .filter(|w| !w.is_empty())
+        .map(|w| w.parse().unwrap())
+        .collect()
+}
+
 #[test]
 fn help_prints_usage() {
     let out = vmqsctl().arg("help").output().unwrap();
@@ -77,29 +101,19 @@ fn mip_writes_valid_pgm() {
 
 #[test]
 fn simulate_prints_csv_summary() {
-    let out = vmqsctl()
-        .args([
-            "simulate",
-            "--strategy",
-            "SJF",
-            "--op",
-            "average",
-            "--threads",
-            "2",
-            "--ds-mb",
-            "32",
-            "--seed",
-            "7",
-            "--batch",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
+    let text = simulate(&[
+        "--strategy",
+        "SJF",
+        "--op",
+        "average",
+        "--threads",
+        "2",
+        "--ds-mb",
+        "32",
+        "--seed",
+        "7",
+        "--batch",
+    ]);
     assert!(text.contains("strategy,op,threads,ds_mb"));
     assert!(text.contains("SJF,average,2,32"));
     assert!(text.contains("queries:          256"));
@@ -128,26 +142,18 @@ fn render_rejects_bad_zoom() {
 #[test]
 fn simulate_trace_out_writes_event_json() {
     let path = tmp("sim-trace.json");
-    let out = vmqsctl()
-        .args([
-            "simulate",
-            "--strategy",
-            "CNBF",
-            "--threads",
-            "2",
-            "--seed",
-            "5",
-            "--trace-out",
-        ])
-        .arg(&path)
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
+    simulate(&[
+        "--strategy",
+        "CNBF",
+        "--threads",
+        "2",
+        "--seed",
+        "5",
+        "--trace-out",
+        path.to_str().unwrap(),
+    ]);
     let text = std::fs::read_to_string(&path).unwrap();
+    assert_flat_json_array(&text);
     // 256 queries: at least submitted+ranked+completed each.
     assert!(text.lines().count() > 3 * 256);
     for event in ["submitted", "ranked", "completed"] {
@@ -155,6 +161,30 @@ fn simulate_trace_out_writes_event_json() {
         assert_eq!(text.matches(&needle).count(), 256, "{event}");
     }
     std::fs::remove_file(&path).ok();
+}
+
+/// Checks that `text` is valid JSON of the one shape the event exporter
+/// writes: an array of flat objects, one per line, whose values are
+/// strings, booleans or finite numbers.
+fn assert_flat_json_array(text: &str) {
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!((lines[0], lines[lines.len() - 1]), ("[", "]"));
+    let objects = &lines[1..lines.len() - 1];
+    for (i, line) in objects.iter().enumerate() {
+        let sep = if i + 1 == objects.len() { "" } else { "," };
+        let fields = line
+            .strip_prefix("  {")
+            .and_then(|l| l.strip_suffix(sep))
+            .and_then(|l| l.strip_suffix('}'))
+            .unwrap_or_else(|| panic!("line {}: {line}", i + 2));
+        for field in fields.split(", ") {
+            let quoted = |s: &str| s.len() >= 2 && s.starts_with('"') && s.ends_with('"');
+            let (key, value) = field.split_once(": ").unwrap();
+            let number = value.parse::<f64>().is_ok_and(f64::is_finite);
+            let valid = quoted(value) || number || value == "true" || value == "false";
+            assert!(quoted(key) && valid, "line {}: {field}", i + 2);
+        }
+    }
 }
 
 #[test]
@@ -226,31 +256,21 @@ fn render_rejects_out_of_range_fault_rate() {
 
 #[test]
 fn simulate_with_overload_sheds_and_reports() {
-    let out = vmqsctl()
-        .args([
-            "simulate",
-            "--threads",
-            "2",
-            "--seed",
-            "7",
-            "--batch",
-            "--max-pending",
-            "16",
-            "--degrade-threshold",
-            "0.5",
-            "--shed-threshold",
-            "0.9",
-            "--op",
-            "average",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
+    let text = simulate(&[
+        "--threads",
+        "2",
+        "--seed",
+        "7",
+        "--batch",
+        "--max-pending",
+        "16",
+        "--degrade-threshold",
+        "0.5",
+        "--shed-threshold",
+        "0.9",
+        "--op",
+        "average",
+    ]);
     assert!(
         text.contains("overload:"),
         "overload summary missing:\n{text}"
@@ -304,27 +324,17 @@ fn render_with_rate_limit_of_one_query_succeeds() {
 
 #[test]
 fn simulate_with_faults_charges_retries() {
-    let out = vmqsctl()
-        .args([
-            "simulate",
-            "--threads",
-            "2",
-            "--seed",
-            "7",
-            "--batch",
-            "--fault-rate",
-            "0.2",
-            "--fault-seed",
-            "9",
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let text = String::from_utf8_lossy(&out.stdout);
+    let text = simulate(&[
+        "--threads",
+        "2",
+        "--seed",
+        "7",
+        "--batch",
+        "--fault-rate",
+        "0.2",
+        "--fault-seed",
+        "9",
+    ]);
     assert!(
         text.contains("io faults:") && text.contains("retries charged"),
         "fault summary missing:\n{text}"
@@ -405,4 +415,67 @@ fn misspelt_options_are_rejected_by_name() {
     assert_refused(&["demo", "--fast"], "unknown option --fast");
     // A valued option with its value missing is not a silent default.
     assert_refused(&["simulate", "--threads"], "option --threads needs a value");
+}
+
+#[test]
+fn simulate_with_graft_reports_grafted_answers() {
+    let text = simulate(&["--batch", "--threads", "4", "--strategy", "CNBF", "--graft"]);
+    let grafted = counts(&text, "grafted answers:");
+    assert!(
+        grafted[0] > 0,
+        "four workers on the paper batch graft: {text}"
+    );
+}
+
+#[test]
+fn simulate_with_tier2_budget_reports_spills() {
+    let text = simulate(&[
+        "--batch",
+        "--threads",
+        "4",
+        "--cache-policy",
+        "cost",
+        "--tier2-budget",
+        "4",
+    ]);
+    // spilled, restored, restore failures
+    let tier2 = counts(&text, "tier 2:");
+    assert!(tier2[0] > 0, "a 64 MB cost-based store spills: {text}");
+}
+
+#[test]
+fn simulate_with_poison_queries_reports_containment() {
+    let text = simulate(&[
+        "--batch",
+        "--threads",
+        "2",
+        "--chaos-poison-rate",
+        "0.2",
+        "--quarantine-limit",
+        "2",
+    ]);
+    // worker panics, restarts, quarantined, hung, failed
+    let contained = counts(&text, "containment:");
+    assert!(contained[0] > 0, "poison queries panic workers: {text}");
+    assert!(contained[2] > 0, "poison queries are quarantined: {text}");
+}
+
+#[test]
+fn simulate_metrics_out_counts_every_completed_query() {
+    let path = tmp("sim-metrics.prom");
+    let text = simulate(&[
+        "--strategy",
+        "CNBF",
+        "--batch",
+        "--metrics-out",
+        path.to_str().unwrap(),
+    ]);
+    let metrics = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(
+        counts(&metrics, "vmqs_queries_completed_total "),
+        counts(&text, "queries:"),
+        "{metrics}"
+    );
+    assert_eq!(counts(&text, "queries:"), [256]);
+    std::fs::remove_file(&path).ok();
 }

@@ -254,8 +254,10 @@ ds_stats! {
     restored,
     /// Bytes restored from tier 2.
     bytes_restored,
-    /// Tier-2 entries dropped because a restore (I/O error or poisoned
-    /// read) or their frame write failed — the caller recomputes.
+    /// Failed tier-2 restores, each of which sent its query to
+    /// recompute: one per failed frame read (I/O error or poisoned data),
+    /// whether or not the entry was still there to drop, plus one per
+    /// RESTORABLE entry dropped because its frame write failed.
     restore_failures,
     /// Inserts refused by cost-based admission control (their benefit
     /// score could not beat a would-be victim's).
@@ -616,7 +618,9 @@ impl<S: SpatialSpec> DataStore<S> {
     /// FULL one asks again at its next demotion.
     pub fn frame_failed(&mut self, blob: BlobId) -> Option<EvictionRecord<S>> {
         self.entries.get_mut(&blob)?.frame = Frame::None;
-        self.drop_restorable(blob)
+        let dropped = self.drop_restorable(blob)?;
+        self.stats.restore_failures.fetch_add(1, Ordering::Relaxed);
+        Some(dropped)
     }
 
     /// Re-heats a RESTORABLE entry: charges its bytes back to tier 1
@@ -664,15 +668,22 @@ impl<S: SpatialSpec> DataStore<S> {
         true
     }
 
-    /// Drops a RESTORABLE entry whose tier-2 read failed (I/O error or
-    /// poisoned data): the entry is gone for good and the producer must
-    /// be marked SWAPPED_OUT in the graph. Returns the eviction record,
-    /// or `None` when the entry already vanished.
-    pub fn drop_restorable(&mut self, blob: BlobId) -> Option<EvictionRecord<S>> {
+    /// Reports that a tier-2 read of `blob`'s frame failed (I/O error or
+    /// poisoned data): counts one restore failure, since the reader
+    /// recomputes, and drops the entry for good if it is still
+    /// RESTORABLE, so its producer must be marked SWAPPED_OUT in the
+    /// graph. Returns the eviction record, or `None` when the entry left
+    /// or a peer restored it during the read.
+    pub fn restore_failed(&mut self, blob: BlobId) -> Option<EvictionRecord<S>> {
+        self.stats.restore_failures.fetch_add(1, Ordering::Relaxed);
+        self.drop_restorable(blob)
+    }
+
+    /// Drops `blob` for good if it is RESTORABLE.
+    fn drop_restorable(&mut self, blob: BlobId) -> Option<EvictionRecord<S>> {
         if !self.entries.get(&blob)?.restorable() {
             return None;
         }
-        self.stats.restore_failures.fetch_add(1, Ordering::Relaxed);
         Some(self.evict(blob))
     }
 
@@ -1400,7 +1411,7 @@ mod tests {
 
     /// The grid index holds every entry: it gains one at insertion and
     /// adoption, keeps spilled ones, and loses one at every exit
-    /// (eviction, tier-2 drop, `drop_restorable`, `remove`). The victim
+    /// (eviction, tier-2 drop, `restore_failed`, `remove`). The victim
     /// index beside it holds exactly the *visible* ones: a spilled or adopted
     /// entry is out of it until it is restored.
     #[test]
@@ -1437,7 +1448,7 @@ mod tests {
         assert_eq!(filed(&ds), [c]);
         // A failed tier-2 read drops `b`, `remove` drops `c`; an adopted
         // frame joins at adoption and serves indexed lookups once restored.
-        assert!(ds.drop_restorable(b).is_some());
+        assert!(ds.restore_failed(b).is_some());
         ds.remove(c);
         assert_eq!(ds.index.len(), 0);
         assert!(filed(&ds).is_empty());
@@ -1589,7 +1600,7 @@ mod tests {
     }
 
     #[test]
-    fn drop_restorable_counts_restore_failure() {
+    fn restore_failed_counts_every_failed_read() {
         let mut ds = cost_store(100).with_tier2(1000);
         let mut ev = Vec::new();
         let s1 = spec(0, 100, 1);
@@ -1605,14 +1616,17 @@ mod tests {
             &mut ev,
         )
         .unwrap();
-        let rec = ds.drop_restorable(b1).expect("restorable");
+        let rec = ds.restore_failed(b1).expect("restorable");
         assert_eq!((rec.blob, rec.producer, rec.tier), (b1, QueryId(1), 2));
         assert_eq!(ds.tier2_used(), 0);
         let st = ds.stats();
         assert_eq!((st.restore_failures, st.evicted), (1, 1));
         assert!(ds.lookup_restorable_exact(&s1).is_none());
-        // Dropping a FULL or unknown blob is refused.
-        assert!(ds.drop_restorable(BlobId(999)).is_none());
+        // A second reader of the same frame finds the entry gone: nothing
+        // is dropped, but its read failed all the same.
+        assert!(ds.restore_failed(b1).is_none());
+        let st = ds.stats();
+        assert_eq!((st.restore_failures, st.evicted), (2, 1));
     }
 
     #[test]
@@ -1752,7 +1766,7 @@ mod tests {
             }
             4 => {
                 if let Some(blob) = nth(ds, &|_| true) {
-                    if c % 2 == 0 || ds.drop_restorable(blob).is_none() {
+                    if c % 2 == 0 || ds.restore_failed(blob).is_none() {
                         ds.remove(blob);
                     }
                 }

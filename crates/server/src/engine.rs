@@ -1729,11 +1729,12 @@ fn read_restorable<A: AppExecutor>(
 
 /// Step 3, under the store's write lock: re-probes the blob and promotes
 /// it back to FULL only if it is still RESTORABLE; the frame stays on
-/// disk for the entry's next demotion. A failed read drops the entry for
-/// good — the typed-error fallback the fault sweep exercises — again
-/// only if it is still RESTORABLE. A blob that left the store, or that a
-/// peer restored, during the read is no restore failure: the query is
-/// answered from the bytes it read, or else computes.
+/// disk for the entry's next demotion. A failed read is a restore
+/// failure and drops the entry for good — the typed-error fallback the
+/// fault sweep exercises — again only if it is still RESTORABLE. A blob
+/// that left the store, or that a peer restored, during the read is no
+/// restore failure: the query is answered from the bytes it read, or,
+/// when the frame went with the blob, computes.
 fn promote_restorable<A: AppExecutor>(
     core: &Core<A>,
     id: QueryId,
@@ -1762,10 +1763,15 @@ fn promote_restorable<A: AppExecutor>(
             }
             // The blob left, or a peer restored it, during the read.
             Ok(bytes) => Some(bytes),
-            // `drop_restorable` re-probes too: it drops and counts the
-            // entry only if it is still RESTORABLE.
+            // No frame because the blob left the store: the read lost a
+            // race with the blob's drop, and no restore failed.
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound && ds.get(blob).is_none() => None,
+            // Any other failed read sends this query to recompute: a
+            // restore failure even when a peer's failed read already
+            // dropped the entry, in which case `restore_failed` drops
+            // nothing.
             Err(_) => {
-                evicted.extend(ds.drop_restorable(blob));
+                evicted.extend(ds.restore_failed(blob));
                 None
             }
         };
@@ -2624,6 +2630,34 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// Between the probe and the read, a tier-2 shrink drops the blob and
+    /// unlinks its frame. The read finds no frame, and the query
+    /// recomputes; the drop was the shrink's, so it is no restore failure.
+    #[test]
+    fn restore_reading_after_a_tier2_drop_is_no_restore_failure() {
+        let (cfg, dir) = spill_cfg("race-drop-first");
+        let s = server(cfg.with_tier2_budget(49_152).with_observability(true));
+        let a = q(0, 0, 128, 128, 1, VmOp::Subsample);
+        let found = restorable_a(&s, a, 1e-6);
+        publish(&s, 1003, q(400, 0, 128, 128, 1, VmOp::Subsample), 1.0);
+        assert!(
+            s.core.store.read().get(found.blob).is_none(),
+            "a was dropped"
+        );
+        let read = read_restorable(&s.core, s.core.spill.as_ref().unwrap(), &found);
+        assert_eq!(
+            read.as_ref().unwrap_err().kind(),
+            std::io::ErrorKind::NotFound
+        );
+        assert!(promote_restorable(&s.core, QueryId(1), found, read).is_none());
+        let sum = s.summary();
+        assert_eq!((sum.restored, sum.restore_failures), (0, 0));
+        assert_eq!(evictions_of(&s, 1001), 1);
+        s.check_invariants();
+        s.shutdown();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
     /// Two restorers probe and read one blob; the first promotion wins and
     /// the second answers from the bytes it read.
     #[test]
@@ -2678,6 +2712,41 @@ mod tests {
         assert!(s.core.store.read().get(blob).is_none());
         assert!(!frame.exists(), "the dropper unlinked the frame");
         assert_eq!(evictions_of(&s, 1001), 1);
+        s.check_invariants();
+        s.shutdown();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// Two restorers probe and read one poisoned frame. The first promotion
+    /// drops the entry; the second finds it gone. Both reads failed and
+    /// both queries recompute, so both count as restore failures: one per
+    /// failed frame read, whichever of them got to drop the entry.
+    #[test]
+    fn two_restorers_of_one_poisoned_frame_count_two_failures() {
+        let (cfg, dir) = spill_cfg("race-poison-peer");
+        let s = server(cfg.with_observability(true));
+        let a = q(0, 0, 128, 128, 1, VmOp::Subsample);
+        let first = restorable_a(&s, a, 1.0);
+        let second = probe_restorable(&s.core, &a).expect("still RESTORABLE");
+        let frame = dir.join(format!("blob-{}.spill", first.blob.raw()));
+        let mut bytes = std::fs::read(&frame).unwrap();
+        bytes[100] ^= 0x10;
+        std::fs::write(&frame, bytes).unwrap();
+        let spill = s.core.spill.as_ref().unwrap();
+        let (r1, r2) = (
+            read_restorable(&s.core, spill, &first),
+            read_restorable(&s.core, spill, &second),
+        );
+        assert!(r1.is_err() && r2.is_err());
+        for (found, read, id) in [(first, r1, 1), (second, r2, 2)] {
+            assert!(promote_restorable(&s.core, QueryId(id), found, read).is_none());
+        }
+        let sum = s.summary();
+        let (_, frame_reads) = tier2_io_samples(&s.metrics());
+        assert_eq!(frame_reads, 2);
+        assert_eq!((sum.restored, sum.restore_failures), (0, frame_reads));
+        assert_eq!(evictions_of(&s, 1001), 1, "one drop");
+        assert!(!frame.exists(), "the dropper unlinked the frame");
         s.check_invariants();
         s.shutdown();
         let _ = std::fs::remove_dir_all(dir);

@@ -5,8 +5,8 @@
 //! (`check_invariants`), degraded answers are byte-identical to the
 //! reference render of the *degraded* plan, and the shed/degrade
 //! machinery actually fires (nonzero counters). Event traces are
-//! written under `target/overload/` so the CI job can upload them when
-//! a run fails.
+//! written under `target/overload/` (this crate's directory), which CI's
+//! test job uploads when a test fails.
 
 use std::sync::Arc;
 use std::time::Duration;

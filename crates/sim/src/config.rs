@@ -9,8 +9,7 @@ use vmqs_storage::{ChaosConfig, DiskModel, FaultConfig};
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SubmissionMode {
     /// Each client submits its next query only after receiving the answer
-    /// to the previous one (the paper's Fig. 4–6 setup), optionally after a
-    /// think time.
+    /// to the previous one (the paper's Fig. 4–6 setup).
     Interactive,
     /// All queries of all clients are submitted at time zero as one batch
     /// (the paper's Fig. 7 setup: 256 queries in a single batch).
@@ -90,9 +89,6 @@ pub struct SimConfig {
     pub n_disks: usize,
     /// CPU cost model calibrated to the paper's CPU:I/O ratios.
     pub cost: VmCostModel,
-    /// Interactive-mode think time between receiving an answer and
-    /// submitting the next query, in seconds.
-    pub think_time: f64,
     /// How queries arrive.
     pub mode: SubmissionMode,
     /// Dequeue policy (rank order, or I/O-aware candidate selection).
@@ -176,7 +172,6 @@ impl SimConfig {
             disk,
             n_disks: 4,
             cost: VmCostModel::calibrated(&disk),
-            think_time: 0.0,
             mode: SubmissionMode::Interactive,
             policy: SchedPolicy::RankOrder,
             ds_policy: vmqs_datastore::EvictionPolicy::Lru,

@@ -468,7 +468,7 @@ impl<A: SimApplication> Simulator<A> {
             if let Some(spec) = next {
                 let seq = *pos;
                 self.events.push(
-                    now + self.cfg.think_time,
+                    now,
                     Event::Arrival {
                         client,
                         spec,
@@ -607,7 +607,7 @@ impl<A: SimApplication> Simulator<A> {
         if self.cfg.tier2_budget > 0 {
             if let Some((blob, producer, size)) = self.ds.lookup_restorable_exact(&spec) {
                 if self.cfg.fault.page_is_poisoned(SPILL_DEVICE, blob.raw()) {
-                    if let Some(r) = self.ds.drop_restorable(blob) {
+                    if let Some(r) = self.ds.restore_failed(blob) {
                         self.route_evictions(now, vec![r]);
                     }
                 } else {

@@ -1,11 +1,9 @@
-//! Experiment harness: one-call runners for paper-scale simulated
-//! experiments and laptop-scale threaded-engine runs, plus CSV output.
+//! Experiment harness: table rows for simulated experiments,
+//! laptop-scale threaded-engine runs, and CSV output.
 
-use crate::generator::{flatten_to_batch, generate, WorkloadConfig};
 use vmqs_core::Strategy;
-use vmqs_microscope::VmOp;
 use vmqs_server::{QueryRecord, QueryServer, ServerConfig};
-use vmqs_sim::{run_sim, SimConfig, SimReport, SubmissionMode};
+use vmqs_sim::SimReport;
 
 /// One row of an experiment table (one configuration's aggregate results).
 #[derive(Clone, Debug)]
@@ -84,35 +82,6 @@ impl ExpRow {
     }
 }
 
-/// Runs one paper-scale simulated configuration: the §5 workload (16
-/// clients × 16 queries, 8/6/2 dataset split) under `strategy`, `op`,
-/// `threads`, and a Data Store budget of `ds_mb` megabytes.
-pub fn run_paper_experiment(
-    strategy: Strategy,
-    op: VmOp,
-    threads: usize,
-    ds_mb: u64,
-    ps_mb: u64,
-    mode: SubmissionMode,
-    seed: u64,
-) -> (SimReport, ExpRow) {
-    let wl_cfg = WorkloadConfig::paper(op, seed);
-    let streams = generate(&wl_cfg);
-    let streams = match mode {
-        SubmissionMode::Interactive => streams,
-        SubmissionMode::Batch => flatten_to_batch(&streams),
-    };
-    let cfg = SimConfig::paper_baseline()
-        .with_strategy(strategy)
-        .with_threads(threads)
-        .with_ds_budget(ds_mb << 20)
-        .with_ps_budget(ps_mb << 20)
-        .with_mode(mode);
-    let report = run_sim(cfg, streams);
-    let row = ExpRow::from_report(&report, strategy, op.name(), threads, ds_mb);
-    (report, row)
-}
-
 /// Runs a workload on the *real threaded engine*, emulating interactive
 /// clients with one OS thread each (each waits for its previous answer
 /// before submitting the next query). Returns records in completion order.
@@ -135,49 +104,16 @@ pub fn run_server_interactive(
     server.records()
 }
 
-/// Runs a workload on the real threaded engine as one batch.
+/// Runs a workload on the real threaded engine as one batch. A query
+/// that fails or times out has no record.
 pub fn run_server_batch(
     server: &QueryServer,
     queries: Vec<vmqs_microscope::VmQuery>,
 ) -> Vec<QueryRecord> {
-    run_server_batch_counting(server, queries).0
-}
-
-/// Per-query outcome counts of a batch run on the threaded engine.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BatchOutcome {
-    /// Queries that delivered an answer.
-    pub ok: usize,
-    /// Queries that failed with an I/O or shutdown error.
-    pub failed: usize,
-    /// Queries cancelled at their deadline.
-    pub timed_out: usize,
-}
-
-impl BatchOutcome {
-    /// All queries accounted for.
-    pub fn total(&self) -> usize {
-        self.ok + self.failed + self.timed_out
+    for h in server.submit_batch(queries) {
+        drop(h.wait());
     }
-}
-
-/// Runs a batch on the real threaded engine, counting per-query outcomes
-/// instead of discarding failures — the harness for fault-injection and
-/// timeout experiments.
-pub fn run_server_batch_counting(
-    server: &QueryServer,
-    queries: Vec<vmqs_microscope::VmQuery>,
-) -> (Vec<QueryRecord>, BatchOutcome) {
-    let handles = server.submit_batch(queries);
-    let mut out = BatchOutcome::default();
-    for h in handles {
-        match h.wait() {
-            Ok(_) => out.ok += 1,
-            Err(e) if e.is_timeout() => out.timed_out += 1,
-            Err(_) => out.failed += 1,
-        }
-    }
-    (server.records(), out)
+    server.records()
 }
 
 /// Convenience constructor for a laptop-scale threaded server matched to
@@ -216,6 +152,35 @@ pub fn write_csv(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generator::{flatten_to_batch, generate, WorkloadConfig};
+    use vmqs_microscope::VmOp;
+    use vmqs_sim::{run_sim, SimConfig, SubmissionMode};
+
+    /// One paper-scale simulated run: the §5 workload (16 clients × 16
+    /// queries, 8/6/2 dataset split) under `strategy`, `op`, `threads`,
+    /// and a Data Store budget of `ds_mb` megabytes.
+    fn run_paper_experiment(
+        strategy: Strategy,
+        op: VmOp,
+        threads: usize,
+        ds_mb: u64,
+        mode: SubmissionMode,
+        seed: u64,
+    ) -> (SimReport, ExpRow) {
+        let streams = generate(&WorkloadConfig::paper(op, seed));
+        let streams = match mode {
+            SubmissionMode::Interactive => streams,
+            SubmissionMode::Batch => flatten_to_batch(&streams),
+        };
+        let cfg = SimConfig::paper_baseline()
+            .with_strategy(strategy)
+            .with_threads(threads)
+            .with_ds_budget(ds_mb << 20)
+            .with_mode(mode);
+        let report = run_sim(cfg, streams);
+        let row = ExpRow::from_report(&report, strategy, op.name(), threads, ds_mb);
+        (report, row)
+    }
 
     #[test]
     fn paper_experiment_runs_and_summarizes() {
@@ -224,7 +189,6 @@ mod tests {
             VmOp::Subsample,
             4,
             64,
-            32,
             SubmissionMode::Interactive,
             42,
         );
@@ -245,7 +209,6 @@ mod tests {
             VmOp::Subsample,
             4,
             128,
-            32,
             SubmissionMode::Interactive,
             42,
         );
@@ -254,7 +217,6 @@ mod tests {
             VmOp::Subsample,
             4,
             0,
-            32,
             SubmissionMode::Interactive,
             42,
         );
@@ -274,7 +236,6 @@ mod tests {
             Strategy::Sjf,
             VmOp::Average,
             2,
-            32,
             32,
             SubmissionMode::Batch,
             1,
@@ -320,15 +281,14 @@ mod tests {
         let streams = generate(&cfg);
         let queries: Vec<_> = streams.iter().flat_map(|s| s.queries.clone()).collect();
         let server = small_server(Strategy::Sjf, 2);
-        let (records, outcome) = run_server_batch_counting(&server, queries.clone());
+        let records = run_server_batch(&server, queries.clone());
         assert_eq!(records.len(), queries.len());
-        assert_eq!(outcome.ok, queries.len());
-        assert_eq!(outcome.total(), queries.len());
+        assert_eq!(server.summary().completed, queries.len());
         server.shutdown();
     }
 
     #[test]
-    fn counting_runner_separates_timeouts() {
+    fn batch_runner_returns_when_every_query_times_out() {
         let cfg = WorkloadConfig::small(VmOp::Subsample, 11);
         let queries: Vec<_> = generate(&cfg)
             .iter()
@@ -339,13 +299,11 @@ mod tests {
             ServerConfig::small().with_query_timeout(Some(std::time::Duration::ZERO)),
             std::sync::Arc::new(vmqs_storage::SyntheticSource::new()),
         );
-        let (_, outcome) = run_server_batch_counting(&server, queries.clone());
-        assert_eq!(
-            outcome.timed_out,
-            queries.len(),
-            "zero deadline cancels all"
-        );
-        assert_eq!(outcome.ok + outcome.failed, 0);
+        let records = run_server_batch(&server, queries.clone());
+        assert!(records.is_empty(), "a timed-out query has no record");
+        let sum = server.summary();
+        assert_eq!(sum.timed_out, queries.len(), "zero deadline cancels all");
+        assert_eq!(sum.completed + sum.failed, 0);
         server.shutdown();
     }
 }

@@ -6,8 +6,6 @@
 //!   workloads reproducing the paper's setup (16 clients × 16 queries over
 //!   three slides split 8/6/2, 1024×1024 RGB outputs, hotspot-clustered
 //!   sessions so clients' queries overlap);
-//! * [`run_paper_experiment`] — one paper-scale simulated run in one
-//!   call;
 //! * [`run_server_interactive`] / [`run_server_batch`] — the same
 //!   workloads against the *real threaded engine* at laptop scale;
 //! * [`ExpRow`] / [`write_csv`] — experiment table rows and CSV output.
@@ -17,10 +15,7 @@
 mod experiment;
 mod generator;
 
-pub use experiment::{
-    run_paper_experiment, run_server_batch, run_server_batch_counting, run_server_interactive,
-    small_server, write_csv, BatchOutcome, ExpRow,
-};
+pub use experiment::{run_server_batch, run_server_interactive, small_server, write_csv, ExpRow};
 pub use generator::{
     chunk_skewed, flatten_to_batch, generate, zipfian, zipfian_catalog, WorkloadConfig,
     CHUNK_SKEW_TILES_PER_GROUP,

@@ -13,13 +13,14 @@
 //! paper strategies run grafting-off, so their goldens are untouched by
 //! the graft layer.
 //!
-//! `CONFORMANCE_WORKERS=8` (used by the CI conformance job) reruns the
-//! server side with that many workers; dispatch order is then racy, so
-//! only the per-engine event-log invariants are asserted. On a golden
-//! mismatch both traces are written to `target/conformance/` as JSON
-//! before the panic, so CI can upload them as artifacts.
+//! The two cross-engine tests also run the server side at
+//! [`RACY_WORKERS`] workers. Dispatch order is then racy and queries
+//! block on EXECUTING peers (paper §4), so only the per-engine event-log
+//! invariants are asserted. On a golden mismatch both traces are written
+//! to `target/conformance/` as JSON before the panic, so CI can upload
+//! them as artifacts.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 use vmqs_core::{ClientId, DatasetId, OverloadConfig, QueryId, Rect, Strategy};
@@ -41,6 +42,8 @@ const QUERIES: usize = 32;
 const DS_BUDGET: u64 = 512 << 10;
 const PS_BUDGET: u64 = 4 << 20;
 const INDEX_CELL: u32 = 512;
+/// Server workers for the runs whose dispatch order is racy.
+const RACY_WORKERS: usize = 8;
 
 /// Deterministic seeded workload over two slides (the LCG scheme the
 /// fault tests use): repeats force exact hits, 80px-aligned neighbours
@@ -166,8 +169,8 @@ fn assert_event_invariants(events: &[EventRecord], ctx: &str) {
     }
 }
 
-/// Writes both traces under `target/conformance/` (the CI job uploads
-/// this directory on failure) and returns the directory path.
+/// Writes both traces under `target/conformance/` (CI uploads this
+/// directory when a test fails) and returns the directory path.
 fn dump_traces(strategy: Strategy, sim: &[EventRecord], server: &[EventRecord]) -> String {
     let dir = "target/conformance";
     std::fs::create_dir_all(dir).expect("create trace dir");
@@ -180,10 +183,6 @@ fn dump_traces(strategy: Strategy, sim: &[EventRecord], server: &[EventRecord]) 
 
 #[test]
 fn golden_traces_match_across_engines_for_every_strategy() {
-    let workers: usize = std::env::var("CONFORMANCE_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
     // The six paper strategies run grafting-off (their goldens predate
     // the graft layer and must stay bit-for-bit); the seventh entry is
     // the data-driven ChunkBatch strategy with grafting on.
@@ -194,14 +193,13 @@ fn golden_traces_match_across_engines_for_every_strategy() {
         .collect();
     for (strategy, graft) in strategies {
         let sim_events = run_simulator(strategy, graft);
-        let server_events = run_server(strategy, workers, graft);
+        let server_events = run_server(strategy, 1, graft);
         assert_event_invariants(&sim_events, &format!("sim/{strategy}"));
-        assert_event_invariants(&server_events, &format!("server/{strategy}x{workers}"));
-        if workers != 1 {
-            // Racy dispatch: decision sequences are not pinned, only the
-            // per-engine invariants above.
-            continue;
-        }
+        assert_event_invariants(&server_events, &format!("server/{strategy}x1"));
+        // Racy dispatch: decision sequences are not pinned, only the
+        // per-engine invariants.
+        let racy = run_server(strategy, RACY_WORKERS, graft);
+        assert_event_invariants(&racy, &format!("server/{strategy}x{RACY_WORKERS}"));
 
         let sim_ranked = ranked_sequence(&sim_events);
         let server_ranked = ranked_sequence(&server_events);
@@ -694,21 +692,18 @@ fn corpus_reaches(kind: &EventKind) -> bool {
     }
 }
 
-/// Over the parity corpus, in both engines: each lifecycle counter equals
-/// the number of its events in the log, and the two engines emit the
-/// same kinds of event, exactly those [`corpus_reaches`] names.
-/// Kinds are compared over the whole corpus, not per config: where wall
-/// time decides (a hang cut short on the server, a benefit score), one
-/// config may take a path in one engine only. (`CONFORMANCE_WORKERS`
-/// applies to the server side, as everywhere in this file.)
+/// Over the parity corpus, in both engines and with the server at one
+/// worker and at [`RACY_WORKERS`]: each lifecycle counter equals the
+/// number of its events in the log, and every run emits the same kinds
+/// of event, exactly those [`corpus_reaches`] names. Kinds are compared
+/// over the whole corpus, not per config: where wall time decides (a
+/// hang cut short on the server, a benefit score), one config may take
+/// a path in one run only.
 #[test]
 fn event_log_and_lifecycle_counters_agree_in_both_engines() {
-    let workers: usize = std::env::var("CONFORMANCE_WORKERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
     let spill_dir = std::env::temp_dir().join(format!("vmqs_conf_agree_{}", std::process::id()));
-    let mut seen = [BTreeSet::new(), BTreeSet::new()];
+    // Kinds of event seen, by run: the sim and each server worker count.
+    let mut seen: BTreeMap<String, BTreeSet<&str>> = BTreeMap::new();
     for (name, k) in parity_corpus() {
         let batch = !k.two_passes;
         let queries = if batch {
@@ -716,37 +711,41 @@ fn event_log_and_lifecycle_counters_agree_in_both_engines() {
         } else {
             [workload(), workload()].concat()
         };
-        let cfg = ServerConfig::small()
-            .with_threads(workers)
-            .with_ds_budget(k.ds_budget)
-            .with_ps_budget(PS_BUDGET)
-            .with_index_cell(INDEX_CELL)
-            .with_observability(true)
-            .with_start_paused(batch)
-            .with_overload(k.overload)
-            .with_cache_policy(k.policy)
-            .with_spill_dir(Some(spill_dir.clone()))
-            .with_tier2_budget(k.tier2_budget)
-            .with_chaos(k.chaos)
-            .with_quarantine_limit(2)
-            .with_restart_budget(64)
-            .with_hang_timeout(k.hang.then(|| Duration::from_micros(50)));
-        let server = QueryServer::new(cfg, Arc::new(SyntheticSource::new()));
-        if batch {
-            let handles = server.submit_batch(queries.clone());
-            server.resume_workers();
-            handles.into_iter().for_each(|h| drop(h.wait()));
-        } else {
-            for q in queries.clone() {
-                drop(server.submit(q).wait());
+        for workers in [1, RACY_WORKERS] {
+            let cfg = ServerConfig::small()
+                .with_threads(workers)
+                .with_ds_budget(k.ds_budget)
+                .with_ps_budget(PS_BUDGET)
+                .with_index_cell(INDEX_CELL)
+                .with_observability(true)
+                .with_start_paused(batch)
+                .with_overload(k.overload)
+                .with_cache_policy(k.policy)
+                .with_spill_dir(Some(spill_dir.clone()))
+                .with_tier2_budget(k.tier2_budget)
+                .with_chaos(k.chaos)
+                .with_quarantine_limit(2)
+                .with_restart_budget(64)
+                .with_hang_timeout(k.hang.then(|| Duration::from_micros(50)));
+            let server = QueryServer::new(cfg, Arc::new(SyntheticSource::new()));
+            if batch {
+                let handles = server.submit_batch(queries.clone());
+                server.resume_workers();
+                handles.into_iter().for_each(|h| drop(h.wait()));
+            } else {
+                for q in queries.clone() {
+                    drop(server.submit(q).wait());
+                }
             }
+            server.drain();
+            let (events, metrics) = (server.events(), server.metrics());
+            let run = format!("server x{workers}");
+            assert_log_agrees_with_counters(&events, &metrics, &format!("{run}/{name}"));
+            let kinds = events.iter().map(|e| e.kind.label());
+            seen.entry(run).or_default().extend(kinds);
+            server.shutdown();
+            std::fs::remove_dir_all(&spill_dir).ok();
         }
-        server.drain();
-        let (events, metrics) = (server.events(), server.metrics());
-        assert_log_agrees_with_counters(&events, &metrics, &format!("server/{name}"));
-        seen[0].extend(events.iter().map(|e| e.kind.label()));
-        server.shutdown();
-        std::fs::remove_dir_all(&spill_dir).ok();
 
         let cfg = SimConfig::paper_baseline()
             .with_threads(1)
@@ -773,11 +772,13 @@ fn event_log_and_lifecycle_counters_agree_in_both_engines() {
         }];
         let report = run_sim(cfg, streams);
         assert_log_agrees_with_counters(&report.events, &report.metrics, &format!("sim/{name}"));
-        seen[1].extend(report.events.iter().map(|e| e.kind.label()));
+        let kinds = report.events.iter().map(|e| e.kind.label());
+        seen.entry("sim".to_string()).or_default().extend(kinds);
     }
-    let [server, sim] = &seen;
-    assert_eq!(server, sim, "the engines emit different kinds of event");
     let reached = EVERY_KIND.iter().filter(|k| corpus_reaches(k));
     let expected: BTreeSet<_> = reached.map(EventKind::label).collect();
-    assert_eq!(*server, expected, "the corpus misses a kind of event");
+    assert_eq!(seen.len(), 3, "{:?}", seen.keys());
+    for (run, kinds) in &seen {
+        assert_eq!(*kinds, expected, "{run}: the corpus misses a kind of event");
+    }
 }

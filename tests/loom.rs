@@ -413,8 +413,9 @@ fn settle(
 /// The engine's `try_restore` of `spec` in its three steps: probe under
 /// the store lock, taking the bytes if the frame is still in flight;
 /// read the frame with no lock held; promote under the lock only if the
-/// blob is still RESTORABLE, or on a failed read drop it
-/// (`drop_restorable` drops only a RESTORABLE entry).
+/// blob is still RESTORABLE. A read that finds no frame is the engine's
+/// `NotFound`: no restore failure if the blob has left the store, else
+/// `restore_failed` (which drops only a RESTORABLE entry).
 fn restore_off_lock(store: &Store, frames: &Frames, spec: &IntervalSpec) {
     let probe = {
         let ds = store.lock();
@@ -429,7 +430,9 @@ fn restore_off_lock(store: &Store, frames: &Frames, spec: &IntervalSpec) {
     let spills = {
         let mut ds = store.lock();
         if !read_ok {
-            evicted.extend(ds.drop_restorable(blob));
+            if ds.get(blob).is_some() {
+                evicted.extend(ds.restore_failed(blob));
+            }
         } else if ds.get(blob).is_some_and(|e| e.restorable()) {
             let bytes = Payload::Bytes([1; 100].into());
             if ds.restore(blob, bytes, &mut evicted) {
