@@ -51,6 +51,9 @@ struct Node<S> {
     /// application's [`crate::QuerySpec::chunk_keys`]); drives ChunkBatch's
     /// hot-chunk affinity.
     chunks: Vec<u64>,
+    /// How many of `chunks` are in the hot set; kept current for WAITING
+    /// nodes under ChunkBatch, which rank by it.
+    hot: usize,
     /// Edges `e_{self,k}`: k can reuse self's result.
     out_edges: Vec<Edge>,
     /// Edges `e_{k,self}`: self can reuse k's result.
@@ -98,11 +101,22 @@ pub struct SchedulingGraph<S: SpatialSpec> {
     waiting: BTreeSet<WaitKey>,
     arrival_counter: u64,
     stats: GraphStats,
-    /// Refcounts of chunk keys touched by EXECUTING nodes — the *hot set*
-    /// ChunkBatch ranks affinity against. Maintained on every transition
-    /// into/out of EXECUTING; only membership is read, so HashMap iteration
-    /// order never leaks into ranks.
-    hot_chunks: HashMap<u64, u32>,
+    /// Who holds each chunk key: the EXECUTING nodes' refcount, which
+    /// makes the chunk part of the *hot set* ChunkBatch ranks affinity
+    /// against, and under ChunkBatch the WAITING nodes, whose ranks are
+    /// the only ones a change of that refcount to or from zero can move.
+    /// A key leaves once neither holds it; the map is only ever looked up
+    /// by key, so HashMap iteration order never leaks into ranks.
+    chunk_use: HashMap<u64, ChunkUse>,
+}
+
+/// The nodes holding one chunk key.
+#[derive(Debug, Default)]
+struct ChunkUse {
+    /// EXECUTING nodes touching the chunk; it is hot while this is nonzero.
+    executing: u32,
+    /// Under ChunkBatch only: the WAITING nodes touching the chunk.
+    waiting: Vec<QueryId>,
 }
 
 impl<S: SpatialSpec> SchedulingGraph<S> {
@@ -124,7 +138,7 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
             waiting: BTreeSet::new(),
             arrival_counter: 0,
             stats: GraphStats::default(),
-            hot_chunks: HashMap::new(),
+            chunk_use: HashMap::new(),
         }
     }
 
@@ -239,6 +253,7 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
             arrival_seq,
             qinputsize,
             chunks,
+            hot: 0,
             out_edges: new_out,
             in_edges: new_in,
         };
@@ -250,15 +265,11 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
             self.index.insert(id.raw(), dataset, footprint);
         }
 
-        // Rank the new node and insert it into the WAITING index.
-        let rank = self.compute_rank(id);
-        let node = self.nodes.get_mut(&id).unwrap();
-        node.rank = rank;
-        self.waiting.insert(WaitKey(rank, Reverse(arrival_seq), id));
+        self.enter_waiting(id);
 
         // The new edges may change neighbor ranks (e.g. MUF sees a new
         // WAITING dependent).
-        if !self.strategy.is_static() {
+        if self.ranks_by_edges() {
             for peer in touched {
                 self.rerank_if_waiting(peer);
             }
@@ -329,11 +340,7 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
         self.transition(id, QueryState::Waiting);
         // `transition` maintains the WAITING index only on *exit* from
         // WAITING; re-entry re-ranks and re-inserts here.
-        let rank = self.compute_rank(id);
-        let node = self.nodes.get_mut(&id).unwrap();
-        node.rank = rank;
-        let key = WaitKey(rank, Reverse(node.arrival_seq), id);
-        self.waiting.insert(key);
+        self.enter_waiting(id);
         self.stats.requeued += 1;
         true
     }
@@ -356,6 +363,7 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
         if node.state == QueryState::Waiting {
             self.waiting
                 .remove(&WaitKey(node.rank, Reverse(node.arrival_seq), id));
+            self.unfile(&node.chunks, id);
         }
         let mut touched: Vec<QueryId> = Vec::new();
         for e in node.in_edges.iter().chain(node.out_edges.iter()) {
@@ -365,7 +373,7 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
                 touched.push(e.peer);
             }
         }
-        if !self.strategy.is_static() {
+        if self.ranks_by_edges() {
             touched.sort_unstable();
             touched.dedup();
             for peer in touched {
@@ -461,13 +469,16 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
         let mut ids: Vec<QueryId> = self.nodes.keys().copied().collect();
         ids.sort_unstable();
         self.waiting.clear();
+        self.chunk_use.retain(|_, u| {
+            u.waiting.clear();
+            u.executing > 0
+        });
         for id in ids {
-            let rank = self.compute_rank(id);
-            let node = self.nodes.get_mut(&id).unwrap();
-            node.rank = rank;
-            if node.state == QueryState::Waiting {
-                self.waiting
-                    .insert(WaitKey(rank, Reverse(node.arrival_seq), id));
+            if self.nodes[&id].state == QueryState::Waiting {
+                self.enter_waiting(id);
+            } else {
+                let rank = self.compute_rank(id);
+                self.nodes.get_mut(&id).unwrap().rank = rank;
             }
         }
     }
@@ -502,7 +513,9 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
 
     /// Internal consistency check (test/debug aid): edge mirroring, WAITING
     /// index membership, rank agreement with a from-scratch computation,
-    /// and one footprint filed per node that has one.
+    /// one footprint filed per node that has one, and (under ChunkBatch)
+    /// every WAITING node filed under exactly its chunks with a current
+    /// hot count.
     pub fn validate(&self) -> Result<(), String> {
         let mut footprints = 0;
         #[expect(
@@ -545,20 +558,78 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
             let filed = self.index.len();
             return Err(format!("{filed} footprints filed for {footprints}"));
         }
+        self.validate_chunk_index()
+    }
+
+    /// Under ChunkBatch, every WAITING node is filed once under each of
+    /// its chunks in `chunk_use`, nothing else is filed there, and its hot
+    /// count is current; no key is kept that nothing holds.
+    fn validate_chunk_index(&self) -> Result<(), String> {
+        let filed: usize = self.chunk_use.values().map(|u| u.waiting.len()).sum();
+        if self
+            .chunk_use
+            .values()
+            .any(|u| u.executing == 0 && u.waiting.is_empty())
+        {
+            return Err("chunk key kept that no node holds".into());
+        }
+        if !matches!(self.strategy, Strategy::ChunkBatch { .. }) {
+            return match filed {
+                0 => Ok(()),
+                _ => Err("waiting nodes filed for a strategy that ignores them".into()),
+            };
+        }
+        let mut want = 0;
+        for key in &self.waiting {
+            let (id, node) = (key.2, &self.nodes[&key.2]);
+            want += node.chunks.len();
+            let filed_under = |c: &&u64| {
+                let held = self.chunk_use.get(c);
+                held.is_some_and(|u| u.waiting.contains(&id))
+            };
+            if let Some(c) = node.chunks.iter().find(|c| !filed_under(c)) {
+                return Err(format!("waiting node {id} not filed under chunk {c}"));
+            }
+            if node.hot != self.hot_count(node) {
+                return Err(format!("waiting node {id} stale hot count {}", node.hot));
+            }
+        }
+        if filed != want {
+            return Err(format!(
+                "{filed} chunk-index entries for {want} waiting chunks"
+            ));
+        }
         Ok(())
     }
 
+    /// How many of `node`'s chunks are in the hot set right now.
+    fn hot_count(&self, node: &Node<S>) -> usize {
+        let hot = |c: &&u64| self.chunk_use.get(c).is_some_and(|u| u.executing > 0);
+        node.chunks.iter().filter(hot).count()
+    }
+
+    /// Whether ranks read edges, so that a neighbour's insert, swap-out or
+    /// transition can move them. ChunkBatch ranks read the hot set instead.
+    fn ranks_by_edges(&self) -> bool {
+        !self.strategy.is_static() && !matches!(self.strategy, Strategy::ChunkBatch { .. })
+    }
+
+    /// `id`'s rank from scratch.
     fn compute_rank(&self, id: QueryId) -> Rank {
         let node = &self.nodes[&id];
+        let hot = match self.strategy {
+            Strategy::ChunkBatch { .. } => self.hot_count(node),
+            _ => 0,
+        };
+        self.rank_with_hot(node, hot)
+    }
+
+    /// `node`'s rank when `hot` of its chunks are in the hot set.
+    fn rank_with_hot(&self, node: &Node<S>, hot: usize) -> Rank {
         // Affinity with the hot set is only evaluated for ChunkBatch; every
         // other strategy ignores the field.
         let hot_fraction = match self.strategy {
             Strategy::ChunkBatch { .. } if !node.chunks.is_empty() => {
-                let hot = node
-                    .chunks
-                    .iter()
-                    .filter(|c| self.hot_chunks.contains_key(c))
-                    .count();
                 hot as f64 / node.chunks.len() as f64
             }
             _ => 0.0,
@@ -580,21 +651,47 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
     }
 
     fn rerank_if_waiting(&mut self, id: QueryId) {
-        let (old_rank, arrival, is_waiting) = match self.nodes.get(&id) {
-            Some(n) => (n.rank, n.arrival_seq, n.state == QueryState::Waiting),
-            None => return,
-        };
-        if !is_waiting {
-            return;
+        if self
+            .nodes
+            .get(&id)
+            .is_some_and(|n| n.state == QueryState::Waiting)
+        {
+            let rank = self.compute_rank(id);
+            self.set_rank(id, rank);
         }
-        let new_rank = self.compute_rank(id);
+    }
+
+    /// Moves WAITING node `id` to `rank` in the dequeue index.
+    fn set_rank(&mut self, id: QueryId, rank: Rank) {
         self.stats.reranks += 1;
-        if new_rank != old_rank {
-            self.waiting
-                .remove(&WaitKey(old_rank, Reverse(arrival), id));
-            self.waiting.insert(WaitKey(new_rank, Reverse(arrival), id));
-            self.nodes.get_mut(&id).unwrap().rank = new_rank;
+        let node = self.nodes.get_mut(&id).unwrap();
+        if rank != node.rank {
+            let arrival = Reverse(node.arrival_seq);
+            self.waiting.remove(&WaitKey(node.rank, arrival, id));
+            self.waiting.insert(WaitKey(rank, arrival, id));
+            node.rank = rank;
         }
+    }
+
+    /// Ranks node `id`, which has just become WAITING, and files it in the
+    /// dequeue index; under ChunkBatch also under each of its chunks, with
+    /// its hot count.
+    fn enter_waiting(&mut self, id: QueryId) {
+        if matches!(self.strategy, Strategy::ChunkBatch { .. }) {
+            let node = self.nodes.get_mut(&id).unwrap();
+            node.hot = 0;
+            for &c in &node.chunks {
+                let held = self.chunk_use.entry(c).or_default();
+                held.waiting.push(id);
+                node.hot += usize::from(held.executing > 0);
+            }
+        }
+        let node = &self.nodes[&id];
+        let rank = self.rank_with_hot(node, node.hot);
+        let node = self.nodes.get_mut(&id).unwrap();
+        node.rank = rank;
+        self.waiting
+            .insert(WaitKey(rank, Reverse(node.arrival_seq), id));
     }
 
     fn transition(&mut self, id: QueryId, next: QueryState) {
@@ -617,56 +714,80 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
                 .collect();
             (neighbors, prev)
         };
-        // Leaving WAITING removes the node from the dequeue index.
+        // Leaving WAITING removes the node from the dequeue index, and
+        // under ChunkBatch from the chunk index.
+        let chunks = std::mem::take(&mut self.nodes.get_mut(&id).unwrap().chunks);
         if prev == QueryState::Waiting {
             let node = &self.nodes[&id];
             self.waiting
                 .remove(&WaitKey(node.rank, Reverse(node.arrival_seq), id));
+            if matches!(self.strategy, Strategy::ChunkBatch { .. }) {
+                self.unfile(&chunks, id);
+            }
         }
-        // Maintain the hot-chunk refcounts over EXECUTING nodes.
-        let hot_changed = (prev == QueryState::Executing) != (next == QueryState::Executing);
-        if hot_changed && !self.nodes[&id].chunks.is_empty() {
-            let chunks = self.nodes[&id].chunks.clone();
-            if next == QueryState::Executing {
-                for c in chunks {
-                    *self.hot_chunks.entry(c).or_insert(0) += 1;
-                }
-            } else {
-                for c in chunks {
-                    if let Some(n) = self.hot_chunks.get_mut(&c) {
-                        *n -= 1;
-                        if *n == 0 {
-                            self.hot_chunks.remove(&c);
-                        }
+        // Maintain the EXECUTING refcounts. A chunk entering or leaving
+        // the hot set moves the hot count, and so the ChunkBatch rank, of
+        // exactly the WAITING nodes filed under it (none are filed under
+        // any other strategy).
+        let mut affected: Vec<QueryId> = Vec::new();
+        if (prev == QueryState::Executing) != (next == QueryState::Executing) {
+            let entering = next == QueryState::Executing;
+            for &c in &chunks {
+                let held = if entering {
+                    let held = self.chunk_use.entry(c).or_default();
+                    held.executing += 1;
+                    held
+                } else if let Some(held) = self.chunk_use.get_mut(&c) {
+                    held.executing -= 1;
+                    held
+                } else {
+                    continue;
+                };
+                // 1 after entering: the chunk just turned hot; 0 after
+                // leaving: it just turned cold.
+                if held.executing == u32::from(entering) {
+                    for &w in &held.waiting {
+                        let hot = &mut self.nodes.get_mut(&w).unwrap().hot;
+                        *hot = if entering { *hot + 1 } else { *hot - 1 };
+                        affected.push(w);
                     }
+                }
+                if held.executing == 0 && held.waiting.is_empty() {
+                    self.chunk_use.remove(&c);
                 }
             }
         }
-        if !self.strategy.is_static() {
-            if matches!(self.strategy, Strategy::ChunkBatch { .. }) {
-                // ChunkBatch ranks depend on the *global* hot set, not on
-                // edges: a transition into/out of EXECUTING can change the
-                // affinity of any waiting query sharing a chunk.
-                if hot_changed {
-                    self.rerank_all_waiting();
-                }
-            } else {
-                let mut uniq = neighbors;
-                uniq.sort_unstable();
-                uniq.dedup();
-                for peer in uniq {
-                    self.rerank_if_waiting(peer);
-                }
+        self.nodes.get_mut(&id).unwrap().chunks = chunks;
+        if self.ranks_by_edges() {
+            let mut uniq = neighbors;
+            uniq.sort_unstable();
+            uniq.dedup();
+            for peer in uniq {
+                self.rerank_if_waiting(peer);
+            }
+        } else {
+            affected.sort_unstable();
+            affected.dedup();
+            for w in affected {
+                let node = &self.nodes[&w];
+                let rank = self.rank_with_hot(node, node.hot);
+                self.set_rank(w, rank);
             }
         }
     }
 
-    fn rerank_all_waiting(&mut self) {
-        // BTreeSet iteration order is deterministic; collect first because
-        // re-ranking mutates the set.
-        let ids: Vec<QueryId> = self.waiting.iter().map(|k| k.2).collect();
-        for id in ids {
-            self.rerank_if_waiting(id);
+    /// Drops WAITING node `id` from the chunk index under each of
+    /// `chunks`, and each key that no node holds any more.
+    fn unfile(&mut self, chunks: &[u64], id: QueryId) {
+        for c in chunks {
+            if let Some(held) = self.chunk_use.get_mut(c) {
+                if let Some(at) = held.waiting.iter().position(|&w| w == id) {
+                    held.waiting.swap_remove(at);
+                }
+                if held.executing == 0 && held.waiting.is_empty() {
+                    self.chunk_use.remove(c);
+                }
+            }
         }
     }
 
@@ -1138,6 +1259,64 @@ mod tests {
         // dial = 1: affinity can never override arrival order.
         assert_eq!(g.dequeue(), Some(q(2)));
         assert_eq!(g.dequeue(), Some(q(3)));
+    }
+
+    proptest::proptest! {
+        // Random ChunkBatch histories over overlapping intervals: re-ranking
+        // only the waiting nodes filed under a chunk that entered or left
+        // the hot set leaves every rank equal to a fresh computation.
+        #[test]
+        fn chunkbatch_reranks_stay_fresh_under_random_histories(
+            steps in proptest::collection::vec((0u8..5, 0u64..400, 1u64..200), 1..60),
+            dial in 0usize..3,
+        ) {
+            let starvation_dial = [0.0, 0.05, 1.0][dial];
+            let mut g = graph(Strategy::ChunkBatch { starvation_dial });
+            let mut next = 0;
+            for (op, a, b) in steps {
+                match op {
+                    0 | 1 => {
+                        g.insert(q(next), IntervalSpec::new(a, b, 1 + a % 2));
+                        next += 1;
+                    }
+                    2 => {
+                        g.dequeue();
+                    }
+                    3 => {
+                        let running = g.ids_in_state(QueryState::Executing);
+                        if let Some(&id) = running.get(a as usize % running.len().max(1)) {
+                            if b % 4 == 0 {
+                                g.requeue(id);
+                            } else {
+                                g.mark_cached(id);
+                            }
+                        }
+                    }
+                    _ => {
+                        let cached = g.ids_in_state(QueryState::Cached);
+                        if let Some(&id) = cached.get(a as usize % cached.len().max(1)) {
+                            g.swap_out(id);
+                        }
+                    }
+                }
+                proptest::prop_assert_eq!(g.validate(), Ok(()));
+            }
+        }
+    }
+
+    #[test]
+    fn chunk_index_follows_a_strategy_switch() {
+        let mut g = graph(Strategy::Fifo);
+        g.insert(q(1), IntervalSpec::new(0, 32, 1));
+        g.insert(q(2), IntervalSpec::new(32, 32, 1));
+        g.set_strategy(Strategy::ChunkBatch {
+            starvation_dial: 0.0,
+        });
+        g.validate().unwrap();
+        assert_eq!(g.dequeue(), Some(q(1)));
+        assert!(g.rank_of(q(2)).unwrap().value() > 0.0, "chunk 0 is hot");
+        g.set_strategy(Strategy::Fifo);
+        g.validate().unwrap();
     }
 
     #[test]
