@@ -141,7 +141,6 @@ pub fn parse_strategy(name: &str) -> Option<vmqs_core::Strategy> {
         "CNBF" => Strategy::Cnbf,
         "SJF" => Strategy::Sjf,
         "HYBRID" => Strategy::hybrid_default(),
-        "CHUNKBATCH" => Strategy::chunk_batch_default(),
         _ => return None,
     })
 }
@@ -215,18 +214,7 @@ mod tests {
 
     #[test]
     fn strategies_parse() {
-        for name in [
-            "FIFO",
-            "MUF",
-            "FF",
-            "CF",
-            "CNBF",
-            "SJF",
-            "HYBRID",
-            "CHUNKBATCH",
-            "cnbf",
-            "chunkbatch",
-        ] {
+        for name in ["FIFO", "MUF", "FF", "CF", "CNBF", "SJF", "HYBRID", "cnbf"] {
             assert!(parse_strategy(name).is_some(), "{name}");
         }
         assert!(parse_strategy("NOPE").is_none());

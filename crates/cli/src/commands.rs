@@ -143,33 +143,12 @@ fn parse_containment(args: &Args) -> Result<ContainmentOptions, Box<dyn Error>> 
     Ok((chaos, hang, restart, quarantine))
 }
 
-/// Parses `--strategy` (defaulting to `default`) and applies the optional
-/// `--starvation-dial` override to CHUNKBATCH's aging knob (DESIGN.md §13:
-/// 0 = pure chunk affinity, ≥ 1 = exact FIFO).
-fn parse_strategy_with_dial(args: &Args, default: Strategy) -> Result<Strategy, Box<dyn Error>> {
-    let mut strategy = match args.get("strategy") {
-        None => default,
-        Some(s) => parse_strategy(s).ok_or(format!("unknown strategy '{s}'"))?,
-    };
-    if let Some(raw) = args.get("starvation-dial") {
-        let dial: f64 = raw
-            .parse()
-            .map_err(|_| format!("invalid value '{raw}' for --starvation-dial"))?;
-        if !dial.is_finite() || dial < 0.0 {
-            return Err(format!("--starvation-dial must be non-negative, got {dial}").into());
-        }
-        match &mut strategy {
-            Strategy::ChunkBatch { starvation_dial } => *starvation_dial = dial,
-            other => {
-                return Err(format!(
-                    "--starvation-dial only applies to CHUNKBATCH, not {}",
-                    other.name()
-                )
-                .into())
-            }
-        }
+/// Parses `--strategy`, defaulting to CNBF.
+fn parse_strategy_arg(args: &Args) -> Result<Strategy, Box<dyn Error>> {
+    match args.get("strategy") {
+        None => Ok(Strategy::Cnbf),
+        Some(s) => Ok(parse_strategy(s).ok_or(format!("unknown strategy '{s}'"))?),
     }
-    Ok(strategy)
 }
 
 /// `vmqsctl render` — render a microscope window through the real server.
@@ -185,7 +164,7 @@ pub fn render(args: &Args) -> CliResult {
     let out = args.get("out").unwrap_or("render.ppm");
     let fault = parse_faults(args)?;
     let overload = parse_overload(args)?;
-    let strategy = parse_strategy_with_dial(args, Strategy::Cnbf)?;
+    let strategy = parse_strategy_arg(args)?;
     let (policy, spill_dir, tier2_bytes) = parse_cache(args, true)?;
     // Negative sentinel = no timeout; `--query-timeout-ms 0` is a valid
     // (immediately expiring) deadline.
@@ -325,7 +304,7 @@ pub fn mip(args: &Args) -> CliResult {
 
 /// `vmqsctl simulate` — one paper-scale simulated configuration.
 pub fn simulate(args: &Args) -> CliResult {
-    let strategy = parse_strategy_with_dial(args, Strategy::Cnbf)?;
+    let strategy = parse_strategy_arg(args)?;
     let op = parse_vm_op(args.get("op").unwrap_or("subsample"))?;
     let threads: usize = args.get_positive("threads", 4)?;
     let ds_mb: u64 = args.get_or("ds-mb", 64)?;

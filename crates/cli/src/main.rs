@@ -18,7 +18,7 @@ vmqsctl — multi-query scheduling for data visualization workloads
 USAGE:
   vmqsctl render   --x N --y N --w N --h N [--zoom N] [--op subsample|average]
                    [--slide-width N] [--slide-height N] [--out FILE.ppm]
-                   [--strategy NAME] [--starvation-dial F] [--graft]
+                   [--strategy NAME] [--graft]
                    [--cache-policy lru|cost] [--spill-dir DIR]
                    [--tier2-budget MB]
                    [--fault-rate F] [--fault-seed N] [--query-timeout-ms N]
@@ -46,8 +46,8 @@ USAGE:
                    [--op mip|avgproj] [--out FILE.pgm]
       Render a 3-D volume projection through the real kernels.
 
-  vmqsctl simulate [--strategy FIFO|MUF|FF|CF|CNBF|SJF|HYBRID|CHUNKBATCH]
-                   [--starvation-dial F] [--graft] [--op subsample|average]
+  vmqsctl simulate [--strategy FIFO|MUF|FF|CF|CNBF|SJF|HYBRID]
+                   [--graft] [--op subsample|average]
                    [--threads N] [--ds-mb N] [--ps-mb N] [--seed N] [--batch]
                    [--cache-policy lru|cost] [--tier2-budget MB]
                    [--fault-rate F] [--fault-seed N]
@@ -60,9 +60,6 @@ USAGE:
       knobs run the same admission ladder as `render`, in virtual time.
       --trace-out / --metrics-out export the same event-log JSON and
       Prometheus metrics as `render`, stamped with virtual time.
-      CHUNKBATCH ranks WAITING queries by affinity with the chunk groups
-      the EXECUTING set is touching; --starvation-dial trades that
-      affinity against arrival order (0 = pure affinity, >= 1 = FIFO).
       --graft mirrors the threaded server's in-flight grafting.
       --cache-policy and --tier2-budget mirror `render`'s cache
       hierarchy; the simulator charges tier-2 re-heats their disk

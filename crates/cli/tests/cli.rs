@@ -121,12 +121,17 @@ fn simulate_prints_csv_summary() {
 
 #[test]
 fn simulate_rejects_bad_strategy() {
-    let out = vmqsctl()
-        .args(["simulate", "--strategy", "BOGUS"])
-        .output()
-        .unwrap();
-    assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown strategy"));
+    for name in ["BOGUS", "CHUNKBATCH"] {
+        let out = vmqsctl()
+            .args(["simulate", "--strategy", name])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "{name}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown strategy"),
+            "{name}"
+        );
+    }
 }
 
 #[test]
@@ -413,6 +418,10 @@ fn misspelt_options_are_rejected_by_name() {
     assert_refused(&["render", "--grfat"], "unknown option --grfat");
     assert_refused(&["mip", "--zoom", "2"], "unknown option --zoom");
     assert_refused(&["demo", "--fast"], "unknown option --fast");
+    assert_refused(
+        &["simulate", "--starvation-dial", "0.1"],
+        "unknown option --starvation-dial",
+    );
     // A valued option with its value missing is not a silent default.
     assert_refused(&["simulate", "--threads"], "option --threads needs a value");
 }

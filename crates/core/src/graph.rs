@@ -47,13 +47,6 @@ struct Node<S> {
     rank: Rank,
     arrival_seq: u64,
     qinputsize: u64,
-    /// Sorted, deduplicated chunk keys of the query's input (the
-    /// application's [`crate::QuerySpec::chunk_keys`]); drives ChunkBatch's
-    /// hot-chunk affinity.
-    chunks: Vec<u64>,
-    /// How many of `chunks` are in the hot set; kept current for WAITING
-    /// nodes under ChunkBatch, which rank by it.
-    hot: usize,
     /// Edges `e_{self,k}`: k can reuse self's result.
     out_edges: Vec<Edge>,
     /// Edges `e_{k,self}`: self can reuse k's result.
@@ -101,22 +94,6 @@ pub struct SchedulingGraph<S: SpatialSpec> {
     waiting: BTreeSet<WaitKey>,
     arrival_counter: u64,
     stats: GraphStats,
-    /// Who holds each chunk key: the EXECUTING nodes' refcount, which
-    /// makes the chunk part of the *hot set* ChunkBatch ranks affinity
-    /// against, and under ChunkBatch the WAITING nodes, whose ranks are
-    /// the only ones a change of that refcount to or from zero can move.
-    /// A key leaves once neither holds it; the map is only ever looked up
-    /// by key, so HashMap iteration order never leaks into ranks.
-    chunk_use: HashMap<u64, ChunkUse>,
-}
-
-/// The nodes holding one chunk key.
-#[derive(Debug, Default)]
-struct ChunkUse {
-    /// EXECUTING nodes touching the chunk; it is hot while this is nonzero.
-    executing: u32,
-    /// Under ChunkBatch only: the WAITING nodes touching the chunk.
-    waiting: Vec<QueryId>,
 }
 
 impl<S: SpatialSpec> SchedulingGraph<S> {
@@ -138,7 +115,6 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
             waiting: BTreeSet::new(),
             arrival_counter: 0,
             stats: GraphStats::default(),
-            chunk_use: HashMap::new(),
         }
     }
 
@@ -243,17 +219,12 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
             });
         }
 
-        let mut chunks = spec.chunk_keys();
-        chunks.sort_unstable();
-        chunks.dedup();
         let node = Node {
             spec,
             state: QueryState::Waiting,
             rank: Rank::ZERO, // placeholder; computed below
             arrival_seq,
             qinputsize,
-            chunks,
-            hot: 0,
             out_edges: new_out,
             in_edges: new_in,
         };
@@ -269,7 +240,7 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
 
         // The new edges may change neighbor ranks (e.g. MUF sees a new
         // WAITING dependent).
-        if self.ranks_by_edges() {
+        if !self.strategy.is_static() {
             for peer in touched {
                 self.rerank_if_waiting(peer);
             }
@@ -363,7 +334,6 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
         if node.state == QueryState::Waiting {
             self.waiting
                 .remove(&WaitKey(node.rank, Reverse(node.arrival_seq), id));
-            self.unfile(&node.chunks, id);
         }
         let mut touched: Vec<QueryId> = Vec::new();
         for e in node.in_edges.iter().chain(node.out_edges.iter()) {
@@ -373,7 +343,7 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
                 touched.push(e.peer);
             }
         }
-        if self.ranks_by_edges() {
+        if !self.strategy.is_static() {
             touched.sort_unstable();
             touched.dedup();
             for peer in touched {
@@ -469,10 +439,6 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
         let mut ids: Vec<QueryId> = self.nodes.keys().copied().collect();
         ids.sort_unstable();
         self.waiting.clear();
-        self.chunk_use.retain(|_, u| {
-            u.waiting.clear();
-            u.executing > 0
-        });
         for id in ids {
             if self.nodes[&id].state == QueryState::Waiting {
                 self.enter_waiting(id);
@@ -513,9 +479,7 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
 
     /// Internal consistency check (test/debug aid): edge mirroring, WAITING
     /// index membership, rank agreement with a from-scratch computation,
-    /// one footprint filed per node that has one, and (under ChunkBatch)
-    /// every WAITING node filed under exactly its chunks with a current
-    /// hot count.
+    /// and one footprint filed per node that has one.
     pub fn validate(&self) -> Result<(), String> {
         let mut footprints = 0;
         #[expect(
@@ -558,86 +522,15 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
             let filed = self.index.len();
             return Err(format!("{filed} footprints filed for {footprints}"));
         }
-        self.validate_chunk_index()
-    }
-
-    /// Under ChunkBatch, every WAITING node is filed once under each of
-    /// its chunks in `chunk_use`, nothing else is filed there, and its hot
-    /// count is current; no key is kept that nothing holds.
-    fn validate_chunk_index(&self) -> Result<(), String> {
-        let filed: usize = self.chunk_use.values().map(|u| u.waiting.len()).sum();
-        if self
-            .chunk_use
-            .values()
-            .any(|u| u.executing == 0 && u.waiting.is_empty())
-        {
-            return Err("chunk key kept that no node holds".into());
-        }
-        if !matches!(self.strategy, Strategy::ChunkBatch { .. }) {
-            return match filed {
-                0 => Ok(()),
-                _ => Err("waiting nodes filed for a strategy that ignores them".into()),
-            };
-        }
-        let mut want = 0;
-        for key in &self.waiting {
-            let (id, node) = (key.2, &self.nodes[&key.2]);
-            want += node.chunks.len();
-            let filed_under = |c: &&u64| {
-                let held = self.chunk_use.get(c);
-                held.is_some_and(|u| u.waiting.contains(&id))
-            };
-            if let Some(c) = node.chunks.iter().find(|c| !filed_under(c)) {
-                return Err(format!("waiting node {id} not filed under chunk {c}"));
-            }
-            if node.hot != self.hot_count(node) {
-                return Err(format!("waiting node {id} stale hot count {}", node.hot));
-            }
-        }
-        if filed != want {
-            return Err(format!(
-                "{filed} chunk-index entries for {want} waiting chunks"
-            ));
-        }
         Ok(())
-    }
-
-    /// How many of `node`'s chunks are in the hot set right now.
-    fn hot_count(&self, node: &Node<S>) -> usize {
-        let hot = |c: &&u64| self.chunk_use.get(c).is_some_and(|u| u.executing > 0);
-        node.chunks.iter().filter(hot).count()
-    }
-
-    /// Whether ranks read edges, so that a neighbour's insert, swap-out or
-    /// transition can move them. ChunkBatch ranks read the hot set instead.
-    fn ranks_by_edges(&self) -> bool {
-        !self.strategy.is_static() && !matches!(self.strategy, Strategy::ChunkBatch { .. })
     }
 
     /// `id`'s rank from scratch.
     fn compute_rank(&self, id: QueryId) -> Rank {
         let node = &self.nodes[&id];
-        let hot = match self.strategy {
-            Strategy::ChunkBatch { .. } => self.hot_count(node),
-            _ => 0,
-        };
-        self.rank_with_hot(node, hot)
-    }
-
-    /// `node`'s rank when `hot` of its chunks are in the hot set.
-    fn rank_with_hot(&self, node: &Node<S>, hot: usize) -> Rank {
-        // Affinity with the hot set is only evaluated for ChunkBatch; every
-        // other strategy ignores the field.
-        let hot_fraction = match self.strategy {
-            Strategy::ChunkBatch { .. } if !node.chunks.is_empty() => {
-                hot as f64 / node.chunks.len() as f64
-            }
-            _ => 0.0,
-        };
         let inputs = RankInputs {
             arrival_seq: node.arrival_seq,
             qinputsize: node.qinputsize,
-            hot_fraction,
         };
         let in_edges = node
             .in_edges
@@ -674,20 +567,9 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
     }
 
     /// Ranks node `id`, which has just become WAITING, and files it in the
-    /// dequeue index; under ChunkBatch also under each of its chunks, with
-    /// its hot count.
+    /// dequeue index.
     fn enter_waiting(&mut self, id: QueryId) {
-        if matches!(self.strategy, Strategy::ChunkBatch { .. }) {
-            let node = self.nodes.get_mut(&id).unwrap();
-            node.hot = 0;
-            for &c in &node.chunks {
-                let held = self.chunk_use.entry(c).or_default();
-                held.waiting.push(id);
-                node.hot += usize::from(held.executing > 0);
-            }
-        }
-        let node = &self.nodes[&id];
-        let rank = self.rank_with_hot(node, node.hot);
+        let rank = self.compute_rank(id);
         let node = self.nodes.get_mut(&id).unwrap();
         node.rank = rank;
         self.waiting
@@ -695,99 +577,34 @@ impl<S: SpatialSpec> SchedulingGraph<S> {
     }
 
     fn transition(&mut self, id: QueryId, next: QueryState) {
-        let (neighbors, prev) = {
-            let node = self
-                .nodes
-                .get_mut(&id)
-                .unwrap_or_else(|| panic!("transition of unknown query {id}"));
-            let prev = node.state;
-            debug_assert!(
-                prev.can_transition_to(next),
-                "illegal transition {prev} -> {next} for {id}"
-            );
-            node.state = next;
-            let neighbors: Vec<QueryId> = node
-                .in_edges
-                .iter()
-                .chain(node.out_edges.iter())
-                .map(|e| e.peer)
-                .collect();
-            (neighbors, prev)
-        };
-        // Leaving WAITING removes the node from the dequeue index, and
-        // under ChunkBatch from the chunk index.
-        let chunks = std::mem::take(&mut self.nodes.get_mut(&id).unwrap().chunks);
+        let node = self
+            .nodes
+            .get_mut(&id)
+            .unwrap_or_else(|| panic!("transition of unknown query {id}"));
+        let prev = node.state;
+        debug_assert!(
+            prev.can_transition_to(next),
+            "illegal transition {prev} -> {next} for {id}"
+        );
+        node.state = next;
+        // Leaving WAITING removes the node from the dequeue index.
         if prev == QueryState::Waiting {
-            let node = &self.nodes[&id];
             self.waiting
                 .remove(&WaitKey(node.rank, Reverse(node.arrival_seq), id));
-            if matches!(self.strategy, Strategy::ChunkBatch { .. }) {
-                self.unfile(&chunks, id);
-            }
         }
-        // Maintain the EXECUTING refcounts. A chunk entering or leaving
-        // the hot set moves the hot count, and so the ChunkBatch rank, of
-        // exactly the WAITING nodes filed under it (none are filed under
-        // any other strategy).
-        let mut affected: Vec<QueryId> = Vec::new();
-        if (prev == QueryState::Executing) != (next == QueryState::Executing) {
-            let entering = next == QueryState::Executing;
-            for &c in &chunks {
-                let held = if entering {
-                    let held = self.chunk_use.entry(c).or_default();
-                    held.executing += 1;
-                    held
-                } else if let Some(held) = self.chunk_use.get_mut(&c) {
-                    held.executing -= 1;
-                    held
-                } else {
-                    continue;
-                };
-                // 1 after entering: the chunk just turned hot; 0 after
-                // leaving: it just turned cold.
-                if held.executing == u32::from(entering) {
-                    for &w in &held.waiting {
-                        let hot = &mut self.nodes.get_mut(&w).unwrap().hot;
-                        *hot = if entering { *hot + 1 } else { *hot - 1 };
-                        affected.push(w);
-                    }
-                }
-                if held.executing == 0 && held.waiting.is_empty() {
-                    self.chunk_use.remove(&c);
-                }
-            }
+        if self.strategy.is_static() {
+            return;
         }
-        self.nodes.get_mut(&id).unwrap().chunks = chunks;
-        if self.ranks_by_edges() {
-            let mut uniq = neighbors;
-            uniq.sort_unstable();
-            uniq.dedup();
-            for peer in uniq {
-                self.rerank_if_waiting(peer);
-            }
-        } else {
-            affected.sort_unstable();
-            affected.dedup();
-            for w in affected {
-                let node = &self.nodes[&w];
-                let rank = self.rank_with_hot(node, node.hot);
-                self.set_rank(w, rank);
-            }
-        }
-    }
-
-    /// Drops WAITING node `id` from the chunk index under each of
-    /// `chunks`, and each key that no node holds any more.
-    fn unfile(&mut self, chunks: &[u64], id: QueryId) {
-        for c in chunks {
-            if let Some(held) = self.chunk_use.get_mut(c) {
-                if let Some(at) = held.waiting.iter().position(|&w| w == id) {
-                    held.waiting.swap_remove(at);
-                }
-                if held.executing == 0 && held.waiting.is_empty() {
-                    self.chunk_use.remove(c);
-                }
-            }
+        let mut neighbors: Vec<QueryId> = node
+            .in_edges
+            .iter()
+            .chain(node.out_edges.iter())
+            .map(|e| e.peer)
+            .collect();
+        neighbors.sort_unstable();
+        neighbors.dedup();
+        for peer in neighbors {
+            self.rerank_if_waiting(peer);
         }
     }
 
@@ -1031,20 +848,6 @@ mod tests {
     }
 
     #[test]
-    fn requeue_restores_chunkbatch_hot_set_accounting() {
-        let mut g = graph(Strategy::chunk_batch_default());
-        g.insert(q(1), IntervalSpec::new(0, 100, 1));
-        g.insert(q(2), IntervalSpec::new(0, 100, 1));
-        assert_eq!(g.dequeue(), Some(q(1)));
-        // Requeue drops q1's chunks from the hot set (it is no longer
-        // EXECUTING) and the index stays consistent.
-        assert!(g.requeue(q(1)));
-        g.validate().unwrap();
-        assert_eq!(g.dequeue(), Some(q(1)));
-        g.validate().unwrap();
-    }
-
-    #[test]
     #[should_panic(expected = "already in scheduling graph")]
     fn duplicate_insert_panics() {
         let mut g = graph(Strategy::Fifo);
@@ -1204,119 +1007,6 @@ mod tests {
         g.insert(q(1), IntervalSpec::new(0, 123, 1));
         assert_eq!(g.qinputsize_of(q(1)), Some(123));
         assert_eq!(g.qinputsize_of(q(9)), None);
-    }
-
-    #[test]
-    fn chunkbatch_batches_waiting_queries_on_hot_chunks() {
-        let mut g = graph(Strategy::ChunkBatch {
-            starvation_dial: 0.0,
-        });
-        // Two chunk groups far apart; queries arrive interleaved. Tiles
-        // within a group share input chunks but have disjoint outputs (no
-        // reuse edges), which is exactly the case the paper strategies
-        // cannot batch.
-        g.insert(q(1), IntervalSpec::new(0, 32, 1)); // group A, chunk 0
-        g.insert(q(2), IntervalSpec::new(1000, 32, 1)); // group B
-        g.insert(q(3), IntervalSpec::new(32, 32, 1)); // group A, chunk 0
-        g.insert(q(4), IntervalSpec::new(1032, 32, 1)); // group B
-        assert!(g.reuse_sources(q(3)).is_empty(), "disjoint outputs");
-        // FIFO tiebreak dequeues q1; its chunk becomes hot, so q3 (same
-        // chunk) must jump ahead of q2 (earlier arrival, cold chunk).
-        assert_eq!(g.dequeue(), Some(q(1)));
-        assert_eq!(g.dequeue(), Some(q(3)));
-        assert_eq!(g.dequeue(), Some(q(2)));
-        assert_eq!(g.dequeue(), Some(q(4)));
-        g.validate().unwrap();
-    }
-
-    #[test]
-    fn chunkbatch_hot_set_cools_down_when_execution_finishes() {
-        let mut g = graph(Strategy::ChunkBatch {
-            starvation_dial: 0.0,
-        });
-        g.insert(q(1), IntervalSpec::new(0, 32, 1));
-        g.insert(q(2), IntervalSpec::new(32, 32, 1)); // same chunk as q1
-        assert_eq!(g.dequeue(), Some(q(1)));
-        assert!(g.rank_of(q(2)).unwrap().value() > 0.0, "chunk 0 is hot");
-        g.mark_cached(q(1));
-        assert_eq!(
-            g.rank_of(q(2)).unwrap().value(),
-            0.0,
-            "hot set drops back when the executor finishes"
-        );
-        g.validate().unwrap();
-    }
-
-    #[test]
-    fn chunkbatch_starvation_dial_bounds_queue_jumping() {
-        let mut g = graph(Strategy::ChunkBatch {
-            starvation_dial: 1.0,
-        });
-        g.insert(q(1), IntervalSpec::new(0, 32, 1));
-        g.insert(q(2), IntervalSpec::new(1000, 32, 1)); // cold, earlier
-        g.insert(q(3), IntervalSpec::new(32, 32, 1)); // hot, later
-        assert_eq!(g.dequeue(), Some(q(1)));
-        // dial = 1: affinity can never override arrival order.
-        assert_eq!(g.dequeue(), Some(q(2)));
-        assert_eq!(g.dequeue(), Some(q(3)));
-    }
-
-    proptest::proptest! {
-        // Random ChunkBatch histories over overlapping intervals: re-ranking
-        // only the waiting nodes filed under a chunk that entered or left
-        // the hot set leaves every rank equal to a fresh computation.
-        #[test]
-        fn chunkbatch_reranks_stay_fresh_under_random_histories(
-            steps in proptest::collection::vec((0u8..5, 0u64..400, 1u64..200), 1..60),
-            dial in 0usize..3,
-        ) {
-            let starvation_dial = [0.0, 0.05, 1.0][dial];
-            let mut g = graph(Strategy::ChunkBatch { starvation_dial });
-            let mut next = 0;
-            for (op, a, b) in steps {
-                match op {
-                    0 | 1 => {
-                        g.insert(q(next), IntervalSpec::new(a, b, 1 + a % 2));
-                        next += 1;
-                    }
-                    2 => {
-                        g.dequeue();
-                    }
-                    3 => {
-                        let running = g.ids_in_state(QueryState::Executing);
-                        if let Some(&id) = running.get(a as usize % running.len().max(1)) {
-                            if b % 4 == 0 {
-                                g.requeue(id);
-                            } else {
-                                g.mark_cached(id);
-                            }
-                        }
-                    }
-                    _ => {
-                        let cached = g.ids_in_state(QueryState::Cached);
-                        if let Some(&id) = cached.get(a as usize % cached.len().max(1)) {
-                            g.swap_out(id);
-                        }
-                    }
-                }
-                proptest::prop_assert_eq!(g.validate(), Ok(()));
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_index_follows_a_strategy_switch() {
-        let mut g = graph(Strategy::Fifo);
-        g.insert(q(1), IntervalSpec::new(0, 32, 1));
-        g.insert(q(2), IntervalSpec::new(32, 32, 1));
-        g.set_strategy(Strategy::ChunkBatch {
-            starvation_dial: 0.0,
-        });
-        g.validate().unwrap();
-        assert_eq!(g.dequeue(), Some(q(1)));
-        assert!(g.rank_of(q(2)).unwrap().value() > 0.0, "chunk 0 is hot");
-        g.set_strategy(Strategy::Fifo);
-        g.validate().unwrap();
     }
 
     #[test]

@@ -52,17 +52,6 @@ pub trait QuerySpec: Clone + Send + Sync + 'static {
         (ov * self.qoutsize() as f64).round() as u64
     }
 
-    /// Keys of the stored-data chunks this query must scan, used by the
-    /// data-driven ChunkBatch strategy to group waiting queries by chunk
-    /// affinity (two queries with disjoint *outputs* can still share all
-    /// their *input* chunks). Keys must be stable for a given predicate and
-    /// globally unique across datasets (mix the dataset id in). The default
-    /// reports no chunks, which makes ChunkBatch age-only (FIFO) for
-    /// applications that do not opt in.
-    fn chunk_keys(&self) -> Vec<u64> {
-        Vec::new()
-    }
-
     /// A strictly cheaper predicate that still answers the query window,
     /// or `None` when there is none: the quality knob the overload policy
     /// turns under pressure (DESIGN.md §10), read by both engines. The
@@ -135,18 +124,6 @@ pub mod testutil {
         fn qinputsize(&self) -> u64 {
             self.len
         }
-
-        /// One chunk per 64 units of the integer line, independent of
-        /// `scale` — two queries at different scales over the same range
-        /// scan the same stored chunks.
-        fn chunk_keys(&self) -> Vec<u64> {
-            if self.len == 0 {
-                return Vec::new();
-            }
-            let first = self.start / 64;
-            let last = (self.end() - 1) / 64;
-            (first..=last).collect()
-        }
     }
 }
 
@@ -187,15 +164,5 @@ mod tests {
         let b = IntervalSpec::new(50, 100, 1);
         // overlap(a -> b) = 50/100 = 0.5; reuse = 0.5 * 100 = 50 bytes.
         assert_eq!(a.reuse_bytes(&b), 50);
-    }
-
-    #[test]
-    fn chunk_keys_cover_the_scanned_range_scale_free() {
-        let a = IntervalSpec::new(0, 100, 1); // units [0, 100) → chunks 0, 1
-        assert_eq!(a.chunk_keys(), vec![0, 1]);
-        let b = IntervalSpec::new(0, 100, 2); // same input chunks, coarser out
-        assert_eq!(b.chunk_keys(), a.chunk_keys());
-        assert_eq!(IntervalSpec::new(64, 64, 1).chunk_keys(), vec![1]);
-        assert!(IntervalSpec::new(10, 0, 1).chunk_keys().is_empty());
     }
 }

@@ -22,11 +22,6 @@ pub struct RankInputs {
     pub arrival_seq: u64,
     /// `qinputsize` in bytes — SJF's execution-time estimate.
     pub qinputsize: u64,
-    /// Fraction of the query's chunk set that is currently *hot* — touched
-    /// by at least one EXECUTING query — in `[0, 1]`. Only the ChunkBatch
-    /// strategy reads it; the graph computes it from the chunk keys the
-    /// application reports via [`crate::QuerySpec::chunk_keys`].
-    pub hot_fraction: f64,
 }
 
 /// A ranking strategy. See the paper §4 for the per-strategy intuition.
@@ -65,24 +60,6 @@ pub enum Strategy {
         /// Multiplier on the SJF (job length) component.
         sjf_weight: f64,
     },
-    /// Data-driven co-scheduling (LifeRaft-style chunk-affinity batching):
-    /// `r_i = hot_fraction_i − d · arrival_seq_i`. Waiting queries whose
-    /// chunk sets overlap the chunks the EXECUTING queries are touching
-    /// *right now* jump the queue, so one cold chunk read feeds a whole
-    /// batch of queries while its pages are still resident.
-    ///
-    /// `d` is the starvation dial, LifeRaft's central throughput/aging
-    /// trade-off: with `d = 0` the strategy is pure chunk affinity (ties
-    /// broken FIFO, queries on cold chunks can starve under a sustained
-    /// hot stream); with `d ≥ 1` an affinity advantage (at most 1.0) can
-    /// never outweigh one arrival step, so the order degenerates to exact
-    /// FIFO. In between, a waiting query's full-affinity advantage is
-    /// overridden once it is younger than a rival by more than `1/d`
-    /// arrivals.
-    ChunkBatch {
-        /// Aging weight `d ∈ [0, ∞)`: 0 = pure affinity, ≥ 1 = pure FIFO.
-        starvation_dial: f64,
-    },
 }
 
 impl Strategy {
@@ -96,15 +73,6 @@ impl Strategy {
         Strategy::Hybrid {
             cnbf_weight: 1.0,
             sjf_weight: 1.0,
-        }
-    }
-
-    /// The evaluated ChunkBatch configuration: a full-affinity advantage is
-    /// overridden after waiting 20 arrivals (`d = 0.05`), which keeps
-    /// throughput-oriented batching without unbounded starvation.
-    pub fn chunk_batch_default() -> Strategy {
-        Strategy::ChunkBatch {
-            starvation_dial: 0.05,
         }
     }
 
@@ -130,7 +98,6 @@ impl Strategy {
             Strategy::Cnbf => "CNBF",
             Strategy::Sjf => "SJF",
             Strategy::Hybrid { .. } => "HYBRID",
-            Strategy::ChunkBatch { .. } => "CHUNKBATCH",
         }
     }
 
@@ -197,11 +164,6 @@ impl Strategy {
                     .sum();
                 cnbf_weight * cnbf - sjf_weight * inputs.qinputsize as f64
             }
-            // Affinity with the currently-hot chunk set, aged by arrival
-            // order (the WAITING index already breaks exact ties FIFO).
-            Strategy::ChunkBatch { starvation_dial } => {
-                inputs.hot_fraction - starvation_dial * inputs.arrival_seq as f64
-            }
         };
         Rank::new(v)
     }
@@ -215,9 +177,6 @@ impl fmt::Display for Strategy {
                 cnbf_weight,
                 sjf_weight,
             } => write!(f, "HYBRID(cnbf={cnbf_weight},sjf={sjf_weight})"),
-            Strategy::ChunkBatch { starvation_dial } => {
-                write!(f, "CHUNKBATCH(dial={starvation_dial})")
-            }
             other => f.write_str(other.name()),
         }
     }
@@ -232,15 +191,6 @@ mod tests {
         RankInputs {
             arrival_seq: seq,
             qinputsize: insize,
-            hot_fraction: 0.0,
-        }
-    }
-
-    fn inputs_hot(seq: u64, hot: f64) -> RankInputs {
-        RankInputs {
-            arrival_seq: seq,
-            qinputsize: 0,
-            hot_fraction: hot,
         }
     }
 
@@ -317,7 +267,6 @@ mod tests {
         assert!(!Strategy::closest_first_default().is_static());
         assert!(!Strategy::FarthestFirst.is_static());
         assert!(!Strategy::hybrid_default().is_static());
-        assert!(!Strategy::chunk_batch_default().is_static());
     }
 
     #[test]
@@ -325,52 +274,6 @@ mod tests {
         assert_eq!(Strategy::Fifo.name(), "FIFO");
         assert_eq!(Strategy::closest_first_default().name(), "CF");
         assert_eq!(Strategy::closest_first_default().to_string(), "CF(α=0.2)");
-        assert_eq!(Strategy::chunk_batch_default().name(), "CHUNKBATCH");
-        assert_eq!(
-            Strategy::chunk_batch_default().to_string(),
-            "CHUNKBATCH(dial=0.05)"
-        );
         assert_eq!(Strategy::paper_set().len(), 6);
-    }
-
-    #[test]
-    fn chunkbatch_prefers_hot_chunk_affinity() {
-        let s = Strategy::chunk_batch_default();
-        // Same arrival gap of 1: full affinity beats cold.
-        let hot = s.rank(inputs_hot(1, 1.0), NO_EDGES, NO_EDGES);
-        let cold = s.rank(inputs_hot(0, 0.0), NO_EDGES, NO_EDGES);
-        assert!(hot > cold);
-    }
-
-    #[test]
-    fn chunkbatch_starvation_dial_ages_cold_queries_past_affinity() {
-        let s = Strategy::ChunkBatch {
-            starvation_dial: 0.05,
-        };
-        // A cold query 30 arrivals older (> 1/d = 20) outranks a fully
-        // hot newcomer.
-        let old_cold = s.rank(inputs_hot(0, 0.0), NO_EDGES, NO_EDGES);
-        let new_hot = s.rank(inputs_hot(30, 1.0), NO_EDGES, NO_EDGES);
-        assert!(old_cold > new_hot);
-        // Within the window (10 < 20 arrivals) affinity still wins.
-        let near_hot = s.rank(inputs_hot(10, 1.0), NO_EDGES, NO_EDGES);
-        assert!(near_hot > old_cold);
-    }
-
-    #[test]
-    fn chunkbatch_dial_one_is_exact_fifo() {
-        let s = Strategy::ChunkBatch {
-            starvation_dial: 1.0,
-        };
-        let f = Strategy::Fifo;
-        for seq in 0..5u64 {
-            let hot = s.rank(inputs_hot(seq, 1.0), NO_EDGES, NO_EDGES);
-            let next_cold = s.rank(inputs_hot(seq + 1, 0.0), NO_EDGES, NO_EDGES);
-            assert!(hot >= next_cold, "dial=1 must never reorder arrivals");
-            assert!(
-                f.rank(inputs(seq, 0), NO_EDGES, NO_EDGES)
-                    > f.rank(inputs(seq + 1, 0), NO_EDGES, NO_EDGES)
-            );
-        }
     }
 }

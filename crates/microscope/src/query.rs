@@ -149,19 +149,6 @@ impl QuerySpec for VmQuery {
         self.slide.input_bytes(&self.region)
     }
 
-    /// The query's I/O set: the slide chunks intersecting the window, with
-    /// the dataset id folded into the high bits so chunk keys never collide
-    /// across slides. Independent of `zoom` and `op` — two queries with
-    /// disjoint outputs (no reuse edge) can still share all their chunks,
-    /// which is what ChunkBatch exploits.
-    fn chunk_keys(&self) -> Vec<u64> {
-        self.slide
-            .chunks_intersecting(&self.region)
-            .into_iter()
-            .map(|c| (self.slide.id.0 << 32) | c)
-            .collect()
-    }
-
     /// `Average` degrades to `Subsample` over the same window — the
     /// paper's explicit quality/cost pair (Subsample reads one pixel per
     /// output pixel; Average reads the full zoom² window).
@@ -326,24 +313,6 @@ mod tests {
         assert!(target
             .subqueries_for_remainder(&[Rect::new(0, 0, 400, 400)])
             .is_empty());
-    }
-
-    #[test]
-    fn chunk_keys_follow_io_set_and_separate_datasets() {
-        let a = q(0, 0, 147, 147, 1, VmOp::Subsample);
-        assert_eq!(a.chunk_keys().len(), 1);
-        // Same chunks regardless of op/zoom (different outputs, same I/O).
-        let b = q(0, 0, 148, 148, 4, VmOp::Average);
-        assert_eq!(b.chunk_keys().len(), 4);
-        assert_eq!(a.chunk_keys()[0], b.chunk_keys()[0]);
-        // Different dataset → disjoint keys for the same window.
-        let other = VmQuery::new(
-            SlideDataset::new(DatasetId(7), 4096, 4096),
-            Rect::new(0, 0, 147, 147),
-            1,
-            VmOp::Subsample,
-        );
-        assert_ne!(a.chunk_keys()[0], other.chunk_keys()[0]);
     }
 
     #[test]

@@ -1197,32 +1197,6 @@ mod tests {
     }
 
     #[test]
-    fn chunk_batch_strategy_runs_in_the_simulator() {
-        let streams = vec![ClientStream {
-            client: ClientId(0),
-            queries: (0..6)
-                .map(|i| q(i * 3000, 0, 1024, 1, VmOp::Subsample))
-                .collect(),
-        }];
-        let r = run_sim(
-            SimConfig::paper_baseline()
-                .with_strategy(Strategy::chunk_batch_default())
-                .with_threads(2)
-                .with_mode(SubmissionMode::Batch)
-                .with_observe(true),
-            streams,
-        );
-        assert_eq!(r.records.len(), 6);
-        assert!(r.events.iter().any(|e| matches!(
-            e.kind,
-            EventKind::Ranked {
-                strategy: "CHUNKBATCH",
-                ..
-            }
-        )));
-    }
-
-    #[test]
     fn batch_mode_submits_everything_at_zero() {
         let spec = q(0, 0, 1024, 1, VmOp::Subsample);
         let streams = vec![ClientStream {

@@ -196,50 +196,6 @@ fn query_for(cfg: &WorkloadConfig, dataset: &SlideDataset, s: &Session) -> VmQue
     VmQuery::new(*dataset, Rect::new(x, y, w, h), zoom, cfg.op)
 }
 
-/// Disjoint sub-tiles carved out of each chunk group by [`chunk_skewed`].
-pub const CHUNK_SKEW_TILES_PER_GROUP: usize = 4;
-
-/// A chunk-skewed workload for evaluating the ChunkBatch strategy: one
-/// batch of `groups * 4` queries, four *disjoint* sub-tiles per storage
-/// chunk (the 147×147-pixel unit that maps to exactly one disk page).
-///
-/// Tiles of the same group share all their disk pages but have zero
-/// result overlap, so the Data Store offers no reuse and the only savings
-/// available are Page Space hits — which require the scheduler to run a
-/// group's tiles close together in time. The batch is interleaved
-/// group-round-robin (tile 0 of every group, then tile 1, …): the worst
-/// case for arrival-order scheduling, because by the time FIFO returns to
-/// a group its page has been evicted from a small Page Space and must be
-/// fetched cold again. A chunk-affinity ranking re-forms the groups and
-/// pays one cold read per chunk instead of up to four.
-pub fn chunk_skewed(groups: usize) -> Vec<ClientStream> {
-    let slide = SlideDataset::paper_scale(vmqs_core::DatasetId(0));
-    let per_row = (slide.width / vmqs_microscope::CHUNK_SIDE) as usize;
-    assert!(groups <= per_row * per_row, "more groups than chunks");
-    // Quadrants inside one chunk's interior: 72×72 tiles at offsets 1 and
-    // 74 (74 + 72 = 146 < 147), so every tile intersects exactly its own
-    // group's chunk and no two tiles overlap.
-    const TILE: u32 = 72;
-    const OFFS: [(u32, u32); CHUNK_SKEW_TILES_PER_GROUP] = [(1, 1), (74, 1), (1, 74), (74, 74)];
-    let mut queries = Vec::with_capacity(groups * CHUNK_SKEW_TILES_PER_GROUP);
-    for (tx, ty) in OFFS {
-        for g in 0..groups {
-            let cx = (g % per_row) as u32 * vmqs_microscope::CHUNK_SIDE;
-            let cy = (g / per_row) as u32 * vmqs_microscope::CHUNK_SIDE;
-            queries.push(VmQuery::new(
-                slide,
-                Rect::new(cx + tx, cy + ty, TILE, TILE),
-                1,
-                VmOp::Subsample,
-            ));
-        }
-    }
-    vec![ClientStream {
-        client: ClientId(0),
-        queries,
-    }]
-}
-
 /// A zipfian cache-pressure workload (DESIGN.md §14): `queries` draws
 /// over a catalog of `catalog` distinct high-magnification windows on one
 /// paper-scale slide, with rank `r` drawn with probability proportional
@@ -415,34 +371,6 @@ mod tests {
                 assert!(q.region.x1() <= 2000 && q.region.y1() <= 2000);
             }
         }
-    }
-
-    #[test]
-    fn chunk_skewed_groups_share_chunks_but_not_results() {
-        let streams = chunk_skewed(8);
-        assert_eq!(streams.len(), 1);
-        let qs = &streams[0].queries;
-        assert_eq!(qs.len(), 8 * CHUNK_SKEW_TILES_PER_GROUP);
-        // Group-round-robin interleave: consecutive queries belong to
-        // different groups (different chunks).
-        assert_ne!(qs[0].chunk_keys(), qs[1].chunk_keys());
-        // Tiles of one group (stride 8 apart) touch exactly the same
-        // single chunk but have zero result overlap.
-        for g in 0..8 {
-            let group: Vec<_> = (0..CHUNK_SKEW_TILES_PER_GROUP)
-                .map(|t| qs[t * 8 + g])
-                .collect();
-            let keys = group[0].chunk_keys();
-            assert_eq!(keys.len(), 1, "a tile spans exactly one chunk");
-            for (i, a) in group.iter().enumerate() {
-                assert_eq!(a.chunk_keys(), keys);
-                for b in &group[i + 1..] {
-                    assert_eq!(a.overlap(b), 0.0, "tiles must be disjoint");
-                }
-            }
-        }
-        // Deterministic (no RNG involved).
-        assert_eq!(chunk_skewed(8)[0].queries, streams[0].queries);
     }
 
     #[test]

@@ -16,7 +16,4 @@ mod experiment;
 mod generator;
 
 pub use experiment::{run_server_batch, run_server_interactive, small_server, write_csv, ExpRow};
-pub use generator::{
-    chunk_skewed, flatten_to_batch, generate, zipfian, zipfian_catalog, WorkloadConfig,
-    CHUNK_SKEW_TILES_PER_GROUP,
-};
+pub use generator::{flatten_to_batch, generate, zipfian, zipfian_catalog, WorkloadConfig};

@@ -6,12 +6,11 @@
 //! start mirroring the simulator's batch-start gate) the two engines must
 //! make *identical* scheduling decisions on the same seeded workload: the
 //! same `Ranked` score sequence, bit-for-bit, and the same Data Store
-//! reuse edges in the same order — for every paper strategy, plus the
-//! ChunkBatch strategy with grafting enabled (whose `Grafted` edges are
-//! also pinned; at one worker no producer can be EXECUTING at dequeue
-//! time, so both engines must agree the edge set is empty). The six
-//! paper strategies run grafting-off, so their goldens are untouched by
-//! the graft layer.
+//! reuse edges in the same order — for every paper strategy, plus CNBF
+//! with grafting enabled (whose `Grafted` edges are also pinned; at one
+//! worker no producer can be EXECUTING at dequeue time, so both engines
+//! must agree the edge set is empty). The six paper strategies run
+//! grafting-off, so their goldens are untouched by the graft layer.
 //!
 //! The two cross-engine tests also run the server side at
 //! [`RACY_WORKERS`] workers. Dispatch order is then racy and queries
@@ -171,10 +170,9 @@ fn assert_event_invariants(events: &[EventRecord], ctx: &str) {
 
 /// Writes both traces under `target/conformance/` (CI uploads this
 /// directory when a test fails) and returns the directory path.
-fn dump_traces(strategy: Strategy, sim: &[EventRecord], server: &[EventRecord]) -> String {
+fn dump_traces(name: &str, sim: &[EventRecord], server: &[EventRecord]) -> String {
     let dir = "target/conformance";
     std::fs::create_dir_all(dir).expect("create trace dir");
-    let name = strategy.name();
     std::fs::write(format!("{dir}/{name}_sim.json"), events_to_json(sim)).expect("write sim trace");
     std::fs::write(format!("{dir}/{name}_server.json"), events_to_json(server))
         .expect("write server trace");
@@ -185,28 +183,33 @@ fn dump_traces(strategy: Strategy, sim: &[EventRecord], server: &[EventRecord]) 
 fn golden_traces_match_across_engines_for_every_strategy() {
     // The six paper strategies run grafting-off (their goldens predate
     // the graft layer and must stay bit-for-bit); the seventh entry is
-    // the data-driven ChunkBatch strategy with grafting on.
+    // CNBF with grafting on.
     let strategies: Vec<(Strategy, bool)> = Strategy::paper_set()
         .into_iter()
         .map(|s| (s, false))
-        .chain([(Strategy::chunk_batch_default(), true)])
+        .chain([(Strategy::Cnbf, true)])
         .collect();
     for (strategy, graft) in strategies {
+        let label = if graft {
+            format!("{strategy}+graft")
+        } else {
+            strategy.to_string()
+        };
         let sim_events = run_simulator(strategy, graft);
         let server_events = run_server(strategy, 1, graft);
-        assert_event_invariants(&sim_events, &format!("sim/{strategy}"));
-        assert_event_invariants(&server_events, &format!("server/{strategy}x1"));
+        assert_event_invariants(&sim_events, &format!("sim/{label}"));
+        assert_event_invariants(&server_events, &format!("server/{label}x1"));
         // Racy dispatch: decision sequences are not pinned, only the
         // per-engine invariants.
         let racy = run_server(strategy, RACY_WORKERS, graft);
-        assert_event_invariants(&racy, &format!("server/{strategy}x{RACY_WORKERS}"));
+        assert_event_invariants(&racy, &format!("server/{label}x{RACY_WORKERS}"));
 
         let sim_ranked = ranked_sequence(&sim_events);
         let server_ranked = ranked_sequence(&server_events);
         if sim_ranked != server_ranked {
-            let dir = dump_traces(strategy, &sim_events, &server_events);
+            let dir = dump_traces(&label, &sim_events, &server_events);
             panic!(
-                "{strategy}: Ranked sequences diverged \
+                "{label}: Ranked sequences diverged \
                  (sim {:?}... vs server {:?}...); traces in {dir}/",
                 &sim_ranked[..sim_ranked.len().min(4)],
                 &server_ranked[..server_ranked.len().min(4)],
@@ -216,9 +219,9 @@ fn golden_traces_match_across_engines_for_every_strategy() {
         let sim_edges = reuse_edges(&sim_events);
         let server_edges = reuse_edges(&server_events);
         if sim_edges != server_edges {
-            let dir = dump_traces(strategy, &sim_events, &server_events);
+            let dir = dump_traces(&label, &sim_events, &server_events);
             panic!(
-                "{strategy}: Data Store reuse edges diverged \
+                "{label}: Data Store reuse edges diverged \
                  ({} sim vs {} server); traces in {dir}/",
                 sim_edges.len(),
                 server_edges.len(),
@@ -231,21 +234,21 @@ fn golden_traces_match_across_engines_for_every_strategy() {
         let sim_grafts = grafted_edges(&sim_events);
         let server_grafts = grafted_edges(&server_events);
         if sim_grafts != server_grafts {
-            let dir = dump_traces(strategy, &sim_events, &server_events);
+            let dir = dump_traces(&label, &sim_events, &server_events);
             panic!(
-                "{strategy}: Grafted edges diverged \
+                "{label}: Grafted edges diverged \
                  ({sim_grafts:?} sim vs {server_grafts:?} server); traces in {dir}/"
             );
         }
         if graft {
             assert!(
                 sim_grafts.is_empty(),
-                "{strategy}: grafts are impossible at one worker"
+                "{label}: grafts are impossible at one worker"
             );
         }
         assert!(
             !sim_ranked.is_empty(),
-            "{strategy}: conformance must compare a non-trivial sequence"
+            "{label}: conformance must compare a non-trivial sequence"
         );
     }
 }
@@ -393,7 +396,7 @@ fn overload_decisions_match_across_engines() {
         let sim_adm = admission_sequence(&sim_events);
         let server_adm = admission_sequence(&server_events);
         if sim_adm != server_adm {
-            let dir = dump_traces(Strategy::Cnbf, &sim_events, &server_events);
+            let dir = dump_traces("CNBF", &sim_events, &server_events);
             panic!(
                 "{name}: admission sequences diverged \
                  (sim {:?}... vs server {:?}...); traces in {dir}/",
@@ -440,10 +443,10 @@ fn server_golden_trace_is_reproducible() {
     let b = run_server(Strategy::Cnbf, 1, false);
     assert_eq!(ranked_sequence(&a), ranked_sequence(&b));
     assert_eq!(reuse_edges(&a), reuse_edges(&b));
-    // And with the graft layer armed under ChunkBatch: producer-affinity
-    // dequeue must not perturb single-worker determinism.
-    let a = run_server(Strategy::chunk_batch_default(), 1, true);
-    let b = run_server(Strategy::chunk_batch_default(), 1, true);
+    // And with the graft layer armed: producer-affinity dequeue must not
+    // perturb single-worker determinism.
+    let a = run_server(Strategy::Cnbf, 1, true);
+    let b = run_server(Strategy::Cnbf, 1, true);
     assert_eq!(ranked_sequence(&a), ranked_sequence(&b));
     assert_eq!(reuse_edges(&a), reuse_edges(&b));
     assert_eq!(grafted_edges(&a), grafted_edges(&b));

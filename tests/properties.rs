@@ -267,9 +267,6 @@ impl<S: SpatialSpec> QuerySpec for Everywhere<S> {
     fn qinputsize(&self) -> u64 {
         self.0.qinputsize()
     }
-    fn chunk_keys(&self) -> Vec<u64> {
-        self.0.chunk_keys()
-    }
 }
 
 impl<S: SpatialSpec> SpatialSpec for Everywhere<S> {
@@ -280,10 +277,7 @@ impl<S: SpatialSpec> SpatialSpec for Everywhere<S> {
 
 fn all_strategies() -> Vec<RankStrategy> {
     let mut all = RankStrategy::paper_set().to_vec();
-    all.extend([
-        RankStrategy::hybrid_default(),
-        RankStrategy::chunk_batch_default(),
-    ]);
+    all.push(RankStrategy::hybrid_default());
     all
 }
 
@@ -388,7 +382,7 @@ proptest! {
     fn indexed_edge_discovery_changes_no_decision_for_intervals(
         specs in prop::collection::vec((0u64..2000, 1u64..5, 1u64..5), 3..30),
         ops in prop::collection::vec((0u8..8, 0usize..64), 0..70),
-        strat in 0usize..8,
+        strat in 0..all_strategies().len(),
         cell in 1u32..2048,
     ) {
         let specs = specs
@@ -403,7 +397,7 @@ proptest! {
         specs in prop::collection::vec(
             (0u64..2, 0u32..3600, 0u32..3600, 0usize..4, 0usize..3, prop::bool::ANY), 3..30),
         ops in prop::collection::vec((0u8..8, 0usize..64), 0..70),
-        strat in 0usize..8,
+        strat in 0..all_strategies().len(),
         cell in 32u32..8192,
     ) {
         let specs = specs
