@@ -59,7 +59,7 @@ pub use overload::{
 pub use plan::{Plan, Windowed};
 pub use rank::Rank;
 pub use sched::{PanicOutcome, SchedShard};
-pub use shard::{shard_of_spec, steal_order};
+pub use shard::shard_of_spec;
 pub use spatial::{GridIndex, SpatialSpec};
 pub use spec::QuerySpec;
 pub use state::QueryState;

@@ -1,20 +1,14 @@
-//! Shard placement and steal order for the sharded scheduler.
+//! Shard placement for the sharded scheduler.
 //!
 //! The server engine partitions its scheduling graph into one shard per
-//! worker (DESIGN.md §12). Two pure functions define the partition:
-//!
-//! * [`shard_of_spec`] — the *placement function*: a query's home shard
-//!   is a hash of its spatial region key (dataset + coarse grid cell of
-//!   the region center). Placement is a function of *where the query
-//!   looks*, not what it computes, so queries over the same slide region
-//!   land on the same shard and their reuse edges stay intra-shard. The
-//!   region key ignores the processing op, so degrading a query
-//!   (`Average` → `Subsample`) never changes its home shard.
-//! * [`steal_order`] — the *victim permutation*: each worker visits the
-//!   other shards in a seeded pseudo-random order when it runs dry.
-//!   Per-worker seeds decorrelate the permutations so idle workers do
-//!   not stampede the same victim, while a fixed configuration seed
-//!   keeps the order reproducible run to run.
+//! worker (DESIGN.md §12). [`shard_of_spec`] is the *placement
+//! function*: a query's home shard is a hash of its spatial region key
+//! (dataset + coarse grid cell of the region center). Placement is a
+//! function of *where the query looks*, not what it computes, so
+//! queries over the same slide region land on the same shard and their
+//! reuse edges stay intra-shard. The region key ignores the processing
+//! op, so degrading a query (`Average` → `Subsample`) never changes its
+//! home shard.
 //!
 //! With one worker there is exactly one shard, placement is the constant
 //! function, and stealing never happens — the sharded engine collapses
@@ -61,30 +55,6 @@ pub fn shard_of_spec<S: SpatialSpec>(spec: &S, num_shards: usize) -> usize {
         .wrapping_mul(0x9e37_79b9_7f4a_7c15)
         .wrapping_add(((cx as u64) << 32) | cy as u64));
     (h % num_shards as u64) as usize
-}
-
-/// The order in which worker `me` visits other shards when stealing: a
-/// seeded Fisher–Yates permutation of every shard except `me`.
-///
-/// The permutation depends on `(seed, me)` only — deterministic for a
-/// fixed configuration seed, different per worker so idle workers fan
-/// out over distinct victims.
-pub fn steal_order(me: usize, num_shards: usize, seed: u64) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..num_shards).filter(|&s| s != me).collect();
-    // LCG (Knuth MMIX constants) seeded per worker; top bits drive the
-    // shuffle because LCG low bits have short periods.
-    let mut state = mix(seed
-        ^ (me as u64)
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(1));
-    for i in (1..order.len()).rev() {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        let j = ((state >> 33) % (i as u64 + 1)) as usize;
-        order.swap(i, j);
-    }
-    order
 }
 
 #[cfg(test)]
@@ -193,36 +163,5 @@ mod tests {
             ));
         }
         assert!(seen.len() >= 4, "placement too clumped: {seen:?}");
-    }
-
-    #[test]
-    fn steal_order_is_a_permutation_excluding_self() {
-        for n in [1usize, 2, 3, 8] {
-            for me in 0..n {
-                let order = steal_order(me, n, 42);
-                assert_eq!(order.len(), n - 1);
-                let mut sorted = order.clone();
-                sorted.sort_unstable();
-                let expect: Vec<usize> = (0..n).filter(|&s| s != me).collect();
-                assert_eq!(sorted, expect);
-                // Deterministic under a fixed seed.
-                assert_eq!(order, steal_order(me, n, 42));
-            }
-        }
-    }
-
-    #[test]
-    fn steal_order_varies_by_worker_and_seed() {
-        // Not a hard guarantee for every (n, seed), but it must hold for
-        // the defaults we ship; a colliding permutation would mean the
-        // per-worker decorrelation is broken.
-        let a = steal_order(0, 8, 42);
-        let b = steal_order(1, 8, 42);
-        let c = steal_order(0, 8, 43);
-        assert_ne!(
-            a.iter().filter(|&&s| s != 1).collect::<Vec<_>>(),
-            b.iter().filter(|&&s| s != 0).collect::<Vec<_>>()
-        );
-        assert_ne!(a, c);
     }
 }

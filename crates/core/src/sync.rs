@@ -66,8 +66,6 @@ pub enum LockClass {
     PagesCore = 50,
     /// `Core::metrics`, the completed-query records.
     Metrics = 60,
-    /// `Core::compute_slots`, the compute gate's permits.
-    Compute = 64,
     /// The `EventLog`'s striped record buffers. Taken under `Store` when
     /// a lookup emits `LookupHit`.
     Events = 72,

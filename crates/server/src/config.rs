@@ -53,10 +53,6 @@ pub struct ServerConfig {
     /// Overload management: bounded admission, per-client rate limiting,
     /// degradation, and shedding (DESIGN.md §10). Disabled by default.
     pub overload: OverloadConfig,
-    /// Seed for each worker's steal-victim permutation (DESIGN.md §12).
-    /// Fixed by default so steal order is reproducible run to run; it has
-    /// no effect at 1 worker (a single shard never steals).
-    pub steal_seed: u64,
     /// Grafting onto in-flight queries (DESIGN.md §13): a dequeued query
     /// whose answer an EXECUTING peer is already computing waits for that
     /// producer, whatever `allow_blocking` says, and consumes the bytes
@@ -115,7 +111,6 @@ impl ServerConfig {
             observe: false,
             start_paused: false,
             overload: OverloadConfig::default(),
-            steal_seed: 0x05ee_d0f5_7ea1,
             graft: false,
             spill_dir: None,
             tier2_budget: 0,
@@ -198,12 +193,6 @@ impl ServerConfig {
     /// Builder-style overload-config override.
     pub fn with_overload(mut self, overload: OverloadConfig) -> Self {
         self.overload = overload;
-        self
-    }
-
-    /// Builder-style steal-seed override.
-    pub fn with_steal_seed(mut self, seed: u64) -> Self {
-        self.steal_seed = seed;
         self
     }
 
@@ -299,10 +288,8 @@ mod tests {
         assert_eq!(c3.query_timeout, Some(Duration::from_millis(250)));
         let c4 = ServerConfig::small()
             .with_observability(true)
-            .with_start_paused(true)
-            .with_steal_seed(7);
+            .with_start_paused(true);
         assert!(c4.observe && c4.start_paused);
-        assert_eq!(c4.steal_seed, 7);
         assert!(!ServerConfig::small().observe);
         assert!(!ServerConfig::small().start_paused);
         assert!(!ServerConfig::small().graft, "grafting is opt-in");

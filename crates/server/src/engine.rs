@@ -27,12 +27,13 @@
 //! its dataset and spatial neighborhood — so overlapping queries land on
 //! the same shard and keep their reuse edges, while disjoint workloads
 //! never contend on a scheduler lock. Each worker prefers its own shard
-//! and **steals from the richest victim shard** (per a seeded,
-//! per-worker victim permutation from [`vmqs_core::steal_order`]) when
-//! its own ready queue is empty. At one worker there is exactly one
-//! shard, no stealing, and the engine is observationally identical to
-//! the pre-shard scheduler — the property the golden-trace conformance
-//! suite pins down bit for bit.
+//! and **steals from the richest victim shard** (ties go to the first
+//! victim in rotation from its own index) when its own ready queue is
+//! empty. Each worker runs at most one kernel at a time, so the pool
+//! size is the concurrency limit, as in the paper (§2). At one worker
+//! there is exactly one shard, no stealing, and the engine is
+//! observationally identical to the pre-shard scheduler — the property
+//! the golden-trace conformance suite pins down bit for bit.
 //!
 //! ## Locking
 //!
@@ -62,13 +63,6 @@
 //!   only when that depth does not settle the verdict.
 //! * Idle workers park on an eventcount-style `idle` mutex + `work_cv`;
 //!   submitters only touch it when `sleepers > 0`.
-//! * `compute_slots` + `compute_cv` — the compute gate: kernel
-//!   executions (step 3's miss/partial path) take a permit, capped at
-//!   the host's available parallelism. Exact hits bypass it, so when the
-//!   pool is oversubscribed (more workers than cores) hits are served
-//!   concurrently while computes pipeline through the cores instead of
-//!   timeslicing against each other. With a permit per worker the gate
-//!   is never contended, and at one worker it is inert.
 //!
 //! **Lock hierarchy rule:** one of these at a time; no thread holds two
 //! shard locks or a shard lock together with `admission`/`store`/
@@ -100,9 +94,9 @@ use vmqs_core::clock;
 use vmqs_core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use vmqs_core::sync::{lockdep, Arc, Condvar, LockClass, Mutex, MutexGuard, RwLock};
 use vmqs_core::{
-    overload, shard_of_spec, shed_victim, steal_order, BlobId, ClientId, IdGen, PanicOutcome,
-    Pressure, QueryId, QuerySpec, QueryState, RateLimiter, SchedShard, Secondary, SpatialSpec,
-    Supervisor, Verdict, WorkerFate,
+    overload, shard_of_spec, shed_victim, BlobId, ClientId, IdGen, PanicOutcome, Pressure, QueryId,
+    QuerySpec, QueryState, RateLimiter, SchedShard, Secondary, SpatialSpec, Supervisor, Verdict,
+    WorkerFate,
 };
 use vmqs_datastore::{DataStore, DsStats, EvictionRecord, Frame, Payload, SpillRequest};
 use vmqs_microscope::PAGE_SIZE;
@@ -305,18 +299,10 @@ struct Core<A: AppExecutor> {
     /// `drain` parks here; signaled when `outstanding` reaches zero.
     drain_mx: Mutex<()>,
     drain_cv: Condvar,
-    /// Compute gate: permits for concurrent kernel executions, capped at
-    /// the host's available parallelism. Exact cache hits never touch it,
-    /// so on an oversubscribed pool (more workers than cores) hits keep
-    /// flowing while computes pipeline through the cores instead of
-    /// timeslicing against each other; with `num_threads <=` cores the
-    /// gate has a permit per worker and is never contended.
-    compute_slots: Mutex<usize>,
-    compute_cv: Condvar,
     /// Bumped after every Data Store insert. A worker snapshots it before
     /// its first lookup; if it moved by the time the worker is about to
-    /// compute (it may have waited on a dependency or at the compute
-    /// gate), results it could not see were published meanwhile and it
+    /// compute (it may have waited on a dependency, or lost a race with a
+    /// peer), results it could not see were published meanwhile and it
     /// re-probes. Single-worker runs never observe a moved epoch: the
     /// only thread that could bump it is the one reading it.
     publish_epoch: AtomicU64,
@@ -437,15 +423,6 @@ impl<A: AppExecutor> QueryServer<A> {
             shutdown: AtomicBool::new(false),
             drain_mx: Mutex::ranked(LockClass::Drain, ()),
             drain_cv: Condvar::new(),
-            compute_slots: Mutex::ranked(
-                LockClass::Compute,
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(cfg.num_threads)
-                    .min(cfg.num_threads)
-                    .max(1),
-            ),
-            compute_cv: Condvar::new(),
             publish_epoch: AtomicU64::new(0),
             relookups: AtomicU64::new(0),
             relookup_hits: AtomicU64::new(0),
@@ -612,10 +589,6 @@ impl<A: AppExecutor> QueryServer<A> {
             let _g = self.core.idle.lock();
         }
         self.core.work_cv.notify_all();
-        {
-            let _g = self.core.compute_slots.lock();
-        }
-        self.core.compute_cv.notify_all();
         for sh in &self.core.shards {
             {
                 let _g = sh.state.lock();
@@ -723,23 +696,35 @@ impl<A: AppExecutor> QueryServer<A> {
     pub fn graph_stats(&self) -> vmqs_core::GraphStats {
         let mut total = vmqs_core::GraphStats::default();
         for sh in &self.core.shards {
-            let s = sh.state.lock().sched.graph().stats();
-            total.inserted += s.inserted;
-            total.dequeued += s.dequeued;
-            total.swapped_out += s.swapped_out;
-            total.edges_created += s.edges_created;
-            total.reranks += s.reranks;
-            total.overlap_evals += s.overlap_evals;
+            // Destructured whole, so a new counter cannot be left out of
+            // the sum.
+            let vmqs_core::GraphStats {
+                inserted,
+                dequeued,
+                swapped_out,
+                requeued,
+                edges_created,
+                reranks,
+                overlap_evals,
+            } = sh.state.lock().sched.graph().stats();
+            total.inserted += inserted;
+            total.dequeued += dequeued;
+            total.swapped_out += swapped_out;
+            total.requeued += requeued;
+            total.edges_created += edges_created;
+            total.reranks += reranks;
+            total.overlap_evals += overlap_evals;
         }
         total
     }
 
     /// Re-probe counters `(relookups, converted)`: Data Store re-probes
-    /// after a wait — a dependency block or a contended compute gate —
-    /// and how many of those found an exact match published during the
-    /// wait. Each re-probe adds one extra Data Store lookup beyond the
-    /// one-lookup-per-query baseline. Both are zero at one worker
-    /// (nothing else is ever EXECUTING, and the gate is uncontended).
+    /// after a peer published between a query's first lookup and its
+    /// compute — during a dependency block or a race with another
+    /// worker — and how many of those found an exact match published
+    /// meanwhile. Each re-probe adds one extra Data Store lookup beyond
+    /// the one-lookup-per-query baseline. Both are zero at one worker
+    /// (nothing else is ever EXECUTING).
     pub fn relookup_stats(&self) -> (u64, u64) {
         (
             self.core.relookups.load(Ordering::Relaxed),
@@ -962,51 +947,6 @@ impl<A: AppExecutor> Core<A> {
         }
         self.shards[k].done_cv.notify_all();
     }
-
-    /// Takes a compute permit, waiting (deadline-aware) while all cores
-    /// are busy with kernel executions. `None` is the shutdown bypass:
-    /// the gate opens unconditionally so in-flight queries can finish,
-    /// and a bypass holds nothing to hand back. Callers hold no locks
-    /// here.
-    fn acquire_compute(
-        &self,
-        deadline: Option<Instant>,
-    ) -> std::io::Result<Option<ComputePermit<'_>>> {
-        let mut slots = self.compute_slots.lock();
-        while *slots == 0 && !self.shutdown.load(Ordering::SeqCst) {
-            match deadline {
-                None => self.compute_cv.wait(&mut slots),
-                Some(d) => {
-                    if clock::now() >= d {
-                        return Err(deadline_error());
-                    }
-                    self.compute_cv.wait_until(&mut slots, d);
-                }
-            }
-        }
-        Ok((*slots > 0).then(|| {
-            *slots -= 1;
-            ComputePermit {
-                slots: &self.compute_slots,
-                freed: &self.compute_cv,
-            }
-        }))
-    }
-}
-
-/// A held compute-gate permit. Dropping it returns the permit and wakes
-/// one gate waiter, on whatever path the holder leaves by: a result, a
-/// typed error, or a compute panic unwinding toward `worker_entry`.
-struct ComputePermit<'a> {
-    slots: &'a Mutex<usize>,
-    freed: &'a Condvar,
-}
-
-impl Drop for ComputePermit<'_> {
-    fn drop(&mut self) {
-        *self.slots.lock() += 1;
-        self.freed.notify_one();
-    }
 }
 
 /// A dequeued query, detached from its shard's lock: everything `run_one`
@@ -1021,7 +961,7 @@ struct Job<S> {
 }
 
 fn worker_entry<A: AppExecutor>(core: Arc<Core<A>>, me: usize) {
-    let order = steal_order(me, core.shards.len(), core.cfg.steal_seed);
+    let n = core.shards.len();
     loop {
         if core.shutdown.load(Ordering::SeqCst) {
             return;
@@ -1031,13 +971,13 @@ fn worker_entry<A: AppExecutor>(core: Arc<Core<A>>, me: usize) {
             continue;
         }
         // Own shard first; steal from the richest victim (by the
-        // lock-free depth mirrors, ties broken by this worker's seeded
-        // permutation) only when the home ready queue is empty.
+        // lock-free depth mirrors, ties to the first in rotation from
+        // `me + 1`) only when the home ready queue is empty.
         let job = match try_dequeue(&core, me) {
             Some(job) => Some(job),
             None => {
                 let mut best: Option<(usize, usize)> = None;
-                for &v in &order {
+                for v in (1..n).map(|i| (me + i) % n) {
                     let d = core.shards[v].state.depth.load(Ordering::SeqCst);
                     if d > 0 && best.is_none_or(|(bd, _)| d > bd) {
                         best = Some((d, v));
@@ -1051,10 +991,9 @@ fn worker_entry<A: AppExecutor>(core: Arc<Core<A>>, me: usize) {
         // park instead of spinning).
         let Some(job) = job else { continue };
         // Supervision (DESIGN.md §15): a panicking compute kills this
-        // worker, not the pool. The unwind is caught here, the one place;
-        // on its way it dropped `execute_query`'s compute permit. Lock
-        // guards released on the unwind path leave consistent state: the
-        // injected panic point fires with no engine lock held.
+        // worker, not the pool. The unwind is caught here, the one place.
+        // Lock guards released on the unwind path leave consistent state:
+        // the injected panic point fires with no engine lock held.
         let (k, id) = (job.shard, job.id);
         if catch_unwind(AssertUnwindSafe(|| run_one(&core, job))).is_err() {
             on_worker_panic(core, me, k, id);
@@ -1235,10 +1174,6 @@ fn run_one<A: AppExecutor>(core: &Core<A>, job: Job<A::Spec>) {
             // blockers (in `answer`), so a woken waiter always sees
             // a moved epoch and re-probes.
             core.publish_epoch.fetch_add(1, Ordering::SeqCst);
-            // Only now hand the compute permit back: a peer queued at
-            // the gate for this very spec wakes into a store that
-            // already holds the answer.
-            drop(out.permit);
             // An `Err` (budget too small to cache the result) publishes
             // without a blob; the record comes out with the transition.
             let pending = core.shards[k].state.lock().sched.publish(id, cached.ok());
@@ -1304,18 +1239,13 @@ fn run_one<A: AppExecutor>(core: &Core<A>, job: Job<A::Spec>) {
     }
 }
 
-struct ExecOutcome<'a> {
+struct ExecOutcome {
     image: Arc<[u8]>,
     path: AnswerPath,
     reused_bytes: u64,
     covered_fraction: f64,
     pages_requested: u64,
     blocked: Duration,
-    /// The compute-gate permit of a query that computed: the caller drops
-    /// it only *after* the result is inserted and the publish epoch
-    /// bumped, so a peer waking at the gate always finds the freshly
-    /// published result on its re-probe.
-    permit: Option<ComputePermit<'a>>,
 }
 
 /// True when making `waiter` wait on `target` would close a cycle in the
@@ -1385,7 +1315,7 @@ fn execute_query<A: AppExecutor>(
     id: QueryId,
     spec: A::Spec,
     deadline: Option<Instant>,
-) -> std::io::Result<ExecOutcome<'_>> {
+) -> std::io::Result<ExecOutcome> {
     let mut blocked = Duration::ZERO;
 
     // A query that spent its whole budget queued is cancelled before any
@@ -1435,7 +1365,6 @@ fn execute_query<A: AppExecutor>(
         covered_fraction: 1.0,
         pages_requested: 0,
         blocked,
-        permit: None,
     };
 
     let (exact, mut sources) = lookup();
@@ -1502,17 +1431,12 @@ fn execute_query<A: AppExecutor>(
 
     // Steps 3–4 — the application projects cached coverage and computes
     // the remainder through a deadline-scoped Page Space session. No
-    // locks held; the compute gate bounds concurrent kernel executions
-    // to the core count so an oversubscribed pool pipelines computes
-    // instead of timeslicing them (cache hits returned above never get
-    // stuck behind one).
-    let permit = core.acquire_compute(deadline)?;
+    // locks held.
     if core.publish_epoch.load(Ordering::SeqCst) != epoch0 {
         // A peer published a result after our first lookup — whether we
-        // blocked on a dependency, queued at the gate, or simply lost a
-        // race on another shard. Re-probe before burning a core: an
-        // exact match turns this compute into a reuse, and fresher
-        // partials shrink it. At one worker the epoch cannot move
+        // blocked on a dependency or simply lost a race on another
+        // shard. Re-probe before burning a core: an exact match turns
+        // this compute into a reuse, and fresher partials shrink it. At one worker the epoch cannot move
         // between snapshot and check (the only thread that could bump
         // it is the one reading it), so golden traces see a single
         // lookup.
@@ -1533,9 +1457,9 @@ fn execute_query<A: AppExecutor>(
         sources = fresh;
     }
     // The chaos panic point and the application kernel: a panic here
-    // unwinds to the supervision layer in `worker_entry` (DESIGN.md §15),
-    // dropping `permit` on the way. The ordinal is drawn per execution,
-    // so a poisoned retry consumes a fresh one.
+    // unwinds to the supervision layer in `worker_entry` (DESIGN.md §15).
+    // The ordinal is drawn per execution, so a poisoned retry consumes a
+    // fresh one.
     let ordinal = core.compute_seq.fetch_add(1, Ordering::Relaxed);
     if core.cfg.chaos.compute_should_panic(ordinal, id.0) {
         panic!("injected chaos panic: compute ordinal {ordinal}, query {id:?}");
@@ -1572,10 +1496,6 @@ fn execute_query<A: AppExecutor>(
         covered_fraction: out.covered_fraction,
         pages_requested: out.pages_requested,
         blocked,
-        // The permit rides along: `run_one` drops it after the insert +
-        // epoch bump so gate-waiters re-probe a store that already
-        // contains this result.
-        permit,
     })
 }
 
@@ -2874,6 +2794,11 @@ mod tests {
         assert_eq!(sum.worker_panics, 1);
         assert_eq!(sum.worker_restarts, 1);
         assert_eq!(sum.quarantined, 0);
+        assert_eq!(
+            s.graph_stats().requeued,
+            1,
+            "the panicked query went back to WAITING"
+        );
         let ev = s.events();
         assert_eq!(
             ev.iter()

@@ -652,7 +652,6 @@ proptest! {
     fn stealing_conserves_queries_at_2_4_8_workers(
         seed in 0u64..500,
         widx in 0usize..3,
-        steal_seed in 0u64..1000,
         queries in 24usize..48,
     ) {
         use std::sync::Arc;
@@ -681,7 +680,6 @@ proptest! {
         };
         let cfg = ServerConfig::small()
             .with_threads(workers)
-            .with_steal_seed(steal_seed)
             .with_overload(ov);
         let server = QueryServer::new(cfg, Arc::new(SyntheticSource::new()));
 
