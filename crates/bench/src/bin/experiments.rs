@@ -27,7 +27,7 @@ use vmqs_bench::plot::{line_chart, Series};
 use vmqs_bench::{average_rows, print_table, SEEDS};
 use vmqs_core::{ClientId, Strategy};
 use vmqs_datastore::EvictionPolicy;
-use vmqs_microscope::VmOp;
+use vmqs_microscope::{VmCostModel, VmOp};
 use vmqs_sim::{
     ClientStream, SchedPolicy, SimApplication, SimConfig, Simulator, SubmissionMode, TunerConfig,
 };
@@ -537,7 +537,8 @@ fn simulate(cell: &Cell, seed: u64) -> Run {
                 Workload::Zipfian { catalog, draws } => zipfian(catalog, draws, 1.1, seed),
                 Workload::FlashCrowd { hot, burst } => flash_crowd(hot, burst),
             };
-            run(cell, cfg, cfg.cost, streams, op.name())
+            let cost = VmCostModel::calibrated(&cfg.disk);
+            run(cell, cfg, cost, streams, op.name())
         }
         App::Volume(op) => {
             let streams = generate_volume(&VolWorkloadConfig::standard(op, seed));

@@ -76,16 +76,16 @@ fn parse_overload(args: &Args) -> Result<OverloadConfig, Box<dyn Error>> {
 /// and `--tier2-budget` caps it in MB (default 64 once a directory is
 /// given). Returns `(policy, spill_dir, tier2_bytes)`; the policy is
 /// `None` when the flag is absent so callers keep their config default.
-/// `need_dir` is set by the real server (its tier 2 lives on disk);
-/// the simulator models tier-2 latency on virtual payloads and accepts
-/// a budget alone.
+/// `on_disk` is set by the real server, whose tier 2 lives in
+/// `--spill-dir`; the simulator models tier-2 latency on virtual
+/// payloads, takes a budget alone and has no `--spill-dir`.
 type CacheOptions = (
     Option<vmqs_datastore::EvictionPolicy>,
     Option<std::path::PathBuf>,
     u64,
 );
 
-fn parse_cache(args: &Args, need_dir: bool) -> Result<CacheOptions, Box<dyn Error>> {
+fn parse_cache(args: &Args, on_disk: bool) -> Result<CacheOptions, Box<dyn Error>> {
     use vmqs_datastore::EvictionPolicy;
     let policy = match args.get("cache-policy") {
         None => None,
@@ -93,9 +93,13 @@ fn parse_cache(args: &Args, need_dir: bool) -> Result<CacheOptions, Box<dyn Erro
         Some("cost") => Some(EvictionPolicy::CostBased),
         Some(other) => return Err(format!("unknown cache policy '{other}' (lru|cost)").into()),
     };
-    let spill_dir = args.get("spill-dir").map(std::path::PathBuf::from);
+    let spill_dir = if on_disk {
+        args.get("spill-dir").map(std::path::PathBuf::from)
+    } else {
+        None
+    };
     let tier2_mb: u64 = args.get_or("tier2-budget", if spill_dir.is_some() { 64 } else { 0 })?;
-    if need_dir && tier2_mb > 0 && spill_dir.is_none() {
+    if on_disk && tier2_mb > 0 && spill_dir.is_none() {
         return Err("--tier2-budget needs --spill-dir (the tier-2 store lives on disk)".into());
     }
     Ok((policy, spill_dir, mb_to_bytes("tier2-budget", tier2_mb)?))
@@ -106,9 +110,10 @@ fn parse_cache(args: &Args, need_dir: bool) -> Result<CacheOptions, Box<dyn Erro
 /// virtual time in the simulator), `--restart-budget` and
 /// `--quarantine-limit` bound worker respawns and poison-query retries,
 /// and the `--chaos-*` family drives the seeded fault injector:
-/// `--chaos-seed`, `--chaos-poison-rate`, `--chaos-panic-at`,
-/// `--chaos-crash-spill-at`, `--chaos-flip-frame-at`. Returns
-/// `(chaos, hang_timeout_ms, restart_budget, quarantine_limit)`.
+/// `--chaos-seed`, `--chaos-poison-rate`, `--chaos-panic-at`. Returns
+/// `(chaos, hang_timeout_ms, restart_budget, quarantine_limit)`. The
+/// spill-write crash and frame bit-flip kill-points have no option: they
+/// fire only inside a frame write, which no single `vmqsctl` query makes.
 type ContainmentOptions = (ChaosConfig, Option<u64>, usize, u32);
 
 fn parse_containment(args: &Args) -> Result<ContainmentOptions, Box<dyn Error>> {
@@ -128,9 +133,7 @@ fn parse_containment(args: &Args) -> Result<ContainmentOptions, Box<dyn Error>> 
     let chaos = ChaosConfig::none()
         .with_seed(args.get_or("chaos-seed", 42)?)
         .with_poison_rate(rate)
-        .with_panic_at_compute(nth("chaos-panic-at")?)
-        .with_crash_spill_write(nth("chaos-crash-spill-at")?)
-        .with_bit_flip_frame(nth("chaos-flip-frame-at")?);
+        .with_panic_at_compute(nth("chaos-panic-at")?);
     let hang = match nth("hang-timeout-ms")? {
         Some(0) => return Err("--hang-timeout-ms must be positive".into()),
         other => other,
@@ -318,10 +321,9 @@ pub fn simulate(args: &Args) -> CliResult {
     };
     let fault = parse_faults(args)?;
     let overload = parse_overload(args)?;
-    // The simulator models tier 2 in virtual time — the budget applies,
-    // but no directory is needed (payloads are virtual), so `--spill-dir`
-    // is accepted and unused here.
-    let (policy, _spill_dir, tier2_bytes) = parse_cache(args, false)?;
+    // The simulator models tier 2 in virtual time: the budget applies,
+    // and there is no directory (payloads are virtual).
+    let (policy, _, tier2_bytes) = parse_cache(args, false)?;
     let (chaos, hang_ms, restart_budget, quarantine_limit) = parse_containment(args)?;
     let trace_out = args.get("trace-out");
     let metrics_out = args.get("metrics-out");
@@ -372,7 +374,7 @@ pub fn simulate(args: &Args) -> CliResult {
     if !fault.is_noop() {
         println!(
             "io faults:        {} injected, {} retries charged",
-            report.io_faults, report.io_retries
+            report.ps_stats.read_faults, report.ps_stats.read_retries
         );
     }
     if overload.enabled() {
@@ -520,15 +522,16 @@ mod tests {
     fn containment_flags_parse_together() {
         let a = args(
             "--hang-timeout-ms 250 --restart-budget 2 --quarantine-limit 1 \
-             --chaos-seed 7 --chaos-poison-rate 0.1 --chaos-panic-at 3 \
-             --chaos-crash-spill-at 0 --chaos-flip-frame-at 5",
+             --chaos-seed 7 --chaos-poison-rate 0.1 --chaos-panic-at 3",
         );
         let (chaos, hang, restart, quarantine) = parse_containment(&a).unwrap();
         assert!(!chaos.is_noop());
         assert_eq!(chaos.seed, 7);
         assert!(chaos.compute_should_panic(3, u64::MAX));
-        assert_eq!(chaos.crash_spill_write, Some(0));
-        assert_eq!(chaos.bit_flip_frame, Some(5));
+        assert_eq!(
+            (chaos.crash_spill_write, chaos.bit_flip_frame),
+            (None, None)
+        );
         assert_eq!(hang, Some(250));
         assert_eq!(restart, 2);
         assert_eq!(quarantine, 1);

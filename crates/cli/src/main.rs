@@ -24,6 +24,9 @@ USAGE:
                    [--fault-rate F] [--fault-seed N] [--query-timeout-ms N]
                    [--max-pending N] [--client-rate QPS]
                    [--degrade-threshold F] [--shed-threshold F]
+                   [--hang-timeout-ms N] [--restart-budget N]
+                   [--quarantine-limit N] [--chaos-seed N]
+                   [--chaos-poison-rate F] [--chaos-panic-at N]
                    [--trace-out FILE.json] [--metrics-out FILE.prom]
       Render a Virtual Microscope window through the real threaded server
       (deterministic synthetic slide data). --fault-rate injects seeded
@@ -40,7 +43,13 @@ USAGE:
       --cache-policy picks the Data Store eviction policy ('cost' keeps
       the entries that save the most recomputation per byte); --spill-dir
       enables the restorable tier-2 spill store in that directory,
-      capped at --tier2-budget MB (default 64).
+      capped at --tier2-budget MB (default 64). --hang-timeout-ms cancels
+      a query whose execution outlives it; --restart-budget bounds the
+      replacement workers spawned after compute panics (default 8), and
+      --quarantine-limit the panics one query may cause before it fails
+      (default 3). --chaos-poison-rate makes that share of queries panic
+      on every attempt and --chaos-panic-at panics the Nth compute, both
+      drawn from --chaos-seed (default 42).
 
   vmqsctl mip      --x N --y N --w N --h N --z0 N --z1 N [--lod N]
                    [--op mip|avgproj] [--out FILE.pgm]
@@ -53,6 +62,9 @@ USAGE:
                    [--fault-rate F] [--fault-seed N]
                    [--max-pending N] [--client-rate QPS]
                    [--degrade-threshold F] [--shed-threshold F]
+                   [--hang-timeout-ms N] [--restart-budget N]
+                   [--quarantine-limit N] [--chaos-seed N]
+                   [--chaos-poison-rate F] [--chaos-panic-at N]
                    [--trace-out FILE.json] [--metrics-out FILE.prom]
       Run the paper's 16-client x 16-query workload in the discrete-event
       simulator and print the summary row. --fault-rate charges seeded
@@ -63,7 +75,8 @@ USAGE:
       --graft mirrors the threaded server's in-flight grafting.
       --cache-policy and --tier2-budget mirror `render`'s cache
       hierarchy; the simulator charges tier-2 re-heats their disk
-      latency in virtual time (no --spill-dir needed).
+      latency in virtual time (it has no --spill-dir). The containment
+      options mirror `render`'s, with the hang limit in virtual time.
 
   vmqsctl demo
       A short guided tour: exact hits, projection, sub-queries.

@@ -426,6 +426,45 @@ fn misspelt_options_are_rejected_by_name() {
     assert_refused(&["simulate", "--threads"], "option --threads needs a value");
 }
 
+/// Options with nothing to act on are refused, not ignored: the
+/// simulator's tier 2 has no directory, and the spill-write crash and
+/// frame bit-flip kill-points fire only inside a frame write, which no
+/// single `vmqsctl` query makes.
+#[test]
+fn options_that_cannot_act_are_refused() {
+    assert_refused(
+        &["simulate", "--batch", "--spill-dir", "sp"],
+        "unknown option --spill-dir",
+    );
+    for flag in ["--chaos-crash-spill-at", "--chaos-flip-frame-at"] {
+        for cmd in ["render", "simulate"] {
+            assert_refused(&[cmd, flag, "0"], &format!("unknown option {flag}"));
+        }
+    }
+}
+
+#[test]
+fn simulate_metrics_out_counts_the_charged_retries() {
+    let path = tmp("sim-fault-metrics.prom");
+    let text = simulate(&[
+        "--batch",
+        "--threads",
+        "2",
+        "--fault-rate",
+        "0.1",
+        "--metrics-out",
+        path.to_str().unwrap(),
+    ]);
+    let metrics = std::fs::read_to_string(&path).unwrap();
+    // injected, retries charged
+    let charged = counts(&text, "io faults:");
+    assert!(charged[0] > 0 && charged[0] == charged[1], "{text}");
+    let exported = |name| counts(&metrics, name);
+    assert_eq!(exported("vmqs_ps_read_faults_total "), [charged[0]]);
+    assert_eq!(exported("vmqs_ps_read_retries_total "), [charged[1]]);
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn simulate_with_graft_reports_grafted_answers() {
     let text = simulate(&["--batch", "--threads", "4", "--strategy", "CNBF", "--graft"]);

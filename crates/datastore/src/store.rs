@@ -267,6 +267,19 @@ ds_stats! {
     adopted,
 }
 
+impl DsStats {
+    /// Share of lookups that found reusable data, exact or partial
+    /// (`vmqs_ds_hit_ratio`); `0` before any lookup.
+    pub fn hit_ratio(&self) -> f64 {
+        let lookups = self.exact_hits + self.partial_hits + self.misses;
+        if lookups == 0 {
+            0.0
+        } else {
+            (self.exact_hits + self.partial_hits) as f64 / lookups as f64
+        }
+    }
+}
+
 /// Error returned by [`DataStore::insert_costed`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DsError {

@@ -32,8 +32,7 @@ pub mod timeline;
 
 pub use event::{events_to_json, EventKind, EventLog, EventRecord, Terminal};
 pub use metrics::{
-    Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, PageMetrics,
-    QueryMetrics,
+    Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, QueryMetrics,
 };
 
 /// The observability handle an engine threads through its components:

@@ -267,40 +267,9 @@ impl QueryMetrics {
     }
 }
 
-/// Pre-resolved handles for Page Space metrics.
-#[derive(Clone, Debug)]
-pub struct PageMetrics {
-    /// `vmqs_ps_page_reads_total` — pages requested through read plans.
-    pub page_reads: Arc<Counter>,
-    /// `vmqs_ps_page_hits_total` — of those, served without new device I/O.
-    pub page_hits: Arc<Counter>,
-    /// `vmqs_ps_read_retries_total`
-    pub read_retries: Arc<Counter>,
-    /// `vmqs_ps_read_faults_total`
-    pub read_faults: Arc<Counter>,
-    /// `vmqs_ps_runs_issued_total`
-    pub runs_issued: Arc<Counter>,
-    /// `vmqs_ps_pages_fetched_total`
-    pub pages_fetched: Arc<Counter>,
-}
-
-impl PageMetrics {
-    /// Resolves (registering on first use) the standard Page Space metrics.
-    pub fn resolve(reg: &MetricsRegistry) -> Self {
-        PageMetrics {
-            page_reads: reg.counter("vmqs_ps_page_reads_total"),
-            page_hits: reg.counter("vmqs_ps_page_hits_total"),
-            read_retries: reg.counter("vmqs_ps_read_retries_total"),
-            read_faults: reg.counter("vmqs_ps_read_faults_total"),
-            runs_issued: reg.counter("vmqs_ps_runs_issued_total"),
-            pages_fetched: reg.counter("vmqs_ps_pages_fetched_total"),
-        }
-    }
-}
-
 /// A named registry of counters, histograms, and gauges. Handles are
-/// `Arc`s resolved once (see [`QueryMetrics`]/[`PageMetrics`]); the name
-/// maps are only locked at resolve and snapshot time, one at a time.
+/// `Arc`s resolved once (see [`QueryMetrics`]); the name maps are only
+/// locked at resolve and snapshot time, one at a time.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
@@ -571,10 +540,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let qm = QueryMetrics::resolve(&reg);
         qm.submitted.add(3);
-        let pm = PageMetrics::resolve(&reg);
-        pm.page_reads.add(2);
         let snap = reg.snapshot();
         assert_eq!(snap.counters["vmqs_queries_submitted_total"], 3);
-        assert_eq!(snap.counters["vmqs_ps_page_reads_total"], 2);
     }
 }

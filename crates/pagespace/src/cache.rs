@@ -101,6 +101,36 @@ pub struct PsStats {
     pub failed_reads: u64,
 }
 
+impl PsStats {
+    /// Share of fetched pages that rode in a run started by another page
+    /// (`vmqs_ps_merge_ratio`); `0` before any fetch.
+    pub fn merge_ratio(&self) -> f64 {
+        if self.pages_fetched == 0 {
+            0.0
+        } else {
+            1.0 - self.runs_issued as f64 / self.pages_fetched as f64
+        }
+    }
+
+    /// The `vmqs_ps_*_total` series an engine exports at snapshot time. A
+    /// page read is any page a read plan classified; a page hit is one
+    /// served without new device I/O, whether resident or in flight for
+    /// another request.
+    pub fn series(&self) -> [(&'static str, u64); 6] {
+        [
+            (
+                "vmqs_ps_page_reads_total",
+                self.hits + self.dedup_waits + self.misses,
+            ),
+            ("vmqs_ps_page_hits_total", self.hits + self.dedup_waits),
+            ("vmqs_ps_runs_issued_total", self.runs_issued),
+            ("vmqs_ps_pages_fetched_total", self.pages_fetched),
+            ("vmqs_ps_read_faults_total", self.read_faults),
+            ("vmqs_ps_read_retries_total", self.read_retries),
+        ]
+    }
+}
+
 /// Fixed-budget page cache with in-flight tracking and run merging.
 #[derive(Debug)]
 pub struct PageCacheCore {

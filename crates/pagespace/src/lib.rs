@@ -12,6 +12,12 @@
 //! threaded server adds blocking/wakeup around it, and the discrete-event
 //! simulator turns the planned runs into disk events. Sharing the core
 //! guarantees both engines exhibit identical caching behaviour.
+//!
+//! The core's [`PsStats`] is the only Page Space tally in either engine:
+//! the front-ends record the faults and retries they charge there, the
+//! admission ladder reads its miss and retry ratios from it, and each
+//! engine exports it as the `vmqs_ps_*` series ([`PsStats::series`],
+//! [`PsStats::merge_ratio`]) when a metrics snapshot is taken.
 
 #![warn(missing_docs)]
 

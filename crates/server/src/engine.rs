@@ -671,10 +671,11 @@ impl<A: AppExecutor> QueryServer<A> {
         out.io_faults = ps.read_faults;
         out.io_retries = ps.read_retries;
         out.failed_reads = ps.failed_reads;
-        let ds = self.core.store.read().stats();
-        out.spilled = ds.spilled;
-        out.restored = ds.restored;
-        out.restore_failures = ds.restore_failures;
+        // The event counters, not `DsStats`: a demotion whose frame write
+        // failed is dropped, not spilled, and has no `Spilled` event.
+        out.spilled = qmet.ds_spills.get();
+        out.restored = qmet.ds_restores.get();
+        out.restore_failures = self.core.store.read().stats().restore_failures;
         out.worker_panics = qmet.worker_panics.get();
         out.worker_restarts = qmet.worker_restarts.get();
         out.quarantined = qmet.quarantined.get() as usize;
@@ -758,37 +759,21 @@ impl<A: AppExecutor> QueryServer<A> {
         self.core.obs.log.snapshot()
     }
 
-    /// Snapshot of the metrics registry, with the derived cache-efficiency
-    /// gauges (`vmqs_ds_hit_ratio`, `vmqs_ps_merge_ratio`) refreshed from
-    /// the live Data Store / Page Space counters.
+    /// Snapshot of the metrics registry, with the `vmqs_ps_*` series and
+    /// the derived cache-efficiency gauges (`vmqs_ds_hit_ratio`,
+    /// `vmqs_ps_merge_ratio`) taken from the live Data Store / Page Space
+    /// counters.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let ds = self.ds_stats();
-        let lookups = ds.exact_hits + ds.partial_hits + ds.misses;
-        let hit_ratio = if lookups == 0 {
-            0.0
-        } else {
-            (ds.exact_hits + ds.partial_hits) as f64 / lookups as f64
-        };
-        self.core
-            .obs
-            .metrics
-            .set_gauge("vmqs_ds_hit_ratio", hit_ratio);
-        let ps = self.core.ps.stats();
-        let merge_ratio = if ps.pages_fetched == 0 {
-            0.0
-        } else {
-            1.0 - ps.runs_issued as f64 / ps.pages_fetched as f64
-        };
-        self.core
-            .obs
-            .metrics
-            .set_gauge("vmqs_ps_merge_ratio", merge_ratio);
+        let reg = &self.core.obs.metrics;
+        reg.set_gauge("vmqs_ds_hit_ratio", self.ds_stats().hit_ratio());
+        let ps = self.ps_stats();
+        reg.set_gauge("vmqs_ps_merge_ratio", ps.merge_ratio());
         let tier2 = self.core.store.read().tier2_used();
-        self.core
-            .obs
-            .metrics
-            .set_gauge("vmqs_ds_tier2_used_bytes", tier2 as f64);
-        self.core.obs.metrics.snapshot()
+        reg.set_gauge("vmqs_ds_tier2_used_bytes", tier2 as f64);
+        let mut snap = reg.snapshot();
+        snap.counters
+            .extend(ps.series().map(|(name, v)| (name.to_string(), v)));
+        snap
     }
 
     /// Validates every shard's invariants (graph state/index consistency
@@ -3040,6 +3025,9 @@ mod tests {
             );
             s.submit(a).wait().unwrap();
             s.submit(b).wait().unwrap();
+            // The demotion whose write crashed was dropped, not spilled.
+            let spills = s.metrics().counters["vmqs_ds_spills_total"];
+            assert_eq!(s.summary().spilled, spills);
             s.shutdown();
         }
         let tmps = std::fs::read_dir(&dir)

@@ -48,7 +48,7 @@ use vmqs_core::clock;
 use vmqs_core::sync::atomic::{AtomicUsize, Ordering};
 use vmqs_core::sync::{lockdep, Arc, Condvar, LockClass, Mutex};
 use vmqs_core::{DatasetId, QueryId};
-use vmqs_obs::{EventKind, Obs, PageMetrics};
+use vmqs_obs::{EventKind, Obs};
 use vmqs_pagespace::{PageCacheCore, PageData, PageKey, PsStats, RetryPolicy};
 use vmqs_storage::{is_transient, DataSource};
 
@@ -65,10 +65,10 @@ pub struct SharedPageSpace {
     page_size: usize,
     retry: RetryPolicy,
     retry_seed: u64,
-    /// Observability sink: `PageRead` events go to `obs.log`, I/O counters
-    /// to the pre-resolved `pmet` handles. Both unset for standalone use.
+    /// Event sink: `PageRead` events go to `obs.log`. Unset for
+    /// standalone use. The counters stay in the core's [`PsStats`], which
+    /// the engine exports as the `vmqs_ps_*` series at snapshot time.
     obs: Option<Arc<Obs>>,
-    pmet: Option<PageMetrics>,
 }
 
 impl SharedPageSpace {
@@ -96,8 +96,7 @@ impl SharedPageSpace {
     }
 
     /// Like [`SharedPageSpace::with_retry`], additionally wiring an
-    /// observability handle that receives `PageRead` events and I/O
-    /// counters.
+    /// observability handle that receives `PageRead` events.
     pub fn with_retry_obs(
         budget_bytes: u64,
         page_size: usize,
@@ -106,7 +105,6 @@ impl SharedPageSpace {
         retry_seed: u64,
         obs: Option<Arc<Obs>>,
     ) -> Self {
-        let pmet = obs.as_ref().map(|o| PageMetrics::resolve(&o.metrics));
         SharedPageSpace {
             core: Mutex::ranked(
                 LockClass::PagesCore,
@@ -119,7 +117,6 @@ impl SharedPageSpace {
             retry,
             retry_seed,
             obs,
-            pmet,
         }
     }
 
@@ -204,18 +201,12 @@ impl SharedPageSpace {
                 Ok(bytes) => return Ok((bytes, attempt)),
                 Err(e) => {
                     self.core.lock().note_read_fault();
-                    if let Some(pm) = &self.pmet {
-                        pm.read_faults.inc();
-                    }
                     if !is_transient(&e) || is_deadline(&e) || attempt >= self.retry.max_retries {
                         self.core.lock().note_failed_read();
                         return Err(e);
                     }
                     attempt += 1;
                     self.core.lock().note_read_retry();
-                    if let Some(pm) = &self.pmet {
-                        pm.read_retries.inc();
-                    }
                     // Jitter stream decorrelates by page so concurrent
                     // retriers don't thundering-herd the device, while
                     // staying deterministic per (seed, page, attempt).
@@ -282,18 +273,11 @@ impl SharedPageSpace {
             (plan, got)
         };
 
-        let cached = plan.pages.len() - plan.fetch_count();
-        if let Some(pm) = &self.pmet {
-            pm.page_reads.add(plan.pages.len() as u64);
-            pm.page_hits.add(cached as u64);
-            pm.runs_issued.add(plan.fetch_runs.len() as u64);
-            pm.pages_fetched.add(plan.fetch_count() as u64);
-        }
         if self.obs.as_ref().is_some_and(|o| o.log.enabled()) {
             // Already-resident and peer-in-flight pages are satisfied from
             // the cache from this query's perspective; MustFetch pages get
             // their event after the read so `retried` is known.
-            for _ in 0..cached {
+            for _ in 0..plan.pages.len() - plan.fetch_count() {
                 self.note_page_read(query, true, false);
             }
         }

@@ -138,6 +138,9 @@ fn run_sweep(rate: f64, threads: usize, seed: u64) -> (usize, usize) {
         metrics.counters["vmqs_ps_read_retries_total"], sum.io_retries,
         "metrics registry must mirror io_retries"
     );
+    for (name, v) in server.ps_stats().series() {
+        assert_eq!(metrics.counters[name], v, "rate {rate}: {name}");
+    }
 
     // shutdown() panics if any worker thread panicked during the run.
     server.shutdown();

@@ -1,7 +1,7 @@
 //! Simulation configuration and workload description.
 
 use vmqs_core::{ClientId, OverloadConfig, Strategy};
-use vmqs_microscope::{VmCostModel, VmQuery};
+use vmqs_microscope::VmQuery;
 use vmqs_pagespace::RetryPolicy;
 use vmqs_storage::{ChaosConfig, DiskModel, FaultConfig};
 
@@ -81,14 +81,9 @@ pub struct SimConfig {
     /// Allow blocking on EXECUTING queries whose results are reusable.
     pub allow_blocking: bool,
     /// The per-disk performance model behind the Page Space Manager.
+    /// `Simulator::new` calibrates the Virtual Microscope's CPU cost
+    /// model to it.
     pub disk: DiskModel,
-    /// Independent disks in the farm. I/O throughput scales up to this
-    /// many concurrent streams; beyond it, seek thrash sets in. Calibrated
-    /// to 4, matching the paper's observed optimum at 4 query threads for
-    /// the I/O-bound workload.
-    pub n_disks: usize,
-    /// CPU cost model calibrated to the paper's CPU:I/O ratios.
-    pub cost: VmCostModel,
     /// How queries arrive.
     pub mode: SubmissionMode,
     /// Dequeue policy (rank order, or I/O-aware candidate selection).
@@ -160,18 +155,15 @@ pub struct SimConfig {
 
 impl SimConfig {
     /// The paper's §5 baseline: CNBF, 4 threads, DS = 64 MB, PS = 32 MB,
-    /// circa-2002 disk, calibrated costs, interactive clients.
+    /// circa-2002 disk, interactive clients.
     pub fn paper_baseline() -> Self {
-        let disk = DiskModel::circa_2002();
         SimConfig {
             strategy: Strategy::Cnbf,
             threads: 4,
             ds_budget: 64 << 20,
             ps_budget: 32 << 20,
             allow_blocking: true,
-            disk,
-            n_disks: 4,
-            cost: VmCostModel::calibrated(&disk),
+            disk: DiskModel::circa_2002(),
             mode: SubmissionMode::Interactive,
             policy: SchedPolicy::RankOrder,
             ds_policy: vmqs_datastore::EvictionPolicy::Lru,

@@ -21,6 +21,12 @@ pub struct DiskStats {
     pub queue_time: f64,
 }
 
+/// Independent disks in the simulator's farm. I/O throughput scales up to
+/// this many concurrent streams; beyond it, seek thrash sets in.
+/// Calibrated to 4, matching the paper's observed optimum at 4 query
+/// threads for the I/O-bound workload.
+pub(crate) const N_DISKS: usize = 4;
+
 /// A disk farm: `k` independent FCFS servers (spindles) in virtual time.
 ///
 /// Requests go to the earliest-free disk, so I/O throughput scales up to

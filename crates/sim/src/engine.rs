@@ -23,7 +23,7 @@
 
 use crate::app::SimApplication;
 use crate::config::{ClientStream, SchedPolicy, SimConfig, SubmissionMode, TunerConfig};
-use crate::disk::DiskQueue;
+use crate::disk::{DiskQueue, N_DISKS};
 use crate::events::{Event, EventQueue};
 use crate::report::{SimRecord, SimReport};
 use std::collections::HashMap;
@@ -33,8 +33,8 @@ use vmqs_core::{
 };
 use vmqs_datastore::{DataStore, EvictionRecord, Payload};
 use vmqs_microscope::{VmCostModel, PAGE_SIZE};
-use vmqs_obs::{EventKind, Obs, PageMetrics, QueryMetrics, Terminal};
-use vmqs_pagespace::{PageCacheCore, PageData, PageDisposition, PageKey};
+use vmqs_obs::{EventKind, Obs, QueryMetrics, Terminal};
+use vmqs_pagespace::{PageCacheCore, PageData, PageKey};
 use vmqs_storage::SPILL_DEVICE;
 
 /// The simulator's record for one admitted, unanswered query: the `R` of
@@ -178,14 +178,13 @@ pub struct Simulator<A: SimApplication> {
     /// else; the report's terminal counts are read from these, not kept
     /// twice.
     qmet: QueryMetrics,
-    pmet: PageMetrics,
 }
 
 impl Simulator<VmCostModel> {
-    /// Creates a Virtual Microscope simulator (cost model taken from
-    /// `cfg.cost`).
+    /// Creates a Virtual Microscope simulator, its cost model calibrated
+    /// to `cfg.disk`.
     pub fn new(cfg: SimConfig, workload: Vec<ClientStream>) -> Self {
-        Simulator::with_app(cfg, cfg.cost, workload)
+        Simulator::with_app(cfg, VmCostModel::calibrated(&cfg.disk), workload)
     }
 }
 
@@ -227,7 +226,6 @@ impl<A: SimApplication> Simulator<A> {
         }
         let obs = Obs::new(cfg.observe);
         let qmet = QueryMetrics::resolve(&obs.metrics);
-        let pmet = PageMetrics::resolve(&obs.metrics);
         Simulator {
             app,
             sched: SchedShard::new(cfg.strategy, cfg.index_cell),
@@ -235,7 +233,7 @@ impl<A: SimApplication> Simulator<A> {
                 .with_tier2(cfg.tier2_budget),
             ps: PageCacheCore::new(cfg.ps_budget, PAGE_SIZE as u64),
             page_ready: HashMap::new(),
-            disk: DiskQueue::with_servers(cfg.disk, cfg.n_disks),
+            disk: DiskQueue::with_servers(cfg.disk, N_DISKS),
             events,
             idgen: IdGen::new(0),
             busy_slots: 0,
@@ -254,7 +252,6 @@ impl<A: SimApplication> Simulator<A> {
             sup: Supervisor::new(cfg.threads, cfg.restart_budget),
             obs,
             qmet,
-            pmet,
             cfg,
         }
     }
@@ -300,24 +297,14 @@ impl<A: SimApplication> Simulator<A> {
             }
         }
         let ds_stats = self.ds.stats();
-        let lookups = ds_stats.exact_hits + ds_stats.partial_hits + ds_stats.misses;
-        self.obs.metrics.set_gauge(
-            "vmqs_ds_hit_ratio",
-            if lookups == 0 {
-                0.0
-            } else {
-                (ds_stats.exact_hits + ds_stats.partial_hits) as f64 / lookups as f64
-            },
-        );
         let ps_stats = self.ps.stats();
-        self.obs.metrics.set_gauge(
-            "vmqs_ps_merge_ratio",
-            if ps_stats.pages_fetched == 0 {
-                0.0
-            } else {
-                1.0 - ps_stats.runs_issued as f64 / ps_stats.pages_fetched as f64
-            },
-        );
+        let reg = &self.obs.metrics;
+        reg.set_gauge("vmqs_ds_hit_ratio", ds_stats.hit_ratio());
+        reg.set_gauge("vmqs_ps_merge_ratio", ps_stats.merge_ratio());
+        let mut metrics = reg.snapshot();
+        metrics
+            .counters
+            .extend(ps_stats.series().map(|(name, v)| (name.to_string(), v)));
         SimReport {
             records: self.records,
             makespan: self.makespan,
@@ -325,10 +312,8 @@ impl<A: SimApplication> Simulator<A> {
             ps_stats,
             graph_stats: self.sched.graph().stats(),
             disk_stats: self.disk.stats(),
-            io_faults: self.pmet.read_faults.get(),
-            io_retries: self.pmet.read_retries.get(),
             events: self.obs.log.snapshot(),
-            metrics: self.obs.metrics.snapshot(),
+            metrics,
             rejected: self.qmet.rejected.get(),
             shed: self.qmet.shed.get(),
             degraded: self.qmet.degraded.get(),
@@ -656,16 +641,7 @@ impl<A: SimApplication> Simulator<A> {
         let mut io_ready = now;
         if !pages.is_empty() {
             let read = self.ps.plan_read(&pages);
-            self.pmet.page_reads.add(read.pages.len() as u64);
-            let cached_pages = read
-                .pages
-                .iter()
-                .filter(|(_, d)| *d != PageDisposition::MustFetch)
-                .count();
-            self.pmet.page_hits.add(cached_pages as u64);
-            self.pmet.runs_issued.add(read.fetch_runs.len() as u64);
-            let fetched: usize = read.fetch_runs.iter().map(|r| r.pages().count()).sum();
-            self.pmet.pages_fetched.add(fetched as u64);
+            let cached_pages = read.pages.len() - read.fetch_count();
             if self.obs.log.enabled() {
                 let hit = EventKind::PageRead {
                     cached: true,
@@ -699,11 +675,11 @@ impl<A: SimApplication> Simulator<A> {
                         );
                         if streak > 0 {
                             retried = true;
-                            self.pmet.read_faults.add(streak as u64);
-                            self.pmet.read_retries.add(streak as u64);
                             let mut extra =
                                 streak as f64 * self.cfg.disk.service_time(PAGE_SIZE as u64);
                             for a in 1..=streak {
+                                self.ps.note_read_fault();
+                                self.ps.note_read_retry();
                                 extra += self.cfg.retry.base_backoff(a).as_secs_f64();
                             }
                             ready += extra;
@@ -990,7 +966,7 @@ mod tests {
         let report = run_sim(cfg, one_client(vec![spec]));
         let r = &report.records[0];
         // Compare CPU against total disk busy time (the farm services one
-        // query's runs in parallel, so elapsed io_time is busy/n_disks).
+        // query's runs in parallel, so elapsed io_time is busy/N_DISKS).
         let ratio = r.cpu_time / report.disk_stats.busy_time;
         assert!(
             (0.5..=2.0).contains(&ratio),
@@ -1254,9 +1230,9 @@ mod tests {
     fn fast_disk_makes_io_negligible() {
         let mut cfg = SimConfig::paper_baseline();
         cfg.disk = DiskModel::new(0.0, 1e15);
-        cfg.cost = vmqs_microscope::VmCostModel::calibrated(&DiskModel::circa_2002());
+        let cost = VmCostModel::calibrated(&DiskModel::circa_2002());
         let spec = q(0, 0, 2048, 2, VmOp::Average);
-        let r = run_sim(cfg, one_client(vec![spec]));
+        let r = run_sim_app(cfg, cost, one_client(vec![spec]));
         assert!(r.records[0].io_time < 1e-6);
         assert!(r.records[0].cpu_time > 0.0);
     }
@@ -1433,25 +1409,98 @@ mod tests {
         let faulty = run_sim(faulty_cfg, one_client(vec![spec]));
         let again = run_sim(faulty_cfg, one_client(vec![spec]));
         // Counters move and the workload pays for the retries.
-        assert!(faulty.io_faults > 0, "20% rate over a big scan must fault");
-        assert_eq!(faulty.io_faults, faulty.io_retries);
-        assert_eq!(clean.io_faults, 0);
+        let faults = |r: &SimReport| r.ps_stats.read_faults;
+        assert!(faults(&faulty) > 0, "20% rate over a big scan must fault");
+        assert_eq!(faults(&faulty), faulty.ps_stats.read_retries);
+        assert_eq!(faults(&clean), 0);
         assert!(faulty.makespan > clean.makespan);
         // Deterministic per seed; a different seed redraws.
         assert_eq!(faulty.makespan, again.makespan);
-        assert_eq!(faulty.io_faults, again.io_faults);
+        assert_eq!(faults(&faulty), faults(&again));
         let other_seed = run_sim(
             SimConfig::paper_baseline().with_faults(FaultConfig::transient(0.2, 100)),
             one_client(vec![spec]),
         );
-        assert_ne!(faulty.io_faults, other_seed.io_faults);
-        // A zero-retry policy charges faults but no retry latency.
+        assert_ne!(faults(&faulty), faults(&other_seed));
+        // A zero-retry policy charges no retry latency.
         let no_retry = run_sim(
             faulty_cfg.with_retry(vmqs_pagespace::RetryPolicy::none()),
             one_client(vec![spec]),
         );
-        assert_eq!(no_retry.io_retries, 0);
+        assert_eq!(no_retry.ps_stats.read_retries, 0);
         assert_eq!(no_retry.makespan, clean.makespan);
+    }
+
+    /// The faults and retries a run charges land in its Page Space
+    /// counters, and the metrics export reads them from there. With no
+    /// result reuse and a Page Space that never evicts, every page of the
+    /// workload is fetched exactly once, so the charge is the sum of the
+    /// fault model's streaks over the workload's pages.
+    #[test]
+    fn charged_faults_are_counted_in_the_page_space() {
+        use std::collections::BTreeSet;
+        use vmqs_storage::FaultConfig;
+        let queries: Vec<VmQuery> = (0..4)
+            .map(|i| q(i * 1024, 0, 2048, 2, VmOp::Subsample))
+            .collect();
+        let cfg = SimConfig::paper_baseline()
+            .with_ds_budget(0)
+            .with_ps_budget(1 << 30)
+            .with_faults(FaultConfig::transient(0.2, 7));
+        let pages: BTreeSet<(DatasetId, u64)> = queries
+            .iter()
+            .flat_map(|spec| Plan::new(spec, []).pages().collect::<Vec<_>>())
+            .collect();
+        let streak = |&(d, i): &(DatasetId, u64)| {
+            cfg.fault.transient_streak(d, i, cfg.retry.max_retries) as u64
+        };
+        let charged: u64 = pages.iter().map(streak).sum();
+        let exported = |r: &SimReport| {
+            for (name, v) in r.ps_stats.series() {
+                assert_eq!(r.metrics.counters[name], v, "{name}");
+            }
+        };
+        let r = run_sim(cfg, one_client(queries.clone()));
+        assert_eq!(r.ps_stats.pages_fetched, pages.len() as u64);
+        assert!(charged > 0, "a 20% rate over {} pages faults", pages.len());
+        assert_eq!(r.ps_stats.read_faults, charged);
+        assert_eq!(r.ps_stats.read_retries, charged);
+        exported(&r);
+        assert_eq!(r.metrics.counters["vmqs_ps_read_retries_total"], charged);
+        let clean = run_sim(cfg.with_faults(FaultConfig::none()), one_client(queries));
+        assert_eq!(clean.ps_stats.read_faults, 0);
+        exported(&clean);
+    }
+
+    /// The admission ladder reads the retries the run charged. One client
+    /// submits a query twice; the second arrives once the first is
+    /// answered, with nothing cached (no Data Store) and every page
+    /// resident, so the Page Space counters at that admission are the
+    /// run's final ones less the repeat's hits, and the last
+    /// `vmqs_pressure` is the level the ladder reached on them.
+    #[test]
+    fn admission_ladder_sees_the_charged_retries() {
+        use vmqs_core::OverloadConfig;
+        use vmqs_storage::FaultConfig;
+        let spec = q(0, 0, 4096, 2, VmOp::Subsample);
+        let ov = OverloadConfig::default()
+            .with_max_pending(4)
+            .with_degrade_threshold(0.5);
+        let cfg = SimConfig::paper_baseline()
+            .with_threads(1)
+            .with_ds_budget(0)
+            .with_ps_budget(1 << 30)
+            .with_faults(FaultConfig::transient(0.2, 99))
+            .with_overload(ov);
+        let r = run_sim(cfg, one_client(vec![spec, spec]));
+        assert_eq!(r.records.len(), 2);
+        let ps = r.ps_stats;
+        assert!(ps.read_retries > 0);
+        assert_eq!(ps.hits, ps.misses, "the repeat hit every page");
+        let secondary =
+            || Secondary::from_counters(0, 0, 0, ps.misses, ps.pages_fetched, ps.read_retries);
+        let (_, pressure) = overload::admit(&ov, 0, 1, || Ok(()), secondary, || 0.0);
+        assert_eq!(r.metrics.gauges["vmqs_pressure"], pressure.level(1));
     }
 
     #[test]

@@ -71,17 +71,14 @@ pub struct SimReport<S = VmQuery> {
     pub makespan: f64,
     /// Data Store counters.
     pub ds_stats: DsStats,
-    /// Page Space counters.
+    /// Page Space counters, among them the transient faults the fault
+    /// model injected and the retries charged for them (capped per page
+    /// at the retry budget).
     pub ps_stats: PsStats,
     /// Scheduling-graph counters.
     pub graph_stats: GraphStats,
     /// Disk counters.
     pub disk_stats: DiskStats,
-    /// Transient page-read faults injected by the fault model.
-    pub io_faults: u64,
-    /// Retries charged for those faults (capped per page at the retry
-    /// budget).
-    pub io_retries: u64,
     /// Typed scheduler events stamped with virtual time, in emission
     /// order (empty unless `SimConfig::observe` was set).
     pub events: Vec<vmqs_obs::EventRecord>,
@@ -210,8 +207,6 @@ mod tests {
             ps_stats: PsStats::default(),
             graph_stats: GraphStats::default(),
             disk_stats: DiskStats::default(),
-            io_faults: 0,
-            io_retries: 0,
             events: Vec::new(),
             metrics: vmqs_obs::MetricsSnapshot::default(),
             rejected: 0,
