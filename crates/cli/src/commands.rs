@@ -229,10 +229,10 @@ pub fn render(args: &Args) -> CliResult {
         res.record.pages_requested, res.record.path
     );
     if !fault.is_noop() {
-        let sum = server.summary();
+        let ps = server.ps_stats();
         println!(
             "io faults: {}, retries: {}, failed reads: {}",
-            sum.io_faults, sum.io_retries, sum.failed_reads
+            ps.read_faults, ps.read_retries, ps.failed_reads
         );
     }
     if overload.enabled() {

@@ -5,13 +5,15 @@
 //! function*: a query's home shard is a hash of its spatial region key
 //! (dataset + coarse grid cell of the region center). Placement is a
 //! function of *where the query looks*, not what it computes, so
-//! queries over the same slide region land on the same shard and their
-//! reuse edges stay intra-shard. The region key ignores the processing
-//! op, so degrading a query (`Average` → `Subsample`) never changes its
-//! home shard.
+//! identical specs always share a home shard, and so do queries whose
+//! centres fall in the same grid cell. Overlapping queries whose centres
+//! fall in different cells land apart and get no reuse edge (ROADMAP
+//! item 14 measures the cut). The region key ignores the processing op,
+//! so degrading a query (`Average` → `Subsample`) never changes its home
+//! shard.
 //!
 //! With one worker there is exactly one shard, placement is the constant
-//! function, and stealing never happens — the sharded engine collapses
+//! function, and every dequeue is from it — the sharded engine collapses
 //! to the pre-shard engine, which is what keeps 1-worker golden traces
 //! bit-for-bit identical.
 

@@ -18,22 +18,27 @@
 //! 4. **cache** the output in the Data Store and transition the query to
 //!    CACHED, swapping out any evicted producers.
 //!
-//! ## Sharding and work stealing (DESIGN.md §12)
+//! ## Sharding and cross-shard dequeue (DESIGN.md §12)
 //!
 //! The scheduling state is **sharded**: one [`Shard`] per worker thread,
 //! each holding its own scheduling graph, ready queue, wait-for edges,
 //! and reply channels behind its own mutex. A query is routed to its
 //! *home shard* by [`vmqs_core::shard_of_spec`] — a deterministic hash of
-//! its dataset and spatial neighborhood — so overlapping queries land on
-//! the same shard and keep their reuse edges, while disjoint workloads
-//! never contend on a scheduler lock. Each worker prefers its own shard
-//! and **steals from the richest victim shard** (ties go to the first
-//! victim in rotation from its own index) when its own ready queue is
-//! empty. Each worker runs at most one kernel at a time, so the pool
+//! its dataset and the coarse grid cell of its centre — so identical
+//! specs always share a shard, while disjoint workloads spread over the
+//! scheduler locks. Overlapping queries whose centres fall in different
+//! cells get no reuse edge. A free worker dequeues **the best WAITING
+//! query of all shards**, as the paper's threads do (§4): it reads each
+//! shard's lock-free mirror of its top query and locks the shard whose
+//! top is best by rank, then by the older [`QueryId`] (ties go to the
+//! first shard in rotation from its own index). Its home shard gets no
+//! preference, so a ranked exact hit on another shard no longer queues
+//! behind that shard's busy worker while this one computes an unranked
+//! miss. Each worker runs at most one kernel at a time, so the pool
 //! size is the concurrency limit, as in the paper (§2). At one worker
-//! there is exactly one shard, no stealing, and the engine is
-//! observationally identical to the pre-shard scheduler — the property
-//! the golden-trace conformance suite pins down bit for bit.
+//! there is exactly one shard and the engine is observationally
+//! identical to the pre-shard scheduler — the property the golden-trace
+//! conformance suite pins down bit for bit.
 //!
 //! ## Locking
 //!
@@ -45,10 +50,10 @@
 //!   there; this file takes the lock, calls the transition, and does the
 //!   driver's half outside it: replies, events and wake-ups. Each shard's
 //!   `done_cv` (query completion) is associated with its own mutex. The
-//!   lock-free `depth` / `total_waiting` mirrors of the ready-queue
-//!   length (stealers pick victims by them without touching any lock)
-//!   are republished by the [`ShardGuard`] as it lets go of the lock,
-//!   never adjusted by hand.
+//!   lock-free mirrors of the ready queue — `depth`, `total_waiting` and
+//!   the top query's key, by which workers choose a shard without
+//!   touching any lock — are republished by the [`ShardGuard`] as it
+//!   lets go of the lock, never adjusted by hand.
 //! * `store: RwLock<DataStore>` — the semantic cache, still
 //!   global so reuse crosses shard boundaries. Lookups are read-side
 //!   (`&self`, LRU stamps and counters are atomics); only insert/evict,
@@ -84,6 +89,7 @@ use crate::config::ServerConfig;
 use crate::error::{deadline_error, ServerError};
 use crate::pages::SharedPageSpace;
 use crate::result::{AnswerPath, QueryRecord, QueryResult, ServerSummary};
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -95,12 +101,14 @@ use vmqs_core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use vmqs_core::sync::{lockdep, Arc, Condvar, LockClass, Mutex, MutexGuard, RwLock};
 use vmqs_core::{
     overload, shard_of_spec, shed_victim, BlobId, ClientId, IdGen, PanicOutcome, Pressure, QueryId,
-    QuerySpec, QueryState, RateLimiter, SchedShard, Secondary, SpatialSpec, Supervisor, Verdict,
-    WorkerFate,
+    QuerySpec, QueryState, Rank, RateLimiter, SchedShard, Secondary, SpatialSpec, Supervisor,
+    Verdict, WorkerFate,
 };
 use vmqs_datastore::{DataStore, DsStats, EvictionRecord, Frame, Payload, SpillRequest};
 use vmqs_microscope::PAGE_SIZE;
-use vmqs_obs::{EventKind, EventRecord, Histogram, MetricsSnapshot, Obs, QueryMetrics, Terminal};
+use vmqs_obs::{
+    Counter, EventKind, EventRecord, Histogram, MetricsSnapshot, Obs, QueryMetrics, Terminal,
+};
 use vmqs_pagespace::PsStats;
 use vmqs_storage::{DataSource, SpillStore};
 
@@ -142,8 +150,9 @@ impl<S> QueryHandle<S> {
 struct ShardState<S: SpatialSpec> {
     sched: SchedShard<S, Pending<S>>,
     /// Deadlock-avoidance wait-for edges: executing query → executing query
-    /// it is blocked on. Reuse edges are intra-shard, so these never cross
-    /// shards and the cycle check stays complete.
+    /// it is blocked on. `wait_target` only ever names a peer on the
+    /// waiter's own shard, so these never cross shards and the cycle check
+    /// stays complete.
     waiting_on: HashMap<QueryId, QueryId>,
     blocked_fallbacks: u64,
 }
@@ -157,16 +166,38 @@ struct Shard<S: SpatialSpec> {
     done_cv: Condvar,
 }
 
-/// A shard's mutex plus the lock-free mirrors of its ready-queue length.
-/// The mirrors are derived, not maintained: whoever changes the WAITING
-/// set holds a [`ShardGuard`], which republishes `waiting_len()` as it
-/// lets go of the lock — so no transition, present or future, can forget
-/// to.
+/// A shard's best WAITING query as workers compare it across shards:
+/// rank first, then the older [`QueryId`] — the graph's own order, with
+/// the global id standing in for the per-shard arrival sequence, which
+/// cannot be compared across shards. Greater is better.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct Top(Rank, Reverse<QueryId>);
+
+impl Top {
+    /// The key of a shard's `peek()`. FIFO's rank is the negated
+    /// per-shard arrival sequence, so under FIFO the id alone orders
+    /// tops, which is global arrival order.
+    fn of(fifo: bool, (id, rank): (QueryId, Rank)) -> Top {
+        Top(if fifo { Rank::ZERO } else { rank }, Reverse(id))
+    }
+}
+
+/// A shard's mutex plus the lock-free mirrors of its ready-queue length
+/// and its top WAITING query. The mirrors are derived, not maintained:
+/// whoever changes the WAITING set holds a [`ShardGuard`], which
+/// republishes them as it lets go of the lock — so no transition, present
+/// or future, can forget to.
 struct ShardLock<S: SpatialSpec> {
     inner: Mutex<ShardState<S>>,
     /// `waiting_len()` as of the last release, read without the lock by
-    /// stealers picking the richest victim.
+    /// workers choosing a shard.
     depth: AtomicUsize,
+    /// The [`Top`] of the last release that left a query WAITING: its
+    /// rank's bits and its id. Read without the lock, the pair may tear;
+    /// it is a hint, and the dequeue under the lock decides.
+    top_rank: AtomicU64,
+    top_id: AtomicU64,
+    fifo: bool,
     /// Sum of every shard's `depth` ([`Core::total_waiting`]).
     total_waiting: Arc<AtomicUsize>,
 }
@@ -187,6 +218,9 @@ impl<S: SpatialSpec> ShardLock<S> {
                 },
             ),
             depth: AtomicUsize::new(0),
+            top_rank: AtomicU64::new(0),
+            top_id: AtomicU64::new(0),
+            fifo: strategy == vmqs_core::Strategy::Fifo,
             total_waiting,
         }
     }
@@ -197,6 +231,16 @@ impl<S: SpatialSpec> ShardLock<S> {
             state: self.inner.lock(),
         }
     }
+
+    /// The published top WAITING query, `None` when the shard is empty.
+    fn top(&self) -> Option<Top> {
+        if self.depth.load(Ordering::SeqCst) == 0 {
+            return None;
+        }
+        let rank = f64::from_bits(self.top_rank.load(Ordering::SeqCst));
+        let id = QueryId(self.top_id.load(Ordering::SeqCst));
+        Some(Top(Rank::new(rank), Reverse(id)))
+    }
 }
 
 /// Exclusive access to one shard's [`ShardState`].
@@ -206,11 +250,19 @@ struct ShardGuard<'a, S: SpatialSpec> {
 }
 
 impl<S: SpatialSpec> ShardGuard<'_, S> {
-    /// Republishes the ready-queue length. Runs while the lock is still
-    /// held, so a dequeuer can never find a query the mirrors do not
-    /// account for yet; only lock holders write `depth`, so it is exact.
+    /// Republishes the ready-queue length and the top WAITING query. Runs
+    /// while the lock is still held, so a dequeuer can never find a query
+    /// the mirrors do not account for yet; only lock holders write
+    /// `depth`, so it is exact. The top goes out before the depth, so a
+    /// reader that sees a query waiting sees its key.
     fn publish(&self) {
-        let now = self.state.sched.graph().waiting_len();
+        let graph = self.state.sched.graph();
+        if let Some(top) = graph.peek() {
+            let Top(rank, Reverse(id)) = Top::of(self.lock.fifo, top);
+            store_if_changed(&self.lock.top_rank, rank.value().to_bits());
+            store_if_changed(&self.lock.top_id, id.raw());
+        }
+        let now = graph.waiting_len();
         let was = self.lock.depth.load(Ordering::SeqCst);
         if now != was {
             self.lock.depth.store(now, Ordering::SeqCst);
@@ -230,6 +282,14 @@ impl<S: SpatialSpec> ShardGuard<'_, S> {
                 cv.wait_until(&mut self.state, d);
             }
         }
+    }
+}
+
+/// Stores `v` unless `a` already holds it: the mirrors are read by every
+/// worker on every pass, so an unchanged value keeps its cache line.
+fn store_if_changed(a: &AtomicU64, v: u64) {
+    if a.load(Ordering::SeqCst) != v {
+        a.store(v, Ordering::SeqCst);
     }
 }
 
@@ -342,6 +402,9 @@ struct Core<A: AppExecutor> {
     /// its time shows.
     tier2_write: Arc<Histogram>,
     tier2_read: Arc<Histogram>,
+    /// `vmqs_sched_remote_dequeues_total`: queries a worker dequeued from
+    /// a shard other than its own, because that shard's top was best.
+    remote_dequeues: Arc<Counter>,
 }
 
 /// The public server: spawns the thread pool on construction; submit
@@ -441,6 +504,7 @@ impl<A: AppExecutor> QueryServer<A> {
             respawned: Mutex::ranked(LockClass::Respawned, Vec::new()),
             tier2_write: obs.metrics.histogram("vmqs_tier2_write_seconds"),
             tier2_read: obs.metrics.histogram("vmqs_tier2_read_seconds"),
+            remote_dequeues: obs.metrics.counter("vmqs_sched_remote_dequeues_total"),
             obs,
             qmet,
             app,
@@ -448,7 +512,7 @@ impl<A: AppExecutor> QueryServer<A> {
         });
         // Worker spawns can fail under OS thread exhaustion; the pool
         // degrades to however many threads the OS granted rather than
-        // panicking (stealing keeps orphaned shards serviced). Zero
+        // panicking (every worker serves every shard). Zero
         // workers would strand every accepted query, so that case (and
         // only that case) is a hard startup failure.
         let workers: Vec<_> = (0..num_threads)
@@ -667,10 +731,6 @@ impl<A: AppExecutor> QueryServer<A> {
         out.shed = qmet.shed.get() as usize;
         out.degraded = qmet.degraded.get() as usize;
         out.duplicate_full_computes = self.core.duplicate_full_computes.load(Ordering::Relaxed);
-        let ps = self.core.ps.stats();
-        out.io_faults = ps.read_faults;
-        out.io_retries = ps.read_retries;
-        out.failed_reads = ps.failed_reads;
         // The event counters, not `DsStats`: a demotion whose frame write
         // failed is dropped, not spilled, and has no `Spilled` event.
         out.spilled = qmet.ds_spills.get();
@@ -946,7 +1006,7 @@ struct Job<S> {
 }
 
 fn worker_entry<A: AppExecutor>(core: Arc<Core<A>>, me: usize) {
-    let n = core.shards.len();
+    let mut tops = Vec::with_capacity(core.shards.len());
     loop {
         if core.shutdown.load(Ordering::SeqCst) {
             return;
@@ -955,26 +1015,17 @@ fn worker_entry<A: AppExecutor>(core: Arc<Core<A>>, me: usize) {
             core.idle_sleep();
             continue;
         }
-        // Own shard first; steal from the richest victim (by the
-        // lock-free depth mirrors, ties to the first in rotation from
-        // `me + 1`) only when the home ready queue is empty.
-        let job = match try_dequeue(&core, me) {
-            Some(job) => Some(job),
-            None => {
-                let mut best: Option<(usize, usize)> = None;
-                for v in (1..n).map(|i| (me + i) % n) {
-                    let d = core.shards[v].state.depth.load(Ordering::SeqCst);
-                    if d > 0 && best.is_none_or(|(bd, _)| d > bd) {
-                        best = Some((d, v));
-                    }
-                }
-                best.and_then(|(_, v)| try_dequeue(&core, v))
-            }
-        };
+        // The best query of all shards, by their lock-free mirrors.
+        tops.clear();
+        tops.extend(core.shards.iter().map(|sh| sh.state.top()));
+        let job = pick_shard(&tops, me).and_then(|k| try_dequeue(&core, k));
         // Raced another worker for the last entries; re-check from the
         // top (the counters may have gone to zero, in which case we
         // park instead of spinning).
         let Some(job) = job else { continue };
+        if job.shard != me {
+            core.remote_dequeues.inc();
+        }
         // Supervision (DESIGN.md §15): a panicking compute kills this
         // worker, not the pool. The unwind is caught here, the one place.
         // Lock guards released on the unwind path leave consistent state:
@@ -985,6 +1036,22 @@ fn worker_entry<A: AppExecutor>(core: Arc<Core<A>>, me: usize) {
             return;
         }
     }
+}
+
+/// The shard a free worker dequeues from: the one whose published [`Top`]
+/// is best, skipping empty shards (`None`). A tie goes to the first shard
+/// in rotation from the worker's own index `me`.
+fn pick_shard(tops: &[Option<Top>], me: usize) -> Option<usize> {
+    let n = tops.len();
+    let mut best: Option<(Top, usize)> = None;
+    for k in (0..n).map(|i| (me + i) % n) {
+        if let Some(top) = tops[k] {
+            if best.is_none_or(|(b, _)| top > b) {
+                best = Some((top, k));
+            }
+        }
+    }
+    best.map(|(_, k)| k)
 }
 
 /// A panicked worker's last act. The [`Supervisor`] decides its fate
@@ -1069,12 +1136,7 @@ fn fail_all_waiting<A: AppExecutor>(core: &Core<A>) {
 }
 
 /// Dequeues the highest-ranked WAITING query from shard `k`, if any.
-/// Peeks the lock-free depth mirror first so scanning an empty shard
-/// costs no lock at all.
 fn try_dequeue<A: AppExecutor>(core: &Core<A>, k: usize) -> Option<Job<A::Spec>> {
-    if core.shards[k].state.depth.load(Ordering::SeqCst) == 0 {
-        return None;
-    }
     let mut s = core.shards[k].state.lock();
     // With grafting on a WAITING producer goes before a consumer it fully
     // covers, which would otherwise duplicate the compute or block on a
@@ -1372,10 +1434,11 @@ fn execute_query<A: AppExecutor>(
     // Step 2 — wait, once, for the in-flight query `SchedShard` names
     // (paper §4: queries stall on EXECUTING dependencies; CNBF exists to
     // make this rare): the strongest EXECUTING source this query could
-    // reuse, or with grafting a peer computing this very predicate. Reuse
-    // edges are intra-shard (identical specs hash to the same home), so
-    // the dependency, and the wait-for cycle check, live entirely on the
-    // query's home shard; its `done_cv` signals the peer's completion.
+    // reuse, or with grafting a peer computing this very predicate. The
+    // graph has edges only within a shard, so `wait_target` only ever
+    // names a peer on the query's home shard (identical specs share one),
+    // and the wait-for cycle check over that shard's edges is complete;
+    // its `done_cv` signals the peer's completion.
     let mut producer = None;
     if core.cfg.graft || core.cfg.allow_blocking {
         let mut s = core.shards[k].state.lock();
@@ -1702,7 +1765,7 @@ fn promote_restorable<A: AppExecutor>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vmqs_core::{DatasetId, OverloadConfig, Rect};
+    use vmqs_core::{DatasetId, OverloadConfig, Rect, Strategy};
     use vmqs_microscope::kernels::reference_render;
     use vmqs_microscope::{SlideDataset, VmOp, VmQuery};
     use vmqs_storage::SyntheticSource;
@@ -1816,6 +1879,107 @@ mod tests {
         }
         assert_eq!(s.records().len(), 6);
         s.shutdown();
+    }
+
+    fn top(rank: f64, id: u64) -> Option<Top> {
+        Some(Top(Rank::new(rank), Reverse(QueryId(id))))
+    }
+
+    #[test]
+    fn picker_takes_the_best_rank_over_a_worse_home_top() {
+        // Home holds an older unranked miss; the other shard's top is a
+        // query with cached sources.
+        assert_eq!(pick_shard(&[top(0.0, 1), top(4096.0, 9)], 0), Some(1));
+        assert_eq!(pick_shard(&[top(4096.0, 9), top(0.0, 1)], 1), Some(0));
+        assert_eq!(pick_shard(&[top(-10.0, 1), top(0.0, 9)], 0), Some(1));
+    }
+
+    #[test]
+    fn picker_breaks_equal_ranks_by_the_older_id() {
+        assert_eq!(pick_shard(&[top(5.0, 7), top(5.0, 3)], 0), Some(1));
+        assert_eq!(pick_shard(&[top(5.0, 3), top(5.0, 7)], 1), Some(0));
+    }
+
+    #[test]
+    fn picker_orders_fifo_tops_by_id_alone() {
+        // FIFO ranks by the negated per-shard arrival sequence: shard 0's
+        // top is its first arrival, shard 1's its fifth, yet shard 1's is
+        // the older query of the two.
+        let fifo = |id, seq: u64| Some(Top::of(true, (QueryId(id), Rank::new(-(seq as f64)))));
+        assert_eq!(pick_shard(&[fifo(20, 0), fifo(8, 4)], 0), Some(1));
+        assert_eq!(pick_shard(&[fifo(8, 4), fifo(20, 0)], 1), Some(0));
+        // Every other strategy keeps its rank.
+        let ranked = Top::of(false, (QueryId(8), Rank::new(-4.0)));
+        assert_eq!(Some(ranked), top(-4.0, 8));
+    }
+
+    #[test]
+    fn picker_skips_empty_shards() {
+        assert_eq!(pick_shard(&[None, None, None], 1), None);
+        assert_eq!(pick_shard(&[None, top(-1.0, 50), None], 0), Some(1));
+        assert_eq!(
+            pick_shard(&[top(-9.0, 50), None, top(-10.0, 2)], 2),
+            Some(0)
+        );
+    }
+
+    #[test]
+    fn picker_gives_ties_to_the_first_shard_in_rotation_from_me() {
+        // Ids are unique, so only torn mirrors can repeat a key.
+        let t = top(1.0, 4);
+        assert_eq!(pick_shard(&[t, t, t], 1), Some(1));
+        assert_eq!(pick_shard(&[t, None, t], 1), Some(2));
+    }
+
+    #[test]
+    fn picker_with_one_shard_returns_it_whatever_its_top() {
+        for t in [top(0.0, 1), top(-1e300, u64::MAX), top(1e300, 0)] {
+            assert_eq!(pick_shard(&[t], 0), Some(0));
+        }
+    }
+
+    #[test]
+    fn shard_mirror_publishes_the_top_on_every_release() {
+        let lock = ShardLock::new(Strategy::Fifo, 256, Arc::new(AtomicUsize::new(0)));
+        assert_eq!(lock.top(), None);
+        for (id, x) in [(5, 0), (9, 300)] {
+            let (tx, _rx) = sync_channel(1);
+            let record = Pending {
+                tx,
+                submitted: clock::now(),
+                degraded: false,
+            };
+            let spec = q(x, 0, 32, 32, 1, VmOp::Subsample);
+            lock.lock().sched.admit(QueryId(id), spec, record);
+        }
+        assert_eq!(lock.top(), top(0.0, 5));
+        assert!(lock.lock().sched.dequeue(false).is_some());
+        assert_eq!(lock.top(), top(0.0, 9));
+        assert!(lock.lock().sched.dequeue(false).is_some());
+        assert_eq!(lock.top(), None);
+    }
+
+    #[test]
+    fn remote_dequeues_are_counted_past_one_worker() {
+        let remote = |threads| {
+            let cfg = ServerConfig::small()
+                .with_threads(threads)
+                .with_start_paused(true);
+            let s = server(cfg);
+            // 48 disjoint tiles: full computes, spread over the shards.
+            let tiles =
+                (0..48u32).map(|i| q((i % 8) * 70, (i / 8) * 90, 64, 64, 1, VmOp::Subsample));
+            let handles = s.submit_batch(tiles);
+            s.resume_workers();
+            for h in handles {
+                h.wait().unwrap();
+            }
+            let n = s.metrics().counters["vmqs_sched_remote_dequeues_total"];
+            s.shutdown();
+            n
+        };
+        assert_eq!(remote(1), 0);
+        assert!(remote(2) > 0);
     }
 
     #[test]

@@ -111,13 +111,6 @@ pub struct ServerSummary {
     pub failed: usize,
     /// Queries cancelled at their per-query deadline.
     pub timed_out: usize,
-    /// Page-read faults observed (transient + permanent), before retry.
-    pub io_faults: u64,
-    /// Page-read retries performed under the retry policy.
-    pub io_retries: u64,
-    /// Page reads that failed for good (retries exhausted, permanent
-    /// fault, or deadline hit mid-read).
-    pub failed_reads: u64,
     /// Queries refused at admission (queue full or rate limited).
     pub rejected: usize,
     /// Queries admitted but evicted by the load shedder.

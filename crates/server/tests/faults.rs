@@ -100,16 +100,17 @@ fn run_sweep(rate: f64, threads: usize, seed: u64) -> (usize, usize) {
     assert_eq!(sum.completed, ok);
     assert_eq!(sum.failed, failed);
     assert_eq!(sum.timed_out, 0);
+    let ps = server.ps_stats();
     if rate == 0.0 {
-        assert_eq!(sum.io_faults, 0, "clean source must inject nothing");
+        assert_eq!(ps.read_faults, 0, "clean source must inject nothing");
         assert_eq!(failed, 0, "clean source must fail nothing");
     } else if rate >= 0.1 {
         // At low rates a small workload's page set may legitimately draw
         // no fault; at 10% injection must be visible and must exercise
         // the retry path.
-        assert!(sum.io_faults > 0, "rate {rate} must inject faults");
+        assert!(ps.read_faults > 0, "rate {rate} must inject faults");
         assert!(
-            sum.io_retries > 0,
+            ps.read_retries > 0,
             "rate {rate} must trigger the retry path"
         );
     }
@@ -119,26 +120,18 @@ fn run_sweep(rate: f64, threads: usize, seed: u64) -> (usize, usize) {
     // more, no less.
     let inj = source.stats();
     assert_eq!(
-        sum.io_faults,
+        ps.read_faults,
         inj.transient + inj.permanent,
         "rate {rate}: server fault count must match the injector's draws"
     );
     assert!(
-        sum.io_retries <= sum.io_faults,
+        ps.read_retries <= ps.read_faults,
         "retries can never exceed observed faults"
     );
 
     // And the metrics registry must mirror the same counters.
     let metrics = server.metrics();
-    assert_eq!(
-        metrics.counters["vmqs_ps_read_faults_total"], sum.io_faults,
-        "metrics registry must mirror io_faults"
-    );
-    assert_eq!(
-        metrics.counters["vmqs_ps_read_retries_total"], sum.io_retries,
-        "metrics registry must mirror io_retries"
-    );
-    for (name, v) in server.ps_stats().series() {
+    for (name, v) in ps.series() {
         assert_eq!(metrics.counters[name], v, "rate {rate}: {name}");
     }
 
@@ -254,7 +247,10 @@ fn poisoned_pages_fail_their_query_and_spare_peers() {
     server.check_invariants();
     let sum = server.summary();
     assert_eq!((sum.completed, sum.failed), (1, 1));
-    assert!(sum.failed_reads > 0, "the failed read must be counted");
+    assert!(
+        server.ps_stats().failed_reads > 0,
+        "the failed read must be counted"
+    );
     server.shutdown();
 }
 

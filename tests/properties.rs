@@ -641,13 +641,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    // Query conservation under work stealing (DESIGN.md §12): with the
-    // scheduling graph sharded per worker and idle workers stealing from
-    // the richest shard, no query may be lost or resolved twice at any
-    // pool size. Interactive multi-client submission (unlike the paused
-    // batch above) so dequeues, steals, and admissions genuinely race,
-    // with the shed/reject ladder armed so every outcome class is
-    // reachable.
+    // Query conservation under cross-shard dequeue (DESIGN.md §12): with
+    // the scheduling graph sharded per worker and every worker taking the
+    // best top of all shards, its own or another's, no query may be lost
+    // or resolved twice at any pool size. Interactive multi-client
+    // submission (unlike the paused batch above) so dequeues on any
+    // shard and admissions genuinely race, with the shed/reject ladder
+    // armed so every outcome class is reachable.
     #[test]
     fn stealing_conserves_queries_at_2_4_8_workers(
         seed in 0u64..500,
@@ -685,7 +685,7 @@ proptest! {
 
         // Four concurrent clients, each waiting for its previous answer —
         // the submission pattern that interleaves admission fast paths
-        // with dequeues and steals on other shards.
+        // with dequeues on other shards.
         let totals = std::sync::Mutex::new([0u64; 5]);
         std::thread::scope(|scope| {
             for chunk in specs.chunks(queries.div_ceil(4)) {
