@@ -10,7 +10,10 @@ use vmqs_microscope::kernels::{
     compute_from_chunks, compute_from_pages, kernel_threads, project, render_streamed,
 };
 use vmqs_microscope::{RgbImage, SlideDataset, VmOp, VmQuery, PAGE_SIZE};
-use vmqs_storage::{DataSource, SyntheticSource};
+use vmqs_storage::{
+    add_column_sums, add_column_sums_scalar, block_means, block_means_scalar, column_sums,
+    column_sums_scalar, DataSource, SyntheticSource,
+};
 
 fn slide() -> SlideDataset {
     SlideDataset::new(DatasetId(0), 4096, 4096)
@@ -84,6 +87,63 @@ fn bench_batch_scan_streamed(c: &mut Criterion) {
             black_box(held[0][0])
         });
     });
+    group.finish();
+}
+
+/// The averaging kernel's two byte-sum primitives on one slab of the
+/// `batch_scan` window (zoom 4, 1024 px, 3072 samples a row), dispatched
+/// (AVX-512BW where the CPU has it) and by the portable reference: the
+/// column sums of the slab's 4 rows, assigned and accumulated, and the
+/// block means of those sums.
+fn bench_byte_sums(c: &mut Criterion) {
+    let mut group = c.benchmark_group("byte_sums_3072_samples_zoom4");
+    let data = page(7);
+    let rows: Vec<&[u8]> = data.chunks_exact(3072).take(4).collect();
+    let mut sums = vec![0u16; 3072];
+    let mut out = vec![0u8; 3072 / 4];
+    type Sums = fn(&[&[u8]], &mut [u16]);
+    type Means = fn(usize, &[u16], &mut [u8]);
+    let levels: [(&str, Sums, Sums, Means); 2] = [
+        ("dispatched", column_sums, add_column_sums, block_means),
+        (
+            "scalar",
+            column_sums_scalar,
+            add_column_sums_scalar,
+            block_means_scalar,
+        ),
+    ];
+    for (level, assign, add, means) in levels {
+        group.bench_function(BenchmarkId::new("column_sums", level), |b| {
+            b.iter(|| assign(black_box(&rows), &mut sums));
+        });
+        group.bench_function(BenchmarkId::new("add_column_sums", level), |b| {
+            b.iter(|| add(black_box(&rows), &mut sums));
+        });
+        group.bench_function(BenchmarkId::new("block_means", level), |b| {
+            b.iter(|| means(4, black_box(&sums), &mut out));
+        });
+    }
+    group.finish();
+}
+
+/// Averaging of a 1024² window at the other two zooms the byte-sum
+/// primitives serve, as the engine renders it (pages filled as each chunk
+/// row is asked for). Zoom 4 is `batch_scan_streamed_1024px_zoom4`.
+fn bench_average_by_zoom(c: &mut Criterion) {
+    let mut group = c.benchmark_group("average_streamed_1024px");
+    let src = SyntheticSource::new();
+    let read = |idx| Arc::new(src.read_page(DatasetId(0), idx, PAGE_SIZE).unwrap());
+    for zoom in [2, 8] {
+        let q = VmQuery::new(
+            slide(),
+            Rect::new(1024, 1024, 1024, 1024),
+            zoom,
+            VmOp::Average,
+        );
+        group.bench_function(BenchmarkId::new("zoom", zoom), |b| {
+            b.iter(|| black_box(compute_from_chunks(&q, read).data[0]));
+        });
+    }
     group.finish();
 }
 
@@ -162,6 +222,8 @@ criterion_group!(
     benches,
     bench_batch_scan_window,
     bench_batch_scan_streamed,
+    bench_byte_sums,
+    bench_average_by_zoom,
     bench_project,
     bench_full_query,
     bench_project_vs_recompute

@@ -8,12 +8,14 @@
 //! the row's `zoom` sample rows (its *slab*) into one column buffer,
 //! reduces that horizontally once and divides by the constant `zoom²`
 //! (averaging), or gathers every `zoom`-th sample of one row
-//! (subsampling). At zoom 2, 4 and 8, when every tile the slab meets holds
-//! all of its rows (every slab of a projection, and all but the slabs that
-//! straddle a chunk row), each column's sum is written in one pass over
-//! the tile's rows; a straddling slab, and every slab at another zoom,
-//! zero-fills the buffer and adds each tile's rows into it. A full compute
-//! touches each input and output byte once.
+//! (subsampling). At zoom 2, 4 and 8 the sums and the reduction are
+//! `vmqs-storage`'s byte-sum primitives, vectorised where the CPU allows,
+//! and when every tile the slab meets holds all of its rows (every slab of
+//! a projection, and all but the slabs that straddle a chunk row), each
+//! column's sum is written in one pass over the tile's rows; a straddling
+//! slab, and every slab at another zoom, zero-fills the buffer and adds
+//! each tile's rows into it. A full compute touches each input and output
+//! byte once.
 //!
 //! Alignment invariants from [`VmQuery`] (window origin/size are multiples
 //! of the zoom, windows lie inside the slide) make every averaging block
@@ -30,8 +32,15 @@ use vmqs_core::Rect;
 const BPP: usize = BYTES_PER_PIXEL as usize;
 
 /// Minimum sample bytes per band before row-banded parallelism pays for a
-/// scoped-thread spawn: about 0.25 ms of streaming against a spawn of
-/// 0.05 ms that, measured cold, costs as much again in the band it delays.
+/// scoped-thread spawn of 0.05 ms that, measured cold, costs as much again
+/// in the band it delays. The vectorised averaging kernel streams 2 MiB of
+/// prefetched pages in about 0.19 ms (a 3 MiB zoom-4 window in 290 µs on
+/// one thread of a 2-core Xeon VM); at 1 MiB, that window split into two
+/// bands and took 175-185 µs, so bands pay from about 1 MiB. The bound
+/// stays at 2 MiB: the engine renders streamed on one thread, and the
+/// callers that band (the benchmark's layer replay and the criterion
+/// cases) keep rendering a `batch_scan` window in one band, comparable
+/// with their earlier runs.
 const MIN_BAND_BYTES: usize = 2 << 20;
 
 /// Largest zoom whose column sums (`255 * zoom`) fit a `u16`.
@@ -86,11 +95,13 @@ impl<'a> Dest<'a> {
 }
 
 /// One tile's share of a slab: `rows` rows of `len` sample bytes, `stride`
-/// bytes apart in `data`, that land `off` bytes into the slab's row.
+/// bytes apart in `data`, that land `off` bytes into the slab's row. The
+/// tile holds `tile_rows` rows from the part's first on.
 struct Part<'a> {
     off: usize,
     len: usize,
     rows: usize,
+    tile_rows: usize,
     stride: usize,
     data: &'a [u8],
 }
@@ -99,6 +110,14 @@ impl<'a> Part<'a> {
     /// The part's `k`-th row of samples.
     fn row(&self, k: usize) -> &'a [u8] {
         &self.data[k * self.stride..][..self.len]
+    }
+
+    /// All of the part's rows (at most `buf.len()`), gathered in `buf`.
+    fn rows<'b>(&self, buf: &'b mut [&'a [u8]]) -> &'b [&'a [u8]] {
+        for (k, r) in buf[..self.rows].iter_mut().enumerate() {
+            *r = self.row(k);
+        }
+        &buf[..self.rows]
     }
 }
 
@@ -110,7 +129,7 @@ fn parts<'t>(
     tiles: &'t [Tile<'t>],
     first: &mut usize,
     slab: Rect,
-) -> impl Iterator<Item = Part<'t>> + Clone {
+) -> impl Iterator<Item = Part<'t>> {
     while tiles.get(*first).is_some_and(|(r, _)| r.y1() <= slab.y) {
         *first += 1;
     }
@@ -126,39 +145,20 @@ fn parts<'t>(
                 off: (i.x - slab.x) as usize * BPP,
                 len: i.w as usize * BPP,
                 rows: i.h as usize,
+                tile_rows: (rect.y1() - i.y) as usize,
                 stride,
                 data: &data[at..],
             })
         })
 }
 
-/// Writes into `cols` each column's sum over the `Z` rows of `data` that
-/// start `stride` bytes apart, `cols.len()` samples each: one pass over the
-/// rows, and `cols` is written once, never filled or re-read.
-fn sum_columns<const Z: usize, T>(data: &[u8], stride: usize, cols: &mut [T])
-where
-    T: Copy + Default + AddAssign + From<u8>,
-{
-    let n = cols.len();
-    let rows: [&[u8]; Z] = std::array::from_fn(|k| &data[k * stride..][..n]);
-    for (j, c) in cols.iter_mut().enumerate() {
-        let mut sum = T::default();
-        for row in &rows {
-            sum += T::from(row[j]);
-        }
-        *c = sum;
-    }
-}
-
-/// Sums each block of `Z` pixels of `cols` per channel into one pixel of
-/// `out` in an `S` (`Z == 0`: `z` pixels, the trip count left to run
-/// time), and maps the sum to its mean with `divide`.
-fn reduce_row<const Z: usize, T, S>(cols: &[T], out: &mut [u8], z: usize, divide: &impl Fn(S) -> u8)
+/// Sums each block of `z` pixels of `cols` per channel into one pixel of
+/// `out` in an `S`, and maps the sum to its mean with `divide`.
+fn reduce_row<T, S>(cols: &[T], out: &mut [u8], z: usize, divide: &impl Fn(S) -> u8)
 where
     T: Copy + Into<S>,
     S: Copy + Default + AddAssign,
 {
-    let z = if Z == 0 { z } else { Z };
     for (o, block) in out.chunks_exact_mut(BPP).zip(cols.chunks_exact(z * BPP)) {
         let mut sums = [S::default(); BPP];
         for p in block.chunks_exact(BPP) {
@@ -172,17 +172,11 @@ where
     }
 }
 
-/// Averaging of `Z × Z` blocks (`Z == 0`: the zoom left to run time):
-/// column sums of type `T` per output row, then one horizontal reduction
-/// into block sums of type `S`, which `divide` maps to their means.
-///
-/// With a compile-time zoom, a slab (the `zoom` sample rows of one output
-/// row) whose every tile holds all of its rows, which is every slab of a
-/// projection and all but the slabs that straddle a chunk row, has its
-/// column sums written tile by tile in one pass. A straddling slab, and
-/// every slab at a run-time zoom, zero-fills the column buffer and adds
-/// each tile's rows into it.
-fn average_rows<const Z: usize, T, S>(src: Source<'_>, dst: Dest<'_>, divide: impl Fn(S) -> u8)
+/// Averaging at a zoom other than 2, 4 and 8: per output row, column sums
+/// of type `T` (the buffer zero-filled, each tile's rows added), then one
+/// horizontal reduction into block sums of type `S`, which `divide` maps to
+/// their means.
+fn average_rows<T, S>(src: Source<'_>, dst: Dest<'_>, divide: impl Fn(S) -> u8)
 where
     T: Copy + Default + AddAssign + From<u8> + Into<S>,
     S: Copy + Default + AddAssign,
@@ -194,27 +188,63 @@ where
     for (r, row) in dst.rows.chunks_exact_mut(dst.stride).enumerate() {
         let y = src.win.y + r as u32 * src.zoom;
         let slab = Rect::new(src.win.x, y, src.win.w, src.zoom);
-        let slab_parts = parts(src.tiles, &mut first, slab);
-        if Z > 0 && slab_parts.clone().all(|p| p.rows == Z) {
-            let mut covered = 0;
-            for p in slab_parts {
-                sum_columns::<Z, T>(p.data, p.stride, &mut cols[p.off..p.off + p.len]);
-                covered += p.len;
-            }
-            debug_assert_eq!(covered, cols.len(), "the tiles cover {slab:?}");
-        } else {
-            cols.fill(T::default());
-            for p in slab_parts {
-                for k in 0..p.rows {
-                    let sums = cols[p.off..p.off + p.len].iter_mut();
-                    for (c, &s) in sums.zip(p.row(k)) {
-                        *c += T::from(s);
-                    }
+        cols.fill(T::default());
+        for p in parts(src.tiles, &mut first, slab) {
+            for k in 0..p.rows {
+                let sums = cols[p.off..p.off + p.len].iter_mut();
+                for (c, &s) in sums.zip(p.row(k)) {
+                    *c += T::from(s);
                 }
             }
         }
         let out = &mut row[dst.x_off..dst.x_off + out_len];
-        reduce_row::<Z, T, S>(&cols, out, z, &divide);
+        reduce_row::<T, S>(&cols, out, z, &divide);
+    }
+}
+
+/// Averaging at zoom 2, 4 or 8 on the byte-sum primitives of
+/// `vmqs-storage`, which run on the vector unit where the CPU has one:
+/// `u16` column sums (at most `255 · 8`) and `u16` block sums (at most
+/// `255 · 8²`) shifted by `log2(zoom²)`.
+///
+/// A slab whose every tile holds all of its rows (every slab of a
+/// projection, and all but the slabs that straddle a chunk row) has its
+/// column sums written tile by tile in one pass; a straddling slab
+/// zero-fills the column buffer and adds each tile's rows into it. Either
+/// way the row is then reduced in one call. The tiles' parts are found
+/// once per run of slabs that the same tiles hold whole, and moved down
+/// `zoom` rows for each further slab of the run.
+fn average_rows_dispatched(src: Source<'_>, dst: Dest<'_>) {
+    let z = src.zoom as usize;
+    let out_len = src.win.w as usize / z * BPP;
+    let mut cols = vec![0u16; src.win.w as usize * BPP];
+    let mut rows = [&[][..]; 8];
+    let (mut first, mut slab_parts, mut reuse) = (0, Vec::<Part<'_>>::new(), 0);
+    for (r, row) in dst.rows.chunks_exact_mut(dst.stride).enumerate() {
+        if reuse > 0 {
+            for p in &mut slab_parts {
+                p.data = &p.data[z * p.stride..];
+            }
+            reuse -= 1;
+        } else {
+            let y = src.win.y + r as u32 * src.zoom;
+            let slab = Rect::new(src.win.x, y, src.win.w, src.zoom);
+            slab_parts.clear();
+            slab_parts.extend(parts(src.tiles, &mut first, slab));
+            let whole = slab_parts.iter().map(|p| p.tile_rows / z).min();
+            reuse = whole.unwrap_or(0).saturating_sub(1);
+        }
+        if slab_parts.iter().all(|p| p.rows == z) {
+            for p in &slab_parts {
+                vmqs_storage::column_sums(p.rows(&mut rows), &mut cols[p.off..p.off + p.len]);
+            }
+        } else {
+            cols.fill(0);
+            for p in &slab_parts {
+                vmqs_storage::add_column_sums(p.rows(&mut rows), &mut cols[p.off..p.off + p.len]);
+            }
+        }
+        vmqs_storage::block_means(z, &cols, &mut row[dst.x_off..dst.x_off + out_len]);
     }
 }
 
@@ -252,18 +282,14 @@ fn render_rows(src: Source<'_>, dst: Dest<'_>) {
     let n = src.zoom as u64 * src.zoom as u64;
     match (src.op, src.zoom) {
         (VmOp::Average, z) if z > MAX_U16_ZOOM => {
-            average_rows::<0, u32, u64>(src, dst, |s| (s / n) as u8)
+            average_rows::<u32, u64>(src, dst, |s| (s / n) as u8)
         }
-        // A compile-time zoom unrolls the column and block sums, and its
-        // block sums (at most 255 · 8²) divide by a power of two: a shift.
-        (VmOp::Average, 2) => average_rows::<2, u16, u32>(src, dst, |s| (s / 4) as u8),
-        (VmOp::Average, 4) => average_rows::<4, u16, u32>(src, dst, |s| (s / 16) as u8),
-        (VmOp::Average, 8) => average_rows::<8, u16, u32>(src, dst, |s| (s / 64) as u8),
+        (VmOp::Average, 2 | 4 | 8) => average_rows_dispatched(src, dst),
         (VmOp::Average, z) if z > 1 => {
             // floor(s / n) as a multiply and shift: exact for every
             // s <= 255 n because 255 n² < 2^42 when n <= 257².
             let m = (1u64 << 42) / n + 1;
-            average_rows::<0, u16, u64>(src, dst, |s| ((s * m) >> 42) as u8)
+            average_rows::<u16, u64>(src, dst, |s| ((s * m) >> 42) as u8)
         }
         // The mean of one sample is the sample.
         _ => subsample_rows(src, dst),
@@ -580,6 +606,60 @@ mod tests {
             assert_eq!(render_per_row(&q), want, "per-row path, {q:?}");
             assert_eq!(compute_from_pages(&q, &pages_for(&q), 1), want, "{q:?}");
             assert_eq!(compute_from_chunks(&q, fetch_real(&q)), want, "{q:?}");
+        }
+    }
+
+    #[test]
+    fn vectorised_averaging_matches_reference_with_boundaries_mid_vector() {
+        // The byte-sum primitives step 64 columns (sample bytes) at a
+        // time. Each window starts at an x that puts every chunk column
+        // boundary it crosses (147, 294) off a 64-byte step, so tiles end
+        // and blocks straddle tiles mid-vector, and two slabs above
+        // y = 147, so one slab straddles the chunk row. Then a projection
+        // of a cached average at the same odd offsets.
+        let s = SlideDataset::new(DatasetId(5), 512, 512);
+        for zoom in [2u32, 4, 8] {
+            // The window starts `j` output pixels left of the first chunk
+            // column boundary.
+            for j in [1u32, 5, 11] {
+                let x = (CHUNK_SIDE / zoom - j) * zoom;
+                let w = if cfg!(miri) {
+                    j + 2
+                } else {
+                    (300 - x) / zoom + 1
+                };
+                let h = if cfg!(miri) { 3 } else { 7 };
+                let rect = Rect::new(x, (147 / zoom - 2) * zoom, w * zoom, h * zoom);
+                let crossed: Vec<u32> = [147, 294]
+                    .into_iter()
+                    .filter(|&b| rect.x < b && b < rect.x1())
+                    .collect();
+                assert!(!crossed.is_empty(), "{rect:?}");
+                assert!(
+                    crossed.iter().all(|b| !((b - x) * 3).is_multiple_of(64)),
+                    "{rect:?}"
+                );
+                let q = VmQuery::new(s, rect, zoom, VmOp::Average);
+                assert!(straddles(&q), "{q:?}");
+                let want = reference_render(&q);
+                assert_eq!(compute_from_pages(&q, &pages_for(&q), 1), want, "{q:?}");
+                assert_eq!(compute_from_chunks(&q, fetch_real(&q)), want, "{q:?}");
+                assert_eq!(render_per_row(&q), want, "per-row path, {q:?}");
+            }
+        }
+        let side = if cfg!(miri) { 48 } else { 296 };
+        let cached = VmQuery::new(s, Rect::new(26, 50, side, side), 2, VmOp::Average);
+        let img = compute_from_chunks(&cached, fetch_real(&cached));
+        for zoom in [4u32, 8] {
+            let target = VmQuery::new(s, Rect::new(24, 48, 320, 320), zoom, VmOp::Average);
+            let (w, h) = target.output_dims();
+            let mut want = RgbImage::new(w, h);
+            want.data.fill(0xAB);
+            let mut got = want.clone();
+            let cov = project_per_pixel(&mut want, &target, &cached, img.view());
+            assert!(cov.is_some(), "zoom {zoom}");
+            assert_eq!(project(&mut got, &target, &cached, img.view()), cov);
+            assert_eq!(got, want, "zoom {zoom}");
         }
     }
 

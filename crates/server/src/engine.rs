@@ -164,6 +164,10 @@ struct Shard<S: SpatialSpec> {
     /// Signaled when a query homed on this shard completes or is shed —
     /// wakes dependency blockers (associated with `state`).
     done_cv: Condvar,
+    /// Queries parked on `done_cv` in [`wait_for_peer`], which raises and
+    /// lowers it under `state`. [`Core::answer`] notifies only while it is
+    /// nonzero: std's condvar makes a wake syscall even with no waiter.
+    parked: AtomicUsize,
 }
 
 /// A shard's best WAITING query as workers compare it across shards:
@@ -471,6 +475,7 @@ impl<A: AppExecutor> QueryServer<A> {
                 .map(|_| Shard {
                     state: ShardLock::new(cfg.strategy, cfg.index_cell, Arc::clone(&total_waiting)),
                     done_cv: Condvar::new(),
+                    parked: AtomicUsize::new(0),
                 })
                 .collect(),
             admission: Mutex::ranked(LockClass::Admission, RateLimiter::default()),
@@ -974,9 +979,10 @@ impl<A: AppExecutor> Core<A> {
 
     /// Delivers a query's one answer and retires it from shard `k`'s
     /// outstanding count: wakes `drain` when the count hits zero and the
-    /// shard's dependency blockers unconditionally. The reply goes out
+    /// shard's dependency blockers when any are parked. The reply goes out
     /// *before* the count drops, so `drain` returning implies every
-    /// handle is fulfilled. Callers hold no lock.
+    /// handle is fulfilled. Callers hold no lock, and have taken the query
+    /// out of EXECUTING under shard `k`'s lock.
     fn answer(
         &self,
         k: usize,
@@ -990,7 +996,15 @@ impl<A: AppExecutor> Core<A> {
             let _g = self.drain_mx.lock();
             self.drain_cv.notify_all();
         }
-        self.shards[k].done_cv.notify_all();
+        // A waiter registers in `parked` under the shard lock before it
+        // reads its peer's state; our caller changed that state under the
+        // same lock, so either the waiter saw the change and never parked,
+        // or its registration happened before this load (the lock orders
+        // them, and Relaxed suffices: the count publishes nothing).
+        let shard = &self.shards[k];
+        if shard.parked.load(Ordering::Relaxed) > 0 {
+            shard.done_cv.notify_all();
+        }
     }
 }
 
@@ -1338,6 +1352,8 @@ fn wait_for_peer<A: AppExecutor>(
         return Ok(None);
     }
     s.waiting_on.insert(id, peer);
+    let shard = &core.shards[k];
+    shard.parked.fetch_add(1, Ordering::Relaxed);
     let t0 = clock::now();
     let mut expired = false;
     while s.sched.graph().state_of(peer) == Some(QueryState::Executing)
@@ -1347,8 +1363,9 @@ fn wait_for_peer<A: AppExecutor>(
             expired = true;
             break;
         }
-        s.wait(&core.shards[k].done_cv, deadline);
+        s.wait(&shard.done_cv, deadline);
     }
+    shard.parked.fetch_sub(1, Ordering::Relaxed);
     s.waiting_on.remove(&id);
     if expired {
         return Err(deadline_error());

@@ -21,7 +21,16 @@
 //!   disk cost instead of recompute cost (DESIGN.md §14);
 //! * [`ChaosConfig`] injects seeded *process* failures (worker panics,
 //!   crash-mid-spill, frame bit flips) for the failure-containment layer
-//!   (DESIGN.md §15).
+//!   (DESIGN.md §15);
+//! * [`column_sums`], [`add_column_sums`] and [`block_means`] are the byte
+//!   sums of the pixel-averaging kernel (DESIGN.md §3).
+//!
+//! This is the one crate allowed `unsafe`, for three CPU-dispatched
+//! kernel families, each with a portable reference it is tested against:
+//! the AVX-512 page fill ([`SyntheticSource`]), the carry-less-multiply
+//! frame checksum ([`crc32`], reference [`crc32_table`]) and the
+//! AVX-512BW byte sums (references [`column_sums_scalar`],
+//! [`add_column_sums_scalar`], [`block_means_scalar`]).
 
 #![warn(missing_docs)]
 
@@ -30,6 +39,7 @@ mod disk;
 mod fault;
 mod source;
 mod spill;
+mod sums;
 
 pub use chaos::ChaosConfig;
 pub use disk::DiskModel;
@@ -37,4 +47,8 @@ pub use fault::{is_transient, FaultConfig, FaultInjectingSource, FaultStats};
 pub use source::{DataSource, FileSource, SyntheticSource, ThrottledSource};
 pub use spill::{
     crc32, crc32_table, RecoveredFrame, RecoveryReport, SpillStats, SpillStore, SPILL_DEVICE,
+};
+pub use sums::{
+    add_column_sums, add_column_sums_scalar, block_means, block_means_scalar, column_sums,
+    column_sums_scalar,
 };

@@ -295,6 +295,45 @@ fn worker_death_backout_wakes_waiter() {
     });
 }
 
+/// `Core::answer` notifies `done_cv` only while `parked` is nonzero. The
+/// waiter raises `parked` under the shard lock before it reads its peer's
+/// state; the publisher changes that state under the same lock and reads
+/// `parked` after releasing it. Either the waiter saw the change and never
+/// parked, or the lock ordered its registration before the publisher's
+/// (Relaxed) load, which then sees it and notifies. Reading `parked`
+/// before taking the lock, or raising it after the wait began, strands
+/// the waiter (loom reports the lost wakeup as a deadlock).
+#[test]
+fn answer_notifies_whenever_a_waiter_is_parked() {
+    loom::model(|| {
+        let executing = Arc::new(Mutex::new(true));
+        let parked = Arc::new(AtomicUsize::new(0));
+        let done_cv = Arc::new(Condvar::new());
+
+        let publisher = {
+            let (executing, parked, done_cv) = (executing.clone(), parked.clone(), done_cv.clone());
+            thread::spawn(move || {
+                // `publish` (or `retire`) under the shard lock...
+                *executing.lock() = false;
+                // ...then `answer`, holding no lock.
+                if parked.load(Ordering::Relaxed) > 0 {
+                    done_cv.notify_all();
+                }
+            })
+        };
+
+        // `wait_for_peer`.
+        let mut g = executing.lock();
+        parked.fetch_add(1, Ordering::Relaxed);
+        while *g {
+            done_cv.wait(&mut g);
+        }
+        parked.fetch_sub(1, Ordering::Relaxed);
+        drop(g);
+        publisher.join().unwrap();
+    });
+}
+
 /// A spill directory: the blobs whose frame file is on disk.
 type Frames = vmqs_core::sync::Mutex<HashSet<BlobId>>;
 type Store = vmqs_core::sync::Mutex<DataStore<IntervalSpec>>;
