@@ -259,8 +259,9 @@ ds_stats! {
     /// whether or not the entry was still there to drop, plus one per
     /// RESTORABLE entry dropped because its frame write failed.
     restore_failures,
-    /// Inserts refused by cost-based admission control (their benefit
-    /// score could not beat a would-be victim's).
+    /// Inserts refused by cost-based admission control (a visible twin
+    /// answers for them, or their benefit score could not beat a would-be
+    /// victim's).
     unprofitable,
     /// RESTORABLE entries adopted from recovered spill frames at startup
     /// (DESIGN.md §15).
@@ -286,9 +287,10 @@ pub enum DsError {
     /// The requested size can never fit (larger than the total budget, or
     /// caching is disabled with a zero budget).
     TooLarge,
-    /// Cost-based admission refused the entry: its benefit-per-byte score
-    /// cannot beat every victim it would displace, and displacement would
-    /// lose the victims' data (DESIGN.md §14).
+    /// Cost-based admission refused the entry (DESIGN.md §14): a visible
+    /// entry `cmp`-matches it already, or its benefit-per-byte score cannot
+    /// beat every victim it would displace and displacement would lose the
+    /// victims' data.
     Unprofitable,
 }
 
@@ -296,7 +298,7 @@ impl std::fmt::Display for DsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             DsError::TooLarge => "allocation exceeds data store budget",
-            DsError::Unprofitable => "entry's benefit score cannot beat the current victim set",
+            DsError::Unprofitable => "cost-based admission refused the entry",
         })
     }
 }
@@ -433,11 +435,16 @@ impl<S: SpatialSpec> DataStore<S> {
     /// the caller can transition them to SWAPPED_OUT in the scheduling
     /// graph. The entry is visible to lookups on return.
     ///
-    /// Under [`EvictionPolicy::CostBased`], when making room would *lose*
-    /// a victim's data (spilling disabled, so eviction means dropping), an
-    /// entry whose benefit score cannot beat every victim it would
-    /// displace is refused with [`DsError::Unprofitable`] instead of
-    /// churning the cache. A refused insert changes nothing.
+    /// Under [`EvictionPolicy::CostBased`] admission is by benefit
+    /// (DESIGN.md §14), and two kinds of entry are refused with
+    /// [`DsError::Unprofitable`]. An entry that `cmp`-matches a visible one
+    /// is a twin: the resident copy answers every query the twin could, so
+    /// it is refused before any victim is looked at. And when making room
+    /// would *lose* a victim's data (spilling disabled, so eviction means
+    /// dropping), an entry whose benefit score cannot beat every victim it
+    /// would displace is refused instead of churning the cache. A refused
+    /// insert changes nothing but the `unprofitable` count: no blob id, no
+    /// clock tick, no eviction. (LRU still admits twins: ROADMAP item 8.)
     pub fn insert_costed(
         &mut self,
         producer: QueryId,
@@ -454,11 +461,13 @@ impl<S: SpatialSpec> DataStore<S> {
         if let Some(len) = payload.len() {
             debug_assert_eq!(len as u64, size, "payload size differs from the charge");
         }
+        let cost_based = self.policy == EvictionPolicy::CostBased;
         // Spilling preserves the victim's data, so the knapsack trade is
         // free; only a lossy drop has to be won on score.
-        let lossy = self.policy == EvictionPolicy::CostBased && self.tier2_budget == 0;
+        let lossy = cost_based && self.tier2_budget == 0;
         let must_beat = lossy.then(|| benefit_score(cost, 0, size));
-        if !self.make_room(size, must_beat, evicted) {
+        let twin = cost_based && self.equivalent(&spec).is_some();
+        if twin || !self.make_room(size, must_beat, evicted) {
             self.stats.unprofitable.fetch_add(1, Ordering::Relaxed);
             return Err(DsError::Unprofitable);
         }
@@ -1275,6 +1284,113 @@ mod tests {
         assert_eq!(ds.stats().unprofitable, 1);
     }
 
+    /// What an insert refused for a visible twin must leave as it was:
+    /// entries, bytes in both tiers, the id allocator, the clock, the
+    /// victim index, pending spills and every counter but `unprofitable`.
+    type Untouched = (
+        usize,
+        u64,
+        u64,
+        u64,
+        u64,
+        Vec<(VictimKey, BlobId)>,
+        usize,
+        DsStats,
+    );
+
+    fn untouched(ds: &DataStore<IntervalSpec>) -> Untouched {
+        let mut stats = ds.stats();
+        stats.unprofitable = 0;
+        (
+            ds.len(),
+            ds.used(),
+            ds.tier2_used(),
+            ds.next_blob,
+            ds.clock.load(Ordering::Relaxed),
+            ds.victims.iter().copied().collect(),
+            ds.pending_spills.len(),
+            stats,
+        )
+    }
+
+    /// A `cmp`-equal twin of a visible entry is refused before any victim
+    /// is chosen, however valuable, with the spill tier on or off and with
+    /// tier 1 full (a non-twin would have displaced the resident entry).
+    #[test]
+    fn cost_based_refuses_a_visible_twin() {
+        for tier2 in [0, 1000] {
+            let mut ds = cost_store(100).with_tier2(tier2);
+            let mut ev = Vec::new();
+            let s = spec(0, 100, 1);
+            let resident = ds
+                .insert_costed(QueryId(1), s.clone(), 100, 1.0, Payload::Virtual, &mut ev)
+                .unwrap();
+            let before = untouched(&ds);
+            let twin =
+                ds.insert_costed(QueryId(2), s.clone(), 100, 50.0, Payload::Virtual, &mut ev);
+            assert_eq!(twin, Err(DsError::Unprofitable), "tier2 {tier2}");
+            assert!(ev.is_empty(), "tier2 {tier2}: {ev:?}");
+            assert_eq!(untouched(&ds), before, "tier2 {tier2}");
+            assert_eq!(ds.stats().unprofitable, 1);
+            assert_eq!(ds.stats().spilled, 0, "tier2 {tier2}: nothing demoted");
+            // The resident copy answers; the next admitted insert takes
+            // the id the twin did not.
+            let ms = ds.lookup(&s);
+            assert_eq!((ms.len(), ms[0].blob, ms[0].exact), (1, resident, true));
+            let next = ds.insert_costed(
+                QueryId(3),
+                spec(500, 100, 1),
+                100,
+                50.0,
+                Payload::Virtual,
+                &mut ev,
+            );
+            assert_eq!(next, Ok(BlobId(resident.raw() + 1)), "tier2 {tier2}");
+        }
+    }
+
+    /// A spilled twin answers exact probes only at a disk read's cost and
+    /// is invisible to lookups, so it does not refuse a fresh copy.
+    #[test]
+    fn a_restorable_twin_does_not_refuse() {
+        let mut ds = cost_store(100).with_tier2(1000);
+        let mut ev = Vec::new();
+        let s = spec(0, 100, 1);
+        let spilled = ds
+            .insert_costed(QueryId(1), s.clone(), 100, 1.0, Payload::Virtual, &mut ev)
+            .unwrap();
+        ds.insert_costed(
+            QueryId(2),
+            spec(500, 100, 1),
+            100,
+            2.0,
+            Payload::Virtual,
+            &mut ev,
+        )
+        .unwrap();
+        assert!(ds.get(spilled).unwrap().restorable());
+        let fresh = ds
+            .insert_costed(QueryId(3), s.clone(), 100, 3.0, Payload::Virtual, &mut ev)
+            .unwrap();
+        assert_eq!(ds.stats().unprofitable, 0);
+        assert_eq!(ds.equivalent(&s), Some(fresh));
+        assert_eq!(ds.lookup_restorable_exact(&s).map(|r| r.0), Some(spilled));
+    }
+
+    /// LRU admission is unchanged: it still caches a twin (and a lookup
+    /// then finds both). Refusing them under LRU is the other half of
+    /// ROADMAP item 8, held back by the hit-ratio ceiling of item 1(d).
+    #[test]
+    fn lru_still_admits_twins() {
+        let mut ds = store(1000);
+        let mut ev = Vec::new();
+        let s = spec(0, 100, 1);
+        put(&mut ds, 1, s.clone(), 100, &mut ev).unwrap();
+        put(&mut ds, 2, s.clone(), 100, &mut ev).unwrap();
+        assert_eq!((ds.len(), ds.used(), ds.stats().unprofitable), (2, 200, 0));
+        assert_eq!(ds.lookup(&s).len(), 2);
+    }
+
     #[test]
     fn spill_demotes_instead_of_dropping() {
         let mut ds = cost_store(100).with_tier2(1000);
@@ -1823,6 +1939,55 @@ mod tests {
                 proptest::prop_assert_eq!(ds.pick_victim(), scanned);
                 ds.check_victim_index();
                 proptest::prop_assert!(ds.used() <= budget && ds.tier2_used() <= tier2);
+            }
+        }
+
+        /// Cost-based admission, with and without tier 2, through inserts,
+        /// lookups and restores of twelve overlapping predicates (so twins
+        /// are common): an insert that a visible entry `cmp`-matches is
+        /// refused and changes nothing but the `unprofitable` count, and
+        /// with spilling on every other insert is admitted.
+        #[test]
+        fn cost_based_refuses_visible_twins_and_nothing_else_with_spilling(
+            tier2 in 0u64..600,
+            ops in proptest::collection::vec((0u8..4, 0u64..6, 0u64..64), 1..100),
+        ) {
+            let tier2 = tier2.saturating_sub(300);
+            let mut ds = cost_store(300).with_tier2(tier2);
+            let mut ev = Vec::new();
+            for (op, slot, c) in ops {
+                let s = spec(slot * 50, 100, 1 + c % 2);
+                match op {
+                    0 => drop(ds.lookup(&s)),
+                    1 => {
+                        if let Some((blob, ..)) = ds.lookup_restorable_exact(&s) {
+                            ds.restore(blob, Payload::Virtual, &mut ev);
+                        }
+                    }
+                    _ => {
+                        let twin = ds.equivalent(&s).is_some();
+                        let before = untouched(&ds);
+                        let refused_before = ds.stats().unprofitable;
+                        let got = ds.insert_costed(
+                            QueryId(c), s, 100, c as f64 / 8.0, Payload::Virtual, &mut ev,
+                        );
+                        if twin {
+                            proptest::prop_assert_eq!(got, Err(DsError::Unprofitable));
+                            proptest::prop_assert_eq!(untouched(&ds), before);
+                            proptest::prop_assert_eq!(ds.stats().unprofitable, refused_before + 1);
+                        } else if tier2 > 0 {
+                            proptest::prop_assert!(got.is_ok());
+                        }
+                    }
+                }
+                if c % 4 == 0 {
+                    for req in ds.take_pending_spills() {
+                        if req.payload.is_some() {
+                            ds.frame_landed(req.blob);
+                        }
+                    }
+                }
+                ds.check_victim_index();
             }
         }
     }

@@ -152,6 +152,52 @@ fn parts<'t>(
         })
 }
 
+/// The parts of successive slabs of a window, each `step` rows below the
+/// one before: found once per run of slabs that the same tiles hold whole,
+/// and moved down `step` rows for each further slab of the run.
+struct SlabParts<'t> {
+    tiles: &'t [Tile<'t>],
+    step: usize,
+    first: usize,
+    parts: Vec<Part<'t>>,
+    reuse: usize,
+}
+
+impl<'t> SlabParts<'t> {
+    fn new(tiles: &'t [Tile<'t>], step: usize) -> Self {
+        SlabParts {
+            tiles,
+            step,
+            first: 0,
+            parts: Vec::new(),
+            reuse: 0,
+        }
+    }
+
+    /// The parts of `slab`, which lies `step` rows below the slab of the
+    /// previous call (if any).
+    fn of(&mut self, slab: Rect) -> &[Part<'t>] {
+        let step = self.step;
+        if self.reuse > 0 {
+            for p in &mut self.parts {
+                p.data = &p.data[step * p.stride..];
+            }
+            self.reuse -= 1;
+        } else {
+            self.parts.clear();
+            self.parts.extend(parts(self.tiles, &mut self.first, slab));
+            // Each tile holds this slab and `(tile_rows - h) / step` more.
+            let h = slab.h as usize;
+            let more = self
+                .parts
+                .iter()
+                .map(|p| p.tile_rows.saturating_sub(h) / step);
+            self.reuse = more.min().unwrap_or(0);
+        }
+        &self.parts
+    }
+}
+
 /// Sums each block of `z` pixels of `cols` per channel into one pixel of
 /// `out` in an `S`, and maps the sum to its mean with `divide`.
 fn reduce_row<T, S>(cols: &[T], out: &mut [u8], z: usize, divide: &impl Fn(S) -> u8)
@@ -173,9 +219,9 @@ where
 }
 
 /// Averaging at a zoom other than 2, 4 and 8: per output row, column sums
-/// of type `T` (the buffer zero-filled, each tile's rows added), then one
-/// horizontal reduction into block sums of type `S`, which `divide` maps to
-/// their means.
+/// of type `T` (the buffer zero-filled, each tile's rows added, the tiles'
+/// parts from [`SlabParts`]), then one horizontal reduction into block sums
+/// of type `S`, which `divide` maps to their means.
 fn average_rows<T, S>(src: Source<'_>, dst: Dest<'_>, divide: impl Fn(S) -> u8)
 where
     T: Copy + Default + AddAssign + From<u8> + Into<S>,
@@ -184,12 +230,12 @@ where
     let z = src.zoom as usize;
     let out_len = src.win.w as usize / z * BPP;
     let mut cols = vec![T::default(); src.win.w as usize * BPP];
-    let mut first = 0;
+    let mut slabs = SlabParts::new(src.tiles, z);
     for (r, row) in dst.rows.chunks_exact_mut(dst.stride).enumerate() {
         let y = src.win.y + r as u32 * src.zoom;
         let slab = Rect::new(src.win.x, y, src.win.w, src.zoom);
         cols.fill(T::default());
-        for p in parts(src.tiles, &mut first, slab) {
+        for p in slabs.of(slab) {
             for k in 0..p.rows {
                 let sums = cols[p.off..p.off + p.len].iter_mut();
                 for (c, &s) in sums.zip(p.row(k)) {
@@ -211,36 +257,24 @@ where
 /// projection, and all but the slabs that straddle a chunk row) has its
 /// column sums written tile by tile in one pass; a straddling slab
 /// zero-fills the column buffer and adds each tile's rows into it. Either
-/// way the row is then reduced in one call. The tiles' parts are found
-/// once per run of slabs that the same tiles hold whole, and moved down
-/// `zoom` rows for each further slab of the run.
+/// way the row is then reduced in one call. The tiles' parts come from
+/// [`SlabParts`].
 fn average_rows_dispatched(src: Source<'_>, dst: Dest<'_>) {
     let z = src.zoom as usize;
     let out_len = src.win.w as usize / z * BPP;
     let mut cols = vec![0u16; src.win.w as usize * BPP];
     let mut rows = [&[][..]; 8];
-    let (mut first, mut slab_parts, mut reuse) = (0, Vec::<Part<'_>>::new(), 0);
+    let mut slabs = SlabParts::new(src.tiles, z);
     for (r, row) in dst.rows.chunks_exact_mut(dst.stride).enumerate() {
-        if reuse > 0 {
-            for p in &mut slab_parts {
-                p.data = &p.data[z * p.stride..];
-            }
-            reuse -= 1;
-        } else {
-            let y = src.win.y + r as u32 * src.zoom;
-            let slab = Rect::new(src.win.x, y, src.win.w, src.zoom);
-            slab_parts.clear();
-            slab_parts.extend(parts(src.tiles, &mut first, slab));
-            let whole = slab_parts.iter().map(|p| p.tile_rows / z).min();
-            reuse = whole.unwrap_or(0).saturating_sub(1);
-        }
+        let y = src.win.y + r as u32 * src.zoom;
+        let slab_parts = slabs.of(Rect::new(src.win.x, y, src.win.w, src.zoom));
         if slab_parts.iter().all(|p| p.rows == z) {
-            for p in &slab_parts {
+            for p in slab_parts {
                 vmqs_storage::column_sums(p.rows(&mut rows), &mut cols[p.off..p.off + p.len]);
             }
         } else {
             cols.fill(0);
-            for p in &slab_parts {
+            for p in slab_parts {
                 vmqs_storage::add_column_sums(p.rows(&mut rows), &mut cols[p.off..p.off + p.len]);
             }
         }
@@ -249,16 +283,17 @@ fn average_rows_dispatched(src: Source<'_>, dst: Dest<'_>) {
 }
 
 /// Subsampling: every `zoom`-th sample of every `zoom`-th row; a plain row
-/// copy at zoom 1.
+/// copy at zoom 1. The tiles' parts of each sampled row come from
+/// [`SlabParts`].
 fn subsample_rows(src: Source<'_>, dst: Dest<'_>) {
     let z = src.zoom as usize;
     let out_len = src.win.w as usize / z * BPP;
-    let mut first = 0;
+    let mut lines = SlabParts::new(src.tiles, z);
     for (r, row) in dst.rows.chunks_exact_mut(dst.stride).enumerate() {
         let y = src.win.y + r as u32 * src.zoom;
         let line = Rect::new(src.win.x, y, src.win.w, 1);
         let out = &mut row[dst.x_off..dst.x_off + out_len];
-        for p in parts(src.tiles, &mut first, line) {
+        for p in lines.of(line) {
             let (off, run) = (p.off, p.row(0));
             if z == 1 {
                 out[off..off + run.len()].copy_from_slice(run);
@@ -268,10 +303,10 @@ fn subsample_rows(src: Source<'_>, dst: Dest<'_>) {
             // start between two of them.
             let px = off / BPP;
             let skip = (z - px % z) % z;
-            let samples = run.get(skip * BPP..).unwrap_or(&[]).chunks(z * BPP);
+            let samples = run.as_chunks::<BPP>().0.iter().skip(skip).step_by(z);
             let o = (px + skip) / z * BPP;
-            for (d, s) in out[o..].chunks_exact_mut(BPP).zip(samples) {
-                d.copy_from_slice(&s[..BPP]);
+            for (d, s) in out[o..].as_chunks_mut::<BPP>().0.iter_mut().zip(samples) {
+                *d = *s;
             }
         }
     }
@@ -812,6 +847,43 @@ mod tests {
                     "{q:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn subsampled_rows_match_reference_across_chunk_rows_and_columns() {
+        // At every zoom from 1 to 8, a window from two sampled rows above
+        // the first chunk row to below the second, and from three samples
+        // left of the first chunk column to right of the second: runs of
+        // sampled rows that one chunk row holds, the rows on either side
+        // of each boundary, and row runs that start between two sample
+        // points (147 and 294 are multiples of 1, 3 and 7 only). Cut into
+        // one-row tiles, every sampled row starts a run of its own.
+        let s = SlideDataset::new(DatasetId(4), 512, 512);
+        for zoom in 1u32..=8 {
+            let (x, y) = (
+                (CHUNK_SIDE / zoom - 3) * zoom,
+                (CHUNK_SIDE / zoom - 2) * zoom,
+            );
+            let (w, h) = if cfg!(miri) {
+                (4, 3)
+            } else {
+                ((300 - x) / zoom + 1, (300 - y) / zoom + 1)
+            };
+            let q = VmQuery::new(
+                s,
+                Rect::new(x, y, w * zoom, h * zoom),
+                zoom,
+                VmOp::Subsample,
+            );
+            assert!(
+                q.region.y < CHUNK_SIDE && q.region.y1() > CHUNK_SIDE,
+                "{q:?}"
+            );
+            let want = reference_render(&q);
+            assert_eq!(compute_from_pages(&q, &pages_for(&q), 1), want, "{q:?}");
+            assert_eq!(compute_from_chunks(&q, fetch_real(&q)), want, "{q:?}");
+            assert_eq!(render_per_row(&q), want, "per-row path, {q:?}");
         }
     }
 

@@ -363,7 +363,8 @@ struct Core<A: AppExecutor> {
     /// `drain` parks here; signaled when `outstanding` reaches zero.
     drain_mx: Mutex<()>,
     drain_cv: Condvar,
-    /// Bumped after every Data Store insert. A worker snapshots it before
+    /// Bumped whenever an entry becomes visible: after every admitted Data
+    /// Store insert and every tier-2 restore. A worker snapshots it before
     /// its first lookup; if it moved by the time the worker is about to
     /// compute (it may have waited on a dependency, or lost a race with a
     /// peer), results it could not see were published meanwhile and it
@@ -1232,11 +1233,16 @@ fn run_one<A: AppExecutor>(core: &Core<A>, job: Job<A::Spec>) {
                 (cached, ds.take_pending_spills())
             };
             // Publish-epoch bump *before* `done_cv` wakes dependency
-            // blockers (in `answer`), so a woken waiter always sees
-            // a moved epoch and re-probes.
-            core.publish_epoch.fetch_add(1, Ordering::SeqCst);
-            // An `Err` (budget too small to cache the result) publishes
-            // without a blob; the record comes out with the transition.
+            // blockers (in `answer`), so a woken waiter sees a moved epoch
+            // and re-probes whenever there is something new to find. A
+            // refused insert published nothing; a twin that refused it
+            // moved the epoch when it was inserted or restored.
+            if cached.is_ok() {
+                core.publish_epoch.fetch_add(1, Ordering::SeqCst);
+            }
+            // An `Err` (budget too small to cache the result, or refused
+            // by cost-based admission) publishes without a blob; the
+            // record comes out with the transition.
             let pending = core.shards[k].state.lock().sched.publish(id, cached.ok());
             // Landed before the reply: at one worker no query ever sees
             // a frame in flight.
@@ -1471,11 +1477,12 @@ fn execute_query<A: AppExecutor>(
         }
     }
 
-    // Grafting (DESIGN.md §13): the producer inserted its result before
-    // it left EXECUTING, so the wait ended on a store that holds these
-    // bytes. Take them by a pure probe: no hit/miss stat, no LRU touch.
-    // Nothing there (the producer failed, its insert was refused, or the
-    // entry is already evicted) means computing like anyone else.
+    // Grafting (DESIGN.md §13): the producer's insert ran before it left
+    // EXECUTING, so the wait ended on a store that holds these bytes, its
+    // own or those of a twin that refused its insert. Take them
+    // by a pure probe: no hit/miss stat, no LRU touch. Nothing there (the
+    // producer failed, its insert found no room, or the entry is already
+    // evicted) means computing like anyone else.
     if let Some(producer) = producer {
         let published = {
             let ds = core.store.read();
@@ -1763,6 +1770,11 @@ fn promote_restorable<A: AppExecutor>(
         // Making room in tier 1 may itself have demoted entries.
         (answer, ds.take_pending_spills())
     };
+    if promoted {
+        // The re-heated entry is visible again: a concurrent compute whose
+        // first lookup missed it re-probes.
+        core.publish_epoch.fetch_add(1, Ordering::SeqCst);
+    }
     let spilled = write_frames(core, spills, &mut evicted);
     route_evictions(core, evicted);
     emit_spills(core, spilled);
@@ -2430,6 +2442,104 @@ mod tests {
         s.shutdown();
     }
 
+    /// A producer whose insert the cost-based store refuses, because a
+    /// twin became visible while it computed, still ends its graft
+    /// consumer's wait on a store that answers it: the consumer takes the
+    /// resident twin's bytes.
+    #[test]
+    fn graft_consumer_reuses_the_twin_that_refused_its_producers_insert() {
+        let (s, gate) = stalling(
+            ServerConfig::small()
+                .with_threads(2)
+                .with_graft(true)
+                .with_cache_policy(vmqs_datastore::EvictionPolicy::CostBased),
+            Released::Compute,
+        );
+        let spec = q(0, 0, 96, 96, 2, VmOp::Subsample);
+        let producer = s.submit(spec);
+        gate.wait_entered();
+        let consumer = s.submit(spec);
+        wait_until_blocked(&s, consumer.id);
+        // The twin lands while the producer computes.
+        publish(&s, 1001, spec, 1.0);
+        gate.release();
+        let p = producer.wait().unwrap();
+        let c = consumer.wait().unwrap();
+        assert_eq!(p.record.path, AnswerPath::FullCompute);
+        assert_eq!(c.record.path, AnswerPath::Grafted);
+        assert_eq!(*c.image, reference_render(&spec).data);
+        let ds = s.ds_stats();
+        // The producer's and the consumer's inserts were both refused.
+        assert_eq!((ds.committed, ds.unprofitable), (1, 2));
+        let store = s.core.store.read();
+        let twin = store.equivalent(&spec).and_then(|b| store.get(b));
+        assert_eq!(twin.map(|e| e.producer), Some(QueryId(1001)));
+        assert_eq!(store.len(), 1);
+        drop(store);
+        assert_eq!(s.summary().duplicate_full_computes, 1);
+        s.check_invariants();
+        s.shutdown();
+    }
+
+    /// The publish epoch moves when an entry becomes visible and only
+    /// then: an exact hit's insert that the cost-based store refuses
+    /// publishes nothing, so concurrent computes are not sent to re-probe;
+    /// under LRU the twin is admitted and the epoch moves.
+    #[test]
+    fn a_refused_insert_leaves_the_publish_epoch() {
+        use vmqs_datastore::EvictionPolicy;
+        for (policy, moves) in [(EvictionPolicy::CostBased, 0), (EvictionPolicy::Lru, 1)] {
+            let s = server(ServerConfig::small().with_cache_policy(policy));
+            let epoch = || s.core.publish_epoch.load(Ordering::SeqCst);
+            let spec = q(0, 0, 64, 64, 2, VmOp::Subsample);
+            s.submit(spec).wait().unwrap();
+            assert_eq!(epoch(), 1, "{policy:?}: the compute published");
+            let hit = s.submit(spec).wait().unwrap();
+            assert_eq!(hit.record.path, AnswerPath::ExactHit);
+            assert_eq!(epoch(), 1 + moves, "{policy:?}");
+            assert_eq!(s.ds_stats().unprofitable, 1 - moves, "{policy:?}");
+            s.shutdown();
+        }
+    }
+
+    /// Every pass of a concurrent replay over 128 tiles finds each tile
+    /// cached once: the first copy of a tile is admitted, and every later
+    /// one, whether an exact hit's or a racing duplicate compute's, is a
+    /// twin the cost-based store refuses.
+    #[test]
+    fn cost_based_replay_caches_each_tile_once() {
+        let s = server(
+            ServerConfig::small()
+                .with_threads(4)
+                .with_ds_budget(1 << 20)
+                .with_cache_policy(vmqs_datastore::EvictionPolicy::CostBased),
+        );
+        let tiles: Vec<VmQuery> = (0..128u32)
+            .map(|i| q(i % 16 * 32, i / 16 * 32, 32, 32, 1, VmOp::Subsample))
+            .collect();
+        // Four passes in one batch, so a tile's first computes can race.
+        let passes = 4;
+        let order: Vec<usize> = (0..passes)
+            .flat_map(|pass| (0..128).map(move |i| (i * 37 + pass * 11) % 128))
+            .collect();
+        let handles = s.submit_batch(order.iter().map(|&i| tiles[i]));
+        for (h, &i) in handles.into_iter().zip(&order) {
+            let res = h.wait().unwrap();
+            assert_eq!(*res.image, reference_render(&tiles[i]).data, "tile {i}");
+        }
+        let ds = s.ds_stats();
+        assert_eq!((ds.committed, ds.evicted), (128, 0));
+        assert_eq!(ds.unprofitable, 128 * (passes as u64 - 1));
+        let store = s.core.store.read();
+        assert_eq!((store.len(), store.used()), (128, 128 * 32 * 32 * 3));
+        for t in &tiles {
+            assert!(store.equivalent(t).is_some(), "{t:?}");
+        }
+        drop(store);
+        s.check_invariants();
+        s.shutdown();
+    }
+
     /// A query parked on an EXECUTING peer must wake when that peer's
     /// worker dies and the peer goes back to WAITING: the requeue arm of
     /// `on_worker_panic` has to notify the shard's `done_cv` like `answer`
@@ -2579,10 +2689,14 @@ mod tests {
         assert!(m.gauges["vmqs_ds_tier2_used_bytes"] > 0.0);
         // Tier-2 I/O time belongs to no `QueryRecord` (a spill runs after
         // `finished`), so it is a metric: one sample per frame attempt.
-        // Once restored, `a` was demoted again to make room for the exact
-        // hit's own copy; its frame was on disk already, so three
-        // demotions took two writes.
-        assert_eq!(sum.spilled, 3);
+        // Restoring `a` demoted `b`; the exact hit's own copy would be a
+        // twin of the restored `a`, which the cost-based store refuses, so
+        // `a` stays in tier 1. Two demotions, two writes.
+        assert_eq!(sum.spilled, 2);
+        assert_eq!(s.ds_stats().unprofitable, 1, "the twin was refused");
+        // Two computes and the restore made an entry visible; the refused
+        // twin did not.
+        assert_eq!(s.core.publish_epoch.load(Ordering::SeqCst), 3);
         assert_eq!(tier2_io_samples(&m), (landed_frames(&s), sum.restored));
         assert_eq!(landed_frames(&s), 2);
         for export in [m.to_json(), m.to_prometheus()] {
@@ -2623,9 +2737,9 @@ mod tests {
 
     /// Demoted, restored and demoted again, a blob is written once. At one
     /// worker with a one-tile tier 1, `a, b, a, b` demotes A, then B (to
-    /// restore A), A again (for the exact hit's own copy A2), A2 (to
-    /// restore B) and B again (for B2): five demotions of three blobs,
-    /// three frame writes.
+    /// restore A) and A again (to restore B): three demotions of two
+    /// blobs, two frame writes. The exact hits' own copies are twins of
+    /// the restored entries, which the cost-based store refuses.
     #[test]
     fn one_write_per_blob_in_the_server() {
         let (cfg, dir) = spill_cfg("once");
@@ -2637,11 +2751,12 @@ mod tests {
             assert_eq!(*res.image, reference_render(&spec).data);
         }
         let sum = s.summary();
-        assert_eq!((sum.spilled, sum.restored), (5, 2));
+        assert_eq!((sum.spilled, sum.restored), (3, 2));
+        assert_eq!(s.ds_stats().unprofitable, 2, "both twins were refused");
         let (writes, reads) = tier2_io_samples(&s.metrics());
         assert_eq!(writes, landed_frames(&s), "one write per blob demoted");
-        assert_eq!((writes, reads), (3, 2));
-        assert_eq!(spill_files(&dir), (3, 0));
+        assert_eq!((writes, reads), (2, 2));
+        assert_eq!(spill_files(&dir), (2, 0));
         s.check_invariants();
         s.shutdown();
         let _ = std::fs::remove_dir_all(dir);
@@ -2652,7 +2767,12 @@ mod tests {
     /// Caches `spec`'s reference answer for `producer` at recompute cost
     /// `cost`, as `run_one` publishes a compute: insert, then the frames
     /// its demotions ask for. `producer` is in no scheduling graph.
-    fn publish(s: &QueryServer, producer: u64, spec: VmQuery, cost: f64) {
+    fn publish<A: AppExecutor<Spec = VmQuery>>(
+        s: &QueryServer<A>,
+        producer: u64,
+        spec: VmQuery,
+        cost: f64,
+    ) {
         let core = &s.core;
         let mut evicted = Vec::new();
         let spills = {

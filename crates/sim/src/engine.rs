@@ -553,8 +553,9 @@ impl<A: SimApplication> Simulator<A> {
         // Grafted consumer: the producer it subscribed to has published.
         // Consume the result directly — no Data Store lookup (and no
         // lookup stats), no I/O, no kernel time; just the answer, exactly
-        // like the threaded engine's `AnswerPath::Grafted`. If the
-        // producer's entry never materialized (insert rejected or already
+        // like the threaded engine's `AnswerPath::Grafted`, from the
+        // producer's entry or the twin that refused it. If neither is
+        // visible (the insert found no room, or the entry is already
         // evicted), fall through to the normal path and compute.
         if let Some(producer) = info.graft_of.take() {
             if self.ds.equivalent(&spec).is_some() {
