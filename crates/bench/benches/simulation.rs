@@ -4,7 +4,7 @@
 //! end-to-end.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use vmqs_core::Strategy;
+use vmqs_core::{EngineConfig, Strategy};
 use vmqs_microscope::VmOp;
 use vmqs_sim::{run_sim, SimConfig, SubmissionMode};
 use vmqs_workload::{flatten_to_batch, generate, WorkloadConfig};
@@ -21,7 +21,7 @@ fn bench_sim_throughput(c: &mut Criterion) {
     for strategy in [Strategy::Fifo, Strategy::Cnbf, Strategy::Sjf] {
         group.bench_function(strategy.name(), |b| {
             let streams = reduced_workload(VmOp::Subsample, 42);
-            let cfg = SimConfig::paper_baseline().with_strategy(strategy);
+            let cfg = SimConfig::new(EngineConfig::paper_baseline().with_strategy(strategy));
             b.iter(|| {
                 let report = run_sim(cfg, streams.clone());
                 black_box(report.records.len())
@@ -37,24 +37,27 @@ fn bench_fig_pipelines(c: &mut Criterion) {
     // Fig 4 point: thread sweep member.
     group.bench_function("fig4_point_8_threads", |b| {
         let streams = reduced_workload(VmOp::Subsample, 42);
-        let cfg = SimConfig::paper_baseline()
-            .with_strategy(Strategy::Cnbf)
-            .with_threads(8);
+        let cfg = SimConfig::new(
+            EngineConfig::paper_baseline()
+                .with_strategy(Strategy::Cnbf)
+                .with_threads(8),
+        );
         b.iter(|| black_box(run_sim(cfg, streams.clone()).trimmed_mean_response()));
     });
     // Fig 5/6 point: DS sweep member.
     group.bench_function("fig5_point_32mb", |b| {
         let streams = reduced_workload(VmOp::Average, 42);
-        let cfg = SimConfig::paper_baseline()
-            .with_strategy(Strategy::closest_first_default())
-            .with_ds_budget(32 << 20);
+        let cfg = SimConfig::new(
+            EngineConfig::paper_baseline()
+                .with_strategy(Strategy::closest_first_default())
+                .with_ds_budget(32 << 20),
+        );
         b.iter(|| black_box(run_sim(cfg, streams.clone()).average_overlap()));
     });
     // Fig 7 point: batch mode.
     group.bench_function("fig7_point_batch", |b| {
         let streams = flatten_to_batch(&reduced_workload(VmOp::Subsample, 42));
-        let cfg = SimConfig::paper_baseline()
-            .with_strategy(Strategy::Cnbf)
+        let cfg = SimConfig::new(EngineConfig::paper_baseline().with_strategy(Strategy::Cnbf))
             .with_mode(SubmissionMode::Batch);
         b.iter(|| black_box(run_sim(cfg, streams.clone()).makespan));
     });

@@ -3,7 +3,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::sync::Arc;
-use vmqs_core::{DatasetId, Rect, Strategy, Windowed};
+use vmqs_core::{DatasetId, EngineConfig, Rect, Strategy, Windowed};
 use vmqs_sim::SimConfig;
 use vmqs_storage::{DataSource, SyntheticSource};
 use vmqs_volume::kernels::{compute_from_bricks, project, reference_render};
@@ -69,7 +69,7 @@ fn bench_volume_sim(c: &mut Criterion) {
             let mut wcfg = VolWorkloadConfig::standard(VolOp::Mip, 42);
             wcfg.queries_per_client = 3;
             let streams = generate_volume(&wcfg);
-            let cfg = SimConfig::paper_baseline().with_strategy(strategy);
+            let cfg = SimConfig::new(EngineConfig::paper_baseline().with_strategy(strategy));
             let cost = VolCostModel::calibrated(&cfg.disk);
             b.iter(|| black_box(run_volume_sim(cfg, cost, streams.clone()).makespan));
         });

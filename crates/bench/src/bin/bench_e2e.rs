@@ -32,7 +32,7 @@
 
 use std::sync::Arc;
 
-use vmqs_core::{ClientId, DatasetId, OverloadConfig, Rect, Strategy};
+use vmqs_core::{ClientId, DatasetId, EngineConfig, OverloadConfig, Rect, Strategy};
 use vmqs_microscope::{SlideDataset, VmOp, VmQuery};
 use vmqs_server::{QueryServer, ServerConfig, ServerError};
 use vmqs_sim::ClientStream;
@@ -104,12 +104,14 @@ fn bench_server(workers: usize) -> QueryServer {
     // Budgets scaled to the 256px output (~192 KiB/image): the DS holds a
     // useful fraction of the workload but still evicts, like the paper's
     // 64 MB budget against 3 MB images.
-    let cfg = ServerConfig::small()
-        .with_strategy(Strategy::Cnbf)
-        .with_threads(workers)
-        .with_ds_budget(16 << 20)
-        .with_ps_budget(8 << 20)
-        .with_observability(true);
+    let cfg = ServerConfig::new(
+        EngineConfig::small()
+            .with_strategy(Strategy::Cnbf)
+            .with_threads(workers)
+            .with_ds_budget(16 << 20)
+            .with_ps_budget(8 << 20)
+            .with_observe(true),
+    );
     QueryServer::new(cfg, Arc::new(SyntheticSource::new()))
 }
 
@@ -244,14 +246,16 @@ fn run_overload_once(load_factor: usize, workers: usize, seed: u64, quick: bool)
         .with_max_pending(max_pending)
         .with_degrade_threshold(0.5)
         .with_shed_threshold(0.9);
-    let cfg = ServerConfig::small()
-        .with_strategy(Strategy::Cnbf)
-        .with_threads(workers)
-        .with_ds_budget(16 << 20)
-        .with_ps_budget(8 << 20)
-        .with_observability(true)
-        .with_start_paused(true)
-        .with_overload(ov);
+    let cfg = ServerConfig::new(
+        EngineConfig::small()
+            .with_strategy(Strategy::Cnbf)
+            .with_threads(workers)
+            .with_ds_budget(16 << 20)
+            .with_ps_budget(8 << 20)
+            .with_observe(true)
+            .with_start_paused(true)
+            .with_overload(ov),
+    );
     let server = QueryServer::new(cfg, Arc::new(SyntheticSource::new()));
 
     let start = vmqs_core::clock::now();
@@ -473,14 +477,16 @@ fn run_graft_contention_once(graft: bool, workers: usize) -> GraftContentionResu
     // FIFO, not CNBF: CNBF *deprioritizes* queries overlapping an
     // EXECUTING peer, which dissolves exactly the producer/copy race this
     // section measures. FIFO dequeues the adjacent copies immediately.
-    let cfg = ServerConfig::small()
-        .with_strategy(Strategy::Fifo)
-        .with_threads(workers)
-        .with_ds_budget(16 << 20)
-        .with_ps_budget(8 << 20)
-        .with_observability(true)
-        .with_start_paused(true)
-        .with_graft(graft);
+    let cfg = ServerConfig::new(
+        EngineConfig::small()
+            .with_strategy(Strategy::Fifo)
+            .with_threads(workers)
+            .with_ds_budget(16 << 20)
+            .with_ps_budget(8 << 20)
+            .with_observe(true)
+            .with_start_paused(true)
+            .with_graft(graft),
+    );
     // 0.2 ms a page: a 256-px window's compute must outlast a stealer's
     // wake-up for a copy to find its producer EXECUTING, and an unthrottled
     // synthetic page is too quick for that on a 2-core box (the assert on

@@ -25,7 +25,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use vmqs_bench::plot::{line_chart, Series};
 use vmqs_bench::{average_rows, print_table, SEEDS};
-use vmqs_core::{ClientId, Strategy};
+use vmqs_core::{ClientId, EngineConfig, Strategy};
 use vmqs_datastore::EvictionPolicy;
 use vmqs_microscope::{VmCostModel, VmOp};
 use vmqs_sim::{
@@ -513,18 +513,21 @@ fn tables() -> Vec<Table> {
 
 /// Runs one cell on one seed's workload.
 fn simulate(cell: &Cell, seed: u64) -> Run {
-    let mut cfg = SimConfig::paper_baseline()
-        .with_strategy(cell.strategy)
-        .with_threads(cell.threads)
-        .with_ds_budget(cell.ds_bytes)
-        .with_ps_budget(cell.ps_bytes)
-        .with_mode(cell.mode);
+    let mut cfg = SimConfig::new(
+        EngineConfig::paper_baseline()
+            .with_strategy(cell.strategy)
+            .with_threads(cell.threads)
+            .with_ds_budget(cell.ds_bytes)
+            .with_ps_budget(cell.ps_bytes),
+    )
+    .with_mode(cell.mode);
     match cell.ablation {
-        Some(Ablation::NoBlocking) => cfg = cfg.with_blocking(false),
+        Some(Ablation::NoBlocking) => cfg.engine = cfg.engine.with_blocking(false),
         Some(Ablation::Policy(policy)) => cfg = cfg.with_policy(policy),
         Some(Ablation::Tuner(tuner)) => cfg.tuner = Some(tuner),
         Some(Ablation::CostBased { tier2_bytes }) => {
-            cfg = cfg
+            cfg.engine = cfg
+                .engine
                 .with_cache_policy(EvictionPolicy::CostBased)
                 .with_tier2_budget(tier2_bytes);
         }
@@ -572,9 +575,9 @@ fn run<A: SimApplication>(
     Run {
         row: ExpRow::from_report(&report, cell.strategy, op, cell.threads, ds_mb),
         recomputed_bytes: report.recomputed_bytes,
-        spilled: report.spilled,
-        restored: report.restored,
-        restore_failures: report.restore_failures,
+        spilled: report.tally.spilled,
+        restored: report.tally.restored,
+        restore_failures: report.ds_stats.restore_failures,
     }
 }
 

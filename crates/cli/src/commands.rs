@@ -3,11 +3,14 @@
 use crate::args::{parse_strategy, ArgError, Args};
 use std::error::Error;
 use std::sync::Arc;
-use vmqs_core::{DatasetId, OverloadConfig, Rect, Strategy};
+use std::time::Duration;
+use vmqs_core::{
+    ChaosConfig, DatasetId, EngineConfig, EvictionPolicy, OverloadConfig, Rect, Strategy,
+};
 use vmqs_microscope::{SlideDataset, VmOp, VmQuery};
 use vmqs_server::{QueryServer, ServerConfig};
 use vmqs_sim::{run_sim, SimConfig, SubmissionMode};
-use vmqs_storage::{ChaosConfig, DataSource, FaultConfig, FaultInjectingSource, SyntheticSource};
+use vmqs_storage::{DataSource, FaultConfig, FaultInjectingSource, SyntheticSource};
 use vmqs_volume::{VolOp, VolQuery, VolumeDataset};
 use vmqs_workload::{flatten_to_batch, generate, ExpRow, WorkloadConfig};
 
@@ -70,53 +73,40 @@ fn parse_overload(args: &Args) -> Result<OverloadConfig, Box<dyn Error>> {
     })
 }
 
-/// Parses the shared cache-hierarchy options (DESIGN.md §14):
-/// `--cache-policy lru|cost` picks the Data Store eviction
-/// policy, `--spill-dir` points the tier-2 spill store at a directory,
-/// and `--tier2-budget` caps it in MB (default 64 once a directory is
-/// given). Returns `(policy, spill_dir, tier2_bytes)`; the policy is
-/// `None` when the flag is absent so callers keep their config default.
-/// `on_disk` is set by the real server, whose tier 2 lives in
-/// `--spill-dir`; the simulator models tier-2 latency on virtual
-/// payloads, takes a budget alone and has no `--spill-dir`.
-type CacheOptions = (
-    Option<vmqs_datastore::EvictionPolicy>,
-    Option<std::path::PathBuf>,
-    u64,
-);
-
-fn parse_cache(args: &Args, on_disk: bool) -> Result<CacheOptions, Box<dyn Error>> {
-    use vmqs_datastore::EvictionPolicy;
-    let policy = match args.get("cache-policy") {
-        None => None,
-        Some("lru") => Some(EvictionPolicy::Lru),
-        Some("cost") => Some(EvictionPolicy::CostBased),
+/// Parses the options `render` and `simulate` share into the settings
+/// both engines share, over `base`:
+///
+/// * `--strategy`, `--graft`, and `--trace-out`, whose presence turns the
+///   event log on;
+/// * the overload options ([`parse_overload`]);
+/// * the cache hierarchy (DESIGN.md §14): `--cache-policy lru|cost`
+///   (absent keeps `base`'s policy) and `--tier2-budget` in MB
+///   (`tier2_default_mb` when absent);
+/// * failure containment (DESIGN.md §15): `--hang-timeout-ms` arms the
+///   hang watchdog (wall clock on the server, virtual time in the
+///   simulator), `--restart-budget` and `--quarantine-limit` bound worker
+///   respawns and poison-query retries, and `--chaos-seed`,
+///   `--chaos-poison-rate` and `--chaos-panic-at` drive the seeded fault
+///   injector. The spill-write crash and frame bit-flip kill-points have
+///   no option: they fire only inside a frame write, which no single
+///   `vmqsctl` query makes.
+fn parse_engine(
+    args: &Args,
+    base: EngineConfig,
+    tier2_default_mb: u64,
+) -> Result<EngineConfig, Box<dyn Error>> {
+    let mut engine = base
+        .with_strategy(parse_strategy_arg(args)?)
+        .with_overload(parse_overload(args)?)
+        .with_graft(args.flag("graft"))
+        .with_observe(args.get("trace-out").is_some());
+    match args.get("cache-policy") {
+        None => {}
+        Some("lru") => engine = engine.with_cache_policy(EvictionPolicy::Lru),
+        Some("cost") => engine = engine.with_cache_policy(EvictionPolicy::CostBased),
         Some(other) => return Err(format!("unknown cache policy '{other}' (lru|cost)").into()),
-    };
-    let spill_dir = if on_disk {
-        args.get("spill-dir").map(std::path::PathBuf::from)
-    } else {
-        None
-    };
-    let tier2_mb: u64 = args.get_or("tier2-budget", if spill_dir.is_some() { 64 } else { 0 })?;
-    if on_disk && tier2_mb > 0 && spill_dir.is_none() {
-        return Err("--tier2-budget needs --spill-dir (the tier-2 store lives on disk)".into());
     }
-    Ok((policy, spill_dir, mb_to_bytes("tier2-budget", tier2_mb)?))
-}
-
-/// Parses the failure-containment options (DESIGN.md §15):
-/// `--hang-timeout-ms` arms the hang watchdog (wall clock on the server,
-/// virtual time in the simulator), `--restart-budget` and
-/// `--quarantine-limit` bound worker respawns and poison-query retries,
-/// and the `--chaos-*` family drives the seeded fault injector:
-/// `--chaos-seed`, `--chaos-poison-rate`, `--chaos-panic-at`. Returns
-/// `(chaos, hang_timeout_ms, restart_budget, quarantine_limit)`. The
-/// spill-write crash and frame bit-flip kill-points have no option: they
-/// fire only inside a frame write, which no single `vmqsctl` query makes.
-type ContainmentOptions = (ChaosConfig, Option<u64>, usize, u32);
-
-fn parse_containment(args: &Args) -> Result<ContainmentOptions, Box<dyn Error>> {
+    let tier2_mb: u64 = args.get_or("tier2-budget", tier2_default_mb)?;
     let rate: f64 = args.get_or("chaos-poison-rate", 0.0)?;
     if !(0.0..=1.0).contains(&rate) {
         return Err(format!("--chaos-poison-rate must lie in [0, 1], got {rate}").into());
@@ -136,14 +126,18 @@ fn parse_containment(args: &Args) -> Result<ContainmentOptions, Box<dyn Error>> 
         .with_panic_at_compute(nth("chaos-panic-at")?);
     let hang = match nth("hang-timeout-ms")? {
         Some(0) => return Err("--hang-timeout-ms must be positive".into()),
-        other => other,
+        other => other.map(Duration::from_millis),
     };
-    let restart: usize = args.get_or("restart-budget", 8)?;
     let quarantine: u32 = args.get_or("quarantine-limit", 3)?;
     if quarantine == 0 {
         return Err("--quarantine-limit must be at least 1".into());
     }
-    Ok((chaos, hang, restart, quarantine))
+    Ok(engine
+        .with_tier2_budget(mb_to_bytes("tier2-budget", tier2_mb)?)
+        .with_chaos(chaos)
+        .with_hang_timeout(hang)
+        .with_restart_budget(args.get_or("restart-budget", 8)?)
+        .with_quarantine_limit(quarantine))
 }
 
 /// Parses `--strategy`, defaulting to CNBF.
@@ -166,16 +160,21 @@ pub fn render(args: &Args) -> CliResult {
     let op = parse_vm_op(args.get("op").unwrap_or("subsample"))?;
     let out = args.get("out").unwrap_or("render.ppm");
     let fault = parse_faults(args)?;
-    let overload = parse_overload(args)?;
-    let strategy = parse_strategy_arg(args)?;
-    let (policy, spill_dir, tier2_bytes) = parse_cache(args, true)?;
+    // The real server's tier 2 lives in `--spill-dir`.
+    let spill_dir = args.get("spill-dir").map(std::path::PathBuf::from);
+    let engine = parse_engine(
+        args,
+        EngineConfig::small(),
+        if spill_dir.is_some() { 64 } else { 0 },
+    )?;
+    if engine.tier2_budget > 0 && spill_dir.is_none() {
+        return Err("--tier2-budget needs --spill-dir (the tier-2 store lives on disk)".into());
+    }
     // Negative sentinel = no timeout; `--query-timeout-ms 0` is a valid
     // (immediately expiring) deadline.
     let timeout_ms: i64 = args.get_or("query-timeout-ms", -1)?;
-    let (chaos, hang_ms, restart_budget, quarantine_limit) = parse_containment(args)?;
     let trace_out = args.get("trace-out");
     let metrics_out = args.get("metrics-out");
-    let graft = args.flag("graft");
     args.reject_unread()?;
 
     let slide = SlideDataset::new(DatasetId(0), sw, sh);
@@ -185,24 +184,10 @@ pub fn render(args: &Args) -> CliResult {
     } else {
         Arc::new(FaultInjectingSource::new(SyntheticSource::new(), fault))
     };
-    let mut cfg = ServerConfig::small()
-        .with_strategy(strategy)
-        .with_graft(graft)
+    let cfg = ServerConfig::new(engine)
         .with_retry_seed(fault.seed)
-        .with_observability(trace_out.is_some())
         .with_spill_dir(spill_dir)
-        .with_tier2_budget(tier2_bytes)
-        .with_overload(overload)
-        .with_chaos(chaos)
-        .with_hang_timeout(hang_ms.map(std::time::Duration::from_millis))
-        .with_restart_budget(restart_budget)
-        .with_quarantine_limit(quarantine_limit);
-    if let Some(p) = policy {
-        cfg = cfg.with_cache_policy(p);
-    }
-    if timeout_ms >= 0 {
-        cfg = cfg.with_query_timeout(Some(std::time::Duration::from_millis(timeout_ms as u64)));
-    }
+        .with_query_timeout((timeout_ms >= 0).then(|| Duration::from_millis(timeout_ms as u64)));
     let server = QueryServer::new(cfg, source);
     let res = match server.submit(query).wait() {
         Ok(res) => res,
@@ -235,25 +220,25 @@ pub fn render(args: &Args) -> CliResult {
             ps.read_faults, ps.read_retries, ps.failed_reads
         );
     }
-    if overload.enabled() {
-        let sum = server.summary();
+    let tally = server.summary().tally;
+    if engine.overload.enabled() {
         println!(
             "overload: {} rejected, {} shed, {} degraded",
-            sum.rejected, sum.shed, sum.degraded
+            tally.rejected, tally.shed, tally.degraded
         );
     }
-    if tier2_bytes > 0 {
-        let sum = server.summary();
+    if engine.tier2_budget > 0 {
         println!(
             "tier 2: {} spilled, {} restored, {} restore failures",
-            sum.spilled, sum.restored, sum.restore_failures
+            tally.spilled,
+            tally.restored,
+            server.ds_stats().restore_failures
         );
     }
-    if !chaos.is_noop() || hang_ms.is_some() {
-        let sum = server.summary();
+    if !engine.chaos.is_noop() || engine.hang_timeout.is_some() {
         println!(
             "containment: {} worker panics, {} restarts, {} quarantined, {} hung",
-            sum.worker_panics, sum.worker_restarts, sum.quarantined, sum.hung
+            tally.worker_panics, tally.worker_restarts, tally.quarantined, tally.hung
         );
     }
     if let Some(path) = trace_out {
@@ -307,7 +292,6 @@ pub fn mip(args: &Args) -> CliResult {
 
 /// `vmqsctl simulate` — one paper-scale simulated configuration.
 pub fn simulate(args: &Args) -> CliResult {
-    let strategy = parse_strategy_arg(args)?;
     let op = parse_vm_op(args.get("op").unwrap_or("subsample"))?;
     let threads: usize = args.get_positive("threads", 4)?;
     let ds_mb: u64 = args.get_or("ds-mb", 64)?;
@@ -320,14 +304,14 @@ pub fn simulate(args: &Args) -> CliResult {
         SubmissionMode::Interactive
     };
     let fault = parse_faults(args)?;
-    let overload = parse_overload(args)?;
-    // The simulator models tier 2 in virtual time: the budget applies,
-    // and there is no directory (payloads are virtual).
-    let (policy, _, tier2_bytes) = parse_cache(args, false)?;
-    let (chaos, hang_ms, restart_budget, quarantine_limit) = parse_containment(args)?;
+    // The simulator models tier 2 in virtual time: a budget alone
+    // applies, and there is no directory (payloads are virtual).
+    let engine = parse_engine(args, EngineConfig::paper_baseline(), 0)?
+        .with_threads(threads)
+        .with_ds_budget(ds_bytes)
+        .with_ps_budget(ps_bytes);
     let trace_out = args.get("trace-out");
     let metrics_out = args.get("metrics-out");
-    let graft = args.flag("graft");
     args.reject_unread()?;
 
     let streams = generate(&WorkloadConfig::paper(op, seed));
@@ -335,26 +319,9 @@ pub fn simulate(args: &Args) -> CliResult {
         SubmissionMode::Interactive => streams,
         SubmissionMode::Batch => flatten_to_batch(&streams),
     };
-    let mut cfg = SimConfig::paper_baseline()
-        .with_strategy(strategy)
-        .with_threads(threads)
-        .with_ds_budget(ds_bytes)
-        .with_ps_budget(ps_bytes)
-        .with_mode(mode)
-        .with_faults(fault)
-        .with_graft(graft)
-        .with_tier2_budget(tier2_bytes)
-        .with_observe(trace_out.is_some())
-        .with_overload(overload)
-        .with_chaos(chaos)
-        .with_hang_timeout(hang_ms.map(|ms| ms as f64 / 1000.0))
-        .with_restart_budget(restart_budget)
-        .with_quarantine_limit(quarantine_limit);
-    if let Some(p) = policy {
-        cfg = cfg.with_cache_policy(p);
-    }
+    let cfg = SimConfig::new(engine).with_mode(mode).with_faults(fault);
     let report = run_sim(cfg, streams);
-    let row = ExpRow::from_report(&report, strategy, op.name(), threads, ds_mb);
+    let row = ExpRow::from_report(&report, engine.strategy, op.name(), threads, ds_mb);
     println!("{}", ExpRow::csv_header());
     println!("{}", row.to_csv());
     println!();
@@ -377,29 +344,26 @@ pub fn simulate(args: &Args) -> CliResult {
             report.ps_stats.read_faults, report.ps_stats.read_retries
         );
     }
-    if overload.enabled() {
+    let tally = report.tally;
+    if engine.overload.enabled() {
         println!(
             "overload:         {} rejected, {} shed, {} degraded",
-            report.rejected, report.shed, report.degraded
+            tally.rejected, tally.shed, tally.degraded
         );
     }
-    if graft {
+    if engine.graft {
         println!("grafted answers:  {}", report.grafted);
     }
-    if tier2_bytes > 0 {
+    if engine.tier2_budget > 0 {
         println!(
             "tier 2:           {} spilled, {} restored, {} restore failures",
-            report.spilled, report.restored, report.restore_failures
+            tally.spilled, tally.restored, report.ds_stats.restore_failures
         );
     }
-    if !chaos.is_noop() || hang_ms.is_some() {
+    if !engine.chaos.is_noop() || engine.hang_timeout.is_some() {
         println!(
             "containment:      {} worker panics, {} restarts, {} quarantined, {} hung, {} failed",
-            report.worker_panics,
-            report.worker_restarts,
-            report.quarantined,
-            report.hung,
-            report.failed
+            tally.worker_panics, tally.worker_restarts, tally.quarantined, tally.hung, tally.failed
         );
     }
     if let Some(path) = trace_out {
@@ -445,8 +409,7 @@ pub fn demo(args: &Args) -> CliResult {
     println!("\nsimulated paper workload (CNBF vs FIFO, batch):");
     for strategy in [Strategy::Fifo, Strategy::Cnbf] {
         let streams = flatten_to_batch(&generate(&WorkloadConfig::paper(VmOp::Subsample, 42)));
-        let cfg = SimConfig::paper_baseline()
-            .with_strategy(strategy)
+        let cfg = SimConfig::new(EngineConfig::paper_baseline().with_strategy(strategy))
             .with_mode(SubmissionMode::Batch);
         let report = run_sim(cfg, streams);
         println!(
@@ -462,33 +425,46 @@ pub fn demo(args: &Args) -> CliResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vmqs_datastore::EvictionPolicy;
 
     fn args(s: &str) -> Args {
         Args::parse(s.split_whitespace().map(String::from)).unwrap()
     }
 
+    /// `render`'s reading: the budget defaults to 64 MB once a directory
+    /// is given.
+    fn render_engine(a: &Args) -> Result<EngineConfig, Box<dyn Error>> {
+        let default_mb = if a.get("spill-dir").is_some() { 64 } else { 0 };
+        parse_engine(a, EngineConfig::small(), default_mb)
+    }
+
     #[test]
     fn cache_flags_parse_together() {
-        let a = args("--cache-policy cost --spill-dir /tmp/x --tier2-budget 128");
-        let (p, dir, t2) = parse_cache(&a, true).unwrap();
-        assert_eq!(p, Some(EvictionPolicy::CostBased));
-        assert_eq!(dir.as_deref(), Some(std::path::Path::new("/tmp/x")));
-        assert_eq!(t2, 128 << 20);
+        let e = render_engine(&args(
+            "--cache-policy cost --spill-dir /tmp/x --tier2-budget 128",
+        ))
+        .unwrap();
+        assert_eq!(e.ds_policy, EvictionPolicy::CostBased);
+        assert_eq!(e.tier2_budget, 128 << 20);
     }
 
     #[test]
     fn spill_dir_defaults_tier2_budget() {
-        let (_, dir, t2) = parse_cache(&args("--spill-dir /tmp/x"), true).unwrap();
-        assert!(dir.is_some());
-        assert_eq!(t2, 64 << 20);
+        let e = render_engine(&args("--spill-dir /tmp/x")).unwrap();
+        assert_eq!(e.tier2_budget, 64 << 20);
+        assert_eq!(render_engine(&args("")).unwrap().tier2_budget, 0);
     }
 
     #[test]
     fn tier2_budget_needs_dir_only_on_the_real_server() {
-        assert!(parse_cache(&args("--tier2-budget 32"), true).is_err());
-        let (_, _, t2) = parse_cache(&args("--tier2-budget 32"), false).unwrap();
-        assert_eq!(t2, 32 << 20);
+        let a = args("--tier2-budget 32 --out /tmp/never.ppm");
+        let err = render(&a).unwrap_err().to_string();
+        assert!(err.contains("--spill-dir"), "{err}");
+        let e = parse_engine(
+            &args("--tier2-budget 32"),
+            EngineConfig::paper_baseline(),
+            0,
+        );
+        assert_eq!(e.unwrap().tier2_budget, 32 << 20);
     }
 
     #[test]
@@ -498,24 +474,30 @@ mod tests {
             ("cost", EvictionPolicy::CostBased),
         ] {
             let a = args(&format!("--cache-policy {name}"));
-            assert_eq!(parse_cache(&a, true).unwrap().0, Some(want), "{name}");
+            assert_eq!(render_engine(&a).unwrap().ds_policy, want, "{name}");
         }
         // The two retired policies (EXPERIMENTS.md X4) are typos now.
         for name in ["fancy", "mru", "largest"] {
             let a = args(&format!("--cache-policy {name}"));
-            assert!(parse_cache(&a, true).is_err(), "{name}");
+            assert!(render_engine(&a).is_err(), "{name}");
         }
-        // Absent flag keeps the config default.
-        assert_eq!(parse_cache(&args(""), true).unwrap().0, None);
+        // Absent flag keeps the base's policy.
+        let base = EngineConfig::small().with_cache_policy(EvictionPolicy::CostBased);
+        let e = parse_engine(&args(""), base, 0).unwrap();
+        assert_eq!(e.ds_policy, EvictionPolicy::CostBased);
     }
 
     #[test]
     fn containment_flags_default_off() {
-        let (chaos, hang, restart, quarantine) = parse_containment(&args("")).unwrap();
-        assert!(chaos.is_noop());
-        assert_eq!(hang, None);
-        assert_eq!(restart, 8);
-        assert_eq!(quarantine, 3);
+        let e = render_engine(&args("")).unwrap();
+        assert!(e.chaos.is_noop());
+        let base = EngineConfig {
+            chaos: e.chaos,
+            ..EngineConfig::small()
+        };
+        assert_eq!(e, base, "no option, no change");
+        assert_eq!(e.hang_timeout, None);
+        assert_eq!((e.restart_budget, e.quarantine_limit), (8, 3));
     }
 
     #[test]
@@ -524,24 +506,23 @@ mod tests {
             "--hang-timeout-ms 250 --restart-budget 2 --quarantine-limit 1 \
              --chaos-seed 7 --chaos-poison-rate 0.1 --chaos-panic-at 3",
         );
-        let (chaos, hang, restart, quarantine) = parse_containment(&a).unwrap();
-        assert!(!chaos.is_noop());
-        assert_eq!(chaos.seed, 7);
-        assert!(chaos.compute_should_panic(3, u64::MAX));
+        let e = render_engine(&a).unwrap();
+        assert!(!e.chaos.is_noop());
+        assert_eq!(e.chaos.seed, 7);
+        assert!(e.chaos.compute_should_panic(3, u64::MAX));
         assert_eq!(
-            (chaos.crash_spill_write, chaos.bit_flip_frame),
+            (e.chaos.crash_spill_write, e.chaos.bit_flip_frame),
             (None, None)
         );
-        assert_eq!(hang, Some(250));
-        assert_eq!(restart, 2);
-        assert_eq!(quarantine, 1);
+        assert_eq!(e.hang_timeout, Some(Duration::from_millis(250)));
+        assert_eq!((e.restart_budget, e.quarantine_limit), (2, 1));
     }
 
     #[test]
     fn containment_flags_reject_bad_values() {
-        assert!(parse_containment(&args("--chaos-poison-rate 1.5")).is_err());
-        assert!(parse_containment(&args("--hang-timeout-ms 0")).is_err());
-        assert!(parse_containment(&args("--hang-timeout-ms banana")).is_err());
-        assert!(parse_containment(&args("--quarantine-limit 0")).is_err());
+        assert!(render_engine(&args("--chaos-poison-rate 1.5")).is_err());
+        assert!(render_engine(&args("--hang-timeout-ms 0")).is_err());
+        assert!(render_engine(&args("--hang-timeout-ms banana")).is_err());
+        assert!(render_engine(&args("--quarantine-limit 0")).is_err());
     }
 }

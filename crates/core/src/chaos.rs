@@ -1,7 +1,7 @@
 //! Seeded chaos injection for the failure-containment layer
 //! (DESIGN.md §15).
 //!
-//! Where [`crate::FaultConfig`] models the *storage* failing (bad reads,
+//! Where `vmqs_storage::FaultConfig` models the *storage* failing (bad reads,
 //! latency spikes), [`ChaosConfig`] models the *process* failing: worker
 //! panics mid-compute, the machine dying mid-spill-write, and silent
 //! on-disk corruption. Every decision is a pure function of the seed and
@@ -20,7 +20,7 @@
 //!   compute ordinal; deterministic at one worker, used by the sim
 //!   golden and the forced-panic regression tests.
 //! * **spill kill-points** — `crash_spill_write` makes the Nth
-//!   [`crate::SpillStore::write`] die mid-write (a torn `.tmp`, never
+//!   `vmqs_storage::SpillStore::write` die mid-write (a torn `.tmp`, never
 //!   renamed); `bit_flip_frame` flips one payload bit in the Nth frame
 //!   *after* its CRC was computed, so the frame lands intact-looking but
 //!   fails validation at read or recovery time.

@@ -25,7 +25,10 @@
 //!   the shard, each written once for both engines,
 //! * [`strategy::Strategy`] — the six ranking strategies (FIFO, MUF, FF,
 //!   CF, CNBF, SJF) plus the §6 hybrid extension,
-//! * [`stats`] — 95%-trimmed-mean and friends for the evaluation.
+//! * [`stats`] — 95%-trimmed-mean and friends for the evaluation,
+//! * [`EngineConfig`] — the seventeen settings both engines share, with
+//!   the plain-data policies it names ([`EvictionPolicy`],
+//!   [`RetryPolicy`], [`ChaosConfig`]).
 //!
 //! Execution engines (the real multithreaded server in `vmqs-server` and the
 //! discrete-event simulator in `vmqs-sim`) drive this graph; applications
@@ -33,13 +36,16 @@
 
 #![warn(missing_docs)]
 
+mod chaos;
 pub mod clock;
+mod config;
 pub mod geom;
 pub mod graph;
 pub mod ids;
 pub mod overload;
 pub mod plan;
 pub mod rank;
+mod retry;
 pub mod sched;
 pub mod shard;
 pub mod spatial;
@@ -50,6 +56,8 @@ pub mod strategy;
 pub mod supervisor;
 pub mod sync;
 
+pub use chaos::ChaosConfig;
+pub use config::{EngineConfig, EvictionPolicy};
 pub use geom::Rect;
 pub use graph::{Edge, GraphStats, SchedulingGraph};
 pub use ids::{BlobId, ClientId, DatasetId, IdGen, QueryId};
@@ -58,6 +66,7 @@ pub use overload::{
 };
 pub use plan::{Plan, Windowed};
 pub use rank::Rank;
+pub use retry::RetryPolicy;
 pub use sched::{PanicOutcome, SchedShard};
 pub use shard::shard_of_spec;
 pub use spatial::{GridIndex, SpatialSpec};

@@ -33,6 +33,9 @@ use vmqs_core::spatial::{GridIndex, SpatialSpec};
 use vmqs_core::sync::atomic::{AtomicU64, Ordering};
 use vmqs_core::{BlobId, QueryId};
 
+/// Plain data that `vmqs_core::EngineConfig` names; it lives in `vmqs-core`.
+pub use vmqs_core::EvictionPolicy;
+
 /// One eviction reported back to the caller: the evicted blob, the query
 /// that produced it (to be marked SWAPPED_OUT in the scheduling graph),
 /// and the victim's predicate — the sharded engine derives the
@@ -59,22 +62,6 @@ pub struct EvictionRecord<S> {
     /// The blob's tier-2 frame had landed: the caller unlinks it after
     /// letting the store go (one in flight is its writer's to unlink).
     pub had_frame: bool,
-}
-
-/// Which blob to evict first when space is needed. (Largest-first and
-/// most-recently-used were measured and retired: EXPERIMENTS.md X4.)
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// Least recently used first (default; what a buffer manager would do).
-    Lru,
-    /// Benefit-aware (DESIGN.md §14): evict the entry with the smallest
-    /// [`benefit_score`] — recomputation cost × observed reuse per byte —
-    /// i.e. the greedy knapsack approximation of keeping the set of
-    /// entries whose retention saves the most recomputation per byte of
-    /// budget. Inserts additionally run admission control: a new entry
-    /// whose score cannot beat every victim it would displace is rejected
-    /// instead of churning the cache.
-    CostBased,
 }
 
 /// Floor on the cost factor of the benefit score, so entries inserted at
@@ -269,6 +256,16 @@ ds_stats! {
 }
 
 impl DsStats {
+    /// The `vmqs_ds_*_total` series an engine exports at snapshot time
+    /// beside the event-backed ones: inserts the store committed, and
+    /// inserts cost-based admission refused (a refusal has no event).
+    pub fn series(&self) -> [(&'static str, u64); 2] {
+        [
+            ("vmqs_ds_committed_total", self.committed),
+            ("vmqs_ds_unprofitable_total", self.unprofitable),
+        ]
+    }
+
     /// Share of lookups that found reusable data, exact or partial
     /// (`vmqs_ds_hit_ratio`); `0` before any lookup.
     pub fn hit_ratio(&self) -> f64 {

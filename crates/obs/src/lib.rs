@@ -32,7 +32,7 @@ pub mod timeline;
 
 pub use event::{events_to_json, EventKind, EventLog, EventRecord, Terminal};
 pub use metrics::{
-    Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, QueryMetrics,
+    Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, QueryMetrics, RunTally,
 };
 
 /// The observability handle an engine threads through its components:

@@ -267,6 +267,65 @@ impl QueryMetrics {
     }
 }
 
+/// The lifecycle counters of one run, as both engines report them
+/// (`SimReport::tally`, `ServerSummary::tally`). Filled by
+/// [`QueryMetrics::tally`] alone, from the counters
+/// [`QueryMetrics::count`] bumps, so a report and a metrics snapshot of
+/// the same run cannot disagree.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RunTally {
+    /// Queries completed.
+    pub completed: u64,
+    /// Queries that ended in a typed failure other than a timeout
+    /// (quarantined poison queries, WAITING work failed when the pool
+    /// died, I/O errors).
+    pub failed: u64,
+    /// Queries cancelled at a deadline, hang-watchdog cancellations
+    /// included.
+    pub timed_out: u64,
+    /// Queries refused at admission (queue full or rate limited).
+    pub rejected: u64,
+    /// Admitted queries evicted by the load shedder before starting.
+    pub shed: u64,
+    /// Queries downgraded to their cheaper plan at admission.
+    pub degraded: u64,
+    /// Data Store entries demoted to the tier-2 spill store instead of
+    /// dropped (DESIGN.md §14). A demotion whose frame write then failed
+    /// has no `Spilled` event and is not counted.
+    pub spilled: u64,
+    /// Spilled entries re-heated from tier 2: each one an exact hit that
+    /// cost a disk read instead of a recompute.
+    pub restored: u64,
+    /// Workers killed by a panicking compute (DESIGN.md §15).
+    pub worker_panics: u64,
+    /// Replacement workers spawned under the restart budget.
+    pub worker_restarts: u64,
+    /// Queries failed by the quarantine rule (a subset of `failed`).
+    pub quarantined: u64,
+    /// Queries cancelled by the hang watchdog (a subset of `timed_out`).
+    pub hung: u64,
+}
+
+impl QueryMetrics {
+    /// The run's lifecycle counters, read once each.
+    pub fn tally(&self) -> RunTally {
+        RunTally {
+            completed: self.completed.get(),
+            failed: self.failed.get(),
+            timed_out: self.timed_out.get(),
+            rejected: self.rejected.get(),
+            shed: self.shed.get(),
+            degraded: self.degraded.get(),
+            spilled: self.ds_spills.get(),
+            restored: self.ds_restores.get(),
+            worker_panics: self.worker_panics.get(),
+            worker_restarts: self.worker_restarts.get(),
+            quarantined: self.quarantined.get(),
+            hung: self.hung.get(),
+        }
+    }
+}
+
 /// A named registry of counters, histograms, and gauges. Handles are
 /// `Arc`s resolved once (see [`QueryMetrics`]); the name maps are only
 /// locked at resolve and snapshot time, one at a time.

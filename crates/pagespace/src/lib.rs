@@ -23,8 +23,8 @@
 
 mod cache;
 mod key;
-mod retry;
 
 pub use cache::{PageCacheCore, PageData, PageDisposition, PsStats, ReadPlan};
 pub use key::{merge_into_runs, PageKey, Run};
-pub use retry::RetryPolicy;
+/// Plain data that `vmqs_core::EngineConfig` names; it lives in `vmqs-core`.
+pub use vmqs_core::RetryPolicy;

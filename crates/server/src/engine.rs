@@ -356,7 +356,7 @@ struct Core<A: AppExecutor> {
     /// waits on).
     outstanding: AtomicUsize,
     /// When set, workers sleep instead of dequeuing (see
-    /// [`ServerConfig::start_paused`] and
+    /// [`vmqs_core::EngineConfig::start_paused`] and
     /// [`QueryServer::resume_workers`]).
     paused: AtomicBool,
     shutdown: AtomicBool,
@@ -394,7 +394,7 @@ struct Core<A: AppExecutor> {
     /// Handles of respawned replacement workers, joined at shutdown.
     respawned: Mutex<Vec<JoinHandle<()>>>,
     /// Event log + metrics registry (DESIGN.md §9). Counters are always
-    /// live; the event log records only when `cfg.observe` is set.
+    /// live; the event log records only when `cfg.engine.observe` is set.
     obs: Arc<Obs>,
     /// Pre-resolved query-lifecycle metric handles (no registry lock on
     /// the hot path), bumped by [`Core::emit`] and nowhere else. The
@@ -430,8 +430,9 @@ impl QueryServer<VmExecutor> {
 impl<A: AppExecutor> QueryServer<A> {
     /// Starts a server for any application executor.
     pub fn with_app(cfg: ServerConfig, app: A, source: Arc<dyn DataSource>) -> Self {
-        let num_threads = cfg.num_threads;
-        let obs = Arc::new(Obs::new(cfg.observe));
+        let e = cfg.engine;
+        let num_threads = e.threads;
+        let obs = Arc::new(Obs::new(e.observe));
         let qmet = QueryMetrics::resolve(&obs.metrics);
         // The tier-2 spill store (DESIGN.md §14): requires both a
         // directory and a nonzero budget. An unusable spill directory is
@@ -447,11 +448,11 @@ impl<A: AppExecutor> QueryServer<A> {
             let dir = cfg.spill_dir.clone().expect("spill_enabled implies dir");
             #[expect(clippy::expect_used, reason = "startup-time directory creation")]
             let store = SpillStore::new(dir).expect("spill directory must be creatable");
-            store.with_faults(cfg.spill_fault).with_chaos(cfg.chaos)
+            store.with_faults(cfg.spill_fault).with_chaos(e.chaos)
         });
-        let tier2_budget = if spill.is_some() { cfg.tier2_budget } else { 0 };
-        let mut store = DataStore::with_policy(cfg.ds_budget, cfg.index_cell, cfg.ds_policy)
-            .with_tier2(tier2_budget);
+        let tier2_budget = if spill.is_some() { e.tier2_budget } else { 0 };
+        let mut store =
+            DataStore::with_policy(e.ds_budget, e.index_cell, e.ds_policy).with_tier2(tier2_budget);
         if let Some(spill) = &spill {
             // Crash-consistent recovery (DESIGN.md §15): validate every
             // frame a previous process left behind, adopt the intact ones
@@ -472,9 +473,9 @@ impl<A: AppExecutor> QueryServer<A> {
         }
         let total_waiting = Arc::new(AtomicUsize::new(0));
         let core = Arc::new(Core {
-            shards: (0..cfg.num_threads)
+            shards: (0..e.threads)
                 .map(|_| Shard {
-                    state: ShardLock::new(cfg.strategy, cfg.index_cell, Arc::clone(&total_waiting)),
+                    state: ShardLock::new(e.strategy, e.index_cell, Arc::clone(&total_waiting)),
                     done_cv: Condvar::new(),
                     parked: AtomicUsize::new(0),
                 })
@@ -488,7 +489,7 @@ impl<A: AppExecutor> QueryServer<A> {
             sleepers: AtomicUsize::new(0),
             total_waiting,
             outstanding: AtomicUsize::new(0),
-            paused: AtomicBool::new(cfg.start_paused),
+            paused: AtomicBool::new(e.start_paused),
             shutdown: AtomicBool::new(false),
             drain_mx: Mutex::ranked(LockClass::Drain, ()),
             drain_cv: Condvar::new(),
@@ -496,17 +497,17 @@ impl<A: AppExecutor> QueryServer<A> {
             relookups: AtomicU64::new(0),
             relookup_hits: AtomicU64::new(0),
             ps: SharedPageSpace::with_retry_obs(
-                cfg.ps_budget,
+                e.ps_budget,
                 PAGE_SIZE,
                 source,
-                cfg.retry,
+                e.retry,
                 cfg.retry_seed,
                 Some(Arc::clone(&obs)),
             ),
             idgen: IdGen::new(0),
             duplicate_full_computes: AtomicU64::new(0),
             compute_seq: AtomicU64::new(0),
-            sup: Supervisor::new(cfg.num_threads, cfg.restart_budget),
+            sup: Supervisor::new(e.threads, e.restart_budget),
             respawned: Mutex::ranked(LockClass::Respawned, Vec::new()),
             tier2_write: obs.metrics.histogram("vmqs_tier2_write_seconds"),
             tier2_read: obs.metrics.histogram("vmqs_tier2_read_seconds"),
@@ -577,11 +578,11 @@ impl<A: AppExecutor> QueryServer<A> {
             let _ = tx.send(Err(ServerError::WorkerPanicked));
             return QueryHandle { id, rx };
         }
-        let ov = core.cfg.overload;
+        let ov = core.cfg.engine.overload;
         let (verdict, pressure) = overload::admit(
             &ov,
             core.total_waiting.load(Ordering::SeqCst),
-            core.cfg.num_threads,
+            core.cfg.engine.threads,
             || {
                 let now = core.obs.log.now();
                 core.admission.lock().take(client, ov.client_rate, now)
@@ -701,51 +702,27 @@ impl<A: AppExecutor> QueryServer<A> {
         self.core.metrics.lock().clone()
     }
 
-    /// Aggregate metrics over completed queries, computed without copying
-    /// the per-query records.
+    /// The lifecycle counters and the answer paths of completed queries,
+    /// counted without copying the per-query records.
     pub fn summary(&self) -> ServerSummary {
-        let (mut resp, mut out) = {
-            let m = self.core.metrics.lock();
-            let mut out = ServerSummary {
-                completed: m.len(),
-                ..ServerSummary::default()
-            };
-            let mut resp: Vec<Duration> = Vec::with_capacity(m.len());
-            for r in m.iter() {
-                match r.path {
-                    AnswerPath::ExactHit => out.exact_hits += 1,
-                    AnswerPath::PartialReuse => out.partial_reuse += 1,
-                    AnswerPath::FullCompute => out.full_compute += 1,
-                    AnswerPath::Grafted => out.grafted += 1,
-                }
-                out.reused_bytes += r.reused_bytes;
-                resp.push(r.response_time());
+        let mut out = ServerSummary::default();
+        for r in self.core.metrics.lock().iter() {
+            match r.path {
+                AnswerPath::ExactHit => out.exact_hits += 1,
+                AnswerPath::PartialReuse => out.partial_reuse += 1,
+                AnswerPath::FullCompute => out.full_compute += 1,
+                AnswerPath::Grafted => out.grafted += 1,
             }
-            (resp, out)
-        };
-        if !resp.is_empty() {
-            resp.sort_unstable();
-            let total: Duration = resp.iter().sum();
-            out.mean_response = total / resp.len() as u32;
-            out.p50_response = resp[(resp.len() - 1) / 2];
-            out.p95_response = resp[((resp.len() - 1) as f64 * 0.95).round() as usize];
+            out.completed += 1;
+            out.reused_bytes += r.reused_bytes;
         }
-        let qmet = &self.core.qmet;
-        out.failed = qmet.failed.get() as usize;
-        out.timed_out = qmet.timed_out.get() as usize;
-        out.rejected = qmet.rejected.get() as usize;
-        out.shed = qmet.shed.get() as usize;
-        out.degraded = qmet.degraded.get() as usize;
+        let tally = self.core.qmet.tally();
+        out.tally = tally;
+        out.failed = tally.failed as usize;
+        out.timed_out = tally.timed_out as usize;
+        out.rejected = tally.rejected as usize;
+        out.shed = tally.shed as usize;
         out.duplicate_full_computes = self.core.duplicate_full_computes.load(Ordering::Relaxed);
-        // The event counters, not `DsStats`: a demotion whose frame write
-        // failed is dropped, not spilled, and has no `Spilled` event.
-        out.spilled = qmet.ds_spills.get();
-        out.restored = qmet.ds_restores.get();
-        out.restore_failures = self.core.store.read().stats().restore_failures;
-        out.worker_panics = qmet.worker_panics.get();
-        out.worker_restarts = qmet.worker_restarts.get();
-        out.quarantined = qmet.quarantined.get() as usize;
-        out.hung = qmet.hung.get() as usize;
         out
     }
 
@@ -811,7 +788,7 @@ impl<A: AppExecutor> QueryServer<A> {
     }
 
     /// Releases a pool started with
-    /// [`ServerConfig::with_start_paused`]: workers begin dequeuing.
+    /// [`vmqs_core::EngineConfig::start_paused`]: workers begin dequeuing.
     /// Idempotent; a no-op on a pool that was never paused.
     pub fn resume_workers(&self) {
         self.core.paused.store(false, Ordering::SeqCst);
@@ -820,25 +797,29 @@ impl<A: AppExecutor> QueryServer<A> {
     }
 
     /// Snapshot of the event log so far, in emission order. Empty unless
-    /// the server was built with [`ServerConfig::with_observability`].
+    /// the server was built with [`vmqs_core::EngineConfig::observe`].
     pub fn events(&self) -> Vec<EventRecord> {
         self.core.obs.log.snapshot()
     }
 
-    /// Snapshot of the metrics registry, with the `vmqs_ps_*` series and
-    /// the derived cache-efficiency gauges (`vmqs_ds_hit_ratio`,
-    /// `vmqs_ps_merge_ratio`) taken from the live Data Store / Page Space
-    /// counters.
+    /// Snapshot of the metrics registry, with the `vmqs_ps_*` and
+    /// [`DsStats::series`] series and the derived cache-efficiency gauges
+    /// (`vmqs_ds_hit_ratio`, `vmqs_ps_merge_ratio`) taken from the live
+    /// Data Store / Page Space counters.
     pub fn metrics(&self) -> MetricsSnapshot {
         let reg = &self.core.obs.metrics;
-        reg.set_gauge("vmqs_ds_hit_ratio", self.ds_stats().hit_ratio());
+        let (ds, tier2) = {
+            let store = self.core.store.read();
+            (store.stats(), store.tier2_used())
+        };
+        reg.set_gauge("vmqs_ds_hit_ratio", ds.hit_ratio());
         let ps = self.ps_stats();
         reg.set_gauge("vmqs_ps_merge_ratio", ps.merge_ratio());
-        let tier2 = self.core.store.read().tier2_used();
         reg.set_gauge("vmqs_ds_tier2_used_bytes", tier2 as f64);
         let mut snap = reg.snapshot();
+        let series = ps.series().into_iter().chain(ds.series());
         snap.counters
-            .extend(ps.series().map(|(name, v)| (name.to_string(), v)));
+            .extend(series.map(|(name, v)| (name.to_string(), v)));
         snap
     }
 
@@ -1092,7 +1073,7 @@ fn on_worker_panic<A: AppExecutor>(core: Arc<Core<A>>, me: usize, k: usize, id: 
     let outcome = {
         let mut s = core.shards[k].state.lock();
         s.waiting_on.remove(&id);
-        s.sched.on_panic(id, core.cfg.quarantine_limit)
+        s.sched.on_panic(id, core.cfg.engine.quarantine_limit)
     };
     let failure = match outcome {
         PanicOutcome::Requeued => None,
@@ -1156,7 +1137,7 @@ fn try_dequeue<A: AppExecutor>(core: &Core<A>, k: usize) -> Option<Job<A::Spec>>
     // With grafting on a WAITING producer goes before a consumer it fully
     // covers, which would otherwise duplicate the compute or block on a
     // producer that has not even started.
-    let (id, spec, score, p) = s.sched.dequeue(core.cfg.graft)?;
+    let (id, spec, score, p) = s.sched.dequeue(core.cfg.engine.graft)?;
     let (submitted, was_degraded) = (p.submitted, p.degraded);
     Some(Job {
         shard: k,
@@ -1172,7 +1153,7 @@ fn try_dequeue<A: AppExecutor>(core: &Core<A>, k: usize) -> Option<Job<A::Spec>>
 fn run_one<A: AppExecutor>(core: &Core<A>, job: Job<A::Spec>) {
     let (k, id, spec, submitted) = (job.shard, job.id, job.spec, job.submitted);
     let ranked = EventKind::Ranked {
-        strategy: core.cfg.strategy.name(),
+        strategy: core.cfg.engine.strategy.name(),
         score: job.score,
     };
     core.emit(id, ranked);
@@ -1186,7 +1167,7 @@ fn run_one<A: AppExecutor>(core: &Core<A>, job: Job<A::Spec>) {
     // execution start), so a stuck query is cancelled at every blocking
     // point the deadline already covers — and classified `Hung` below
     // when the hang bound was the binding one.
-    let deadline = match core.cfg.hang_timeout {
+    let deadline = match core.cfg.engine.hang_timeout {
         Some(h) => {
             let hang_at = started + h;
             Some(query_deadline.map_or(hang_at, |d| d.min(hang_at)))
@@ -1290,10 +1271,10 @@ fn run_one<A: AppExecutor>(core: &Core<A>, job: Job<A::Spec>) {
             // limit is a watchdog cancellation, not a client timeout
             // (`Terminal::Hung` still ends in `TimedOut`, so conservation
             // accounting folds it into `timed_out`).
-            let hung = core
-                .cfg
-                .hang_timeout
-                .filter(|&h| err.is_timeout() && query_deadline.is_none_or(|d| started + h < d));
+            let hung =
+                core.cfg.engine.hang_timeout.filter(|&h| {
+                    err.is_timeout() && query_deadline.is_none_or(|d| started + h < d)
+                });
             let (err, how) = match hung {
                 Some(limit) => (ServerError::Hung { limit }, Terminal::Hung),
                 None if err.is_timeout() => (err, Terminal::TimedOut),
@@ -1463,11 +1444,11 @@ fn execute_query<A: AppExecutor>(
     // and the wait-for cycle check over that shard's edges is complete;
     // its `done_cv` signals the peer's completion.
     let mut producer = None;
-    if core.cfg.graft || core.cfg.allow_blocking {
+    if core.cfg.engine.graft || core.cfg.engine.allow_blocking {
         let mut s = core.shards[k].state.lock();
         let target = s
             .sched
-            .wait_target(id, core.cfg.graft, core.cfg.allow_blocking);
+            .wait_target(id, core.cfg.engine.graft, core.cfg.engine.allow_blocking);
         if let Some((peer, graft)) = target {
             let waited = wait_for_peer(core, k, &mut s, id, peer, deadline)?;
             blocked += waited.unwrap_or_default();
@@ -1533,7 +1514,7 @@ fn execute_query<A: AppExecutor>(
     // The ordinal is drawn per execution, so a poisoned retry consumes a
     // fresh one.
     let ordinal = core.compute_seq.fetch_add(1, Ordering::Relaxed);
-    if core.cfg.chaos.compute_should_panic(ordinal, id.0) {
+    if core.cfg.engine.chaos.compute_should_panic(ordinal, id.0) {
         panic!("injected chaos panic: compute ordinal {ordinal}, query {id:?}");
     }
     lockdep::assert_unheld(
@@ -1794,7 +1775,7 @@ fn promote_restorable<A: AppExecutor>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vmqs_core::{DatasetId, OverloadConfig, Rect, Strategy};
+    use vmqs_core::{DatasetId, EngineConfig, OverloadConfig, Rect, Strategy};
     use vmqs_microscope::kernels::reference_render;
     use vmqs_microscope::{SlideDataset, VmOp, VmQuery};
     use vmqs_storage::SyntheticSource;
@@ -1837,7 +1818,7 @@ mod tests {
 
     #[test]
     fn partial_overlap_reuses_and_matches_reference() {
-        let s = server(ServerConfig::small().with_threads(1));
+        let s = server(ServerConfig::new(EngineConfig::small().with_threads(1)));
         let a = q(0, 0, 200, 400, 2, VmOp::Subsample);
         s.submit(a).wait().unwrap();
         let b = q(100, 0, 300, 400, 2, VmOp::Subsample);
@@ -1850,7 +1831,7 @@ mod tests {
 
     #[test]
     fn zoom_projection_reuse_matches_reference_subsample() {
-        let s = server(ServerConfig::small().with_threads(1));
+        let s = server(ServerConfig::new(EngineConfig::small().with_threads(1)));
         let fine = q(0, 0, 400, 400, 2, VmOp::Subsample);
         s.submit(fine).wait().unwrap();
         let coarse = q(0, 0, 400, 400, 8, VmOp::Subsample);
@@ -1865,7 +1846,7 @@ mod tests {
 
     #[test]
     fn caching_disabled_never_reuses() {
-        let s = server(ServerConfig::small().with_ds_budget(0));
+        let s = server(ServerConfig::new(EngineConfig::small().with_ds_budget(0)));
         let spec = q(0, 0, 64, 64, 1, VmOp::Subsample);
         s.submit(spec).wait().unwrap();
         let second = s.submit(spec).wait().unwrap();
@@ -1876,7 +1857,7 @@ mod tests {
 
     #[test]
     fn many_concurrent_queries_all_correct() {
-        let s = server(ServerConfig::small().with_threads(4));
+        let s = server(ServerConfig::new(EngineConfig::small().with_threads(4)));
         let mut handles = Vec::new();
         let mut specs = Vec::new();
         for i in 0..12u32 {
@@ -1900,7 +1881,7 @@ mod tests {
 
     #[test]
     fn drain_waits_for_all() {
-        let s = server(ServerConfig::small().with_threads(2));
+        let s = server(ServerConfig::small());
         let handles = s.submit_batch((0..6).map(|i| q(i * 40, 0, 80, 80, 2, VmOp::Average)));
         s.drain();
         for h in handles {
@@ -1991,9 +1972,11 @@ mod tests {
     #[test]
     fn remote_dequeues_are_counted_past_one_worker() {
         let remote = |threads| {
-            let cfg = ServerConfig::small()
-                .with_threads(threads)
-                .with_start_paused(true);
+            let cfg = ServerConfig::new(
+                EngineConfig::small()
+                    .with_threads(threads)
+                    .with_start_paused(true),
+            );
             let s = server(cfg);
             // 48 disjoint tiles: full computes, spread over the shards.
             let tiles =
@@ -2013,7 +1996,7 @@ mod tests {
 
     #[test]
     fn summary_aggregates_without_copying_records() {
-        let s = server(ServerConfig::small().with_threads(2));
+        let s = server(ServerConfig::small());
         let spec = q(0, 0, 64, 64, 2, VmOp::Subsample);
         s.submit(spec).wait().unwrap();
         s.submit(spec).wait().unwrap();
@@ -2026,8 +2009,7 @@ mod tests {
             sum.exact_hits + sum.partial_reuse + sum.full_compute,
             sum.completed
         );
-        assert!(sum.mean_response > Duration::ZERO);
-        assert!(sum.p95_response >= sum.p50_response);
+        assert_eq!(sum.tally.completed, 3, "quiescent: the tally agrees");
         s.shutdown();
     }
 
@@ -2035,7 +2017,7 @@ mod tests {
     fn shutdown_fails_pending_queries() {
         // One thread and a pile of queries: shut down immediately; whatever
         // did not run must receive an error, not hang.
-        let s = server(ServerConfig::small().with_threads(1));
+        let s = server(ServerConfig::new(EngineConfig::small().with_threads(1)));
         let handles =
             s.submit_batch((0..8).map(|i| q((i % 4) * 100, 0, 100, 100, 1, VmOp::Average)));
         s.shutdown();
@@ -2072,7 +2054,9 @@ mod tests {
 
     #[test]
     fn blocking_disabled_still_correct() {
-        let s = server(ServerConfig::small().with_threads(4).with_blocking(false));
+        let s = server(ServerConfig::new(
+            EngineConfig::small().with_threads(4).with_blocking(false),
+        ));
         let spec = q(0, 0, 300, 300, 2, VmOp::Subsample);
         let handles: Vec<_> = (0..4).map(|_| s.submit(spec)).collect();
         for h in handles {
@@ -2086,13 +2070,13 @@ mod tests {
     fn bounded_admission_rejects_when_queue_full() {
         // Paused workers: the queue only grows, so admission decisions
         // are deterministic.
-        let s = server(
-            ServerConfig::small()
+        let s = server(ServerConfig::new(
+            EngineConfig::small()
                 .with_threads(1)
                 .with_start_paused(true)
-                .with_observability(true)
+                .with_observe(true)
                 .with_overload(OverloadConfig::default().with_max_pending(2)),
-        );
+        ));
         let handles: Vec<_> = (0..4)
             .map(|i| s.submit(q(i * 50, 0, 64, 64, 2, VmOp::Subsample)))
             .collect();
@@ -2136,17 +2120,17 @@ mod tests {
         // max_pending 4, shed at 0.75: the third admission pushes the
         // queue fraction to 0.75 and the shedder evicts the largest
         // waiting query (the 300x300 one) until pressure drops.
-        let s = server(
-            ServerConfig::small()
+        let s = server(ServerConfig::new(
+            EngineConfig::small()
                 .with_threads(1)
                 .with_start_paused(true)
-                .with_observability(true)
+                .with_observe(true)
                 .with_overload(
                     OverloadConfig::default()
                         .with_max_pending(4)
                         .with_shed_threshold(0.75),
                 ),
-        );
+        ));
         let small_a = s.submit(q(0, 0, 64, 64, 1, VmOp::Subsample));
         let big = s.submit(q(0, 0, 300, 300, 1, VmOp::Subsample));
         let small_b = s.submit(q(100, 0, 64, 64, 1, VmOp::Subsample));
@@ -2178,17 +2162,17 @@ mod tests {
     fn degradation_downgrades_average_under_pressure() {
         // Degrade from the second admission on (2/8 = 0.25); verify the
         // degraded queries ran as Subsample and produced Subsample bytes.
-        let s = server(
-            ServerConfig::small()
+        let s = server(ServerConfig::new(
+            EngineConfig::small()
                 .with_threads(1)
                 .with_start_paused(true)
-                .with_observability(true)
+                .with_observe(true)
                 .with_overload(
                     OverloadConfig::default()
                         .with_max_pending(8)
                         .with_degrade_threshold(0.25),
                 ),
-        );
+        ));
         let handles: Vec<_> = (0..3)
             .map(|i| s.submit(q(i * 80, 0, 128, 128, 2, VmOp::Average)))
             .collect();
@@ -2206,7 +2190,7 @@ mod tests {
             assert_eq!(*r.image, reference_render(&r.record.spec).data);
         }
         let sum = s.summary();
-        assert_eq!((sum.completed, sum.degraded), (3, 2));
+        assert_eq!((sum.completed, sum.tally.degraded), (3, 2));
         assert_eq!(
             s.events()
                 .iter()
@@ -2222,13 +2206,13 @@ mod tests {
         // Burst of 1 at 0.1 q/s: the first query per client is admitted,
         // immediate follow-ups are rejected as rate-limited; a different
         // client has its own bucket.
-        let s = server(
-            ServerConfig::small()
+        let s = server(ServerConfig::new(
+            EngineConfig::small()
                 .with_threads(1)
                 .with_start_paused(true)
-                .with_observability(true)
+                .with_observe(true)
                 .with_overload(OverloadConfig::default().with_client_rate(0.1)),
-        );
+        ));
         let a1 = s.submit_from(ClientId(7), q(0, 0, 64, 64, 2, VmOp::Subsample));
         let a2 = s.submit_from(ClientId(7), q(64, 0, 64, 64, 2, VmOp::Subsample));
         let b1 = s.submit_from(ClientId(8), q(0, 64, 64, 64, 2, VmOp::Subsample));
@@ -2257,12 +2241,12 @@ mod tests {
         // stop() with queries still waiting (workers paused, never
         // resumed) must reject or drain every pending query — no wedged
         // QueryHandle. Mixes admitted and rejected queries.
-        let s = server(
-            ServerConfig::small()
+        let s = server(ServerConfig::new(
+            EngineConfig::small()
                 .with_threads(2)
                 .with_start_paused(true)
                 .with_overload(OverloadConfig::default().with_max_pending(4)),
-        );
+        ));
         let handles: Vec<_> = (0..6)
             .map(|i| s.submit(q((i % 3) * 100, 0, 80, 80, 2, VmOp::Subsample)))
             .collect();
@@ -2374,10 +2358,12 @@ mod tests {
     #[test]
     fn graft_subscribes_to_in_flight_producer_and_reuses_bytes() {
         let (s, gate) = stalling(
-            ServerConfig::small()
-                .with_threads(2)
-                .with_graft(true)
-                .with_observability(true),
+            ServerConfig::new(
+                EngineConfig::small()
+                    .with_threads(2)
+                    .with_graft(true)
+                    .with_observe(true),
+            ),
             Released::Compute,
         );
         let spec = q(0, 0, 128, 128, 2, VmOp::Subsample);
@@ -2419,10 +2405,12 @@ mod tests {
         // A producer that fails publishes nothing; a grafted consumer
         // must wake, find no entry, and compute on its own.
         let (s, gate) = stalling(
-            ServerConfig::small()
-                .with_threads(2)
-                .with_graft(true)
-                .with_observability(true),
+            ServerConfig::new(
+                EngineConfig::small()
+                    .with_threads(2)
+                    .with_graft(true)
+                    .with_observe(true),
+            ),
             Released::Fail,
         );
         let spec = q(0, 0, 96, 96, 2, VmOp::Subsample);
@@ -2449,10 +2437,12 @@ mod tests {
     #[test]
     fn graft_consumer_reuses_the_twin_that_refused_its_producers_insert() {
         let (s, gate) = stalling(
-            ServerConfig::small()
-                .with_threads(2)
-                .with_graft(true)
-                .with_cache_policy(vmqs_datastore::EvictionPolicy::CostBased),
+            ServerConfig::new(
+                EngineConfig::small()
+                    .with_threads(2)
+                    .with_graft(true)
+                    .with_cache_policy(vmqs_datastore::EvictionPolicy::CostBased),
+            ),
             Released::Compute,
         );
         let spec = q(0, 0, 96, 96, 2, VmOp::Subsample);
@@ -2489,7 +2479,9 @@ mod tests {
     fn a_refused_insert_leaves_the_publish_epoch() {
         use vmqs_datastore::EvictionPolicy;
         for (policy, moves) in [(EvictionPolicy::CostBased, 0), (EvictionPolicy::Lru, 1)] {
-            let s = server(ServerConfig::small().with_cache_policy(policy));
+            let s = server(ServerConfig::new(
+                EngineConfig::small().with_cache_policy(policy),
+            ));
             let epoch = || s.core.publish_epoch.load(Ordering::SeqCst);
             let spec = q(0, 0, 64, 64, 2, VmOp::Subsample);
             s.submit(spec).wait().unwrap();
@@ -2508,12 +2500,12 @@ mod tests {
     /// twin the cost-based store refuses.
     #[test]
     fn cost_based_replay_caches_each_tile_once() {
-        let s = server(
-            ServerConfig::small()
+        let s = server(ServerConfig::new(
+            EngineConfig::small()
                 .with_threads(4)
                 .with_ds_budget(1 << 20)
                 .with_cache_policy(vmqs_datastore::EvictionPolicy::CostBased),
-        );
+        ));
         let tiles: Vec<VmQuery> = (0..128u32)
             .map(|i| q(i % 16 * 32, i / 16 * 32, 32, 32, 1, VmOp::Subsample))
             .collect();
@@ -2548,7 +2540,7 @@ mod tests {
     #[test]
     fn blocked_waiter_wakes_when_its_producer_is_requeued() {
         let (s, gate) = stalling(
-            ServerConfig::small().with_threads(2).with_restart_budget(0),
+            ServerConfig::new(EngineConfig::small().with_threads(2).with_restart_budget(0)),
             Released::Panic,
         );
         let spec = q(0, 0, 96, 96, 2, VmOp::Subsample);
@@ -2572,7 +2564,7 @@ mod tests {
         }
         let sum = s.summary();
         assert_eq!((sum.completed, sum.failed), (2, 0));
-        assert_eq!((sum.worker_panics, sum.worker_restarts), (1, 0));
+        assert_eq!((sum.tally.worker_panics, sum.tally.worker_restarts), (1, 0));
         s.check_invariants();
         s.shutdown();
     }
@@ -2583,10 +2575,12 @@ mod tests {
         // budget starts at submission, so a query that spends it all in
         // the admission queue is cancelled without doing any I/O.
         let s = server(
-            ServerConfig::small()
-                .with_threads(1)
-                .with_start_paused(true)
-                .with_query_timeout(Some(Duration::from_millis(40))),
+            ServerConfig::new(
+                EngineConfig::small()
+                    .with_threads(1)
+                    .with_start_paused(true),
+            )
+            .with_query_timeout(Some(Duration::from_millis(40))),
         );
         let h = s.submit(q(0, 0, 256, 256, 1, VmOp::Average));
         std::thread::sleep(Duration::from_millis(80));
@@ -2617,14 +2611,20 @@ mod tests {
     /// A tier-1 budget that holds exactly one 128×128 RGB result (49 152
     /// bytes), so the second insert always demotes the first, plus a
     /// roomy tier-2 — the minimal spill-pressure configuration.
-    fn spill_cfg(tag: &str) -> (ServerConfig, std::path::PathBuf) {
-        let dir = spill_tmpdir(tag);
-        let cfg = ServerConfig::small()
+    /// One worker, a cost-based store of about one 128² tile and a
+    /// roomy tier 2.
+    fn spill_engine() -> EngineConfig {
+        EngineConfig::small()
             .with_threads(1)
             .with_cache_policy(vmqs_datastore::EvictionPolicy::CostBased)
             .with_ds_budget(50_000)
-            .with_spill_dir(Some(dir.clone()))
-            .with_tier2_budget(1 << 20);
+            .with_tier2_budget(1 << 20)
+    }
+
+    /// `engine` spilling to a fresh directory named after `tag`.
+    fn spill_cfg(tag: &str, engine: EngineConfig) -> (ServerConfig, std::path::PathBuf) {
+        let dir = spill_tmpdir(tag);
+        let cfg = ServerConfig::new(engine).with_spill_dir(Some(dir.clone()));
         (cfg, dir)
     }
 
@@ -2659,14 +2659,14 @@ mod tests {
 
     #[test]
     fn spilled_entry_restores_as_exact_hit() {
-        let (cfg, dir) = spill_cfg("restore");
-        let s = server(cfg.with_observability(true));
+        let (cfg, dir) = spill_cfg("restore", spill_engine().with_observe(true));
+        let s = server(cfg);
         let a = q(0, 0, 128, 128, 1, VmOp::Subsample);
         let b = q(200, 200, 128, 128, 1, VmOp::Subsample);
         s.submit(a).wait().unwrap();
         s.submit(b).wait().unwrap();
         assert!(
-            s.summary().spilled >= 1,
+            s.summary().tally.spilled >= 1,
             "making room for b must demote a to tier 2, not drop it"
         );
         let res = s.submit(a).wait().unwrap();
@@ -2676,8 +2676,8 @@ mod tests {
         assert_eq!(res.record.covered_fraction, 1.0);
         assert_eq!(*res.image, reference_render(&a).data);
         let sum = s.summary();
-        assert_eq!(sum.restored, 1);
-        assert_eq!(sum.restore_failures, 0);
+        assert_eq!(sum.tally.restored, 1);
+        assert_eq!(s.ds_stats().restore_failures, 0);
         let ev = s.events();
         assert!(ev
             .iter()
@@ -2692,12 +2692,19 @@ mod tests {
         // Restoring `a` demoted `b`; the exact hit's own copy would be a
         // twin of the restored `a`, which the cost-based store refuses, so
         // `a` stays in tier 1. Two demotions, two writes.
-        assert_eq!(sum.spilled, 2);
-        assert_eq!(s.ds_stats().unprofitable, 1, "the twin was refused");
+        assert_eq!(sum.tally.spilled, 2);
+        let ds = s.ds_stats();
+        assert_eq!(ds.unprofitable, 1, "the twin was refused");
+        for (name, v) in ds.series() {
+            assert_eq!(m.counters[name], v, "the export is the store's {name}");
+        }
         // Two computes and the restore made an entry visible; the refused
         // twin did not.
         assert_eq!(s.core.publish_epoch.load(Ordering::SeqCst), 3);
-        assert_eq!(tier2_io_samples(&m), (landed_frames(&s), sum.restored));
+        assert_eq!(
+            tier2_io_samples(&m),
+            (landed_frames(&s), sum.tally.restored)
+        );
         assert_eq!(landed_frames(&s), 2);
         for export in [m.to_json(), m.to_prometheus()] {
             assert!(export.contains("vmqs_tier2_write_seconds"), "{export}");
@@ -2711,7 +2718,7 @@ mod tests {
     #[test]
     fn poisoned_tier2_read_falls_back_to_recompute() {
         use vmqs_storage::FaultConfig;
-        let (cfg, dir) = spill_cfg("poison");
+        let (cfg, dir) = spill_cfg("poison", spill_engine());
         // Every tier-2 read fails: the restore path must drop the entry
         // through the typed-error fallback and recompute — never panic.
         let s = server(cfg.with_spill_faults(FaultConfig::none().with_permanent(1.0)));
@@ -2719,16 +2726,19 @@ mod tests {
         let b = q(200, 200, 128, 128, 1, VmOp::Subsample);
         s.submit(a).wait().unwrap();
         s.submit(b).wait().unwrap();
-        assert!(s.summary().spilled >= 1);
+        assert!(s.summary().tally.spilled >= 1);
         let res = s.submit(a).wait().unwrap();
         assert_eq!(res.record.path, AnswerPath::FullCompute);
         assert_eq!(*res.image, reference_render(&a).data);
         let sum = s.summary();
-        assert_eq!((sum.restored, sum.restore_failures), (0, 1));
+        assert_eq!((sum.tally.restored, s.ds_stats().restore_failures), (0, 1));
         // The failed read was timed all the same.
         assert_eq!(
             tier2_io_samples(&s.metrics()),
-            (sum.spilled, sum.restored + sum.restore_failures)
+            (
+                sum.tally.spilled,
+                sum.tally.restored + s.ds_stats().restore_failures
+            )
         );
         s.check_invariants();
         s.shutdown();
@@ -2742,7 +2752,7 @@ mod tests {
     /// the restored entries, which the cost-based store refuses.
     #[test]
     fn one_write_per_blob_in_the_server() {
-        let (cfg, dir) = spill_cfg("once");
+        let (cfg, dir) = spill_cfg("once", spill_engine());
         let s = server(cfg);
         let a = q(0, 0, 128, 128, 1, VmOp::Subsample);
         let b = q(200, 200, 128, 128, 1, VmOp::Subsample);
@@ -2751,7 +2761,7 @@ mod tests {
             assert_eq!(*res.image, reference_render(&spec).data);
         }
         let sum = s.summary();
-        assert_eq!((sum.spilled, sum.restored), (3, 2));
+        assert_eq!((sum.tally.spilled, sum.tally.restored), (3, 2));
         assert_eq!(s.ds_stats().unprofitable, 2, "both twins were refused");
         let (writes, reads) = tier2_io_samples(&s.metrics());
         assert_eq!(writes, landed_frames(&s), "one write per blob demoted");
@@ -2810,8 +2820,9 @@ mod tests {
     /// the blob has one eviction record.
     #[test]
     fn restore_racing_a_tier2_drop_answers_from_the_bytes_it_read() {
-        let (cfg, dir) = spill_cfg("race-drop");
-        let s = server(cfg.with_tier2_budget(49_152).with_observability(true));
+        let engine = spill_engine().with_tier2_budget(49_152).with_observe(true);
+        let (cfg, dir) = spill_cfg("race-drop", engine);
+        let s = server(cfg);
         let a = q(0, 0, 128, 128, 1, VmOp::Subsample);
         // The cheapest entry, so the shrink picks it.
         let found = restorable_a(&s, a, 1e-6);
@@ -2828,7 +2839,7 @@ mod tests {
         let bytes = promote_restorable(&s.core, QueryId(1), found, read).expect("answered");
         assert_eq!(*bytes, reference_render(&a).data);
         let sum = s.summary();
-        assert_eq!((sum.restored, sum.restore_failures), (0, 0));
+        assert_eq!((sum.tally.restored, s.ds_stats().restore_failures), (0, 0));
         assert_eq!(s.core.store.read().stats().evicted, 1);
         assert_eq!(evictions_of(&s, 1001), 1);
         s.check_invariants();
@@ -2841,8 +2852,9 @@ mod tests {
     /// recomputes; the drop was the shrink's, so it is no restore failure.
     #[test]
     fn restore_reading_after_a_tier2_drop_is_no_restore_failure() {
-        let (cfg, dir) = spill_cfg("race-drop-first");
-        let s = server(cfg.with_tier2_budget(49_152).with_observability(true));
+        let engine = spill_engine().with_tier2_budget(49_152).with_observe(true);
+        let (cfg, dir) = spill_cfg("race-drop-first", engine);
+        let s = server(cfg);
         let a = q(0, 0, 128, 128, 1, VmOp::Subsample);
         let found = restorable_a(&s, a, 1e-6);
         publish(&s, 1003, q(400, 0, 128, 128, 1, VmOp::Subsample), 1.0);
@@ -2857,7 +2869,7 @@ mod tests {
         );
         assert!(promote_restorable(&s.core, QueryId(1), found, read).is_none());
         let sum = s.summary();
-        assert_eq!((sum.restored, sum.restore_failures), (0, 0));
+        assert_eq!((sum.tally.restored, s.ds_stats().restore_failures), (0, 0));
         assert_eq!(evictions_of(&s, 1001), 1);
         s.check_invariants();
         s.shutdown();
@@ -2868,8 +2880,8 @@ mod tests {
     /// the second answers from the bytes it read.
     #[test]
     fn two_restorers_of_one_blob_promote_it_once() {
-        let (cfg, dir) = spill_cfg("race-peer");
-        let s = server(cfg.with_observability(true));
+        let (cfg, dir) = spill_cfg("race-peer", spill_engine().with_observe(true));
+        let s = server(cfg);
         let a = q(0, 0, 128, 128, 1, VmOp::Subsample);
         let first = restorable_a(&s, a, 1.0);
         let second = probe_restorable(&s.core, &a).expect("still RESTORABLE");
@@ -2884,7 +2896,7 @@ mod tests {
             assert_eq!(*bytes.expect("answered"), want, "restorer {id}");
         }
         let sum = s.summary();
-        assert_eq!((sum.restored, sum.restore_failures), (1, 0));
+        assert_eq!((sum.tally.restored, s.ds_stats().restore_failures), (1, 0));
         let restored = s
             .events()
             .iter()
@@ -2901,8 +2913,8 @@ mod tests {
     /// dropped, counted, and its frame unlinked.
     #[test]
     fn poisoned_frame_of_a_live_entry_is_dropped_after_an_off_lock_read() {
-        let (cfg, dir) = spill_cfg("race-poison");
-        let s = server(cfg.with_observability(true));
+        let (cfg, dir) = spill_cfg("race-poison", spill_engine().with_observe(true));
+        let s = server(cfg);
         let a = q(0, 0, 128, 128, 1, VmOp::Subsample);
         let found = restorable_a(&s, a, 1.0);
         let frame = dir.join(format!("blob-{}.spill", found.blob.raw()));
@@ -2914,7 +2926,7 @@ mod tests {
         assert!(read.is_err());
         assert!(promote_restorable(&s.core, QueryId(1), found, read).is_none());
         let sum = s.summary();
-        assert_eq!((sum.restored, sum.restore_failures), (0, 1));
+        assert_eq!((sum.tally.restored, s.ds_stats().restore_failures), (0, 1));
         assert!(s.core.store.read().get(blob).is_none());
         assert!(!frame.exists(), "the dropper unlinked the frame");
         assert_eq!(evictions_of(&s, 1001), 1);
@@ -2929,8 +2941,8 @@ mod tests {
     /// failed frame read, whichever of them got to drop the entry.
     #[test]
     fn two_restorers_of_one_poisoned_frame_count_two_failures() {
-        let (cfg, dir) = spill_cfg("race-poison-peer");
-        let s = server(cfg.with_observability(true));
+        let (cfg, dir) = spill_cfg("race-poison-peer", spill_engine().with_observe(true));
+        let s = server(cfg);
         let a = q(0, 0, 128, 128, 1, VmOp::Subsample);
         let first = restorable_a(&s, a, 1.0);
         let second = probe_restorable(&s.core, &a).expect("still RESTORABLE");
@@ -2950,7 +2962,10 @@ mod tests {
         let sum = s.summary();
         let (_, frame_reads) = tier2_io_samples(&s.metrics());
         assert_eq!(frame_reads, 2);
-        assert_eq!((sum.restored, sum.restore_failures), (0, frame_reads));
+        assert_eq!(
+            (sum.tally.restored, s.ds_stats().restore_failures),
+            (0, frame_reads)
+        );
         assert_eq!(evictions_of(&s, 1001), 1, "one drop");
         assert!(!frame.exists(), "the dropper unlinked the frame");
         s.check_invariants();
@@ -2960,7 +2975,7 @@ mod tests {
 
     #[test]
     fn spill_frames_are_cleaned_up_as_entries_leave_tier2() {
-        let (cfg, dir) = spill_cfg("hygiene");
+        let (cfg, dir) = spill_cfg("hygiene", spill_engine());
         let s = server(cfg);
         // Cycle enough distinct queries that entries spill; every frame
         // on disk must belong to a live entry whose frame landed.
@@ -2995,13 +3010,13 @@ mod tests {
             .collect();
         let want: Vec<Vec<u8>> = hot.iter().map(|s| reference_render(s).data).collect();
         for round in 0..20 {
-            let (cfg, dir) = spill_cfg("concurrent");
             // Two tiles in tier 1, four in tier 2: six hot tiles keep
             // every entry moving between the two.
-            let cfg = cfg
+            let engine = spill_engine()
                 .with_threads(8)
                 .with_ds_budget(2 * 49_152)
                 .with_tier2_budget(4 * 49_152);
+            let (cfg, dir) = spill_cfg("concurrent", engine);
             let s = server(cfg);
             for pass in 0..8 {
                 let order: Vec<usize> = (0..12).map(|i| (i * 5 + pass + round) % 6).collect();
@@ -3011,9 +3026,9 @@ mod tests {
                     assert_eq!(*res.image, want[i], "round {round}: tile {i} diverged");
                 }
             }
-            let sum = s.summary();
             assert_eq!(
-                sum.restore_failures, 0,
+                s.ds_stats().restore_failures,
+                0,
                 "round {round}: a frame went missing"
             );
             s.check_invariants();
@@ -3034,8 +3049,9 @@ mod tests {
         // Spilling is orthogonal to the scoring policy: LRU victims are
         // demoted too once a tier-2 store is configured, so the legacy
         // policy keeps its victim choice but stops losing data.
-        let (cfg, dir) = spill_cfg("lru");
-        let s = server(cfg.with_cache_policy(vmqs_datastore::EvictionPolicy::Lru));
+        let engine = spill_engine().with_cache_policy(vmqs_datastore::EvictionPolicy::Lru);
+        let (cfg, dir) = spill_cfg("lru", engine);
+        let s = server(cfg);
         let a = q(0, 0, 128, 128, 1, VmOp::Subsample);
         s.submit(a).wait().unwrap();
         s.submit(q(200, 200, 128, 128, 1, VmOp::Subsample))
@@ -3044,7 +3060,7 @@ mod tests {
         let res = s.submit(a).wait().unwrap();
         assert_eq!(res.record.path, AnswerPath::ExactHit);
         assert_eq!(*res.image, reference_render(&a).data);
-        assert_eq!(s.summary().restored, 1);
+        assert_eq!(s.summary().tally.restored, 1);
         s.check_invariants();
         s.shutdown();
         let _ = std::fs::remove_dir_all(dir);
@@ -3060,12 +3076,12 @@ mod tests {
     /// replacement, and still deliver a complete `ServerSummary`.
     #[test]
     fn forced_panic_still_yields_complete_summary() {
-        let s = server(
-            ServerConfig::small()
+        let s = server(ServerConfig::new(
+            EngineConfig::small()
                 .with_threads(2)
-                .with_observability(true)
+                .with_observe(true)
                 .with_chaos(ChaosConfig::none().with_panic_at_compute(Some(0))),
-        );
+        ));
         let specs: Vec<_> = (0..4u32)
             .map(|i| q(i * 130, 0, 96, 96, 1, VmOp::Subsample))
             .collect();
@@ -3077,9 +3093,9 @@ mod tests {
         let sum = s.summary();
         assert_eq!(sum.completed, 4, "the panicked query was requeued and ran");
         assert_eq!(sum.failed, 0);
-        assert_eq!(sum.worker_panics, 1);
-        assert_eq!(sum.worker_restarts, 1);
-        assert_eq!(sum.quarantined, 0);
+        assert_eq!(sum.tally.worker_panics, 1);
+        assert_eq!(sum.tally.worker_restarts, 1);
+        assert_eq!(sum.tally.quarantined, 0);
         assert_eq!(
             s.graph_stats().requeued,
             1,
@@ -3127,13 +3143,13 @@ mod tests {
     #[test]
     fn poison_query_is_quarantined_and_peers_survive() {
         let seed = seed_with_poison(0.05, 4, &[2]);
-        let s = server(
-            ServerConfig::small()
+        let s = server(ServerConfig::new(
+            EngineConfig::small()
                 .with_threads(2)
-                .with_observability(true)
+                .with_observe(true)
                 .with_quarantine_limit(3)
                 .with_chaos(ChaosConfig::none().with_seed(seed).with_poison_rate(0.05)),
-        );
+        ));
         let specs: Vec<_> = (0..4u32)
             .map(|i| q(i * 130, 0, 96, 96, 1, VmOp::Subsample))
             .collect();
@@ -3154,9 +3170,12 @@ mod tests {
         }
         assert_eq!(quarantined, 1);
         let sum = s.summary();
-        assert_eq!((sum.completed, sum.failed, sum.quarantined), (3, 1, 1));
-        assert_eq!(sum.worker_panics, 3, "three kills before quarantine");
-        assert_eq!(sum.worker_restarts, 3);
+        assert_eq!(
+            (sum.completed, sum.failed, sum.tally.quarantined),
+            (3, 1, 1)
+        );
+        assert_eq!(sum.tally.worker_panics, 3, "three kills before quarantine");
+        assert_eq!(sum.tally.worker_restarts, 3);
         let ev = s.events();
         assert_eq!(
             ev.iter()
@@ -3175,13 +3194,13 @@ mod tests {
     /// are refused immediately, and shutdown still completes.
     #[test]
     fn restart_budget_exhaustion_fails_waiting_queries_typed() {
-        let s = server(
-            ServerConfig::small()
+        let s = server(ServerConfig::new(
+            EngineConfig::small()
                 .with_threads(1)
                 .with_start_paused(true)
                 .with_restart_budget(0)
                 .with_chaos(ChaosConfig::none().with_panic_at_compute(Some(0))),
-        );
+        ));
         let handles: Vec<_> = (0..4u32)
             .map(|i| s.submit(q(i * 130, 0, 96, 96, 1, VmOp::Subsample)))
             .collect();
@@ -3200,7 +3219,7 @@ mod tests {
         }
         let sum = s.summary();
         assert_eq!((sum.completed, sum.failed), (0, 5));
-        assert_eq!((sum.worker_panics, sum.worker_restarts), (1, 0));
+        assert_eq!((sum.tally.worker_panics, sum.tally.worker_restarts), (1, 0));
         // Quiescent: nothing per-query may be left behind.
         s.drain();
         s.check_invariants();
@@ -3216,10 +3235,12 @@ mod tests {
     #[test]
     fn hang_watchdog_cancels_stuck_query_and_spares_successors() {
         let (s, gate) = stalling(
-            ServerConfig::small()
-                .with_threads(1)
-                .with_observability(true)
-                .with_hang_timeout(Some(Duration::from_millis(40))),
+            ServerConfig::new(
+                EngineConfig::small()
+                    .with_threads(1)
+                    .with_observe(true)
+                    .with_hang_timeout(Some(Duration::from_millis(40))),
+            ),
             Released::Compute,
         );
         let spec = q(0, 0, 128, 128, 2, VmOp::Subsample);
@@ -3242,7 +3263,7 @@ mod tests {
             reference_render(&next).data
         );
         let sum = s.summary();
-        assert_eq!((sum.completed, sum.hung), (1, 1));
+        assert_eq!((sum.completed, sum.tally.hung), (1, 1));
         assert_eq!(
             sum.timed_out, 1,
             "hang cancellations fold into timeout accounting"
@@ -3272,19 +3293,19 @@ mod tests {
             (Phase::Full, &[a, b, c, a][..]),
         ];
         for (phase, warm) in cases {
-            let (cfg, dir) = spill_cfg("recover");
-            let cfg = match phase {
-                Phase::Full => cfg
+            let engine = match phase {
+                Phase::Full => spill_engine()
                     .with_ds_budget(2 * 50_000)
                     .with_cache_policy(EvictionPolicy::Lru),
-                _ => cfg,
+                _ => spill_engine(),
             };
+            let (cfg, dir) = spill_cfg("recover", engine);
             {
                 let s = server(cfg.clone());
                 for &spec in warm {
                     s.submit(spec).wait().unwrap();
                 }
-                assert!(s.summary().spilled >= 1, "a must be demoted to disk");
+                assert!(s.summary().tally.spilled >= 1, "a must be demoted to disk");
                 let kept = {
                     let ds = s.core.store.read();
                     let restorable = ds.lookup_restorable_exact(&a).map(|m| m.0);
@@ -3303,7 +3324,7 @@ mod tests {
             assert_eq!(res.record.path, AnswerPath::ExactHit, "{phase:?}");
             assert_eq!(res.record.pages_requested, 0);
             assert_eq!(*res.image, reference_render(&a).data);
-            assert_eq!(s.summary().restored, 1);
+            assert_eq!(s.summary().tally.restored, 1);
             s.check_invariants();
             s.shutdown();
             let _ = std::fs::remove_dir_all(dir);
@@ -3315,20 +3336,22 @@ mod tests {
     /// the directory is accounted to a live tier-2 resident.
     #[test]
     fn crash_mid_spill_is_cleaned_and_directory_byte_accounted() {
-        let (cfg, dir) = spill_cfg("crash");
+        let (cfg, dir) = spill_cfg("crash", spill_engine());
         let a = q(0, 0, 128, 128, 1, VmOp::Subsample);
         let b = q(200, 200, 128, 128, 1, VmOp::Subsample);
         {
             // The first spill write crashes halfway through staging.
-            let s = server(
-                cfg.clone()
+            let s = server(ServerConfig {
+                engine: cfg
+                    .engine
                     .with_chaos(ChaosConfig::none().with_crash_spill_write(Some(0))),
-            );
+                ..cfg.clone()
+            });
             s.submit(a).wait().unwrap();
             s.submit(b).wait().unwrap();
             // The demotion whose write crashed was dropped, not spilled.
             let spills = s.metrics().counters["vmqs_ds_spills_total"];
-            assert_eq!(s.summary().spilled, spills);
+            assert_eq!(s.summary().tally.spilled, spills);
             s.shutdown();
         }
         let tmps = std::fs::read_dir(&dir)
@@ -3355,7 +3378,10 @@ mod tests {
         );
         s.submit(a).wait().unwrap();
         s.submit(b).wait().unwrap();
-        assert!(s.summary().spilled >= 1, "spilling works after recovery");
+        assert!(
+            s.summary().tally.spilled >= 1,
+            "spilling works after recovery"
+        );
         let (frames, _) = spill_files(&dir);
         assert_eq!(frames * 49_152, s.core.store.read().tier2_used());
         assert_eq!(frames, landed_frames(&s));
@@ -3369,18 +3395,23 @@ mod tests {
     /// recomputes — a torn read never reaches a consumer.
     #[test]
     fn bit_flipped_frame_falls_back_to_recompute() {
-        let (cfg, dir) = spill_cfg("flip");
-        let s = server(cfg.with_chaos(ChaosConfig::none().with_bit_flip_frame(Some(0))));
+        let (cfg, dir) = spill_cfg("flip", spill_engine());
+        let s = server(ServerConfig {
+            engine: cfg
+                .engine
+                .with_chaos(ChaosConfig::none().with_bit_flip_frame(Some(0))),
+            ..cfg
+        });
         let a = q(0, 0, 128, 128, 1, VmOp::Subsample);
         let b = q(200, 200, 128, 128, 1, VmOp::Subsample);
         s.submit(a).wait().unwrap();
         s.submit(b).wait().unwrap();
-        assert!(s.summary().spilled >= 1);
+        assert!(s.summary().tally.spilled >= 1);
         let res = s.submit(a).wait().unwrap();
         assert_eq!(res.record.path, AnswerPath::FullCompute);
         assert_eq!(*res.image, reference_render(&a).data);
         let sum = s.summary();
-        assert_eq!((sum.restored, sum.restore_failures), (0, 1));
+        assert_eq!((sum.tally.restored, s.ds_stats().restore_failures), (0, 1));
         s.check_invariants();
         s.shutdown();
         let _ = std::fs::remove_dir_all(dir);
@@ -3394,14 +3425,14 @@ mod tests {
     fn chaos_sweep_eight_workers_conserves_and_survivors_are_exact() {
         let poison: Vec<u64> = vec![5, 17];
         let seed = seed_with_poison(0.08, 32, &poison);
-        let s = server(
-            ServerConfig::small()
+        let s = server(ServerConfig::new(
+            EngineConfig::small()
                 .with_threads(8)
-                .with_observability(true)
+                .with_observe(true)
                 .with_quarantine_limit(2)
                 .with_restart_budget(8)
                 .with_chaos(ChaosConfig::none().with_seed(seed).with_poison_rate(0.08)),
-        );
+        ));
         // 32 disjoint 64x64 tiles on a 6x6 grid: no reuse between them,
         // so every query computes and every poison id actually panics.
         let specs: Vec<_> = (0..32u32)
@@ -3430,12 +3461,15 @@ mod tests {
             sum.completed + sum.failed + sum.timed_out + sum.shed + sum.rejected,
             "conservation invariant"
         );
-        assert_eq!((sum.completed, sum.failed, sum.quarantined), (30, 2, 2));
         assert_eq!(
-            sum.worker_panics, 4,
+            (sum.completed, sum.failed, sum.tally.quarantined),
+            (30, 2, 2)
+        );
+        assert_eq!(
+            sum.tally.worker_panics, 4,
             "2 poison queries x quarantine_limit 2"
         );
-        assert_eq!(sum.worker_restarts, 4);
+        assert_eq!(sum.tally.worker_restarts, 4);
         // No wedge: the pool still answers after the sweep.
         let extra = q(0, 0, 32, 32, 1, VmOp::Average);
         assert_eq!(

@@ -4,6 +4,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use vmqs_core::QueryId;
 use vmqs_microscope::VmQuery;
+use vmqs_obs::RunTally;
 
 /// The answer delivered to a client. Generic over the application's
 /// predicate type; defaults to the Virtual Microscope.
@@ -77,21 +78,35 @@ impl<S> QueryRecord<S> {
     }
 }
 
-/// Aggregate metrics over all completed queries, computed in place from
-/// the server's records — the cheap way to poll progress or throughput
-/// without copying per-query records out of the metrics lock.
+/// Aggregate metrics over the server's run so far: the lifecycle
+/// counters the simulator reports too, plus how the completed queries
+/// were answered. Cheap to poll: it copies no per-query record.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServerSummary {
-    /// Queries completed so far.
+    /// The lifecycle counters, read from the same function as the
+    /// simulator's (`vmqs_obs::QueryMetrics::tally`).
+    pub tally: RunTally,
+    /// Completed queries: the records the answer-path counts below sum
+    /// to. Equal to `tally.completed` whenever no query is mid-completion.
+    /// This and the next four stay `usize` until ROADMAP item 1(b): the
+    /// benchmark package casts them.
     pub completed: usize,
-    /// Of which: answered entirely from an exact cached match.
+    /// `tally.failed`.
+    pub failed: usize,
+    /// `tally.timed_out`.
+    pub timed_out: usize,
+    /// `tally.rejected`.
+    pub rejected: usize,
+    /// `tally.shed`.
+    pub shed: usize,
+    /// Of `completed`: answered entirely from an exact cached match.
     pub exact_hits: usize,
-    /// Of which: partially projected from cached results.
+    /// Of `completed`: partially projected from cached results.
     pub partial_reuse: usize,
-    /// Of which: computed entirely from raw pages.
+    /// Of `completed`: computed entirely from raw pages.
     pub full_compute: usize,
-    /// Of which: answered by grafting onto an in-flight producer of the
-    /// same predicate (DESIGN.md §13).
+    /// Of `completed`: answered by grafting onto an in-flight producer of
+    /// the same predicate (DESIGN.md §13).
     pub grafted: usize,
     /// Full computes whose output already had a `cmp`-equivalent visible
     /// Data Store entry at publish time — redundant work a perfect
@@ -100,41 +115,6 @@ pub struct ServerSummary {
     pub duplicate_full_computes: u64,
     /// Total output bytes obtained by projecting cached results.
     pub reused_bytes: u64,
-    /// Mean response time (wait + execution).
-    pub mean_response: Duration,
-    /// Median response time.
-    pub p50_response: Duration,
-    /// 95th-percentile response time.
-    pub p95_response: Duration,
-    /// Queries that failed with an error other than a timeout (these are
-    /// *not* in `completed`).
-    pub failed: usize,
-    /// Queries cancelled at their per-query deadline.
-    pub timed_out: usize,
-    /// Queries refused at admission (queue full or rate limited).
-    pub rejected: usize,
-    /// Queries admitted but evicted by the load shedder.
-    pub shed: usize,
-    /// Completed queries that ran at degraded quality.
-    pub degraded: usize,
-    /// Data Store entries demoted to the tier-2 spill store (DESIGN.md
-    /// §14) instead of dropped.
-    pub spilled: u64,
-    /// Spilled entries re-heated from tier 2 — each one an exact hit that
-    /// cost a disk read instead of a recompute.
-    pub restored: u64,
-    /// Tier-2 reads that failed (poisoned or corrupt frame); the entry
-    /// was dropped and the query fell back to recomputation.
-    pub restore_failures: u64,
-    /// Worker threads killed by a panicking compute (DESIGN.md §15).
-    pub worker_panics: u64,
-    /// Replacement workers spawned under the restart budget.
-    pub worker_restarts: u64,
-    /// Queries failed by the quarantine rule after their compute panicked
-    /// `quarantine_limit` workers (a subset of `failed`).
-    pub quarantined: usize,
-    /// Queries cancelled by the hang watchdog (a subset of `timed_out`).
-    pub hung: usize,
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use vmqs_core::{DatasetId, Rect};
+use vmqs_core::{DatasetId, EngineConfig, Rect};
 use vmqs_microscope::kernels::reference_render;
 use vmqs_microscope::{SlideDataset, VmOp, VmQuery};
 use vmqs_pagespace::RetryPolicy;
@@ -55,12 +55,12 @@ fn workload() -> Vec<VmQuery> {
 /// contract. Returns (ok, failed) counts.
 fn run_sweep(rate: f64, threads: usize, seed: u64) -> (usize, usize) {
     let specs = workload();
-    let cfg = ServerConfig::small()
+    let engine = EngineConfig::small()
         .with_threads(threads)
         // Small budget: error paths must coexist with eviction/swap-out.
         .with_ds_budget(2 << 20)
-        .with_retry(RetryPolicy::default_io())
-        .with_retry_seed(seed);
+        .with_retry(RetryPolicy::default_io());
+    let cfg = ServerConfig::new(engine).with_retry_seed(seed);
     // Keep a typed handle to the injector so its own draw counters can be
     // cross-checked against the server's accounting after the run.
     let source = Arc::new(FaultInjectingSource::new(
@@ -168,10 +168,12 @@ fn fault_failures_are_deterministic_per_seed() {
     // shared per page), so single-threaded runs replay exactly.
     let no_retry = |seed: u64| -> Vec<bool> {
         let specs = workload();
-        let cfg = ServerConfig::small()
-            .with_threads(1)
-            .with_retry(RetryPolicy::none())
-            .with_retry_seed(seed);
+        let cfg = ServerConfig::new(
+            EngineConfig::small()
+                .with_threads(1)
+                .with_retry(RetryPolicy::none()),
+        )
+        .with_retry_seed(seed);
         let source =
             FaultInjectingSource::new(SyntheticSource::new(), FaultConfig::transient(0.25, seed));
         let server = QueryServer::new(cfg, Arc::new(source));
@@ -221,7 +223,7 @@ fn poisoned_pages_fail_their_query_and_spare_peers() {
         .expect("5% poisoning over 64 regions must miss one");
 
     let source = FaultInjectingSource::new(SyntheticSource::new(), fault);
-    let server = QueryServer::new(ServerConfig::small().with_threads(2), Arc::new(source));
+    let server = QueryServer::new(ServerConfig::small(), Arc::new(source));
 
     let bad = VmQuery::new(slide, poisoned_region, 1, VmOp::Subsample);
     let err = server
@@ -257,8 +259,7 @@ fn poisoned_pages_fail_their_query_and_spare_peers() {
 #[test]
 fn zero_deadline_times_out_everything_without_leaking() {
     let specs = workload();
-    let cfg = ServerConfig::small()
-        .with_threads(4)
+    let cfg = ServerConfig::new(EngineConfig::small().with_threads(4))
         .with_query_timeout(Some(Duration::ZERO));
     let server = QueryServer::new(cfg, Arc::new(SyntheticSource::new()));
     for h in server.submit_batch(specs.iter().copied()) {
@@ -280,8 +281,7 @@ fn zero_deadline_times_out_everything_without_leaking() {
 #[test]
 fn generous_deadline_never_fires() {
     let specs = workload();
-    let cfg = ServerConfig::small()
-        .with_threads(4)
+    let cfg = ServerConfig::new(EngineConfig::small().with_threads(4))
         .with_query_timeout(Some(Duration::from_secs(300)));
     let server = QueryServer::new(cfg, Arc::new(SyntheticSource::new()));
     for (h, spec) in server
@@ -302,10 +302,12 @@ fn faults_and_timeouts_compose() {
     // a real ceiling: every query must still resolve one way or the
     // other, and the engine must stay consistent.
     let specs = workload();
-    let cfg = ServerConfig::small()
-        .with_threads(8)
-        .with_retry(RetryPolicy::default_io())
-        .with_query_timeout(Some(Duration::from_secs(10)));
+    let cfg = ServerConfig::new(
+        EngineConfig::small()
+            .with_threads(8)
+            .with_retry(RetryPolicy::default_io()),
+    )
+    .with_query_timeout(Some(Duration::from_secs(10)));
     let source =
         FaultInjectingSource::new(SyntheticSource::new(), FaultConfig::transient(0.10, 0xC0));
     let server = QueryServer::new(cfg, Arc::new(source));
@@ -350,15 +352,16 @@ fn run_tier2_poison_sweep(rate: f64, threads: usize, seed: u64) {
         seed,
         ..FaultConfig::none().with_permanent(rate)
     };
-    let cfg = ServerConfig::small()
+    let engine = EngineConfig::small()
         .with_threads(threads)
         // Tier 1 far smaller than the working set, tier 2 roomy: victims
         // spill instead of dropping, and spilled frames survive until the
         // replay pass asks for them back.
         .with_ds_budget(128 << 10)
         .with_cache_policy(vmqs_datastore::EvictionPolicy::CostBased)
+        .with_tier2_budget(4 << 20);
+    let cfg = ServerConfig::new(engine)
         .with_spill_dir(Some(dir.clone()))
-        .with_tier2_budget(4 << 20)
         .with_spill_faults(fault);
     let server = QueryServer::new(cfg, Arc::new(SyntheticSource::new()));
     for pass in 0..2 {
@@ -379,6 +382,7 @@ fn run_tier2_poison_sweep(rate: f64, threads: usize, seed: u64) {
     }
     server.check_invariants();
     let sum = server.summary();
+    let restore_failures = server.ds_stats().restore_failures;
     assert_eq!(
         sum.completed,
         2 * QUERIES,
@@ -389,13 +393,13 @@ fn run_tier2_poison_sweep(rate: f64, threads: usize, seed: u64) {
         "rate {rate}: tier-2 faults must never fail a query"
     );
     assert!(
-        sum.spilled >= 1,
+        sum.tally.spilled >= 1,
         "rate {rate}: pressure must demote entries to tier 2"
     );
     if rate == 0.0 {
-        assert_eq!(sum.restore_failures, 0, "clean tier 2 must not fail reads");
+        assert_eq!(restore_failures, 0, "clean tier 2 must not fail reads");
         assert!(
-            sum.restored >= 1,
+            sum.tally.restored >= 1,
             "replayed repeats must re-heat at least one spilled entry"
         );
     }
@@ -405,11 +409,11 @@ fn run_tier2_poison_sweep(rate: f64, threads: usize, seed: u64) {
         // poisoned, so each one failed and dropped its entry.
         let frame_reads = server.metrics().histograms["vmqs_tier2_read_seconds"].count;
         assert_eq!(
-            frame_reads, sum.restore_failures,
+            frame_reads, restore_failures,
             "every tier-2 read poisoned: no restore reads a frame"
         );
         assert!(
-            sum.restore_failures >= 1,
+            restore_failures >= 1,
             "the replay pass must hit a poisoned frame"
         );
     }

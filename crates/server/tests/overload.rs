@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use vmqs_core::{DatasetId, OverloadConfig, Rect};
+use vmqs_core::{DatasetId, EngineConfig, OverloadConfig, Rect};
 use vmqs_microscope::kernels::reference_render;
 use vmqs_microscope::{SlideDataset, VmOp, VmQuery};
 use vmqs_obs::events_to_json;
@@ -74,11 +74,13 @@ struct Tally {
 /// spec that actually ran.
 fn run_overloaded(ov: OverloadConfig, fault_rate: f64, name: &str) -> (Tally, QueryServer) {
     let specs = workload();
-    let cfg = ServerConfig::small()
-        .with_threads(WORKERS)
-        .with_start_paused(true)
-        .with_overload(ov)
-        .with_retry_seed(11);
+    let cfg = ServerConfig::new(
+        EngineConfig::small()
+            .with_threads(WORKERS)
+            .with_start_paused(true)
+            .with_overload(ov),
+    )
+    .with_retry_seed(11);
     let source = Arc::new(FaultInjectingSource::new(
         SyntheticSource::new(),
         FaultConfig::transient(fault_rate, 11),

@@ -6,7 +6,7 @@
 //! independently-locked engine components.
 
 use std::sync::Arc;
-use vmqs_core::{DatasetId, Rect};
+use vmqs_core::{DatasetId, EngineConfig, Rect};
 use vmqs_microscope::kernels::reference_render;
 use vmqs_microscope::{SlideDataset, VmOp, VmQuery};
 use vmqs_server::{QueryServer, ServerConfig};
@@ -58,10 +58,12 @@ fn workload(client: usize) -> Vec<VmQuery> {
 #[test]
 fn stress_eight_workers_matches_reference_renderer() {
     let total = CLIENTS * QUERIES_PER_CLIENT;
-    let cfg = ServerConfig::small()
-        .with_threads(8)
-        // Small enough that the run evicts, exercising swap-out edges.
-        .with_ds_budget(2 << 20);
+    let cfg = ServerConfig::new(
+        EngineConfig::small()
+            .with_threads(8)
+            // Small enough that the run evicts, exercising swap-out edges.
+            .with_ds_budget(2 << 20),
+    );
     let server = QueryServer::new(cfg, Arc::new(SyntheticSource::new()));
 
     std::thread::scope(|scope| {
@@ -122,7 +124,7 @@ fn stress_eight_workers_matches_reference_renderer() {
 fn stress_batch_submission_is_lossless() {
     let specs: Vec<VmQuery> = (0..CLIENTS).flat_map(workload).collect();
     let server = QueryServer::new(
-        ServerConfig::small().with_threads(8),
+        ServerConfig::new(EngineConfig::small().with_threads(8)),
         Arc::new(SyntheticSource::new()),
     );
     let handles = server.submit_batch(specs.iter().copied());

@@ -51,7 +51,7 @@ struct QInfo<S> {
     degraded: bool,
     /// Graft subscription (DESIGN.md §13): the EXECUTING producer
     /// computing the same predicate. Installed at dequeue, consumed at
-    /// resume. Always `None` unless `cfg.graft`.
+    /// resume. Always `None` unless `cfg.engine.graft`.
     graft_of: Option<QueryId>,
     /// Answered by grafting.
     grafted: bool,
@@ -224,14 +224,15 @@ impl<A: SimApplication> Simulator<A> {
             }
             streams.insert(cs.client, cs.queries);
         }
-        let obs = Obs::new(cfg.observe);
+        let e = cfg.engine;
+        let obs = Obs::new(e.observe);
         let qmet = QueryMetrics::resolve(&obs.metrics);
         Simulator {
             app,
-            sched: SchedShard::new(cfg.strategy, cfg.index_cell),
-            ds: DataStore::with_policy(cfg.ds_budget, cfg.index_cell, cfg.ds_policy)
-                .with_tier2(cfg.tier2_budget),
-            ps: PageCacheCore::new(cfg.ps_budget, PAGE_SIZE as u64),
+            sched: SchedShard::new(e.strategy, e.index_cell),
+            ds: DataStore::with_policy(e.ds_budget, e.index_cell, e.ds_policy)
+                .with_tier2(e.tier2_budget),
+            ps: PageCacheCore::new(e.ps_budget, PAGE_SIZE as u64),
             page_ready: HashMap::new(),
             disk: DiskQueue::with_servers(cfg.disk, N_DISKS),
             events,
@@ -249,7 +250,7 @@ impl<A: SimApplication> Simulator<A> {
             recomputed_bytes: 0,
             buckets: RateLimiter::default(),
             compute_seq: 0,
-            sup: Supervisor::new(cfg.threads, cfg.restart_budget),
+            sup: Supervisor::new(e.threads, e.restart_budget),
             obs,
             qmet,
             cfg,
@@ -284,7 +285,7 @@ impl<A: SimApplication> Simulator<A> {
                     // this same instant, only insert — the first dequeue
                     // happens once the whole batch is in the graph, just
                     // like a paused threaded pool being resumed.
-                    let defer = self.cfg.gate_batch_start
+                    let defer = self.cfg.engine.start_paused
                         && matches!(
                             self.events.peek(),
                             Some((t, Event::Arrival { .. })) if t == now
@@ -302,9 +303,10 @@ impl<A: SimApplication> Simulator<A> {
         reg.set_gauge("vmqs_ds_hit_ratio", ds_stats.hit_ratio());
         reg.set_gauge("vmqs_ps_merge_ratio", ps_stats.merge_ratio());
         let mut metrics = reg.snapshot();
+        let series = ps_stats.series().into_iter().chain(ds_stats.series());
         metrics
             .counters
-            .extend(ps_stats.series().map(|(name, v)| (name.to_string(), v)));
+            .extend(series.map(|(name, v)| (name.to_string(), v)));
         SimReport {
             records: self.records,
             makespan: self.makespan,
@@ -314,20 +316,9 @@ impl<A: SimApplication> Simulator<A> {
             disk_stats: self.disk.stats(),
             events: self.obs.log.snapshot(),
             metrics,
-            rejected: self.qmet.rejected.get(),
-            shed: self.qmet.shed.get(),
-            degraded: self.qmet.degraded.get(),
+            tally: self.qmet.tally(),
             grafted: self.grafted,
-            spilled: self.qmet.ds_spills.get(),
-            restored: self.qmet.ds_restores.get(),
-            restore_failures: ds_stats.restore_failures,
             recomputed_bytes: self.recomputed_bytes,
-            failed: self.qmet.failed.get(),
-            timed_out: self.qmet.timed_out.get(),
-            worker_panics: self.qmet.worker_panics.get(),
-            worker_restarts: self.qmet.worker_restarts.get(),
-            quarantined: self.qmet.quarantined.get(),
-            hung: self.qmet.hung.get(),
         }
     }
 
@@ -363,11 +354,11 @@ impl<A: SimApplication> Simulator<A> {
         if self.sup.pool_dead() {
             return self.end(now, id, Terminal::PoolDead, client);
         }
-        let ov = self.cfg.overload;
+        let ov = self.cfg.engine.overload;
         let (verdict, pressure) = overload::admit(
             &ov,
             self.sched.graph().waiting_len(),
-            self.cfg.threads,
+            self.cfg.engine.threads,
             || self.buckets.take(client, ov.client_rate, now),
             || {
                 let ps = self.ps.stats();
@@ -475,7 +466,7 @@ impl<A: SimApplication> Simulator<A> {
             // With grafting on, a consumer never starts ahead of the
             // WAITING producer it would graft onto — the same dequeue
             // order as the threaded engine's `try_dequeue`.
-            SchedPolicy::RankOrder => self.sched.dequeue(self.cfg.graft),
+            SchedPolicy::RankOrder => self.sched.dequeue(self.cfg.engine.graft),
             SchedPolicy::IoAware {
                 candidates,
                 backlog_threshold,
@@ -504,7 +495,7 @@ impl<A: SimApplication> Simulator<A> {
             // The rank the scheduler chose the query by, frozen at dequeue
             // — same emission point as the threaded engine's worker loop.
             let ranked = EventKind::Ranked {
-                strategy: self.cfg.strategy.name(),
+                strategy: self.cfg.engine.strategy.name(),
                 score,
             };
             self.emit(now, id, ranked);
@@ -515,7 +506,7 @@ impl<A: SimApplication> Simulator<A> {
             // event carries no span marker: on firing it re-derives the
             // armed time from `info.start`, so a span that ended (or was
             // requeued) leaves the stale deadline inert.
-            if let Some(h) = self.cfg.hang_timeout {
+            if let Some(h) = self.hang_limit() {
                 self.events.push(now + h, Event::HangDeadline { id });
             }
 
@@ -526,9 +517,9 @@ impl<A: SimApplication> Simulator<A> {
             // only ever blocks on a query that started executing earlier,
             // so wait-for edges cannot cycle (vmqs-server, with racing
             // threads, needs an explicit cycle check).
-            let target = self
-                .sched
-                .wait_target(id, self.cfg.graft, self.cfg.allow_blocking);
+            let target =
+                self.sched
+                    .wait_target(id, self.cfg.engine.graft, self.cfg.engine.allow_blocking);
             let info = self.sched.record_mut(id).expect("checked above");
             info.graft_of = target.and_then(|(peer, graft)| graft.then_some(peer));
             match target {
@@ -590,7 +581,7 @@ impl<A: SimApplication> Simulator<A> {
         // recompute cost. Poisoned reads — drawn on the reserved spill
         // device, exactly like the threaded engine's frame reads — drop
         // the entry and fall through to recomputation.
-        if self.cfg.tier2_budget > 0 {
+        if self.cfg.engine.tier2_budget > 0 {
             if let Some((blob, producer, size)) = self.ds.lookup_restorable_exact(&spec) {
                 if self.cfg.fault.page_is_poisoned(SPILL_DEVICE, blob.raw()) {
                     if let Some(r) = self.ds.restore_failed(blob) {
@@ -625,7 +616,12 @@ impl<A: SimApplication> Simulator<A> {
         // coordinates comparable across engines.
         let ordinal = self.compute_seq;
         self.compute_seq += 1;
-        if self.cfg.chaos.compute_should_panic(ordinal, id.raw()) {
+        if self
+            .cfg
+            .engine
+            .chaos
+            .compute_should_panic(ordinal, id.raw())
+        {
             self.on_worker_panic(now, id);
             return;
         }
@@ -672,7 +668,7 @@ impl<A: SimApplication> Simulator<A> {
                         let streak = self.cfg.fault.transient_streak(
                             page.dataset,
                             page.index,
-                            self.cfg.retry.max_retries,
+                            self.cfg.engine.retry.max_retries,
                         );
                         if streak > 0 {
                             retried = true;
@@ -681,7 +677,7 @@ impl<A: SimApplication> Simulator<A> {
                             for a in 1..=streak {
                                 self.ps.note_read_fault();
                                 self.ps.note_read_retry();
-                                extra += self.cfg.retry.base_backoff(a).as_secs_f64();
+                                extra += self.cfg.engine.retry.base_backoff(a).as_secs_f64();
                             }
                             ready += extra;
                             io_ready = io_ready.max(ready);
@@ -847,7 +843,7 @@ impl<A: SimApplication> Simulator<A> {
         let fate = self.sup.on_worker_death();
         self.emit(now, id, EventKind::WorkerPanicked);
         self.wake_waiters(now, id);
-        match self.sched.on_panic(id, self.cfg.quarantine_limit) {
+        match self.sched.on_panic(id, self.cfg.engine.quarantine_limit) {
             PanicOutcome::Requeued => {
                 // Back to WAITING: this execution span is over, so a
                 // pending hang deadline armed for it must come up inert
@@ -875,6 +871,15 @@ impl<A: SimApplication> Simulator<A> {
         self.try_start(now);
     }
 
+    /// The hang watchdog's limit in virtual seconds: whole nanoseconds
+    /// over 1e9 in one correctly rounded division, so a limit of `ms`
+    /// milliseconds (under 104 days, where the nanoseconds are exact in
+    /// an `f64`) gives the same `f64` as `ms as f64 / 1000.0`.
+    fn hang_limit(&self) -> Option<f64> {
+        let limit = self.cfg.engine.hang_timeout?;
+        Some(limit.as_nanos() as f64 / 1e9)
+    }
+
     /// The hang watchdog's deadline fires (DESIGN.md §15). Valid only if
     /// the query is still in the exact execution span the deadline was
     /// armed for: it must still be EXECUTING and `now` must equal
@@ -882,7 +887,7 @@ impl<A: SimApplication> Simulator<A> {
     /// same addition, so a genuine match is exact). Stale deadlines — the
     /// span completed, panicked, or was requeued — are inert.
     fn on_hang_deadline(&mut self, now: f64, id: QueryId) {
-        let Some(h) = self.cfg.hang_timeout else {
+        let Some(h) = self.hang_limit() else {
             return;
         };
         let Some(info) = self.sched.record(id) else {
@@ -926,7 +931,7 @@ pub fn run_sim_app<A: SimApplication>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vmqs_core::{DatasetId, Rect};
+    use vmqs_core::{DatasetId, EngineConfig, Rect};
     use vmqs_microscope::{SlideDataset, VmOp, VmQuery};
     use vmqs_storage::DiskModel;
 
@@ -991,7 +996,7 @@ mod tests {
 
     #[test]
     fn caching_disabled_never_reuses() {
-        let cfg = SimConfig::paper_baseline().with_ds_budget(0);
+        let cfg = SimConfig::new(EngineConfig::paper_baseline().with_ds_budget(0));
         let spec = q(0, 0, 1024, 1, VmOp::Subsample);
         let report = run_sim(cfg, one_client(vec![spec, spec]));
         assert!(report.records.iter().all(|r| !r.exact_hit));
@@ -1015,7 +1020,7 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let mk = || {
-            let cfg = SimConfig::paper_baseline().with_threads(3);
+            let cfg = SimConfig::new(EngineConfig::paper_baseline().with_threads(3));
             let streams = (0..4)
                 .map(|c| ClientStream {
                     client: ClientId(c),
@@ -1057,8 +1062,14 @@ mod tests {
                 queries: vec![q(c as u32 * 5000, 0, 2048, 2, VmOp::Average)],
             })
             .collect();
-        let r1 = run_sim(SimConfig::paper_baseline().with_threads(1), streams.clone());
-        let r4 = run_sim(SimConfig::paper_baseline().with_threads(4), streams);
+        let r1 = run_sim(
+            SimConfig::new(EngineConfig::paper_baseline().with_threads(1)),
+            streams.clone(),
+        );
+        let r4 = run_sim(
+            SimConfig::new(EngineConfig::paper_baseline().with_threads(4)),
+            streams,
+        );
         assert!(
             r4.makespan < r1.makespan,
             "4 threads {} should beat 1 thread {}",
@@ -1076,7 +1087,10 @@ mod tests {
                 queries: vec![q(c as u32 * 3000, 0, 4096, 4, VmOp::Subsample)],
             })
             .collect();
-        let r = run_sim(SimConfig::paper_baseline().with_threads(8), streams);
+        let r = run_sim(
+            SimConfig::new(EngineConfig::paper_baseline().with_threads(8)),
+            streams,
+        );
         assert!(r.disk_stats.queue_time > 0.0);
         assert!(r.disk_stats.requests > 0);
     }
@@ -1092,7 +1106,10 @@ mod tests {
                 queries: vec![spec],
             })
             .collect();
-        let r = run_sim(SimConfig::paper_baseline().with_threads(2), streams.clone());
+        let r = run_sim(
+            SimConfig::new(EngineConfig::paper_baseline().with_threads(2)),
+            streams.clone(),
+        );
         let blocked: Vec<_> = r.records.iter().filter(|x| x.blocked > 0.0).collect();
         assert_eq!(blocked.len(), 1);
         assert!(
@@ -1102,9 +1119,11 @@ mod tests {
         // With blocking disabled, nobody blocks and both do the I/O plan
         // (the page cache still dedups actual I/O).
         let r2 = run_sim(
-            SimConfig::paper_baseline()
-                .with_threads(2)
-                .with_blocking(false),
+            SimConfig::new(
+                EngineConfig::paper_baseline()
+                    .with_threads(2)
+                    .with_blocking(false),
+            ),
             streams,
         );
         assert!(r2.records.iter().all(|x| x.blocked == 0.0));
@@ -1121,10 +1140,12 @@ mod tests {
             .collect();
         let mk = || {
             run_sim(
-                SimConfig::paper_baseline()
-                    .with_threads(2)
-                    .with_graft(true)
-                    .with_observe(true),
+                SimConfig::new(
+                    EngineConfig::paper_baseline()
+                        .with_threads(2)
+                        .with_graft(true)
+                        .with_observe(true),
+                ),
                 streams.clone(),
             )
         };
@@ -1153,9 +1174,11 @@ mod tests {
         assert_eq!(r.makespan, r2.makespan);
         // Graft off: the same workload blocks and takes a classic hit.
         let off = run_sim(
-            SimConfig::paper_baseline()
-                .with_threads(2)
-                .with_observe(true),
+            SimConfig::new(
+                EngineConfig::paper_baseline()
+                    .with_threads(2)
+                    .with_observe(true),
+            ),
             streams.clone(),
         );
         assert_eq!(off.grafted, 0);
@@ -1164,10 +1187,12 @@ mod tests {
         // Grafting needs concurrency: at 1 thread nothing is ever
         // EXECUTING when a query dequeues, so no graft can fire.
         let one = run_sim(
-            SimConfig::paper_baseline()
-                .with_threads(1)
-                .with_graft(true)
-                .with_observe(true),
+            SimConfig::new(
+                EngineConfig::paper_baseline()
+                    .with_threads(1)
+                    .with_graft(true)
+                    .with_observe(true),
+            ),
             streams,
         );
         assert_eq!(one.grafted, 0);
@@ -1197,7 +1222,7 @@ mod tests {
             q(5000, 0, 1024, 1, VmOp::Subsample),
         ];
         let r = run_sim(
-            SimConfig::paper_baseline().with_threads(8),
+            SimConfig::new(EngineConfig::paper_baseline().with_threads(8)),
             one_client(specs),
         );
         // Second arrival must be at (or after) first completion.
@@ -1215,10 +1240,12 @@ mod tests {
                 .collect(),
         }];
         let r = run_sim(
-            SimConfig::paper_baseline()
-                .with_strategy(Strategy::Fifo)
-                .with_threads(1)
-                .with_mode(SubmissionMode::Batch),
+            SimConfig::new(
+                EngineConfig::paper_baseline()
+                    .with_strategy(Strategy::Fifo)
+                    .with_threads(1),
+            )
+            .with_mode(SubmissionMode::Batch),
             streams,
         );
         let starts: Vec<f64> = r.records.iter().map(|x| x.start).collect();
@@ -1256,10 +1283,12 @@ mod tests {
 
     #[test]
     fn ioaware_policy_prefers_light_queries_under_congestion() {
-        let cfg = SimConfig::paper_baseline()
-            .with_strategy(Strategy::Fifo)
-            .with_threads(2)
-            .with_mode(SubmissionMode::Batch);
+        let cfg = SimConfig::new(
+            EngineConfig::paper_baseline()
+                .with_strategy(Strategy::Fifo)
+                .with_threads(2),
+        )
+        .with_mode(SubmissionMode::Batch);
         let ioaware = run_sim(
             cfg.with_policy(SchedPolicy::IoAware {
                 candidates: 16,
@@ -1290,14 +1319,16 @@ mod tests {
 
     #[test]
     fn ioaware_override_counter_tracks_interventions() {
-        let cfg = SimConfig::paper_baseline()
-            .with_strategy(Strategy::Fifo)
-            .with_threads(2)
-            .with_mode(SubmissionMode::Batch)
-            .with_policy(SchedPolicy::IoAware {
-                candidates: 8,
-                backlog_threshold: 0.5,
-            });
+        let cfg = SimConfig::new(
+            EngineConfig::paper_baseline()
+                .with_strategy(Strategy::Fifo)
+                .with_threads(2),
+        )
+        .with_mode(SubmissionMode::Batch)
+        .with_policy(SchedPolicy::IoAware {
+            candidates: 8,
+            backlog_threshold: 0.5,
+        });
         // Drive the simulator through its event loop manually so the
         // override counter can be read before `run` consumes it... the
         // counter is monotone, so running a clone-config simulator and
@@ -1328,13 +1359,14 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let cfg = SimConfig::paper_baseline()
-            .with_strategy(Strategy::hybrid_default())
-            .with_mode(SubmissionMode::Batch) // deep queue: ranks matter
-            .with_tuner(TunerConfig {
-                window: 8,
-                step: 2.0,
-            });
+        let cfg = SimConfig::new(
+            EngineConfig::paper_baseline().with_strategy(Strategy::hybrid_default()),
+        )
+        .with_mode(SubmissionMode::Batch) // deep queue: ranks matter
+        .with_tuner(TunerConfig {
+            window: 8,
+            step: 2.0,
+        });
         let a = run_sim(cfg, wl());
         let b = run_sim(cfg, wl());
         assert_eq!(a.records.len(), 48);
@@ -1360,15 +1392,20 @@ mod tests {
                 queries: vec![spec],
             })
             .collect();
-        let r = run_sim(SimConfig::paper_baseline().with_threads(2), streams);
+        let r = run_sim(
+            SimConfig::new(EngineConfig::paper_baseline().with_threads(2)),
+            streams,
+        );
         assert_eq!(r.records.iter().filter(|x| x.blocked > 0.0).count(), 1);
         // A Data Store that holds one result swaps the first producer out
         // when the second commits.
         let other = q(8192, 0, 2048, 2, VmOp::Subsample);
         let r2 = run_sim(
-            SimConfig::paper_baseline()
-                .with_ds_budget(spec.qoutsize())
-                .with_observe(true),
+            SimConfig::new(
+                EngineConfig::paper_baseline()
+                    .with_ds_budget(spec.qoutsize())
+                    .with_observe(true),
+            ),
             one_client(vec![spec, other]),
         );
         let swapped: Vec<QueryId> = r2
@@ -1425,7 +1462,12 @@ mod tests {
         assert_ne!(faults(&faulty), faults(&other_seed));
         // A zero-retry policy charges no retry latency.
         let no_retry = run_sim(
-            faulty_cfg.with_retry(vmqs_pagespace::RetryPolicy::none()),
+            SimConfig {
+                engine: faulty_cfg
+                    .engine
+                    .with_retry(vmqs_pagespace::RetryPolicy::none()),
+                ..faulty_cfg
+            },
             one_client(vec![spec]),
         );
         assert_eq!(no_retry.ps_stats.read_retries, 0);
@@ -1444,16 +1486,19 @@ mod tests {
         let queries: Vec<VmQuery> = (0..4)
             .map(|i| q(i * 1024, 0, 2048, 2, VmOp::Subsample))
             .collect();
-        let cfg = SimConfig::paper_baseline()
-            .with_ds_budget(0)
-            .with_ps_budget(1 << 30)
-            .with_faults(FaultConfig::transient(0.2, 7));
+        let cfg = SimConfig::new(
+            EngineConfig::paper_baseline()
+                .with_ds_budget(0)
+                .with_ps_budget(1 << 30),
+        )
+        .with_faults(FaultConfig::transient(0.2, 7));
         let pages: BTreeSet<(DatasetId, u64)> = queries
             .iter()
             .flat_map(|spec| Plan::new(spec, []).pages().collect::<Vec<_>>())
             .collect();
         let streak = |&(d, i): &(DatasetId, u64)| {
-            cfg.fault.transient_streak(d, i, cfg.retry.max_retries) as u64
+            cfg.fault
+                .transient_streak(d, i, cfg.engine.retry.max_retries) as u64
         };
         let charged: u64 = pages.iter().map(streak).sum();
         let exported = |r: &SimReport| {
@@ -1487,12 +1532,14 @@ mod tests {
         let ov = OverloadConfig::default()
             .with_max_pending(4)
             .with_degrade_threshold(0.5);
-        let cfg = SimConfig::paper_baseline()
-            .with_threads(1)
-            .with_ds_budget(0)
-            .with_ps_budget(1 << 30)
-            .with_faults(FaultConfig::transient(0.2, 99))
-            .with_overload(ov);
+        let cfg = SimConfig::new(
+            EngineConfig::paper_baseline()
+                .with_threads(1)
+                .with_ds_budget(0)
+                .with_ps_budget(1 << 30)
+                .with_overload(ov),
+        )
+        .with_faults(FaultConfig::transient(0.2, 99));
         let r = run_sim(cfg, one_client(vec![spec, spec]));
         assert_eq!(r.records.len(), 2);
         let ps = r.ps_stats;
@@ -1515,17 +1562,19 @@ mod tests {
             queries: vec![spec; 5],
         }];
         let r = run_sim(
-            SimConfig::paper_baseline()
-                .with_mode(SubmissionMode::Batch)
-                .with_batch_gate(true)
-                .with_observe(true)
-                .with_overload(OverloadConfig::default().with_max_pending(2)),
+            SimConfig::new(
+                EngineConfig::paper_baseline()
+                    .with_start_paused(true)
+                    .with_observe(true)
+                    .with_overload(OverloadConfig::default().with_max_pending(2)),
+            )
+            .with_mode(SubmissionMode::Batch),
             streams,
         );
         // Two admitted, three rejected at the full queue.
         assert_eq!(r.records.len(), 2);
-        assert_eq!(r.rejected, 3);
-        assert_eq!(r.shed, 0);
+        assert_eq!(r.tally.rejected, 3);
+        assert_eq!(r.tally.shed, 0);
         let rejects = r
             .events
             .iter()
@@ -1561,20 +1610,22 @@ mod tests {
             queries: vec![small, big, q(4096, 0, 1024, 1, VmOp::Subsample)],
         }];
         let r = run_sim(
-            SimConfig::paper_baseline()
-                .with_threads(1)
-                .with_mode(SubmissionMode::Batch)
-                .with_batch_gate(true)
-                .with_observe(true)
-                .with_overload(
-                    OverloadConfig::default()
-                        .with_max_pending(4)
-                        .with_shed_threshold(0.75),
-                ),
+            SimConfig::new(
+                EngineConfig::paper_baseline()
+                    .with_threads(1)
+                    .with_start_paused(true)
+                    .with_observe(true)
+                    .with_overload(
+                        OverloadConfig::default()
+                            .with_max_pending(4)
+                            .with_shed_threshold(0.75),
+                    ),
+            )
+            .with_mode(SubmissionMode::Batch),
             streams,
         );
-        assert_eq!(r.shed, 1);
-        assert_eq!(r.rejected, 0);
+        assert_eq!(r.tally.shed, 1);
+        assert_eq!(r.tally.rejected, 0);
         assert_eq!(r.records.len(), 2);
         // The big scan never ran: every completed record is a small query.
         assert!(r.records.iter().all(|x| x.spec.zoom == 1));
@@ -1602,19 +1653,21 @@ mod tests {
             ],
         }];
         let r = run_sim(
-            SimConfig::paper_baseline()
-                .with_threads(1)
-                .with_mode(SubmissionMode::Batch)
-                .with_batch_gate(true)
-                .with_observe(true)
-                .with_overload(
-                    OverloadConfig::default()
-                        .with_max_pending(8)
-                        .with_degrade_threshold(0.25),
-                ),
+            SimConfig::new(
+                EngineConfig::paper_baseline()
+                    .with_threads(1)
+                    .with_start_paused(true)
+                    .with_observe(true)
+                    .with_overload(
+                        OverloadConfig::default()
+                            .with_max_pending(8)
+                            .with_degrade_threshold(0.25),
+                    ),
+            )
+            .with_mode(SubmissionMode::Batch),
             streams,
         );
-        assert_eq!(r.degraded, 2);
+        assert_eq!(r.tally.degraded, 2);
         assert_eq!(r.records.len(), 3);
         let degraded: Vec<_> = r.records.iter().filter(|x| x.degraded).collect();
         assert_eq!(degraded.len(), 2);
@@ -1645,13 +1698,15 @@ mod tests {
             ],
         }];
         let r = run_sim(
-            SimConfig::paper_baseline()
-                .with_observe(true)
-                .with_overload(OverloadConfig::default().with_client_rate(1e-9)),
+            SimConfig::new(
+                EngineConfig::paper_baseline()
+                    .with_observe(true)
+                    .with_overload(OverloadConfig::default().with_client_rate(1e-9)),
+            ),
             streams,
         );
         assert_eq!(r.records.len(), 1);
-        assert_eq!(r.rejected, 2);
+        assert_eq!(r.tally.rejected, 2);
         assert!(r
             .events
             .iter()
@@ -1687,36 +1742,38 @@ mod tests {
                 })
                 .collect();
             run_sim(
-                SimConfig::paper_baseline()
-                    .with_threads(2)
-                    .with_mode(SubmissionMode::Batch)
-                    .with_batch_gate(true)
-                    .with_observe(true)
-                    .with_overload(
-                        OverloadConfig::default()
-                            .with_max_pending(6)
-                            .with_degrade_threshold(0.5)
-                            .with_shed_threshold(0.85),
-                    ),
+                SimConfig::new(
+                    EngineConfig::paper_baseline()
+                        .with_threads(2)
+                        .with_start_paused(true)
+                        .with_observe(true)
+                        .with_overload(
+                            OverloadConfig::default()
+                                .with_max_pending(6)
+                                .with_degrade_threshold(0.5)
+                                .with_shed_threshold(0.85),
+                        ),
+                )
+                .with_mode(SubmissionMode::Batch),
                 streams,
             )
         };
         let a = mk();
         let b = mk();
-        assert_eq!(a.rejected, b.rejected);
-        assert_eq!(a.shed, b.shed);
-        assert_eq!(a.degraded, b.degraded);
+        assert_eq!(a.tally.rejected, b.tally.rejected);
+        assert_eq!(a.tally.shed, b.tally.shed);
+        assert_eq!(a.tally.degraded, b.tally.degraded);
         assert_eq!(a.makespan, b.makespan);
         let seq = |r: &SimReport| vmqs_obs::timeline::admission_sequence(&r.events);
         assert_eq!(seq(&a), seq(&b));
         // The workload actually exercised the ladder. The shed loop keeps
         // the queue below `max_pending`, so outright rejection never
         // triggers here — shedding pre-empts it by design.
-        assert!(a.shed > 0, "expected shedding under 4x pressure");
-        assert!(a.degraded > 0, "expected degraded admissions");
+        assert!(a.tally.shed > 0, "expected shedding under 4x pressure");
+        assert!(a.tally.degraded > 0, "expected degraded admissions");
         // Conservation: every arrival is accounted for exactly once.
         assert_eq!(
-            a.records.len() as u64 + a.rejected + a.shed,
+            a.records.len() as u64 + a.tally.rejected + a.tally.shed,
             a.metrics
                 .counters
                 .get("vmqs_queries_submitted_total")
@@ -1751,16 +1808,18 @@ mod tests {
         let a = q(0, 0, 2048, 4, VmOp::Subsample);
         let b = q(4096, 4096, 2048, 4, VmOp::Subsample);
         let size = a.qoutsize();
-        let cfg = SimConfig::paper_baseline()
-            .with_threads(1)
-            .with_cache_policy(vmqs_datastore::EvictionPolicy::CostBased)
-            .with_ds_budget(size + size / 2)
-            // Pressure on the page cache too, so a recompute really pays
-            // its input scan again — the memory-constrained regime the
-            // tier exists for.
-            .with_ps_budget(1 << 20)
-            .with_tier2_budget(1 << 30)
-            .with_observe(true);
+        let cfg = SimConfig::new(
+            EngineConfig::paper_baseline()
+                .with_threads(1)
+                .with_cache_policy(vmqs_datastore::EvictionPolicy::CostBased)
+                .with_ds_budget(size + size / 2)
+                // Pressure on the page cache too, so a recompute really
+                // pays its input scan again — the memory-constrained
+                // regime the tier exists for.
+                .with_ps_budget(1 << 20)
+                .with_tier2_budget(1 << 30)
+                .with_observe(true),
+        );
         (cfg, a, b)
     }
 
@@ -1769,11 +1828,11 @@ mod tests {
         let (cfg, a, b) = spill_pressure_cfg();
         let report = run_sim(cfg, one_client(vec![a, b, a]));
         assert!(
-            report.spilled >= 1,
+            report.tally.spilled >= 1,
             "b must demote a to tier 2, not drop it"
         );
-        assert_eq!(report.restored, 1);
-        assert_eq!(report.restore_failures, 0);
+        assert_eq!(report.tally.restored, 1);
+        assert_eq!(report.ds_stats.restore_failures, 0);
         let last = report.records.last().unwrap();
         assert!(last.exact_hit);
         assert!((last.covered_fraction - 1.0).abs() < 1e-12);
@@ -1792,12 +1851,18 @@ mod tests {
 
         // Against the legacy single-tier LRU at the same memory budget,
         // the tier saves the whole recompute of the returning query.
+        let single_tier = cfg
+            .engine
+            .with_tier2_budget(0)
+            .with_cache_policy(vmqs_datastore::EvictionPolicy::Lru);
         let lru = run_sim(
-            cfg.with_tier2_budget(0)
-                .with_cache_policy(vmqs_datastore::EvictionPolicy::Lru),
+            SimConfig {
+                engine: single_tier,
+                ..cfg
+            },
             one_client(vec![a, b, a]),
         );
-        assert_eq!((lru.spilled, lru.restored), (0, 0));
+        assert_eq!((lru.tally.spilled, lru.tally.restored), (0, 0));
         assert!(lru.recomputed_bytes > report.recomputed_bytes);
         assert!(report.makespan < lru.makespan);
 
@@ -1818,8 +1883,8 @@ mod tests {
             one_client(vec![a, b, a]),
         );
         assert_eq!(report.records.len(), 3);
-        assert_eq!(report.restored, 0);
-        assert!(report.restore_failures >= 1);
+        assert_eq!(report.tally.restored, 0);
+        assert!(report.ds_stats.restore_failures >= 1);
         let last = report.records.last().unwrap();
         assert!(!last.exact_hit, "the re-heat must have failed");
         // The dropped entry leaves through the tier-2 eviction path.
@@ -1849,11 +1914,13 @@ mod tests {
         let chaos = ChaosConfig::none().with_panic_at_compute(Some(0));
         let mk = || {
             run_sim(
-                SimConfig::paper_baseline()
-                    .with_threads(1)
-                    .with_mode(SubmissionMode::Batch)
-                    .with_chaos(chaos)
-                    .with_observe(true),
+                SimConfig::new(
+                    EngineConfig::paper_baseline()
+                        .with_threads(1)
+                        .with_chaos(chaos)
+                        .with_observe(true),
+                )
+                .with_mode(SubmissionMode::Batch),
                 one_client(vec![
                     q(0, 0, 1024, 1, VmOp::Subsample),
                     q(5000, 0, 1024, 1, VmOp::Subsample),
@@ -1865,8 +1932,8 @@ mod tests {
         // attempt (the ordinal trigger does not re-fire); its peer is
         // untouched.
         assert_eq!(r.records.len(), 2);
-        assert_eq!((r.failed, r.quarantined), (0, 0));
-        assert_eq!((r.worker_panics, r.worker_restarts), (1, 1));
+        assert_eq!((r.tally.failed, r.tally.quarantined), (0, 0));
+        assert_eq!((r.tally.worker_panics, r.tally.worker_restarts), (1, 1));
         assert!(r
             .events
             .iter()
@@ -1898,26 +1965,32 @@ mod tests {
         let check = |threads: usize, queries: &[VmQuery], chaos, limit, budget| {
             let mk = || {
                 run_sim(
-                    SimConfig::paper_baseline()
-                        .with_threads(threads)
-                        .with_mode(SubmissionMode::Batch)
-                        .with_chaos(chaos)
-                        .with_quarantine_limit(limit)
-                        .with_restart_budget(budget)
-                        .with_observe(true),
+                    SimConfig::new(
+                        EngineConfig::paper_baseline()
+                            .with_threads(threads)
+                            .with_chaos(chaos)
+                            .with_quarantine_limit(limit)
+                            .with_restart_budget(budget)
+                            .with_observe(true),
+                    )
+                    .with_mode(SubmissionMode::Batch),
                     one_client(queries.to_vec()),
                 )
             };
             let r = mk();
             assert_eq!(
-                r.records.len() as u64 + r.failed + r.timed_out + r.shed + r.rejected,
+                r.records.len() as u64
+                    + r.tally.failed
+                    + r.tally.timed_out
+                    + r.tally.shed
+                    + r.tally.rejected,
                 queries.len() as u64,
                 "conservation, {chaos:?}"
             );
             let r2 = mk();
             assert_eq!(golden(&r), golden(&r2), "{chaos:?}");
             assert_eq!(r.makespan, r2.makespan, "{chaos:?}");
-            assert_eq!(r.quarantined, r2.quarantined, "{chaos:?}");
+            assert_eq!(r.tally.quarantined, r2.tally.quarantined, "{chaos:?}");
             r
         };
 
@@ -1934,8 +2007,8 @@ mod tests {
         let r = check(1, &three, chaos, 3, 8);
         assert_eq!(r.records.len(), 2);
         assert!(r.records.iter().all(|x| x.id.raw() != 1));
-        assert_eq!((r.failed, r.quarantined), (1, 1));
-        assert_eq!((r.worker_panics, r.worker_restarts), (3, 3));
+        assert_eq!((r.tally.failed, r.tally.quarantined), (1, 1));
+        assert_eq!((r.tally.worker_panics, r.tally.worker_restarts), (3, 3));
         let g1 = golden(&r);
         assert_eq!(g1.len(), 1);
         assert_eq!((g1[0].1, g1[0].2), (1, 3));
@@ -1951,9 +2024,9 @@ mod tests {
                 .with_poison_rate(0.05)
                 .with_panic_at_compute(Some(1));
             let r = check(8, &tiles, chaos, 2, 32);
-            assert!(r.worker_panics >= 1, "seed {seed}: compute #1 panics");
+            assert!(r.tally.worker_panics >= 1, "seed {seed}: compute #1 panics");
             assert!(
-                r.quarantined >= 1,
+                r.tally.quarantined >= 1,
                 "seed {seed}: a poison query is quarantined"
             );
         }
@@ -1966,7 +2039,7 @@ mod tests {
         // Calibrate from an unwatched run: pick a limit between the two
         // execution spans so only the big query trips the watchdog.
         let base = run_sim(
-            SimConfig::paper_baseline().with_threads(1),
+            SimConfig::new(EngineConfig::paper_baseline().with_threads(1)),
             one_client(vec![big, small]),
         );
         let e_big = base.records[0].exec_time();
@@ -1974,15 +2047,17 @@ mod tests {
         let h = e_big / 2.0;
         assert!(e_small < h && h < e_big, "calibration must separate spans");
         let r = run_sim(
-            SimConfig::paper_baseline()
-                .with_threads(1)
-                .with_hang_timeout(Some(h))
-                .with_observe(true),
+            SimConfig::new(
+                EngineConfig::paper_baseline()
+                    .with_threads(1)
+                    .with_hang_timeout(Some(std::time::Duration::from_secs_f64(h)))
+                    .with_observe(true),
+            ),
             one_client(vec![big, small]),
         );
         // The big query is cancelled at its deadline; the client's next
         // query still runs to completion afterwards.
-        assert_eq!((r.hung, r.timed_out, r.failed), (1, 1, 0));
+        assert_eq!((r.tally.hung, r.tally.timed_out, r.tally.failed), (1, 1, 0));
         assert_eq!(r.records.len(), 1);
         assert!(r.records[0].spec.cmp(&small));
         let kinds: Vec<&str> = r
@@ -2003,12 +2078,14 @@ mod tests {
     fn exhausted_restart_budget_kills_pool_and_fails_waiting_typed() {
         let chaos = ChaosConfig::none().with_panic_at_compute(Some(0));
         let r = run_sim(
-            SimConfig::paper_baseline()
-                .with_threads(1)
-                .with_mode(SubmissionMode::Batch)
-                .with_chaos(chaos)
-                .with_restart_budget(0)
-                .with_observe(true),
+            SimConfig::new(
+                EngineConfig::paper_baseline()
+                    .with_threads(1)
+                    .with_chaos(chaos)
+                    .with_restart_budget(0)
+                    .with_observe(true),
+            )
+            .with_mode(SubmissionMode::Batch),
             one_client(vec![
                 q(0, 0, 1024, 1, VmOp::Subsample),
                 q(5000, 0, 1024, 1, VmOp::Subsample),
@@ -2018,8 +2095,8 @@ mod tests {
         // One panic retires the only worker: the victim is requeued but
         // the pool is dead, so it and every WAITING peer fail typed-ly.
         assert_eq!(r.records.len(), 0);
-        assert_eq!((r.worker_panics, r.worker_restarts), (1, 0));
-        assert_eq!(r.failed, 3);
+        assert_eq!((r.tally.worker_panics, r.tally.worker_restarts), (1, 0));
+        assert_eq!(r.tally.failed, 3);
         assert_eq!(
             r.events
                 .iter()

@@ -28,7 +28,7 @@ pub enum Event<S> {
         id: QueryId,
     },
     /// The hang watchdog's deadline for one execution span (DESIGN.md
-    /// §15): pushed at dequeue when `SimConfig::hang_timeout` is set. If
+    /// §15): pushed at dequeue when `EngineConfig::hang_timeout` is set. If
     /// the query is still in that same span when this fires, it is
     /// cancelled as hung; a span that already completed (or was requeued
     /// by a panic) makes this a no-op.

@@ -5,6 +5,7 @@ use vmqs_core::stats::{trimmed_mean_95, Summary};
 use vmqs_core::{ClientId, GraphStats, QueryId};
 use vmqs_datastore::DsStats;
 use vmqs_microscope::VmQuery;
+use vmqs_obs::RunTally;
 use vmqs_pagespace::PsStats;
 
 /// Execution record of one simulated query. Generic over the
@@ -80,49 +81,23 @@ pub struct SimReport<S = VmQuery> {
     /// Disk counters.
     pub disk_stats: DiskStats,
     /// Typed scheduler events stamped with virtual time, in emission
-    /// order (empty unless `SimConfig::observe` was set).
+    /// order (empty unless `EngineConfig::observe` was set).
     pub events: Vec<vmqs_obs::EventRecord>,
     /// Metrics-registry snapshot taken at the end of the run.
     pub metrics: vmqs_obs::MetricsSnapshot,
-    /// Queries refused at admission (queue full or rate limited); they
-    /// never execute and leave no [`SimRecord`].
-    pub rejected: u64,
-    /// Admitted queries evicted by the load shedder before starting.
-    pub shed: u64,
-    /// Queries downgraded to their cheaper plan at admission.
-    pub degraded: u64,
+    /// The run's lifecycle counters, read from the same function as the
+    /// threaded server's (`QueryMetrics::tally`). Refused, shed and
+    /// failed queries leave no [`SimRecord`]; every hung query is also
+    /// counted in `timed_out`, mirroring the threaded engine's timeout
+    /// fold.
+    pub tally: RunTally,
     /// Queries answered by grafting onto an in-flight producer.
     pub grafted: u64,
-    /// Data Store entries demoted to the virtual tier-2 spill instead of
-    /// dropped (DESIGN.md §14).
-    pub spilled: u64,
-    /// Spilled entries re-heated at disk cost instead of recompute cost.
-    pub restored: u64,
-    /// Tier-2 reads poisoned by the fault model; the entry was dropped
-    /// and the query recomputed.
-    pub restore_failures: u64,
     /// Output bytes produced by computation rather than reuse, summed
     /// over all completed queries — the cache-pressure sweep's headline
     /// metric (fewer recomputed bytes = the eviction policy kept the
     /// right entries).
     pub recomputed_bytes: u64,
-    /// Queries that terminated with a typed failure (quarantined poison
-    /// queries, or WAITING work failed when the pool died); they leave no
-    /// [`SimRecord`].
-    pub failed: u64,
-    /// Queries cancelled by a deadline — includes hang-watchdog
-    /// cancellations (every hung query is also counted here, mirroring
-    /// the threaded engine's timeout fold).
-    pub timed_out: u64,
-    /// Virtual worker panics injected by the chaos plan (DESIGN.md §15).
-    pub worker_panics: u64,
-    /// Replacement virtual workers spawned from the restart budget.
-    pub worker_restarts: u64,
-    /// Queries failed after exhausting the quarantine limit (deterministic
-    /// poison queries contained instead of crash-looping the pool).
-    pub quarantined: u64,
-    /// Queries cancelled by the hang watchdog.
-    pub hung: u64,
 }
 
 impl<S> SimReport<S> {
@@ -209,20 +184,9 @@ mod tests {
             disk_stats: DiskStats::default(),
             events: Vec::new(),
             metrics: vmqs_obs::MetricsSnapshot::default(),
-            rejected: 0,
-            shed: 0,
-            degraded: 0,
+            tally: RunTally::default(),
             grafted: 0,
-            spilled: 0,
-            restored: 0,
-            restore_failures: 0,
             recomputed_bytes: 0,
-            failed: 0,
-            timed_out: 0,
-            worker_panics: 0,
-            worker_restarts: 0,
-            quarantined: 0,
-            hung: 0,
         };
         assert_eq!(report.response_times(), vec![2.0, 5.0]);
         assert!((report.average_overlap() - 0.4).abs() < 1e-12);

@@ -34,14 +34,12 @@
 
 #![warn(missing_docs)]
 
-mod chaos;
 mod disk;
 mod fault;
 mod source;
 mod spill;
 mod sums;
 
-pub use chaos::ChaosConfig;
 pub use disk::DiskModel;
 pub use fault::{is_transient, FaultConfig, FaultInjectingSource, FaultStats};
 pub use source::{DataSource, FileSource, SyntheticSource, ThrottledSource};
@@ -52,3 +50,5 @@ pub use sums::{
     add_column_sums, add_column_sums_scalar, block_means, block_means_scalar, column_sums,
     column_sums_scalar,
 };
+/// Plain data that `vmqs_core::EngineConfig` names; it lives in `vmqs-core`.
+pub use vmqs_core::ChaosConfig;

@@ -22,12 +22,12 @@
 //! after the CRC was computed (an intact-looking frame the trailer
 //! rejects into the recompute fallback).
 
-use crate::chaos::ChaosConfig;
 use crate::fault::FaultConfig;
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use vmqs_core::sync::{lockdep, LockClass};
+use vmqs_core::ChaosConfig;
 use vmqs_core::{BlobId, DatasetId};
 
 /// The reserved dataset key under which tier-2 read faults are drawn:

@@ -65,7 +65,7 @@ mod tests {
 
     fn server() -> QueryServer<VolExecutor> {
         QueryServer::with_app(
-            ServerConfig::small().with_threads(2),
+            ServerConfig::small(),
             VolExecutor,
             Arc::new(SyntheticSource::new()),
         )

@@ -239,10 +239,13 @@ mod tests {
     fn volume_sim_caching_matters() {
         let cfg = VolWorkloadConfig::standard(VolOp::AvgProj, 5);
         let streams = generate_volume(&cfg);
-        let base = vmqs_sim::SimConfig::paper_baseline();
-        let cost = crate::app::VolCostModel::calibrated(&base.disk);
-        let with = run_volume_sim(base.with_ds_budget(128 << 20), cost, streams.clone());
-        let without = run_volume_sim(base.with_ds_budget(0), cost, streams);
+        let sim = |ds_budget| {
+            let engine = vmqs_core::EngineConfig::paper_baseline().with_ds_budget(ds_budget);
+            vmqs_sim::SimConfig::new(engine)
+        };
+        let cost = crate::app::VolCostModel::calibrated(&sim(0).disk);
+        let with = run_volume_sim(sim(128 << 20), cost, streams.clone());
+        let without = run_volume_sim(sim(0), cost, streams);
         assert!(with.makespan < without.makespan);
     }
 }

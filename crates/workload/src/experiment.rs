@@ -1,7 +1,7 @@
 //! Experiment harness: table rows for simulated experiments,
 //! laptop-scale threaded-engine runs, and CSV output.
 
-use vmqs_core::Strategy;
+use vmqs_core::{EngineConfig, Strategy};
 use vmqs_server::{QueryRecord, QueryServer, ServerConfig};
 use vmqs_sim::SimReport;
 
@@ -119,11 +119,13 @@ pub fn run_server_batch(
 /// Convenience constructor for a laptop-scale threaded server matched to
 /// [`WorkloadConfig::small`].
 pub fn small_server(strategy: Strategy, threads: usize) -> QueryServer {
-    let cfg = ServerConfig::small()
-        .with_strategy(strategy)
-        .with_threads(threads)
-        .with_ds_budget(8 << 20)
-        .with_ps_budget(4 << 20);
+    let cfg = ServerConfig::new(
+        EngineConfig::small()
+            .with_strategy(strategy)
+            .with_threads(threads)
+            .with_ds_budget(8 << 20)
+            .with_ps_budget(4 << 20),
+    );
     QueryServer::new(
         cfg,
         std::sync::Arc::new(vmqs_storage::SyntheticSource::new()),
@@ -172,11 +174,13 @@ mod tests {
             SubmissionMode::Interactive => streams,
             SubmissionMode::Batch => flatten_to_batch(&streams),
         };
-        let cfg = SimConfig::paper_baseline()
-            .with_strategy(strategy)
-            .with_threads(threads)
-            .with_ds_budget(ds_mb << 20)
-            .with_mode(mode);
+        let cfg = SimConfig::new(
+            EngineConfig::paper_baseline()
+                .with_strategy(strategy)
+                .with_threads(threads)
+                .with_ds_budget(ds_mb << 20),
+        )
+        .with_mode(mode);
         let report = run_sim(cfg, streams);
         let row = ExpRow::from_report(&report, strategy, op.name(), threads, ds_mb);
         (report, row)

@@ -69,10 +69,12 @@ fn main() {
     );
     let mut baseline = None;
     for strategy in Strategy::paper_set() {
-        let cfg = SimConfig::paper_baseline()
-            .with_strategy(strategy)
-            .with_mode(SubmissionMode::Batch)
-            .with_ds_budget(64 << 20);
+        let cfg = SimConfig::new(
+            EngineConfig::paper_baseline()
+                .with_strategy(strategy)
+                .with_ds_budget(64 << 20),
+        )
+        .with_mode(SubmissionMode::Batch);
         let report = run_sim(
             cfg,
             vec![ClientStream {

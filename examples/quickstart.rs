@@ -12,9 +12,11 @@ fn main() {
     // synthetic data — no files needed.
     let slide = SlideDataset::new(DatasetId(0), 4000, 4000);
     let server = QueryServer::new(
-        ServerConfig::small()
-            .with_strategy(Strategy::Cnbf)
-            .with_threads(2),
+        ServerConfig::new(
+            EngineConfig::small()
+                .with_strategy(Strategy::Cnbf)
+                .with_threads(2),
+        ),
         Arc::new(SyntheticSource::new()),
     );
 

@@ -45,7 +45,7 @@ fn main() {
     );
     for strategy in Strategy::paper_set() {
         let streams = generate_volume(&VolWorkloadConfig::standard(VolOp::Mip, 11));
-        let cfg = SimConfig::paper_baseline().with_strategy(strategy);
+        let cfg = SimConfig::new(EngineConfig::paper_baseline().with_strategy(strategy));
         let report = run_volume_sim(cfg, VolCostModel::calibrated(&cfg.disk), streams);
         println!(
             "{:>8} | {:>13.2} s {:>9.1}% {:>10.1} s",

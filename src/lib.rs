@@ -63,8 +63,8 @@ pub use vmqs_workload as workload;
 /// The most common imports, in one place.
 pub mod prelude {
     pub use vmqs_core::{
-        ClientId, DatasetId, OverloadConfig, QueryId, QuerySpec, QueryState, Rect, SchedulingGraph,
-        Strategy,
+        ClientId, DatasetId, EngineConfig, OverloadConfig, QueryId, QuerySpec, QueryState, Rect,
+        SchedulingGraph, Strategy,
     };
     pub use vmqs_datastore::{DataStore, Payload};
     pub use vmqs_microscope::{RgbImage, SlideDataset, VmCostModel, VmOp, VmQuery};

@@ -22,18 +22,22 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
-use vmqs_core::{ClientId, DatasetId, OverloadConfig, QueryId, Rect, Strategy};
-use vmqs_datastore::EvictionPolicy;
+use vmqs_core::{
+    ChaosConfig, ClientId, DatasetId, EngineConfig, EvictionPolicy, OverloadConfig, QueryId, Rect,
+    Strategy,
+};
+use vmqs_datastore::DsStats;
 use vmqs_microscope::{SlideDataset, VmOp, VmQuery};
 use vmqs_obs::timeline::{
     admission_sequence, grafted_edges, ranked_sequence, reuse_edges, timelines, Terminal,
 };
 use vmqs_obs::{
     events_to_json, EventKind, EventRecord, MetricsRegistry, MetricsSnapshot, QueryMetrics,
+    RunTally,
 };
 use vmqs_server::{QueryServer, ServerConfig, ServerError};
 use vmqs_sim::{run_sim, ClientStream, SimConfig, SubmissionMode};
-use vmqs_storage::{ChaosConfig, SyntheticSource};
+use vmqs_storage::SyntheticSource;
 
 const QUERIES: usize = 32;
 /// Small enough that the workload's results force mid-run evictions, so
@@ -76,20 +80,27 @@ fn workload() -> Vec<VmQuery> {
         .collect()
 }
 
-/// Runs the workload through the threaded server: all queries submitted
-/// while the workers sleep, then the pool is resumed — so the whole batch
-/// is ranked against the full graph, exactly like the simulator's gated
-/// batch start.
-fn run_server(strategy: Strategy, workers: usize, graft: bool) -> Vec<EventRecord> {
-    let cfg = ServerConfig::small()
+/// The settings every cross-engine run starts from, handed unchanged to
+/// both engines: one worker, budgets small enough to evict, the event
+/// log on, and the whole batch in the graph before the first dequeue (a
+/// paused server pool, the simulator's batch gate).
+fn engine(strategy: Strategy) -> EngineConfig {
+    EngineConfig::small()
         .with_strategy(strategy)
-        .with_threads(workers)
+        .with_threads(1)
         .with_ds_budget(DS_BUDGET)
         .with_ps_budget(PS_BUDGET)
         .with_index_cell(INDEX_CELL)
-        .with_observability(true)
+        .with_observe(true)
         .with_start_paused(true)
-        .with_graft(graft);
+}
+
+/// Runs the workload through the threaded server at `workers` workers:
+/// all queries submitted while the workers sleep, then the pool is
+/// resumed — so the whole batch is ranked against the full graph,
+/// exactly like the simulator's gated batch start.
+fn run_server(engine: EngineConfig, workers: usize) -> Vec<EventRecord> {
+    let cfg = ServerConfig::new(engine.with_threads(workers));
     let server = QueryServer::new(cfg, Arc::new(SyntheticSource::new()));
     let handles = server.submit_batch(workload());
     server.resume_workers();
@@ -103,17 +114,8 @@ fn run_server(strategy: Strategy, workers: usize, graft: bool) -> Vec<EventRecor
 }
 
 /// Runs the same workload through the simulator as one batch.
-fn run_simulator(strategy: Strategy, graft: bool) -> Vec<EventRecord> {
-    let cfg = SimConfig::paper_baseline()
-        .with_strategy(strategy)
-        .with_threads(1)
-        .with_ds_budget(DS_BUDGET)
-        .with_ps_budget(PS_BUDGET)
-        .with_index_cell(INDEX_CELL)
-        .with_mode(SubmissionMode::Batch)
-        .with_observe(true)
-        .with_batch_gate(true)
-        .with_graft(graft);
+fn run_simulator(engine: EngineConfig) -> Vec<EventRecord> {
+    let cfg = SimConfig::new(engine).with_mode(SubmissionMode::Batch);
     let streams = vec![ClientStream {
         client: ClientId(0),
         queries: workload(),
@@ -195,13 +197,14 @@ fn golden_traces_match_across_engines_for_every_strategy() {
         } else {
             strategy.to_string()
         };
-        let sim_events = run_simulator(strategy, graft);
-        let server_events = run_server(strategy, 1, graft);
+        let cfg = engine(strategy).with_graft(graft);
+        let sim_events = run_simulator(cfg);
+        let server_events = run_server(cfg, 1);
         assert_event_invariants(&sim_events, &format!("sim/{label}"));
         assert_event_invariants(&server_events, &format!("server/{label}x1"));
         // Racy dispatch: decision sequences are not pinned, only the
         // per-engine invariants.
-        let racy = run_server(strategy, RACY_WORKERS, graft);
+        let racy = run_server(cfg, RACY_WORKERS);
         assert_event_invariants(&racy, &format!("server/{label}x{RACY_WORKERS}"));
 
         let sim_ranked = ranked_sequence(&sim_events);
@@ -257,7 +260,7 @@ fn golden_traces_match_across_engines_for_every_strategy() {
 fn conformance_workload_exercises_reuse_and_eviction() {
     // The golden comparison is only meaningful if the workload actually
     // drives the interesting paths: reuse edges AND evictions must occur.
-    let events = run_simulator(Strategy::Cnbf, false);
+    let events = run_simulator(engine(Strategy::Cnbf));
     let edges = reuse_edges(&events);
     assert!(!edges.is_empty(), "workload must produce reuse edges");
     assert!(
@@ -298,17 +301,8 @@ fn overload_configs() -> Vec<(&'static str, OverloadConfig)> {
 /// submitted through the admission ladder, then resumed. Returns the
 /// event log plus the handle outcomes `(completed, overloaded, shed)` —
 /// every handle must resolve with a typed result, never hang.
-fn run_server_overload(ov: OverloadConfig) -> (Vec<EventRecord>, (usize, usize, usize)) {
-    let cfg = ServerConfig::small()
-        .with_strategy(Strategy::Cnbf)
-        .with_threads(1)
-        .with_ds_budget(DS_BUDGET)
-        .with_ps_budget(PS_BUDGET)
-        .with_index_cell(INDEX_CELL)
-        .with_observability(true)
-        .with_start_paused(true)
-        .with_overload(ov);
-    let server = QueryServer::new(cfg, Arc::new(SyntheticSource::new()));
+fn run_server_overload(engine: EngineConfig) -> (Vec<EventRecord>, (usize, usize, usize)) {
+    let server = QueryServer::new(ServerConfig::new(engine), Arc::new(SyntheticSource::new()));
     let handles = server.submit_batch(workload());
     server.resume_workers();
     let (mut done, mut overloaded, mut shed) = (0, 0, 0);
@@ -327,17 +321,8 @@ fn run_server_overload(ov: OverloadConfig) -> (Vec<EventRecord>, (usize, usize, 
 }
 
 /// Simulator-side overload run with the identical config, gated batch.
-fn run_simulator_overload(ov: OverloadConfig) -> (Vec<EventRecord>, (usize, usize, usize)) {
-    let cfg = SimConfig::paper_baseline()
-        .with_strategy(Strategy::Cnbf)
-        .with_threads(1)
-        .with_ds_budget(DS_BUDGET)
-        .with_ps_budget(PS_BUDGET)
-        .with_index_cell(INDEX_CELL)
-        .with_mode(SubmissionMode::Batch)
-        .with_observe(true)
-        .with_batch_gate(true)
-        .with_overload(ov);
+fn run_simulator_overload(engine: EngineConfig) -> (Vec<EventRecord>, (usize, usize, usize)) {
+    let cfg = SimConfig::new(engine).with_mode(SubmissionMode::Batch);
     let streams = vec![ClientStream {
         client: ClientId(0),
         queries: workload(),
@@ -345,8 +330,8 @@ fn run_simulator_overload(ov: OverloadConfig) -> (Vec<EventRecord>, (usize, usiz
     let report = run_sim(cfg, streams);
     let outcomes = (
         report.records.len(),
-        report.rejected as usize,
-        report.shed as usize,
+        report.tally.rejected as usize,
+        report.tally.shed as usize,
     );
     (report.events, outcomes)
 }
@@ -386,8 +371,9 @@ fn assert_overload_invariants(events: &[EventRecord], ctx: &str) {
 #[test]
 fn overload_decisions_match_across_engines() {
     for (name, ov) in overload_configs() {
-        let (sim_events, sim_outcomes) = run_simulator_overload(ov);
-        let (server_events, server_outcomes) = run_server_overload(ov);
+        let cfg = engine(Strategy::Cnbf).with_overload(ov);
+        let (sim_events, sim_outcomes) = run_simulator_overload(cfg);
+        let (server_events, server_outcomes) = run_server_overload(cfg);
         assert_overload_invariants(&sim_events, &format!("sim/{name}"));
         assert_overload_invariants(&server_events, &format!("server/{name}"));
 
@@ -424,9 +410,10 @@ fn overload_decisions_match_across_engines() {
 fn overload_conformance_workload_exercises_all_mechanisms() {
     // The golden comparison above is only meaningful if the configs drive
     // the interesting paths on this workload.
-    let (_, (_, rejected, _)) = run_simulator_overload(overload_configs()[1].1);
+    let with = |ov| engine(Strategy::Cnbf).with_overload(ov);
+    let (_, (_, rejected, _)) = run_simulator_overload(with(overload_configs()[1].1));
     assert!(rejected > 0, "reject-only config must reject");
-    let (events, (_, _, shed)) = run_simulator_overload(overload_configs()[0].1);
+    let (events, (_, _, shed)) = run_simulator_overload(with(overload_configs()[0].1));
     assert!(shed > 0, "shed config must shed");
     let degraded = events
         .iter()
@@ -439,14 +426,14 @@ fn overload_conformance_workload_exercises_all_mechanisms() {
 fn server_golden_trace_is_reproducible() {
     // The threaded engine at one worker must replay the same decision
     // sequence run-to-run — the property the cross-engine check rests on.
-    let a = run_server(Strategy::Cnbf, 1, false);
-    let b = run_server(Strategy::Cnbf, 1, false);
+    let a = run_server(engine(Strategy::Cnbf), 1);
+    let b = run_server(engine(Strategy::Cnbf), 1);
     assert_eq!(ranked_sequence(&a), ranked_sequence(&b));
     assert_eq!(reuse_edges(&a), reuse_edges(&b));
     // And with the graft layer armed: producer-affinity dequeue must not
     // perturb single-worker determinism.
-    let a = run_server(Strategy::Cnbf, 1, true);
-    let b = run_server(Strategy::Cnbf, 1, true);
+    let a = run_server(engine(Strategy::Cnbf).with_graft(true), 1);
+    let b = run_server(engine(Strategy::Cnbf).with_graft(true), 1);
     assert_eq!(ranked_sequence(&a), ranked_sequence(&b));
     assert_eq!(reuse_edges(&a), reuse_edges(&b));
     assert_eq!(grafted_edges(&a), grafted_edges(&b));
@@ -471,22 +458,10 @@ fn eviction_sequence(events: &[EventRecord]) -> Vec<(QueryId, u8, u64)> {
 /// threaded server seeds scores from measured wall time; its victim
 /// *order* is therefore not golden (only its event invariants are).
 fn run_simulator_costed(tier2_budget: u64) -> Vec<EventRecord> {
-    let cfg = SimConfig::paper_baseline()
-        .with_strategy(Strategy::Cnbf)
-        .with_threads(1)
-        .with_ds_budget(DS_BUDGET)
-        .with_ps_budget(PS_BUDGET)
-        .with_index_cell(INDEX_CELL)
-        .with_mode(SubmissionMode::Batch)
-        .with_observe(true)
-        .with_batch_gate(true)
+    let cfg = engine(Strategy::Cnbf)
         .with_cache_policy(EvictionPolicy::CostBased)
         .with_tier2_budget(tier2_budget);
-    let streams = vec![ClientStream {
-        client: ClientId(0),
-        queries: workload(),
-    }];
-    run_sim(cfg, streams).events
+    run_simulator(cfg)
 }
 
 #[test]
@@ -516,7 +491,7 @@ fn cost_based_victim_sequence_is_pinned_in_the_simulator() {
     }
     // The knapsack must actually change decisions: the same workload
     // under the legacy recency policy evicts in a different order.
-    let legacy: Vec<QueryId> = eviction_sequence(&run_simulator(Strategy::Cnbf, false))
+    let legacy: Vec<QueryId> = eviction_sequence(&run_simulator(engine(Strategy::Cnbf)))
         .iter()
         .map(|&(q, _, _)| q)
         .collect();
@@ -532,7 +507,7 @@ fn legacy_policy_emits_no_tier2_events() {
     // The six paper goldens above run under the legacy recency policy;
     // the tier-2 machinery must be completely inert there — no spills,
     // no restores, and every eviction a plain tier-1 drop.
-    let events = run_simulator(Strategy::Cnbf, false);
+    let events = run_simulator(engine(Strategy::Cnbf));
     for e in &events {
         match e.kind {
             EventKind::Spilled { .. } | EventKind::Restored { .. } => {
@@ -550,8 +525,16 @@ fn legacy_policy_emits_no_tier2_events() {
 /// and checks every counter that `count` can reach against the engine's
 /// own snapshot: the log and the counters of one run tell one story. The
 /// three Data Store answer-path counters are the only ones in
-/// `QueryMetrics` that no event stands for.
-fn assert_log_agrees_with_counters(events: &[EventRecord], engine: &MetricsSnapshot, ctx: &str) {
+/// `QueryMetrics` that no event stands for. The engine's [`RunTally`]
+/// must read the snapshot's counters too, each under its own name; and
+/// its [`DsStats::series`] export must equal the store's own counters.
+fn assert_log_agrees_with_counters(
+    events: &[EventRecord],
+    engine: &MetricsSnapshot,
+    tally: RunTally,
+    ds: DsStats,
+    ctx: &str,
+) {
     let replay = MetricsRegistry::new();
     let counters = QueryMetrics::resolve(&replay);
     for e in events {
@@ -572,70 +555,83 @@ fn assert_log_agrees_with_counters(events: &[EventRecord], engine: &MetricsSnaps
         checked += 1;
     }
     assert_eq!(checked, 14, "{ctx}: every event-backed counter compared");
+    // Destructured whole, so a new tally field fails to compile here
+    // until it is named.
+    let RunTally {
+        completed,
+        failed,
+        timed_out,
+        rejected,
+        shed,
+        degraded,
+        spilled,
+        restored,
+        worker_panics,
+        worker_restarts,
+        quarantined,
+        hung,
+    } = tally;
+    let named = [
+        ("vmqs_queries_completed_total", completed),
+        ("vmqs_queries_failed_total", failed),
+        ("vmqs_queries_timed_out_total", timed_out),
+        ("vmqs_queries_rejected_total", rejected),
+        ("vmqs_queries_shed_total", shed),
+        ("vmqs_queries_degraded_total", degraded),
+        ("vmqs_ds_spills_total", spilled),
+        ("vmqs_ds_restores_total", restored),
+        ("vmqs_worker_panics_total", worker_panics),
+        ("vmqs_worker_restarts_total", worker_restarts),
+        ("vmqs_queries_quarantined_total", quarantined),
+        ("vmqs_queries_hung_total", hung),
+    ];
+    for (name, v) in named.into_iter().chain(ds.series()) {
+        assert_eq!(engine.counters.get(name), Some(&v), "{ctx}: {name}");
+    }
 }
 
-/// One config of the parity corpus, in terms both engines take.
-#[derive(Clone, Copy)]
-struct Knobs {
-    overload: OverloadConfig,
-    chaos: ChaosConfig,
-    policy: EvictionPolicy,
-    ds_budget: u64,
-    tier2_budget: u64,
-    /// Arms the hang watchdog: 50 µs of wall time on the server, 1 ms of
-    /// virtual time in the simulator.
-    hang: bool,
-    /// Feeds the workload twice, one query at a time (submit-and-wait on
-    /// the server, one interactive client in the simulator), so the
-    /// second pass asks for what the first one spilled. Otherwise it is
-    /// one batch: a paused server, the simulator's batch gate.
-    two_passes: bool,
-}
+/// Hang limit of the server's runs in the parity corpus, where a case
+/// arms the watchdog: 50 µs of wall time. The simulator takes the case's
+/// own limit as virtual time.
+const WALL_HANG: Duration = Duration::from_micros(50);
 
 /// The parity corpus: the conformance workload under everything that
 /// ends a query some other way than completing it (shedding,
 /// degradation, rejection, poison queries killing workers, a hang
 /// watchdog) and under stores small enough to evict, spill and restore.
-fn parity_corpus() -> Vec<(&'static str, Knobs)> {
-    let base = Knobs {
-        overload: OverloadConfig::default(),
-        chaos: ChaosConfig::none(),
-        policy: EvictionPolicy::CostBased,
-        ds_budget: DS_BUDGET,
-        tier2_budget: 128 << 10,
-        hang: false,
-        two_passes: false,
-    };
-    let chaos = Knobs {
-        chaos: ChaosConfig::none().with_seed(7).with_poison_rate(0.15),
-        ..base
-    };
+/// Each case is the settings both engines take, plus whether to feed the
+/// workload twice, one query at a time (submit-and-wait on the server,
+/// one interactive client in the simulator), so the second pass asks for
+/// what the first one spilled. Otherwise it is one batch.
+fn parity_corpus() -> Vec<(&'static str, EngineConfig, bool)> {
+    let base = engine(Strategy::Cnbf)
+        .with_cache_policy(EvictionPolicy::CostBased)
+        .with_tier2_budget(128 << 10)
+        .with_quarantine_limit(2)
+        .with_restart_budget(64);
+    let chaos = base.with_chaos(ChaosConfig::none().with_seed(7).with_poison_rate(0.15));
     let mut corpus: Vec<_> = overload_configs()
         .into_iter()
         .chain([("chaos", OverloadConfig::default())])
-        .map(|(name, overload)| (name, Knobs { overload, ..chaos }))
+        .map(|(name, overload)| (name, chaos.with_overload(overload), false))
         .collect();
     corpus.extend([
         // Which of evict and spill a full cost-based store picks depends
         // on benefit scores (wall time on the server, virtual time in the
         // simulator); LRU overflows this tier 2 in both.
+        ("lru", base.with_cache_policy(EvictionPolicy::Lru), false),
         (
-            "lru",
-            Knobs {
-                policy: EvictionPolicy::Lru,
-                ..base
-            },
+            "hang",
+            base.with_hang_timeout(Some(Duration::from_millis(1))),
+            false,
         ),
-        ("hang", Knobs { hang: true, ..base }),
         (
             "second pass",
-            Knobs {
-                policy: EvictionPolicy::Lru,
-                ds_budget: 256 << 10,
-                tier2_budget: 4 << 20,
-                two_passes: true,
-                ..base
-            },
+            base.with_cache_policy(EvictionPolicy::Lru)
+                .with_ds_budget(256 << 10)
+                .with_tier2_budget(4 << 20)
+                .with_start_paused(false),
+            true,
         ),
     ]);
     corpus
@@ -707,75 +703,58 @@ fn event_log_and_lifecycle_counters_agree_in_both_engines() {
     let spill_dir = std::env::temp_dir().join(format!("vmqs_conf_agree_{}", std::process::id()));
     // Kinds of event seen, by run: the sim and each server worker count.
     let mut seen: BTreeMap<String, BTreeSet<&str>> = BTreeMap::new();
-    for (name, k) in parity_corpus() {
-        let batch = !k.two_passes;
-        let queries = if batch {
-            workload()
-        } else {
+    for (name, cfg, two_passes) in parity_corpus() {
+        let queries = if two_passes {
             [workload(), workload()].concat()
+        } else {
+            workload()
         };
         for workers in [1, RACY_WORKERS] {
-            let cfg = ServerConfig::small()
+            let server_cfg = cfg
                 .with_threads(workers)
-                .with_ds_budget(k.ds_budget)
-                .with_ps_budget(PS_BUDGET)
-                .with_index_cell(INDEX_CELL)
-                .with_observability(true)
-                .with_start_paused(batch)
-                .with_overload(k.overload)
-                .with_cache_policy(k.policy)
-                .with_spill_dir(Some(spill_dir.clone()))
-                .with_tier2_budget(k.tier2_budget)
-                .with_chaos(k.chaos)
-                .with_quarantine_limit(2)
-                .with_restart_budget(64)
-                .with_hang_timeout(k.hang.then(|| Duration::from_micros(50)));
-            let server = QueryServer::new(cfg, Arc::new(SyntheticSource::new()));
-            if batch {
-                let handles = server.submit_batch(queries.clone());
-                server.resume_workers();
-                handles.into_iter().for_each(|h| drop(h.wait()));
-            } else {
+                .with_hang_timeout(cfg.hang_timeout.map(|_| WALL_HANG));
+            let server = QueryServer::new(
+                ServerConfig::new(server_cfg).with_spill_dir(Some(spill_dir.clone())),
+                Arc::new(SyntheticSource::new()),
+            );
+            if two_passes {
                 for q in queries.clone() {
                     drop(server.submit(q).wait());
                 }
+            } else {
+                let handles = server.submit_batch(queries.clone());
+                server.resume_workers();
+                handles.into_iter().for_each(|h| drop(h.wait()));
             }
             server.drain();
             let (events, metrics) = (server.events(), server.metrics());
             let run = format!("server x{workers}");
-            assert_log_agrees_with_counters(&events, &metrics, &format!("{run}/{name}"));
+            let (tally, ds) = (server.summary().tally, server.ds_stats());
+            assert_log_agrees_with_counters(&events, &metrics, tally, ds, &format!("{run}/{name}"));
             let kinds = events.iter().map(|e| e.kind.label());
             seen.entry(run).or_default().extend(kinds);
             server.shutdown();
             std::fs::remove_dir_all(&spill_dir).ok();
         }
 
-        let cfg = SimConfig::paper_baseline()
-            .with_threads(1)
-            .with_ds_budget(k.ds_budget)
-            .with_ps_budget(PS_BUDGET)
-            .with_index_cell(INDEX_CELL)
-            .with_observe(true)
-            .with_mode(if batch {
-                SubmissionMode::Batch
-            } else {
-                SubmissionMode::Interactive
-            })
-            .with_batch_gate(batch)
-            .with_overload(k.overload)
-            .with_cache_policy(k.policy)
-            .with_tier2_budget(k.tier2_budget)
-            .with_chaos(k.chaos)
-            .with_quarantine_limit(2)
-            .with_restart_budget(64)
-            .with_hang_timeout(k.hang.then_some(1e-3));
+        let mode = if two_passes {
+            SubmissionMode::Interactive
+        } else {
+            SubmissionMode::Batch
+        };
         let streams = vec![ClientStream {
             client: ClientId(0),
             queries,
         }];
-        let report = run_sim(cfg, streams);
-        assert_log_agrees_with_counters(&report.events, &report.metrics, &format!("sim/{name}"));
-        let kinds = report.events.iter().map(|e| e.kind.label());
+        let r = run_sim(SimConfig::new(cfg).with_mode(mode), streams);
+        assert_log_agrees_with_counters(
+            &r.events,
+            &r.metrics,
+            r.tally,
+            r.ds_stats,
+            &format!("sim/{name}"),
+        );
+        let kinds = r.events.iter().map(|e| e.kind.label());
         seen.entry("sim".to_string()).or_default().extend(kinds);
     }
     let reached = EVERY_KIND.iter().filter(|k| corpus_reaches(k));

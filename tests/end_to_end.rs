@@ -44,9 +44,11 @@ fn every_strategy_produces_correct_images() {
     ];
     for strategy in Strategy::paper_set() {
         let server = QueryServer::new(
-            ServerConfig::small()
-                .with_strategy(strategy)
-                .with_threads(2),
+            ServerConfig::new(
+                EngineConfig::small()
+                    .with_strategy(strategy)
+                    .with_threads(2),
+            ),
             Arc::new(SyntheticSource::new()),
         );
         let handles: Vec<_> = queries.iter().map(|q| server.submit(*q)).collect();
@@ -64,7 +66,7 @@ fn reuse_paths_are_pixel_identical_to_recomputation() {
     // at 4x from either source; every answer must equal the reference.
     let slide = small_slide();
     let server = QueryServer::new(
-        ServerConfig::small().with_threads(1),
+        ServerConfig::new(EngineConfig::small().with_threads(1)),
         Arc::new(SyntheticSource::new()),
     );
     let base = VmQuery::new(slide, Rect::new(0, 0, 1024, 1024), 1, VmOp::Subsample);
@@ -131,10 +133,12 @@ fn interactive_workload_end_to_end_with_reuse() {
     let streams = generate(&WorkloadConfig::small(VmOp::Subsample, 21));
     let total: usize = streams.iter().map(|s| s.queries.len()).sum();
     let server = QueryServer::new(
-        ServerConfig::small()
-            .with_strategy(Strategy::Cnbf)
-            .with_threads(4)
-            .with_ds_budget(32 << 20),
+        ServerConfig::new(
+            EngineConfig::small()
+                .with_strategy(Strategy::Cnbf)
+                .with_threads(4)
+                .with_ds_budget(32 << 20),
+        ),
         Arc::new(SyntheticSource::new()),
     );
     let records = run_server_interactive(&server, streams);
@@ -151,9 +155,11 @@ fn batch_workload_all_strategies_complete() {
     let queries: Vec<VmQuery> = streams.iter().flat_map(|s| s.queries.clone()).collect();
     for strategy in Strategy::paper_set() {
         let server = QueryServer::new(
-            ServerConfig::small()
-                .with_strategy(strategy)
-                .with_threads(2),
+            ServerConfig::new(
+                EngineConfig::small()
+                    .with_strategy(strategy)
+                    .with_threads(2),
+            ),
             Arc::new(SyntheticSource::new()),
         );
         let records = run_server_batch(&server, queries.clone());
@@ -164,10 +170,7 @@ fn batch_workload_all_strategies_complete() {
 
 #[test]
 fn graph_stats_reflect_served_workload() {
-    let server = QueryServer::new(
-        ServerConfig::small().with_threads(2),
-        Arc::new(SyntheticSource::new()),
-    );
+    let server = QueryServer::new(ServerConfig::small(), Arc::new(SyntheticSource::new()));
     let slide = small_slide();
     let q = VmQuery::new(slide, Rect::new(0, 0, 256, 256), 1, VmOp::Subsample);
     for _ in 0..5 {

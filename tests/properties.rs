@@ -12,7 +12,7 @@ use vmqs::prelude::{
 use vmqs_core::geom::{subtract_all, total_area};
 use vmqs_core::spec::testutil::IntervalSpec;
 use vmqs_core::Strategy as RankStrategy;
-use vmqs_core::{Plan, QueryId, SpatialSpec, Windowed};
+use vmqs_core::{EngineConfig, Plan, QueryId, SpatialSpec, Windowed};
 use vmqs_datastore::{DsError, EvictionPolicy};
 use vmqs_microscope::kernels::{compute_from_chunks, reference_render};
 use vmqs_microscope::PAGE_SIZE;
@@ -451,9 +451,9 @@ proptest! {
         let streams = generate(&wcfg);
         let total: usize = streams.iter().map(|s| s.queries.len()).sum();
         let mode = if batch { SubmissionMode::Batch } else { SubmissionMode::Interactive };
-        let cfg = SimConfig::paper_baseline()
-            .with_strategy(RankStrategy::paper_set()[strat])
-            .with_threads(threads)
+        let cfg = SimConfig::new(EngineConfig::paper_baseline()
+                .with_strategy(RankStrategy::paper_set()[strat])
+                .with_threads(threads))
             .with_mode(mode);
         let a = run_sim(cfg, streams.clone());
         prop_assert_eq!(a.records.len(), total);
@@ -488,11 +488,11 @@ proptest! {
         let streams = generate(&wcfg);
         let total: usize = streams.iter().map(|s| s.queries.len()).sum();
         let mode = if batch { SubmissionMode::Batch } else { SubmissionMode::Interactive };
-        let cfg = SimConfig::paper_baseline()
-            .with_strategy(RankStrategy::paper_set()[strat])
-            .with_threads(threads)
-            .with_mode(mode)
-            .with_observe(true);
+        let cfg = SimConfig::new(EngineConfig::paper_baseline()
+                .with_strategy(RankStrategy::paper_set()[strat])
+                .with_threads(threads)
+                .with_observe(true))
+            .with_mode(mode);
         let report = run_sim(cfg, streams);
 
         let mut submitted: HashMap<QueryId, u64> = HashMap::new();
@@ -587,10 +587,10 @@ proptest! {
                 shed as f64 / 100.0
             },
         };
-        let cfg = ServerConfig::small()
-            .with_threads(threads)
-            .with_start_paused(true)
-            .with_overload(ov);
+        let cfg = ServerConfig::new(EngineConfig::small()
+                .with_threads(threads)
+                .with_start_paused(true)
+                .with_overload(ov));
         let server = QueryServer::new(cfg, Arc::new(SyntheticSource::new()));
         let handles = server.submit_batch(specs);
         server.resume_workers();
@@ -678,9 +678,9 @@ proptest! {
             degrade_threshold: 0.5,
             shed_threshold: 0.9,
         };
-        let cfg = ServerConfig::small()
-            .with_threads(workers)
-            .with_overload(ov);
+        let cfg = ServerConfig::new(EngineConfig::small()
+                .with_threads(workers)
+                .with_overload(ov));
         let server = QueryServer::new(cfg, Arc::new(SyntheticSource::new()));
 
         // Four concurrent clients, each waiting for its previous answer —
@@ -786,10 +786,10 @@ proptest! {
         }
 
         let run = |graft: bool| {
-            let cfg = ServerConfig::small()
-                .with_threads(threads)
-                .with_start_paused(true)
-                .with_graft(graft);
+            let cfg = ServerConfig::new(EngineConfig::small()
+                    .with_threads(threads)
+                    .with_start_paused(true)
+                    .with_graft(graft));
             let server = QueryServer::new(cfg, Arc::new(SyntheticSource::new()));
             let handles = server.submit_batch(specs.clone());
             server.resume_workers();
@@ -878,13 +878,13 @@ proptest! {
         let run = |spill: bool| {
             // ~3 modest results of tier-1 budget: guaranteed demotion
             // pressure on every generated workload.
-            let cfg = ServerConfig::small()
-                .with_threads(threads)
-                .with_start_paused(true)
-                .with_cache_policy(vmqs_datastore::EvictionPolicy::CostBased)
-                .with_ds_budget(120_000)
-                .with_spill_dir(spill.then(|| dir.clone()))
-                .with_tier2_budget(if spill { 64 << 20 } else { 0 });
+            let cfg = ServerConfig::new(EngineConfig::small()
+                    .with_threads(threads)
+                    .with_start_paused(true)
+                    .with_cache_policy(vmqs_datastore::EvictionPolicy::CostBased)
+                    .with_ds_budget(120_000)
+                    .with_tier2_budget(if spill { 64 << 20 } else { 0 }))
+                .with_spill_dir(spill.then(|| dir.clone()));
             let server = QueryServer::new(cfg, Arc::new(SyntheticSource::new()));
             let handles = server.submit_batch(specs.clone());
             server.resume_workers();
@@ -917,7 +917,7 @@ proptest! {
             prop_assert_eq!(s.completed, queries, "{}: clean source completes all", name);
         }
         prop_assert_eq!(
-            (sum_off.spilled, sum_off.restored),
+            (sum_off.tally.spilled, sum_off.tally.restored),
             (0, 0),
             "spill off must never touch tier 2"
         );
@@ -1020,9 +1020,9 @@ proptest! {
         wcfg.clients_per_dataset = vec![2, 1];
         let streams = vmqs_volume::generate_volume(&wcfg);
         let total: usize = streams.iter().map(|s| s.queries.len()).sum();
-        let cfg = SimConfig::paper_baseline()
-            .with_strategy(RankStrategy::paper_set()[strat])
-            .with_threads(threads);
+        let cfg = SimConfig::new(EngineConfig::paper_baseline()
+                .with_strategy(RankStrategy::paper_set()[strat])
+                .with_threads(threads));
         let cost = vmqs_volume::VolCostModel::calibrated(&cfg.disk);
         let a = vmqs_volume::run_volume_sim(cfg, cost, streams.clone());
         prop_assert_eq!(a.records.len(), total);

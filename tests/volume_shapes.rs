@@ -37,10 +37,12 @@ fn run(
             }]
         }
     };
-    let cfg = SimConfig::paper_baseline()
-        .with_strategy(strategy)
-        .with_ds_budget(ds_mb_x10 * (1 << 20) / 10)
-        .with_mode(mode);
+    let cfg = SimConfig::new(
+        EngineConfig::paper_baseline()
+            .with_strategy(strategy)
+            .with_ds_budget(ds_mb_x10 * (1 << 20) / 10),
+    )
+    .with_mode(mode);
     run_volume_sim(cfg, VolCostModel::calibrated(&cfg.disk), streams)
 }
 
