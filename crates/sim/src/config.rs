@@ -224,4 +224,38 @@ mod tests {
             .with_tier2_budget(1 << 30);
         assert_eq!(f.engine, want);
     }
+
+    #[test]
+    fn containment_knobs_default_off_and_compose() {
+        use std::time::Duration;
+        use vmqs_core::ChaosConfig;
+        let base = SimConfig::paper_baseline();
+        assert!(base.engine.chaos.is_noop() && base.engine.hang_timeout.is_none());
+        assert_eq!(
+            (base.engine.restart_budget, base.engine.quarantine_limit),
+            (8, 3)
+        );
+        let c = SimConfig::new(
+            base.engine
+                .with_chaos(ChaosConfig::none().with_seed(9).with_poison_rate(0.1))
+                .with_hang_timeout(Some(Duration::from_secs_f64(2.5)))
+                .with_restart_budget(1)
+                .with_quarantine_limit(2),
+        );
+        assert!(!c.engine.chaos.is_noop());
+        assert_eq!(c.engine.hang_timeout, Some(Duration::from_secs_f64(2.5)));
+        assert_eq!((c.engine.restart_budget, c.engine.quarantine_limit), (1, 2));
+    }
+
+    #[test]
+    fn overload_defaults_off_and_builder_composes() {
+        use vmqs_core::OverloadConfig;
+        assert!(!SimConfig::paper_baseline().engine.overload.enabled());
+        let c = SimConfig::new(
+            EngineConfig::paper_baseline()
+                .with_overload(OverloadConfig::default().with_max_pending(8)),
+        );
+        assert!(c.engine.overload.enabled());
+        assert_eq!(c.engine.overload.max_pending, 8);
+    }
 }
