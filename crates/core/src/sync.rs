@@ -497,6 +497,15 @@ pub mod atomic {
     };
 }
 
+/// Spin-wait hint, a yield to the model scheduler under loom.
+pub mod hint {
+    #[cfg(loom)]
+    pub use loom::hint::spin_loop;
+
+    #[cfg(not(loom))]
+    pub use std::hint::spin_loop;
+}
+
 /// Thread spawn/join routed through the model scheduler under loom.
 pub mod thread {
     #[cfg(loom)]

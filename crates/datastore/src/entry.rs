@@ -62,7 +62,7 @@ pub enum Phase {
     /// its bytes (while its frame is being written) or a compact on-disk
     /// copy (once the frame has landed), so a later exact-match lookup
     /// can re-heat the entry instead of recomputing it. Invisible to
-    /// normal lookups until [`Phase::restore`] brings it back to FULL.
+    /// normal lookups until `Phase::restore` brings it back to FULL.
     Restorable,
 }
 

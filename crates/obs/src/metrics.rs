@@ -185,6 +185,13 @@ pub struct QueryMetrics {
     pub ds_partial_hits: Arc<Counter>,
     /// `vmqs_ds_misses_total`
     pub ds_misses: Arc<Counter>,
+    /// `vmqs_queries_grafted_total` — queries answered with the bytes of
+    /// an in-flight producer of the same predicate (DESIGN.md §13), the
+    /// fourth answer path beside the three above.
+    pub grafted: Arc<Counter>,
+    /// `vmqs_reused_bytes_total` — output bytes completed queries took
+    /// from cached or grafted results instead of computing them.
+    pub reused_bytes: Arc<Counter>,
     /// `vmqs_ds_evictions_total`
     pub ds_evictions: Arc<Counter>,
     /// `vmqs_ds_spills_total` — entries demoted to the tier-2 spill
@@ -224,6 +231,8 @@ impl QueryMetrics {
             ds_exact_hits: reg.counter("vmqs_ds_exact_hits_total"),
             ds_partial_hits: reg.counter("vmqs_ds_partial_hits_total"),
             ds_misses: reg.counter("vmqs_ds_misses_total"),
+            grafted: reg.counter("vmqs_queries_grafted_total"),
+            reused_bytes: reg.counter("vmqs_reused_bytes_total"),
             ds_evictions: reg.counter("vmqs_ds_evictions_total"),
             ds_spills: reg.counter("vmqs_ds_spills_total"),
             ds_restores: reg.counter("vmqs_ds_restores_total"),
@@ -240,7 +249,7 @@ impl QueryMetrics {
     /// that ties an event to its counter, so a log and a snapshot of the
     /// same run cannot disagree. No `_` arm: a new event kind has to say
     /// here whether it is counted. (The `ds_{exact_hits,partial_hits,
-    /// misses}` counters have no event; they count answer paths.)
+    /// misses}` answer-path counters and `reused_bytes` have no event.)
     pub fn count(&self, kind: &EventKind) {
         let counter = match kind {
             EventKind::Submitted => &self.submitted,
@@ -250,6 +259,7 @@ impl QueryMetrics {
             EventKind::TimedOut => &self.timed_out,
             EventKind::Rejected { .. } => &self.rejected,
             EventKind::Shed => &self.shed,
+            EventKind::Grafted { .. } => &self.grafted,
             EventKind::Evicted { .. } => &self.ds_evictions,
             EventKind::Spilled { .. } => &self.ds_spills,
             EventKind::Restored { .. } => &self.ds_restores,
@@ -259,7 +269,6 @@ impl QueryMetrics {
             EventKind::Hung => &self.hung,
             EventKind::Ranked { .. }
             | EventKind::LookupHit { .. }
-            | EventKind::Grafted { .. }
             | EventKind::SubquerySpawned { .. }
             | EventKind::PageRead { .. } => return,
         };

@@ -66,8 +66,9 @@
 //!   itself takes no lock: it decides from one atomic read of
 //!   `total_waiting`, and asks for the Data Store / Page Space signals
 //!   only when that depth does not settle the verdict.
-//! * Idle workers park on an eventcount-style `idle` mutex + `work_cv`;
-//!   submitters only touch it when `sleepers > 0`.
+//! * Idle workers first spin for a moment, at most one at a time, then
+//!   park on an eventcount-style `idle` mutex + `work_cv`; submitters only
+//!   touch it when `sleepers > 0`.
 //!
 //! **Lock hierarchy rule:** one of these at a time; no thread holds two
 //! shard locks or a shard lock together with `admission`/`store`/
@@ -94,11 +95,12 @@ use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::OnceLock;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vmqs_core::clock;
 use vmqs_core::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use vmqs_core::sync::{lockdep, Arc, Condvar, LockClass, Mutex, MutexGuard, RwLock};
+use vmqs_core::sync::{hint, lockdep, thread, Arc, Condvar, LockClass, Mutex, MutexGuard, RwLock};
 use vmqs_core::{
     overload, shard_of_spec, shed_victim, BlobId, ClientId, IdGen, PanicOutcome, Pressure, QueryId,
     QuerySpec, QueryState, Rank, RateLimiter, SchedShard, Secondary, SpatialSpec, Supervisor,
@@ -111,6 +113,23 @@ use vmqs_obs::{
 };
 use vmqs_pagespace::PsStats;
 use vmqs_storage::{DataSource, SpillStore};
+
+/// How long an idle worker polls for work before it parks: about one
+/// client's turnaround between a reply and its next submission, so that
+/// submission finds a worker awake (DESIGN.md §12). A constant, not a
+/// setting.
+const SPIN_WINDOW: Duration = Duration::from_micros(100);
+
+/// Polls at the start of the spin window that only pause the core; the
+/// later ones yield it.
+const SPIN_PAUSES: u32 = 32;
+
+/// The host's available parallelism, read once per process: the call
+/// reads cgroup files every time.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// A query's reply channel: capacity one, so the single answer a query
 /// ever gets is sent without blocking whether or not the client waits.
@@ -348,6 +367,9 @@ struct Core<A: AppExecutor> {
     work_cv: Condvar,
     /// Workers currently parked (or about to park) on `idle`/`work_cv`.
     sleepers: AtomicUsize,
+    /// Set while an idle worker spins before it parks
+    /// ([`Core::spin_for_work`]); at most one spins at a time.
+    spinning: AtomicBool,
     /// WAITING queries across all shards — the admission ladder's
     /// queue-depth input and the workers' "any work at all?" gate.
     /// Published by each [`ShardGuard`] under its shard's lock.
@@ -487,6 +509,7 @@ impl<A: AppExecutor> QueryServer<A> {
             idle: Mutex::ranked(LockClass::Idle, ()),
             work_cv: Condvar::new(),
             sleepers: AtomicUsize::new(0),
+            spinning: AtomicBool::new(false),
             total_waiting,
             outstanding: AtomicUsize::new(0),
             paused: AtomicBool::new(e.start_paused),
@@ -703,27 +726,29 @@ impl<A: AppExecutor> QueryServer<A> {
     }
 
     /// The lifecycle counters and the answer paths of completed queries,
-    /// counted without copying the per-query records.
+    /// read from the metrics counters: no record is walked and no lock
+    /// taken, however long the run.
     pub fn summary(&self) -> ServerSummary {
-        let mut out = ServerSummary::default();
-        for r in self.core.metrics.lock().iter() {
-            match r.path {
-                AnswerPath::ExactHit => out.exact_hits += 1,
-                AnswerPath::PartialReuse => out.partial_reuse += 1,
-                AnswerPath::FullCompute => out.full_compute += 1,
-                AnswerPath::Grafted => out.grafted += 1,
-            }
-            out.completed += 1;
-            out.reused_bytes += r.reused_bytes;
+        let q = &self.core.qmet;
+        let tally = q.tally();
+        let exact_hits = q.ds_exact_hits.get() as usize;
+        let partial_reuse = q.ds_partial_hits.get() as usize;
+        let full_compute = q.ds_misses.get() as usize;
+        let grafted = q.grafted.get() as usize;
+        ServerSummary {
+            tally,
+            completed: exact_hits + partial_reuse + full_compute + grafted,
+            failed: tally.failed as usize,
+            timed_out: tally.timed_out as usize,
+            rejected: tally.rejected as usize,
+            shed: tally.shed as usize,
+            exact_hits,
+            partial_reuse,
+            full_compute,
+            grafted,
+            duplicate_full_computes: self.core.duplicate_full_computes.load(Ordering::Relaxed),
+            reused_bytes: q.reused_bytes.get(),
         }
-        let tally = self.core.qmet.tally();
-        out.tally = tally;
-        out.failed = tally.failed as usize;
-        out.timed_out = tally.timed_out as usize;
-        out.rejected = tally.rejected as usize;
-        out.shed = tally.shed as usize;
-        out.duplicate_full_computes = self.core.duplicate_full_computes.load(Ordering::Relaxed);
-        out
     }
 
     /// Data Store counters.
@@ -933,18 +958,68 @@ impl<A: AppExecutor> Core<A> {
         }
     }
 
-    /// Worker half of the idle protocol: advertise as a sleeper, then
-    /// re-check the wait condition under the `idle` lock before parking.
+    /// True when a worker has nothing to dequeue: the pool is paused or
+    /// every shard is empty.
+    fn no_work(&self) -> bool {
+        self.paused.load(Ordering::SeqCst) || self.total_waiting.load(Ordering::SeqCst) == 0
+    }
+
+    /// Worker half of the idle protocol: spin for a moment, then advertise
+    /// as a sleeper and re-check the wait condition under the `idle` lock
+    /// before parking. A spinner is not a sleeper, so a query submitted
+    /// during the spin costs its submitter no syscall to reach it, and
+    /// the park that follows a fruitless spin is the unchanged Dekker
+    /// half.
     fn idle_sleep(&self) {
+        if self.spin_for_work() {
+            return;
+        }
         let mut g = self.idle.lock();
         self.sleepers.fetch_add(1, Ordering::SeqCst);
-        if !self.shutdown.load(Ordering::SeqCst)
-            && (self.paused.load(Ordering::SeqCst)
-                || self.total_waiting.load(Ordering::SeqCst) == 0)
-        {
+        if !self.shutdown.load(Ordering::SeqCst) && self.no_work() {
             self.work_cv.wait(&mut g);
         }
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Polls for work or shutdown for up to [`SPIN_WINDOW`]: first with
+    /// [`SPIN_PAUSES`] pause hints, then yielding the core between polls.
+    /// Returns true when either appeared. Spins only when no other worker
+    /// is spinning and the workers not parked, this one included, are
+    /// fewer than the cores: a spinner never takes a core from a running
+    /// query or from a submitter. A paused pool does not spin: nothing
+    /// can be dequeued before `resume_workers`, which notifies the parked.
+    fn spin_for_work(&self) -> bool {
+        let awake = self
+            .shards
+            .len()
+            .saturating_sub(self.sleepers.load(Ordering::SeqCst));
+        if self.paused.load(Ordering::SeqCst)
+            || awake >= cores()
+            || self
+                .spinning
+                .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
+                .is_err()
+        {
+            return false;
+        }
+        let start = clock::now();
+        let mut polls = 0u32;
+        let found = loop {
+            if self.shutdown.load(Ordering::SeqCst) || !self.no_work() {
+                break true;
+            }
+            if polls < SPIN_PAUSES {
+                hint::spin_loop();
+            } else if clock::now() - start < SPIN_WINDOW {
+                thread::yield_now();
+            } else {
+                break false;
+            }
+            polls += 1;
+        };
+        self.spinning.store(false, Ordering::Relaxed);
+        found
     }
 
     /// The engine's one way to say something happened: bumps the counter
@@ -1007,7 +1082,7 @@ fn worker_entry<A: AppExecutor>(core: Arc<Core<A>>, me: usize) {
         if core.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        if core.paused.load(Ordering::SeqCst) || core.total_waiting.load(Ordering::SeqCst) == 0 {
+        if core.no_work() {
             core.idle_sleep();
             continue;
         }
@@ -1234,10 +1309,11 @@ fn run_one<A: AppExecutor>(core: &Core<A>, job: Job<A::Spec>) {
                 AnswerPath::ExactHit => core.qmet.ds_exact_hits.inc(),
                 AnswerPath::PartialReuse => core.qmet.ds_partial_hits.inc(),
                 AnswerPath::FullCompute => core.qmet.ds_misses.inc(),
-                // Grafts are accounted per-record (ServerSummary); the
-                // store's hit/miss counters never saw a lookup for them.
+                // Counted by its `Grafted` event; the store's hit/miss
+                // counters never saw a lookup for it.
                 AnswerPath::Grafted => {}
             }
+            core.qmet.reused_bytes.add(out.reused_bytes);
             core.qmet
                 .service_time
                 .observe((finished - started).as_secs_f64());
@@ -2013,6 +2089,96 @@ mod tests {
         s.shutdown();
     }
 
+    /// Polls `cond` until it holds, failing after a generous 10 s.
+    fn eventually(what: &str, cond: impl Fn() -> bool) {
+        let deadline = clock::now() + Duration::from_secs(10);
+        while !cond() {
+            assert!(clock::now() < deadline, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Busy-polls for up to 10 ms for a worker in its spin window; true
+    /// when one was seen.
+    fn caught_spinning(s: &QueryServer) -> bool {
+        let deadline = clock::now() + Duration::from_millis(10);
+        while clock::now() < deadline {
+            if s.core.spinning.load(Ordering::Relaxed) {
+                return true;
+            }
+            std::hint::spin_loop();
+        }
+        false
+    }
+
+    #[test]
+    fn idle_pool_ends_its_spin_and_parks() {
+        let s = server(ServerConfig::new(EngineConfig::small().with_threads(2)));
+        s.submit(q(0, 0, 64, 64, 2, VmOp::Subsample))
+            .wait()
+            .unwrap();
+        eventually("every worker parks", || {
+            s.core.sleepers.load(Ordering::SeqCst) == 2
+        });
+        s.shutdown();
+    }
+
+    /// The spin polls `shutdown`, and a spinner that then parks re-checks
+    /// it under the `idle` lock, so a shutdown in the spin window joins.
+    #[test]
+    fn shutdown_during_a_spin_joins_every_worker() {
+        let mut caught = 0;
+        for _ in 0..20 {
+            let s = server(ServerConfig::new(EngineConfig::small().with_threads(2)));
+            s.submit(q(0, 0, 64, 64, 2, VmOp::Subsample))
+                .wait()
+                .unwrap();
+            // The worker that answered is back in its idle path.
+            caught += usize::from(caught_spinning(&s));
+            s.shutdown();
+        }
+        assert!(caught > 0 || cores() < 2, "no spin window was caught");
+    }
+
+    #[test]
+    fn paused_workers_park_and_resume_runs_the_batch() {
+        let s = server(ServerConfig::new(
+            EngineConfig::small()
+                .with_threads(2)
+                .with_start_paused(true),
+        ));
+        let specs: Vec<_> = (0..8u32)
+            .map(|i| q(i * 70, 0, 64, 64, 1, VmOp::Subsample))
+            .collect();
+        let handles = s.submit_batch(specs.iter().copied());
+        eventually("both paused workers park", || {
+            s.core.sleepers.load(Ordering::SeqCst) == 2
+        });
+        assert_eq!(s.summary().completed, 0, "a paused pool ran nothing");
+        s.resume_workers();
+        for (h, spec) in handles.into_iter().zip(&specs) {
+            assert_eq!(*h.wait().unwrap().image, reference_render(spec).data);
+        }
+        s.shutdown();
+    }
+
+    /// A spinner is not a sleeper, so its submitter wakes no one: the
+    /// spinner must find the query by itself.
+    #[test]
+    fn a_submission_during_the_spin_is_answered() {
+        let s = server(ServerConfig::new(EngineConfig::small().with_threads(1)));
+        let mut caught = 0;
+        for i in 0..20u32 {
+            caught += usize::from(caught_spinning(&s));
+            let spec = q(i * 25, 0, 64, 64, 1, VmOp::Subsample);
+            let res = s.submit(spec).wait().unwrap();
+            assert_eq!(*res.image, reference_render(&spec).data);
+        }
+        assert!(caught > 0 || cores() < 2, "no spin window was caught");
+        s.check_invariants();
+        s.shutdown();
+    }
+
     #[test]
     fn shutdown_fails_pending_queries() {
         // One thread and a pile of queries: shut down immediately; whatever
@@ -2468,6 +2634,46 @@ mod tests {
         drop(store);
         assert_eq!(s.summary().duplicate_full_computes, 1);
         s.check_invariants();
+        s.shutdown();
+    }
+
+    /// `summary()` reads counters; after a run that takes every answer
+    /// path, grafting included, they equal a walk over the records.
+    #[test]
+    fn summary_counters_equal_a_record_walk() {
+        let (s, gate) = stalling(
+            ServerConfig::new(EngineConfig::small().with_threads(2).with_graft(true)),
+            Released::Compute,
+        );
+        let spec = q(0, 0, 200, 400, 2, VmOp::Subsample);
+        let producer = s.submit(spec);
+        gate.wait_entered();
+        let consumer = s.submit(spec);
+        wait_until_blocked(&s, consumer.id);
+        gate.release();
+        producer.wait().unwrap();
+        consumer.wait().unwrap();
+        s.submit(spec).wait().unwrap();
+        s.submit(q(100, 0, 300, 400, 2, VmOp::Subsample))
+            .wait()
+            .unwrap();
+        let records = s.records();
+        let walked = |path| records.iter().filter(|r| r.path == path).count();
+        let sum = s.summary();
+        assert_eq!(sum.completed, records.len());
+        let paths = [
+            (sum.exact_hits, AnswerPath::ExactHit),
+            (sum.partial_reuse, AnswerPath::PartialReuse),
+            (sum.full_compute, AnswerPath::FullCompute),
+            (sum.grafted, AnswerPath::Grafted),
+        ];
+        for (counted, path) in paths {
+            assert_eq!((counted, path), (walked(path), path));
+            assert!(counted > 0, "the run takes the {path:?} path");
+        }
+        let reused: u64 = records.iter().map(|r| r.reused_bytes).sum();
+        assert_eq!(sum.reused_bytes, reused);
+        assert_eq!(sum.tally.completed, records.len() as u64);
         s.shutdown();
     }
 

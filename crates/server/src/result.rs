@@ -80,14 +80,15 @@ impl<S> QueryRecord<S> {
 
 /// Aggregate metrics over the server's run so far: the lifecycle
 /// counters the simulator reports too, plus how the completed queries
-/// were answered. Cheap to poll: it copies no per-query record.
+/// were answered. Cheap to poll: it is read from counters and walks no
+/// per-query record.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServerSummary {
     /// The lifecycle counters, read from the same function as the
     /// simulator's (`vmqs_obs::QueryMetrics::tally`).
     pub tally: RunTally,
-    /// Completed queries: the records the answer-path counts below sum
-    /// to. Equal to `tally.completed` whenever no query is mid-completion.
+    /// Completed queries: the sum of the answer-path counts below. Equal
+    /// to `tally.completed` whenever no query is mid-completion.
     /// This and the next four stay `usize` until ROADMAP item 1(b): the
     /// benchmark package casts them.
     pub completed: usize,

@@ -793,6 +793,7 @@ impl<A: SimApplication> Simulator<A> {
         self.route_evictions(now, evicted);
         self.drain_spills(now);
         self.qmet.service_time.observe(now - info.start);
+        self.qmet.reused_bytes.add(reused);
 
         let record = SimRecord {
             id,

@@ -26,7 +26,7 @@ pub struct VolCostModel {
 
 impl VolCostModel {
     /// Calibrates against a disk model (ratios relative to streaming I/O
-    /// time, like [`vmqs_microscope::VmCostModel::calibrated`]).
+    /// time, like the Virtual Microscope's `VmCostModel::calibrated`).
     pub fn calibrated(disk: &DiskModel) -> Self {
         let io = 1.0 / disk.bandwidth;
         VolCostModel {

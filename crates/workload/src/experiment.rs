@@ -117,7 +117,7 @@ pub fn run_server_batch(
 }
 
 /// Convenience constructor for a laptop-scale threaded server matched to
-/// [`WorkloadConfig::small`].
+/// [`WorkloadConfig::small`](crate::WorkloadConfig::small).
 pub fn small_server(strategy: Strategy, threads: usize) -> QueryServer {
     let cfg = ServerConfig::new(
         EngineConfig::small()

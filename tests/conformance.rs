@@ -524,10 +524,11 @@ fn legacy_policy_emits_no_tier2_events() {
 /// Replays `events` through [`QueryMetrics::count`] into a fresh registry
 /// and checks every counter that `count` can reach against the engine's
 /// own snapshot: the log and the counters of one run tell one story. The
-/// three Data Store answer-path counters are the only ones in
-/// `QueryMetrics` that no event stands for. The engine's [`RunTally`]
-/// must read the snapshot's counters too, each under its own name; and
-/// its [`DsStats::series`] export must equal the store's own counters.
+/// three Data Store answer-path counters and the reused-bytes counter are
+/// the only ones in `QueryMetrics` that no event stands for. The engine's
+/// [`RunTally`] must read the snapshot's counters too, each under its own
+/// name; and its [`DsStats::series`] export must equal the store's own
+/// counters.
 fn assert_log_agrees_with_counters(
     events: &[EventRecord],
     engine: &MetricsSnapshot,
@@ -544,6 +545,7 @@ fn assert_log_agrees_with_counters(
         "vmqs_ds_exact_hits_total",
         "vmqs_ds_partial_hits_total",
         "vmqs_ds_misses_total",
+        "vmqs_reused_bytes_total",
     ];
     let mut checked = 0;
     for (name, from_log) in replay.snapshot().counters {
@@ -554,7 +556,7 @@ fn assert_log_agrees_with_counters(
         assert_eq!(counted, Some(from_log), "{ctx}: {name}");
         checked += 1;
     }
-    assert_eq!(checked, 14, "{ctx}: every event-backed counter compared");
+    assert_eq!(checked, 15, "{ctx}: every event-backed counter compared");
     // Destructured whole, so a new tally field fails to compile here
     // until it is named.
     let RunTally {

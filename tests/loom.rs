@@ -200,9 +200,14 @@ fn counter_snapshot_bound() {
 /// guarantee the worker always receives the submitted query — dropping
 /// the worker's re-check, the submitter's `sleepers` read, or the
 /// bridge loses the wakeup, which the model reports as a deadlock.
-#[test]
-fn engine_idle_wakeup_no_lost_submit() {
-    loom::model(|| {
+///
+/// Before it parks, the worker polls `total_waiting` `spin_polls` times
+/// (`Core::spin_for_work`, its window cut to a few polls). A spinner is
+/// not a sleeper, so a submission during the spin notifies no one and
+/// the spinner must find it; one after the last poll meets the park
+/// sequence above, unchanged.
+fn idle_wakeup_delivers_the_submission(spin_polls: usize) {
+    loom::model(move || {
         let shard = Arc::new(Mutex::new(Vec::<u64>::new()));
         let total_waiting = Arc::new(AtomicUsize::new(0));
         let sleepers = Arc::new(AtomicUsize::new(0));
@@ -232,9 +237,17 @@ fn engine_idle_wakeup_no_lost_submit() {
             })
         };
 
-        // `worker_loop` + `idle_sleep`, reduced to one shard.
+        // `worker_entry` + `idle_sleep`, reduced to one shard.
         let got = loop {
             if total_waiting.load(Ordering::SeqCst) == 0 {
+                // `spin_for_work`: poll, and go back for the work found.
+                let found = (0..spin_polls).any(|_| {
+                    loom::hint::spin_loop();
+                    total_waiting.load(Ordering::SeqCst) != 0
+                });
+                if found {
+                    continue;
+                }
                 let mut g = idle.lock();
                 sleepers.fetch_add(1, Ordering::SeqCst);
                 // The re-check under the idle lock is load-bearing: the
@@ -255,6 +268,19 @@ fn engine_idle_wakeup_no_lost_submit() {
         assert_eq!(got, 7, "worker must receive the submitted query");
         submitter.join().unwrap();
     });
+}
+
+/// A worker that cannot spin (another one is, or every core is taken)
+/// parks at once.
+#[test]
+fn engine_idle_wakeup_no_lost_submit() {
+    idle_wakeup_delivers_the_submission(0);
+}
+
+/// The spinning worker: two polls, then the park.
+#[test]
+fn engine_spin_then_park_no_lost_submit() {
+    idle_wakeup_delivers_the_submission(2);
 }
 
 /// Worker-death back-out (DESIGN.md §15): a query parked in
